@@ -112,14 +112,6 @@ class OutsideCertifiedDomain(TrackTreeError):
     pass
 
 
-class ClosureViolation(TrackTreeError):
-    """Witness pair whose product escapes a parallel-class union."""
-
-    def __init__(self, e1, e2):
-        self.pair = (e1, e2)
-        super().__init__(f"product {e1!r} * {e2!r} escapes the class union")
-
-
 # --- harness --------------------------------------------------------------
 
 class TooLarge(TrackTreeError):

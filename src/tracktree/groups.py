@@ -16,13 +16,16 @@ is the inverse:
 The identity is the empty word everywhere and is displayed as ``"1"``.
 Subgroup membership engines: Stallings folding automaton (free), integer
 lattice reduction (free_abelian), and factor/cyclic special forms for free
-products.  Right-coset keys are ShortLex-least representatives, computed
-per ball by grouping elements with the membership engine.
+products.  Every engine also gives each right coset a canonical
+fingerprint; ``CosetTable`` groups a ball by fingerprint into
+ShortLex-least coset keys, the reference for the coset graph of
+``windows.Window``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -135,17 +138,51 @@ class GroupModel:
         max_elements: int = DEFAULT_MAX_ELEMENTS,
     ) -> list["GroupElement"]:
         """All canonical elements of word length <= radius, in ShortLex order."""
+        self.require_ball(radius, max_radius, max_elements)
+        if self.kind == FREE:
+            words = _free_ball(self, radius)
+        elif self.kind == FREE_ABELIAN:
+            words = _abelian_ball(self, radius)
+        else:
+            words = _fpc_ball(self, radius)
+        return [GroupElement(self, w) for w in words]
+
+    def require_ball(
+        self,
+        radius: int,
+        max_radius: int = DEFAULT_MAX_RADIUS,
+        max_elements: int = DEFAULT_MAX_ELEMENTS,
+    ):
+        """RadiusTooLarge when the ball of this radius is over a limit, judged
+        by its closed-form size before anything is enumerated."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         if radius > max_radius:
             raise RadiusTooLarge(f"radius {radius} exceeds the configured maximum {max_radius}")
+        size = self.ball_size(radius)
+        if size > max_elements:
+            raise RadiusTooLarge(
+                f"ball of radius {radius} has {size} elements, over the element cap {max_elements}")
+
+    def ball_size(self, radius: int) -> int:
+        """Number of canonical elements of word length <= radius, in closed form."""
+        n = self.rank
         if self.kind == FREE:
-            words = _free_ball(self, radius, max_elements)
-        elif self.kind == FREE_ABELIAN:
-            words = _abelian_ball(self, radius, max_elements)
-        else:
-            words = _fpc_ball(self, radius, max_elements)
-        return [GroupElement(self, w) for w in words]
+            if n == 1:
+                return 2 * radius + 1
+            return 1 + 2 * n * ((2 * n - 1) ** radius - 1) // (2 * n - 2)
+        if self.kind == FREE_ABELIAN:
+            # k nonzero coordinates with signs, absolute values a composition of <= radius
+            return sum(2 ** k * math.comb(n, k) * math.comb(radius, k)
+                       for k in range(min(n, radius) + 1))
+        # ending[length][i]: canonical words of this length whose last syllable is in factor i
+        ending = [[0] * n for _ in range(radius + 1)]
+        for length in range(1, radius + 1):
+            for i, order in enumerate(self.orders):
+                for e in range(1, min(order - 1, length) + 1):
+                    rest = ending[length - e]
+                    ending[length][i] += sum(rest) - rest[i] if length > e else 1
+        return 1 + sum(map(sum, ending))
 
 
 def free_group(rank: int, letters: Optional[str] = None) -> GroupModel:
@@ -219,7 +256,7 @@ def _reduce_free(raw: str) -> str:
     return "".join(stack)
 
 
-def _free_ball(model: GroupModel, radius: int, cap: int) -> list[str]:
+def _free_ball(model: GroupModel, radius: int) -> list[str]:
     alphabet = sorted(
         [ch for g in model.letters for ch in (g, g.upper())],
         key=model.letter_rank,
@@ -234,8 +271,6 @@ def _free_ball(model: GroupModel, radius: int, cap: int) -> list[str]:
                     continue
                 nxt.append(w + ch)
         words.extend(nxt)
-        if len(words) > cap:
-            raise RadiusTooLarge(f"ball size exceeds the element cap {cap}")
         frontier = nxt
     return words
 
@@ -261,14 +296,12 @@ def _render_vector(model: GroupModel, vec: tuple[int, ...]) -> str:
     return "".join(parts)
 
 
-def _abelian_ball(model: GroupModel, radius: int, cap: int) -> list[str]:
+def _abelian_ball(model: GroupModel, radius: int) -> list[str]:
     rng = range(-radius, radius + 1)
     words = []
     for vec in itertools.product(rng, repeat=model.rank):
         if sum(abs(e) for e in vec) <= radius:
             words.append(_render_vector(model, vec))
-            if len(words) > cap:
-                raise RadiusTooLarge(f"ball size exceeds the element cap {cap}")
     words.sort(key=model.sort_key)
     return words
 
@@ -314,7 +347,7 @@ def _render_syllables(model: GroupModel, syllables: Iterable[Sequence[int]]) -> 
     return "".join(out)
 
 
-def _fpc_ball(model: GroupModel, radius: int, cap: int) -> list[str]:
+def _fpc_ball(model: GroupModel, radius: int) -> list[str]:
     # BFS over canonical words, appending one lowercase letter at a time.
     words = [""]
     frontier = [("", -1, 0)]  # (word, last factor, last exponent)
@@ -328,8 +361,6 @@ def _fpc_ball(model: GroupModel, radius: int, cap: int) -> list[str]:
                 else:
                     nxt.append((w + ch, i, 1))
         words.extend(w for w, _, _ in nxt)
-        if len(words) > cap:
-            raise RadiusTooLarge(f"ball size exceeds the element cap {cap}")
         frontier = nxt
     words.sort(key=model.sort_key)
     return words
@@ -374,6 +405,16 @@ def invert(e: GroupElement) -> GroupElement:
 
 # --------------------------------------------------------------------------
 # membership engines
+
+
+class _Engine:
+    """Membership test and canonical right-coset fingerprint for one subgroup."""
+
+    model: GroupModel
+
+    def advance(self, fp, rep: str, step: str):
+        """Fingerprint of H*rep*step, given fp, the fingerprint of H*rep."""
+        return self.fingerprint(self.model.normalize(rep + step))
 
 
 class FoldingAutomaton:
@@ -481,8 +522,9 @@ class FoldingAutomaton:
         return self.trace(word) == (0, "")
 
 
-class _FreeEngine:
+class _FreeEngine(_Engine):
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
+        self.model = model
         self.automaton = FoldingAutomaton(model, generators)
 
     def member(self, e: GroupElement) -> bool:
@@ -490,6 +532,16 @@ class _FreeEngine:
 
     def fingerprint(self, e: GroupElement):
         return self.automaton.trace(e.word)
+
+    def advance(self, fp, rep: str, step: str):
+        # one more letter of FoldingAutomaton.trace
+        state, tail = fp
+        if tail:
+            if tail[-1] == step.swapcase():
+                return state, tail[:-1]
+            return state, tail + step
+        t = self.automaton.next[state].get(step)
+        return (state, step) if t is None else (t, "")
 
 
 class IntegerLattice:
@@ -536,7 +588,7 @@ class IntegerLattice:
         return not any(self.reduce(vector))
 
 
-class _LatticeEngine:
+class _LatticeEngine(_Engine):
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
         self.lattice = IntegerLattice(model.rank, [_word_to_vector(model, g.word) for g in generators])
@@ -547,8 +599,16 @@ class _LatticeEngine:
     def fingerprint(self, e: GroupElement):
         return self.lattice.reduce(_word_to_vector(self.model, e.word))
 
+    def advance(self, fp, rep: str, step: str):
+        moved = list(fp)
+        moved[self.model.letter_index(step)] += -1 if step.isupper() else 1
+        return self.lattice.reduce(moved)
 
-class _TrivialEngine:
+
+class _TrivialEngine(_Engine):
+    def __init__(self, model: GroupModel):
+        self.model = model
+
     def member(self, e: GroupElement) -> bool:
         return e.is_identity()
 
@@ -556,7 +616,7 @@ class _TrivialEngine:
         return e.word
 
 
-class _FactorCyclicEngine:
+class _FactorCyclicEngine(_Engine):
     """Subgroup of a single cyclic factor: <letter^step> with step | order."""
 
     def __init__(self, model: GroupModel, letter_index: int, exponents: Sequence[int]):
@@ -587,7 +647,7 @@ class _FactorCyclicEngine:
         return (residue, rest)
 
 
-class _CyclicEngine:
+class _CyclicEngine(_Engine):
     """Cyclic subgroup <w> of a free product, via cyclic reduction w = u v u^-1."""
 
     def __init__(self, model: GroupModel, generator: GroupElement):
@@ -615,6 +675,7 @@ class _CyclicEngine:
         else:
             self.finite_powers = None
             self.v_inv = invert(v)
+            self.u_inv = invert(u)
 
     def member(self, e: GroupElement) -> bool:
         if self.finite_powers is not None:
@@ -630,7 +691,24 @@ class _CyclicEngine:
         return False
 
     def fingerprint(self, e: GroupElement):
-        return None  # fall back to pairwise membership grouping
+        """ShortLex-least element of the coset He."""
+        model = self.model
+        if self.finite_powers is not None:
+            coset = [compose(GroupElement(model, h), e) for h in self.finite_powers]
+            return min(coset, key=GroupElement.sort_key).word
+        # He = u<v>u^-1 e, so u^-1 He = <v>z.  Its least element v^n z is no
+        # longer than z, and |v^n| <= |v^n z| + |z^-1|, so |v^n| <= |z| + |z^-1|;
+        # powers of the cyclically reduced v concatenate, so |v^n| = |n| |v|.
+        z = compose(self.u_inv, e)
+        reach = len(z.word) + len(invert(z).word)
+        best = z
+        for step in (self.v, self.v_inv):
+            moved = z
+            for _ in range(reach // len(step.word) + 1):
+                moved = compose(step, moved)
+                if moved.sort_key() < best.sort_key():
+                    best = moved
+        return best.word
 
 
 def _gcd(a: int, b: int) -> int:
@@ -656,8 +734,8 @@ class SubgroupModel:
         return self.member(e)
 
     def fingerprint(self, e: GroupElement):
-        fp = getattr(self.engine, "fingerprint", None)
-        return fp(e) if fp else None
+        """Canonical value shared by exactly the elements of the right coset He."""
+        return self.engine.fingerprint(e)
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -666,9 +744,9 @@ class SubgroupModel:
 def subgroup(model: GroupModel, generator_words: Sequence[str]) -> SubgroupModel:
     gens = tuple(g for g in (model.normalize(w) for w in generator_words) if not g.is_identity())
     if model.kind == FREE:
-        engine = _FreeEngine(model, gens) if gens else _TrivialEngine()
+        engine = _FreeEngine(model, gens) if gens else _TrivialEngine(model)
     elif model.kind == FREE_ABELIAN:
-        engine = _LatticeEngine(model, gens) if gens else _TrivialEngine()
+        engine = _LatticeEngine(model, gens) if gens else _TrivialEngine(model)
     else:
         engine = _fpc_engine(model, gens)
     return SubgroupModel(model, gens, engine)
@@ -676,7 +754,7 @@ def subgroup(model: GroupModel, generator_words: Sequence[str]) -> SubgroupModel
 
 def _fpc_engine(model: GroupModel, gens: Sequence[GroupElement]):
     if not gens:
-        return _TrivialEngine()
+        return _TrivialEngine(model)
     syllable_lists = [_word_to_syllables(model, g.word) for g in gens]
     if all(len(s) == 1 for s in syllable_lists):
         letters = {s[0][0] for s in syllable_lists}
@@ -695,53 +773,29 @@ def _fpc_engine(model: GroupModel, gens: Sequence[GroupElement]):
 
 
 class CosetTable:
-    """Right-coset keys for every element of a ball.
+    """Right-coset keys for every element of a ball, by grouping on fingerprints.
 
     The key of an element e is the ShortLex-least element of He inside the
-    ball; scanning the ball in ShortLex order and grouping by coset makes
-    the first member of each coset its key.  Grouping uses the engine's
-    coset fingerprint when available and pairwise membership tests
-    otherwise.
+    ball; scanning the ball in ShortLex order and grouping by the engine's
+    coset fingerprint makes the first member of each coset its key.  This is
+    the reference that the coset graph of ``windows.Window`` is tested
+    against.
     """
 
-    def __init__(
-        self,
-        sub: SubgroupModel,
-        elements: Sequence[GroupElement],
-        pair_budget: int = 50_000_000,
-    ):
+    def __init__(self, sub: SubgroupModel, elements: Sequence[GroupElement]):
         self.sub = sub
         self.elements = list(elements)
         self.key_of: dict[str, str] = {}
         keys: list[str] = []
-        use_fp = sub.fingerprint(sub.model.identity()) is not None
-        if use_fp:
-            by_fp: dict[object, str] = {}
-            for e in self.elements:
-                fp = sub.fingerprint(e)
-                k = by_fp.get(fp)
-                if k is None:
-                    by_fp[fp] = e.word
-                    k = e.word
-                    keys.append(k)
-                self.key_of[e.word] = k
-        else:
-            key_elems: list[GroupElement] = []
-            tests = 0
-            for e in self.elements:
-                found = None
-                for k in key_elems:
-                    tests += 1
-                    if tests > pair_budget:
-                        raise SearchBudgetExceeded("coset grouping exceeded its pair budget")
-                    if sub.member(compose(e, invert(k))):
-                        found = k.word
-                        break
-                if found is None:
-                    key_elems.append(e)
-                    keys.append(e.word)
-                    found = e.word
-                self.key_of[e.word] = found
+        by_fp: dict[object, str] = {}
+        for e in self.elements:
+            fp = sub.fingerprint(e)
+            k = by_fp.get(fp)
+            if k is None:
+                by_fp[fp] = e.word
+                k = e.word
+                keys.append(k)
+            self.key_of[e.word] = k
         self.keys = keys  # ShortLex order, inherited from the element scan
 
     def key(self, e: GroupElement) -> str:

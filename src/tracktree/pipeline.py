@@ -191,7 +191,11 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
                    None if union_ok else (cu.witness or "class union not a subgroup"))
         report.counts["identity_class_size"] = cu.class_size
 
-    stability = radius_stability_report(window, base_spec, translations)
+    try:
+        stability = radius_stability_report(window, base_spec, translations, family)
+    except RadiusTooLarge as exc:
+        report.add("witness_stability", UNCERTIFIED, f"radius + 2 re-check not run: {exc}")
+        return
     unstable = [e for e in stability if not e.stable]
     if unstable:
         e = unstable[0]

@@ -290,16 +290,13 @@ def translate_flips(tree: DualTree, g: GroupElement) -> frozenset[str]:
     """Certified symmetric difference between the base set and its g-translate."""
     window = _window_of(tree)
     base_set = tree.system.family.base_set
-    view = window.translate(base_set, g)
-    if view.unknown - window.shell:
+    _, unknown = window.translate(base_set, g)
+    if unknown & window.core_mask:
         raise OutsideCertifiedDomain(f"translate by {g!r} undecided inside the core")
-    diff = frozenset(
-        k for k in window.omega
-        if k not in view.unknown and ((k in view.known_in) != (k in base_set))
-    )
-    if diff & window.shell:
+    diff = window.certified_diff(base_set, window.model.identity(), g)
+    if diff & window.shell_mask:
         raise OutsideCertifiedDomain(f"translate by {g!r} shifts the boundary shell")
-    return diff
+    return frozenset(window.keys_of(diff))
 
 
 def act(tree: DualTree, g: GroupElement) -> ActionReport:
@@ -476,34 +473,33 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
 def _class_union_report(tree: DualTree, product_radius: Optional[int]) -> ClassUnionReport:
     window = _window_of(tree)
     system = tree.system
-    identity_key = window.table.key_of[""]
+    identity_key = window.omega[0]
     if identity_key not in system.class_of:
         return ClassUnionReport(applicable=False)
-    cls = set(system.classes[system.class_of[identity_key]])
+    cls = {window.id_of[c] for c in system.classes[system.class_of[identity_key]]}
     radius = product_radius if product_radius is not None else window.radius // 2
-    pool = [e for e in window.elements if len(e.word) <= radius]
-    union = [e for e in pool if window.table.key_of[e.word] in cls]
-    sub_elems = [e for e in pool if window.sub.member(e)]
+    pool = window.model.ball(min(radius, window.radius), max_radius=window.radius)
+    coset = {e.word: window.locate(e) for e in pool}
+    union = [e for e in pool if coset[e.word] in cls]
+    sub_elems = [e for e in pool if coset[e.word] == 0]
 
     report = ClassUnionReport(
         applicable=True, class_size=len(cls), union_size=len(union),
         subgroup_size=len(sub_elems), index=len(cls))
-    lookup = window.table.key_of
     for h in sub_elems:
-        if lookup[h.word] not in cls:
+        if coset[h.word] not in cls:
             report.contains_subgroup = False
             report.witness = f"subgroup element {h!r} escapes the class union"
             return report
     for e1 in union:
-        inv = invert(e1)
-        if inv.word in lookup and lookup[inv.word] not in cls:
+        inv = window.locate(invert(e1))
+        if inv >= 0 and inv not in cls:
             report.inverse_closed = False
             report.witness = f"inverse of {e1!r} escapes the class union"
             return report
         for e2 in union:
-            prod = compose(e1, e2)
-            kk = lookup.get(prod.word)
-            if kk is not None and kk not in cls:
+            prod = window.locate(compose(e1, e2))
+            if prod >= 0 and prod not in cls:
                 report.closed = False
                 report.witness = f"product {e1!r} * {e2!r} escapes the class union"
                 return report

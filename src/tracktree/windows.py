@@ -1,22 +1,28 @@
 """Finite certified windows over a coset universe, base sets, and translate families.
 
-A window truncates the right-coset space H\\G to the keys seen in a ball of
-group elements.  Every quantity derived from the window carries a
-certificate: it must stay clear of the boundary shell (keys first seen at
-distance greater than radius - margin), and shipped instances are
-additionally re-checked at radius + 2.  Vertex subsets are stored over the
-core universe (shell removed), so that downstream set arithmetic is exact
-wherever a certificate holds.
+A window truncates the right-coset space H\\G to the cosets whose
+ShortLex-least representative (the coset's key) has length at most the
+radius.  It is the Schreier graph of H\\G on those cosets, found breadth
+first from H, with key ids in ShortLex order and one right-action array per
+generator.  Every quantity derived from the window carries a certificate: it
+must stay clear of the boundary shell (keys longer than radius - margin),
+and shipped instances are additionally re-checked at radius + 2.  Vertex
+subsets are stored over the core universe (shell removed), so that
+downstream set arithmetic is exact wherever a certificate holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule, UncertifiedWitness, PropernessFailed
 from .groups import (
-    CosetTable,
+    DEFAULT_MAX_RADIUS,
+    FREE,
+    FREE_ABELIAN,
+    FREE_PRODUCT_CYCLIC,
     GroupElement,
     GroupModel,
     SubgroupModel,
@@ -25,17 +31,114 @@ from .groups import (
     invert,
 )
 
+# flags (one byte 0 or 1 per key id) to and from int bitsets over key ids
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
-@dataclass(frozen=True)
-class TranslateView:
-    """Membership of a translated base set over the window universe."""
 
-    known_in: frozenset[str]
-    unknown: frozenset[str]
+def _mask(flags: bytes) -> int:
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _flags(mask: int) -> bytes:
+    return bin(mask)[:1:-1].encode().translate(_FROM_DIGITS)
+
+
+class _CosetGraph:
+    """Schreier graph of H\\G, grown breadth first from H one key length at a time.
+
+    Parents are taken in id order and letters in ShortLex order, so the path
+    that first reaches a coset spells its ShortLex-least representative and
+    ids run in ShortLex order of the keys.  ``arrays[step][i]`` is the id of
+    coset i times ``step``, or -1; each array ends in a -1 sentinel, so that
+    a walk from -1 stays at -1.  Steps are the letters and their inverses,
+    or for free products every syllable of a factor; the breadth-first
+    search uses the one-letter steps.  A -1 out of the outermost layer, or
+    for a longer syllable, may hide a discovered coset that was never looked
+    up; ``step`` looks it up.  Growing the graph keeps every id and link, so
+    windows built over it before stay valid.
+    """
+
+    def __init__(self, sub: SubgroupModel):
+        model = sub.model
+        self.sub = sub
+        if model.kind == FREE_PRODUCT_CYCLIC:
+            steps = [g * e for g, n in zip(model.letters, model.orders) for e in range(1, n)]
+        else:
+            steps = [ch for g in model.letters for ch in (g, g.upper())]
+        self.letters = sorted((s for s in steps if len(s) == 1), key=model.letter_rank)
+        self.inverse = {s: invert(GroupElement(model, s)).word for s in steps}
+        self.arrays: dict[str, list[int]] = {s: [-1, -1] for s in steps}
+        self.keys = [""]
+        self.fps = [sub.fingerprint(model.identity())]
+        self.index = {self.fps[0]: 0}
+        self.level_end = [1]  # level_end[l]: number of keys of length <= l
+
+    @property
+    def radius(self) -> int:
+        return len(self.level_end) - 1
+
+    def grow(self, radius: int) -> "_CosetGraph":
+        """Discover every coset whose key is at most radius long."""
+        keys, fps, index = self.keys, self.fps, self.index
+        links = {step: (a, self.arrays[self.inverse[step]]) for step, a in self.arrays.items()}
+        while self.radius < radius:
+            pending = self._link_out(self.level_end[-2] if self.radius else 0, len(keys))
+            # room for every pending target; the unused tail is cut off below
+            for a in self.arrays.values():
+                a.extend([-1] * len(pending))
+            for i, step, fp in pending:
+                j = index.get(fp)
+                if j is None:
+                    j = index[fp] = len(keys)
+                    keys.append(keys[i] + step)
+                    fps.append(fp)
+                forward, back = links[step]
+                forward[i] = j
+                back[j] = i
+            for a in self.arrays.values():
+                del a[len(keys) + 1:]
+            self.level_end.append(len(keys))
+        return self
+
+    def _link_out(self, lo: int, hi: int) -> list[tuple[int, str, object]]:
+        """Link the unlinked one-letter steps out of ids lo..hi-1 that reach a
+        discovered coset; return the others with their target's fingerprint,
+        in breadth-first order."""
+        advance, keys, fps, index = self.sub.engine.advance, self.keys, self.fps, self.index
+        # (step, its array, the array of its inverse); one-letter steps in ShortLex order
+        links = [(step, self.arrays[step], self.arrays[self.inverse[step]]) for step in self.letters]
+        pending = []
+        for i in range(lo, hi):
+            for step, forward, back in links:
+                if forward[i] < 0:
+                    fp = advance(fps[i], keys[i], step)
+                    j = index.get(fp)
+                    if j is None:
+                        pending.append((i, step, fp))
+                    else:
+                        forward[i] = j
+                        back[j] = i
+        return pending
+
+    def step(self, i: int, step: str) -> int:
+        """Id of coset i times step, looked up if it is not linked; -1 when undiscovered."""
+        j = self.arrays[step][i]
+        if j < 0 <= i:
+            j = self.index.get(self.sub.engine.advance(self.fps[i], self.keys[i], step), -1)
+            if j >= 0:
+                self.arrays[step][i] = j
+                self.arrays[self.inverse[step]][j] = i
+        return j
 
 
 class Window:
-    """A ball of group elements together with its coset-key universe."""
+    """The cosets of H\\G whose keys are at most radius long, as a Schreier graph.
+
+    ``omega`` lists the keys in ShortLex order; a key's position is its id,
+    and sets of keys are int bitsets over ids.  ``core`` is the prefix of
+    keys at most radius - margin long, ``shell`` the rest.
+    """
 
     def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int,
                  max_radius: Optional[int] = None):
@@ -43,18 +146,38 @@ class Window:
             raise ValueError("margin must be at least 1")
         if radius < 2 * margin:
             raise ValueError("radius must be at least twice the margin")
+        model.require_ball(radius, DEFAULT_MAX_RADIUS if max_radius is None else max_radius)
+        self._setup(model, sub, radius, margin, _CosetGraph(sub).grow(radius))
+
+    def _setup(self, model, sub, radius, margin, graph):
         self.model = model
         self.sub = sub
         self.radius = radius
         self.margin = margin
-        kwargs = {} if max_radius is None else {"max_radius": max_radius}
-        self.elements = model.ball(radius, **kwargs)
-        self.table = CosetTable(sub, self.elements)
-        self.omega: list[str] = list(self.table.keys)
-        cut = radius - margin
-        self.core: list[str] = [k for k in self.omega if len(k) <= cut]
-        self.shell: frozenset[str] = frozenset(k for k in self.omega if len(k) > cut)
-        self._core_set = frozenset(self.core)
+        self.graph = graph
+        size = graph.level_end[radius]
+        cut = graph.level_end[radius - margin]
+        self.omega: list[str] = graph.keys[:size]
+        self.core: list[str] = self.omega[:cut]
+        self.shell: frozenset[str] = frozenset(self.omega[cut:])
+        self.id_of: dict[str, int] = dict(zip(self.omega, range(size)))
+        self.core_mask = (1 << cut) - 1
+        self.shell_mask = ((1 << size) - 1) ^ self.core_mask
+        self._walks: dict[str, list[int]] = {}
+        self._members: dict[frozenset[str], bytes] = {}
+        self._translates: dict[tuple[str, frozenset[str]], tuple[int, int]] = {}
+
+    def extended(self, extra: int) -> "Window":
+        """This window at radius + extra, by growing its graph.
+
+        The size of the larger ball is checked against the element cap first,
+        in closed form; RadiusTooLarge when it is over.
+        """
+        radius = self.radius + extra
+        self.model.require_ball(radius, max_radius=radius)
+        big = object.__new__(Window)
+        big._setup(self.model, self.sub, radius, self.margin, self.graph.grow(radius))
+        return big
 
     def sort_key(self, word: str):
         return self.model.sort_key(word)
@@ -62,30 +185,141 @@ class Window:
     def key_element(self, key: str) -> GroupElement:
         return GroupElement(self.model, key)
 
-    def act_key(self, key: str, g: GroupElement) -> Optional[str]:
-        """Right action on coset keys, defined while the representative stays in the ball."""
-        moved = compose(self.key_element(key), g)
-        return self.table.key_of.get(moved.word)
+    def keys_of(self, mask: int) -> list[str]:
+        """The keys of a bitset, in ShortLex order."""
+        return list(compress(self.omega, _flags(mask)))
 
-    def translate(self, base_set: frozenset[str], g: GroupElement) -> TranslateView:
-        """Membership table of base_set * g over the universe.
+    def keys_of_length(self, length: int) -> list[str]:
+        """The keys of one length, a contiguous run of ids."""
+        ends = self.graph.level_end
+        return self.omega[ends[length - 1] if length else 0:ends[length]]
+
+    # -- walks --
+
+    def images(self, word: str) -> list[int]:
+        """Per key id, the id of the coset H*k*word, or -1 when the canonical
+        word of k*word is longer than the radius (the key is unknown).
+
+        Each walk keeps its intermediate cosets inside the window: letters
+        that cancel into k come before letters that lengthen it.
+        """
+        images = self._walks.get(word)
+        if images is None:
+            images = self._walks[word] = self._walk(word)
+        return images
+
+    def _walk(self, word: str) -> list[int]:
+        known = self._known(word)
+        if self.model.kind == FREE_ABELIAN:
+            return [self._walk_from(i, word) if k else -1 for i, k in enumerate(known)]
+        ids = range(len(self.omega))
+        for step in self._steps(word):
+            ids = list(map(self.graph.arrays[step].__getitem__, ids))
+        images = [j if k else -1 for j, k in zip(ids, known)]
+        if images.count(-1) > known.count(0):
+            # a known walk stays inside the window, so it met a step not looked up yet
+            images = [self._walk_from(i, word) if k and j < 0 else j
+                      for i, (j, k) in enumerate(zip(images, known))]
+        assert images.count(-1) == known.count(0), "a known walk left the window"
+        return images
+
+    def _steps(self, word: str) -> list[str]:
+        """The steps of a canonical word: its letters, or its syllables for free products."""
+        if self.model.kind == FREE_PRODUCT_CYCLIC:
+            steps: list[str] = []
+            for ch in word:
+                if steps and steps[-1][0] == ch:
+                    steps[-1] += ch
+                else:
+                    steps.append(ch)
+            return steps
+        return list(word)
+
+    def _walk_from(self, i: int, word: str) -> int:
+        """Walk one key id through the arrays; free abelian keys cancel first."""
+        steps = self._steps(word)
+        if self.model.kind == FREE_ABELIAN:
+            # letters that cancel a letter of the key first, then the rest
+            rest = list(self.omega[i])
+            cancelling, lengthening = [], []
+            for ch in word:
+                if ch.swapcase() in rest:
+                    rest.remove(ch.swapcase())
+                    cancelling.append(ch)
+                else:
+                    lengthening.append(ch)
+            steps = cancelling + lengthening
+        for step in steps:
+            i = self.graph.step(i, step)
+        return i
+
+    def _known(self, word: str) -> bytes:
+        """Per key k, 1 when the canonical word of k*word is at most radius long."""
+        r, keys = self.radius, self.omega
+        if self.model.kind == FREE:
+            # |k w| = |k| + |w| - 2c, c the longest common suffix of k and w^-1
+            inv = invert(GroupElement(self.model, word)).word
+            flags = bytearray()
+            for length in range(r + 1):
+                level = self.keys_of_length(length)
+                need = (length + len(word) - r + 1) // 2
+                if need <= 0:
+                    flags += b"\x01" * len(level)
+                elif need > min(length, len(word)):
+                    flags += bytes(len(level))
+                else:
+                    suffix = inv[-need:]
+                    flags += bytes(map(str.endswith, level, repeat(suffix)))
+            return bytes(flags)
+        w = GroupElement(self.model, word)
+        return bytes(len(compose(GroupElement(self.model, k), w).word) <= r for k in keys)
+
+    def locate(self, e: GroupElement) -> int:
+        """Id of the coset He, or -1 when e is longer than the radius."""
+        return self._walk_from(0, e.word) if len(e.word) <= self.radius else -1
+
+    def act_key(self, key: str, g: GroupElement) -> Optional[str]:
+        """Right action on coset keys, defined while key * g stays within the radius."""
+        j = self.images(g.word)[self.id_of[key]]
+        return self.omega[j] if j >= 0 else None
+
+    # -- translates --
+
+    def translate(self, base_set: frozenset[str], g: GroupElement) -> tuple[int, int]:
+        """(known_in, unknown) bitsets of base_set * g over the window's keys.
 
         A key k belongs to the translate iff the key of k * g^-1 belongs to
-        the base set; keys whose pulled-back representative leaves the ball
-        are reported as unknown.
+        the base set; keys whose pulled-back representative is longer than
+        the radius are unknown.  Cached per word and base set.
         """
-        ginv = invert(g)
-        known_in = set()
-        unknown = set()
-        lookup = self.table.key_of
-        for k in self.omega:
-            moved = compose(self.key_element(k), ginv)
-            kk = lookup.get(moved.word)
-            if kk is None:
-                unknown.add(k)
-            elif kk in base_set:
-                known_in.add(k)
-        return TranslateView(frozenset(known_in), frozenset(unknown))
+        base_set = frozenset(base_set)  # the same object when it is one already
+        cache_key = (g.word, base_set)
+        hit = self._translates.get(cache_key)
+        if hit is None:
+            images = self.images(invert(g).word)
+            members = self._member_flags(base_set)
+            hit = (_mask(bytes(map(members.__getitem__, images))),
+                   _mask(bytes(map((0).__gt__, images))))  # image -1: unknown
+            self._translates[cache_key] = hit
+        return hit
+
+    def _member_flags(self, base_set: frozenset[str]) -> bytes:
+        """Per key id, 1 for keys of the base set, and a final 0 read by id -1."""
+        flags = self._members.get(base_set)
+        if flags is None:
+            marks = bytearray(len(self.omega) + 1)
+            for k in base_set:
+                i = self.id_of.get(k)
+                if i is not None:
+                    marks[i] = 1
+            flags = self._members[base_set] = bytes(marks)
+        return flags
+
+    def certified_diff(self, base_set: frozenset[str], g1: GroupElement, g2: GroupElement) -> int:
+        """Keys known under both translates on which their membership differs."""
+        in1, unknown1 = self.translate(base_set, g1)
+        in2, unknown2 = self.translate(base_set, g2)
+        return (in1 ^ in2) & ~(unknown1 | unknown2)
 
 
 def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int,
@@ -216,31 +450,21 @@ def build_family(window: Window, base_set: frozenset[str],
     if not any(g.is_identity() for g in translations):
         raise ValueError("translations must contain the identity (the base vertex)")
 
-    views: list[tuple[GroupElement, TranslateView]] = []
     for g in translations:
-        view = window.translate(base_set, g)
-        if view.unknown - window.shell:
+        _, unknown = window.translate(base_set, g)
+        if unknown & window.core_mask:
             raise CertificationFailure(
                 display_word(g.word), display_word(g.word),
                 "translate undecided inside the core; enlarge radius")
-        views.append((g, view))
-
-    def pair_diff(a: TranslateView, b: TranslateView) -> frozenset[str]:
-        joint_unknown = a.unknown | b.unknown
-        diff = frozenset(
-            k for k in window.omega
-            if k not in joint_unknown and ((k in a.known_in) != (k in b.known_in))
-        )
-        return diff
 
     # certify every pair first, then deduplicate
-    kept: list[tuple[GroupElement, TranslateView]] = []
+    kept: list[GroupElement] = []
     merge_notes: list[str] = []
-    for g, view in views:
+    for g in translations:
         dup = None
-        for g0, view0 in kept:
-            diff = pair_diff(view, view0)
-            if diff & window.shell:
+        for g0 in kept:
+            diff = window.certified_diff(base_set, g, g0)
+            if diff & window.shell_mask:
                 raise CertificationFailure(
                     display_word(g0.word), display_word(g.word),
                     "symmetric difference touches the boundary shell; enlarge radius")
@@ -248,22 +472,25 @@ def build_family(window: Window, base_set: frozenset[str],
                 dup = g0
                 break
         if dup is None:
-            kept.append((g, view))
+            kept.append(g)
         else:
             merge_notes.append(
                 f"translate by {display_word(g.word)} duplicates translate by "
                 f"{display_word(dup.word)}; merged")
 
-    core = frozenset(window.core)
+    def keys(mask: int) -> frozenset[str]:
+        return frozenset(window.keys_of(mask))
+
     vertices = [
-        FamilyVertex(g, view.known_in & core, f"A*{display_word(g.word)}")
-        for g, view in kept
+        FamilyVertex(g, keys(window.translate(base_set, g)[0] & window.core_mask),
+                     f"A*{display_word(g.word)}")
+        for g in kept
     ]
-    base_index = next(i for i, (g, _) in enumerate(kept) if g.is_identity())
+    base_index = next(i for i, g in enumerate(kept) if g.is_identity())
     diffs = {}
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
-            diffs[(i, j)] = pair_diff(kept[i][1], kept[j][1])
+            diffs[(i, j)] = keys(window.certified_diff(base_set, kept[i], kept[j]))
     return VertexFamily(window.core, vertices, base_index, diffs,
                         window.sort_key, window=window, base_set=base_set,
                         merge_notes=merge_notes)
@@ -321,17 +548,16 @@ def hypothesis_report(window: Window, base_set: frozenset[str],
     coset set separating the base set from its translate.  Properness is a
     shell-meeting heuristic: evidence, never proof.
     """
-    base_view = window.translate(base_set, window.model.identity())
+    identity = window.model.identity()
+    _, base_unknown = window.translate(base_set, identity)
     entries = []
     for g in translations:
-        view = window.translate(base_set, g)
-        joint_unknown = view.unknown | base_view.unknown
-        witness = sorted(
-            (k for k in window.omega
-             if k not in joint_unknown and ((k in view.known_in) != (k in base_view.known_in))),
-            key=window.sort_key)
-        certified = not (joint_unknown - window.shell) and not (set(witness) & window.shell)
-        entries.append(AlmostInvarianceEntry(display_word(g.word), tuple(witness), certified))
+        _, unknown = window.translate(base_set, g)
+        witness = window.certified_diff(base_set, identity, g)
+        certified = not ((unknown | base_unknown) & window.core_mask) and not (
+            witness & window.shell_mask)
+        entries.append(AlmostInvarianceEntry(
+            display_word(g.word), tuple(window.keys_of(witness)), certified))
 
     inside = base_set
     properness_ok = True
@@ -343,7 +569,7 @@ def hypothesis_report(window: Window, base_set: frozenset[str],
     else:
         populated = 0
         for level in range(window.margin, window.radius - window.margin + 1):
-            shell_keys = [k for k in window.omega if len(k) == level]
+            shell_keys = window.keys_of_length(level)
             if not shell_keys:
                 continue
             populated += 1
@@ -361,12 +587,9 @@ def hypothesis_report(window: Window, base_set: frozenset[str],
     k_entries = []
     if expected_k is not None:
         for k in expected_k.generators:
-            view = window.translate(base_set, k)
-            joint_unknown = view.unknown | base_view.unknown
-            moved = not all(
-                (x in view.known_in) == (x in base_view.known_in)
-                for x in window.omega if x not in joint_unknown)
-            certified = not (joint_unknown - window.shell)
+            _, unknown = window.translate(base_set, k)
+            moved = window.certified_diff(base_set, identity, k) != 0
+            certified = not ((unknown | base_unknown) & window.core_mask)
             k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
 
     return HypothesisReport("pass", entries, properness_ok, detail, k_entries)
@@ -385,12 +608,22 @@ class StabilityEntry:
 
 
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
-                            translations: Sequence[GroupElement]) -> list[StabilityEntry]:
-    """Recompute every pairwise witness set at radius + 2 and compare."""
-    big = Window(window.model, window.sub, window.radius + 2, window.margin,
-                 max_radius=window.radius + 2)
-    small_sets = build_family(window, build_base_set(window, base_spec), translations)
-    big_sets = build_family(big, build_base_set(big, base_spec), translations)
+                            translations: Sequence[GroupElement],
+                            family: Optional[VertexFamily] = None) -> list[StabilityEntry]:
+    """Recompute every pairwise witness set at radius + 2 and compare.
+
+    The radius + 2 window grows the window's own graph by two layers.
+    ``family`` is the family already built over the window from base_spec
+    and translations, when the caller has it.  RadiusTooLarge, before any
+    work, when the radius + 2 ball is over the element cap.
+    """
+    big = window.extended(2)
+    small_sets = family if family is not None else build_family(
+        window, build_base_set(window, base_spec), translations)
+    # the window's keys keep their ids and their decisions in the larger one
+    big_base = small_sets.base_set | frozenset(
+        k for k in big.omega[len(window.omega):] if base_spec.decide(k))
+    big_sets = build_family(big, big_base, translations)
     out = []
     small_by_word = {v.element.word: i for i, v in enumerate(small_sets.vertices)}
     big_by_word = {v.element.word: i for i, v in enumerate(big_sets.vertices)}

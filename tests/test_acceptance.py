@@ -13,6 +13,7 @@ import sys
 import time
 from pathlib import Path
 
+import tracktree
 from tracktree import (
     assign_labels,
     build_track_system,
@@ -38,6 +39,8 @@ from tracktree.instances import make_base_spec, make_model, token_word
 from tracktree.oracles import labeling_matches_canonical
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
+# the directory the package was imported from, for subprocesses with a bare environment
+PACKAGE_PATH = str(Path(tracktree.__file__).resolve().parent.parent)
 RANDOM_SEEDS = range(100)
 
 
@@ -245,7 +248,7 @@ def test_determinism():
         for seed in ("101", "202"):
             proc = subprocess.run(
                 [sys.executable, "-m", "tracktree.cli", "check", str(path)],
-                capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": ""})
+                capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": "", "PYTHONPATH": PACKAGE_PATH})
             outputs.append(proc.stdout)
             assert proc.returncode in (0, 2), (name, proc.stderr)
         assert outputs[0] == outputs[1], name

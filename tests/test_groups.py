@@ -27,6 +27,7 @@ Z = free_group(1, "t")
 Z2 = free_abelian_group(2)
 Z2Z2 = free_product_of_cyclics([2, 2])
 Z2Z3 = free_product_of_cyclics([2, 3])
+Z2Z2Z2 = free_product_of_cyclics([2, 2, 2])
 
 
 def words(model, max_len=6):
@@ -156,6 +157,23 @@ def test_ball_nested_and_closed_form():
         assert len(model.ball(radius)) == count
 
 
+@pytest.mark.parametrize("model", [
+    Z, F2, free_group(3), free_abelian_group(1), Z2, free_abelian_group(3),
+    Z2Z2, Z2Z3, free_product_of_cyclics([3, 4, 5]),
+])
+def test_ball_size_closed_form(model):
+    for radius in range(7):
+        assert model.ball_size(radius) == len(model.ball(radius))
+
+
+def test_ball_cap_applies_to_closed_form_size():
+    assert len(F2.ball(2, max_elements=17)) == 17
+    with pytest.raises(RadiusTooLarge):
+        F2.ball(2, max_elements=16)
+    with pytest.raises(RadiusTooLarge):
+        F2.require_ball(12)  # 1 062 881 elements, refused without enumerating them
+
+
 def test_ball_radius_limits():
     with pytest.raises(RadiusTooLarge):
         F2.ball(13)
@@ -281,7 +299,10 @@ def test_coset_key_examples():
 
 @pytest.mark.parametrize(
     "model,gens,radius",
-    [(F2, ["a"], 4), (Z2, ["x"], 4), (Z2Z3, ["t"], 4)],
+    [(F2, ["a"], 4), (Z2, ["x"], 4), (Z2Z3, ["t"], 4),
+     # cyclic subgroups of free products: infinite <st>, infinite <tst> = t<stt>t^-1,
+     # and finite <sts> = s<t>s^-1
+     (Z2Z2Z2, ["st"], 4), (Z2Z3, ["tst"], 4), (Z2Z3, ["sts"], 4)],
 )
 def test_coset_key_iff_membership(model, gens, radius):
     sub = subgroup(model, gens)

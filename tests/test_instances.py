@@ -1,12 +1,15 @@
 """Instance documents, pipeline verdicts, report/DOT output, CLI behavior."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import tracktree
 from tracktree import (
     corpus,
     crossing_exhibit,
@@ -21,6 +24,8 @@ from tracktree.cli import main
 from tracktree.errors import ParseError
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
+# the directory the package was imported from, for subprocesses with a bare environment
+PACKAGE_PATH = str(Path(tracktree.__file__).resolve().parent.parent)
 
 
 # --------------------------------------------------------------------------
@@ -234,13 +239,36 @@ def test_cli_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
+def test_corpus_report_bytes_golden(capsys):
+    # locks the report bytes of the shipped instances; a deliberate change to
+    # this hash is explained in CHANGES.md
+    main(["check", *sorted(str(p) for p in INSTANCE_DIR.glob("*.ini"))])
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "37a461f1d466ced4896a5c25b23d6c36"
+
+
+def test_cli_radius_two_over_the_cap_is_uncertified(capsys):
+    # the radius 12 re-check ball has 1 062 881 elements, over the element cap:
+    # decided from the closed-form ball size, so the run ends in a report
+    start = time.perf_counter()
+    code = main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", "10"])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["status"] == "uncertified"
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["witness_stability"]["status"] == "uncertified"
+    assert "element cap" in by_name["witness_stability"]["witness"]
+    assert all(c["status"] == "pass" for n, c in by_name.items() if n != "witness_stability")
+    assert elapsed < 10, elapsed
+
+
 def test_cli_byte_identical_across_processes():
     # different hash seeds must not leak into the report bytes
     outputs = []
     for seed in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-m", "tracktree.cli", "check", str(INSTANCE_DIR / "E4.ini")],
-            capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": ""},
+            capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": "", "PYTHONPATH": PACKAGE_PATH},
             cwd=str(INSTANCE_DIR))
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

@@ -318,14 +318,6 @@ def test_assign_labels_corner_consistency():
     assert tuple(reversed(labels[(0, 1)]))[:2] == labels[(1, 2)][:2]
 
 
-def test_metric_tables_compare_by_content():
-    a = metric(half_line_family(-1, 0, 1))
-    b = metric(half_line_family(-1, 0, 1))
-    c = metric(fig1_family())
-    assert a == b
-    assert a != c
-
-
 def test_disjoint_edges_share_label_order():
     # two disjoint edges carrying common labels read them in the same order
     # once their directions are aligned with the dominant side pairing

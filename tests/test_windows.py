@@ -1,19 +1,31 @@
 """Windows, base sets, translate families, hypothesis checks, stability."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracktree import (
     BaseSetSpec,
+    CosetTable,
+    GroupElement,
+    Window,
     build_base_set,
     build_family,
     build_window,
+    compose,
+    corpus,
     free_abelian_group,
     free_group,
+    free_product_of_cyclics,
     hypothesis_report,
+    invert,
     radius_stability_report,
     subgroup,
 )
-from tracktree.errors import CertificationFailure, ConflictingRule
+from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
+from tracktree.instances import make_model, make_subgroup
 
 Z = free_group(1, "t")
 TRIVIAL_Z = subgroup(Z, [])
@@ -239,3 +251,124 @@ def test_hypothesis_raise_for_status():
     assert not bad.certified
     with pytest.raises(UncertifiedWitness):
         bad.raise_for_status()
+
+
+# --------------------------------------------------------------------------
+# the coset graph against the ball reference
+
+
+def reference_translate(table, base, g):
+    """(known_in, unknown) of base * g by composing every key with g^-1 in the ball."""
+    ginv = invert(g)
+    known_in, unknown = set(), set()
+    for k in table.keys:
+        kk = table.key_of.get(compose(GroupElement(g.model, k), ginv).word)
+        if kk is None:
+            unknown.add(k)
+        elif kk in base:
+            known_in.add(k)
+    return known_in, unknown
+
+
+def assert_window_matches_reference(window, rng, samples=6):
+    model, sub, radius = window.model, window.sub, window.radius
+    ball = model.ball(radius, max_radius=radius)
+    table = CosetTable(sub, ball)
+    cut = radius - window.margin
+    assert window.omega == table.keys
+    assert window.core == [k for k in table.keys if len(k) <= cut]
+    assert window.shell == frozenset(k for k in table.keys if len(k) > cut)
+    for e in ball:
+        assert window.omega[window.locate(e)] == table.key_of[e.word]
+
+    base = frozenset(k for k in window.omega if rng.random() < 0.5)
+    outer = model.ball(radius + 1, max_radius=radius + 1)
+    for g in rng.sample(outer, min(samples, len(outer))):
+        known_in, unknown = window.translate(base, g)
+        ref_in, ref_unknown = reference_translate(table, base, g)
+        assert set(window.keys_of(known_in)) == ref_in, g
+        assert set(window.keys_of(unknown)) == ref_unknown, g
+        for k in table.keys:
+            assert window.act_key(k, g) == table.key_of.get(
+                compose(GroupElement(model, k), g).word), (k, g)
+    return base
+
+
+@st.composite
+def group_windows(draw):
+    kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
+    if kind == "free":
+        model = free_group(draw(st.integers(1, 2)))
+    elif kind == "free_abelian":
+        model = free_abelian_group(draw(st.integers(1, 3)))
+    else:
+        model = free_product_of_cyclics(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    letters = [ch for g in model.letters for ch in (g, g.upper())]
+    word = st.text(alphabet=letters, min_size=1, max_size=4)
+    if kind != "free_product_cyclic":
+        gens = draw(st.lists(word, max_size=2))
+    else:
+        shape = draw(st.sampled_from(["trivial", "factor", "cyclic"]))
+        if shape == "trivial":
+            gens = []
+        elif shape == "factor":
+            ch = draw(st.sampled_from(model.letters))
+            gens = [ch * e for e in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))]
+        else:
+            gens = [draw(word)]
+    sub = subgroup(model, gens)
+    margin = draw(st.integers(1, 2))
+    top = {"free": 6 if model.rank == 1 else 4, "free_abelian": 5}.get(kind, 5)
+    radius = draw(st.integers(2 * margin, max(2 * margin, top)))
+    return build_window(model, sub, radius, margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_windows(), st.randoms(use_true_random=False))
+def test_coset_graph_matches_ball_reference(window, rng):
+    assert_window_matches_reference(window, rng)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "C"])
+def test_coset_graph_matches_ball_reference_on_corpus(name):
+    if name == "C":
+        model = free_product_of_cyclics([2, 2, 2])
+        window = build_window(model, subgroup(model, ["st"]), 5, 2)
+    else:
+        spec = corpus()[name]
+        model = make_model(spec)
+        window = build_window(model, make_subgroup(model, spec.subgroup_generators),
+                              spec.radius, spec.margin)
+    rng = random.Random(name)
+    base = assert_window_matches_reference(window, rng)
+
+    # radius + 2 grows the same graph: it matches a fresh window, and the
+    # smaller window over the grown graph still answers as before
+    before = {g.word: window.translate(base, g) for g in model.ball(2)}
+    big = window.extended(2)
+    fresh = Window(model, window.sub, window.radius + 2, window.margin,
+                   max_radius=window.radius + 2)
+    assert big.omega == fresh.omega and big.core == fresh.core and big.shell == fresh.shell
+    window._translates.clear()
+    window._walks.clear()
+    for g in model.ball(2):
+        assert window.translate(base, g) == before[g.word]
+        assert big.translate(base, g) == fresh.translate(base, g)
+    assert_window_matches_reference(big, rng, samples=3)
+
+
+def test_certified_diff_is_the_family_difference():
+    window, _, base = half_line_window()
+    trans = [Z.normalize(w) for w in ["T", "", "t"]]
+    fam = build_family(window, base, trans)
+    for i in range(len(fam)):
+        for j in range(i + 1, len(fam)):
+            diff = window.certified_diff(base, trans[i], trans[j])
+            assert frozenset(window.keys_of(diff)) == fam.diff(i, j)
+    assert window.keys_of(window.certified_diff(base, Z.identity(), trans[2])) == [""]
+
+
+def test_witness_stability_over_the_element_cap():
+    window = build_window(F2, subgroup(F2, ["a"]), 10, 2)
+    with pytest.raises(RadiusTooLarge, match="element cap"):
+        radius_stability_report(window, BaseSetSpec(rules=(("b", True),)), [F2.identity()])
