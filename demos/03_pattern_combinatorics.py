@@ -11,9 +11,7 @@ from tracktree import (
     corner_analysis,
     crossing_test,
     explicit_family,
-    metric,
     nestedness_check,
-    parallel_classes,
     parity_and_coloring,
     square_analysis,
 )
@@ -24,14 +22,14 @@ fig1 = explicit_family(
     [("u", frozenset(["c1", "c2", "c3"])),
      ("v", frozenset(["c4", "c5"])),
      ("w", frozenset(["c6", "c7"]))])
-table = metric(fig1)
+d = fig1.distance
 
 print("== triangle ==")
-print("edge weights:", table.d(0, 1), table.d(0, 2), table.d(1, 2))
-print("perimeter:   ", table.d(0, 1) + table.d(0, 2) + table.d(1, 2), "(always even)")
-print("two-colouring by distance parity from u:", parity_and_coloring(table))
-for corner in corner_analysis(table, 0, 1, 2):
-    print(f"corner {table.names[corner.vertex]}: {corner.count} lines, labels {sorted(corner.cosets)}")
+print("edge weights:", d(0, 1), d(0, 2), d(1, 2))
+print("perimeter:   ", d(0, 1) + d(0, 2) + d(1, 2), "(always even)")
+print("two-colouring by distance parity from u:", parity_and_coloring(fig1))
+for corner in corner_analysis(fig1, 0, 1, 2):
+    print(f"corner {fig1.vertices[corner.vertex].name}: {corner.count} lines, labels {sorted(corner.cosets)}")
 
 print()
 print("== square ==")
@@ -39,7 +37,7 @@ square = explicit_family(
     ["1", "2", "3"],
     [("u", frozenset()), ("v", frozenset(["1", "2"])),
      ("w", frozenset(["1"])), ("z", frozenset(["1", "2", "3"]))])
-report = square_analysis(metric(square), 0, 1, 2, 3)
+report = square_analysis(square, 0, 1, 2, 3)
 print("side-pair sums:", report.sum_sides, "vs", report.sum_opposite)
 print("crossing lines between the dominant sides:", report.crossing_count,
       sorted(report.crossing_cosets))
@@ -47,7 +45,7 @@ print("crossing lines between the dominant sides:", report.crossing_count,
 print()
 print("== parallel classes ==")
 system = build_track_system(fig1)
-print("classes:", parallel_classes(system))
+print("classes:", system.classes)
 print("tracks c1 and c2 parallel -> never cross:", not crossing_test(system, "c1", "c2"))
 
 print()

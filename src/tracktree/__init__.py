@@ -38,16 +38,13 @@ from .oracles import (
     tree_matches_oracle,
 )
 from .patterns import (
-    MetricTable,
     TrackSystem,
     assign_labels,
     build_track_system,
     class_order,
     corner_analysis,
     crossing_test,
-    metric,
     nestedness_check,
-    parallel_classes,
     parity_and_coloring,
     square_analysis,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from .errors import IoError, ParseError, TooLarge, TrackTreeError
@@ -22,7 +21,6 @@ from .oracles import (
     random_nested_family,
     tree_matches_oracle,
 )
-from .patterns import assign_labels
 from .pipeline import run_instance
 from .reports import dot_document, report_document, write_atomic
 
@@ -35,19 +33,13 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_check(args) -> int:
-    def one(path: str) -> tuple[str, int]:
-        spec = load_instance(path)
-        result = run_instance(spec, radius=args.radius, margin=args.margin)
-        return report_document(result.report, include_timings=args.timings), result.report.exit_code()
-
-    if len(args.spec) == 1:
-        doc, code = one(args.spec[0])
-        _emit(doc, args.out)
-        return code
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        outputs = list(pool.map(one, args.spec))
-    _emit("".join(doc for doc, _ in outputs), args.out)
-    return max(code for _, code in outputs)
+    docs, code = [], 0
+    for path in args.spec:
+        result = run_instance(load_instance(path), radius=args.radius, margin=args.margin)
+        docs.append(report_document(result.report, include_timings=args.timings))
+        code = max(code, result.report.exit_code())
+    _emit("".join(docs), args.out)
+    return code
 
 
 def _cmd_tree(args) -> int:
@@ -76,7 +68,7 @@ def _cmd_oracle(args) -> int:
         doc["oracle_vertices"] = len(oracle.vertex_flips)
         try:
             lab = oracle_labelings(system)
-            canonical = assign_labels(system)
+            canonical = result.labels
             canon = tuple(canonical[e] for e in lab.edges)
             doc["labelings"] = lab.count
             doc["labelings_expected"] = lab.expected_count
@@ -140,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run every check on instance files")
     p.add_argument("spec", nargs="+", help="instance file(s)")
-    p.add_argument("--jobs", type=int, default=1, help="run multiple instances concurrently")
     common(p)
     p.set_defaults(func=_cmd_check)
 

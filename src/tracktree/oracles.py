@@ -113,11 +113,11 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
     if system.n > MAX_ORACLE_VERTICES:
         raise TooLarge(f"{system.n} vertices exceed the oracle cap {MAX_ORACLE_VERTICES}")
 
-    table = system.table
+    family = system.family
     edges = [
         (i, j)
         for i in range(system.n) for j in range(i + 1, system.n)
-        if table.d(i, j)
+        if family.distance(i, j)
     ]
     edge_index = {e: k for k, e in enumerate(edges)}
     corner_checks: dict[int, list[tuple[int, bool, bool, int]]] = {k: [] for k in range(len(edges))}
@@ -127,7 +127,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         if not shared:
             continue
         a = shared.pop()
-        count = len(table.diff(*e1) & table.diff(*e2))
+        count = len(family.diff(*e1) & family.diff(*e2))
         if count == 0:
             continue
         k1, k2 = edge_index[e1], edge_index[e2]
@@ -135,35 +135,47 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
             (min(k1, k2), e1[0] != a, e2[0] != a, count)
             if k1 < k2 else (min(k1, k2), e2[0] != a, e1[0] != a, count))
 
-    perms_per_edge = [
-        sorted(itertools.permutations(sorted(table.diff(i, j), key=system.sort_key)))
-        for i, j in edges
-    ]
+    labels_per_edge = [sorted(family.diff(i, j), key=system.sort_key) for i, j in edges]
 
     budget = [DFS_BUDGET]
     chosen: list[tuple[str, ...]] = []
     found: list[tuple[tuple[str, ...], ...]] = []
 
-    def prefix(seq: tuple[str, ...], reverse: bool, k: int) -> tuple[str, ...]:
-        return tuple(reversed(seq))[:k] if reverse else seq[:k]
+    def orders(k: int):
+        """Every order of edge k's labels that matches its corners with the
+        edges already chosen.  Each corner fixes the labels at one end of the
+        edge; the remaining labels fill the other places in every order,
+        generated on each visit rather than stored (an 8-label edge has 8!)."""
+        labels = labels_per_edge[k]
+        size = len(labels)
+        fixed: dict[int, str] = {}
+        for other, rev_other, rev_self, count in corner_checks[k]:
+            seq = chosen[other][::-1] if rev_other else chosen[other]
+            for t in range(count):
+                place = size - 1 - t if rev_self else t
+                if fixed.setdefault(place, seq[t]) != seq[t]:
+                    return
+        used = set(fixed.values())
+        if len(used) != len(fixed) or not used <= set(labels):
+            return
+        free_places = [p for p in range(size) if p not in fixed]
+        order = [fixed.get(p) for p in range(size)]
+        for filling in itertools.permutations([c for c in labels if c not in used]):
+            for place, label in zip(free_places, filling):
+                order[place] = label
+            yield tuple(order)
 
     def dfs(k: int):
         if k == len(edges):
             found.append(tuple(chosen))
             return
-        for perm in perms_per_edge[k]:
+        for order in orders(k):
             budget[0] -= 1
             if budget[0] < 0:
                 raise TooLarge("labeling enumeration exceeded its budget")
-            ok = True
-            for other, rev_other, rev_self, count in corner_checks[k]:
-                if prefix(perm, rev_self, count) != prefix(chosen[other], rev_other, count):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(perm)
-                dfs(k + 1)
-                chosen.pop()
+            chosen.append(order)
+            dfs(k + 1)
+            chosen.pop()
 
     dfs(0)
     expected = 1

@@ -1,19 +1,19 @@
-"""Metric, parity, corner/square analysis, crossing, parallel classes and labelling.
+"""Parity, corner/square analysis, crossing, parallel classes and labelling.
 
 Vertices are subsets of a finite coset universe; the metric is the size of
-the symmetric difference.  Tracks are represented purely by their coset
-labels and per-vertex indicator bits (no geometry is materialised): a
-coset's indicator is its membership bit across the vertex family, and two
-cosets are parallel when their indicators agree everywhere or disagree
-everywhere.  The per-edge label order sorts parallel classes by the
-closer-to-the-tail relation and breaks ties inside a class by ShortLex,
-which is one of the valid choices since labels within a parallel class may
-be permuted freely.
+the symmetric difference, read from the family's certified differences.
+Tracks are represented purely by their coset labels and per-vertex
+indicator bits (no geometry is materialised): a coset's indicator is its
+membership bit across the vertex family, and two cosets are parallel when
+their indicators agree everywhere or disagree everywhere.  The per-edge
+label order sorts parallel classes by the closer-to-the-tail relation and
+breaks ties inside a class by ShortLex, which is one of the valid choices
+since labels within a parallel class may be permuted freely.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,33 +21,6 @@ from .errors import NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, 
 from .windows import VertexFamily
 
 DEFAULT_MAX_VERTICES = 16
-
-
-class MetricTable:
-    """Complete pairwise symmetric-difference table over a vertex family."""
-
-    def __init__(self, family: VertexFamily):
-        self.family = family
-        self.n = len(family.vertices)
-        self.names = [v.name for v in family.vertices]
-        self.base_index = family.base_index
-        self.sort_key = family.sort_key
-        self._diffs = {
-            (i, j): family.diff(i, j)
-            for i in range(self.n) for j in range(i + 1, self.n)
-        }
-
-    def diff(self, i: int, j: int) -> frozenset[str]:
-        if i == j:
-            return frozenset()
-        return self._diffs[(min(i, j), max(i, j))]
-
-    def d(self, i: int, j: int) -> int:
-        return len(self.diff(i, j))
-
-
-def metric(family: VertexFamily) -> MetricTable:
-    return MetricTable(family)
 
 
 class TrackSystem:
@@ -64,13 +37,13 @@ class TrackSystem:
             raise TooLarge(
                 f"family of {len(family.vertices)} vertices exceeds the cap {max_vertices}")
         self.family = family
-        self.table = MetricTable(family)
-        self.n = self.table.n
+        self.n = len(family.vertices)
         self.base_index = family.base_index
         self.sort_key = family.sort_key
 
         seen: set[str] = set()
-        for (i, j), diff in self.table._diffs.items():
+        for i, j in itertools.combinations(range(self.n), 2):
+            diff = family.diff(i, j)
             if diff != family.vertices[i].members ^ family.vertices[j].members:
                 raise TrackTreeError(
                     f"certified difference of pair ({i}, {j}) disagrees with the member sets")
@@ -103,25 +76,6 @@ class TrackSystem:
             c: idx for idx, cls in enumerate(classes) for c in cls
         }
 
-        self.crossings: dict[tuple[str, str], bool] = {}
-        for a in range(len(self.labels)):
-            for b in range(a + 1, len(self.labels)):
-                c1, c2 = self.labels[a], self.labels[b]
-                self.crossings[(c1, c2)] = self._cross(c1, c2)
-
-        self._order_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def _cross(self, c1: str, c2: str) -> bool:
-        m1, m2 = self.mask[c1], self.mask[c2]
-        full = self._full
-        return all(q != 0 for q in (m1 & m2, m1 & ~m2 & full, ~m1 & m2 & full, ~m1 & ~m2 & full))
-
-    def indicator(self, c: str, i: int) -> int:
-        return (self.mask[c] >> i) & 1
-
-    def separates(self, c: str, i: int, j: int) -> bool:
-        return self.indicator(c, i) != self.indicator(c, j)
-
     def class_norm_mask(self, cls_index: int) -> int:
         return self.norm_mask[self.classes[cls_index][0]]
 
@@ -134,23 +88,27 @@ def build_track_system(family: VertexFamily, max_vertices: int = DEFAULT_MAX_VER
 # parity and colouring
 
 
-def parity_and_coloring(table: MetricTable) -> list[int]:
+def _names(family: VertexFamily, *indices: int) -> tuple[str, ...]:
+    return tuple(family.vertices[i].name for i in indices)
+
+
+def parity_and_coloring(family: VertexFamily) -> list[int]:
     """Two-colouring by parity of the distance to the base vertex.
 
     Every triangle perimeter is even for a symmetric-difference metric, so
     an odd one is raised as corruption rather than returned.
     """
-    n = table.n
+    n, d = len(family), family.distance
     for u in range(n):
         for v in range(u + 1, n):
             for w in range(v + 1, n):
-                if (table.d(u, v) + table.d(v, w) + table.d(w, u)) % 2:
-                    raise ParityViolation(table.names[u], table.names[v], table.names[w])
-    colors = [table.d(table.base_index, v) % 2 for v in range(n)]
+                if (d(u, v) + d(v, w) + d(w, u)) % 2:
+                    raise ParityViolation(*_names(family, u, v, w))
+    colors = [d(family.base_index, v) % 2 for v in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            if (colors[u] != colors[v]) != (table.d(u, v) % 2 == 1):
-                raise ParityViolation(table.names[u], table.names[v], table.names[v])
+            if (colors[u] != colors[v]) != (d(u, v) % 2 == 1):
+                raise ParityViolation(*_names(family, u, v, v))
     return colors
 
 
@@ -165,7 +123,7 @@ class Corner:
     cosets: frozenset[str]
 
 
-def corner_analysis(table: MetricTable, u: int, v: int, w: int) -> tuple[Corner, Corner, Corner]:
+def corner_analysis(family: VertexFamily, u: int, v: int, w: int) -> tuple[Corner, Corner, Corner]:
     """Lines across each corner of the triangle (u, v, w).
 
     The count at corner u is (d(u,v) + d(u,w) - d(v,w)) / 2 and must equal
@@ -174,20 +132,21 @@ def corner_analysis(table: MetricTable, u: int, v: int, w: int) -> tuple[Corner,
     """
     if len({u, v, w}) != 3:
         raise ValueError("corner analysis needs three distinct vertices")
+    d, diff = family.distance, family.diff
     out = []
     for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
-        twice = table.d(a, b) + table.d(a, c) - table.d(b, c)
+        twice = d(a, b) + d(a, c) - d(b, c)
         if twice < 0:
-            raise NegativeCorner(table.names[u], table.names[v], table.names[w])
-        cosets = table.diff(a, b) & table.diff(a, c)
+            raise NegativeCorner(*_names(family, u, v, w))
+        cosets = diff(a, b) & diff(a, c)
         count = twice // 2
         if twice % 2 or count != len(cosets):
-            raise ParityViolation(table.names[u], table.names[v], table.names[w])
+            raise ParityViolation(*_names(family, u, v, w))
         out.append(Corner(a, count, cosets))
     corner_u, corner_v, corner_w = out
     for a, b, ca, cb in ((u, v, corner_u, corner_v), (u, w, corner_u, corner_w), (v, w, corner_v, corner_w)):
-        if ca.cosets | cb.cosets != table.diff(a, b) or ca.cosets & cb.cosets:
-            raise ParityViolation(table.names[u], table.names[v], table.names[w])
+        if ca.cosets | cb.cosets != diff(a, b) or ca.cosets & cb.cosets:
+            raise ParityViolation(*_names(family, u, v, w))
     return corner_u, corner_v, corner_w
 
 
@@ -206,7 +165,7 @@ class SquareReport:
     disjoint: bool
 
 
-def square_analysis(table: MetricTable, u: int, v: int, w: int, z: int) -> SquareReport:
+def square_analysis(family: VertexFamily, u: int, v: int, w: int, z: int) -> SquareReport:
     """Decompose the square with side pairs {uv, wz} and {uw, vz}.
 
     When one side-pair sum strictly dominates, the other pair's label sets
@@ -216,30 +175,31 @@ def square_analysis(table: MetricTable, u: int, v: int, w: int, z: int) -> Squar
     """
     if len({u, v, w, z}) != 4:
         raise ValueError("square analysis needs four distinct vertices")
-    s_sides = table.d(u, v) + table.d(w, z)
-    s_opp = table.d(u, w) + table.d(v, z)
+    d, diff = family.distance, family.diff
+    s_sides = d(u, v) + d(w, z)
+    s_opp = d(u, w) + d(v, z)
     if s_sides == s_opp:
         return SquareReport((u, v, w, z), s_sides, s_opp, "equal", 0, frozenset(), True)
     if s_sides > s_opp:
         comparable = "sides"
-        big = table.diff(u, v) | table.diff(w, z)
-        small_a, small_b = table.diff(u, w), table.diff(v, z)
+        big = diff(u, v) | diff(w, z)
+        small_a, small_b = diff(u, w), diff(v, z)
     else:
         comparable = "opposite"
-        big = table.diff(u, w) | table.diff(v, z)
-        small_a, small_b = table.diff(u, v), table.diff(w, z)
+        big = diff(u, w) | diff(v, z)
+        small_a, small_b = diff(u, v), diff(w, z)
     overlap = small_a & small_b
     if overlap:
-        raise NonNestedSquare(overlap, tuple(table.names[i] for i in (u, v, w, z)))
+        raise NonNestedSquare(overlap, _names(family, u, v, w, z))
     crossing = big - (small_a | small_b)
-    diag1 = table.diff(u, z)
-    diag2 = table.diff(v, w)
+    diag1 = diff(u, z)
+    diag2 = diff(v, w)
     expected = abs(s_sides - s_opp) // 2
     via_diag1 = big & diag1 - (small_a | small_b)
     via_diag2 = big & diag2 - (small_a | small_b)
     if not (len(crossing) == expected and crossing == via_diag1 == via_diag2):
         raise NonNestedSquare(crossing ^ via_diag1 ^ via_diag2 or crossing,
-                              tuple(table.names[i] for i in (u, v, w, z)))
+                              _names(family, u, v, w, z))
     return SquareReport((u, v, w, z), s_sides, s_opp, comparable, len(crossing), crossing, True)
 
 
@@ -247,12 +207,17 @@ def square_analysis(table: MetricTable, u: int, v: int, w: int, z: int) -> Squar
 # crossing and nestedness
 
 
+def _quadrants(m1: int, m2: int, full: int) -> tuple[int, int, int, int]:
+    """Vertex masks of the four sides-intersections of two indicator masks,
+    ordered (out, out), (out, in), (in, out), (in, in)."""
+    return (~m1 & ~m2 & full, ~m1 & m2 & full, m1 & ~m2 & full, m1 & m2)
+
+
 def crossing_test(system: TrackSystem, c1: str, c2: str) -> bool:
     """True iff all four side-intersection quadrants contain a family vertex."""
     if c1 == c2:
         raise ValueError("crossing test needs two distinct cosets")
-    a, b = sorted((c1, c2), key=system.sort_key)
-    return system.crossings[(a, b)]
+    return all(_quadrants(system.mask[c1], system.mask[c2], system._full))
 
 
 @dataclass(frozen=True)
@@ -262,75 +227,55 @@ class NestednessResult:
 
 
 def nestedness_check(system: TrackSystem) -> NestednessResult:
-    """Search every label pair for an inhabited four-quadrant configuration."""
-    full = system._full
-    for (c1, c2), crossed in system.crossings.items():
-        if not crossed:
-            continue
-        m1, m2 = system.mask[c1], system.mask[c2]
-        quadrants = (~m1 & ~m2 & full, ~m1 & m2 & full, m1 & ~m2 & full, m1 & m2 & full)
-        corners = tuple(
-            system.table.names[(q & -q).bit_length() - 1] for q in quadrants
-        )
-        return NestednessResult(False, (c1, c2, corners))
+    """Search every class pair for an inhabited four-quadrant configuration.
+
+    Parallel labels never cross and crossing is a property of classes, so
+    the pairs of ShortLex-least representatives, in ShortLex order, meet
+    the ShortLex-first crossing label pair first.
+    """
+    reps = [cls[0] for cls in system.classes]
+    for a, c1 in enumerate(reps):
+        for c2 in reps[a + 1:]:
+            quadrants = _quadrants(system.mask[c1], system.mask[c2], system._full)
+            if all(quadrants):
+                corners = _names(system.family, *((q & -q).bit_length() - 1 for q in quadrants))
+                return NestednessResult(False, (c1, c2, corners))
     return NestednessResult(True)
 
 
 # --------------------------------------------------------------------------
-# parallel classes and per-edge orders
-
-
-def parallel_classes(system: TrackSystem) -> list[tuple[str, ...]]:
-    """Partition of the labels by indicator equality up to complement."""
-    return list(system.classes)
+# per-edge orders and labels
 
 
 def class_order(system: TrackSystem, u: int, v: int) -> list[int]:
     """Total order of the parallel classes meeting diff(u, v), nearest to u first.
 
     Class X precedes class Y when every vertex separated from u together
-    with Y is also separated together with X.  On nested systems this is a
+    with Y is also separated together with X: as vertex masks outside
+    {u, v}, side(Y) is a subset of side(X).  On nested systems this is a
     strict total order; an incomparable pair is raised as a falsification
     witness.
     """
-    cached = system._order_cache.get((u, v))
-    if cached is not None:
-        return list(cached)
-    edge = system.table.diff(u, v)
-    present = sorted(
-        {system.class_of[c] for c in edge},
-        key=lambda idx: system.sort_key(system.classes[idx][0]))
+    full = system._full
+    outside = full & ~(1 << u | 1 << v)
+    present = sorted({system.class_of[c] for c in system.family.diff(u, v)})
+    side = {}
+    for k in present:
+        g = system.class_norm_mask(k)
+        side[k] = (g ^ full if (g >> u) & 1 else g) & outside
 
-    def le(x: int, y: int) -> bool:
-        cx = system.classes[x][0]
-        cy = system.classes[y][0]
-        for w in range(system.n):
-            if w in (u, v):
-                continue
-            if system.separates(cy, u, w) and not system.separates(cx, u, w):
-                return False
-        return True
-
-    for a in range(len(present)):
-        for b in range(a + 1, len(present)):
-            x, y = present[a], present[b]
-            fwd, back = le(x, y), le(y, x)
+    for a, x in enumerate(present):
+        for y in present[a + 1:]:
+            fwd, back = not side[y] & ~side[x], not side[x] & ~side[y]
             if fwd and back:
                 raise TrackTreeError(
                     f"distinct classes {system.classes[x]} and {system.classes[y]} "
                     "compare equal; corrupted system")
             if not fwd and not back:
                 raise NotTotal(system.classes[x][0], system.classes[y][0],
-                               (system.table.names[u], system.table.names[v]))
-
-    ordered = sorted(present, key=functools.cmp_to_key(lambda x, y: -1 if le(x, y) else 1))
-    # transitivity safety net: ranks must be strictly increasing under le
-    for a in range(len(ordered) - 1):
-        if not le(ordered[a], ordered[a + 1]):
-            raise NotTotal(system.classes[ordered[a]][0], system.classes[ordered[a + 1]][0],
-                           (system.table.names[u], system.table.names[v]))
-    system._order_cache[(u, v)] = tuple(ordered)
-    return ordered
+                               _names(system.family, u, v))
+    # the sides form a chain under inclusion, so size orders them
+    return sorted(present, key=lambda k: -side[k].bit_count())
 
 
 def _class_labels_from(system: TrackSystem, cls_index: int, tail: int) -> list[str]:
@@ -347,18 +292,22 @@ def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[str, ...]]
     Classes appear in the order given by class_order; inside a class the
     ShortLex order is used, read in the direction that walks away from the
     class's base side, so the same class is traversed consistently on every
-    edge.
+    edge.  NotTotal when an edge's class order is not total, or its order
+    from j is not the reverse of its order from i.
     """
     out: dict[tuple[int, int], tuple[str, ...]] = {}
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            edge = system.table.diff(i, j)
-            if not edge:
-                continue
-            seq: list[str] = []
-            for cls_index in class_order(system, i, j):
-                seq.extend(_class_labels_from(system, cls_index, i))
-            if len(seq) != system.table.d(i, j) or set(seq) != edge:
-                raise TrackTreeError(f"label assignment lost cosets on edge ({i}, {j})")
-            out[(i, j)] = tuple(seq)
+    for i, j in itertools.combinations(range(system.n), 2):
+        edge = system.family.diff(i, j)
+        if not edge:
+            continue
+        forward = class_order(system, i, j)
+        if class_order(system, j, i) != forward[::-1]:
+            raise NotTotal(system.classes[forward[0]][0], system.classes[forward[-1]][0],
+                           _names(system.family, i, j))
+        seq: list[str] = []
+        for cls_index in forward:
+            seq.extend(_class_labels_from(system, cls_index, i))
+        if len(seq) != len(edge) or set(seq) != edge:
+            raise TrackTreeError(f"label assignment lost cosets on edge ({i}, {j})")
+        out[(i, j)] = tuple(seq)
     return out

@@ -47,7 +47,6 @@ from .patterns import (
     TrackSystem,
     assign_labels,
     build_track_system,
-    class_order,
     corner_analysis,
     nestedness_check,
     parity_and_coloring,
@@ -72,6 +71,7 @@ class RunResult:
     spec: InstanceSpec
     family: Optional[VertexFamily] = None
     system: Optional[TrackSystem] = None
+    labels: Optional[dict[tuple[int, int], tuple[str, ...]]] = None
     tree: Optional[DualTree] = None
 
 
@@ -94,8 +94,6 @@ def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
             report.counts["universe"] = len(family.universe)
             report.counts["family_vertices"] = len(family)
             _run_patterns(spec, report, result)
-    except ParseError:
-        raise
     finally:
         report.timing_ms = (time.perf_counter() - start) * 1000.0
     return result
@@ -113,7 +111,10 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
 
     try:
         window = build_window(model, sub, spec.radius, spec.margin)
-    except (RadiusTooLarge, ValueError) as exc:
+    except RadiusTooLarge as exc:
+        report.add("window", UNCERTIFIED, str(exc))
+        return
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
     report.counts["omega"] = len(window.omega)
     report.counts["core_keys"] = len(window.core)
@@ -221,17 +222,16 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     result.system = system
     report.counts["tracks"] = len(system.labels)
     report.counts["classes"] = len(system.classes)
-    table = system.table
 
     try:
-        parity_and_coloring(table)
+        parity_and_coloring(family)
         report.add("parity", PASS)
     except TrackTreeError as exc:
         report.add("parity", FAIL, str(exc))
 
     try:
         for u, v, w in itertools.combinations(range(system.n), 3):
-            corner_analysis(table, u, v, w)
+            corner_analysis(family, u, v, w)
         report.add("corners", PASS)
     except TrackTreeError as exc:
         report.add("corners", FAIL, str(exc))
@@ -241,7 +241,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
         # the three ways of pairing four vertices into opposite sides
         for quad in ((a, b, c, d), (a, c, b, d), (a, b, d, c)):
             try:
-                square_analysis(table, *quad)
+                square_analysis(family, *quad)
             except NonNestedSquare as exc:
                 square_witness = str(exc)
                 break
@@ -261,21 +261,11 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
         return False
 
     try:
-        for i in range(system.n):
-            for j in range(system.n):
-                if i == j or not table.d(i, j):
-                    continue
-                forward = class_order(system, i, j)
-                if i < j and class_order(system, j, i) != list(reversed(forward)):
-                    raise NotTotal(system.classes[forward[0]][0],
-                                   system.classes[forward[-1]][0],
-                                   (table.names[i], table.names[j]))
-        report.add("class_orders", PASS)
+        result.labels = assign_labels(system)
     except NotTotal as exc:
         report.add("class_orders", FAIL, str(exc))
         return False
-
-    assign_labels(system)
+    report.add("class_orders", PASS)
     report.add("labelling", PASS)
 
     tree = build_tree(system)
@@ -303,7 +293,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
         for i in range(system.n):
             for j in range(i + 1, system.n):
                 ti, tj = tree.family_vertex[i], tree.family_vertex[j]
-                if tree_metric_and_separation(tree, ti, tj).length != table.d(i, j):
+                if tree_metric_and_separation(tree, ti, tj).length != family.distance(i, j):
                     geo_witness = f"family pair ({i}, {j}) has wrong tree distance"
                     break
             if geo_witness:
@@ -311,15 +301,19 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     report.add("separation_geodesic", PASS if geo_witness is None else FAIL, geo_witness)
 
     if len(system.labels) <= MAX_ORACLE_LABELS and system.n <= MAX_ORACLE_VERTICES:
-        oracle = oracle_labelings(system)
-        canonical = assign_labels(system)
-        canon_tuple = tuple(canonical[e] for e in oracle.edges)
-        ok = (oracle.count == oracle.expected_count
-              and canon_tuple in oracle.labelings
-              and all(labeling_matches_canonical(system, canonical, lab, oracle.edges)
-                      for lab in oracle.labelings))
-        report.add("labeling_oracle", PASS if ok else FAIL,
-                   None if ok else f"{oracle.count} labelings vs expected {oracle.expected_count}")
+        try:
+            oracle = oracle_labelings(system)
+        except TooLarge as exc:
+            report.add("labeling_oracle", UNCERTIFIED, str(exc))
+        else:
+            canonical = result.labels
+            canon_tuple = tuple(canonical[e] for e in oracle.edges)
+            ok = (oracle.count == oracle.expected_count
+                  and canon_tuple in oracle.labelings
+                  and all(labeling_matches_canonical(system, canonical, lab, oracle.edges)
+                          for lab in oracle.labelings))
+            report.add("labeling_oracle", PASS if ok else FAIL,
+                       None if ok else f"{oracle.count} labelings vs expected {oracle.expected_count}")
 
     if spec.mode == "explicit":
         _check_expectations(spec, report, result)

@@ -377,8 +377,7 @@ class StabilizerReport:
 
 def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
                         expected_k: Optional[SubgroupModel] = None,
-                        expected_k_exact: bool = False,
-                        product_radius: Optional[int] = None) -> StabilizerReport:
+                        expected_k_exact: bool = False) -> StabilizerReport:
     """Window stabilizers of every tree vertex and edge, plus the subgroup
     formed by the parallel class of the identity coset.
 
@@ -463,22 +462,21 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
                 break
         edge_conj_ok.append(ok)
 
-    class_union = _class_union_report(tree, product_radius)
+    class_union = _class_union_report(tree)
     return StabilizerReport(
         [display_word(e.word) for e in ball],
         vertex_stabs, base_contains, base_equals, base_witness,
         edge_stabs, edge_conj_ok, class_union, uncertified)
 
 
-def _class_union_report(tree: DualTree, product_radius: Optional[int]) -> ClassUnionReport:
+def _class_union_report(tree: DualTree) -> ClassUnionReport:
     window = _window_of(tree)
     system = tree.system
     identity_key = window.omega[0]
     if identity_key not in system.class_of:
         return ClassUnionReport(applicable=False)
     cls = {window.id_of[c] for c in system.classes[system.class_of[identity_key]]}
-    radius = product_radius if product_radius is not None else window.radius // 2
-    pool = window.model.ball(min(radius, window.radius), max_radius=window.radius)
+    pool = window.model.ball(window.radius // 2, max_radius=window.radius)
     coset = {e.word: window.locate(e) for e in pool}
     union = [e for e in pool if coset[e.word] in cls]
     sub_elems = [e for e in pool if coset[e.word] == 0]

@@ -22,7 +22,6 @@ from tracktree import (
     corner_analysis,
     crossing_exhibit,
     fig1_exhibit,
-    metric,
     nestedness_check,
     oracle_labelings,
     oracle_orientations,
@@ -73,11 +72,11 @@ def random_systems():
 
 
 def scan_parity_and_corners(system):
-    table = system.table
-    parity_and_coloring(table)
+    fam = system.family
+    parity_and_coloring(fam)
     for u, v, w in itertools.combinations(range(system.n), 3):
-        assert (table.d(u, v) + table.d(v, w) + table.d(u, w)) % 2 == 0
-        for corner in corner_analysis(table, u, v, w):
+        assert (fam.distance(u, v) + fam.distance(v, w) + fam.distance(u, w)) % 2 == 0
+        for corner in corner_analysis(fam, u, v, w):
             assert corner.count >= 0
             assert corner.count == len(corner.cosets)
 
@@ -94,10 +93,10 @@ def test_parity_and_corners():
         scan_parity_and_corners(system)
         assert time.perf_counter() - start < 10.0, info.seed
     fig1 = run_instance(fig1_exhibit())
-    table = fig1.system.table
-    corners = corner_analysis(table, 0, 1, 2)
+    fam = fig1.system.family
+    corners = corner_analysis(fam, 0, 1, 2)
     assert [c.count for c in corners] == [3, 2, 2]
-    weights = (table.d(0, 1), table.d(0, 2), table.d(1, 2))
+    weights = (fam.distance(0, 1), fam.distance(0, 2), fam.distance(1, 2))
     assert weights == (5, 5, 4)
     assert sum(weights) == 14
 
@@ -184,7 +183,7 @@ def test_separation_and_geodesics():
         for i in range(system.n):
             for j in range(i + 1, system.n):
                 ti, tj = tree.family_vertex[i], tree.family_vertex[j]
-                assert tree_metric_and_separation(tree, ti, tj).length == system.table.d(i, j)
+                assert tree_metric_and_separation(tree, ti, tj).length == system.family.distance(i, j)
 
 
 @criterion("G-action & stabilizers: E1/E2 exact in the ball, class-union index = class size")

@@ -174,9 +174,12 @@ def test_cli_check_pass(capsys):
 
 def test_cli_check_multiple_jobs(capsys):
     paths = [str(INSTANCE_DIR / f"{n}.ini") for n in ("E1", "E2", "E3", "E4")]
-    code = main(["check", *paths, "--jobs", "4"])
+    code = main(["check", *paths])
     assert code == 0
     out = capsys.readouterr().out
+    # one report per file, in the order given
+    assert [line for line in out.splitlines() if line.startswith('  "instance"')] == [
+        f'  "instance": "{n}",' for n in ("E1", "E2", "E3", "E4")]
     assert out.count('"status": "pass"') >= 4
 
 
@@ -260,6 +263,46 @@ def test_cli_radius_two_over_the_cap_is_uncertified(capsys):
     assert "element cap" in by_name["witness_stability"]["witness"]
     assert all(c["status"] == "pass" for n, c in by_name.items() if n != "witness_stability")
     assert elapsed < 10, elapsed
+
+
+def test_cli_window_over_the_cap_is_uncertified(tmp_path, capsys):
+    # the radius 11 ball has 354 293 elements, over the element cap; radius 13
+    # is over the radius cap: both end in a report, not an input error
+    for radius, cap in (("11", "element cap"), ("13", "configured maximum")):
+        code = main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", radius])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3 and report["status"] == "uncertified"
+        assert [(c["name"], c["status"]) for c in report["checks"]] == [("window", "uncertified")]
+        assert cap in report["checks"][0]["witness"]
+    # an inconsistent radius and margin stays an input error
+    assert main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", "5", "--margin", "3"]) == 4
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_labeling_budget_family(tmp_path, capsys, monkeypatch):
+    # path v0 - v1 - v2 with classes of 6 and 2 keys: 8 labels, inside the
+    # oracle's caps, with 6! * 2! labelings
+    six = " ".join(f"c{k}" for k in range(6))
+    spec = tmp_path / "budget.ini"
+    spec.write_text("[instance]\nname = budget\nmode = explicit\n\n"
+                    f"[universe]\nkeys = {six} c6 c7\n\n"
+                    f"[vertices]\nvertex = v0 :\nvertex = v1 : {six}\n"
+                    f"vertex = v2 : {six} c6 c7\n")
+    assert main(["check", str(spec)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["labelings"] == 720 * 2
+    # out of its step budget, the labeling oracle is uncertified
+    monkeypatch.setattr("tracktree.oracles.DFS_BUDGET", 1000)
+    code = main(["check", str(spec)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["status"] == "uncertified"
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["labeling_oracle"] == {
+        "name": "labeling_oracle", "status": "uncertified",
+        "witness": "labeling enumeration exceeded its budget"}
+    assert all(c["status"] == "pass" for n, c in by_name.items() if n != "labeling_oracle")
+    assert report["counts"]["tree_vertices"] == 3 + 5 + 1
 
 
 def test_cli_byte_identical_across_processes():

@@ -1,5 +1,8 @@
 """Brute-force oracles and the random nested family generator."""
 
+import itertools
+import random
+
 import pytest
 
 from tracktree import (
@@ -105,6 +108,54 @@ def test_labelings_within_class_structure():
     assert tuple(canonical[e] for e in oracle.edges) in oracle.labelings
     for labeling in oracle.labelings:
         assert labeling_matches_canonical(system, canonical, labeling, oracle.edges)
+
+
+def reference_labelings(system, edges):
+    """Every labeling, edge by edge: each order of an edge's labels is kept
+    when it agrees, at every shared vertex, with each earlier edge on as
+    many labels as the two edges share."""
+    fam = system.family
+    found = []
+
+    def read_from(order, edge, vertex):
+        return order if edge[0] == vertex else order[::-1]
+
+    def agrees(order, edge, prev, e):
+        count = len(fam.diff(*e) & fam.diff(*edge))
+        return all(read_from(order, edge, a)[:count] == read_from(prev, e, a)[:count]
+                   for a in set(e) & set(edge))
+
+    def extend(chosen):
+        k = len(chosen)
+        if k == len(edges):
+            found.append(tuple(chosen))
+            return
+        for order in itertools.permutations(sorted(fam.diff(*edges[k]))):
+            if all(agrees(order, edges[k], prev, e) for e, prev in zip(edges, chosen)):
+                extend(chosen + [order])
+
+    extend([])
+    return set(found)
+
+
+def small_families():
+    for seed in range(12):
+        yield random_nested_family(seed, max_vertices=5, max_extra_cosets=2, max_constants=1)[0]
+    for seed in range(12):
+        rng = random.Random(seed)
+        universe = [f"k{i}" for i in range(rng.randint(2, 4))]
+        subsets = list({frozenset(k for k in universe if rng.random() < 0.5)
+                        for _ in range(rng.randint(2, 5))})
+        if len(subsets) > 1:
+            yield explicit_family(universe, [(f"v{i}", m) for i, m in enumerate(subsets)])
+
+
+@pytest.mark.parametrize("fam", list(small_families()), ids=lambda fam: str(len(fam)))
+def test_labelings_match_exhaustive_reference(fam):
+    system = build_track_system(fam)
+    oracle = oracle_labelings(system)
+    assert len(oracle.labelings) == len(set(oracle.labelings)) == oracle.count
+    assert set(oracle.labelings) == reference_labelings(system, oracle.edges)
 
 
 def test_labelings_cap():

@@ -1,8 +1,11 @@
 """Metric parity, corners, squares, crossing, classes, orders, labels."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracktree import (
     BaseSetSpec,
@@ -16,14 +19,14 @@ from tracktree import (
     crossing_test,
     explicit_family,
     free_group,
-    metric,
     nestedness_check,
-    parallel_classes,
     parity_and_coloring,
     square_analysis,
     subgroup,
 )
-from tracktree.errors import NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge
+from tracktree.windows import FamilyVertex
+from tracktree.errors import (
+    NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge, TrackTreeError)
 
 Z = free_group(1, "t")
 
@@ -53,17 +56,19 @@ def crossing_family():
          ("vb", frozenset(["b"])), ("vab", frozenset(["a", "b"]))])
 
 
-class FakeTable:
+class FakeFamily:
     """Deliberately corrupted metric data for the corruption guards."""
 
     def __init__(self, d_map, diff_map, n):
-        self.n = n
-        self.names = [f"v{i}" for i in range(n)]
+        self.vertices = [FamilyVertex(None, frozenset(), f"v{i}") for i in range(n)]
         self.base_index = 0
         self._d = d_map
         self._diff = diff_map
 
-    def d(self, i, j):
+    def __len__(self):
+        return len(self.vertices)
+
+    def distance(self, i, j):
         if i == j:
             return 0
         return self._d[(min(i, j), max(i, j))]
@@ -80,40 +85,38 @@ class FakeTable:
 
 def test_metric_basics():
     fam = explicit_family(["1", "2", "3"], [("u", frozenset(["1", "2"])), ("v", frozenset(["2", "3"]))])
-    table = metric(fam)
-    assert table.d(0, 0) == 0 and table.diff(0, 0) == frozenset()
-    assert table.diff(0, 1) == {"1", "3"} and table.d(0, 1) == 2
+    assert fam.distance(0, 0) == 0 and fam.diff(0, 0) == frozenset()
+    assert fam.diff(0, 1) == {"1", "3"} and fam.distance(0, 1) == 2
 
 
 def test_metric_half_line():
     fam = half_line_family(-1, 0, 1)
-    table = metric(fam)
-    assert table.d(0, 2) == 2
-    assert table.diff(0, 2) == {"", "T"}
+    assert fam.distance(0, 2) == 2
+    assert fam.diff(0, 2) == {"", "T"}
 
 
 def test_parity_fig1():
-    table = metric(fig1_family())
-    weights = (table.d(0, 1), table.d(0, 2), table.d(1, 2))
+    fam = fig1_family()
+    weights = (fam.distance(0, 1), fam.distance(0, 2), fam.distance(1, 2))
     assert weights == (5, 5, 4)
     assert sum(weights) == 14
-    colors = parity_and_coloring(table)
+    colors = parity_and_coloring(fam)
     assert colors == [0, 1, 1]
 
 
 def test_parity_half_line_triple():
-    table = metric(half_line_family(-1, 0, 1))
-    assert (table.d(0, 1) + table.d(1, 2) + table.d(0, 2)) % 2 == 0
-    colors = parity_and_coloring(table)
+    fam = half_line_family(-1, 0, 1)
+    assert (fam.distance(0, 1) + fam.distance(1, 2) + fam.distance(0, 2)) % 2 == 0
+    colors = parity_and_coloring(fam)
     for i in range(3):
         for j in range(3):
-            assert (colors[i] != colors[j]) == (table.d(i, j) % 2 == 1)
+            assert (colors[i] != colors[j]) == (fam.distance(i, j) % 2 == 1)
 
 
 def test_parity_violation_on_corrupted_table():
-    table = FakeTable({(0, 1): 1, (0, 2): 1, (1, 2): 1}, {}, 3)
+    fam = FakeFamily({(0, 1): 1, (0, 2): 1, (1, 2): 1}, {}, 3)
     with pytest.raises(ParityViolation):
-        parity_and_coloring(table)
+        parity_and_coloring(fam)
 
 
 # --------------------------------------------------------------------------
@@ -121,30 +124,30 @@ def test_parity_violation_on_corrupted_table():
 
 
 def test_corner_fig1_counts():
-    table = metric(fig1_family())
-    corners = corner_analysis(table, 0, 1, 2)
+    fam = fig1_family()
+    corners = corner_analysis(fam, 0, 1, 2)
     assert [c.count for c in corners] == [3, 2, 2]
     assert corners[0].cosets == {"c1", "c2", "c3"}
 
 
 def test_corner_degenerate():
-    table = metric(half_line_family(-1, 0, 1))
-    cu, cv, cw = corner_analysis(table, 0, 1, 2)
+    fam = half_line_family(-1, 0, 1)
+    cu, cv, cw = corner_analysis(fam, 0, 1, 2)
     assert (cu.count, cv.count, cw.count) == (1, 0, 1)
 
 
 def test_corner_partitions_edges():
-    table = metric(fig1_family())
-    cu, cv, cw = corner_analysis(table, 0, 1, 2)
-    assert cu.cosets | cv.cosets == table.diff(0, 1)
+    fam = fig1_family()
+    cu, cv, cw = corner_analysis(fam, 0, 1, 2)
+    assert cu.cosets | cv.cosets == fam.diff(0, 1)
     assert cu.cosets & cv.cosets == frozenset()
 
 
 def test_negative_corner_on_corrupted_table():
     diffs = {(0, 1): frozenset(["a"]), (0, 2): frozenset(["b"]), (1, 2): frozenset()}
-    table = FakeTable({(0, 1): 1, (0, 2): 1, (1, 2): 4}, diffs, 3)
+    fam = FakeFamily({(0, 1): 1, (0, 2): 1, (1, 2): 4}, diffs, 3)
     with pytest.raises(NegativeCorner):
-        corner_analysis(table, 0, 1, 2)
+        corner_analysis(fam, 0, 1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def test_square_example():
         ["1", "2", "3"],
         [("u", frozenset()), ("v", frozenset(["1", "2"])),
          ("w", frozenset(["1"])), ("z", frozenset(["1", "2", "3"]))])
-    report = square_analysis(metric(fam), 0, 1, 2, 3)
+    report = square_analysis(fam, 0, 1, 2, 3)
     assert report.sum_sides == 4 and report.sum_opposite == 2
     assert report.comparable == "sides"
     assert report.crossing_count == 1 and report.crossing_cosets == {"2"}
@@ -164,13 +167,13 @@ def test_square_example():
 
 def test_square_equal_sums():
     fam = crossing_family()
-    report = square_analysis(metric(fam), 0, 1, 2, 3)
+    report = square_analysis(fam, 0, 1, 2, 3)
     assert report.comparable == "equal" and report.crossing_count == 0
 
 
 def test_square_half_line_path():
-    table = metric(half_line_family(-1, 0, 1, 2))
-    report = square_analysis(table, 0, 1, 2, 3)
+    fam = half_line_family(-1, 0, 1, 2)
+    report = square_analysis(fam, 0, 1, 2, 3)
     assert report.comparable == "opposite"
     assert report.crossing_count == 1
     assert report.crossing_cosets == {""}
@@ -178,16 +181,15 @@ def test_square_half_line_path():
 
 def test_square_crossing_witness():
     fam = crossing_family()
-    table = metric(fam)
     with pytest.raises(NonNestedSquare):
-        square_analysis(table, 0, 1, 3, 2)
+        square_analysis(fam, 0, 1, 3, 2)
 
 
 def test_square_diagonal_independence_on_corpus_like_family():
-    table = metric(half_line_family(-2, -1, 0, 1, 2))
+    fam = half_line_family(-2, -1, 0, 1, 2)
     for quad in itertools.combinations(range(5), 4):
         for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
-            square_analysis(table, *(quad[i] for i in perm))
+            square_analysis(fam, *(quad[i] for i in perm))
 
 
 # --------------------------------------------------------------------------
@@ -240,13 +242,13 @@ def test_family_size_cap():
 def test_parallel_classes_examples():
     one_class = build_track_system(explicit_family(
         ["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))]))
-    assert parallel_classes(one_class) == [("a", "b")]
+    assert one_class.classes == [("a", "b")]
 
     two_classes = build_track_system(explicit_family(
         ["a", "b", "c"],
         [("e", frozenset()), ("vab", frozenset(["a", "b"])),
          ("vabc", frozenset(["a", "b", "c"]))]))
-    assert parallel_classes(two_classes) == [("a", "b"), ("c",)]
+    assert two_classes.classes == [("a", "b"), ("c",)]
 
 
 def test_parallel_classes_constant_cosets_excluded():
@@ -261,10 +263,10 @@ def test_class_sizes_sum_to_distance():
     system = build_track_system(fig1_family())
     for i in range(3):
         for j in range(i + 1, 3):
-            edge = system.table.diff(i, j)
+            edge = system.family.diff(i, j)
             total = sum(
                 len([c for c in cls if c in edge]) for cls in system.classes)
-            assert total == system.table.d(i, j)
+            assert total == system.family.distance(i, j)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def test_assign_labels_half_line():
     labels = assign_labels(system)
     assert labels[(1, 3)] == ("", "t")
     for (i, j), seq in labels.items():
-        assert len(seq) == system.table.d(i, j)
+        assert len(seq) == system.family.distance(i, j)
 
 
 def test_assign_labels_band_order():
@@ -323,13 +325,13 @@ def test_disjoint_edges_share_label_order():
     # once their directions are aligned with the dominant side pairing
     system = build_track_system(half_line_family(-2, -1, 0, 1, 2))
     labels = assign_labels(system)
-    table = system.table
+    fam = system.family
     for u, v, w, z in itertools.permutations(range(system.n), 4):
         if u > v or w > z or (u, v) > (w, z):
             continue
-        if table.d(u, v) + table.d(w, z) <= table.d(u, w) + table.d(v, z):
+        if fam.distance(u, v) + fam.distance(w, z) <= fam.distance(u, w) + fam.distance(v, z):
             continue
-        shared = table.diff(u, v) & table.diff(w, z)
+        shared = fam.diff(u, v) & fam.diff(w, z)
         if not shared:
             continue
         seq_uv = [c for c in labels[(u, v)] if c in shared]
@@ -357,13 +359,158 @@ def test_parity_and_corners_hold_for_arbitrary_families(seed):
     if len(subsets) < 2:
         subsets = [("v0", frozenset()), ("v1", frozenset(universe))]
     fam = explicit_family(universe, subsets)
-    table = metric(fam)
-    parity_and_coloring(table)
+    parity_and_coloring(fam)
     for u, v, w in itertools.combinations(range(len(subsets)), 3):
-        for corner in corner_analysis(table, u, v, w):
+        for corner in corner_analysis(fam, u, v, w):
             assert corner.count == len(corner.cosets) >= 0
     system = build_track_system(fam)
     for a in range(len(system.labels)):
         for b in range(a + 1, len(system.labels)):
             c1, c2 = system.labels[a], system.labels[b]
             assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
+
+
+# --------------------------------------------------------------------------
+# differential tests against the per-vertex and label-pair references
+
+
+def reference_class_order(system, u, v):
+    """class_order by a per-vertex separation loop, a comparison sort and a
+    transitivity check."""
+    def separates(c, i, j):
+        return ((system.mask[c] >> i) & 1) != ((system.mask[c] >> j) & 1)
+
+    def le(x, y):
+        cx, cy = system.classes[x][0], system.classes[y][0]
+        return all(not separates(cy, u, w) or separates(cx, u, w)
+                   for w in range(system.n) if w not in (u, v))
+
+    names = (system.family.vertices[u].name, system.family.vertices[v].name)
+    present = sorted({system.class_of[c] for c in system.family.diff(u, v)},
+                     key=lambda k: system.sort_key(system.classes[k][0]))
+    for a in range(len(present)):
+        for b in range(a + 1, len(present)):
+            x, y = present[a], present[b]
+            fwd, back = le(x, y), le(y, x)
+            if fwd and back:
+                raise TrackTreeError("equal classes")
+            if not fwd and not back:
+                raise NotTotal(system.classes[x][0], system.classes[y][0], names)
+    ordered = sorted(present, key=functools.cmp_to_key(lambda x, y: -1 if le(x, y) else 1))
+    for a in range(len(ordered) - 1):
+        if not le(ordered[a], ordered[a + 1]):
+            raise NotTotal(system.classes[ordered[a]][0], system.classes[ordered[a + 1]][0], names)
+    return ordered
+
+
+def reference_orders_checked(system):
+    """Every class order, each edge's two orders checked to be reverses."""
+    for i in range(system.n):
+        for j in range(system.n):
+            if i == j:
+                continue
+            forward = reference_class_order(system, i, j)
+            if i < j and reference_class_order(system, j, i) != forward[::-1]:
+                raise NotTotal(system.classes[forward[0]][0], system.classes[forward[-1]][0],
+                               (system.family.vertices[i].name, system.family.vertices[j].name))
+
+
+def reference_nestedness(system):
+    """First crossing label pair in ShortLex order, with one vertex per quadrant."""
+    full = (1 << system.n) - 1
+    for c1, c2 in itertools.combinations(system.labels, 2):
+        m1, m2 = system.mask[c1], system.mask[c2]
+        quadrants = (~m1 & ~m2 & full, ~m1 & m2 & full, m1 & ~m2 & full, m1 & m2 & full)
+        if all(quadrants):
+            return (c1, c2, tuple(system.family.vertices[(q & -q).bit_length() - 1].name
+                                  for q in quadrants))
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except NotTotal as exc:
+        return ("NotTotal", exc.c1, exc.c2, exc.edge)
+
+
+@st.composite
+def tree_families(draw, graft=False):
+    """Nested family read off a random tree (parallel classes of 1-3 keys, and
+    constant keys); with graft, two extra keys cross at four distinct vertices."""
+    n = draw(st.integers(4 if graft else 2, 9))
+    parents = [draw(st.integers(0, child - 1)) for child in range(1, n)]
+    below = [{child} for child in range(1, n)]
+    for child in range(n - 1, 1, -1):
+        if parents[child - 1]:
+            below[parents[child - 1] - 1] |= below[child - 1]
+    keys = [[f"c{e}{k}" for k in range(draw(st.integers(1, 3)))] for e in range(n - 1)]
+    held = [f"z{k}" for k in range(draw(st.integers(0, 2)))]
+    members = [set(held) | {c for e, group in enumerate(keys) if v in below[e] for c in group}
+               for v in range(n)]
+    universe = [c for group in keys for c in group] + held + [f"z{k}" for k in range(2, 4)]
+    if graft:
+        both, first, second, _ = draw(st.permutations(range(n)))[:4]
+        members[both] |= {"g0", "g1"}
+        members[first].add("g0")
+        members[second].add("g1")
+        universe += ["g0", "g1"]
+    return explicit_family(universe, [(f"v{v}", frozenset(m)) for v, m in enumerate(members)],
+                           base_index=draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def subset_families(draw):
+    """Distinct random subsets of a small universe: mostly not nested."""
+    universe = [f"k{i}" for i in range(draw(st.integers(2, 6)))]
+    subsets = draw(st.lists(st.frozensets(st.sampled_from(universe)), min_size=2, max_size=7,
+                            unique=True))
+    return explicit_family(universe, [(f"v{i}", m) for i, m in enumerate(subsets)],
+                           base_index=draw(st.integers(0, len(subsets) - 1)))
+
+
+families = st.one_of(tree_families(), tree_families(graft=True), subset_families())
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_class_order_matches_per_vertex_reference(fam):
+    system = build_track_system(fam)
+    for u, v in itertools.permutations(range(system.n), 2):
+        assert outcome(class_order, system, u, v) == outcome(reference_class_order, system, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_nestedness_matches_label_pair_reference(fam):
+    system = build_track_system(fam)
+    witness = reference_nestedness(system)
+    result = nestedness_check(system)
+    assert result.witness == witness and result.ok == (witness is None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_assign_labels_fails_where_the_order_loop_did(fam):
+    # one assign_labels call replaces computing every order and its reverse
+    system = build_track_system(fam)
+    got, want = outcome(assign_labels, system), outcome(reference_orders_checked, system)
+    assert got[0] == want[0]
+    if got[0] == "NotTotal":
+        assert got == want
+
+
+def test_differential_families_reach_every_case():
+    # the strategies above produce nested systems, crossings and NotTotal orders
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(families)
+    def collect(fam):
+        system = build_track_system(fam)
+        seen.add("crossing" if reference_nestedness(system) else "nested")
+        for u, v in itertools.permutations(range(system.n), 2):
+            seen.add(outcome(reference_class_order, system, u, v)[0])
+
+    collect()
+    assert seen == {"crossing", "nested", "ok", "NotTotal"}

@@ -156,8 +156,8 @@ def test_separation_property_on_corpus():
             for j in range(i + 1, system.n):
                 path = tree_metric_and_separation(
                     tree, tree.family_vertex[i], tree.family_vertex[j])
-                assert set(path.labels) == system.table.diff(i, j)
-                assert path.length == system.table.d(i, j)
+                assert set(path.labels) == system.family.diff(i, j)
+                assert path.length == system.family.distance(i, j)
 
 
 def test_geodesic_for_all_tree_vertex_pairs():
