@@ -33,7 +33,7 @@ family = build_family(window, base, translations)
 print()
 print("translate family (all pairwise differences certified):")
 for v in family.vertices:
-    print(f"  {v.name:6s} rows:", [k or "1" for k in sorted(v.members, key=window.sort_key)])
+    print(f"  {v.name:6s} rows:", [k or "1" for k in family.keys_of(v.members)])
 print("d(A*Y, A*y) =", family.distance(0, 2), "- the two boundary rows")
 
 report = hypothesis_report(window, base, translations, H)

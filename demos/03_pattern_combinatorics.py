@@ -29,7 +29,7 @@ print("edge weights:", d(0, 1), d(0, 2), d(1, 2))
 print("perimeter:   ", d(0, 1) + d(0, 2) + d(1, 2), "(always even)")
 print("two-colouring by distance parity from u:", parity_and_coloring(fig1))
 for corner in corner_analysis(fig1, 0, 1, 2):
-    print(f"corner {fig1.vertices[corner.vertex].name}: {corner.count} lines, labels {sorted(corner.cosets)}")
+    print(f"corner {fig1.vertices[corner.vertex].name}: {corner.count} lines, labels {fig1.keys_of(corner.cosets)}")
 
 print()
 print("== square ==")
@@ -40,7 +40,7 @@ square = explicit_family(
 report = square_analysis(square, 0, 1, 2, 3)
 print("side-pair sums:", report.sum_sides, "vs", report.sum_opposite)
 print("crossing lines between the dominant sides:", report.crossing_count,
-      sorted(report.crossing_cosets))
+      square.keys_of(report.crossing_cosets))
 
 print()
 print("== parallel classes ==")

@@ -25,6 +25,12 @@ from .pipeline import run_instance
 from .reports import dot_document, report_document, write_atomic
 
 
+def _error_line(exc: TrackTreeError, path: Optional[str] = None) -> str:
+    kind = ("input error" if isinstance(exc, ParseError)
+            else "io error" if isinstance(exc, IoError) else "error")
+    return f"{kind}: {path}: {exc}" if path else f"{kind}: {exc}"
+
+
 def _emit(text: str, out: Optional[str]):
     if out:
         write_atomic(out, text)
@@ -33,9 +39,15 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_check(args) -> int:
+    # a file that cannot be loaded or run is named on stderr; the others still report
     docs, code = [], 0
     for path in args.spec:
-        result = run_instance(load_instance(path), radius=args.radius, margin=args.margin)
+        try:
+            result = run_instance(load_instance(path), radius=args.radius, margin=args.margin)
+        except TrackTreeError as exc:
+            sys.stderr.write(f"{_error_line(exc, path)}\n")
+            code = 4
+            continue
         docs.append(report_document(result.report, include_timings=args.timings))
         code = max(code, result.report.exit_code())
     _emit("".join(docs), args.out)
@@ -63,11 +75,19 @@ def _cmd_oracle(args) -> int:
     code = result.report.exit_code()
     if result.tree is not None and result.system is not None:
         system, tree = result.system, result.tree
-        oracle = oracle_orientations(system)
+        # an oracle runs here only where the run skipped it at its cap
+        oracle = result.orientations or oracle_orientations(system)
         doc["orientations_match"] = tree_matches_oracle(tree, oracle)
         doc["oracle_vertices"] = len(oracle.vertex_flips)
-        try:
-            lab = oracle_labelings(system)
+        lab, skipped = result.labelings, result.labelings_skipped
+        if lab is None and skipped is None:
+            try:
+                lab = oracle_labelings(system)
+            except TooLarge as exc:
+                skipped = str(exc)
+        if skipped is not None:
+            doc["labelings_skipped"] = skipped
+        else:
             canonical = result.labels
             canon = tuple(canonical[e] for e in lab.edges)
             doc["labelings"] = lab.count
@@ -80,8 +100,6 @@ def _cmd_oracle(args) -> int:
                     and doc["all_within_class"]
                     and lab.count == lab.expected_count):
                 code = max(code, 2)
-        except TooLarge as exc:
-            doc["labelings_skipped"] = str(exc)
         if not doc["orientations_match"]:
             code = max(code, 2)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -106,7 +124,7 @@ def _cmd_random(args) -> int:
     spec = InstanceSpec(
         name=f"random-{args.seed}", mode="explicit",
         universe=tuple(family.universe),
-        explicit_vertices=tuple((v.name, tuple(sorted(v.members))) for v in family.vertices),
+        explicit_vertices=tuple((v.name, tuple(family.keys_of(v.members))) for v in family.vertices),
         expectations=Expectations(
             nested=True, tree_vertices=info.tree_vertex_count,
             tree_edges=info.tree_edge_count,
@@ -164,14 +182,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 4
-    except IoError as exc:
-        sys.stderr.write(f"io error: {exc}\n")
-        return 4
     except TrackTreeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"{_error_line(exc)}\n")
         return 4
 
 

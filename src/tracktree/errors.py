@@ -46,14 +46,6 @@ class CertificationFailure(TrackTreeError):
         super().__init__(f"uncertified difference for ({g1}, {g2}): {detail}")
 
 
-class UncertifiedWitness(TrackTreeError):
-    pass
-
-
-class PropernessFailed(TrackTreeError):
-    pass
-
-
 class ConflictingRule(TrackTreeError):
     pass
 
@@ -97,10 +89,6 @@ class NotTotal(TrackTreeError):
 # --- tree construction ----------------------------------------------------
 
 class NotNested(TrackTreeError):
-    pass
-
-
-class ClosureBudgetExceeded(TrackTreeError):
     pass
 
 

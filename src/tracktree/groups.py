@@ -496,10 +496,6 @@ class FoldingAutomaton:
             for ch, t in next_[s].items():
                 self.next[remap[s]][ch] = remap[find(t)]
 
-    @property
-    def state_count(self) -> int:
-        return len(self.next)
-
     def trace(self, word: str) -> tuple[int, str]:
         """Schreier position of the coset H*word: (core state, hanging tail)."""
         state = 0
@@ -736,9 +732,6 @@ class SubgroupModel:
     def fingerprint(self, e: GroupElement):
         """Canonical value shared by exactly the elements of the right coset He."""
         return self.engine.fingerprint(e)
-
-    def is_trivial(self) -> bool:
-        return not self.generators
 
 
 def subgroup(model: GroupModel, generator_words: Sequence[str]) -> SubgroupModel:

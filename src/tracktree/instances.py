@@ -80,10 +80,6 @@ class InstanceSpec:
         return self
 
 
-def word_token(word: str) -> str:
-    return IDENTITY_TOKEN if word == "" else word
-
-
 def token_word(token: str) -> str:
     return "" if token == IDENTITY_TOKEN else token
 

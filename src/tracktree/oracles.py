@@ -114,11 +114,12 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         raise TooLarge(f"{system.n} vertices exceed the oracle cap {MAX_ORACLE_VERTICES}")
 
     family = system.family
-    edges = [
-        (i, j)
-        for i in range(system.n) for j in range(i + 1, system.n)
-        if family.distance(i, j)
-    ]
+    edge_keys = {}
+    for i, j in itertools.combinations(range(system.n), 2):
+        keys = family.keys_of(family.diff(i, j))
+        if keys:
+            edge_keys[(i, j)] = keys
+    edges = list(edge_keys)
     edge_index = {e: k for k, e in enumerate(edges)}
     corner_checks: dict[int, list[tuple[int, bool, bool, int]]] = {k: [] for k in range(len(edges))}
     # for each unordered edge pair sharing a vertex, record the corner constraint
@@ -127,7 +128,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         if not shared:
             continue
         a = shared.pop()
-        count = len(family.diff(*e1) & family.diff(*e2))
+        count = len(set(edge_keys[e1]).intersection(edge_keys[e2]))
         if count == 0:
             continue
         k1, k2 = edge_index[e1], edge_index[e2]
@@ -135,7 +136,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
             (min(k1, k2), e1[0] != a, e2[0] != a, count)
             if k1 < k2 else (min(k1, k2), e2[0] != a, e1[0] != a, count))
 
-    labels_per_edge = [sorted(family.diff(i, j), key=system.sort_key) for i, j in edges]
+    labels_per_edge = list(edge_keys.values())  # ShortLex order
 
     budget = [DFS_BUDGET]
     chosen: list[tuple[str, ...]] = []

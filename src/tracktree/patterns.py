@@ -1,8 +1,9 @@
 """Parity, corner/square analysis, crossing, parallel classes and labelling.
 
-Vertices are subsets of a finite coset universe; the metric is the size of
-the symmetric difference, read from the family's certified differences.
-Tracks are represented purely by their coset labels and per-vertex
+Vertices are subsets of a finite coset universe, held as int bitsets over
+it; the metric is the size of the symmetric difference, read from the
+family's certified differences, and every set operation below is one on
+ints.  Tracks are represented purely by their coset labels and per-vertex
 indicator bits (no geometry is materialised): a coset's indicator is its
 membership bit across the vertex family, and two cosets are parallel when
 their indicators agree everywhere or disagree everywhere.  The per-edge
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge, TrackTreeError
-from .windows import VertexFamily
+from .windows import VertexFamily, bit_positions
 
 DEFAULT_MAX_VERTICES = 16
 
@@ -26,10 +27,12 @@ DEFAULT_MAX_VERTICES = 16
 class TrackSystem:
     """Coset-labelled tracks over a vertex family.
 
-    ``labels`` is the ShortLex-sorted union of all pairwise differences
-    (cosets with constant indicator label no track meeting the family and
-    are excluded).  ``classes`` partitions the labels into parallel
-    classes, listed by their ShortLex-least representative.
+    ``labels`` are the keys of the union of all pairwise differences, in
+    ShortLex order (cosets with constant indicator label no track meeting
+    the family), and ``mask`` maps each to its indicator.  ``classes``
+    partitions the labels into parallel classes, listed by their
+    ShortLex-least representative; class k is ``class_bits[k]`` over the
+    universe, and ``class_norm[k]`` is its indicator made 0 at the base vertex.
     """
 
     def __init__(self, family: VertexFamily, max_vertices: int = DEFAULT_MAX_VERTICES):
@@ -40,44 +43,38 @@ class TrackSystem:
         self.n = len(family.vertices)
         self.base_index = family.base_index
         self.sort_key = family.sort_key
+        vertices = family.vertices
 
-        seen: set[str] = set()
+        union = 0
         for i, j in itertools.combinations(range(self.n), 2):
             diff = family.diff(i, j)
-            if diff != family.vertices[i].members ^ family.vertices[j].members:
+            if diff != vertices[i].members ^ vertices[j].members:
                 raise TrackTreeError(
                     f"certified difference of pair ({i}, {j}) disagrees with the member sets")
-            seen |= diff
-        self.labels: list[str] = sorted(seen, key=self.sort_key)
+            union |= diff
+        self.labels: list[str] = family.keys_of(union)
 
-        self.mask: dict[str, int] = {}
-        for c in self.labels:
-            m = 0
-            for i, v in enumerate(family.vertices):
-                if c in v.members:
-                    m |= 1 << i
-            self.mask[c] = m
+        # indicators, by universe position of the label, in one pass over the vertices
+        indicator = dict.fromkeys(bit_positions(union), 0)
+        for i, v in enumerate(vertices):
+            for k in bit_positions(v.members & union):
+                indicator[k] |= 1 << i
+        self.mask: dict[str, int] = dict(zip(self.labels, indicator.values()))
         self._full = (1 << self.n) - 1
 
-        # indicators normalised to vanish at the base vertex
+        # labels grouped by their indicator normalised to vanish at the base
+        # vertex; positions ascend, so classes come by least representative
         base_bit = 1 << self.base_index
-        self.norm_mask: dict[str, int] = {
-            c: (m ^ self._full) if (m & base_bit) else m
-            for c, m in self.mask.items()
-        }
-
-        by_norm: dict[int, list[str]] = {}
-        for c in self.labels:
-            by_norm.setdefault(self.norm_mask[c], []).append(c)
-        classes = [tuple(sorted(v, key=self.sort_key)) for v in by_norm.values()]
-        classes.sort(key=lambda cls: self.sort_key(cls[0]))
-        self.classes: list[tuple[str, ...]] = classes
+        by_norm: dict[int, int] = {}
+        for k, m in indicator.items():
+            norm = m ^ self._full if m & base_bit else m
+            by_norm[norm] = by_norm.get(norm, 0) | 1 << k
+        self.class_norm: list[int] = list(by_norm)
+        self.class_bits: list[int] = list(by_norm.values())
+        self.classes: list[tuple[str, ...]] = [tuple(family.keys_of(b)) for b in self.class_bits]
         self.class_of: dict[str, int] = {
-            c: idx for idx, cls in enumerate(classes) for c in cls
+            c: idx for idx, cls in enumerate(self.classes) for c in cls
         }
-
-    def class_norm_mask(self, cls_index: int) -> int:
-        return self.norm_mask[self.classes[cls_index][0]]
 
 
 def build_track_system(family: VertexFamily, max_vertices: int = DEFAULT_MAX_VERTICES) -> TrackSystem:
@@ -120,7 +117,7 @@ def parity_and_coloring(family: VertexFamily) -> list[int]:
 class Corner:
     vertex: int
     count: int
-    cosets: frozenset[str]
+    cosets: int  # bitset over the family's universe
 
 
 def corner_analysis(family: VertexFamily, u: int, v: int, w: int) -> tuple[Corner, Corner, Corner]:
@@ -140,7 +137,7 @@ def corner_analysis(family: VertexFamily, u: int, v: int, w: int) -> tuple[Corne
             raise NegativeCorner(*_names(family, u, v, w))
         cosets = diff(a, b) & diff(a, c)
         count = twice // 2
-        if twice % 2 or count != len(cosets):
+        if twice % 2 or count != cosets.bit_count():
             raise ParityViolation(*_names(family, u, v, w))
         out.append(Corner(a, count, cosets))
     corner_u, corner_v, corner_w = out
@@ -161,7 +158,7 @@ class SquareReport:
     sum_opposite: int     # d(u,w) + d(v,z)
     comparable: str       # "sides", "opposite" or "equal"
     crossing_count: int
-    crossing_cosets: frozenset[str]
+    crossing_cosets: int  # bitset over the family's universe
     disjoint: bool
 
 
@@ -179,7 +176,7 @@ def square_analysis(family: VertexFamily, u: int, v: int, w: int, z: int) -> Squ
     s_sides = d(u, v) + d(w, z)
     s_opp = d(u, w) + d(v, z)
     if s_sides == s_opp:
-        return SquareReport((u, v, w, z), s_sides, s_opp, "equal", 0, frozenset(), True)
+        return SquareReport((u, v, w, z), s_sides, s_opp, "equal", 0, 0, True)
     if s_sides > s_opp:
         comparable = "sides"
         big = diff(u, v) | diff(w, z)
@@ -190,17 +187,15 @@ def square_analysis(family: VertexFamily, u: int, v: int, w: int, z: int) -> Squ
         small_a, small_b = diff(u, v), diff(w, z)
     overlap = small_a & small_b
     if overlap:
-        raise NonNestedSquare(overlap, _names(family, u, v, w, z))
-    crossing = big - (small_a | small_b)
-    diag1 = diff(u, z)
-    diag2 = diff(v, w)
+        raise NonNestedSquare(family.keys_of(overlap), _names(family, u, v, w, z))
+    crossing = big & ~(small_a | small_b)
     expected = abs(s_sides - s_opp) // 2
-    via_diag1 = big & diag1 - (small_a | small_b)
-    via_diag2 = big & diag2 - (small_a | small_b)
-    if not (len(crossing) == expected and crossing == via_diag1 == via_diag2):
-        raise NonNestedSquare(crossing ^ via_diag1 ^ via_diag2 or crossing,
+    via_diag1 = crossing & diff(u, z)
+    via_diag2 = crossing & diff(v, w)
+    if not (crossing.bit_count() == expected and crossing == via_diag1 == via_diag2):
+        raise NonNestedSquare(family.keys_of(crossing ^ via_diag1 ^ via_diag2 or crossing),
                               _names(family, u, v, w, z))
-    return SquareReport((u, v, w, z), s_sides, s_opp, comparable, len(crossing), crossing, True)
+    return SquareReport((u, v, w, z), s_sides, s_opp, comparable, expected, crossing, True)
 
 
 # --------------------------------------------------------------------------
@@ -258,10 +253,11 @@ def class_order(system: TrackSystem, u: int, v: int) -> list[int]:
     """
     full = system._full
     outside = full & ~(1 << u | 1 << v)
-    present = sorted({system.class_of[c] for c in system.family.diff(u, v)})
+    edge = system.family.diff(u, v)
+    present = [k for k, bits in enumerate(system.class_bits) if bits & edge]
     side = {}
     for k in present:
-        g = system.class_norm_mask(k)
+        g = system.class_norm[k]
         side[k] = (g ^ full if (g >> u) & 1 else g) & outside
 
     for a, x in enumerate(present):
@@ -276,14 +272,6 @@ def class_order(system: TrackSystem, u: int, v: int) -> list[int]:
                                _names(system.family, u, v))
     # the sides form a chain under inclusion, so size orders them
     return sorted(present, key=lambda k: -side[k].bit_count())
-
-
-def _class_labels_from(system: TrackSystem, cls_index: int, tail: int) -> list[str]:
-    """Labels of one class in crossing order walking away from the tail vertex."""
-    labels = sorted(system.classes[cls_index], key=system.sort_key)
-    g = system.class_norm_mask(cls_index)
-    ascending = ((g >> tail) & 1) == 0
-    return labels if ascending else list(reversed(labels))
 
 
 def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[str, ...]]:
@@ -304,10 +292,9 @@ def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[str, ...]]
         if class_order(system, j, i) != forward[::-1]:
             raise NotTotal(system.classes[forward[0]][0], system.classes[forward[-1]][0],
                            _names(system.family, i, j))
-        seq: list[str] = []
-        for cls_index in forward:
-            seq.extend(_class_labels_from(system, cls_index, i))
-        if len(seq) != len(edge) or set(seq) != edge:
+        if sum(system.class_bits[k] for k in forward) != edge:
             raise TrackTreeError(f"label assignment lost cosets on edge ({i}, {j})")
-        out[(i, j)] = tuple(seq)
+        # each class read walking away from its base side
+        out[(i, j)] = tuple(c for k in forward for c in (
+            reversed(system.classes[k]) if (system.class_norm[k] >> i) & 1 else system.classes[k]))
     return out

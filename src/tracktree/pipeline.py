@@ -38,6 +38,8 @@ from .oracles import (
     MAX_ORACLE_CLASSES,
     MAX_ORACLE_LABELS,
     MAX_ORACLE_VERTICES,
+    LabelingOracle,
+    OrientationOracle,
     labeling_matches_canonical,
     oracle_labelings,
     oracle_orientations,
@@ -73,6 +75,10 @@ class RunResult:
     system: Optional[TrackSystem] = None
     labels: Optional[dict[tuple[int, int], tuple[str, ...]]] = None
     tree: Optional[DualTree] = None
+    # the oracles' results; None where the run skipped an oracle at its cap
+    orientations: Optional[OrientationOracle] = None
+    labelings: Optional[LabelingOracle] = None
+    labelings_skipped: Optional[str] = None  # why the labeling oracle ran out of budget
 
 
 def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
@@ -218,7 +224,8 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     try:
         system = build_track_system(family)
     except TooLarge as exc:
-        raise ParseError(str(exc)) from exc
+        report.add("track_system", UNCERTIFIED, str(exc))
+        return False
     result.system = system
     report.counts["tracks"] = len(system.labels)
     report.counts["classes"] = len(system.classes)
@@ -275,7 +282,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     report.add("tree", PASS)
 
     if len(system.classes) <= MAX_ORACLE_CLASSES:
-        oracle = oracle_orientations(system)
+        oracle = result.orientations = oracle_orientations(system)
         match = tree_matches_oracle(tree, oracle)
         report.add("tree_oracle", PASS if match else FAIL,
                    None if match else "median-closure tree differs from the orientation oracle")
@@ -302,8 +309,9 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
 
     if len(system.labels) <= MAX_ORACLE_LABELS and system.n <= MAX_ORACLE_VERTICES:
         try:
-            oracle = oracle_labelings(system)
+            oracle = result.labelings = oracle_labelings(system)
         except TooLarge as exc:
+            result.labelings_skipped = str(exc)
             report.add("labeling_oracle", UNCERTIFIED, str(exc))
         else:
             canonical = result.labels

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
-    ClosureBudgetExceeded,
     DisconnectedTree,
     NotNested,
     OutsideCertifiedDomain,
@@ -24,14 +23,14 @@ from .errors import (
 )
 from .groups import GroupElement, SubgroupModel, compose, display_word, invert
 from .patterns import TrackSystem, nestedness_check
-from .windows import Window
+from .windows import Window, bit_positions
 
 
 def base_orientation(system: TrackSystem, vertex: int) -> int:
     """Class-side choice of a family vertex, as a bitmask of flipped classes."""
     o = 0
-    for k in range(len(system.classes)):
-        if (system.class_norm_mask(k) >> vertex) & 1:
+    for k, g in enumerate(system.class_norm):
+        if (g >> vertex) & 1:
             o |= 1 << k
     return o
 
@@ -46,8 +45,7 @@ def orientation_consistent(system: TrackSystem, orientation: int) -> bool:
     m = len(system.classes)
     full = system._full
     sides = []
-    for k in range(m):
-        g = system.class_norm_mask(k)
+    for k, g in enumerate(system.class_norm):
         sides.append(g if (orientation >> k) & 1 else ~g & full)
     for a in range(m):
         if not sides[a]:
@@ -59,7 +57,8 @@ def orientation_consistent(system: TrackSystem, orientation: int) -> bool:
 
 
 def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
-    budget = 1 << len(system.classes)
+    """Close the seeds under medians; orientations are m-bit ints, so the
+    closure holds at most 2^m of them."""
     closed = set(seeds)
     frontier = list(closed)
     while frontier:
@@ -69,8 +68,6 @@ def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
             med = median(*trio)
             if med not in closed:
                 fresh.add(med)
-        if len(closed) + len(fresh) > budget:
-            raise ClosureBudgetExceeded("median closure exceeded 2^classes orientations")
         closed |= fresh
         frontier = list(fresh)
     return closed
@@ -80,7 +77,7 @@ def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
 class TreeVertex:
     index: int
     flips: frozenset[str]      # cosets flipped relative to the base vertex
-    members: frozenset[str]    # B = A + F over the core universe
+    members: int               # B = A + F, a bitset over the family's universe
     kind: str                  # "family", "band" or "branch"
     family_index: Optional[int]
 
@@ -141,23 +138,24 @@ def build_tree(system: TrackSystem) -> DualTree:
             raise TrackTreeError("median closure produced an inconsistent orientation")
 
     orient_of_family = {o: i for i, o in reversed(list(enumerate(family_orients)))}
-    sk = system.sort_key
-    base_members = system.family.vertices[system.base_index].members
+    family = system.family
+    base_members = family.vertices[system.base_index].members
 
-    def flips_of(orientation: int) -> frozenset[str]:
-        out: set[str] = set()
+    def flips_of(orientation: int) -> int:
+        """The labels of the flipped classes, as a bitset over the universe."""
+        out = 0
         for k in range(m):
             if (orientation >> k) & 1:
-                out.update(system.classes[k])
-        return frozenset(out)
+                out |= system.class_bits[k]
+        return out
 
-    raw_vertices: dict[frozenset[str], tuple[str, Optional[int]]] = {}
+    raw_vertices: dict[int, tuple[str, Optional[int]]] = {}
     for o in sorted(closed):
         fam = orient_of_family.get(o)
         kind = "family" if fam is not None else "branch"
         raw_vertices[flips_of(o)] = (kind, fam)
 
-    raw_edges: list[tuple[frozenset[str], frozenset[str], str]] = []
+    raw_edges: list[tuple[int, int, str]] = []
     class_edge_count = [0] * m
     ordered = sorted(closed)
     for a_i in range(len(ordered)):
@@ -170,10 +168,10 @@ def build_tree(system: TrackSystem) -> DualTree:
             tail, head = ordered[a_i], ordered[b_i]
             if (tail >> k) & 1:
                 tail, head = head, tail
-            labels = sorted(system.classes[k], key=sk)
+            labels = system.classes[k]
             prev = flips_of(tail)
-            for step, label in enumerate(labels):
-                nxt = prev | {label} if step < len(labels) - 1 else flips_of(head)
+            for step, (label, bit) in enumerate(zip(labels, bit_positions(system.class_bits[k]))):
+                nxt = prev | 1 << bit if step < len(labels) - 1 else flips_of(head)
                 if nxt not in raw_vertices:
                     raw_vertices[nxt] = ("band", None)
                 raw_edges.append((prev, nxt, label))
@@ -182,13 +180,11 @@ def build_tree(system: TrackSystem) -> DualTree:
     if m and any(c != 1 for c in class_edge_count):
         raise TrackTreeError(f"class edge counts {class_edge_count} are not all 1")
 
-    def vkey(flips: frozenset[str]):
-        return (len(flips), tuple(sk(w) for w in sorted(flips, key=sk)))
-
-    order = sorted(raw_vertices, key=vkey)
+    # ShortLex order of the flip sets: bit positions run in ShortLex order of the keys
+    order = sorted(raw_vertices, key=lambda flips: (flips.bit_count(), bit_positions(flips)))
     index_of = {flips: i for i, flips in enumerate(order)}
     vertices = [
-        TreeVertex(i, flips, base_members ^ flips, raw_vertices[flips][0], raw_vertices[flips][1])
+        TreeVertex(i, frozenset(family.keys_of(flips)), base_members ^ flips, *raw_vertices[flips])
         for i, flips in enumerate(order)
     ]
     edges = sorted(
@@ -386,7 +382,6 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     """
     window = _window_of(tree)
     sub = window.sub
-    sk = tree.system.sort_key
 
     certified: list[tuple[GroupElement, frozenset[str], dict[str, Optional[str]]]] = []
     uncertified: list[str] = []

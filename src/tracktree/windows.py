@@ -7,17 +7,17 @@ first from H, with key ids in ShortLex order and one right-action array per
 generator.  Every quantity derived from the window carries a certificate: it
 must stay clear of the boundary shell (keys longer than radius - margin),
 and shipped instances are additionally re-checked at radius + 2.  Vertex
-subsets are stored over the core universe (shell removed), so that
+subsets are int bitsets over the core universe (shell removed), so that
 downstream set arithmetic is exact wherever a certificate holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from typing import Callable, Optional, Sequence
 
-from .errors import CertificationFailure, ConflictingRule, UncertifiedWitness, PropernessFailed
+from .errors import CertificationFailure, ConflictingRule
 from .groups import (
     DEFAULT_MAX_RADIUS,
     FREE,
@@ -42,6 +42,11 @@ def _mask(flags: bytes) -> int:
 
 def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_FROM_DIGITS)
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    return [k for k, f in enumerate(_flags(mask)) if f]
 
 
 class _CosetGraph:
@@ -379,19 +384,20 @@ def build_base_set(window: Window, spec: BaseSetSpec) -> frozenset[str]:
 @dataclass(frozen=True)
 class FamilyVertex:
     element: Optional[GroupElement]  # the translation; None in explicit mode
-    members: frozenset[str]          # subset of the core universe
+    members: int                     # bitset over the family's universe
     name: str
 
 
 class VertexFamily:
     """A deduplicated family of certified base-set translates.
 
-    ``universe`` is the core key list in ShortLex order; ``diffs`` holds the
-    certified symmetric difference of every vertex pair.
+    ``universe`` is the core key list in ShortLex order, and vertex sets are
+    int bitsets over it: bit k stands for ``universe[k]``.  ``diffs`` holds
+    the certified symmetric difference of every vertex pair.
     """
 
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
-                 base_index: int, diffs: dict[tuple[int, int], frozenset[str]],
+                 base_index: int, diffs: dict[tuple[int, int], int],
                  sort_key: Callable[[str], tuple], window: Optional[Window] = None,
                  base_set: Optional[frozenset[str]] = None,
                  merge_notes: Optional[list[str]] = None):
@@ -407,13 +413,17 @@ class VertexFamily:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def diff(self, i: int, j: int) -> frozenset[str]:
+    def diff(self, i: int, j: int) -> int:
         if i == j:
-            return frozenset()
+            return 0
         return self.diffs[(min(i, j), max(i, j))]
 
     def distance(self, i: int, j: int) -> int:
-        return len(self.diff(i, j))
+        return self.diff(i, j).bit_count()
+
+    def keys_of(self, mask: int) -> list[str]:
+        """The keys of a bitset over the universe, in ShortLex order."""
+        return list(compress(self.universe, _flags(mask)))
 
 
 def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozenset[str]]],
@@ -423,18 +433,19 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
         return (len(word), word)
 
     universe = sorted(dict.fromkeys(universe), key=sort_key)
-    allowed = frozenset(universe)
+    bit = {k: 1 << i for i, k in enumerate(universe)}
     vertices = []
-    seen: dict[frozenset[str], str] = {}
+    seen: dict[int, str] = {}
     for name, members in subsets:
-        members = frozenset(members)
-        stray = members - allowed
+        members = set(members)
+        stray = members.difference(bit)
         if stray:
             raise ValueError(f"vertex {name!r} uses keys outside the universe: {sorted(stray)}")
-        if members in seen:
-            raise ValueError(f"vertex {name!r} duplicates vertex {seen[members]!r}")
-        seen[members] = name
-        vertices.append(FamilyVertex(None, members, name))
+        mask = sum(bit[k] for k in members)
+        if mask in seen:
+            raise ValueError(f"vertex {name!r} duplicates vertex {seen[mask]!r}")
+        seen[mask] = name
+        vertices.append(FamilyVertex(None, mask, name))
     diffs = {
         (i, j): vertices[i].members ^ vertices[j].members
         for i in range(len(vertices))
@@ -446,7 +457,11 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
 def build_family(window: Window, base_set: frozenset[str],
                  translations: Sequence[GroupElement]) -> VertexFamily:
     """Translate the base set by each element, certify all pairwise differences,
-    and merge duplicate translates."""
+    and merge duplicate translates.
+
+    The universe is the window's core, the ShortLex prefix of its keys, so
+    the window's bitsets over key ids are already bitsets over the universe.
+    """
     if not any(g.is_identity() for g in translations):
         raise ValueError("translations must contain the identity (the base vertex)")
 
@@ -460,6 +475,7 @@ def build_family(window: Window, base_set: frozenset[str],
     # certify every pair first, then deduplicate
     kept: list[GroupElement] = []
     merge_notes: list[str] = []
+    base_index = None
     for g in translations:
         dup = None
         for g0 in kept:
@@ -477,20 +493,19 @@ def build_family(window: Window, base_set: frozenset[str],
             merge_notes.append(
                 f"translate by {display_word(g.word)} duplicates translate by "
                 f"{display_word(dup.word)}; merged")
-
-    def keys(mask: int) -> frozenset[str]:
-        return frozenset(window.keys_of(mask))
+        if base_index is None and g.is_identity():
+            # the base vertex is the identity's translate, or the earlier one it duplicates
+            base_index = len(kept) - 1 if dup is None else kept.index(dup)
 
     vertices = [
-        FamilyVertex(g, keys(window.translate(base_set, g)[0] & window.core_mask),
+        FamilyVertex(g, window.translate(base_set, g)[0] & window.core_mask,
                      f"A*{display_word(g.word)}")
         for g in kept
     ]
-    base_index = next(i for i, g in enumerate(kept) if g.is_identity())
     diffs = {}
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
-            diffs[(i, j)] = keys(window.certified_diff(base_set, kept[i], kept[j]))
+            diffs[(i, j)] = window.certified_diff(base_set, kept[i], kept[j])
     return VertexFamily(window.core, vertices, base_index, diffs,
                         window.sort_key, window=window, base_set=base_set,
                         merge_notes=merge_notes)
@@ -528,14 +543,6 @@ class HypothesisReport:
         self.certified = all(e.certified for e in self.almost_invariance) and all(
             e.certified for e in self.expected_k)
         self.expected_k_ok = all(e.fixes_base for e in self.expected_k)
-
-    def raise_for_status(self, require_proper: bool = False):
-        if not self.certified:
-            bad = [e.word for e in self.almost_invariance if not e.certified]
-            bad += [e.word for e in self.expected_k if not e.certified]
-            raise UncertifiedWitness(f"uncertified witness sets for {bad}")
-        if require_proper and not self.properness_ok:
-            raise PropernessFailed(self.properness_detail)
 
 
 def hypothesis_report(window: Window, base_set: frozenset[str],
@@ -612,34 +619,32 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             family: Optional[VertexFamily] = None) -> list[StabilityEntry]:
     """Recompute every pairwise witness set at radius + 2 and compare.
 
-    The radius + 2 window grows the window's own graph by two layers.
-    ``family`` is the family already built over the window from base_spec
-    and translations, when the caller has it.  RadiusTooLarge, before any
-    work, when the radius + 2 ball is over the element cap.
+    The radius + 2 window grows the window's own graph by two layers, so
+    the window's key ids are a prefix of the larger window's and the two
+    radii's differences compare as bitsets.  ``family`` is the family
+    already built over the window from base_spec and translations, when the
+    caller has it.  RadiusTooLarge, before any work, when the radius + 2
+    ball is over the element cap.
     """
     big = window.extended(2)
-    small_sets = family if family is not None else build_family(
+    small = family if family is not None else build_family(
         window, build_base_set(window, base_spec), translations)
     # the window's keys keep their ids and their decisions in the larger one
-    big_base = small_sets.base_set | frozenset(
+    big_base = small.base_set | frozenset(
         k for k in big.omega[len(window.omega):] if base_spec.decide(k))
-    big_sets = build_family(big, big_base, translations)
-    out = []
-    small_by_word = {v.element.word: i for i, v in enumerate(small_sets.vertices)}
-    big_by_word = {v.element.word: i for i, v in enumerate(big_sets.vertices)}
-    if set(small_by_word) != set(big_by_word):
+    large = build_family(big, big_base, translations)
+    # both keep the first translate of each distinct translate set, in translation order
+    words = [v.element.word for v in small.vertices]
+    big_words = [v.element.word for v in large.vertices]
+    if words != big_words:
         # duplicate structure must agree between radii
-        words = sorted(set(small_by_word) ^ set(big_by_word))
-        raise CertificationFailure(words[0], words[-1], "duplicate structure changed with radius")
-    words = sorted(small_by_word)
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            wi, wj = words[a], words[b]
-            d_small = sorted(small_sets.diff(small_by_word[wi], small_by_word[wj]),
-                             key=window.sort_key)
-            d_big = sorted(big_sets.diff(big_by_word[wi], big_by_word[wj]),
-                           key=window.sort_key)
-            out.append(StabilityEntry(
-                (display_word(wi), display_word(wj)),
-                d_small == d_big, tuple(d_small), tuple(d_big)))
+        changed = sorted(set(words) ^ set(big_words))
+        raise CertificationFailure(changed[0], changed[-1], "duplicate structure changed with radius")
+    out = []
+    for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
+        d_small, d_large = small.diff(a, b), large.diff(a, b)
+        keys_small = tuple(small.keys_of(d_small))
+        out.append(StabilityEntry(
+            (display_word(words[a]), display_word(words[b])), d_small == d_large,
+            keys_small, keys_small if d_small == d_large else tuple(large.keys_of(d_large))))
     return out

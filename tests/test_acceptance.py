@@ -78,7 +78,7 @@ def scan_parity_and_corners(system):
         assert (fam.distance(u, v) + fam.distance(v, w) + fam.distance(u, w)) % 2 == 0
         for corner in corner_analysis(fam, u, v, w):
             assert corner.count >= 0
-            assert corner.count == len(corner.cosets)
+            assert corner.count == corner.cosets.bit_count()
 
 
 @criterion("parity & corners: corpus, 100 random families, Fig-1 vector, <10s each")

@@ -250,6 +250,73 @@ def test_corpus_report_bytes_golden(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "37a461f1d466ced4896a5c25b23d6c36"
 
 
+# stdout md5 of `tree` (DOT) and `oracle` on each shipped instance; the crossing
+# instance has no tree, so its `tree` prints nothing on stdout
+TREE_AND_ORACLE_GOLDEN = {
+    "E1.ini": ("e68f82da94bc789f904ac70200d1bf42", "4ff04549ab3998878a5156a70b3144aa"),
+    "E2.ini": ("fa143f01ba3827806c777f92687617a8", "d89de6eee770d8334e58024817417d66"),
+    "E3.ini": ("087e43fd9c07fbea7e536063fcdcb070", "5ab9842548e2efb2234106d84b9ba924"),
+    "E4.ini": ("0a9ef307bc4e5d39c9f3474cab7f2f9a", "525b89df3c2b37550904ba570caed8a9"),
+    "crossing.ini": ("d41d8cd98f00b204e9800998ecf8427e", "1e10350d8a45e43bbf5f9de4f0bd34d1"),
+    "fig1.ini": ("9788eaee5c259cdfa968b6593f5f25be", "eb01f6dbd4a8e7a91521c1a8212b47d8"),
+}
+
+
+def test_tree_and_oracle_bytes_golden(capsys):
+    assert sorted(TREE_AND_ORACLE_GOLDEN) == sorted(p.name for p in INSTANCE_DIR.glob("*.ini"))
+    for name, (tree_md5, oracle_md5) in TREE_AND_ORACLE_GOLDEN.items():
+        for command, want in (("tree", tree_md5), ("oracle", oracle_md5)):
+            main([command, str(INSTANCE_DIR / name)])
+            out = capsys.readouterr().out
+            assert hashlib.md5(out.encode()).hexdigest() == want, (command, name)
+
+
+def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("not an instance\n")
+    good = [str(INSTANCE_DIR / "E1.ini"), str(INSTANCE_DIR / "E4.ini")]
+    assert main(["check", good[0], str(bad), good[1]]) == 4
+    captured = capsys.readouterr()
+    main(["check", *good])
+    assert captured.out == capsys.readouterr().out
+    assert captured.err.startswith(f"input error: {bad}: ") and captured.err.count("\n") == 1
+
+
+def test_cli_oracle_runs_each_oracle_once(monkeypatch, capsys):
+    import tracktree.cli
+    import tracktree.pipeline
+
+    calls = {"oracle_orientations": 0, "oracle_labelings": 0}
+    for name in calls:
+        original = getattr(tracktree.pipeline, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tracktree.pipeline, name, counted)
+        monkeypatch.setattr(tracktree.cli, name, counted)
+    assert main(["oracle", str(INSTANCE_DIR / "E4.ini")]) == 0
+    capsys.readouterr()
+    assert calls == {"oracle_orientations": 1, "oracle_labelings": 1}
+
+
+def test_cli_vertex_cap_is_uncertified(tmp_path, capsys):
+    # a path of 18 vertices, over the 16-vertex cap of the pattern layer
+    keys = [f"c{k:02d}" for k in range(17)]
+    lines = ["[instance]", "name = path18", "mode = explicit", "", "[universe]",
+             "keys = " + " ".join(keys), "", "[vertices]"]
+    lines += [f"vertex = v{i:02d} : " + " ".join(keys[:i]) for i in range(18)]
+    spec = tmp_path / "path18.ini"
+    spec.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(spec)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["status"] == "uncertified" and captured.err == ""
+    assert report["checks"][-1] == {"name": "track_system", "status": "uncertified",
+                                    "witness": "family of 18 vertices exceeds the cap 16"}
+
+
 def test_cli_radius_two_over_the_cap_is_uncertified(capsys):
     # the radius 12 re-check ball has 1 062 881 elements, over the element cap:
     # decided from the closed-form ball size, so the run ends in a report

@@ -120,8 +120,11 @@ def reference_labelings(system, edges):
     def read_from(order, edge, vertex):
         return order if edge[0] == vertex else order[::-1]
 
+    def keys(edge):
+        return fam.keys_of(fam.diff(*edge))
+
     def agrees(order, edge, prev, e):
-        count = len(fam.diff(*e) & fam.diff(*edge))
+        count = len(set(keys(e)) & set(keys(edge)))
         return all(read_from(order, edge, a)[:count] == read_from(prev, e, a)[:count]
                    for a in set(e) & set(edge))
 
@@ -130,7 +133,7 @@ def reference_labelings(system, edges):
         if k == len(edges):
             found.append(tuple(chosen))
             return
-        for order in itertools.permutations(sorted(fam.diff(*edges[k]))):
+        for order in itertools.permutations(keys(edges[k])):
             if all(agrees(order, edges[k], prev, e) for e, prev in zip(edges, chosen)):
                 extend(chosen + [order])
 

@@ -13,14 +13,17 @@ from tracktree import (
     build_base_set,
     build_family,
     build_track_system,
+    build_tree,
     build_window,
     class_order,
     corner_analysis,
+    corpus,
     crossing_test,
     explicit_family,
     free_group,
     nestedness_check,
     parity_and_coloring,
+    run_instance,
     square_analysis,
     subgroup,
 )
@@ -60,7 +63,7 @@ class FakeFamily:
     """Deliberately corrupted metric data for the corruption guards."""
 
     def __init__(self, d_map, diff_map, n):
-        self.vertices = [FamilyVertex(None, frozenset(), f"v{i}") for i in range(n)]
+        self.vertices = [FamilyVertex(None, 0, f"v{i}") for i in range(n)]
         self.base_index = 0
         self._d = d_map
         self._diff = diff_map
@@ -75,7 +78,7 @@ class FakeFamily:
 
     def diff(self, i, j):
         if i == j:
-            return frozenset()
+            return 0
         return self._diff[(min(i, j), max(i, j))]
 
 
@@ -85,14 +88,14 @@ class FakeFamily:
 
 def test_metric_basics():
     fam = explicit_family(["1", "2", "3"], [("u", frozenset(["1", "2"])), ("v", frozenset(["2", "3"]))])
-    assert fam.distance(0, 0) == 0 and fam.diff(0, 0) == frozenset()
-    assert fam.diff(0, 1) == {"1", "3"} and fam.distance(0, 1) == 2
+    assert fam.distance(0, 0) == 0 and fam.diff(0, 0) == 0
+    assert fam.keys_of(fam.diff(0, 1)) == ["1", "3"] and fam.distance(0, 1) == 2
 
 
 def test_metric_half_line():
     fam = half_line_family(-1, 0, 1)
     assert fam.distance(0, 2) == 2
-    assert fam.diff(0, 2) == {"", "T"}
+    assert fam.keys_of(fam.diff(0, 2)) == ["", "T"]
 
 
 def test_parity_fig1():
@@ -127,7 +130,7 @@ def test_corner_fig1_counts():
     fam = fig1_family()
     corners = corner_analysis(fam, 0, 1, 2)
     assert [c.count for c in corners] == [3, 2, 2]
-    assert corners[0].cosets == {"c1", "c2", "c3"}
+    assert fam.keys_of(corners[0].cosets) == ["c1", "c2", "c3"]
 
 
 def test_corner_degenerate():
@@ -140,11 +143,11 @@ def test_corner_partitions_edges():
     fam = fig1_family()
     cu, cv, cw = corner_analysis(fam, 0, 1, 2)
     assert cu.cosets | cv.cosets == fam.diff(0, 1)
-    assert cu.cosets & cv.cosets == frozenset()
+    assert cu.cosets & cv.cosets == 0
 
 
 def test_negative_corner_on_corrupted_table():
-    diffs = {(0, 1): frozenset(["a"]), (0, 2): frozenset(["b"]), (1, 2): frozenset()}
+    diffs = {(0, 1): 0b01, (0, 2): 0b10, (1, 2): 0}
     fam = FakeFamily({(0, 1): 1, (0, 2): 1, (1, 2): 4}, diffs, 3)
     with pytest.raises(NegativeCorner):
         corner_analysis(fam, 0, 1, 2)
@@ -162,7 +165,7 @@ def test_square_example():
     report = square_analysis(fam, 0, 1, 2, 3)
     assert report.sum_sides == 4 and report.sum_opposite == 2
     assert report.comparable == "sides"
-    assert report.crossing_count == 1 and report.crossing_cosets == {"2"}
+    assert report.crossing_count == 1 and fam.keys_of(report.crossing_cosets) == ["2"]
 
 
 def test_square_equal_sums():
@@ -176,7 +179,7 @@ def test_square_half_line_path():
     report = square_analysis(fam, 0, 1, 2, 3)
     assert report.comparable == "opposite"
     assert report.crossing_count == 1
-    assert report.crossing_cosets == {""}
+    assert fam.keys_of(report.crossing_cosets) == [""]
 
 
 def test_square_crossing_witness():
@@ -263,7 +266,7 @@ def test_class_sizes_sum_to_distance():
     system = build_track_system(fig1_family())
     for i in range(3):
         for j in range(i + 1, 3):
-            edge = system.family.diff(i, j)
+            edge = system.family.keys_of(system.family.diff(i, j))
             total = sum(
                 len([c for c in cls if c in edge]) for cls in system.classes)
             assert total == system.family.distance(i, j)
@@ -331,7 +334,7 @@ def test_disjoint_edges_share_label_order():
             continue
         if fam.distance(u, v) + fam.distance(w, z) <= fam.distance(u, w) + fam.distance(v, z):
             continue
-        shared = fam.diff(u, v) & fam.diff(w, z)
+        shared = fam.keys_of(fam.diff(u, v) & fam.diff(w, z))
         if not shared:
             continue
         seq_uv = [c for c in labels[(u, v)] if c in shared]
@@ -362,7 +365,7 @@ def test_parity_and_corners_hold_for_arbitrary_families(seed):
     parity_and_coloring(fam)
     for u, v, w in itertools.combinations(range(len(subsets)), 3):
         for corner in corner_analysis(fam, u, v, w):
-            assert corner.count == len(corner.cosets) >= 0
+            assert corner.count == corner.cosets.bit_count() >= 0
     system = build_track_system(fam)
     for a in range(len(system.labels)):
         for b in range(a + 1, len(system.labels)):
@@ -386,7 +389,7 @@ def reference_class_order(system, u, v):
                    for w in range(system.n) if w not in (u, v))
 
     names = (system.family.vertices[u].name, system.family.vertices[v].name)
-    present = sorted({system.class_of[c] for c in system.family.diff(u, v)},
+    present = sorted({system.class_of[c] for c in system.family.keys_of(system.family.diff(u, v))},
                      key=lambda k: system.sort_key(system.classes[k][0]))
     for a in range(len(present)):
         for b in range(a + 1, len(present)):
@@ -514,3 +517,169 @@ def test_differential_families_reach_every_case():
 
     collect()
     assert seen == {"crossing", "nested", "ok", "NotTotal"}
+
+
+# --------------------------------------------------------------------------
+# differential tests against the frozenset-of-strings reference
+
+
+class StringFamily:
+    """A family's vertex sets and differences as frozensets of keys, the
+    representation the pattern layer used before it worked on bitsets."""
+
+    def __init__(self, fam):
+        self.n = len(fam)
+        self.base_index = fam.base_index
+        self.sort_key = fam.sort_key
+        self.names = tuple(v.name for v in fam.vertices)
+        self.members = [frozenset(fam.keys_of(v.members)) for v in fam.vertices]
+        self.diffs = {(i, j): frozenset(fam.keys_of(fam.diff(i, j)))
+                      for i, j in itertools.combinations(range(self.n), 2)}
+
+    def diff(self, i, j):
+        return frozenset() if i == j else self.diffs[(min(i, j), max(i, j))]
+
+    def d(self, i, j):
+        return len(self.diff(i, j))
+
+
+def reference_track_system(sf):
+    """Labels, indicators, classes and normalised class indicators from string sets."""
+    seen = set()
+    for (i, j), diff in sf.diffs.items():
+        assert diff == sf.members[i] ^ sf.members[j]
+        seen |= diff
+    labels = sorted(seen, key=sf.sort_key)
+    mask = {c: sum(1 << i for i, m in enumerate(sf.members) if c in m) for c in labels}
+    full = (1 << sf.n) - 1
+    norm = {c: m ^ full if (m >> sf.base_index) & 1 else m for c, m in mask.items()}
+    by_norm = {}
+    for c in labels:
+        by_norm.setdefault(norm[c], []).append(c)
+    classes = sorted((tuple(sorted(v, key=sf.sort_key)) for v in by_norm.values()),
+                     key=lambda cls: sf.sort_key(cls[0]))
+    return labels, mask, classes, [norm[cls[0]] for cls in classes]
+
+
+def reference_corners(sf, u, v, w):
+    out = []
+    for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
+        twice = sf.d(a, b) + sf.d(a, c) - sf.d(b, c)
+        if twice < 0:
+            return ("NegativeCorner",)
+        cosets = sf.diff(a, b) & sf.diff(a, c)
+        if twice % 2 or twice // 2 != len(cosets):
+            return ("ParityViolation",)
+        out.append((a, twice // 2, cosets))
+    for (a, b), x, y in (((u, v), out[0], out[1]), ((u, w), out[0], out[2]),
+                         ((v, w), out[1], out[2])):
+        if x[2] | y[2] != sf.diff(a, b) or x[2] & y[2]:
+            return ("ParityViolation",)
+    return ("ok", out)
+
+
+def reference_square(sf, u, v, w, z):
+    names = tuple(sf.names[i] for i in (u, v, w, z))
+    s_sides, s_opp = sf.d(u, v) + sf.d(w, z), sf.d(u, w) + sf.d(v, z)
+    if s_sides == s_opp:
+        return ("ok", s_sides, s_opp, "equal", 0, frozenset())
+    if s_sides > s_opp:
+        comparable, big = "sides", sf.diff(u, v) | sf.diff(w, z)
+        small_a, small_b = sf.diff(u, w), sf.diff(v, z)
+    else:
+        comparable, big = "opposite", sf.diff(u, w) | sf.diff(v, z)
+        small_a, small_b = sf.diff(u, v), sf.diff(w, z)
+    if small_a & small_b:
+        return ("NonNestedSquare", str(NonNestedSquare(small_a & small_b, names)))
+    crossing = big - (small_a | small_b)
+    via_diag1 = big & sf.diff(u, z) - (small_a | small_b)
+    via_diag2 = big & sf.diff(v, w) - (small_a | small_b)
+    if not (len(crossing) == abs(s_sides - s_opp) // 2 and crossing == via_diag1 == via_diag2):
+        return ("NonNestedSquare", str(NonNestedSquare(crossing ^ via_diag1 ^ via_diag2 or crossing,
+                                                       names)))
+    return ("ok", s_sides, s_opp, comparable, len(crossing), crossing)
+
+
+def corner_outcome(fam, u, v, w):
+    try:
+        corners = corner_analysis(fam, u, v, w)
+    except TrackTreeError as exc:
+        return (type(exc).__name__,)
+    return ("ok", [(c.vertex, c.count, frozenset(fam.keys_of(c.cosets))) for c in corners])
+
+
+def square_outcome(fam, u, v, w, z):
+    try:
+        r = square_analysis(fam, u, v, w, z)
+    except NonNestedSquare as exc:
+        return ("NonNestedSquare", str(exc))
+    return ("ok", r.sum_sides, r.sum_opposite, r.comparable, r.crossing_count,
+            frozenset(fam.keys_of(r.crossing_cosets)))
+
+
+def square_pairings(n):
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        yield from ((a, b, c, d), (a, c, b, d), (a, b, d, c))
+
+
+def assert_matches_string_reference(fam):
+    sf = StringFamily(fam)
+    system = build_track_system(fam)
+    labels, mask, classes, norms = reference_track_system(sf)
+    assert system.labels == labels
+    assert system.mask == mask
+    assert system.classes == classes
+    assert [fam.keys_of(bits) for bits in system.class_bits] == [list(c) for c in classes]
+    assert system.class_norm == norms
+    for i, j in itertools.combinations(range(sf.n), 2):
+        assert fam.distance(i, j) == sf.d(i, j)
+    for u, v, w in itertools.combinations(range(sf.n), 3):
+        assert corner_outcome(fam, u, v, w) == reference_corners(sf, u, v, w)
+    for quad in square_pairings(sf.n):
+        assert square_outcome(fam, *quad) == reference_square(sf, *quad)
+    if not nestedness_check(system).ok or outcome(assign_labels, system)[0] != "ok":
+        return
+    # tree vertices come in ShortLex order of their flip sets, each with B = A + F
+    tree = build_tree(system)
+    flips = [sorted(v.flips, key=sf.sort_key) for v in tree.vertices]
+    assert flips == sorted(flips, key=lambda f: (len(f), [sf.sort_key(c) for c in f]))
+    for v in tree.vertices:
+        assert frozenset(fam.keys_of(v.members)) == sf.members[sf.base_index] ^ v.flips
+
+
+@settings(max_examples=200, deadline=None)
+@given(families)
+def test_bitset_patterns_match_string_reference(fam):
+    assert_matches_string_reference(fam)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4"])
+def test_bitset_patterns_match_string_reference_on_corpus(name):
+    assert_matches_string_reference(run_instance(corpus()[name]).family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.sampled_from(["", "a", "b", "ab", "ba", "c"])),
+                min_size=1, max_size=6, unique=True))
+def test_explicit_family_masks_round_trip(subsets):
+    fam = explicit_family(["c", "ba", "b", "", "ab", "a"],
+                          [(f"v{i}", m) for i, m in enumerate(subsets)])
+    assert fam.universe == ["", "a", "b", "c", "ab", "ba"]
+    assert [set(fam.keys_of(v.members)) for v in fam.vertices] == [set(m) for m in subsets]
+    for i, j in itertools.combinations(range(len(subsets)), 2):
+        assert fam.keys_of(fam.diff(i, j)) == sorted(subsets[i] ^ subsets[j], key=fam.sort_key)
+
+
+def test_square_differential_reaches_every_case():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(families)
+    def collect(fam):
+        sf = StringFamily(fam)
+        for quad in square_pairings(sf.n):
+            outcome = reference_square(sf, *quad)
+            seen.add(outcome[0] if outcome[0] != "ok" else outcome[3])
+
+    collect()
+    assert seen == {"NonNestedSquare", "sides", "opposite", "equal"}

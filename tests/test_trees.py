@@ -129,9 +129,10 @@ def test_tree_axioms_on_corpus():
 def test_every_vertex_is_base_plus_finite_flip():
     result = run("E4")
     tree = result.tree
-    base_members = result.family.vertices[result.family.base_index].members
+    fam = result.family
+    base_keys = set(fam.keys_of(fam.vertices[fam.base_index].members))
     for v in tree.vertices:
-        assert v.members == base_members ^ v.flips
+        assert set(fam.keys_of(v.members)) == base_keys ^ v.flips
         assert len(v.flips) <= len(result.system.labels)
 
 
@@ -156,7 +157,7 @@ def test_separation_property_on_corpus():
             for j in range(i + 1, system.n):
                 path = tree_metric_and_separation(
                     tree, tree.family_vertex[i], tree.family_vertex[j])
-                assert set(path.labels) == system.family.diff(i, j)
+                assert set(path.labels) == set(system.family.keys_of(system.family.diff(i, j)))
                 assert path.length == system.family.distance(i, j)
 
 

@@ -1,5 +1,6 @@
 """Windows, base sets, translate families, hypothesis checks, stability."""
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from tracktree import (
     build_window,
     compose,
     corpus,
+    display_word,
     free_abelian_group,
     free_group,
     free_product_of_cyclics,
@@ -25,7 +27,8 @@ from tracktree import (
     subgroup,
 )
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
-from tracktree.instances import make_model, make_subgroup
+from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
+from tracktree.windows import StabilityEntry
 
 Z = free_group(1, "t")
 TRIVIAL_Z = subgroup(Z, [])
@@ -119,11 +122,25 @@ def test_family_half_line_translates():
     window, _, base = half_line_window()
     fam = build_family(window, base, [Z.normalize(w) for w in ["T", "", "t"]])
     assert len(fam) == 3
-    members = [v.members for v in fam.vertices]
+    members = [set(fam.keys_of(v.members)) for v in fam.vertices]
     assert members[0] > members[1] > members[2]  # nested half lines
     assert "T" in members[0] and "T" not in members[1]
     assert "" in members[1] and "" not in members[2]
     assert fam.base_index == 1
+
+
+def test_identity_merged_into_an_earlier_translate_is_the_base_vertex():
+    # an empty base set has one translate: the identity's merges into the first
+    window = build_window(Z, TRIVIAL_Z, 8, 2)
+    fam = build_family(window, frozenset(), [Z.normalize("tt"), Z.identity(), Z.normalize("t")])
+    assert [v.name for v in fam.vertices] == ["A*tt"] and fam.base_index == 0
+    assert len(fam.merge_notes) == 2
+    # x fixes the half-plane of rows: the identity merges into A*x, not the last kept
+    rows = subgroup(LATTICE, ["x"])
+    window = build_window(LATTICE, rows, 6, 2)
+    base = build_base_set(window, BaseSetSpec(rules=(("y", True),), includes=frozenset([""])))
+    fam = build_family(window, base, [LATTICE.normalize(w) for w in ["x", "Y", ""]])
+    assert [v.name for v in fam.vertices] == ["A*x", "A*Y"] and fam.base_index == 0
 
 
 def test_family_lattice_half_planes():
@@ -234,23 +251,6 @@ def test_witness_stability_detects_radius_dependence():
     assert unstable
     assert "TTTTT" in unstable[0].diff_large
     assert "TTTTT" not in unstable[0].diff_small
-
-
-def test_hypothesis_raise_for_status():
-    from tracktree.errors import PropernessFailed, UncertifiedWitness
-
-    window, _, base = half_line_window()
-    report = hypothesis_report(window, frozenset(window.omega), [Z.identity()], None)
-    report.raise_for_status()  # certified, so no error without require_proper
-    with pytest.raises(PropernessFailed):
-        report.raise_for_status(require_proper=True)
-
-    fragile = build_window(Z, TRIVIAL_Z, 4, 1)
-    base4 = build_base_set(fragile, BaseSetSpec(rules=(("t", True),), includes=frozenset([""])))
-    bad = hypothesis_report(fragile, base4, [Z.normalize("tttt")], None)
-    assert not bad.certified
-    with pytest.raises(UncertifiedWitness):
-        bad.raise_for_status()
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +364,8 @@ def test_certified_diff_is_the_family_difference():
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
             diff = window.certified_diff(base, trans[i], trans[j])
-            assert frozenset(window.keys_of(diff)) == fam.diff(i, j)
+            assert diff == fam.diff(i, j)
+            assert window.keys_of(diff) == fam.keys_of(diff)
     assert window.keys_of(window.certified_diff(base, Z.identity(), trans[2])) == [""]
 
 
@@ -372,3 +373,107 @@ def test_witness_stability_over_the_element_cap():
     window = build_window(F2, subgroup(F2, ["a"]), 10, 2)
     with pytest.raises(RadiusTooLarge, match="element cap"):
         radius_stability_report(window, BaseSetSpec(rules=(("b", True),)), [F2.identity()])
+
+
+# --------------------------------------------------------------------------
+# the radius + 2 re-check against the frozenset-of-strings reference
+
+
+def reference_stability(model, sub, radius, margin, base_spec, translations):
+    """The re-check on frozensets of keys, from the ball reference at both
+    radii: None when a translate or a kept pair is uncertified at either
+    radius, "changed" when the duplicate structure differs."""
+    per_radius = []
+    for r in (radius, radius + 2):
+        table = CosetTable(sub, model.ball(r, max_radius=r))
+        base = frozenset(k for k in table.keys if base_spec.decide(k))
+        core = frozenset(k for k in table.keys if len(k) <= r - margin)
+        translates = {g.word: reference_translate(table, base, g) for g in translations}
+        if any(unknown & core for _, unknown in translates.values()):
+            return None
+
+        def diff(w1, w2, translates=translates):
+            (in1, unknown1), (in2, unknown2) = translates[w1], translates[w2]
+            return (in1 ^ in2) - (unknown1 | unknown2)
+
+        kept = []
+        for g in translations:
+            for w in kept:
+                d = diff(g.word, w)
+                if d - core:
+                    return None
+                if not d:
+                    break
+            else:
+                kept.append(g.word)
+        per_radius.append((kept, diff))
+    (kept, small), (big_kept, large) = per_radius
+    if set(kept) != set(big_kept):
+        return "changed"
+    out = []
+    for a, b in itertools.combinations(sorted(kept), 2):
+        d_small = tuple(sorted(small(a, b), key=model.sort_key))
+        d_large = tuple(sorted(large(a, b), key=model.sort_key))
+        out.append(StabilityEntry((display_word(a), display_word(b)), d_small == d_large,
+                                  d_small, d_large))
+    return out
+
+
+def stability_outcome(window, base_spec, translations, family=None):
+    try:
+        return radius_stability_report(window, base_spec, translations, family)
+    except CertificationFailure as exc:
+        return "changed" if "duplicate structure changed" in str(exc) else None
+
+
+def assert_stability_matches_reference(model, sub, radius, margin, base_spec, translations):
+    window = build_window(model, sub, radius, margin)
+    want = reference_stability(model, sub, radius, margin, base_spec, translations)
+    assert stability_outcome(window, base_spec, translations) == want
+    if want is not None:
+        family = build_family(window, build_base_set(window, base_spec), translations)
+        assert stability_outcome(window, base_spec, translations, family) == want
+    return want
+
+
+@st.composite
+def stability_cases(draw):
+    """A corpus group and its translations, at a radius up to 6, with a random base set;
+    explicit keys come from the radius + 2 window, so some lie beyond the radius."""
+    spec = corpus()[draw(st.sampled_from(["E1", "E2", "E3", "E4"]))]
+    model = make_model(spec)
+    sub = make_subgroup(model, spec.subgroup_generators)
+    margin = spec.margin
+    radius = draw(st.integers(2 * margin, max(2 * margin, 6)))
+    keys = build_window(model, sub, radius + 2, margin).omega
+    rules = draw(st.lists(st.tuples(st.sampled_from([k for k in keys if 0 < len(k) <= 2]),
+                                    st.booleans()), max_size=3, unique_by=lambda r: r[0]))
+    includes = draw(st.frozensets(st.sampled_from(keys), max_size=3))
+    excludes = draw(st.frozensets(st.sampled_from(keys), max_size=3)) - includes
+    base_spec = BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
+                            default_in=draw(st.booleans()))
+    translations = [model.normalize(token_word(w)) for w in spec.translations]
+    return model, sub, radius, margin, base_spec, translations
+
+
+@settings(max_examples=60, deadline=None)
+@given(stability_cases())
+def test_stability_matches_string_reference(case):
+    assert_stability_matches_reference(*case)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4"])
+def test_stability_matches_string_reference_on_corpus(name):
+    spec = corpus()[name]
+    model = make_model(spec)
+    want = assert_stability_matches_reference(
+        model, make_subgroup(model, spec.subgroup_generators), spec.radius, spec.margin,
+        make_base_spec(model, spec), [model.normalize(token_word(w)) for w in spec.translations])
+    assert want and all(e.stable for e in want)
+
+
+def test_unstable_witness_matches_string_reference():
+    fragile = BaseSetSpec(rules=(("t", True),), includes=frozenset(["", "TTTTT"]))
+    want = assert_stability_matches_reference(Z, TRIVIAL_Z, 6, 2, fragile,
+                                              [Z.identity(), Z.normalize("tt")])
+    assert not want[0].stable
