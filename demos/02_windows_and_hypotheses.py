@@ -22,11 +22,11 @@ H = subgroup(L, ["x"])             # the subgroup is the x-axis
 window = build_window(L, H, radius=6, margin=2)
 
 print("universe (row keys):", [k or "1" for k in window.omega])
-print("boundary shell:     ", sorted(window.shell, key=window.sort_key))
+print("boundary shell:     ", window.keys_of(window.shell_mask))
 
 spec = BaseSetSpec(rules=(("y", True),), includes=frozenset([""]))
 base = build_base_set(window, spec)
-print("base set = rows >= 0:", sorted((k or "1" for k in base), key=len))
+print("base set = rows >= 0:", sorted((k or "1" for k in window.keys_of(base)), key=len))
 
 translations = [L.normalize(w) for w in ["Y", "", "y"]]
 family = build_family(window, base, translations)

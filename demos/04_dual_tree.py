@@ -25,7 +25,7 @@ print("parallel classes:", system.classes)
 print()
 print("tree vertices (flip set relative to the base vertex o):")
 for v in tree.vertices:
-    flips = "{" + ",".join(sorted(w or "1" for w in v.flips)) + "}"
+    flips = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(v.flips))) + "}"
     print(f"  B{v.index}: {flips:12s} {v.kind}")
 
 print()

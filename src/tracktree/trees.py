@@ -6,7 +6,9 @@ consistent when every pair of chosen half-spaces shares a family vertex.
 The reduced tree is the median closure of the family's own orientations;
 each reduced edge is subdivided by band vertices which flip the class's
 cosets one at a time in ShortLex order away from the base side.  Every
-vertex carries the finite flip set F and the set B = A + F it represents.
+vertex carries the finite flip set F and the set B = A + F it represents,
+both int bitsets over the family's universe, and the group acts on them
+through the window's walks.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
 @dataclass(frozen=True)
 class TreeVertex:
     index: int
-    flips: frozenset[str]      # cosets flipped relative to the base vertex
+    flips: int                 # cosets flipped relative to the base vertex, a bitset
     members: int               # B = A + F, a bitset over the family's universe
     kind: str                  # "family", "band" or "branch"
     family_index: Optional[int]
@@ -93,7 +95,7 @@ class DualTree:
         for i, j, label in edges:
             self.adjacency[i].append((j, label))
             self.adjacency[j].append((i, label))
-        self.flip_index: dict[frozenset[str], int] = {v.flips: v.index for v in vertices}
+        self.flip_index: dict[int, int] = {v.flips: v.index for v in vertices}
         self.family_vertex: dict[int, int] = {
             v.family_index: v.index for v in vertices if v.family_index is not None
         }
@@ -107,21 +109,7 @@ class DualTree:
         return len(self.edges)
 
     def colors(self) -> list[int]:
-        return [len(v.flips) % 2 for v in self.vertices]
-
-    def canonical_edges(self) -> set[tuple[tuple[str, ...], tuple[str, ...], str]]:
-        sk = self.system.sort_key
-
-        def flips_key(v: TreeVertex):
-            return tuple(sorted(v.flips, key=sk))
-
-        out = set()
-        for i, j, label in self.edges:
-            a, b = flips_key(self.vertices[i]), flips_key(self.vertices[j])
-            if (len(a), a) > (len(b), b):
-                a, b = b, a
-            out.add((a, b, label))
-        return out
+        return [v.flips.bit_count() % 2 for v in self.vertices]
 
 
 def build_tree(system: TrackSystem) -> DualTree:
@@ -184,7 +172,7 @@ def build_tree(system: TrackSystem) -> DualTree:
     order = sorted(raw_vertices, key=lambda flips: (flips.bit_count(), bit_positions(flips)))
     index_of = {flips: i for i, flips in enumerate(order)}
     vertices = [
-        TreeVertex(i, frozenset(family.keys_of(flips)), base_members ^ flips, *raw_vertices[flips])
+        TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
         for i, flips in enumerate(order)
     ]
     edges = sorted(
@@ -212,8 +200,10 @@ def _assert_tree(tree: DualTree):
                 stack.append(y)
     if len(seen) != n:
         raise DisconnectedTree(f"reached {len(seen)} of {n} vertices")
+    universe = tree.system.family.universe
     for i, j, label in tree.edges:
-        if tree.vertices[i].flips ^ tree.vertices[j].flips != {label}:
+        x = tree.vertices[i].flips ^ tree.vertices[j].flips
+        if x & (x - 1) or not x or universe[x.bit_length() - 1] != label:
             raise TrackTreeError(f"edge ({i}, {j}) does not flip exactly {label!r}")
     colors = tree.colors()
     for i, j, _ in tree.edges:
@@ -253,8 +243,11 @@ def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
         x, label = prev[x]
         labels.append(label)
     labels.reverse()
+    # each edge flips exactly the bit of its label (checked when the tree is
+    # built), and the path's flips XOR to the difference: so its labels are
+    # distinct and make up the difference iff they are as many as its bits
     expected = tree.vertices[a].flips ^ tree.vertices[b].flips
-    if len(labels) != len(set(labels)) or set(labels) != expected:
+    if len(labels) != expected.bit_count():
         raise TrackTreeError(f"path labels {labels} do not realise the flip difference")
     return PathReport(len(labels), tuple(labels))
 
@@ -268,7 +261,6 @@ class ActionReport:
     element: str
     vertex_map: list[Optional[int]]
     base_image: Optional[int]
-    label_map: dict[str, Optional[str]]
     mapped_vertices: int
     mapped_edges: int
     equivariant: bool
@@ -282,8 +274,9 @@ def _window_of(tree: DualTree) -> Window:
     return window
 
 
-def translate_flips(tree: DualTree, g: GroupElement) -> frozenset[str]:
-    """Certified symmetric difference between the base set and its g-translate."""
+def translate_flips(tree: DualTree, g: GroupElement) -> int:
+    """Certified symmetric difference between the base set and its g-translate,
+    a bitset over the family's universe."""
     window = _window_of(tree)
     base_set = tree.system.family.base_set
     _, unknown = window.translate(base_set, g)
@@ -292,52 +285,55 @@ def translate_flips(tree: DualTree, g: GroupElement) -> frozenset[str]:
     diff = window.certified_diff(base_set, window.model.identity(), g)
     if diff & window.shell_mask:
         raise OutsideCertifiedDomain(f"translate by {g!r} shifts the boundary shell")
-    return frozenset(window.keys_of(diff))
+    return diff
+
+
+def _image_flips(flips: int, images: list[int], d_g: int) -> Optional[int]:
+    """The flip set of B*g, for B = A + flips: flips*g + d_g, where images is
+    the window's walk by g; None when a flipped coset leaves the window."""
+    moved = 0
+    while flips:
+        low = flips & -flips
+        j = images[low.bit_length() - 1]
+        if j < 0:
+            return None
+        moved |= 1 << j
+        flips ^= low
+    return moved ^ d_g
+
+
+def _edge_bits(tree: DualTree) -> dict[tuple[int, int], int]:
+    """Per edge (i, j) with i < j, the universe position of its label."""
+    flips = [v.flips for v in tree.vertices]
+    return {(i, j): (flips[i] ^ flips[j]).bit_length() - 1 for i, j, _ in tree.edges}
 
 
 def act(tree: DualTree, g: GroupElement) -> ActionReport:
     """Map every vertex B to B*g and report equivariance on the mapped subtree."""
     window = _window_of(tree)
     d_g = translate_flips(tree, g)
-    label_map: dict[str, Optional[str]] = {
-        c: window.act_key(c, g) for c in tree.system.labels
-    }
-
-    vertex_map: list[Optional[int]] = []
-    for v in tree.vertices:
-        image: Optional[int] = None
-        moved = set()
-        ok = True
-        for c in v.flips:
-            mc = label_map[c]
-            if mc is None:
-                ok = False
-                break
-            moved.add(mc)
-        if ok:
-            image = tree.flip_index.get(frozenset(moved) ^ d_g)
-        vertex_map.append(image)
+    images = window.images(g.word)
+    vertex_map: list[Optional[int]] = [
+        tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
 
     base_image = tree.flip_index.get(d_g)
     mapped_edges = 0
     equivariant = True
     witness = None
-    edge_lookup = {}
-    for i, j, label in tree.edges:
-        edge_lookup[(min(i, j), max(i, j))] = label
+    edge_bit = _edge_bits(tree)
     for i, j, label in tree.edges:
         mi, mj = vertex_map[i], vertex_map[j]
         if mi is None or mj is None:
             continue
         mapped_edges += 1
-        want = label_map[label]
-        got = edge_lookup.get((min(mi, mj), max(mi, mj)))
-        if got is None or want is None or got != want:
+        got = edge_bit.get((min(mi, mj), max(mi, mj)))
+        if got is None or got != images[edge_bit[(i, j)]]:
             equivariant = False
             if witness is None:
-                witness = f"edge ({i}, {j}, {display_word(label)}) maps to ({mi}, {mj}, {got})"
+                got_label = None if got is None else window.omega[got]
+                witness = f"edge ({i}, {j}, {display_word(label)}) maps to ({mi}, {mj}, {got_label})"
     return ActionReport(
-        display_word(g.word), vertex_map, base_image, label_map,
+        display_word(g.word), vertex_map, base_image,
         sum(1 for x in vertex_map if x is not None), mapped_edges, equivariant, witness)
 
 
@@ -383,7 +379,8 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     window = _window_of(tree)
     sub = window.sub
 
-    certified: list[tuple[GroupElement, frozenset[str], dict[str, Optional[str]]]] = []
+    # (g, d_g, the walk by g) per element whose translate is certified
+    certified: list[tuple[GroupElement, int, list[int]]] = []
     uncertified: list[str] = []
     for g in ball:
         try:
@@ -391,23 +388,13 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         except OutsideCertifiedDomain:
             uncertified.append(display_word(g.word))
             continue
-        label_map = {c: window.act_key(c, g) for c in tree.system.labels}
-        certified.append((g, d_g, label_map))
-
-    def image_flips(flips: frozenset[str], d_g, label_map) -> Optional[frozenset[str]]:
-        moved = set()
-        for c in flips:
-            mc = label_map[c]
-            if mc is None:
-                return None
-            moved.add(mc)
-        return frozenset(moved) ^ d_g
+        certified.append((g, d_g, window.images(g.word)))
 
     vertex_stabs: list[tuple[str, ...]] = []
     for v in tree.vertices:
         stab = [
-            g for g, d_g, label_map in certified
-            if image_flips(v.flips, d_g, label_map) == v.flips
+            g for g, d_g, images in certified
+            if _image_flips(v.flips, images, d_g) == v.flips
         ]
         vertex_stabs.append(tuple(display_word(g.word) for g in sorted(stab, key=lambda e: e.sort_key())))
 
@@ -433,13 +420,15 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     edge_conj_ok: list[bool] = []
     h_ball = [g for g, _, _ in certified if sub.member(g)]
     certified_words = {g.word for g, _, _ in certified}
+    edge_bit = _edge_bits(tree)
     for i, j, label in tree.edges:
         fi, fj = tree.vertices[i].flips, tree.vertices[j].flips
+        bit = edge_bit[(i, j)]
         stab = []
-        for g, d_g, label_map in certified:
-            if label_map[label] != label:
+        for g, d_g, images in certified:
+            if images[bit] != bit:
                 continue
-            imgs = {image_flips(fi, d_g, label_map), image_flips(fj, d_g, label_map)}
+            imgs = {_image_flips(fi, images, d_g), _image_flips(fj, images, d_g)}
             if imgs == {fi, fj}:
                 stab.append(g)
         edge_stabs.append(tuple(display_word(g.word) for g in sorted(stab, key=lambda e: e.sort_key())))
@@ -466,11 +455,11 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
 
 def _class_union_report(tree: DualTree) -> ClassUnionReport:
     window = _window_of(tree)
-    system = tree.system
-    identity_key = window.omega[0]
-    if identity_key not in system.class_of:
+    # the identity coset H is key id 0, bit 0 of the universe
+    identity_class = [bits for bits in tree.system.class_bits if bits & 1]
+    if not identity_class:
         return ClassUnionReport(applicable=False)
-    cls = {window.id_of[c] for c in system.classes[system.class_of[identity_key]]}
+    cls = set(bit_positions(identity_class[0]))
     pool = window.model.ball(window.radius // 2, max_radius=window.radius)
     coset = {e.word: window.locate(e) for e in pool}
     union = [e for e in pool if coset[e.word] in cls]

@@ -142,7 +142,8 @@ class Window:
 
     ``omega`` lists the keys in ShortLex order; a key's position is its id,
     and sets of keys are int bitsets over ids.  ``core`` is the prefix of
-    keys at most radius - margin long, ``shell`` the rest.
+    keys at most radius - margin long; ``core_mask`` and ``shell_mask`` are
+    the core's ids and the rest.
     """
 
     def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int,
@@ -164,13 +165,10 @@ class Window:
         cut = graph.level_end[radius - margin]
         self.omega: list[str] = graph.keys[:size]
         self.core: list[str] = self.omega[:cut]
-        self.shell: frozenset[str] = frozenset(self.omega[cut:])
-        self.id_of: dict[str, int] = dict(zip(self.omega, range(size)))
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
         self._walks: dict[str, list[int]] = {}
-        self._members: dict[frozenset[str], bytes] = {}
-        self._translates: dict[tuple[str, frozenset[str]], tuple[int, int]] = {}
+        self._translates: dict[tuple[str, int], tuple[int, int]] = {}
 
     def extended(self, extra: int) -> "Window":
         """This window at radius + extra, by growing its graph.
@@ -194,10 +192,10 @@ class Window:
         """The keys of a bitset, in ShortLex order."""
         return list(compress(self.omega, _flags(mask)))
 
-    def keys_of_length(self, length: int) -> list[str]:
-        """The keys of one length, a contiguous run of ids."""
+    def level(self, length: int) -> tuple[int, int]:
+        """The ids lo..hi-1 of the keys of one length, a contiguous run."""
         ends = self.graph.level_end
-        return self.omega[ends[length - 1] if length else 0:ends[length]]
+        return ends[length - 1] if length else 0, ends[length]
 
     # -- walks --
 
@@ -266,7 +264,8 @@ class Window:
             inv = invert(GroupElement(self.model, word)).word
             flags = bytearray()
             for length in range(r + 1):
-                level = self.keys_of_length(length)
+                lo, hi = self.level(length)
+                level = keys[lo:hi]
                 need = (length + len(word) - r + 1) // 2
                 if need <= 0:
                     flags += b"\x01" * len(level)
@@ -283,44 +282,29 @@ class Window:
         """Id of the coset He, or -1 when e is longer than the radius."""
         return self._walk_from(0, e.word) if len(e.word) <= self.radius else -1
 
-    def act_key(self, key: str, g: GroupElement) -> Optional[str]:
-        """Right action on coset keys, defined while key * g stays within the radius."""
-        j = self.images(g.word)[self.id_of[key]]
-        return self.omega[j] if j >= 0 else None
-
     # -- translates --
 
-    def translate(self, base_set: frozenset[str], g: GroupElement) -> tuple[int, int]:
+    def translate(self, base_set: int, g: GroupElement) -> tuple[int, int]:
         """(known_in, unknown) bitsets of base_set * g over the window's keys.
 
-        A key k belongs to the translate iff the key of k * g^-1 belongs to
-        the base set; keys whose pulled-back representative is longer than
-        the radius are unknown.  Cached per word and base set.
+        base_set is a bitset over key ids.  A key k belongs to the translate
+        iff the key of k * g^-1 belongs to the base set; keys whose
+        pulled-back representative is longer than the radius are unknown.
+        Cached per word and base set.
         """
-        base_set = frozenset(base_set)  # the same object when it is one already
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
         if hit is None:
             images = self.images(invert(g).word)
-            members = self._member_flags(base_set)
+            # one flag per key id, and a final 0 read by id -1
+            size = len(self.omega)
+            members = _flags(base_set)[:size].ljust(size + 1, b"\0")
             hit = (_mask(bytes(map(members.__getitem__, images))),
                    _mask(bytes(map((0).__gt__, images))))  # image -1: unknown
             self._translates[cache_key] = hit
         return hit
 
-    def _member_flags(self, base_set: frozenset[str]) -> bytes:
-        """Per key id, 1 for keys of the base set, and a final 0 read by id -1."""
-        flags = self._members.get(base_set)
-        if flags is None:
-            marks = bytearray(len(self.omega) + 1)
-            for k in base_set:
-                i = self.id_of.get(k)
-                if i is not None:
-                    marks[i] = 1
-            flags = self._members[base_set] = bytes(marks)
-        return flags
-
-    def certified_diff(self, base_set: frozenset[str], g1: GroupElement, g2: GroupElement) -> int:
+    def certified_diff(self, base_set: int, g1: GroupElement, g2: GroupElement) -> int:
         """Keys known under both translates on which their membership differs."""
         in1, unknown1 = self.translate(base_set, g1)
         in2, unknown2 = self.translate(base_set, g2)
@@ -373,8 +357,9 @@ class BaseSetSpec:
         return self.default_in
 
 
-def build_base_set(window: Window, spec: BaseSetSpec) -> frozenset[str]:
-    return frozenset(k for k in window.omega if spec.decide(k))
+def build_base_set(window: Window, spec: BaseSetSpec) -> int:
+    """The keys the spec puts in, as a bitset over the window's key ids."""
+    return _mask(bytes(map(spec.decide, window.omega)))
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +384,7 @@ class VertexFamily:
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
                  base_index: int, diffs: dict[tuple[int, int], int],
                  sort_key: Callable[[str], tuple], window: Optional[Window] = None,
-                 base_set: Optional[frozenset[str]] = None,
+                 base_set: Optional[int] = None,
                  merge_notes: Optional[list[str]] = None):
         self.universe = list(universe)
         self.vertices = list(vertices)
@@ -454,7 +439,7 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
     return VertexFamily(universe, vertices, base_index, diffs, sort_key)
 
 
-def build_family(window: Window, base_set: frozenset[str],
+def build_family(window: Window, base_set: int,
                  translations: Sequence[GroupElement]) -> VertexFamily:
     """Translate the base set by each element, certify all pairwise differences,
     and merge duplicate translates.
@@ -545,7 +530,7 @@ class HypothesisReport:
         self.expected_k_ok = all(e.fixes_base for e in self.expected_k)
 
 
-def hypothesis_report(window: Window, base_set: frozenset[str],
+def hypothesis_report(window: Window, base_set: int,
                       translations: Sequence[GroupElement],
                       expected_k: Optional[SubgroupModel] = None) -> HypothesisReport:
     """Check the standing hypotheses on the base set over the window.
@@ -566,22 +551,21 @@ def hypothesis_report(window: Window, base_set: frozenset[str],
         entries.append(AlmostInvarianceEntry(
             display_word(g.word), tuple(window.keys_of(witness)), certified))
 
-    inside = base_set
     properness_ok = True
     detail = "base set and complement meet every populated shell"
-    if not inside:
+    if not base_set:
         properness_ok, detail = False, "base set is empty"
-    elif len(inside) == len(window.omega):
+    elif base_set.bit_count() == len(window.omega):
         properness_ok, detail = False, "complement is empty"
     else:
         populated = 0
         for level in range(window.margin, window.radius - window.margin + 1):
-            shell_keys = window.keys_of_length(level)
-            if not shell_keys:
+            lo, hi = window.level(level)
+            if lo == hi:
                 continue
             populated += 1
-            hit_in = any(k in inside for k in shell_keys)
-            hit_out = any(k not in inside for k in shell_keys)
+            run = (base_set >> lo) & ((1 << (hi - lo)) - 1)
+            hit_in, hit_out = run != 0, run.bit_count() < hi - lo
             if not hit_in or not hit_out:
                 side = "base set" if not hit_in else "complement"
                 properness_ok = False
@@ -630,8 +614,8 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
     small = family if family is not None else build_family(
         window, build_base_set(window, base_spec), translations)
     # the window's keys keep their ids and their decisions in the larger one
-    big_base = small.base_set | frozenset(
-        k for k in big.omega[len(window.omega):] if base_spec.decide(k))
+    size = len(window.omega)
+    big_base = small.base_set | _mask(bytes(map(base_spec.decide, big.omega[size:]))) << size
     large = build_family(big, big_base, translations)
     # both keep the first translate of each distinct translate set, in translation order
     words = [v.element.word for v in small.vertices]

@@ -153,8 +153,9 @@ def test_treeness_and_oracle_equivalence():
                     seen.add(y)
                     stack.append(y)
         assert len(seen) == tree.vertex_count
+        keys_of = system.family.keys_of
         for i, j, label in tree.edges:
-            assert tree.vertices[i].flips ^ tree.vertices[j].flips == {label}
+            assert keys_of(tree.vertices[i].flips ^ tree.vertices[j].flips) == [label]
             assert colors[i] != colors[j]
         assert tree_matches_oracle(tree, oracle_orientations(system))
 
@@ -176,7 +177,8 @@ def test_separation_and_geodesics():
         for a in range(tree.vertex_count):
             for b in range(a, tree.vertex_count):
                 path = tree_metric_and_separation(tree, a, b)
-                expected = tree.vertices[a].flips ^ tree.vertices[b].flips
+                expected = set(system.family.keys_of(
+                    tree.vertices[a].flips ^ tree.vertices[b].flips))
                 assert path.length == len(expected)
                 assert set(path.labels) == expected
                 assert len(path.labels) == len(set(path.labels))

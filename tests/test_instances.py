@@ -271,6 +271,28 @@ def test_tree_and_oracle_bytes_golden(capsys):
             assert hashlib.md5(out.encode()).hexdigest() == want, (command, name)
 
 
+# stdout md5 of each demo script; demo 04 prints tree flips and demo 05 stabilizers
+DEMO_GOLDEN = {
+    "01_group_words.py": "5ac736c639a08631fc627eef27544ff8",
+    "02_windows_and_hypotheses.py": "21db5eac9047d21566be0f2dafd40f90",
+    "03_pattern_combinatorics.py": "acae7cdc31d88f3390a89c8b1e204577",
+    "04_dual_tree.py": "900917b2c17b2219bcef3c1bea5ee91e",
+    "05_action_and_stabilizers.py": "0d07b6211cd20784deae02bef515a58b",
+}
+
+
+def test_demo_output_golden():
+    demo_dir = INSTANCE_DIR.parent
+    assert sorted(DEMO_GOLDEN) == sorted(p.name for p in demo_dir.glob("*.py"))
+    for name, want in DEMO_GOLDEN.items():
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, str(demo_dir / name)], capture_output=True,
+                env={"PYTHONHASHSEED": seed, "PATH": "", "PYTHONPATH": PACKAGE_PATH})
+            assert proc.returncode == 0, proc.stderr
+            assert hashlib.md5(proc.stdout).hexdigest() == want, (name, seed)
+
+
 def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("not an instance\n")

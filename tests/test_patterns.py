@@ -641,10 +641,10 @@ def assert_matches_string_reference(fam):
         return
     # tree vertices come in ShortLex order of their flip sets, each with B = A + F
     tree = build_tree(system)
-    flips = [sorted(v.flips, key=sf.sort_key) for v in tree.vertices]
+    flips = [sorted(fam.keys_of(v.flips), key=sf.sort_key) for v in tree.vertices]
     assert flips == sorted(flips, key=lambda f: (len(f), [sf.sort_key(c) for c in f]))
-    for v in tree.vertices:
-        assert frozenset(fam.keys_of(v.members)) == sf.members[sf.base_index] ^ v.flips
+    for v, f in zip(tree.vertices, flips):
+        assert frozenset(fam.keys_of(v.members)) == sf.members[sf.base_index] ^ frozenset(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -683,3 +683,24 @@ def test_square_differential_reaches_every_case():
 
     collect()
     assert seen == {"NonNestedSquare", "sides", "opposite", "equal"}
+
+
+def square_fails(fam, *quad):
+    try:
+        square_analysis(fam, *quad)
+    except NonNestedSquare:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_checked_squares_decide_every_pairing(fam):
+    # the pipeline checks (a, b, c, d) and (a, b, d, c) of each four vertices:
+    # (a, c, b, d) is the first with its side pairs swapped, and the square
+    # with diagonals {ab, cd}, (a, c, d, b), cannot fail where both pass
+    for a, b, c, d in itertools.combinations(range(len(fam)), 4):
+        first = square_fails(fam, a, b, c, d)
+        assert square_fails(fam, a, c, b, d) == first
+        if not first and not square_fails(fam, a, b, d, c):
+            assert not square_fails(fam, a, c, d, b)

@@ -1,0 +1,331 @@
+"""Base sets, properness, tree flips, the windowed action and stabilizers
+against the frozenset-of-strings reference they were computed with before
+they became int bitsets.
+
+The reference keeps its sets as frozensets of coset keys and maps keys
+through string dicts; it reads the window only through ``omega``,
+``core``, ``margin``, ``radius`` and ``images`` (which is tested against
+the ball reference in test_windows.py).
+"""
+
+import dataclasses
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracktree import (
+    BaseSetSpec,
+    act,
+    build_base_set,
+    build_family,
+    build_track_system,
+    build_tree,
+    build_window,
+    compose,
+    corpus,
+    display_word,
+    free_product_of_cyclics,
+    hypothesis_report,
+    invert,
+    stabilizer_analysis,
+    subgroup,
+)
+from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain
+from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
+from tracktree.trees import ClassUnionReport, StabilizerReport, translate_flips
+
+
+# --------------------------------------------------------------------------
+# the reference
+
+
+def ref_base_set(window, spec):
+    return frozenset(k for k in window.omega if spec.decide(k))
+
+
+def ref_properness(window, inside):
+    """(ok, detail) of the shell-meeting heuristic on a set of keys."""
+    if not inside:
+        return False, "base set is empty"
+    if len(inside) == len(window.omega):
+        return False, "complement is empty"
+    populated = 0
+    for level in range(window.margin, window.radius - window.margin + 1):
+        shell_keys = [k for k in window.omega if len(k) == level]
+        if not shell_keys:
+            continue
+        populated += 1
+        hit_in = any(k in inside for k in shell_keys)
+        hit_out = any(k not in inside for k in shell_keys)
+        if not hit_in or not hit_out:
+            side = "base set" if not hit_in else "complement"
+            return False, f"{side} misses the distance-{level} shell"
+    if populated == 0:
+        return False, "no populated shells in the heuristic range"
+    return True, "base set and complement meet every populated shell"
+
+
+class StringTree:
+    """A dual tree with frozensets of keys for flip sets, over the window it was built on."""
+
+    def __init__(self, tree):
+        family = tree.system.family
+        self.tree = tree
+        self.system = tree.system
+        self.window = family.window
+        self.base_set = frozenset(self.window.keys_of(family.base_set))
+        self.flips = [frozenset(family.keys_of(v.flips)) for v in tree.vertices]
+        self.flip_index = {f: i for i, f in enumerate(self.flips)}
+        self.id_of = {k: i for i, k in enumerate(self.window.omega)}
+        self.core = frozenset(self.window.core)
+
+    def act_key(self, key: str, g) -> Optional[str]:
+        j = self.window.images(g.word)[self.id_of[key]]
+        return self.window.omega[j] if j >= 0 else None
+
+    def translate(self, g):
+        """(known_in, unknown) key sets of the base set's g-translate."""
+        images = self.window.images(invert(g).word)
+        known_in, unknown = set(), set()
+        for k, j in zip(self.window.omega, images):
+            if j < 0:
+                unknown.add(k)
+            elif self.window.omega[j] in self.base_set:
+                known_in.add(k)
+        return known_in, unknown
+
+    def translate_flips(self, g) -> frozenset:
+        known_in, unknown = self.translate(g)
+        if unknown & self.core:
+            raise OutsideCertifiedDomain(f"translate by {g!r} undecided inside the core")
+        diff = (self.base_set ^ known_in) - unknown
+        if diff - self.core:
+            raise OutsideCertifiedDomain(f"translate by {g!r} shifts the boundary shell")
+        return frozenset(diff)
+
+    def act(self, g):
+        d_g = self.translate_flips(g)
+        label_map = {c: self.act_key(c, g) for c in self.system.labels}
+        vertex_map = []
+        for flips in self.flips:
+            moved = {label_map[c] for c in flips}
+            vertex_map.append(None if None in moved else self.flip_index.get(frozenset(moved) ^ d_g))
+        edge_lookup = {(min(i, j), max(i, j)): label for i, j, label in self.tree.edges}
+        mapped_edges, equivariant, witness = 0, True, None
+        for i, j, label in self.tree.edges:
+            mi, mj = vertex_map[i], vertex_map[j]
+            if mi is None or mj is None:
+                continue
+            mapped_edges += 1
+            want = label_map[label]
+            got = edge_lookup.get((min(mi, mj), max(mi, mj)))
+            if got is None or want is None or got != want:
+                equivariant = False
+                if witness is None:
+                    witness = f"edge ({i}, {j}, {display_word(label)}) maps to ({mi}, {mj}, {got})"
+        return (display_word(g.word), vertex_map, self.flip_index.get(d_g),
+                sum(x is not None for x in vertex_map), mapped_edges, equivariant, witness)
+
+    def stabilizer_analysis(self, ball, expected_k=None, expected_k_exact=False):
+        certified, uncertified = [], []
+        for g in ball:
+            try:
+                d_g = self.translate_flips(g)
+            except OutsideCertifiedDomain:
+                uncertified.append(display_word(g.word))
+                continue
+            certified.append((g, d_g, {c: self.act_key(c, g) for c in self.system.labels}))
+
+        def image(flips, d_g, label_map):
+            moved = {label_map[c] for c in flips}
+            return None if None in moved else frozenset(moved) ^ d_g
+
+        def words(elements):
+            return tuple(display_word(g.word) for g in sorted(elements, key=lambda e: e.sort_key()))
+
+        vertex_stabs = [words(g for g, d_g, lm in certified if image(f, d_g, lm) == f)
+                        for f in self.flips]
+        base_stab = set(vertex_stabs[self.tree.base_index])
+        base_contains, base_equals, base_witness = True, None, None
+        if expected_k is not None:
+            expected_words = {display_word(g.word) for g, _, _ in certified if expected_k.member(g)}
+            missing = expected_words - base_stab
+            if missing:
+                base_contains = False
+                base_witness = f"expected stabilizer element {sorted(missing)[0]} moves the base vertex"
+            if expected_k_exact:
+                extra = base_stab - expected_words
+                base_equals = not missing and not extra
+                if extra and base_witness is None:
+                    base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
+
+        edge_stabs, edge_conj_ok = [], []
+        h_ball = [g for g, _, _ in certified if self.window.sub.member(g)]
+        certified_words = {g.word for g, _, _ in certified}
+        for i, j, label in self.tree.edges:
+            fi, fj = self.flips[i], self.flips[j]
+            edge_stabs.append(words(
+                g for g, d_g, lm in certified
+                if lm[label] == label and {image(fi, d_g, lm), image(fj, d_g, lm)} == {fi, fj}))
+            rep = self.window.key_element(label)
+            stab_words = set(edge_stabs[-1])
+            conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
+            edge_conj_ok.append(all(display_word(c.word) in stab_words
+                                    for c in conjugates if c.word in certified_words))
+        return StabilizerReport(
+            [display_word(e.word) for e in ball], vertex_stabs, base_contains, base_equals,
+            base_witness, edge_stabs, edge_conj_ok, self.class_union(), uncertified)
+
+    def class_union(self):
+        window, system = self.window, self.system
+        identity_key = window.omega[0]
+        if identity_key not in system.class_of:
+            return ClassUnionReport(applicable=False)
+        cls = {self.id_of[c] for c in system.classes[system.class_of[identity_key]]}
+        pool = window.model.ball(window.radius // 2, max_radius=window.radius)
+        coset = {e.word: window.locate(e) for e in pool}
+        union = [e for e in pool if coset[e.word] in cls]
+        sub_elems = [e for e in pool if coset[e.word] == 0]
+        report = ClassUnionReport(
+            applicable=True, class_size=len(cls), union_size=len(union),
+            subgroup_size=len(sub_elems), index=len(cls))
+        for h in sub_elems:
+            if coset[h.word] not in cls:
+                report.contains_subgroup = False
+                report.witness = f"subgroup element {h!r} escapes the class union"
+                return report
+        for e1 in union:
+            inv = window.locate(invert(e1))
+            if inv >= 0 and inv not in cls:
+                report.inverse_closed = False
+                report.witness = f"inverse of {e1!r} escapes the class union"
+                return report
+            for e2 in union:
+                prod = window.locate(compose(e1, e2))
+                if prod >= 0 and prod not in cls:
+                    report.closed = False
+                    report.witness = f"product {e1!r} * {e2!r} escapes the class union"
+                    return report
+        return report
+
+
+# --------------------------------------------------------------------------
+# cases: E1-E4 and the free-product instance C
+
+
+def instance(name):
+    """(model, subgroup, radius, margin, base spec, translations, expected K, exact)."""
+    if name == "C":
+        model = free_product_of_cyclics([2, 2, 2])
+        return (model, subgroup(model, ["st"]), 5, 2, BaseSetSpec(rules=(("s", True),)),
+                [model.normalize(w) for w in ("", "s", "t", "u")], subgroup(model, ["st"]), False)
+    spec = corpus()[name]
+    model = make_model(spec)
+    return (model, make_subgroup(model, spec.subgroup_generators), spec.radius, spec.margin,
+            make_base_spec(model, spec), [model.normalize(token_word(w)) for w in spec.translations],
+            make_subgroup(model, spec.expected_k_generators), spec.expected_k_exact)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except OutsideCertifiedDomain as exc:
+        return ("OutsideCertifiedDomain", str(exc))
+
+
+def compare(name, base_spec=None, elements=None, seen=None):
+    """Compare every bitset result with the reference on one case; record
+    in seen which branches it reached."""
+    seen = set() if seen is None else seen
+    model, sub, radius, margin, spec, translations, expected_k, exact = instance(name)
+    spec = spec if base_spec is None else base_spec
+    window = build_window(model, sub, radius, margin)
+
+    base = build_base_set(window, spec)
+    assert isinstance(base, int)
+    ref = ref_base_set(window, spec)
+    assert window.keys_of(base) == [k for k in window.omega if k in ref]
+    hypo = hypothesis_report(window, base, translations, expected_k)
+    assert (hypo.properness_ok, hypo.properness_detail) == ref_properness(window, ref)
+    seen.add(f"properness {hypo.properness_ok}")
+
+    try:
+        family = build_family(window, base, translations)
+        tree = build_tree(build_track_system(family))
+    except (CertificationFailure, NotNested) as exc:
+        seen.add(type(exc).__name__)
+        return seen
+    assert isinstance(family.base_set, int)
+    ref_tree = StringTree(tree)
+    base_members = frozenset(family.keys_of(family.vertices[family.base_index].members))
+    for v, flips in zip(tree.vertices, ref_tree.flips):
+        assert isinstance(v.flips, int)
+        assert frozenset(family.keys_of(v.members)) == base_members ^ flips
+
+    elements = model.ball(margin + 1) if elements is None else elements
+    for g in elements:
+        got, want = outcome(translate_flips, tree, g), outcome(ref_tree.translate_flips, g)
+        if got[0] == "ok":
+            assert isinstance(got[1], int)
+            got = ("ok", frozenset(family.keys_of(got[1])))
+        assert got == want
+        got, want = outcome(act, tree, g), outcome(ref_tree.act, g)
+        if got[0] == "ok":
+            got = ("ok", dataclasses.astuple(got[1]))
+        assert got == want
+        seen.add(want[0] if want[0] != "ok" else f"equivariant {want[1][5]}")
+    stab = stabilizer_analysis(tree, elements, expected_k=expected_k, expected_k_exact=exact)
+    assert stab == ref_tree.stabilizer_analysis(elements, expected_k, exact)
+    seen.add(f"class union applicable {stab.class_union.applicable}")
+    seen.add(f"conjugates ok {all(stab.edge_conjugates_ok)}")
+    return seen
+
+
+@st.composite
+def cases(draw):
+    """A case with hypothesis-drawn ball elements and, half the time, a drawn base set."""
+    name = draw(st.sampled_from(["E1", "E2", "E3", "E4", "C"]))
+    model, sub, radius, margin = instance(name)[:4]
+    base_spec = None
+    if draw(st.booleans()):
+        keys = build_window(model, sub, radius, margin).omega
+        prefixes = st.sampled_from([k for k in keys if 0 < len(k) <= 2])
+        rules = draw(st.lists(st.tuples(prefixes, st.booleans()), max_size=3,
+                              unique_by=lambda r: r[0]))
+        includes = draw(st.frozensets(st.sampled_from(keys), max_size=3))
+        excludes = draw(st.frozensets(st.sampled_from(keys), max_size=3)) - includes
+        base_spec = BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
+                                default_in=draw(st.booleans()))
+    pool = model.ball(margin + 2)
+    elements = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8,
+                             unique_by=lambda e: e.word))
+    return name, base_spec, elements
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_bitsets_match_string_reference(case):
+    compare(*case)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "C"])
+def test_bitsets_match_string_reference_on_instances(name):
+    assert "equivariant True" in compare(name)
+
+
+def test_string_reference_cases_reach_every_branch():
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(cases())
+    def collect(case):
+        compare(*case, seen=seen)
+
+    collect()
+    for name in ("E1", "E2", "E3", "E4", "C"):
+        compare(name, seen=seen)
+    assert {"properness True", "properness False", "OutsideCertifiedDomain",
+            "equivariant True", "class union applicable True",
+            "class union applicable False"} <= seen, seen

@@ -55,7 +55,7 @@ def test_base_orientation_flip_set():
     tree = result.tree
     # the translate one step right flips exactly the identity coset
     idx = [i for i, v in enumerate(result.family.vertices) if v.element.word == "t"][0]
-    assert tree.vertices[tree.family_vertex[idx]].flips == {""}
+    assert result.family.keys_of(tree.vertices[tree.family_vertex[idx]].flips) == [""]
 
 
 def test_median_majority():
@@ -88,9 +88,9 @@ def test_single_track_tree():
 def test_band_subdivision():
     fam = explicit_family(["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))])
     tree = build_tree(build_track_system(fam))
-    flips = sorted(sorted(v.flips) for v in tree.vertices)
+    flips = sorted(sorted(fam.keys_of(v.flips)) for v in tree.vertices)
     assert flips == [[], ["a"], ["a", "b"]]
-    kinds = {tuple(sorted(v.flips)): v.kind for v in tree.vertices}
+    kinds = {tuple(sorted(fam.keys_of(v.flips))): v.kind for v in tree.vertices}
     assert kinds[("a",)] == "band"
 
 
@@ -117,13 +117,14 @@ def test_build_tree_rejects_crossings():
 
 def test_tree_axioms_on_corpus():
     for name in ("E1", "E2", "E3", "E4"):
-        tree = run(name).tree
+        result = run(name)
+        tree = result.tree
         assert tree.edge_count == tree.vertex_count - 1
         colors = tree.colors()
         for i, j, label in tree.edges:
-            assert tree.vertices[i].flips ^ tree.vertices[j].flips == {label}
+            assert result.family.keys_of(tree.vertices[i].flips ^ tree.vertices[j].flips) == [label]
             assert colors[i] != colors[j]
-        assert len(tree.vertices[tree.base_index].flips) == 0
+        assert tree.vertices[tree.base_index].flips == 0
 
 
 def test_every_vertex_is_base_plus_finite_flip():
@@ -132,8 +133,9 @@ def test_every_vertex_is_base_plus_finite_flip():
     fam = result.family
     base_keys = set(fam.keys_of(fam.vertices[fam.base_index].members))
     for v in tree.vertices:
-        assert set(fam.keys_of(v.members)) == base_keys ^ v.flips
-        assert len(v.flips) <= len(result.system.labels)
+        flips = set(fam.keys_of(v.flips))
+        assert set(fam.keys_of(v.members)) == base_keys ^ flips
+        assert len(flips) <= len(result.system.labels)
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +146,7 @@ def test_path_trivial_and_band():
     fam = explicit_family(["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))])
     tree = build_tree(build_track_system(fam))
     assert tree_metric_and_separation(tree, 1, 1).length == 0
-    ends = sorted(tree.flip_index[f] for f in (frozenset(), frozenset(["a", "b"])))
+    ends = sorted(tree.flip_index[f] for f in (0, 0b11))  # {} and {a, b}
     report = tree_metric_and_separation(tree, ends[0], ends[1])
     assert report.labels == ("a", "b")
 
@@ -166,7 +168,7 @@ def test_geodesic_for_all_tree_vertex_pairs():
     tree = result.tree
     for a in range(tree.vertex_count):
         for b in range(tree.vertex_count):
-            expected = len(tree.vertices[a].flips ^ tree.vertices[b].flips)
+            expected = len(result.family.keys_of(tree.vertices[a].flips ^ tree.vertices[b].flips))
             assert tree_metric_and_separation(tree, a, b).length == expected
 
 
@@ -206,11 +208,12 @@ def test_act_shift_on_half_line():
 
 def test_act_subgroup_element_fixes_everything():
     result = run("E2")
-    model = result.family.window.model
-    rep = act(result.tree, model.normalize("x"))
+    window = result.family.window
+    rep = act(result.tree, window.model.normalize("x"))
     assert rep.equivariant
     assert rep.base_image == result.tree.base_index
-    assert all(rep.label_map[c] == c for c in result.system.labels)
+    images = window.images("x")
+    assert all(window.omega[images[window.omega.index(c)]] == c for c in result.system.labels)
 
 
 def test_act_outside_certified_domain():
@@ -254,7 +257,8 @@ def test_stabilizers_alternate_on_dihedral_line():
     model = result.family.window.model
     st = stabilizer_analysis(result.tree, model.ball(3),
                              expected_k=subgroup(model, ["t"]), expected_k_exact=True)
-    by_flips = {tuple(sorted(v.flips)): st.vertex_stabilizers[v.index] for v in tree.vertices}
+    by_flips = {tuple(sorted(result.family.keys_of(v.flips))): st.vertex_stabilizers[v.index]
+                for v in tree.vertices}
     assert by_flips[()] == ("1", "t")
     assert by_flips[("",)] == ("1", "s")            # midpoint fixed by s
     assert by_flips[("", "s")] == ("1", "sts")      # next vertex: conjugate of t

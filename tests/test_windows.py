@@ -62,8 +62,9 @@ def test_window_universe_sizes():
 def test_window_shell_split():
     window = build_window(Z, TRIVIAL_Z, 6, 2)
     assert all(len(k) <= 4 for k in window.core)
-    assert all(len(k) > 4 for k in window.shell)
-    assert len(window.core) + len(window.shell) == len(window.omega)
+    shell = window.keys_of(window.shell_mask)
+    assert all(len(k) > 4 for k in shell)
+    assert len(window.core) + len(shell) == len(window.omega)
 
 
 def test_window_parameter_validation():
@@ -75,9 +76,9 @@ def test_window_parameter_validation():
 
 def test_partial_action_on_keys():
     window, _, _ = half_line_window()
-    t = Z.normalize("t")
-    assert window.act_key("t", t) == "tt"
-    assert window.act_key("t" * 8, t) is None  # leaves the ball
+    images, omega = window.images("t"), window.omega
+    assert omega[images[omega.index("t")]] == "tt"
+    assert images[omega.index("t" * 8)] == -1  # leaves the ball
 
 
 # --------------------------------------------------------------------------
@@ -86,15 +87,16 @@ def test_partial_action_on_keys():
 
 def test_base_set_half_line():
     window, _, base = half_line_window()
-    assert "" in base
-    assert "ttt" in base
-    assert "T" not in base
+    keys = window.keys_of(base)
+    assert "" in keys
+    assert "ttt" in keys
+    assert "T" not in keys
 
 
 def test_base_set_longest_prefix_wins():
     window, _, _ = half_line_window()
     spec = BaseSetSpec(rules=(("t", True), ("tt", False)), default_in=False)
-    base = build_base_set(window, spec)
+    base = window.keys_of(build_base_set(window, spec))
     assert "t" in base
     assert "tt" not in base and "ttt" not in base
 
@@ -102,7 +104,7 @@ def test_base_set_longest_prefix_wins():
 def test_base_set_rule_precedes_includes():
     window, _, _ = half_line_window()
     spec = BaseSetSpec(rules=(("t", True),), excludes=frozenset(["tt"]))
-    base = build_base_set(window, spec)
+    base = window.keys_of(build_base_set(window, spec))
     # the rule decides "tt" before the exclude list is consulted
     assert "tt" in base
 
@@ -132,7 +134,7 @@ def test_family_half_line_translates():
 def test_identity_merged_into_an_earlier_translate_is_the_base_vertex():
     # an empty base set has one translate: the identity's merges into the first
     window = build_window(Z, TRIVIAL_Z, 8, 2)
-    fam = build_family(window, frozenset(), [Z.normalize("tt"), Z.identity(), Z.normalize("t")])
+    fam = build_family(window, 0, [Z.normalize("tt"), Z.identity(), Z.normalize("t")])
     assert [v.name for v in fam.vertices] == ["A*tt"] and fam.base_index == 0
     assert len(fam.merge_notes) == 2
     # x fixes the half-plane of rows: the identity merges into A*x, not the last kept
@@ -219,7 +221,7 @@ def test_hypothesis_row_witness():
 
 def test_hypothesis_properness_fails_on_full_universe():
     window, _, _ = half_line_window()
-    report = hypothesis_report(window, frozenset(window.omega), [Z.identity()], None)
+    report = hypothesis_report(window, (1 << len(window.omega)) - 1, [Z.identity()], None)
     assert not report.properness_ok
     assert "complement" in report.properness_detail
 
@@ -277,20 +279,22 @@ def assert_window_matches_reference(window, rng, samples=6):
     cut = radius - window.margin
     assert window.omega == table.keys
     assert window.core == [k for k in table.keys if len(k) <= cut]
-    assert window.shell == frozenset(k for k in table.keys if len(k) > cut)
+    assert window.keys_of(window.shell_mask) == [k for k in table.keys if len(k) > cut]
     for e in ball:
         assert window.omega[window.locate(e)] == table.key_of[e.word]
 
-    base = frozenset(k for k in window.omega if rng.random() < 0.5)
+    base_keys = frozenset(k for k in window.omega if rng.random() < 0.5)
+    base = sum(1 << i for i, k in enumerate(window.omega) if k in base_keys)
     outer = model.ball(radius + 1, max_radius=radius + 1)
     for g in rng.sample(outer, min(samples, len(outer))):
         known_in, unknown = window.translate(base, g)
-        ref_in, ref_unknown = reference_translate(table, base, g)
+        ref_in, ref_unknown = reference_translate(table, base_keys, g)
         assert set(window.keys_of(known_in)) == ref_in, g
         assert set(window.keys_of(unknown)) == ref_unknown, g
-        for k in table.keys:
-            assert window.act_key(k, g) == table.key_of.get(
-                compose(GroupElement(model, k), g).word), (k, g)
+        images = window.images(g.word)
+        for i, k in enumerate(table.keys):
+            image = window.omega[images[i]] if images[i] >= 0 else None
+            assert image == table.key_of.get(compose(GroupElement(model, k), g).word), (k, g)
     return base
 
 
@@ -348,7 +352,8 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
     big = window.extended(2)
     fresh = Window(model, window.sub, window.radius + 2, window.margin,
                    max_radius=window.radius + 2)
-    assert big.omega == fresh.omega and big.core == fresh.core and big.shell == fresh.shell
+    assert big.omega == fresh.omega and big.core == fresh.core
+    assert big.shell_mask == fresh.shell_mask
     window._translates.clear()
     window._walks.clear()
     for g in model.ball(2):
