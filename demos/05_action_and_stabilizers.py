@@ -14,8 +14,7 @@ model = result.family.window.model
 
 print("shifting the whole picture by s:")
 report = act(tree, model.normalize("s"))
-print("  mapped", report.mapped_vertices, "of", tree.vertex_count,
-      "vertices, equivariant:", report.equivariant)
+print("  mapped", report.mapped_vertices, "of", tree.vertex_count, "vertices")
 print("  base vertex o maps to B" + str(report.base_image))
 
 stab = stabilizer_analysis(tree, model.ball(3),

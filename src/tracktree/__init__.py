@@ -56,6 +56,7 @@ from .trees import (
     base_orientation,
     build_tree,
     median,
+    separation_witness,
     stabilizer_analysis,
     tree_metric_and_separation,
 )

@@ -1,15 +1,15 @@
 """Parity, corner/square analysis, crossing, parallel classes and labelling.
 
 Vertices are subsets of a finite coset universe, held as int bitsets over
-it; the metric is the size of the symmetric difference, read from the
-family's certified differences, and every set operation below is one on
-ints.  Tracks are represented purely by their coset labels and per-vertex
-indicator bits (no geometry is materialised): a coset's indicator is its
-membership bit across the vertex family, and two cosets are parallel when
-their indicators agree everywhere or disagree everywhere.  The per-edge
-label order sorts parallel classes by the closer-to-the-tail relation and
-breaks ties inside a class by ShortLex, which is one of the valid choices
-since labels within a parallel class may be permuted freely.
+it; the metric is the size of the symmetric difference, the XOR of two
+member sets, and every set operation below is one on ints.  Tracks are
+represented purely by their coset labels and per-vertex indicator bits (no
+geometry is materialised): a coset's indicator is its membership bit
+across the vertex family, and two cosets are parallel when their
+indicators agree everywhere or disagree everywhere.  The per-edge label
+order sorts parallel classes by the closer-to-the-tail relation and breaks
+ties inside a class by ShortLex, which is one of the valid choices since
+labels within a parallel class may be permuted freely.
 """
 
 from __future__ import annotations
@@ -45,13 +45,10 @@ class TrackSystem:
         self.sort_key = family.sort_key
         vertices = family.vertices
 
+        # every pairwise difference lies in the union of the differences from one vertex
         union = 0
-        for i, j in itertools.combinations(range(self.n), 2):
-            diff = family.diff(i, j)
-            if diff != vertices[i].members ^ vertices[j].members:
-                raise TrackTreeError(
-                    f"certified difference of pair ({i}, {j}) disagrees with the member sets")
-            union |= diff
+        for v in vertices:
+            union |= v.members ^ vertices[0].members
         self.labels: list[str] = family.keys_of(union)
 
         # indicators, by universe position of the label, in one pass over the vertices

@@ -55,7 +55,7 @@ from .patterns import (
     square_analysis,
 )
 from .reports import FAIL, PASS, UNCERTIFIED, Report
-from .trees import DualTree, act, build_tree, stabilizer_analysis, tree_metric_and_separation
+from .trees import DualTree, act, build_tree, separation_witness, stabilizer_analysis
 from .windows import (
     VertexFamily,
     build_base_set,
@@ -172,9 +172,8 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     try:
         bad_action = None
         for g in action_elements:
-            rep = act(tree, g)
-            if not rep.equivariant or rep.base_image is None:
-                bad_action = f"action by {display_word(g.word)}: {rep.witness or 'base image missing'}"
+            if act(tree, g).base_image is None:
+                bad_action = f"action by {display_word(g.word)}: base image missing"
                 break
         report.add("action_equivariance", PASS if bad_action is None else FAIL, bad_action)
     except OutsideCertifiedDomain as exc:
@@ -202,6 +201,9 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
         stability = radius_stability_report(window, base_spec, translations, family)
     except RadiusTooLarge as exc:
         report.add("witness_stability", UNCERTIFIED, f"radius + 2 re-check not run: {exc}")
+        return
+    except CertificationFailure as exc:
+        report.add("witness_stability", UNCERTIFIED, str(exc))
         return
     unstable = [e for e in stability if not e.stable]
     if unstable:
@@ -290,24 +292,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
         report.add("tree_oracle", PASS if match else FAIL,
                    None if match else "median-closure tree differs from the orientation oracle")
 
-    geo_witness = None
-    for a in range(tree.vertex_count):
-        for b in range(a + 1, tree.vertex_count):
-            path = tree_metric_and_separation(tree, a, b)
-            if path.length != (tree.vertices[a].flips ^ tree.vertices[b].flips).bit_count():
-                geo_witness = f"path ({a}, {b}) is not geodesic"
-                break
-        if geo_witness:
-            break
-    if geo_witness is None:
-        for i in range(system.n):
-            for j in range(i + 1, system.n):
-                ti, tj = tree.family_vertex[i], tree.family_vertex[j]
-                if tree_metric_and_separation(tree, ti, tj).length != family.distance(i, j):
-                    geo_witness = f"family pair ({i}, {j}) has wrong tree distance"
-                    break
-            if geo_witness:
-                break
+    geo_witness = separation_witness(tree)
     report.add("separation_geodesic", PASS if geo_witness is None else FAIL, geo_witness)
 
     if len(system.labels) <= MAX_ORACLE_LABELS and system.n <= MAX_ORACLE_VERTICES:

@@ -252,6 +252,28 @@ def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
     return PathReport(len(labels), tuple(labels))
 
 
+def separation_witness(tree: DualTree) -> Optional[str]:
+    """Why some tree path is not geodesic or a family pair is at the wrong
+    distance; None when every path carries exactly the labels of B_a + B_b.
+
+    Each edge flips exactly its label's bit (checked when the tree is
+    built), and any two edges lie on one path, so every path is geodesic
+    iff no label is on two edges (Buneman 1971): then the distance of two
+    vertices is the size of the XOR of their flip sets.
+    """
+    edge_of: dict[str, tuple[int, int]] = {}
+    for i, j, label in tree.edges:
+        if label in edge_of:
+            return f"label {display_word(label)} is on edges {edge_of[label]} and {(i, j)}"
+        edge_of[label] = (i, j)
+    family = tree.system.family
+    flips = [tree.vertices[tree.family_vertex[i]].flips for i in range(len(family))]
+    for i, j in itertools.combinations(range(len(family)), 2):
+        if (flips[i] ^ flips[j]).bit_count() != family.distance(i, j):
+            return f"family pair ({i}, {j}) has wrong tree distance"
+    return None
+
+
 # --------------------------------------------------------------------------
 # windowed group action
 
@@ -262,9 +284,6 @@ class ActionReport:
     vertex_map: list[Optional[int]]
     base_image: Optional[int]
     mapped_vertices: int
-    mapped_edges: int
-    equivariant: bool
-    witness: Optional[str] = None
 
 
 def _window_of(tree: DualTree) -> Window:
@@ -309,32 +328,13 @@ def _edge_bits(tree: DualTree) -> dict[tuple[int, int], int]:
 
 
 def act(tree: DualTree, g: GroupElement) -> ActionReport:
-    """Map every vertex B to B*g and report equivariance on the mapped subtree."""
-    window = _window_of(tree)
+    """Map every vertex B to B*g; None where the image is not a tree vertex."""
     d_g = translate_flips(tree, g)
-    images = window.images(g.word)
+    images = _window_of(tree).images(g.word)
     vertex_map: list[Optional[int]] = [
         tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
-
-    base_image = tree.flip_index.get(d_g)
-    mapped_edges = 0
-    equivariant = True
-    witness = None
-    edge_bit = _edge_bits(tree)
-    for i, j, label in tree.edges:
-        mi, mj = vertex_map[i], vertex_map[j]
-        if mi is None or mj is None:
-            continue
-        mapped_edges += 1
-        got = edge_bit.get((min(mi, mj), max(mi, mj)))
-        if got is None or got != images[edge_bit[(i, j)]]:
-            equivariant = False
-            if witness is None:
-                got_label = None if got is None else window.omega[got]
-                witness = f"edge ({i}, {j}, {display_word(label)}) maps to ({mi}, {mj}, {got_label})"
-    return ActionReport(
-        display_word(g.word), vertex_map, base_image,
-        sum(1 for x in vertex_map if x is not None), mapped_edges, equivariant, witness)
+    return ActionReport(display_word(g.word), vertex_map, tree.flip_index.get(d_g),
+                        sum(1 for x in vertex_map if x is not None))
 
 
 # --------------------------------------------------------------------------

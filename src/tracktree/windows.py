@@ -377,31 +377,27 @@ class VertexFamily:
     """A deduplicated family of certified base-set translates.
 
     ``universe`` is the core key list in ShortLex order, and vertex sets are
-    int bitsets over it: bit k stands for ``universe[k]``.  ``diffs`` holds
-    the certified symmetric difference of every vertex pair.
+    int bitsets over it: bit k stands for ``universe[k]``.  The difference of
+    two vertices is the XOR of their member sets; for a family built over a
+    window that is their certified difference, since every kept pair was
+    certified clear of the shell and every translate decided on the core.
     """
 
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
-                 base_index: int, diffs: dict[tuple[int, int], int],
-                 sort_key: Callable[[str], tuple], window: Optional[Window] = None,
-                 base_set: Optional[int] = None,
-                 merge_notes: Optional[list[str]] = None):
+                 base_index: int, sort_key: Callable[[str], tuple],
+                 window: Optional[Window] = None, base_set: Optional[int] = None):
         self.universe = list(universe)
         self.vertices = list(vertices)
         self.base_index = base_index
-        self.diffs = dict(diffs)
         self.sort_key = sort_key
         self.window = window
         self.base_set = base_set
-        self.merge_notes = list(merge_notes or [])
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def diff(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        return self.diffs[(min(i, j), max(i, j))]
+        return self.vertices[i].members ^ self.vertices[j].members
 
     def distance(self, i: int, j: int) -> int:
         return self.diff(i, j).bit_count()
@@ -431,12 +427,7 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
             raise ValueError(f"vertex {name!r} duplicates vertex {seen[mask]!r}")
         seen[mask] = name
         vertices.append(FamilyVertex(None, mask, name))
-    diffs = {
-        (i, j): vertices[i].members ^ vertices[j].members
-        for i in range(len(vertices))
-        for j in range(i + 1, len(vertices))
-    }
-    return VertexFamily(universe, vertices, base_index, diffs, sort_key)
+    return VertexFamily(universe, vertices, base_index, sort_key)
 
 
 def build_family(window: Window, base_set: int,
@@ -459,7 +450,6 @@ def build_family(window: Window, base_set: int,
 
     # certify every pair first, then deduplicate
     kept: list[GroupElement] = []
-    merge_notes: list[str] = []
     base_index = None
     for g in translations:
         dup = None
@@ -474,10 +464,6 @@ def build_family(window: Window, base_set: int,
                 break
         if dup is None:
             kept.append(g)
-        else:
-            merge_notes.append(
-                f"translate by {display_word(g.word)} duplicates translate by "
-                f"{display_word(dup.word)}; merged")
         if base_index is None and g.is_identity():
             # the base vertex is the identity's translate, or the earlier one it duplicates
             base_index = len(kept) - 1 if dup is None else kept.index(dup)
@@ -487,13 +473,8 @@ def build_family(window: Window, base_set: int,
                      f"A*{display_word(g.word)}")
         for g in kept
     ]
-    diffs = {}
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            diffs[(i, j)] = window.certified_diff(base_set, kept[i], kept[j])
-    return VertexFamily(window.core, vertices, base_index, diffs,
-                        window.sort_key, window=window, base_set=base_set,
-                        merge_notes=merge_notes)
+    return VertexFamily(window.core, vertices, base_index, window.sort_key,
+                        window=window, base_set=base_set)
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tracktree
 from tracktree import (
+    InstanceSpec,
     corpus,
     crossing_exhibit,
     dot_document,
@@ -22,6 +25,7 @@ from tracktree import (
 )
 from tracktree.cli import main
 from tracktree.errors import ParseError
+from tracktree.instances import make_model
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment
@@ -277,7 +281,7 @@ DEMO_GOLDEN = {
     "02_windows_and_hypotheses.py": "21db5eac9047d21566be0f2dafd40f90",
     "03_pattern_combinatorics.py": "acae7cdc31d88f3390a89c8b1e204577",
     "04_dual_tree.py": "900917b2c17b2219bcef3c1bea5ee91e",
-    "05_action_and_stabilizers.py": "0d07b6211cd20784deae02bef515a58b",
+    "05_action_and_stabilizers.py": "c0936b23ad54a33a040bec10785cefb8",
 }
 
 
@@ -352,6 +356,109 @@ def test_cli_radius_two_over_the_cap_is_uncertified(capsys):
     assert "element cap" in by_name["witness_stability"]["witness"]
     assert all(c["status"] == "pass" for n, c in by_name.items() if n != "witness_stability")
     assert elapsed < 10, elapsed
+
+
+FAR_RULE = """[instance]
+name = far
+
+[group]
+kind = free
+rank = 2
+letters = ab
+
+[window]
+radius = 6
+margin = 2
+
+[subgroup]
+generators = a
+
+[base_set]
+default = out
+rule = bbbbbbb in
+
+[translations]
+elements = 1, B
+"""
+
+SHELL_AT_RADIUS_TWO = """[instance]
+name = shell
+
+[group]
+kind = free_abelian
+rank = 1
+letters = x
+
+[window]
+radius = 4
+margin = 2
+
+[base_set]
+default = out
+rule = x out
+rule = xxxxx in
+
+[translations]
+elements = 1, x, Xx, XX
+"""
+
+
+@pytest.mark.parametrize("text, witness", [
+    # the base set is empty at radius 6, so the translates merge; at radius 8 they differ
+    (FAR_RULE, "uncertified difference for (B, B): duplicate structure changed with radius"),
+    # at radius 6 the base set is no longer empty and a difference reaches the shell
+    (SHELL_AT_RADIUS_TWO, "uncertified difference for (1, x): "
+                          "symmetric difference touches the boundary shell; enlarge radius"),
+])
+def test_cli_radius_two_certification_failure_is_uncertified(tmp_path, capsys, text, witness):
+    spec = tmp_path / "instance.ini"
+    spec.write_text(text)
+    assert main(["check", str(spec)]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["status"] == "uncertified" and captured.err == ""
+    assert report["checks"][-1] == {"name": "witness_stability", "status": "uncertified",
+                                    "witness": witness}
+
+
+@st.composite
+def group_specs(draw):
+    """A group instance of any kind, with random subgroup, base rules (some
+    longer than the radius), includes, excludes, translations and expected K."""
+    kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
+    orders = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+                   if kind == "free_product_cyclic" else ())
+    rank = len(orders) or draw(st.integers(1, 2))
+    letters = "".join(make_model(InstanceSpec("fuzz", kind=kind, rank=rank, orders=orders)).letters)
+    alphabet = letters + letters.upper()
+    margin = draw(st.integers(1, 2))
+    radius = draw(st.integers(2 * margin, 5))
+
+    def words(max_size, max_len=3):
+        return tuple(draw(st.lists(st.text(alphabet, min_size=1, max_size=max_len),
+                                   max_size=max_size)))
+
+    prefixes = st.integers(1, radius + 2).flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
+    rules = draw(st.lists(st.tuples(prefixes, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
+    return InstanceSpec(
+        name="fuzz", kind=kind, rank=rank, orders=orders, radius=radius, margin=margin,
+        subgroup_generators=words(2), base_rules=tuple(rules), base_includes=words(2),
+        base_excludes=words(2), base_default_in=draw(st.booleans()),
+        translations=("1",) + words(4), expected_k_generators=words(1, 2),
+        expected_k_exact=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_specs())
+@example(parse_instance_text(FAR_RULE))
+@example(parse_instance_text(SHELL_AT_RADIUS_TWO))
+def test_every_valid_group_input_ends_in_a_report(spec):
+    try:
+        result = run_instance(spec)
+    except ParseError:
+        return
+    assert result.report.checks
+    assert result.report.status in ("pass", "fail", "uncertified")
 
 
 def test_cli_window_over_the_cap_is_uncertified(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Dual tree construction, separation, geodesics, action, stabilizers."""
 
+import itertools
+
 import pytest
 
 from tracktree import (
@@ -9,15 +11,18 @@ from tracktree import (
     build_tree,
     corpus,
     explicit_family,
+    fig1_exhibit,
     free_group,
     median,
     run_instance,
+    separation_witness,
     stabilizer_analysis,
     subgroup,
     tree_metric_and_separation,
 )
-from tracktree.errors import NotNested, OutsideCertifiedDomain
-from tracktree.trees import median_closure, orientation_consistent
+from tracktree.errors import NotNested, OutsideCertifiedDomain, TrackTreeError
+from tracktree.oracles import random_nested_family
+from tracktree.trees import DualTree, TreeVertex, _assert_tree, median_closure, orientation_consistent
 
 Z = free_group(1, "t")
 
@@ -183,6 +188,61 @@ def test_path_class_blocks_follow_class_order():
     assert len(blocks) == len(set(blocks))
 
 
+def all_pairs_separation(tree):
+    """The separation verdict by one path search per pair of tree vertices."""
+    try:
+        for a, b in itertools.combinations(range(tree.vertex_count), 2):
+            tree_metric_and_separation(tree, a, b)
+    except TrackTreeError:
+        return False
+    fam = tree.system.family
+    return all(
+        tree_metric_and_separation(tree, tree.family_vertex[i], tree.family_vertex[j]).length
+        == fam.distance(i, j)
+        for i, j in itertools.combinations(range(len(fam)), 2))
+
+
+E, VA, VB, VAB = (("e", frozenset()), ("va", frozenset("a")), ("vb", frozenset("b")),
+                  ("vab", frozenset("ab")))
+
+# trees that pass the tree axioms but not separation: (family, edges, family
+# vertex of each tree vertex, witness); tree vertex i has family vertex i's members
+BAD_TREES = [
+    # the path e - va - vab - vb: each edge flips exactly its label, but a is on two edges
+    ([E, VA, VB, VAB], [(0, 1, "a"), (1, 3, "b"), (2, 3, "a")], [0, 1, 2, 3],
+     "label a is on edges (0, 1) and (2, 3)"),
+    # the path e - va - vab with the family vertices of e and va swapped
+    ([E, VA, VAB], [(0, 1, "a"), (1, 2, "b")], [1, 0, 2],
+     "family pair (0, 2) has wrong tree distance"),
+]
+
+
+def hand_built_tree(subsets, edges, family_index):
+    system = build_track_system(explicit_family(["a", "b"], subsets))
+    vertices = [TreeVertex(i, v.members, v.members, "family", k)
+                for i, (v, k) in enumerate(zip(system.family.vertices, family_index))]
+    tree = DualTree(system, vertices, edges, 0)
+    _assert_tree(tree)
+    return tree
+
+
+@pytest.mark.parametrize("subsets, edges, family_index, witness", BAD_TREES)
+def test_separation_witness_on_hand_built_trees(subsets, edges, family_index, witness):
+    tree = hand_built_tree(subsets, edges, family_index)
+    assert separation_witness(tree) == witness
+    assert not all_pairs_separation(tree)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_separation_witness_matches_all_pairs_search(seed):
+    trees = [build_tree(build_track_system(random_nested_family(seed)[0]))]
+    if seed == 0:
+        trees += [run_instance(spec).tree for spec in (*corpus().values(), fig1_exhibit())]
+        trees += [hand_built_tree(*bad[:3]) for bad in BAD_TREES]
+    for tree in trees:
+        assert (separation_witness(tree) is None) == all_pairs_separation(tree)
+
+
 # --------------------------------------------------------------------------
 # group action
 
@@ -192,14 +252,12 @@ def test_act_identity():
     rep = act(result.tree, Z.identity())
     assert rep.vertex_map == list(range(result.tree.vertex_count))
     assert rep.base_image == result.tree.base_index
-    assert rep.equivariant
 
 
 def test_act_shift_on_half_line():
     result = run("E1")
     tree = result.tree
     rep = act(tree, Z.normalize("t"))
-    assert rep.equivariant
     assert rep.mapped_vertices == tree.vertex_count - 1
     # base maps to the vertex of the right-shifted half line
     t_index = [i for i, v in enumerate(result.family.vertices) if v.element.word == "t"][0]
@@ -210,7 +268,6 @@ def test_act_subgroup_element_fixes_everything():
     result = run("E2")
     window = result.family.window
     rep = act(result.tree, window.model.normalize("x"))
-    assert rep.equivariant
     assert rep.base_image == result.tree.base_index
     images = window.images("x")
     assert all(window.omega[images[window.omega.index(c)]] == c for c in result.system.labels)
