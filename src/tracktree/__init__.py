@@ -14,7 +14,6 @@ from .groups import (
     GroupModel,
     SubgroupModel,
     compose,
-    coset_key,
     display_word,
     free_abelian_group,
     free_group,

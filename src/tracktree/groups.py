@@ -2,7 +2,7 @@
 
 Three kinds of group are supported, all with a bit-exact word syntax in
 which lowercase letters are generators and the matching uppercase letter
-is the inverse:
+is the inverse.  Word arithmetic goes through one normal form per kind:
 
 * ``free(rank)``           -- canonical form: freely reduced words.
 * ``free_abelian(rank)``   -- canonical form: exponent vectors rendered as
@@ -14,6 +14,9 @@ is the inverse:
                               repeated lowercase letters.
 
 The identity is the empty word everywhere and is displayed as ``"1"``.
+``compose`` is the normal form of the concatenated words, ``invert`` that
+of the reversed word with its case swapped, and ``GroupModel.ball`` grows
+the canonical words breadth first, since they are closed under prefixes.
 Subgroup membership engines: Stallings folding automaton (free), integer
 lattice reduction (free_abelian), and factor/cyclic special forms for free
 products.  Every engine also gives each right coset a canonical
@@ -24,10 +27,9 @@ ShortLex-least coset keys, the reference for the coset graph of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     ExponentOutOfRange,
@@ -50,10 +52,6 @@ _DEFAULT_LETTERS = {
     FREE_ABELIAN: "xyzuvw",
     FREE_PRODUCT_CYCLIC: "stuvwxyz",
 }
-
-
-def _swap_case(ch: str) -> str:
-    return ch.lower() if ch.isupper() else ch.upper()
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,7 @@ class GroupModel:
         """Canonical form of a raw word; idempotent by construction."""
         for ch in raw:
             self.letter_index(ch)  # raises UnknownLetter
-        if self.kind == FREE:
-            word = _reduce_free(raw)
-        elif self.kind == FREE_ABELIAN:
-            word = _render_vector(self, _word_to_vector(self, raw))
-        else:
-            word = _render_syllables(self, _word_to_syllables(self, raw))
-        return GroupElement(self, word)
+        return GroupElement(self, _normal_form(self, raw))
 
     def element_from_vector(self, vector: Sequence[int]) -> "GroupElement":
         if self.kind != FREE_ABELIAN:
@@ -139,12 +131,15 @@ class GroupModel:
     ) -> list["GroupElement"]:
         """All canonical elements of word length <= radius, in ShortLex order."""
         self.require_ball(radius, max_radius, max_elements)
-        if self.kind == FREE:
-            words = _free_ball(self, radius)
-        elif self.kind == FREE_ABELIAN:
-            words = _abelian_ball(self, radius)
-        else:
-            words = _fpc_ball(self, radius)
+        # canonical words are closed under prefixes, so each one of length
+        # l + 1 is the normal form of one of length l followed by a letter
+        alphabet = [ch for g in self.letters for ch in (g, g.upper())]
+        level = [""]
+        words = [""]
+        for length in range(1, radius + 1):
+            grown = {_normal_form(self, w + ch) for w in level for ch in alphabet}
+            level = sorted((w for w in grown if len(w) == length), key=self.sort_key)
+            words += level
         return [GroupElement(self, w) for w in words]
 
     def require_ball(
@@ -227,14 +222,6 @@ class GroupElement:
     def __repr__(self) -> str:
         return self.word if self.word else "1"
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.model != other.model:
-            raise ModelMismatch("elements live in different group models")
-        return compose(self, other)
-
-    def inverse(self) -> "GroupElement":
-        return invert(self)
-
     def is_identity(self) -> bool:
         return not self.word
 
@@ -243,40 +230,35 @@ class GroupElement:
 
 
 # --------------------------------------------------------------------------
-# free words
+# normal forms, composition and inversion
 
 
-def _reduce_free(raw: str) -> str:
-    stack: list[str] = []
-    for ch in raw:
-        if stack and stack[-1] == _swap_case(ch):
-            stack.pop()
-        else:
-            stack.append(ch)
-    return "".join(stack)
+def _normal_form(model: GroupModel, word: str) -> str:
+    """Canonical word of a word whose letters the model declares."""
+    if model.kind == FREE:
+        stack: list[str] = []
+        for ch in word:
+            if stack and stack[-1] == ch.swapcase():
+                stack.pop()
+            else:
+                stack.append(ch)
+        return "".join(stack)
+    if model.kind == FREE_ABELIAN:
+        return _render_vector(model, _word_to_vector(model, word))
+    return _render_syllables(model, _word_to_syllables(model, word))
 
 
-def _free_ball(model: GroupModel, radius: int) -> list[str]:
-    alphabet = sorted(
-        [ch for g in model.letters for ch in (g, g.upper())],
-        key=model.letter_rank,
-    )
-    words = [""]
-    frontier = [""]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for ch in alphabet:
-                if w and w[-1] == _swap_case(ch):
-                    continue
-                nxt.append(w + ch)
-        words.extend(nxt)
-        frontier = nxt
-    return words
+def compose(e1: GroupElement, e2: GroupElement) -> GroupElement:
+    if e1.model != e2.model:
+        raise ModelMismatch("elements live in different group models")
+    return GroupElement(e1.model, _normal_form(e1.model, e1.word + e2.word))
 
 
-# --------------------------------------------------------------------------
-# free abelian words
+def invert(e: GroupElement) -> GroupElement:
+    return GroupElement(e.model, _normal_form(e.model, e.word[::-1].swapcase()))
+
+
+# free abelian words are exponent vectors rendered as sorted letter runs
 
 
 def _word_to_vector(model: GroupModel, raw: str) -> tuple[int, ...]:
@@ -296,17 +278,6 @@ def _render_vector(model: GroupModel, vec: tuple[int, ...]) -> str:
     return "".join(parts)
 
 
-def _abelian_ball(model: GroupModel, radius: int) -> list[str]:
-    rng = range(-radius, radius + 1)
-    words = []
-    for vec in itertools.product(rng, repeat=model.rank):
-        if sum(abs(e) for e in vec) <= radius:
-            words.append(_render_vector(model, vec))
-    words.sort(key=model.sort_key)
-    return words
-
-
-# --------------------------------------------------------------------------
 # free products of cyclic factors; syllables are (letter_index, exponent)
 
 
@@ -325,82 +296,13 @@ def _word_to_syllables(model: GroupModel, raw: str) -> list[list[int]]:
     return stack
 
 
-def _merge_syllables(model: GroupModel, left: list[list[int]], right: Iterable[Sequence[int]]) -> list[list[int]]:
-    stack = [list(s) for s in left]
-    for i, e in right:
-        n = model.orders[i]
-        if stack and stack[-1][0] == i:
-            stack[-1][1] = (stack[-1][1] + e) % n
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([i, e % n])
-    return stack
-
-
-def _render_syllables(model: GroupModel, syllables: Iterable[Sequence[int]]) -> str:
+def _render_syllables(model: GroupModel, syllables: Sequence[Sequence[int]]) -> str:
     out = []
     for i, e in syllables:
         if not 1 <= e <= model.orders[i] - 1:
             raise ExponentOutOfRange(f"exponent {e} out of range for factor {model.letters[i]!r}")
         out.append(model.letters[i] * e)
     return "".join(out)
-
-
-def _fpc_ball(model: GroupModel, radius: int) -> list[str]:
-    # BFS over canonical words, appending one lowercase letter at a time.
-    words = [""]
-    frontier = [("", -1, 0)]  # (word, last factor, last exponent)
-    for _ in range(radius):
-        nxt = []
-        for w, last, exp in frontier:
-            for i, ch in enumerate(model.letters):
-                if i == last:
-                    if exp + 1 <= model.orders[i] - 1:
-                        nxt.append((w + ch, i, exp + 1))
-                else:
-                    nxt.append((w + ch, i, 1))
-        words.extend(w for w, _, _ in nxt)
-        frontier = nxt
-    words.sort(key=model.sort_key)
-    return words
-
-
-# --------------------------------------------------------------------------
-# composition and inversion
-
-
-def compose(e1: GroupElement, e2: GroupElement) -> GroupElement:
-    if e1.model != e2.model:
-        raise ModelMismatch("elements live in different group models")
-    model = e1.model
-    if model.kind == FREE:
-        word = e1.word
-        stack = list(word)
-        for ch in e2.word:
-            if stack and stack[-1] == _swap_case(ch):
-                stack.pop()
-            else:
-                stack.append(ch)
-        return GroupElement(model, "".join(stack))
-    if model.kind == FREE_ABELIAN:
-        v1 = _word_to_vector(model, e1.word)
-        v2 = _word_to_vector(model, e2.word)
-        return GroupElement(model, _render_vector(model, tuple(a + b for a, b in zip(v1, v2))))
-    merged = _merge_syllables(model, _word_to_syllables(model, e1.word), _word_to_syllables(model, e2.word))
-    return GroupElement(model, _render_syllables(model, merged))
-
-
-def invert(e: GroupElement) -> GroupElement:
-    model = e.model
-    if model.kind == FREE:
-        return GroupElement(model, "".join(_swap_case(ch) for ch in reversed(e.word)))
-    if model.kind == FREE_ABELIAN:
-        vec = _word_to_vector(model, e.word)
-        return GroupElement(model, _render_vector(model, tuple(-a for a in vec)))
-    syl = _word_to_syllables(model, e.word)
-    inv = [[i, model.orders[i] - exp] for i, exp in reversed(syl)]
-    return GroupElement(model, _render_syllables(model, inv))
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +342,7 @@ class FoldingAutomaton:
                     next_.append({})
                     t = len(next_) - 1
                     next_[state][ch] = t
-                    next_[t][_swap_case(ch)] = state
+                    next_[t][ch.swapcase()] = state
                 state = t
             pending.append((state, 0))
 
@@ -496,23 +398,20 @@ class FoldingAutomaton:
             for ch, t in next_[s].items():
                 self.next[remap[s]][ch] = remap[find(t)]
 
+    def step(self, fp: tuple[int, str], ch: str) -> tuple[int, str]:
+        """Schreier position of H*w*ch, given fp, the position of H*w."""
+        state, tail = fp
+        if tail:
+            return (state, tail[:-1]) if tail[-1] == ch.swapcase() else (state, tail + ch)
+        t = self.next[state].get(ch)
+        return (state, ch) if t is None else (t, "")
+
     def trace(self, word: str) -> tuple[int, str]:
         """Schreier position of the coset H*word: (core state, hanging tail)."""
-        state = 0
-        tail: list[str] = []
+        fp = (0, "")
         for ch in word:
-            if tail:
-                if tail[-1] == _swap_case(ch):
-                    tail.pop()
-                else:
-                    tail.append(ch)
-            else:
-                t = self.next[state].get(ch)
-                if t is None:
-                    tail.append(ch)
-                else:
-                    state = t
-        return state, "".join(tail)
+            fp = self.step(fp, ch)
+        return fp
 
     def accepts(self, word: str) -> bool:
         return self.trace(word) == (0, "")
@@ -530,14 +429,7 @@ class _FreeEngine(_Engine):
         return self.automaton.trace(e.word)
 
     def advance(self, fp, rep: str, step: str):
-        # one more letter of FoldingAutomaton.trace
-        state, tail = fp
-        if tail:
-            if tail[-1] == step.swapcase():
-                return state, tail[:-1]
-            return state, tail + step
-        t = self.automaton.next[state].get(step)
-        return (state, step) if t is None else (t, "")
+        return self.automaton.step(fp, step)
 
 
 class IntegerLattice:
@@ -618,11 +510,7 @@ class _FactorCyclicEngine(_Engine):
     def __init__(self, model: GroupModel, letter_index: int, exponents: Sequence[int]):
         self.model = model
         self.letter_index = letter_index
-        n = model.orders[letter_index]
-        g = n
-        for e in exponents:
-            g = _gcd(g, e % n)
-        self.step = g if g else n
+        self.step = math.gcd(model.orders[letter_index], *exponents)
 
     def member(self, e: GroupElement) -> bool:
         syl = _word_to_syllables(self.model, e.word)
@@ -705,12 +593,6 @@ class _CyclicEngine(_Engine):
                 if moved.sort_key() < best.sort_key():
                     best = moved
         return best.word
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -796,13 +678,6 @@ class CosetTable:
             return self.key_of[e.word]
         except KeyError:
             raise SearchBudgetExceeded(f"element {e!r} lies outside the tabulated ball") from None
-
-
-def coset_key(sub: SubgroupModel, e: GroupElement, table: CosetTable) -> str:
-    """ShortLex-least representative of He, looked up in a ball table."""
-    if table.sub is not sub and table.sub.generators != sub.generators:
-        raise ModelMismatch("coset table was built for a different subgroup")
-    return table.key(e)
 
 
 def display_word(word: str) -> str:

@@ -35,10 +35,10 @@ class TrackSystem:
     universe, and ``class_norm[k]`` is its indicator made 0 at the base vertex.
     """
 
-    def __init__(self, family: VertexFamily, max_vertices: int = DEFAULT_MAX_VERTICES):
-        if len(family.vertices) > max_vertices:
+    def __init__(self, family: VertexFamily):
+        if len(family.vertices) > DEFAULT_MAX_VERTICES:
             raise TooLarge(
-                f"family of {len(family.vertices)} vertices exceeds the cap {max_vertices}")
+                f"family of {len(family.vertices)} vertices exceeds the cap {DEFAULT_MAX_VERTICES}")
         self.family = family
         self.n = len(family.vertices)
         self.base_index = family.base_index
@@ -74,8 +74,8 @@ class TrackSystem:
         }
 
 
-def build_track_system(family: VertexFamily, max_vertices: int = DEFAULT_MAX_VERTICES) -> TrackSystem:
-    return TrackSystem(family, max_vertices=max_vertices)
+def build_track_system(family: VertexFamily) -> TrackSystem:
+    return TrackSystem(family)
 
 
 # --------------------------------------------------------------------------

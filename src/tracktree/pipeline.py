@@ -26,7 +26,7 @@ from .errors import (
     UnknownLetter,
     UnsupportedSubgroup,
 )
-from .groups import GroupElement, display_word
+from .groups import display_word
 from .instances import (
     InstanceSpec,
     make_base_spec,
@@ -163,15 +163,11 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
         return
 
     tree = result.tree
-    action_elements: list[GroupElement] = []
-    seen_words = set()
-    for g in itertools.chain(translations, expected_k.generators):
-        if g.word not in seen_words:
-            seen_words.add(g.word)
-            action_elements.append(g)
+    # an expected-K generator fixes A, and so the base vertex, or it has
+    # failed expected_stabilizer already; only the translations are acted on
     try:
         bad_action = None
-        for g in action_elements:
+        for g in translations:
             if act(tree, g).base_image is None:
                 bad_action = f"action by {display_word(g.word)}: base image missing"
                 break

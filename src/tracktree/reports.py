@@ -38,7 +38,6 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
     timing_ms: float = 0.0
-    error: Optional[str] = None
 
     def add(self, name: str, status: str, witness: Optional[str] = None) -> CheckResult:
         if status == FAIL and witness is None:
@@ -49,8 +48,6 @@ class Report:
 
     @property
     def status(self) -> str:
-        if self.error is not None:
-            return "error"
         worst = PASS
         for check in self.checks:
             if _SEVERITY[check.status] > _SEVERITY[worst]:
@@ -62,7 +59,7 @@ class Report:
         return [c.witness for c in self.checks if c.witness]
 
     def exit_code(self) -> int:
-        return {"pass": 0, "fail": 2, "uncertified": 3, "error": 4}[self.status]
+        return {PASS: 0, FAIL: 2, UNCERTIFIED: 3}[self.status]
 
 
 def report_document(report: Report, include_timings: bool = False) -> str:
@@ -77,8 +74,6 @@ def report_document(report: Report, include_timings: bool = False) -> str:
         "witnesses": report.witnesses,
         "timing_ms": round(report.timing_ms, 3) if include_timings else 0,
     }
-    if report.error is not None:
-        doc["error"] = report.error
     return json.dumps(doc, indent=2) + "\n"
 
 

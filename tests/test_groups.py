@@ -1,5 +1,6 @@
 """Group arithmetic: normal forms, balls, membership engines, coset keys."""
 
+import itertools
 import random
 
 import pytest
@@ -150,20 +151,39 @@ def test_ball_nested_and_closed_form():
         model = free_abelian_group(r)
         count = 0
         span = range(-radius, radius + 1)
-        import itertools
         for vec in itertools.product(span, repeat=r):
             if sum(abs(x) for x in vec) <= radius:
                 count += 1
         assert len(model.ball(radius)) == count
 
 
-@pytest.mark.parametrize("model", [
+BALL_MODELS = [
     Z, F2, free_group(3), free_abelian_group(1), Z2, free_abelian_group(3),
     Z2Z2, Z2Z3, free_product_of_cyclics([3, 4, 5]),
-])
+]
+
+
+@pytest.mark.parametrize("model", BALL_MODELS)
 def test_ball_size_closed_form(model):
     for radius in range(7):
         assert model.ball_size(radius) == len(model.ball(radius))
+
+
+@pytest.mark.parametrize("model", BALL_MODELS)
+def test_ball_is_every_short_normal_form(model):
+    # the breadth-first ball against the normal forms of all raw words
+    letters = [ch for g in model.letters for ch in (g, g.upper())]
+    forms = set()
+    for radius in range(5):
+        forms.update(model.normalize("".join(raw)).word
+                     for raw in itertools.product(letters, repeat=radius))
+        ball = model.ball(radius)
+        assert [e.word for e in ball] == sorted(
+            (w for w in forms if len(w) <= radius), key=model.sort_key)
+    for e in ball:
+        assert compose(e, invert(e)).is_identity()
+        assert compose(invert(e), e).is_identity()
+        assert invert(invert(e)) == e
 
 
 def test_ball_cap_applies_to_closed_form_size():
@@ -328,18 +348,14 @@ def test_coset_key_left_stable_and_minimal():
                 assert table.key(moved) == key
 
 
-def test_coset_key_module_function_and_guards():
-    from tracktree import coset_key
-    from tracktree.errors import ModelMismatch, SearchBudgetExceeded
+def test_coset_table_key_guards():
+    from tracktree.errors import SearchBudgetExceeded
 
     sub = subgroup(F2, ["a"])
     table = CosetTable(sub, F2.ball(3))
-    assert coset_key(sub, F2.normalize("aab"), table) == "b"
+    assert table.key(F2.normalize("aab")) == "b"
     with pytest.raises(SearchBudgetExceeded):
         table.key(F2.normalize("bbbb"))  # outside the tabulated ball
-    other = subgroup(F2, ["b"])
-    with pytest.raises(ModelMismatch):
-        coset_key(other, F2.normalize("a"), table)
 
 
 def test_exponent_out_of_range():

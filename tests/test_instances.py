@@ -297,6 +297,34 @@ def test_demo_output_golden():
             assert hashlib.md5(proc.stdout).hexdigest() == want, (name, seed)
 
 
+# (instance, radius, margin) -> (exit code, stdout md5) of `check` at two window
+# sizes per instance besides the shipped one, and E3 over radius 5-9; E3 at
+# margin 1 is uncertified, at margin 3 fails, and at radius 9 hits the element cap
+CHECK_WINDOW_GOLDEN = {
+    ("E1", 6, 2): (0, "d28a753d11087f37ecd4a2f8efd3d060"),
+    ("E1", 10, 3): (0, "c53ea23c52c108f8c4b96df38bde98f7"),
+    ("E2", 5, 2): (0, "89c2a66a00d755e42ad1ef9200d9f56c"),
+    ("E2", 8, 3): (0, "8763f27e0ba6ce7ffcfd0829bf27ed2c"),
+    ("E3", 5, 1): (3, "b61806af05a1322a58a6850b3da78938"),
+    ("E3", 7, 3): (2, "46a4f505a347b2316e9f48eb95ee911f"),
+    ("E4", 6, 2): (0, "423d8a37a81173cc4199bc0fd41c7901"),
+    ("E4", 9, 3): (0, "066f634e26895f3b0de4066bed9468ad"),
+    ("E3", 5, 2): (0, "533165f49d7f00a87ecb5a8da0b5b32d"),
+    ("E3", 6, 2): (0, "d244855b80feaee3ffbbcef3ee4de626"),
+    ("E3", 7, 2): (0, "1422ffe12f4d069692fd0b30c68ac77b"),
+    ("E3", 8, 2): (0, "4aff313820020e341c0f632f45fc515e"),
+    ("E3", 9, 2): (3, "7a05097a548f3579214952666bd52077"),
+}
+
+
+@pytest.mark.parametrize("name,radius,margin", sorted(CHECK_WINDOW_GOLDEN))
+def test_check_window_sizes_golden(capsys, name, radius, margin):
+    code = main(["check", str(INSTANCE_DIR / f"{name}.ini"),
+                 "--radius", str(radius), "--margin", str(margin)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.md5(out.encode()).hexdigest()) == CHECK_WINDOW_GOLDEN[name, radius, margin]
+
+
 def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("not an instance\n")
@@ -419,6 +447,45 @@ def test_cli_radius_two_certification_failure_is_uncertified(tmp_path, capsys, t
     assert report["status"] == "uncertified" and captured.err == ""
     assert report["checks"][-1] == {"name": "witness_stability", "status": "uncertified",
                                     "witness": witness}
+
+
+MOVED_EXPECTED_K = """[instance]
+name = moved-k
+
+[group]
+kind = free
+rank = 2
+letters = ab
+
+[window]
+radius = 4
+margin = 2
+
+[base_set]
+default = out
+rule = a in
+
+[translations]
+elements = 1
+
+[expected_k]
+generators = A
+"""
+
+
+def test_cli_expected_k_moving_the_base_set_fails_only_its_own_checks(tmp_path, capsys):
+    # A moves the base set: expected_stabilizer and stabilizer_base fail, while
+    # the action check acts on the translations alone and passes
+    spec = tmp_path / "moved.ini"
+    spec.write_text(MOVED_EXPECTED_K)
+    assert main(["check", str(spec)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
+    assert failed == ["expected_stabilizer", "stabilizer_base"]
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["action_equivariance"]["status"] == "pass"
+    assert report["witnesses"] == ["expected stabilizer element A moves the base set",
+                                   "expected stabilizer element A moves the base vertex"]
 
 
 @st.composite
