@@ -47,7 +47,7 @@ print("  properness heuristic:", "pass" if report.properness_ok else "fail",
       "-", report.properness_detail)
 print("  expected stabilizer fixes the base set:", report.expected_k_ok)
 
-stability = radius_stability_report(window, spec, translations)
+stability = radius_stability_report(window, spec, translations, family)
 print()
 print("radius+2 stability: all witness sets unchanged ->",
       all(e.stable for e in stability))

@@ -45,8 +45,10 @@ print("crossing lines between the dominant sides:", report.crossing_count,
 print()
 print("== parallel classes ==")
 system = build_track_system(fig1)
-print("classes:", system.classes)
-print("tracks c1 and c2 parallel -> never cross:", not crossing_test(system, "c1", "c2"))
+print("classes:", [tuple(fig1.keys_of(bits)) for bits in system.class_bits])
+# a track is named by the universe position of its coset
+c1, c2 = fig1.universe.index("c1"), fig1.universe.index("c2")
+print("tracks c1 and c2 parallel -> never cross:", not crossing_test(system, c1, c2))
 
 print()
 print("== a genuine crossing ==")

@@ -16,16 +16,17 @@ from tracktree import (
 )
 
 result = run_instance(corpus()["E4"])
-system, tree = result.system, result.tree
+system, tree, fam = result.system, result.tree, result.family
 
+# labels are universe positions; keys_of and universe give their coset keys
 print("instance E4:", result.report.status)
-print("tracks:", [c or "1" for c in system.labels])
-print("parallel classes:", system.classes)
+print("tracks:", [c or "1" for c in fam.keys_of(system.label_bits)])
+print("parallel classes:", [tuple(fam.keys_of(bits)) for bits in system.class_bits])
 
 print()
 print("tree vertices (flip set relative to the base vertex o):")
 for v in tree.vertices:
-    flips = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(v.flips))) + "}"
+    flips = "{" + ",".join(sorted(w or "1" for w in fam.keys_of(v.flips))) + "}"
     print(f"  B{v.index}: {flips:12s} {v.kind}")
 
 print()
@@ -33,7 +34,7 @@ print("unique paths realise symmetric differences:")
 for a, b in ((0, 4), (3, 4)):
     path = tree_metric_and_separation(tree, a, b)
     print(f"  path(B{a}, B{b}): length {path.length}, labels",
-          [c or "1" for c in path.labels])
+          [fam.universe[p] or "1" for p in path.labels])
 
 oracle = oracle_orientations(system)
 print()

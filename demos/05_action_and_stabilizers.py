@@ -29,7 +29,8 @@ print("base stabilizer equals the declared one exactly:", stab.base_equals_expec
 print()
 print("edge stabilizers and conjugate containment:")
 for (i, j, label), words, ok in zip(tree.edges, stab.edge_stabilizers, stab.edge_conjugates_ok):
-    print(f"  edge B{i}--B{j} [{label or '1'}]: {words}, conjugate check {'ok' if ok else 'FAILED'}")
+    key = result.family.universe[label]
+    print(f"  edge B{i}--B{j} [{key or '1'}]: {words}, conjugate check {'ok' if ok else 'FAILED'}")
 
 cu = stab.class_union
 print()

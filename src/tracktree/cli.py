@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import IoError, ParseError, TooLarge, TrackTreeError
 from .instances import Expectations, InstanceSpec, corpus, load_instance
 from .oracles import (
-    labeling_matches_canonical,
+    labeling_verdict,
     oracle_labelings,
     oracle_orientations,
     random_nested_family,
@@ -88,17 +88,12 @@ def _cmd_oracle(args) -> int:
         if skipped is not None:
             doc["labelings_skipped"] = skipped
         else:
-            canonical = result.labels
-            canon = tuple(canonical[e] for e in lab.edges)
+            verdict = labeling_verdict(system, result.labels, lab)
             doc["labelings"] = lab.count
             doc["labelings_expected"] = lab.expected_count
-            doc["canonical_is_valid"] = canon in lab.labelings
-            doc["all_within_class"] = all(
-                labeling_matches_canonical(system, canonical, L, lab.edges)
-                for L in lab.labelings)
-            if not (doc["orientations_match"] and doc["canonical_is_valid"]
-                    and doc["all_within_class"]
-                    and lab.count == lab.expected_count):
+            doc["canonical_is_valid"] = verdict.canonical_is_valid
+            doc["all_within_class"] = verdict.all_within_class
+            if not all(verdict):
                 code = max(code, 2)
         if not doc["orientations_match"]:
             code = max(code, 2)

@@ -344,7 +344,7 @@ def corpus() -> dict[str, InstanceSpec]:
         subgroup_generators=("a",),
         base_rules=(("b", True),),
         translations=("1", "b", "B", "bb", "a"),
-        expected_k_generators=("a",), expected_k_exact=True,
+        expected_k_generators=("a",),
         expectations=Expectations(nested=True, tree_vertices=4, tree_edges=3,
                                   class_sizes=(1, 1, 1)),
     ).validate()

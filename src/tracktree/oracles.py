@@ -9,14 +9,15 @@ being derived from the class order.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import TooLarge
 from .patterns import TrackSystem
 from .trees import DualTree, orientation_consistent
-from .windows import VertexFamily, explicit_family
+from .windows import VertexFamily, bit_positions, explicit_family
 
 MAX_ORACLE_CLASSES = 12
 MAX_ORACLE_LABELS = 8
@@ -26,8 +27,8 @@ DFS_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class OrientationOracle:
-    vertex_flips: frozenset[frozenset[str]]
-    edges: frozenset[tuple[tuple[str, ...], tuple[str, ...], str]]
+    vertex_flips: frozenset[int]              # flip sets, bitsets over the universe
+    edges: frozenset[tuple[int, int, int]]    # (lesser flips, greater flips, label)
 
 
 def oracle_orientations(system: TrackSystem) -> OrientationOracle:
@@ -35,64 +36,48 @@ def oracle_orientations(system: TrackSystem) -> OrientationOracle:
 
     Enumerates every one of the 2^classes side choices, keeps the
     consistent ones, and subdivides adjacent pairs (differing in a single
-    class) by the class's ShortLex-ordered cosets.
+    class) by the class's labels in universe (ShortLex) order.
     """
-    m = len(system.classes)
+    m = len(system.class_bits)
     if m > MAX_ORACLE_CLASSES:
         raise TooLarge(f"{m} classes exceed the oracle cap {MAX_ORACLE_CLASSES}")
-    sk = system.sort_key
 
     consistent = [o for o in range(1 << m) if orientation_consistent(system, o)]
 
-    def flips_of(orientation: int) -> frozenset[str]:
-        out: set[str] = set()
+    def flips_of(orientation: int) -> int:
+        out = 0
         for k in range(m):
             if (orientation >> k) & 1:
-                out.update(system.classes[k])
-        return frozenset(out)
+                out |= system.class_bits[k]
+        return out
 
-    vertices: set[frozenset[str]] = {flips_of(o) for o in consistent}
-    edges: set[tuple[tuple[str, ...], tuple[str, ...], str]] = set()
-
-    def ekey(flips: frozenset[str]) -> tuple[str, ...]:
-        return tuple(sorted(flips, key=sk))
-
-    def add_edge(a: frozenset[str], b: frozenset[str], label: str):
-        ka, kb = ekey(a), ekey(b)
-        if (len(ka), ka) > (len(kb), kb):
-            ka, kb = kb, ka
-        edges.add((ka, kb, label))
-
+    vertices: set[int] = {flips_of(o) for o in consistent}
+    edges: set[tuple[int, int, int]] = set()
     for a, b in itertools.combinations(consistent, 2):
         x = a ^ b
         if x & (x - 1):
             continue
         k = x.bit_length() - 1
         tail = a if not (a >> k) & 1 else b
-        labels = sorted(system.classes[k], key=sk)
+        labels = bit_positions(system.class_bits[k])
         prev = flips_of(tail)
         for step, label in enumerate(labels):
-            nxt = prev | {label}
+            nxt = prev | 1 << label
             if step == len(labels) - 1:
-                nxt = flips_of(tail) | set(system.classes[k])
-            nxt = frozenset(nxt)
+                nxt = flips_of(tail) | system.class_bits[k]
             vertices.add(nxt)
-            add_edge(prev, nxt, label)
+            edges.add((min(prev, nxt), max(prev, nxt), label))
             prev = nxt
 
     return OrientationOracle(frozenset(vertices), frozenset(edges))
 
 
 def tree_matches_oracle(tree: DualTree, oracle: OrientationOracle) -> bool:
-    """Compare the tree's flip sets and edges with the oracle's, as keys."""
-    flips = [tuple(tree.system.family.keys_of(v.flips)) for v in tree.vertices]
-    edges = set()
-    for i, j, label in tree.edges:
-        a, b = flips[i], flips[j]
-        if (len(a), a) > (len(b), b):
-            a, b = b, a
-        edges.add((a, b, label))
-    return frozenset(map(frozenset, flips)) == oracle.vertex_flips and edges == oracle.edges
+    """Compare the tree's flip sets and edges with the oracle's."""
+    flips = [v.flips for v in tree.vertices]
+    edges = {(min(flips[i], flips[j]), max(flips[i], flips[j]), label)
+             for i, j, label in tree.edges}
+    return frozenset(flips) == oracle.vertex_flips and edges == oracle.edges
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +87,7 @@ def tree_matches_oracle(tree: DualTree, oracle: OrientationOracle) -> bool:
 @dataclass
 class LabelingOracle:
     edges: list[tuple[int, int]]
-    labelings: list[tuple[tuple[str, ...], ...]]
+    labelings: list[tuple[tuple[int, ...], ...]]  # per edge, its label positions in order
     count: int
     expected_count: int
 
@@ -115,18 +100,19 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
     The two-triangle condition for disjoint edge pairs follows from the
     corner condition, so it is not enforced separately.
     """
-    if len(system.labels) > MAX_ORACLE_LABELS:
-        raise TooLarge(f"{len(system.labels)} labels exceed the oracle cap {MAX_ORACLE_LABELS}")
+    tracks = system.label_bits.bit_count()
+    if tracks > MAX_ORACLE_LABELS:
+        raise TooLarge(f"{tracks} labels exceed the oracle cap {MAX_ORACLE_LABELS}")
     if system.n > MAX_ORACLE_VERTICES:
         raise TooLarge(f"{system.n} vertices exceed the oracle cap {MAX_ORACLE_VERTICES}")
 
     family = system.family
-    edge_keys = {}
+    edge_diff = {}
     for i, j in itertools.combinations(range(system.n), 2):
-        keys = family.keys_of(family.diff(i, j))
-        if keys:
-            edge_keys[(i, j)] = keys
-    edges = list(edge_keys)
+        diff = family.diff(i, j)
+        if diff:
+            edge_diff[(i, j)] = diff
+    edges = list(edge_diff)
     edge_index = {e: k for k, e in enumerate(edges)}
     corner_checks: dict[int, list[tuple[int, bool, bool, int]]] = {k: [] for k in range(len(edges))}
     # for each unordered edge pair sharing a vertex, record the corner constraint
@@ -135,7 +121,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         if not shared:
             continue
         a = shared.pop()
-        count = len(set(edge_keys[e1]).intersection(edge_keys[e2]))
+        count = (edge_diff[e1] & edge_diff[e2]).bit_count()
         if count == 0:
             continue
         k1, k2 = edge_index[e1], edge_index[e2]
@@ -143,11 +129,11 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
             (min(k1, k2), e1[0] != a, e2[0] != a, count)
             if k1 < k2 else (min(k1, k2), e2[0] != a, e1[0] != a, count))
 
-    labels_per_edge = list(edge_keys.values())  # ShortLex order
+    labels_per_edge = [bit_positions(diff) for diff in edge_diff.values()]  # ShortLex order
 
     budget = [DFS_BUDGET]
-    chosen: list[tuple[str, ...]] = []
-    found: list[tuple[tuple[str, ...], ...]] = []
+    chosen: list[tuple[int, ...]] = []
+    found: list[tuple[tuple[int, ...], ...]] = []
 
     def orders(k: int):
         """Every order of edge k's labels that matches its corners with the
@@ -156,7 +142,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         generated on each visit rather than stored (an 8-label edge has 8!)."""
         labels = labels_per_edge[k]
         size = len(labels)
-        fixed: dict[int, str] = {}
+        fixed: dict[int, int] = {}
         for other, rev_other, rev_self, count in corner_checks[k]:
             seq = chosen[other][::-1] if rev_other else chosen[other]
             for t in range(count):
@@ -187,30 +173,48 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
 
     dfs(0)
     expected = 1
-    for cls in system.classes:
-        for f in range(2, len(cls) + 1):
-            expected *= f
+    for bits in system.class_bits:
+        expected *= math.factorial(bits.bit_count())
     return LabelingOracle(edges, found, len(found), expected)
 
 
 def labeling_matches_canonical(system: TrackSystem,
-                               canonical: dict[tuple[int, int], tuple[str, ...]],
-                               labeling: tuple[tuple[str, ...], ...],
+                               canonical: dict[tuple[int, int], tuple[int, ...]],
+                               labeling: tuple[tuple[int, ...], ...],
                                edges: list[tuple[int, int]]) -> bool:
     """True when the labeling is the canonical one composed with a single
     within-class permutation applied consistently on every edge."""
-    mapping: dict[str, str] = {}
+    indicator, full = system.indicator, system._full
+    mapping: dict[int, int] = {}
     for edge, seq in zip(edges, labeling):
         want = canonical[edge]
         if len(seq) != len(want):
             return False
         for a, b in zip(want, seq):
-            if system.class_of[a] != system.class_of[b]:
+            # parallel labels: indicators agree everywhere or disagree everywhere
+            if indicator[a] not in (indicator[b], indicator[b] ^ full):
                 return False
             if mapping.setdefault(a, b) != b:
                 return False
     image = list(mapping.values())
     return len(set(image)) == len(image)
+
+
+class LabelingVerdict(NamedTuple):
+    canonical_is_valid: bool   # the canonical labeling is among the enumerated ones
+    all_within_class: bool     # every enumerated one is it up to a within-class permutation
+    count_matches: bool        # as many as the product of the class-size factorials
+
+
+def labeling_verdict(system: TrackSystem, canonical: dict[tuple[int, int], tuple[int, ...]],
+                     oracle: LabelingOracle) -> LabelingVerdict:
+    """The labeling oracle's checks of the canonical labels; all hold on a
+    nested system."""
+    return LabelingVerdict(
+        tuple(canonical[e] for e in oracle.edges) in oracle.labelings,
+        all(labeling_matches_canonical(system, canonical, lab, oracle.edges)
+            for lab in oracle.labelings),
+        oracle.count == oracle.expected_count)
 
 
 # --------------------------------------------------------------------------

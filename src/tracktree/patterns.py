@@ -3,13 +3,14 @@
 Vertices are subsets of a finite coset universe, held as int bitsets over
 it; the metric is the size of the symmetric difference, the XOR of two
 member sets, and every set operation below is one on ints.  Tracks are
-represented purely by their coset labels and per-vertex indicator bits (no
-geometry is materialised): a coset's indicator is its membership bit
-across the vertex family, and two cosets are parallel when their
-indicators agree everywhere or disagree everywhere.  The per-edge label
-order sorts parallel classes by the closer-to-the-tail relation and breaks
-ties inside a class by ShortLex, which is one of the valid choices since
-labels within a parallel class may be permuted freely.
+represented purely by their labels, the universe positions of their cosets,
+and per-vertex indicator bits (no geometry is materialised): a coset's
+indicator is its membership bit across the vertex family, and two cosets
+are parallel when their indicators agree everywhere or disagree
+everywhere.  The per-edge label order sorts parallel classes by the
+closer-to-the-tail relation and breaks ties inside a class by ShortLex,
+which is one of the valid choices since labels within a parallel class may
+be permuted freely.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ DEFAULT_MAX_VERTICES = 16
 class TrackSystem:
     """Coset-labelled tracks over a vertex family.
 
-    ``labels`` are the keys of the union of all pairwise differences, in
-    ShortLex order (cosets with constant indicator label no track meeting
-    the family), and ``mask`` maps each to its indicator.  ``classes``
-    partitions the labels into parallel classes, listed by their
-    ShortLex-least representative; class k is ``class_bits[k]`` over the
-    universe, and ``class_norm[k]`` is its indicator made 0 at the base vertex.
+    A label is its position in the family's universe.  ``label_bits`` is the
+    union of all pairwise differences (cosets with constant indicator label
+    no track meeting the family), and ``indicator`` maps each label to its
+    membership bits across the vertices.  Class k of parallel labels is
+    ``class_bits[k]`` over the universe, listed by least position, and
+    ``class_norm[k]`` is its indicator made 0 at the base vertex.
     """
 
     def __init__(self, family: VertexFamily):
@@ -42,36 +43,30 @@ class TrackSystem:
         self.family = family
         self.n = len(family.vertices)
         self.base_index = family.base_index
-        self.sort_key = family.sort_key
         vertices = family.vertices
 
         # every pairwise difference lies in the union of the differences from one vertex
         union = 0
         for v in vertices:
             union |= v.members ^ vertices[0].members
-        self.labels: list[str] = family.keys_of(union)
+        self.label_bits = union
 
         # indicators, by universe position of the label, in one pass over the vertices
-        indicator = dict.fromkeys(bit_positions(union), 0)
+        self.indicator: dict[int, int] = dict.fromkeys(bit_positions(union), 0)
         for i, v in enumerate(vertices):
             for k in bit_positions(v.members & union):
-                indicator[k] |= 1 << i
-        self.mask: dict[str, int] = dict(zip(self.labels, indicator.values()))
+                self.indicator[k] |= 1 << i
         self._full = (1 << self.n) - 1
 
         # labels grouped by their indicator normalised to vanish at the base
         # vertex; positions ascend, so classes come by least representative
         base_bit = 1 << self.base_index
         by_norm: dict[int, int] = {}
-        for k, m in indicator.items():
+        for k, m in self.indicator.items():
             norm = m ^ self._full if m & base_bit else m
             by_norm[norm] = by_norm.get(norm, 0) | 1 << k
         self.class_norm: list[int] = list(by_norm)
         self.class_bits: list[int] = list(by_norm.values())
-        self.classes: list[tuple[str, ...]] = [tuple(family.keys_of(b)) for b in self.class_bits]
-        self.class_of: dict[str, int] = {
-            c: idx for idx, cls in enumerate(self.classes) for c in cls
-        }
 
 
 def build_track_system(family: VertexFamily) -> TrackSystem:
@@ -199,17 +194,23 @@ def square_analysis(family: VertexFamily, u: int, v: int, w: int, z: int) -> Squ
 # crossing and nestedness
 
 
+def _least(mask: int) -> int:
+    """Position of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _quadrants(m1: int, m2: int, full: int) -> tuple[int, int, int, int]:
     """Vertex masks of the four sides-intersections of two indicator masks,
     ordered (out, out), (out, in), (in, out), (in, in)."""
     return (~m1 & ~m2 & full, ~m1 & m2 & full, m1 & ~m2 & full, m1 & m2)
 
 
-def crossing_test(system: TrackSystem, c1: str, c2: str) -> bool:
-    """True iff all four side-intersection quadrants contain a family vertex."""
-    if c1 == c2:
+def crossing_test(system: TrackSystem, p1: int, p2: int) -> bool:
+    """True iff all four side-intersection quadrants of the labels at
+    universe positions p1 and p2 contain a family vertex."""
+    if p1 == p2:
         raise ValueError("crossing test needs two distinct cosets")
-    return all(_quadrants(system.mask[c1], system.mask[c2], system._full))
+    return all(_quadrants(system.indicator[p1], system.indicator[p2], system._full))
 
 
 @dataclass(frozen=True)
@@ -222,16 +223,18 @@ def nestedness_check(system: TrackSystem) -> NestednessResult:
     """Search every class pair for an inhabited four-quadrant configuration.
 
     Parallel labels never cross and crossing is a property of classes, so
-    the pairs of ShortLex-least representatives, in ShortLex order, meet
-    the ShortLex-first crossing label pair first.
+    the pairs of least representatives, in universe (ShortLex) order, meet
+    the ShortLex-first crossing label pair first.  The witness names the
+    two labels by their keys.
     """
-    reps = [cls[0] for cls in system.classes]
-    for a, c1 in enumerate(reps):
-        for c2 in reps[a + 1:]:
-            quadrants = _quadrants(system.mask[c1], system.mask[c2], system._full)
+    reps = [_least(bits) for bits in system.class_bits]
+    for a, p1 in enumerate(reps):
+        for p2 in reps[a + 1:]:
+            quadrants = _quadrants(system.indicator[p1], system.indicator[p2], system._full)
             if all(quadrants):
-                corners = _names(system.family, *((q & -q).bit_length() - 1 for q in quadrants))
-                return NestednessResult(False, (c1, c2, corners))
+                corners = _names(system.family, *map(_least, quadrants))
+                universe = system.family.universe
+                return NestednessResult(False, (universe[p1], universe[p2], corners))
     return NestednessResult(True)
 
 
@@ -262,36 +265,43 @@ def class_order(system: TrackSystem, u: int, v: int) -> list[int]:
             fwd, back = not side[y] & ~side[x], not side[x] & ~side[y]
             if fwd and back:
                 raise TrackTreeError(
-                    f"distinct classes {system.classes[x]} and {system.classes[y]} "
-                    "compare equal; corrupted system")
+                    f"distinct classes {x} and {y} compare equal; corrupted system")
             if not fwd and not back:
-                raise NotTotal(system.classes[x][0], system.classes[y][0],
-                               _names(system.family, u, v))
+                raise _not_total(system, x, y, u, v)
     # the sides form a chain under inclusion, so size orders them
     return sorted(present, key=lambda k: -side[k].bit_count())
 
 
-def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[str, ...]]:
-    """Canonical ordered label list for every edge, keyed by (i, j) with i < j.
+def _not_total(system: TrackSystem, x: int, y: int, u: int, v: int) -> NotTotal:
+    """NotTotal naming classes x and y by the keys of their least labels."""
+    universe, bits = system.family.universe, system.class_bits
+    return NotTotal(universe[_least(bits[x])], universe[_least(bits[y])],
+                    _names(system.family, u, v))
+
+
+def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Canonical ordered label positions for every edge, keyed by (i, j) with i < j.
 
     Classes appear in the order given by class_order; inside a class the
-    ShortLex order is used, read in the direction that walks away from the
-    class's base side, so the same class is traversed consistently on every
-    edge.  NotTotal when an edge's class order is not total, or its order
-    from j is not the reverse of its order from i.
+    universe (ShortLex) order is used, read in the direction that walks away
+    from the class's base side, so the same class is traversed consistently
+    on every edge.  NotTotal when an edge's class order is not total, or its
+    order from j is not the reverse of its order from i.
     """
-    out: dict[tuple[int, int], tuple[str, ...]] = {}
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in itertools.combinations(range(system.n), 2):
         edge = system.family.diff(i, j)
         if not edge:
             continue
         forward = class_order(system, i, j)
         if class_order(system, j, i) != forward[::-1]:
-            raise NotTotal(system.classes[forward[0]][0], system.classes[forward[-1]][0],
-                           _names(system.family, i, j))
+            raise _not_total(system, forward[0], forward[-1], i, j)
         if sum(system.class_bits[k] for k in forward) != edge:
             raise TrackTreeError(f"label assignment lost cosets on edge ({i}, {j})")
         # each class read walking away from its base side
-        out[(i, j)] = tuple(c for k in forward for c in (
-            reversed(system.classes[k]) if (system.class_norm[k] >> i) & 1 else system.classes[k]))
+        labels: list[int] = []
+        for k in forward:
+            cls = bit_positions(system.class_bits[k])
+            labels += cls[::-1] if (system.class_norm[k] >> i) & 1 else cls
+        out[(i, j)] = tuple(labels)
     return out

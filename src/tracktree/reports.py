@@ -80,16 +80,16 @@ def report_document(report: Report, include_timings: bool = False) -> str:
 def dot_document(tree: DualTree, title: str) -> str:
     """Graphviz rendering: vertices labelled by their flip set relative to
     the base vertex, edges by coset key, base vertex doubly circled."""
-    keys_of = tree.system.family.keys_of
+    family = tree.system.family
     lines = [f'graph "{title}" {{', "  node [shape=circle];"]
     for v in tree.vertices:
         if v.index == tree.base_index:
             lines.append(f'  B{v.index} [label="o", shape=doublecircle];')
         else:
-            flips = ",".join(display_word(w) for w in keys_of(v.flips))
+            flips = ",".join(display_word(w) for w in family.keys_of(v.flips))
             lines.append(f'  B{v.index} [label="{{{flips}}}"];')
     for i, j, label in sorted(tree.edges):
-        lines.append(f'  B{i} -- B{j} [label="{display_word(label)}"];')
+        lines.append(f'  B{i} -- B{j} [label="{display_word(family.universe[label])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

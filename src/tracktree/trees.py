@@ -7,7 +7,8 @@ The reduced tree is the median closure of the family's own orientations;
 each reduced edge is subdivided by band vertices which flip the class's
 cosets one at a time in ShortLex order away from the base side.  Every
 vertex carries the finite flip set F and the set B = A + F it represents,
-both int bitsets over the family's universe, and the group acts on them
+both int bitsets over the family's universe, and every edge is labelled by
+the universe position of the one coset it flips.  The group acts on them
 through the window's walks.
 """
 
@@ -44,7 +45,7 @@ def median(o1: int, o2: int, o3: int) -> int:
 
 def orientation_consistent(system: TrackSystem, orientation: int) -> bool:
     """True when every pair of chosen class half-spaces meets the family."""
-    m = len(system.classes)
+    m = len(system.class_norm)
     full = system._full
     sides = []
     for k, g in enumerate(system.class_norm):
@@ -85,13 +86,16 @@ class TreeVertex:
 
 
 class DualTree:
+    """Vertices and edges (i, j, label) with i < j; a label is the universe
+    position of the one coset the edge flips."""
+
     def __init__(self, system: TrackSystem, vertices: list[TreeVertex],
-                 edges: list[tuple[int, int, str]], base_index: int):
+                 edges: list[tuple[int, int, int]], base_index: int):
         self.system = system
         self.vertices = vertices
         self.edges = edges
         self.base_index = base_index
-        self.adjacency: dict[int, list[tuple[int, str]]] = {v.index: [] for v in vertices}
+        self.adjacency: dict[int, list[tuple[int, int]]] = {v.index: [] for v in vertices}
         for i, j, label in edges:
             self.adjacency[i].append((j, label))
             self.adjacency[j].append((i, label))
@@ -118,7 +122,7 @@ def build_tree(system: TrackSystem) -> DualTree:
     if not nested.ok:
         raise NotNested(f"crossing witness {nested.witness}")
 
-    m = len(system.classes)
+    m = len(system.class_bits)
     family_orients = [base_orientation(system, i) for i in range(system.n)]
     closed = median_closure(system, family_orients)
     for o in closed:
@@ -143,7 +147,7 @@ def build_tree(system: TrackSystem) -> DualTree:
         kind = "family" if fam is not None else "branch"
         raw_vertices[flips_of(o)] = (kind, fam)
 
-    raw_edges: list[tuple[int, int, str]] = []
+    raw_edges: list[tuple[int, int, int]] = []
     class_edge_count = [0] * m
     ordered = sorted(closed)
     for a_i in range(len(ordered)):
@@ -156,10 +160,10 @@ def build_tree(system: TrackSystem) -> DualTree:
             tail, head = ordered[a_i], ordered[b_i]
             if (tail >> k) & 1:
                 tail, head = head, tail
-            labels = system.classes[k]
+            labels = bit_positions(system.class_bits[k])
             prev = flips_of(tail)
-            for step, (label, bit) in enumerate(zip(labels, bit_positions(system.class_bits[k]))):
-                nxt = prev | 1 << bit if step < len(labels) - 1 else flips_of(head)
+            for step, label in enumerate(labels):
+                nxt = prev | 1 << label if step < len(labels) - 1 else flips_of(head)
                 if nxt not in raw_vertices:
                     raw_vertices[nxt] = ("band", None)
                 raw_edges.append((prev, nxt, label))
@@ -200,11 +204,9 @@ def _assert_tree(tree: DualTree):
                 stack.append(y)
     if len(seen) != n:
         raise DisconnectedTree(f"reached {len(seen)} of {n} vertices")
-    universe = tree.system.family.universe
     for i, j, label in tree.edges:
-        x = tree.vertices[i].flips ^ tree.vertices[j].flips
-        if x & (x - 1) or not x or universe[x.bit_length() - 1] != label:
-            raise TrackTreeError(f"edge ({i}, {j}) does not flip exactly {label!r}")
+        if tree.vertices[i].flips ^ tree.vertices[j].flips != 1 << label:
+            raise TrackTreeError(f"edge ({i}, {j}) does not flip exactly label {label}")
     colors = tree.colors()
     for i, j, _ in tree.edges:
         if colors[i] == colors[j]:
@@ -218,14 +220,14 @@ def _assert_tree(tree: DualTree):
 @dataclass(frozen=True)
 class PathReport:
     length: int
-    labels: tuple[str, ...]
+    labels: tuple[int, ...]   # universe positions, in path order
 
 
 def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
     """Unique path between two tree vertices; its labels must be B_a + B_b."""
     if a == b:
         return PathReport(0, ())
-    prev: dict[int, tuple[int, str]] = {a: (a, "")}
+    prev: dict[int, tuple[int, int]] = {a: (a, -1)}
     queue = [a]
     while queue:
         nxt = []
@@ -248,7 +250,9 @@ def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
     # distinct and make up the difference iff they are as many as its bits
     expected = tree.vertices[a].flips ^ tree.vertices[b].flips
     if len(labels) != expected.bit_count():
-        raise TrackTreeError(f"path labels {labels} do not realise the flip difference")
+        universe = tree.system.family.universe
+        raise TrackTreeError(
+            f"path labels {[universe[p] for p in labels]} do not realise the flip difference")
     return PathReport(len(labels), tuple(labels))
 
 
@@ -261,12 +265,13 @@ def separation_witness(tree: DualTree) -> Optional[str]:
     iff no label is on two edges (Buneman 1971): then the distance of two
     vertices is the size of the XOR of their flip sets.
     """
-    edge_of: dict[str, tuple[int, int]] = {}
+    family = tree.system.family
+    edge_of: dict[int, tuple[int, int]] = {}
     for i, j, label in tree.edges:
         if label in edge_of:
-            return f"label {display_word(label)} is on edges {edge_of[label]} and {(i, j)}"
+            return (f"label {display_word(family.universe[label])} "
+                    f"is on edges {edge_of[label]} and {(i, j)}")
         edge_of[label] = (i, j)
-    family = tree.system.family
     flips = [tree.vertices[tree.family_vertex[i]].flips for i in range(len(family))]
     for i, j in itertools.combinations(range(len(family)), 2):
         if (flips[i] ^ flips[j]).bit_count() != family.distance(i, j):
@@ -319,12 +324,6 @@ def _image_flips(flips: int, images: list[int], d_g: int) -> Optional[int]:
         moved |= 1 << j
         flips ^= low
     return moved ^ d_g
-
-
-def _edge_bits(tree: DualTree) -> dict[tuple[int, int], int]:
-    """Per edge (i, j) with i < j, the universe position of its label."""
-    flips = [v.flips for v in tree.vertices]
-    return {(i, j): (flips[i] ^ flips[j]).bit_length() - 1 for i, j, _ in tree.edges}
 
 
 def act(tree: DualTree, g: GroupElement) -> ActionReport:
@@ -420,13 +419,11 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     edge_conj_ok: list[bool] = []
     h_ball = [g for g, _, _ in certified if sub.member(g)]
     certified_words = {g.word for g, _, _ in certified}
-    edge_bit = _edge_bits(tree)
     for i, j, label in tree.edges:
         fi, fj = tree.vertices[i].flips, tree.vertices[j].flips
-        bit = edge_bit[(i, j)]
         stab = []
         for g, d_g, images in certified:
-            if images[bit] != bit:
+            if images[label] != label:
                 continue
             imgs = {_image_flips(fi, images, d_g), _image_flips(fj, images, d_g)}
             if imgs == {fi, fj}:
@@ -434,7 +431,7 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         edge_stabs.append(tuple(display_word(g.word) for g in sorted(stab, key=lambda e: e.sort_key())))
 
         # conjugate of the subgroup by the edge label representative
-        rep = window.key_element(label)
+        rep = GroupElement(window.model, window.omega[label])
         ok = True
         stab_words = set(edge_stabs[-1])
         for h in h_ball:

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule
 from .groups import (
-    DEFAULT_MAX_RADIUS,
     FREE,
     FREE_ABELIAN,
     FREE_PRODUCT_CYCLIC,
@@ -146,13 +145,12 @@ class Window:
     the core's ids and the rest.
     """
 
-    def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int,
-                 max_radius: Optional[int] = None):
+    def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int):
         if margin < 1:
             raise ValueError("margin must be at least 1")
         if radius < 2 * margin:
             raise ValueError("radius must be at least twice the margin")
-        model.require_ball(radius, DEFAULT_MAX_RADIUS if max_radius is None else max_radius)
+        model.require_ball(radius)
         self._setup(model, sub, radius, margin, _CosetGraph(sub).grow(radius))
 
     def _setup(self, model, sub, radius, margin, graph):
@@ -181,12 +179,6 @@ class Window:
         big = object.__new__(Window)
         big._setup(self.model, self.sub, radius, self.margin, self.graph.grow(radius))
         return big
-
-    def sort_key(self, word: str):
-        return self.model.sort_key(word)
-
-    def key_element(self, key: str) -> GroupElement:
-        return GroupElement(self.model, key)
 
     def keys_of(self, mask: int) -> list[str]:
         """The keys of a bitset, in ShortLex order."""
@@ -311,9 +303,8 @@ class Window:
         return (in1 ^ in2) & ~(unknown1 | unknown2)
 
 
-def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int,
-                 max_radius: Optional[int] = None) -> Window:
-    return Window(model, sub, radius, margin, max_radius=max_radius)
+def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int) -> Window:
+    return Window(model, sub, radius, margin)
 
 
 # --------------------------------------------------------------------------
@@ -384,12 +375,11 @@ class VertexFamily:
     """
 
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
-                 base_index: int, sort_key: Callable[[str], tuple],
-                 window: Optional[Window] = None, base_set: Optional[int] = None):
+                 base_index: int, window: Optional[Window] = None,
+                 base_set: Optional[int] = None):
         self.universe = list(universe)
         self.vertices = list(vertices)
         self.base_index = base_index
-        self.sort_key = sort_key
         self.window = window
         self.base_set = base_set
 
@@ -410,10 +400,7 @@ class VertexFamily:
 def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozenset[str]]],
                     base_index: int = 0) -> VertexFamily:
     """Family given directly as subsets of an abstract universe (test mode)."""
-    def sort_key(word: str):
-        return (len(word), word)
-
-    universe = sorted(dict.fromkeys(universe), key=sort_key)
+    universe = sorted(dict.fromkeys(universe), key=lambda word: (len(word), word))
     bit = {k: 1 << i for i, k in enumerate(universe)}
     vertices = []
     seen: dict[int, str] = {}
@@ -427,7 +414,7 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
             raise ValueError(f"vertex {name!r} duplicates vertex {seen[mask]!r}")
         seen[mask] = name
         vertices.append(FamilyVertex(None, mask, name))
-    return VertexFamily(universe, vertices, base_index, sort_key)
+    return VertexFamily(universe, vertices, base_index)
 
 
 def build_family(window: Window, base_set: int,
@@ -473,8 +460,7 @@ def build_family(window: Window, base_set: int,
                      f"A*{display_word(g.word)}")
         for g in kept
     ]
-    return VertexFamily(window.core, vertices, base_index, window.sort_key,
-                        window=window, base_set=base_set)
+    return VertexFamily(window.core, vertices, base_index, window=window, base_set=base_set)
 
 
 # --------------------------------------------------------------------------
@@ -581,25 +567,22 @@ class StabilityEntry:
 
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             translations: Sequence[GroupElement],
-                            family: Optional[VertexFamily] = None) -> list[StabilityEntry]:
+                            family: VertexFamily) -> list[StabilityEntry]:
     """Recompute every pairwise witness set at radius + 2 and compare.
 
     The radius + 2 window grows the window's own graph by two layers, so
     the window's key ids are a prefix of the larger window's and the two
-    radii's differences compare as bitsets.  ``family`` is the family
-    already built over the window from base_spec and translations, when the
-    caller has it.  RadiusTooLarge, before any work, when the radius + 2
-    ball is over the element cap.
+    radii's differences compare as bitsets.  ``family`` is the family built
+    over the window from base_spec and translations.  RadiusTooLarge,
+    before any work, when the radius + 2 ball is over the element cap.
     """
     big = window.extended(2)
-    small = family if family is not None else build_family(
-        window, build_base_set(window, base_spec), translations)
     # the window's keys keep their ids and their decisions in the larger one
     size = len(window.omega)
-    big_base = small.base_set | _mask(bytes(map(base_spec.decide, big.omega[size:]))) << size
+    big_base = family.base_set | _mask(bytes(map(base_spec.decide, big.omega[size:]))) << size
     large = build_family(big, big_base, translations)
     # both keep the first translate of each distinct translate set, in translation order
-    words = [v.element.word for v in small.vertices]
+    words = [v.element.word for v in family.vertices]
     big_words = [v.element.word for v in large.vertices]
     if words != big_words:
         # duplicate structure must agree between radii
@@ -607,8 +590,8 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
         raise CertificationFailure(changed[0], changed[-1], "duplicate structure changed with radius")
     out = []
     for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
-        d_small, d_large = small.diff(a, b), large.diff(a, b)
-        keys_small = tuple(small.keys_of(d_small))
+        d_small, d_large = family.diff(a, b), large.diff(a, b)
+        keys_small = tuple(family.keys_of(d_small))
         out.append(StabilityEntry(
             (display_word(words[a]), display_word(words[b])), d_small == d_large,
             keys_small, keys_small if d_small == d_large else tuple(large.keys_of(d_large))))

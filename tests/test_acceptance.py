@@ -36,6 +36,7 @@ from tracktree import (
 )
 from tracktree.instances import make_base_spec, make_model, token_word
 from tracktree.oracles import labeling_matches_canonical
+from tracktree.windows import bit_positions
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment
@@ -119,16 +120,16 @@ def test_labelling_uniqueness():
     systems = [result.system for result in corpus_results().values()]
     systems.append(run_instance(fig1_exhibit()).system)
     for system, _ in random_systems():
-        if len(system.labels) <= 8 and system.n <= 8:
+        if system.label_bits.bit_count() <= 8 and system.n <= 8:
             systems.append(system)
     checked = 0
     for system in systems:
-        if len(system.labels) > 8 or system.n > 8:
+        if system.label_bits.bit_count() > 8 or system.n > 8:
             continue
         oracle = oracle_labelings(system)
         expected = 1
-        for cls in system.classes:
-            for k in range(2, len(cls) + 1):
+        for bits in system.class_bits:
+            for k in range(2, bits.bit_count() + 1):
                 expected *= k
         assert oracle.count == expected == oracle.expected_count
         canonical = assign_labels(system)
@@ -153,9 +154,8 @@ def test_treeness_and_oracle_equivalence():
                     seen.add(y)
                     stack.append(y)
         assert len(seen) == tree.vertex_count
-        keys_of = system.family.keys_of
         for i, j, label in tree.edges:
-            assert keys_of(tree.vertices[i].flips ^ tree.vertices[j].flips) == [label]
+            assert tree.vertices[i].flips ^ tree.vertices[j].flips == 1 << label
             assert colors[i] != colors[j]
         assert tree_matches_oracle(tree, oracle_orientations(system))
 
@@ -177,8 +177,7 @@ def test_separation_and_geodesics():
         for a in range(tree.vertex_count):
             for b in range(a, tree.vertex_count):
                 path = tree_metric_and_separation(tree, a, b)
-                expected = set(system.family.keys_of(
-                    tree.vertices[a].flips ^ tree.vertices[b].flips))
+                expected = set(bit_positions(tree.vertices[a].flips ^ tree.vertices[b].flips))
                 assert path.length == len(expected)
                 assert set(path.labels) == expected
                 assert len(path.labels) == len(set(path.labels))
@@ -233,7 +232,7 @@ def test_certification_soundness():
         window = window_result.family.window
         base_spec = make_base_spec(model, spec)
         translations = [model.normalize(token_word(w)) for w in spec.translations]
-        entries = radius_stability_report(window, base_spec, translations)
+        entries = radius_stability_report(window, base_spec, translations, window_result.family)
         assert entries, name
         for entry in entries:
             assert entry.stable, (name, entry.pair, entry.diff_small, entry.diff_large)

@@ -18,7 +18,8 @@ from tracktree import (
     tree_matches_oracle,
 )
 from tracktree.errors import TooLarge
-from tracktree.oracles import labeling_matches_canonical
+from tracktree.oracles import labeling_matches_canonical, labeling_verdict
+from tracktree.windows import bit_positions
 
 
 def band_system():
@@ -31,9 +32,11 @@ def band_system():
 
 
 def test_oracle_band_family():
-    oracle = oracle_orientations(band_system())
-    assert sorted(sorted(f) for f in oracle.vertex_flips) == [[], ["a"], ["a", "b"]]
-    assert len(oracle.edges) == 2
+    system = band_system()
+    oracle = oracle_orientations(system)
+    assert sorted(system.family.keys_of(f) for f in oracle.vertex_flips) == [[], ["a"], ["a", "b"]]
+    # flip sets and labels over the universe: a is position 0 and b is 1
+    assert oracle.edges == {(0b00, 0b01, 0), (0b01, 0b11, 1)}
 
 
 def test_oracle_half_line():
@@ -108,6 +111,12 @@ def test_labelings_within_class_structure():
     assert tuple(canonical[e] for e in oracle.edges) in oracle.labelings
     for labeling in oracle.labelings:
         assert labeling_matches_canonical(system, canonical, labeling, oracle.edges)
+    assert labeling_verdict(system, canonical, oracle) == (True, True, True)
+    # read backwards, an edge's labels no longer match its corners
+    edge = oracle.edges[0]
+    broken = {**canonical, edge: canonical[edge][::-1]}
+    verdict = labeling_verdict(system, broken, oracle)
+    assert not verdict.canonical_is_valid and verdict.count_matches
 
 
 def reference_labelings(system, edges):
@@ -120,11 +129,11 @@ def reference_labelings(system, edges):
     def read_from(order, edge, vertex):
         return order if edge[0] == vertex else order[::-1]
 
-    def keys(edge):
-        return fam.keys_of(fam.diff(*edge))
+    def labels(edge):
+        return bit_positions(fam.diff(*edge))
 
     def agrees(order, edge, prev, e):
-        count = len(set(keys(e)) & set(keys(edge)))
+        count = len(set(labels(e)) & set(labels(edge)))
         return all(read_from(order, edge, a)[:count] == read_from(prev, e, a)[:count]
                    for a in set(e) & set(edge))
 
@@ -133,7 +142,7 @@ def reference_labelings(system, edges):
         if k == len(edges):
             found.append(tuple(chosen))
             return
-        for order in itertools.permutations(keys(edges[k])):
+        for order in itertools.permutations(labels(edges[k])):
             if all(agrees(order, edges[k], prev, e) for e, prev in zip(edges, chosen)):
                 extend(chosen + [order])
 
@@ -184,8 +193,8 @@ def test_random_family_info_consistent():
         assert len(family) == info.vertex_count <= 12
         assert info.track_count == sum(info.class_sizes)
         system = build_track_system(family)
-        assert len(system.labels) == info.track_count
-        assert sorted(len(c) for c in system.classes) == sorted(info.class_sizes)
+        assert system.label_bits.bit_count() == info.track_count
+        assert sorted(bits.bit_count() for bits in system.class_bits) == sorted(info.class_sizes)
 
 
 def test_random_family_exact_classes():

@@ -27,7 +27,7 @@ from tracktree import (
     square_analysis,
     subgroup,
 )
-from tracktree.windows import FamilyVertex
+from tracktree.windows import FamilyVertex, bit_positions
 from tracktree.errors import (
     NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge, TrackTreeError)
 
@@ -200,14 +200,15 @@ def test_square_diagonal_independence_on_corpus_like_family():
 
 
 def test_crossing_examples():
+    # labels are universe positions: a is 0 and b is 1
     system = build_track_system(crossing_family())
-    assert crossing_test(system, "a", "b")
+    assert crossing_test(system, 0, 1)
     chain = explicit_family(
         ["a", "b"],
         [("e", frozenset()), ("va", frozenset(["a"])), ("vab", frozenset(["a", "b"]))])
     chain_system = build_track_system(chain)
-    assert not crossing_test(chain_system, "a", "b")
-    assert crossing_test(chain_system, "a", "b") == crossing_test(chain_system, "b", "a")
+    assert not crossing_test(chain_system, 0, 1)
+    assert crossing_test(chain_system, 0, 1) == crossing_test(chain_system, 1, 0)
 
 
 def test_nestedness_half_line():
@@ -227,7 +228,7 @@ def test_nestedness_witness():
 def test_nestedness_single_vertex():
     fam = explicit_family(["a"], [("v", frozenset(["a"]))])
     system = build_track_system(fam)
-    assert system.labels == []
+    assert system.label_bits == 0
     assert nestedness_check(system).ok
 
 
@@ -242,16 +243,21 @@ def test_family_size_cap():
 # parallel classes
 
 
+def class_keys(system):
+    """The classes as tuples of coset keys."""
+    return [tuple(system.family.keys_of(bits)) for bits in system.class_bits]
+
+
 def test_parallel_classes_examples():
     one_class = build_track_system(explicit_family(
         ["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))]))
-    assert one_class.classes == [("a", "b")]
+    assert class_keys(one_class) == [("a", "b")]
 
     two_classes = build_track_system(explicit_family(
         ["a", "b", "c"],
         [("e", frozenset()), ("vab", frozenset(["a", "b"])),
          ("vabc", frozenset(["a", "b", "c"]))]))
-    assert two_classes.classes == [("a", "b"), ("c",)]
+    assert class_keys(two_classes) == [("a", "b"), ("c",)]
 
 
 def test_parallel_classes_constant_cosets_excluded():
@@ -259,7 +265,7 @@ def test_parallel_classes_constant_cosets_excluded():
         ["a", "z"],
         [("e", frozenset(["z"])), ("va", frozenset(["a", "z"]))])
     system = build_track_system(fam)
-    assert system.labels == ["a"]
+    assert fam.keys_of(system.label_bits) == ["a"]
 
 
 def test_class_sizes_sum_to_distance():
@@ -268,7 +274,7 @@ def test_class_sizes_sum_to_distance():
         for j in range(i + 1, 3):
             edge = system.family.keys_of(system.family.diff(i, j))
             total = sum(
-                len([c for c in cls if c in edge]) for cls in system.classes)
+                len([c for c in cls if c in edge]) for cls in class_keys(system))
             assert total == system.family.distance(i, j)
 
 
@@ -280,7 +286,7 @@ def test_class_order_half_line_edge():
     fam = half_line_family(0, 1, 2, 3)
     system = build_track_system(fam)
     order = class_order(system, 0, 3)
-    assert [system.classes[k] for k in order] == [("",), ("t",), ("tt",)]
+    assert [class_keys(system)[k] for k in order] == [("",), ("t",), ("tt",)]
 
 
 def test_class_order_reversal():
@@ -303,15 +309,17 @@ def test_class_order_not_total_on_crossing():
 def test_assign_labels_half_line():
     system = build_track_system(half_line_family(-1, 0, 1, 2))
     labels = assign_labels(system)
-    assert labels[(1, 3)] == ("", "t")
+    assert [system.family.universe[p] for p in labels[(1, 3)]] == ["", "t"]
     for (i, j), seq in labels.items():
         assert len(seq) == system.family.distance(i, j)
+        assert sorted(seq) == bit_positions(system.family.diff(i, j))
 
 
 def test_assign_labels_band_order():
+    # a is universe position 0 and b is 1
     system = build_track_system(explicit_family(
         ["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))]))
-    assert assign_labels(system)[(0, 1)] == ("a", "b")
+    assert assign_labels(system)[(0, 1)] == (0, 1)
 
 
 def test_assign_labels_corner_consistency():
@@ -334,11 +342,11 @@ def test_disjoint_edges_share_label_order():
             continue
         if fam.distance(u, v) + fam.distance(w, z) <= fam.distance(u, w) + fam.distance(v, z):
             continue
-        shared = fam.keys_of(fam.diff(u, v) & fam.diff(w, z))
+        shared = fam.diff(u, v) & fam.diff(w, z)
         if not shared:
             continue
-        seq_uv = [c for c in labels[(u, v)] if c in shared]
-        seq_wz = [c for c in labels[(w, z)] if c in shared]
+        seq_uv = [p for p in labels[(u, v)] if shared >> p & 1]
+        seq_wz = [p for p in labels[(w, z)] if shared >> p & 1]
         # read both edges from the side pair {u, w}
         assert seq_uv == seq_wz, (u, v, w, z)
 
@@ -367,30 +375,38 @@ def test_parity_and_corners_hold_for_arbitrary_families(seed):
         for corner in corner_analysis(fam, u, v, w):
             assert corner.count == corner.cosets.bit_count() >= 0
     system = build_track_system(fam)
-    for a in range(len(system.labels)):
-        for b in range(a + 1, len(system.labels)):
-            c1, c2 = system.labels[a], system.labels[b]
-            assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
+    for c1, c2 in itertools.combinations(bit_positions(system.label_bits), 2):
+        assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
 
 
 # --------------------------------------------------------------------------
 # differential tests against the per-vertex and label-pair references
 
 
+def class_of(system, p):
+    """Index of the class holding the label at universe position p."""
+    return next(k for k, bits in enumerate(system.class_bits) if bits >> p & 1)
+
+
+def least_key(system, k):
+    """Key of the ShortLex-least label of class k."""
+    return system.family.keys_of(system.class_bits[k])[0]
+
+
 def reference_class_order(system, u, v):
     """class_order by a per-vertex separation loop, a comparison sort and a
     transitivity check."""
-    def separates(c, i, j):
-        return ((system.mask[c] >> i) & 1) != ((system.mask[c] >> j) & 1)
+    def separates(p, i, j):
+        return ((system.indicator[p] >> i) & 1) != ((system.indicator[p] >> j) & 1)
 
     def le(x, y):
-        cx, cy = system.classes[x][0], system.classes[y][0]
-        return all(not separates(cy, u, w) or separates(cx, u, w)
+        px, py = (bit_positions(system.class_bits[k])[0] for k in (x, y))
+        return all(not separates(py, u, w) or separates(px, u, w)
                    for w in range(system.n) if w not in (u, v))
 
     names = (system.family.vertices[u].name, system.family.vertices[v].name)
-    present = sorted({system.class_of[c] for c in system.family.keys_of(system.family.diff(u, v))},
-                     key=lambda k: system.sort_key(system.classes[k][0]))
+    present = sorted({class_of(system, p) for p in bit_positions(system.family.diff(u, v))},
+                     key=lambda k: bit_positions(system.class_bits[k])[0])
     for a in range(len(present)):
         for b in range(a + 1, len(present)):
             x, y = present[a], present[b]
@@ -398,11 +414,11 @@ def reference_class_order(system, u, v):
             if fwd and back:
                 raise TrackTreeError("equal classes")
             if not fwd and not back:
-                raise NotTotal(system.classes[x][0], system.classes[y][0], names)
+                raise NotTotal(least_key(system, x), least_key(system, y), names)
     ordered = sorted(present, key=functools.cmp_to_key(lambda x, y: -1 if le(x, y) else 1))
     for a in range(len(ordered) - 1):
         if not le(ordered[a], ordered[a + 1]):
-            raise NotTotal(system.classes[ordered[a]][0], system.classes[ordered[a + 1]][0], names)
+            raise NotTotal(least_key(system, ordered[a]), least_key(system, ordered[a + 1]), names)
     return ordered
 
 
@@ -414,19 +430,20 @@ def reference_orders_checked(system):
                 continue
             forward = reference_class_order(system, i, j)
             if i < j and reference_class_order(system, j, i) != forward[::-1]:
-                raise NotTotal(system.classes[forward[0]][0], system.classes[forward[-1]][0],
+                raise NotTotal(least_key(system, forward[0]), least_key(system, forward[-1]),
                                (system.family.vertices[i].name, system.family.vertices[j].name))
 
 
 def reference_nestedness(system):
     """First crossing label pair in ShortLex order, with one vertex per quadrant."""
     full = (1 << system.n) - 1
-    for c1, c2 in itertools.combinations(system.labels, 2):
-        m1, m2 = system.mask[c1], system.mask[c2]
+    universe = system.family.universe
+    for p1, p2 in itertools.combinations(bit_positions(system.label_bits), 2):
+        m1, m2 = system.indicator[p1], system.indicator[p2]
         quadrants = (~m1 & ~m2 & full, ~m1 & m2 & full, m1 & ~m2 & full, m1 & m2 & full)
         if all(quadrants):
-            return (c1, c2, tuple(system.family.vertices[(q & -q).bit_length() - 1].name
-                                  for q in quadrants))
+            return (universe[p1], universe[p2], tuple(
+                system.family.vertices[(q & -q).bit_length() - 1].name for q in quadrants))
     return None
 
 
@@ -530,7 +547,8 @@ class StringFamily:
     def __init__(self, fam):
         self.n = len(fam)
         self.base_index = fam.base_index
-        self.sort_key = fam.sort_key
+        # the universe lists the keys in ShortLex order
+        self.sort_key = {k: p for p, k in enumerate(fam.universe)}.__getitem__
         self.names = tuple(v.name for v in fam.vertices)
         self.members = [frozenset(fam.keys_of(v.members)) for v in fam.vertices]
         self.diffs = {(i, j): frozenset(fam.keys_of(fam.diff(i, j)))
@@ -626,10 +644,9 @@ def assert_matches_string_reference(fam):
     sf = StringFamily(fam)
     system = build_track_system(fam)
     labels, mask, classes, norms = reference_track_system(sf)
-    assert system.labels == labels
-    assert system.mask == mask
-    assert system.classes == classes
-    assert [fam.keys_of(bits) for bits in system.class_bits] == [list(c) for c in classes]
+    assert fam.keys_of(system.label_bits) == labels
+    assert {fam.universe[p]: m for p, m in system.indicator.items()} == mask
+    assert class_keys(system) == classes
     assert system.class_norm == norms
     for i, j in itertools.combinations(range(sf.n), 2):
         assert fam.distance(i, j) == sf.d(i, j)
@@ -667,7 +684,8 @@ def test_explicit_family_masks_round_trip(subsets):
     assert fam.universe == ["", "a", "b", "c", "ab", "ba"]
     assert [set(fam.keys_of(v.members)) for v in fam.vertices] == [set(m) for m in subsets]
     for i, j in itertools.combinations(range(len(subsets)), 2):
-        assert fam.keys_of(fam.diff(i, j)) == sorted(subsets[i] ^ subsets[j], key=fam.sort_key)
+        assert fam.keys_of(fam.diff(i, j)) == sorted(subsets[i] ^ subsets[j],
+                                                     key=lambda w: (len(w), w))
 
 
 def test_square_differential_reaches_every_case():

@@ -35,6 +35,7 @@ from tracktree import (
     subgroup,
 )
 from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain
+from tracktree.groups import GroupElement
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
 from tracktree.trees import ClassUnionReport, StabilizerReport, translate_flips
 
@@ -82,6 +83,10 @@ class StringTree:
         self.flip_index = {f: i for i, f in enumerate(self.flips)}
         self.id_of = {k: i for i, k in enumerate(self.window.omega)}
         self.core = frozenset(self.window.core)
+        self.labels = family.keys_of(tree.system.label_bits)
+        # edges labelled by keys, and the classes as key sets
+        self.edges = [(i, j, family.universe[label]) for i, j, label in tree.edges]
+        self.classes = [frozenset(family.keys_of(bits)) for bits in tree.system.class_bits]
 
     def act_key(self, key: str, g) -> Optional[str]:
         j = self.window.images(g.word)[self.id_of[key]]
@@ -109,7 +114,7 @@ class StringTree:
 
     def act(self, g):
         d_g = self.translate_flips(g)
-        label_map = {c: self.act_key(c, g) for c in self.system.labels}
+        label_map = {c: self.act_key(c, g) for c in self.labels}
         vertex_map = []
         for flips in self.flips:
             moved = {label_map[c] for c in flips}
@@ -125,7 +130,7 @@ class StringTree:
             except OutsideCertifiedDomain:
                 uncertified.append(display_word(g.word))
                 continue
-            certified.append((g, d_g, {c: self.act_key(c, g) for c in self.system.labels}))
+            certified.append((g, d_g, {c: self.act_key(c, g) for c in self.labels}))
 
         def image(flips, d_g, label_map):
             moved = {label_map[c] for c in flips}
@@ -153,12 +158,12 @@ class StringTree:
         edge_stabs, edge_conj_ok = [], []
         h_ball = [g for g, _, _ in certified if self.window.sub.member(g)]
         certified_words = {g.word for g, _, _ in certified}
-        for i, j, label in self.tree.edges:
+        for i, j, label in self.edges:
             fi, fj = self.flips[i], self.flips[j]
             edge_stabs.append(words(
                 g for g, d_g, lm in certified
                 if lm[label] == label and {image(fi, d_g, lm), image(fj, d_g, lm)} == {fi, fj}))
-            rep = self.window.key_element(label)
+            rep = GroupElement(self.window.model, label)
             stab_words = set(edge_stabs[-1])
             conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
             edge_conj_ok.append(all(display_word(c.word) in stab_words
@@ -168,11 +173,11 @@ class StringTree:
             base_witness, edge_stabs, edge_conj_ok, self.class_union(), uncertified)
 
     def class_union(self):
-        window, system = self.window, self.system
-        identity_key = window.omega[0]
-        if identity_key not in system.class_of:
+        window = self.window
+        identity_class = [c for c in self.classes if window.omega[0] in c]
+        if not identity_class:
             return ClassUnionReport(applicable=False)
-        cls = {self.id_of[c] for c in system.classes[system.class_of[identity_key]]}
+        cls = {self.id_of[c] for c in identity_class[0]}
         pool = window.model.ball(window.radius // 2, max_radius=window.radius)
         coset = {e.word: window.locate(e) for e in pool}
         union = [e for e in pool if coset[e.word] in cls]

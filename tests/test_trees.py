@@ -23,6 +23,7 @@ from tracktree import (
 from tracktree.errors import NotNested, OutsideCertifiedDomain, TrackTreeError
 from tracktree.oracles import random_nested_family
 from tracktree.trees import DualTree, TreeVertex, _assert_tree, median_closure, orientation_consistent
+from tracktree.windows import bit_positions
 
 Z = free_group(1, "t")
 
@@ -127,7 +128,7 @@ def test_tree_axioms_on_corpus():
         assert tree.edge_count == tree.vertex_count - 1
         colors = tree.colors()
         for i, j, label in tree.edges:
-            assert result.family.keys_of(tree.vertices[i].flips ^ tree.vertices[j].flips) == [label]
+            assert tree.vertices[i].flips ^ tree.vertices[j].flips == 1 << label
             assert colors[i] != colors[j]
         assert tree.vertices[tree.base_index].flips == 0
 
@@ -140,7 +141,7 @@ def test_every_vertex_is_base_plus_finite_flip():
     for v in tree.vertices:
         flips = set(fam.keys_of(v.flips))
         assert set(fam.keys_of(v.members)) == base_keys ^ flips
-        assert len(flips) <= len(result.system.labels)
+        assert len(flips) <= result.system.label_bits.bit_count()
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def test_path_trivial_and_band():
     assert tree_metric_and_separation(tree, 1, 1).length == 0
     ends = sorted(tree.flip_index[f] for f in (0, 0b11))  # {} and {a, b}
     report = tree_metric_and_separation(tree, ends[0], ends[1])
-    assert report.labels == ("a", "b")
+    assert [fam.universe[p] for p in report.labels] == ["a", "b"]
 
 
 def test_separation_property_on_corpus():
@@ -164,7 +165,7 @@ def test_separation_property_on_corpus():
             for j in range(i + 1, system.n):
                 path = tree_metric_and_separation(
                     tree, tree.family_vertex[i], tree.family_vertex[j])
-                assert set(path.labels) == set(system.family.keys_of(system.family.diff(i, j)))
+                assert set(path.labels) == set(bit_positions(system.family.diff(i, j)))
                 assert path.length == system.family.distance(i, j)
 
 
@@ -183,7 +184,8 @@ def test_path_class_blocks_follow_class_order():
     tree, system = result.tree, result.system
     path = tree_metric_and_separation(
         tree, tree.family_vertex[0], tree.family_vertex[2])
-    classes_seen = [system.class_of[c] for c in path.labels]
+    classes_seen = [next(k for k, bits in enumerate(system.class_bits) if bits >> p & 1)
+                    for p in path.labels]
     blocks = [k for i, k in enumerate(classes_seen) if i == 0 or classes_seen[i - 1] != k]
     assert len(blocks) == len(set(blocks))
 
@@ -206,13 +208,14 @@ E, VA, VB, VAB = (("e", frozenset()), ("va", frozenset("a")), ("vb", frozenset("
                   ("vab", frozenset("ab")))
 
 # trees that pass the tree axioms but not separation: (family, edges, family
-# vertex of each tree vertex, witness); tree vertex i has family vertex i's members
+# vertex of each tree vertex, witness); tree vertex i has family vertex i's
+# members, and an edge label is a universe position: a is 0 and b is 1
 BAD_TREES = [
     # the path e - va - vab - vb: each edge flips exactly its label, but a is on two edges
-    ([E, VA, VB, VAB], [(0, 1, "a"), (1, 3, "b"), (2, 3, "a")], [0, 1, 2, 3],
+    ([E, VA, VB, VAB], [(0, 1, 0), (1, 3, 1), (2, 3, 0)], [0, 1, 2, 3],
      "label a is on edges (0, 1) and (2, 3)"),
     # the path e - va - vab with the family vertices of e and va swapped
-    ([E, VA, VAB], [(0, 1, "a"), (1, 2, "b")], [1, 0, 2],
+    ([E, VA, VAB], [(0, 1, 0), (1, 2, 1)], [1, 0, 2],
      "family pair (0, 2) has wrong tree distance"),
 ]
 
@@ -270,7 +273,7 @@ def test_act_subgroup_element_fixes_everything():
     rep = act(result.tree, window.model.normalize("x"))
     assert rep.base_image == result.tree.base_index
     images = window.images("x")
-    assert all(window.omega[images[window.omega.index(c)]] == c for c in result.system.labels)
+    assert all(images[p] == p for p in bit_positions(result.system.label_bits))
 
 
 def test_act_outside_certified_domain():

@@ -236,8 +236,10 @@ def test_hypothesis_expected_k_flags_moving_element():
 
 
 def test_witness_stability_half_line():
-    window, spec, _ = half_line_window()
-    entries = radius_stability_report(window, spec, [Z.normalize(w) for w in ["T", "", "t"]])
+    window, spec, base = half_line_window()
+    translations = [Z.normalize(w) for w in ["T", "", "t"]]
+    entries = radius_stability_report(window, spec, translations,
+                                      build_family(window, base, translations))
     assert entries and all(e.stable for e in entries)
 
 
@@ -246,7 +248,9 @@ def test_witness_stability_detects_radius_dependence():
     # at radius 6 but surfaces at radius 8: exactly what the re-check exists for
     window = build_window(Z, TRIVIAL_Z, 6, 2)
     fragile = BaseSetSpec(rules=(("t", True),), includes=frozenset(["", "TTTTT"]))
-    entries = radius_stability_report(window, fragile, [Z.identity(), Z.normalize("tt")])
+    translations = [Z.identity(), Z.normalize("tt")]
+    family = build_family(window, build_base_set(window, fragile), translations)
+    entries = radius_stability_report(window, fragile, translations, family)
     unstable = [e for e in entries if not e.stable]
     assert unstable
     assert "TTTTT" in unstable[0].diff_large
@@ -348,8 +352,7 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
     # smaller window over the grown graph still answers as before
     before = {g.word: window.translate(base, g) for g in model.ball(2)}
     big = window.extended(2)
-    fresh = Window(model, window.sub, window.radius + 2, window.margin,
-                   max_radius=window.radius + 2)
+    fresh = Window(model, window.sub, window.radius + 2, window.margin)
     assert big.omega == fresh.omega and big.core == fresh.core
     assert big.shell_mask == fresh.shell_mask
     window._translates.clear()
@@ -374,8 +377,10 @@ def test_certified_diff_is_the_family_difference():
 
 def test_witness_stability_over_the_element_cap():
     window = build_window(F2, subgroup(F2, ["a"]), 10, 2)
+    spec, translations = BaseSetSpec(rules=(("b", True),)), [F2.identity()]
+    family = build_family(window, build_base_set(window, spec), translations)
     with pytest.raises(RadiusTooLarge, match="element cap"):
-        radius_stability_report(window, BaseSetSpec(rules=(("b", True),)), [F2.identity()])
+        radius_stability_report(window, spec, translations, family)
 
 
 # --------------------------------------------------------------------------
@@ -422,8 +427,11 @@ def reference_stability(model, sub, radius, margin, base_spec, translations):
     return out
 
 
-def stability_outcome(window, base_spec, translations, family=None):
+def stability_outcome(window, base_spec, translations):
+    """The re-check on the family built over the window; None when that
+    family or the radius + 2 one is uncertified."""
     try:
+        family = build_family(window, build_base_set(window, base_spec), translations)
         return radius_stability_report(window, base_spec, translations, family)
     except CertificationFailure as exc:
         return "changed" if "duplicate structure changed" in str(exc) else None
@@ -433,9 +441,6 @@ def assert_stability_matches_reference(model, sub, radius, margin, base_spec, tr
     window = build_window(model, sub, radius, margin)
     want = reference_stability(model, sub, radius, margin, base_spec, translations)
     assert stability_outcome(window, base_spec, translations) == want
-    if want is not None:
-        family = build_family(window, build_base_set(window, base_spec), translations)
-        assert stability_outcome(window, base_spec, translations, family) == want
     return want
 
 
