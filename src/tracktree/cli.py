@@ -12,15 +12,9 @@ import json
 import sys
 from typing import Optional
 
-from .errors import IoError, ParseError, TooLarge, TrackTreeError
+from .errors import IoError, ParseError, TrackTreeError
 from .instances import Expectations, InstanceSpec, corpus, load_instance
-from .oracles import (
-    labeling_verdict,
-    oracle_labelings,
-    oracle_orientations,
-    random_nested_family,
-    tree_matches_oracle,
-)
+from .oracles import random_nested_family
 from .pipeline import run_instance
 from .reports import dot_document, report_document, write_atomic
 
@@ -72,33 +66,23 @@ def _cmd_oracle(args) -> int:
     spec = load_instance(args.spec)
     result = run_instance(spec, radius=args.radius, margin=args.margin)
     doc: dict = {"instance": spec.name, "status": result.report.status}
-    code = result.report.exit_code()
-    if result.tree is not None and result.system is not None:
-        system, tree = result.system, result.tree
-        # an oracle runs here only where the run skipped it at its cap
-        oracle = result.orientations or oracle_orientations(system)
-        doc["orientations_match"] = tree_matches_oracle(tree, oracle)
-        doc["oracle_vertices"] = len(oracle.vertex_flips)
-        lab, skipped = result.labelings, result.labelings_skipped
-        if lab is None and skipped is None:
-            try:
-                lab = oracle_labelings(system)
-            except TooLarge as exc:
-                skipped = str(exc)
-        if skipped is not None:
-            doc["labelings_skipped"] = skipped
+    # the run's own oracle results; a mismatch has already failed the report
+    if result.tree is not None:
+        if result.orientations_skipped is not None:
+            doc["orientations_skipped"] = result.orientations_skipped
         else:
-            verdict = labeling_verdict(system, result.labels, lab)
+            doc["orientations_match"] = result.orientations_match
+            doc["oracle_vertices"] = len(result.orientations.vertex_flips)
+        if result.labelings_skipped is not None:
+            doc["labelings_skipped"] = result.labelings_skipped
+        else:
+            lab, verdict = result.labelings, result.labeling_verdict
             doc["labelings"] = lab.count
             doc["labelings_expected"] = lab.expected_count
             doc["canonical_is_valid"] = verdict.canonical_is_valid
             doc["all_within_class"] = verdict.all_within_class
-            if not all(verdict):
-                code = max(code, 2)
-        if not doc["orientations_match"]:
-            code = max(code, 2)
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return code
+    return result.report.exit_code()
 
 
 def _cmd_demo(args) -> int:

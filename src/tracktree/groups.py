@@ -17,12 +17,13 @@ The identity is the empty word everywhere and is displayed as ``"1"``.
 ``compose`` is the normal form of the concatenated words, ``invert`` that
 of the reversed word with its case swapped, and ``GroupModel.ball`` grows
 the canonical words breadth first, since they are closed under prefixes.
-Subgroup membership engines: Stallings folding automaton (free), integer
-lattice reduction (free_abelian), and factor/cyclic special forms for free
-products.  Every engine also gives each right coset a canonical
-fingerprint; ``CosetTable`` groups a ball by fingerprint into
-ShortLex-least coset keys, the reference for the coset graph of
-``windows.Window``.
+Subgroup engines: Stallings folding automaton (free), integer lattice
+reduction (free_abelian), and factor/cyclic special forms for free
+products.  Each engine gives every right coset a canonical fingerprint,
+and that is all it decides: e lies in H exactly when He = H, so
+``SubgroupModel.member`` compares the fingerprint of e with that of the
+identity.  ``CosetTable`` groups a ball by fingerprint into ShortLex-least
+coset keys, the reference for the coset graph of ``windows.Window``.
 """
 
 from __future__ import annotations
@@ -113,13 +114,6 @@ class GroupModel:
         for ch in raw:
             self.letter_index(ch)  # raises UnknownLetter
         return GroupElement(self, _normal_form(self, raw))
-
-    def element_from_vector(self, vector: Sequence[int]) -> "GroupElement":
-        if self.kind != FREE_ABELIAN:
-            raise ModelMismatch("exponent vectors only apply to free_abelian models")
-        if len(vector) != self.rank:
-            raise ExponentOutOfRange(f"expected {self.rank} exponents, got {len(vector)}")
-        return GroupElement(self, _render_vector(self, tuple(vector)))
 
     # -- balls --
 
@@ -306,11 +300,11 @@ def _render_syllables(model: GroupModel, syllables: Sequence[Sequence[int]]) -> 
 
 
 # --------------------------------------------------------------------------
-# membership engines
+# subgroup engines
 
 
 class _Engine:
-    """Membership test and canonical right-coset fingerprint for one subgroup."""
+    """Canonical right-coset fingerprint for one subgroup."""
 
     model: GroupModel
 
@@ -324,13 +318,13 @@ class FoldingAutomaton:
 
     States are integers with 0 the base state; transitions carry single
     letters and always exist in inverse pairs.  After folding, the
-    automaton is deterministic and every state lies on an accepted loop
-    through the base (the construction starts from a wedge of generator
-    loops and folding preserves that property).
+    automaton is deterministic and every state lies on a loop through the
+    base (the construction starts from a wedge of generator loops and
+    folding preserves that property).  A word lies in the subgroup iff it
+    traces a loop at the base with no hanging tail.
     """
 
-    def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
-        self.model = model
+    def __init__(self, generators: Sequence[GroupElement]):
         next_: list[dict[str, int]] = [{}]
         pending: list[tuple[int, int]] = []
 
@@ -374,29 +368,8 @@ class FoldingAutomaton:
                     next_[a][ch] = t
             next_[b] = {}
 
-        # compact to reachable states in BFS order (letters in rank order)
-        order = sorted(
-            [ch for g in self.model.letters for ch in (g, g.upper())],
-            key=self.model.letter_rank,
-        )
-        remap = {find(0): 0}
-        bfs = [find(0)]
-        i = 0
-        while i < len(bfs):
-            s = bfs[i]
-            i += 1
-            for ch in order:
-                t = next_[s].get(ch)
-                if t is None:
-                    continue
-                t = find(t)
-                if t not in remap:
-                    remap[t] = len(remap)
-                    bfs.append(t)
-        self.next: list[dict[str, int]] = [{} for _ in remap]
-        for s in bfs:
-            for ch, t in next_[s].items():
-                self.next[remap[s]][ch] = remap[find(t)]
+        # the union-find roots are the states; merged states keep no transitions
+        self.next = [{ch: find(t) for ch, t in out.items()} for out in next_]
 
     def step(self, fp: tuple[int, str], ch: str) -> tuple[int, str]:
         """Schreier position of H*w*ch, given fp, the position of H*w."""
@@ -413,17 +386,11 @@ class FoldingAutomaton:
             fp = self.step(fp, ch)
         return fp
 
-    def accepts(self, word: str) -> bool:
-        return self.trace(word) == (0, "")
-
 
 class _FreeEngine(_Engine):
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
-        self.automaton = FoldingAutomaton(model, generators)
-
-    def member(self, e: GroupElement) -> bool:
-        return self.automaton.accepts(e.word)
+        self.automaton = FoldingAutomaton(generators)
 
     def fingerprint(self, e: GroupElement):
         return self.automaton.trace(e.word)
@@ -472,17 +439,11 @@ class IntegerLattice:
             v = [a - q * b for a, b in zip(v, row)]
         return tuple(v)
 
-    def contains(self, vector: Sequence[int]) -> bool:
-        return not any(self.reduce(vector))
-
 
 class _LatticeEngine(_Engine):
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
         self.lattice = IntegerLattice(model.rank, [_word_to_vector(model, g.word) for g in generators])
-
-    def member(self, e: GroupElement) -> bool:
-        return self.lattice.contains(_word_to_vector(self.model, e.word))
 
     def fingerprint(self, e: GroupElement):
         return self.lattice.reduce(_word_to_vector(self.model, e.word))
@@ -497,9 +458,6 @@ class _TrivialEngine(_Engine):
     def __init__(self, model: GroupModel):
         self.model = model
 
-    def member(self, e: GroupElement) -> bool:
-        return e.is_identity()
-
     def fingerprint(self, e: GroupElement):
         return e.word
 
@@ -511,14 +469,6 @@ class _FactorCyclicEngine(_Engine):
         self.model = model
         self.letter_index = letter_index
         self.step = math.gcd(model.orders[letter_index], *exponents)
-
-    def member(self, e: GroupElement) -> bool:
-        syl = _word_to_syllables(self.model, e.word)
-        if not syl:
-            return True
-        if len(syl) != 1 or syl[0][0] != self.letter_index:
-            return False
-        return syl[0][1] % self.step == 0
 
     def fingerprint(self, e: GroupElement):
         syl = _word_to_syllables(self.model, e.word)
@@ -545,10 +495,7 @@ class _CyclicEngine(_Engine):
             head = GroupElement(model, _render_syllables(model, [syl[0]]))
             u = compose(u, head)
             v = compose(compose(invert(head), v), head)
-        self.u = u
-        self.v = v
-        syl = _word_to_syllables(model, v.word)
-        if len(syl) <= 1:
+        if len(_word_to_syllables(model, v.word)) <= 1:
             # finite order: enumerate the whole cyclic group
             powers = {model.identity().word}
             acc = generator
@@ -558,31 +505,18 @@ class _CyclicEngine(_Engine):
             self.finite_powers: Optional[set[str]] = powers
         else:
             self.finite_powers = None
-            self.v_inv = invert(v)
-            self.u_inv = invert(u)
-
-    def member(self, e: GroupElement) -> bool:
-        if self.finite_powers is not None:
-            return e.word in self.finite_powers
-        z = compose(compose(invert(self.u), e), self.u)
-        if z.is_identity():
-            return True
-        # powers of a cyclically reduced word concatenate without merging,
-        # but the inverse word may have a different canonical length
-        for w in (self.v.word, self.v_inv.word):
-            if len(z.word) % len(w) == 0 and z.word == w * (len(z.word) // len(w)):
-                return True
-        return False
+            self.u_inv, self.v, self.v_inv = invert(u), v, invert(v)
 
     def fingerprint(self, e: GroupElement):
-        """ShortLex-least element of the coset He."""
+        """ShortLex-least element of the coset He, or, for infinite <w>, of u^-1 He."""
         model = self.model
         if self.finite_powers is not None:
             coset = [compose(GroupElement(model, h), e) for h in self.finite_powers]
             return min(coset, key=GroupElement.sort_key).word
         # He = u<v>u^-1 e, so u^-1 He = <v>z.  Its least element v^n z is no
         # longer than z, and |v^n| <= |v^n z| + |z^-1|, so |v^n| <= |z| + |z^-1|;
-        # powers of the cyclically reduced v concatenate, so |v^n| = |n| |v|.
+        # powers of the cyclically reduced v concatenate, so |v^n| = |n| |v|
+        # (and |v^-n| = |n| |v^-1|, which may differ from |n| |v|).
         z = compose(self.u_inv, e)
         reach = len(z.word) + len(invert(z).word)
         best = z
@@ -597,19 +531,20 @@ class _CyclicEngine(_Engine):
 
 @dataclass
 class SubgroupModel:
-    """A subgroup given by generators, with a decidable membership engine."""
+    """A subgroup given by generators, with the engine that fingerprints its cosets."""
 
     model: GroupModel
     generators: tuple[GroupElement, ...]
     engine: object = field(repr=False)
 
+    def __post_init__(self):
+        self._identity_fp = self.engine.fingerprint(self.model.identity())
+
     def member(self, e: GroupElement) -> bool:
+        """e lies in H exactly when He = H, that is when e fingerprints as 1 does."""
         if e.model != self.model:
             raise ModelMismatch("element belongs to a different group model")
-        return self.engine.member(e)
-
-    def __contains__(self, e: GroupElement) -> bool:
-        return self.member(e)
+        return self.engine.fingerprint(e) == self._identity_fp
 
     def fingerprint(self, e: GroupElement):
         """Canonical value shared by exactly the elements of the right coset He."""

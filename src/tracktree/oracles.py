@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import TooLarge
+from .errors import SearchBudgetExceeded, TooLarge
 from .patterns import TrackSystem
 from .trees import DualTree, orientation_consistent
 from .windows import VertexFamily, bit_positions, explicit_family
@@ -98,7 +98,9 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
     A labeling is valid when, in every triangle and at every corner, the
     sequences read away from the corner agree on the corner's line count.
     The two-triangle condition for disjoint edge pairs follows from the
-    corner condition, so it is not enforced separately.
+    corner condition, so it is not enforced separately.  TooLarge over the
+    label or vertex cap, before any work; SearchBudgetExceeded when the
+    enumeration runs out of its step budget.
     """
     tracks = system.label_bits.bit_count()
     if tracks > MAX_ORACLE_LABELS:
@@ -166,7 +168,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         for order in orders(k):
             budget[0] -= 1
             if budget[0] < 0:
-                raise TooLarge("labeling enumeration exceeded its budget")
+                raise SearchBudgetExceeded("labeling enumeration exceeded its budget")
             chosen.append(order)
             dfs(k + 1)
             chosen.pop()

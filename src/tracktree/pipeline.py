@@ -21,6 +21,7 @@ from .errors import (
     OutsideCertifiedDomain,
     ParseError,
     RadiusTooLarge,
+    SearchBudgetExceeded,
     TooLarge,
     TrackTreeError,
     UnknownLetter,
@@ -35,10 +36,8 @@ from .instances import (
     token_word,
 )
 from .oracles import (
-    MAX_ORACLE_CLASSES,
-    MAX_ORACLE_LABELS,
-    MAX_ORACLE_VERTICES,
     LabelingOracle,
+    LabelingVerdict,
     OrientationOracle,
     labeling_verdict,
     oracle_labelings,
@@ -75,10 +74,13 @@ class RunResult:
     system: Optional[TrackSystem] = None
     labels: Optional[dict[tuple[int, int], tuple[int, ...]]] = None  # label positions per edge
     tree: Optional[DualTree] = None
-    # the oracles' results; None where the run skipped an oracle at its cap
+    # once the tree is built, each oracle gives its result or why it was skipped
     orientations: Optional[OrientationOracle] = None
+    orientations_match: Optional[bool] = None
+    orientations_skipped: Optional[str] = None
     labelings: Optional[LabelingOracle] = None
-    labelings_skipped: Optional[str] = None  # why the labeling oracle ran out of budget
+    labeling_verdict: Optional[LabelingVerdict] = None
+    labelings_skipped: Optional[str] = None
 
 
 def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
@@ -225,8 +227,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
         report.add("track_system", UNCERTIFIED, str(exc))
         return False
     result.system = system
-    tracks = system.label_bits.bit_count()
-    report.counts["tracks"] = tracks
+    report.counts["tracks"] = system.label_bits.bit_count()
     report.counts["classes"] = len(system.class_bits)
 
     try:
@@ -283,25 +284,31 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     report.counts["tree_edges"] = tree.edge_count
     report.add("tree", PASS)
 
-    if len(system.class_bits) <= MAX_ORACLE_CLASSES:
+    # an oracle over its cap is skipped without a report line
+    try:
         oracle = result.orientations = oracle_orientations(system)
-        match = tree_matches_oracle(tree, oracle)
+    except TooLarge as exc:
+        result.orientations_skipped = str(exc)
+    else:
+        match = result.orientations_match = tree_matches_oracle(tree, oracle)
         report.add("tree_oracle", PASS if match else FAIL,
                    None if match else "median-closure tree differs from the orientation oracle")
 
     geo_witness = separation_witness(tree)
     report.add("separation_geodesic", PASS if geo_witness is None else FAIL, geo_witness)
 
-    if tracks <= MAX_ORACLE_LABELS and system.n <= MAX_ORACLE_VERTICES:
-        try:
-            oracle = result.labelings = oracle_labelings(system)
-        except TooLarge as exc:
-            result.labelings_skipped = str(exc)
-            report.add("labeling_oracle", UNCERTIFIED, str(exc))
-        else:
-            ok = all(labeling_verdict(system, result.labels, oracle))
-            report.add("labeling_oracle", PASS if ok else FAIL,
-                       None if ok else f"{oracle.count} labelings vs expected {oracle.expected_count}")
+    try:
+        oracle = result.labelings = oracle_labelings(system)
+    except TooLarge as exc:
+        result.labelings_skipped = str(exc)
+    except SearchBudgetExceeded as exc:
+        result.labelings_skipped = str(exc)
+        report.add("labeling_oracle", UNCERTIFIED, str(exc))
+    else:
+        verdict = result.labeling_verdict = labeling_verdict(system, result.labels, oracle)
+        ok = all(verdict)
+        report.add("labeling_oracle", PASS if ok else FAIL,
+                   None if ok else f"{oracle.count} labelings vs expected {oracle.expected_count}")
 
     if spec.mode == "explicit":
         _check_expectations(spec, report, result)

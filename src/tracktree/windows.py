@@ -205,8 +205,6 @@ class Window:
 
     def _walk(self, word: str) -> list[int]:
         known = self._known(word)
-        if self.model.kind == FREE_ABELIAN:
-            return [self._walk_from(i, word) if k else -1 for i, k in enumerate(known)]
         ids = range(len(self.omega))
         for step in self._steps(word):
             ids = list(map(self.graph.arrays[step].__getitem__, ids))
@@ -508,12 +506,11 @@ def hypothesis_report(window: Window, base_set: int,
     shell-meeting heuristic: evidence, never proof.
     """
     identity = window.model.identity()
-    _, base_unknown = window.translate(base_set, identity)
     entries = []
     for g in translations:
         _, unknown = window.translate(base_set, g)
         witness = window.certified_diff(base_set, identity, g)
-        certified = not ((unknown | base_unknown) & window.core_mask) and not (
+        certified = not (unknown & window.core_mask) and not (
             witness & window.shell_mask)
         entries.append(AlmostInvarianceEntry(
             display_word(g.word), tuple(window.keys_of(witness)), certified))
@@ -547,7 +544,7 @@ def hypothesis_report(window: Window, base_set: int,
         for k in expected_k.generators:
             _, unknown = window.translate(base_set, k)
             moved = window.certified_diff(base_set, identity, k) != 0
-            certified = not ((unknown | base_unknown) & window.core_mask)
+            certified = not (unknown & window.core_mask)
             k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
 
     return HypothesisReport("pass", entries, properness_ok, detail, k_entries)

@@ -224,11 +224,21 @@ def brute_force_members(model, generator_words, length_cap, work_cap):
     return {w for w in seen if len(w) <= length_cap}
 
 
-@pytest.mark.parametrize("gens", [["a"], ["ab"], ["aa", "b"], ["ab", "Ab"], ["aba", "bb"], ["aa", "ab"]])
+@pytest.mark.parametrize("gens", [
+    # folding automata
+    (F2, ["a"]), (F2, ["ab"]), (F2, ["aa", "b"]), (F2, ["ab", "Ab"]), (F2, ["aba", "bb"]),
+    (F2, ["aa", "ab"]),
+    # lattices, trivial subgroups, a subgroup of one factor, finite <sts> = s<t>s^-1,
+    # infinite <st> and <tst> = t<stt>t^-1
+    (Z2, ["xxy"]), (Z2, ["xx", "yy"]), (F2, []), (Z2Z3, []),
+    (free_product_of_cyclics([2, 6]), ["tt"]), (Z2Z2, ["sts"]), (Z2Z3, ["st"]), (Z2Z3, ["tst"]),
+])
 def test_folding_automaton_vs_brute_force(gens):
-    sub = subgroup(F2, gens)
-    expected = brute_force_members(F2, gens, 6, 14)
-    for e in F2.ball(6):
+    """Every engine's membership against the closure of the generators."""
+    model, words = gens
+    sub = subgroup(model, words)
+    expected = brute_force_members(model, words, 6, 14)
+    for e in model.ball(6):
         assert sub.member(e) == (e.word in expected), e.word
 
 
@@ -356,10 +366,3 @@ def test_coset_table_key_guards():
     assert table.key(F2.normalize("aab")) == "b"
     with pytest.raises(SearchBudgetExceeded):
         table.key(F2.normalize("bbbb"))  # outside the tabulated ball
-
-
-def test_exponent_out_of_range():
-    from tracktree.errors import ExponentOutOfRange
-
-    with pytest.raises(ExponentOutOfRange):
-        Z2.element_from_vector([1, 2, 3])

@@ -381,7 +381,8 @@ def test_random_golden(capsys, seed):
 
 # (classes, seed, max_extra_cosets) -> (exit code, stdout md5) of `oracle` on an
 # explicit instance file written from random_nested_family; the families with
-# one extra coset at most stay under the labeling oracle's caps more often
+# one extra coset at most stay under the labeling oracle's caps more often, and
+# those with 13 and 14 classes are over the orientation oracle's cap
 ORACLE_GOLDEN = {
     (3, 0, 4): (0, "f27af5d98608ad51393cf07e7b6da6be"),
     (3, 1, 4): (0, "551a2208a8863d32b65c3a703dc8a60f"),
@@ -407,11 +408,13 @@ ORACLE_GOLDEN = {
     (10, 0, 4): (0, "510681bc822f3dc87afe8ea2368669bc"),
     (10, 1, 4): (0, "a1b13c30345b57f5bf60157f71f77bf3"),
     (10, 2, 1): (0, "124a0ec9f9ccee5330018b02c9aedeb0"),
+    (13, 0, 4): (0, "5f329b9ac3f228edcd1aeeb52ec57100"),
+    (14, 1, 4): (0, "fa7ed8cb9e909c60eb8bd4f94ebb18df"),
 }
 
 
-@pytest.mark.parametrize("classes,seed,extra", sorted(ORACLE_GOLDEN))
-def test_oracle_golden(tmp_path, capsys, classes, seed, extra):
+def write_nested_family(directory, classes, seed, extra):
+    """An explicit instance file written from random_nested_family."""
     from tracktree.oracles import random_nested_family
 
     family, _ = random_nested_family(seed, max_extra_cosets=extra, exact_classes=classes)
@@ -419,11 +422,18 @@ def test_oracle_golden(tmp_path, capsys, classes, seed, extra):
                         universe=tuple(family.universe),
                         explicit_vertices=tuple((v.name, tuple(family.keys_of(v.members)))
                                                 for v in family.vertices))
-    path = tmp_path / f"{spec.name}.ini"
+    path = directory / f"{spec.name}.ini"
     path.write_text(instance_to_text(spec))
-    code = main(["oracle", str(path)])
+    return path
+
+
+@pytest.mark.parametrize("classes,seed,extra", sorted(ORACLE_GOLDEN))
+def test_oracle_golden(tmp_path, capsys, classes, seed, extra):
+    code = main(["oracle", str(write_nested_family(tmp_path, classes, seed, extra))])
     out = capsys.readouterr().out
     assert (code, hashlib.md5(out.encode()).hexdigest()) == ORACLE_GOLDEN[classes, seed, extra]
+    if classes > 12:
+        assert "orientations_skipped" in json.loads(out)
 
 
 def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
@@ -437,11 +447,10 @@ def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
     assert captured.err.startswith(f"input error: {bad}: ") and captured.err.count("\n") == 1
 
 
-def test_cli_oracle_runs_each_oracle_once(monkeypatch, capsys):
-    import tracktree.cli
+def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
     import tracktree.pipeline
 
-    calls = {"oracle_orientations": 0, "oracle_labelings": 0}
+    calls = {"oracle_orientations": 0, "oracle_labelings": 0, "labeling_verdict": 0}
     for name in calls:
         original = getattr(tracktree.pipeline, name)
 
@@ -450,10 +459,14 @@ def test_cli_oracle_runs_each_oracle_once(monkeypatch, capsys):
             return _original(*args)
 
         monkeypatch.setattr(tracktree.pipeline, name, counted)
-        monkeypatch.setattr(tracktree.cli, name, counted)
-    assert main(["oracle", str(INSTANCE_DIR / "E4.ini")]) == 0
-    capsys.readouterr()
-    assert calls == {"oracle_orientations": 1, "oracle_labelings": 1}
+    # E4 is under both oracles' caps; the 13-class family is over both
+    for path, verdicts in ((INSTANCE_DIR / "E4.ini", 1),
+                           (write_nested_family(tmp_path, 13, 0, 4), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["oracle", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == {"oracle_orientations": 1, "oracle_labelings": 1,
+                         "labeling_verdict": verdicts}, path.name
 
 
 def test_cli_vertex_cap_is_uncertified(tmp_path, capsys):

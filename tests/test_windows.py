@@ -287,6 +287,8 @@ def assert_window_matches_reference(window, rng, samples=6):
 
     base_keys = frozenset(k for k in window.omega if rng.random() < 0.5)
     base = sum(1 << i for i, k in enumerate(window.omega) if k in base_keys)
+    # k * 1 = k, so the identity translate is fully decided
+    assert window.translate(base, model.identity()) == (base, 0)
     outer = model.ball(radius + 1, max_radius=radius + 1)
     for g in rng.sample(outer, min(samples, len(outer))):
         known_in, unknown = window.translate(base, g)
