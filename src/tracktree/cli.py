@@ -99,6 +99,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.classes is not None and args.classes < 1:
+        raise ParseError(f"--classes must be at least 1, got {args.classes}")
     family, info = random_nested_family(args.seed, exact_classes=args.classes)
     spec = InstanceSpec(
         name=f"random-{args.seed}", mode="explicit",

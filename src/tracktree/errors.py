@@ -11,10 +11,6 @@ class UnknownLetter(TrackTreeError):
     pass
 
 
-class ExponentOutOfRange(TrackTreeError):
-    pass
-
-
 class ModelMismatch(TrackTreeError):
     pass
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
-    ExponentOutOfRange,
     ModelMismatch,
     RadiusTooLarge,
     SearchBudgetExceeded,
@@ -291,12 +290,8 @@ def _word_to_syllables(model: GroupModel, raw: str) -> list[list[int]]:
 
 
 def _render_syllables(model: GroupModel, syllables: Sequence[Sequence[int]]) -> str:
-    out = []
-    for i, e in syllables:
-        if not 1 <= e <= model.orders[i] - 1:
-            raise ExponentOutOfRange(f"exponent {e} out of range for factor {model.letters[i]!r}")
-        out.append(model.letters[i] * e)
-    return "".join(out)
+    # exponents from _word_to_syllables already lie in [1, order - 1]
+    return "".join(model.letters[i] * e for i, e in syllables)
 
 
 # --------------------------------------------------------------------------

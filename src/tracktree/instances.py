@@ -73,6 +73,8 @@ class InstanceSpec:
                 f"radius {self.radius} must be at least twice the margin {self.margin}")
         if self.action_radius is not None and self.action_radius > self.margin:
             raise ParseError("action radius cannot exceed the margin")
+        if self.action_radius is not None and self.action_radius < 0:
+            raise ParseError("action radius must not be negative")
         if IDENTITY_TOKEN not in self.translations:
             raise ParseError("translations must contain the identity token '1'")
         if self.kind == "free_product_cyclic" and not self.orders:

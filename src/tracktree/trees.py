@@ -204,13 +204,10 @@ def _assert_tree(tree: DualTree):
                 stack.append(y)
     if len(seen) != n:
         raise DisconnectedTree(f"reached {len(seen)} of {n} vertices")
+    # one flipped label per edge also makes the colours |flips| mod 2 alternate
     for i, j, label in tree.edges:
         if tree.vertices[i].flips ^ tree.vertices[j].flips != 1 << label:
             raise TrackTreeError(f"edge ({i}, {j}) does not flip exactly label {label}")
-    colors = tree.colors()
-    for i, j, _ in tree.edges:
-        if colors[i] == colors[j]:
-            raise TrackTreeError("tree is not bipartite under |A + B| mod 2")
 
 
 # --------------------------------------------------------------------------

@@ -198,6 +198,10 @@ def test_cli_input_error(tmp_path, capsys):
     bad.write_text(instance_to_text(corpus()["E1"]).replace("margin = 2", "margin = 9"))
     assert main(["check", str(bad)]) == 4
     assert "input error" in capsys.readouterr().err
+    bad.write_text(instance_to_text(corpus()["E1"]).replace(
+        "margin = 2", "margin = 2\naction_radius = -1"))
+    assert main(["check", str(bad)]) == 4
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_missing_file(capsys):
@@ -236,6 +240,9 @@ def test_cli_random(capsys):
     code = main(["random", "--seed", "11"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["status"] == "pass"
+    for classes in ("0", "-1"):
+        assert main(["random", "--seed", "1", "--classes", classes]) == 4
+        assert "input error: --classes must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -614,6 +621,7 @@ def group_specs(draw):
     alphabet = letters + letters.upper()
     margin = draw(st.integers(1, 2))
     radius = draw(st.integers(2 * margin, 5))
+    action_radius = draw(st.none() | st.integers(-2, margin))
 
     def words(max_size, max_len=3):
         return tuple(draw(st.lists(st.text(alphabet, min_size=1, max_size=max_len),
@@ -623,6 +631,7 @@ def group_specs(draw):
     rules = draw(st.lists(st.tuples(prefixes, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
     return InstanceSpec(
         name="fuzz", kind=kind, rank=rank, orders=orders, radius=radius, margin=margin,
+        action_radius=action_radius,
         subgroup_generators=words(2), base_rules=tuple(rules), base_includes=words(2),
         base_excludes=words(2), base_default_in=draw(st.booleans()),
         translations=("1",) + words(4), expected_k_generators=words(1, 2),

@@ -351,34 +351,6 @@ def test_disjoint_edges_share_label_order():
         assert seq_uv == seq_wz, (u, v, w, z)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_parity_and_corners_hold_for_arbitrary_families(seed):
-    # parity and the corner formula are properties of symmetric differences,
-    # nested or not; only the later order/tree stages need nestedness
-    import random
-
-    rng = random.Random(seed)
-    universe = [f"k{i}" for i in range(rng.randint(2, 8))]
-    subsets = []
-    seen = set()
-    for i in range(rng.randint(2, 6)):
-        members = frozenset(k for k in universe if rng.random() < 0.5)
-        if members in seen:
-            continue
-        seen.add(members)
-        subsets.append((f"v{i}", members))
-    if len(subsets) < 2:
-        subsets = [("v0", frozenset()), ("v1", frozenset(universe))]
-    fam = explicit_family(universe, subsets)
-    parity_and_coloring(fam)
-    for u, v, w in itertools.combinations(range(len(subsets)), 3):
-        for corner in corner_analysis(fam, u, v, w):
-            assert corner.count == corner.cosets.bit_count() >= 0
-    system = build_track_system(fam)
-    for c1, c2 in itertools.combinations(bit_positions(system.label_bits), 2):
-        assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
-
-
 # --------------------------------------------------------------------------
 # differential tests against the per-vertex and label-pair references
 
@@ -490,6 +462,44 @@ def subset_families(draw):
 
 
 families = st.one_of(tree_families(), tree_families(graft=True), subset_families())
+
+
+def seeded_family(seed):
+    """Distinct random subsets of a universe of 2-8 keys, from a seeded generator."""
+    import random
+
+    rng = random.Random(seed)
+    universe = [f"k{i}" for i in range(rng.randint(2, 8))]
+    subsets = []
+    seen = set()
+    for i in range(rng.randint(2, 6)):
+        members = frozenset(k for k in universe if rng.random() < 0.5)
+        if members in seen:
+            continue
+        seen.add(members)
+        subsets.append((f"v{i}", members))
+    if len(subsets) < 2:
+        subsets = [("v0", frozenset()), ("v1", frozenset(universe))]
+    return explicit_family(universe, subsets)
+
+
+@pytest.mark.parametrize("seed", range(30))
+@settings(max_examples=10, deadline=None)
+@given(families)
+def test_parity_and_corners_hold_for_arbitrary_families(seed, fam):
+    # parity and the corner formula are properties of symmetric differences,
+    # nested or not; only the later order/tree stages need nestedness.  The
+    # pipeline reports parity and corners as passing on this ground alone.
+    for family in (seeded_family(seed), fam):
+        colors = parity_and_coloring(family)
+        for u, v in itertools.combinations(range(len(family)), 2):
+            assert (colors[u] != colors[v]) == (family.distance(u, v) % 2 == 1)
+        for u, v, w in itertools.combinations(range(len(family)), 3):
+            for corner in corner_analysis(family, u, v, w):
+                assert corner.count == corner.cosets.bit_count() >= 0
+        system = build_track_system(family)
+        for c1, c2 in itertools.combinations(bit_positions(system.label_bits), 2):
+            assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -658,6 +668,8 @@ def assert_matches_string_reference(fam):
         return
     # tree vertices come in ShortLex order of their flip sets, each with B = A + F
     tree = build_tree(system)
+    colors = tree.colors()
+    assert all(colors[i] != colors[j] for i, j, _ in tree.edges)
     flips = [sorted(fam.keys_of(v.flips), key=sf.sort_key) for v in tree.vertices]
     assert flips == sorted(flips, key=lambda f: (len(f), [sf.sort_key(c) for c in f]))
     for v, f in zip(tree.vertices, flips):

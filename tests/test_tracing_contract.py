@@ -52,7 +52,7 @@ def test_tracer_hooks_resolve_and_restore(monkeypatch, capsys):
     assert bindings(tracing) == before
     # the pass reached the layers down to the action and the stabilizers
     for name in ("windows.translate_calls", "trees.translate_flips_calls",
-                 "patterns.corner_calls", "trees.median_calls"):
+                 "patterns.class_order_calls", "trees.median_calls"):
         assert metrics[name] > 0, name
     for name in ("windows.build_window_s", "trees.act_s", "trees.stabilizer_s"):
         assert metrics[name] > 0, name
