@@ -241,10 +241,12 @@ def class_order(system: TrackSystem, u: int, v: int) -> list[int]:
     Class X precedes class Y when every vertex separated from u together
     with Y is also separated together with X: as vertex masks outside
     {u, v}, side(Y) is a subset of side(X).  On nested systems this is a
-    strict total order; an incomparable pair is raised as a falsification
-    witness, naming both classes by the keys of their least labels.  Two
-    distinct classes meeting the edge cannot have equal sides, since both
-    are 0 at u and 1 at v once normalised.
+    strict total order.  An incomparable pair, raised as NotTotal naming both
+    classes by the keys of their least labels, is a crossing pair: both hold
+    v and not u, so their sides nest unless they cross.  The pipeline orders
+    classes only once nestedness has passed.  Two distinct classes meeting
+    the edge cannot have equal sides, since both are 0 at u and 1 at v once
+    normalised.
     """
     full = system._full
     outside = full & ~(1 << u | 1 << v)
@@ -271,7 +273,8 @@ def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[int, ...]]
     Classes appear in the order given by class_order; inside a class the
     universe (ShortLex) order is used, read in the direction that walks away
     from the class's base side, so the same class is traversed consistently
-    on every edge.  NotTotal when an edge's class order is not total.
+    on every edge.  NotTotal when an edge's class order is not total: exactly
+    when the system is not nested, so never in the pipeline.
 
     One order per edge suffices: from j, each class's side outside {i, j} is
     the complement of its side from i, so the order from j is the reversed
@@ -279,6 +282,7 @@ def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[int, ...]]
     classes on the edge are those meeting diff(i, j), and a class's labels
     share one indicator up to complement, so together they make up diff(i, j).
     """
+    positions = [bit_positions(bits) for bits in system.class_bits]
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in itertools.combinations(range(system.n), 2):
         if not system.family.diff(i, j):
@@ -286,7 +290,7 @@ def assign_labels(system: TrackSystem) -> dict[tuple[int, int], tuple[int, ...]]
         # each class read walking away from its base side
         labels: list[int] = []
         for k in class_order(system, i, j):
-            cls = bit_positions(system.class_bits[k])
+            cls = positions[k]
             labels += cls[::-1] if (system.class_norm[k] >> i) & 1 else cls
         out[(i, j)] = tuple(labels)
     return out

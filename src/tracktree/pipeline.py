@@ -17,7 +17,6 @@ from .errors import (
     CertificationFailure,
     ConflictingRule,
     NonNestedSquare,
-    NotTotal,
     OutsideCertifiedDomain,
     ParseError,
     RadiusTooLarge,
@@ -157,11 +156,10 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     report.add("expected_stabilizer", PASS if not moved else FAIL,
                None if not moved else f"expected stabilizer element {moved[0]} moves the base set")
 
-    nested_ok = _run_patterns(spec, report, result)
-    if not nested_ok or result.tree is None:
-        return
-
+    _run_patterns(spec, report, result)
     tree = result.tree
+    if tree is None:
+        return
     # an expected-K generator fixes A, and so the base vertex, or it has
     # failed expected_stabilizer already; only the translations are acted on
     try:
@@ -212,17 +210,17 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     _check_expectations(spec, report, result)
 
 
-def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool:
+def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     """Pattern and tree stages shared by group and explicit modes.
 
-    Returns True when the instance is nested and the tree stages ran.
+    ``result.tree`` is set when the instance is nested and the tree stages ran.
     """
     family = result.family
     try:
         system = build_track_system(family)
     except TooLarge as exc:
         report.add("track_system", UNCERTIFIED, str(exc))
-        return False
+        return
     result.system = system
     report.counts["tracks"] = system.label_bits.bit_count()
     report.counts["classes"] = len(system.class_bits)
@@ -234,38 +232,25 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
     report.add("parity", PASS)
     report.add("corners", PASS)
 
-    square_witness = None
-    for a, b, c, d in itertools.combinations(range(system.n), 4):
-        # two of the three squares on four vertices: diagonals {ad, bc} and
-        # {ac, bd}.  (a, c, b, d) is (a, b, c, d) with its side pairs swapped,
-        # the same check; the square with diagonals {ab, cd}, (a, c, d, b),
-        # is not checked, as it cannot fail where these two pass.
-        for quad in ((a, b, c, d), (a, b, d, c)):
-            try:
-                square_analysis(family, *quad)
-            except NonNestedSquare as exc:
-                square_witness = str(exc)
-                break
-        if square_witness:
-            break
-    report.add("squares", PASS if square_witness is None else FAIL, square_witness)
-
+    # nested tracks are pairwise compatible, so at most one quartet split on four
+    # vertices carries labels and no square fails (the four-point condition); a
+    # crossing family may pass every square, so there the loop still runs.
+    # test_nestedness_decides_squares_and_class_orders checks this
     nested = nestedness_check(system)
-    if nested.ok:
-        report.add("nestedness", PASS)
-    else:
+    square_witness = None if nested.ok else _square_witness(family)
+    report.add("squares", PASS if square_witness is None else FAIL, square_witness)
+    if not nested.ok:
         c1, c2, quadrant = nested.witness
         report.add("nestedness", FAIL,
                    f"cosets {display_word(c1)} and {display_word(c2)} cross; "
                    f"quadrant vertices {quadrant}")
         _check_expectations(spec, report, result, nested_ok=False)
-        return False
+        return
+    report.add("nestedness", PASS)
 
-    try:
-        result.labels = assign_labels(system)
-    except NotTotal as exc:
-        report.add("class_orders", FAIL, str(exc))
-        return False
+    # on a nested system every class order is total (see class_order), so
+    # assign_labels cannot raise NotTotal here
+    result.labels = assign_labels(system)
     report.add("class_orders", PASS)
     report.add("labelling", PASS)
 
@@ -303,7 +288,17 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult) -> bool
 
     if spec.mode == "explicit":
         _check_expectations(spec, report, result)
-    return True
+
+
+def _square_witness(family: VertexFamily) -> Optional[str]:
+    """The first failing square, or None; two pairings decide all three per quartet."""
+    for a, b, c, d in itertools.combinations(range(len(family)), 4):
+        for quad in ((a, b, c, d), (a, b, d, c)):
+            try:
+                square_analysis(family, *quad)
+            except NonNestedSquare as exc:
+                return str(exc)
+    return None
 
 
 def _check_expectations(spec: InstanceSpec, report: Report, result: RunResult,

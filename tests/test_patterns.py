@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tracktree import (
     BaseSetSpec,
+    InstanceSpec,
     assign_labels,
     build_base_set,
     build_family,
@@ -27,6 +28,8 @@ from tracktree import (
     square_analysis,
     subgroup,
 )
+from tracktree.reports import FAIL, PASS
+from tracktree.trees import base_orientation, median_closure, orientation_consistent
 from tracktree.windows import FamilyVertex, bit_positions
 from tracktree.errors import (
     NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge, TrackTreeError)
@@ -734,3 +737,79 @@ def test_checked_squares_decide_every_pairing(fam):
         assert square_fails(fam, a, c, b, d) == first
         if not first and not square_fails(fam, a, b, d, c):
             assert not square_fails(fam, a, c, d, b)
+
+
+# --------------------------------------------------------------------------
+# nestedness decides squares, class orders and the closure's consistency
+
+
+def even_cube_family():
+    """Three vertices of a cube at distance 2 from the origin and each other:
+    its two labels cross, yet every square has equal side sums and passes."""
+    return explicit_family(
+        ["a", "b", "c"],
+        [("e", frozenset()), ("vab", frozenset(["a", "b"])),
+         ("vbc", frozenset(["b", "c"])), ("vac", frozenset(["a", "c"]))])
+
+
+def full_square_loop(fam):
+    """The square line from the loop over every four vertices, nested or not:
+    the reference for the pipeline, which runs the loop on crossing families only."""
+    for a, b, c, d in itertools.combinations(range(len(fam)), 4):
+        for quad in ((a, b, c, d), (a, b, d, c)):
+            try:
+                square_analysis(fam, *quad)
+            except NonNestedSquare as exc:
+                return FAIL, str(exc)
+    return PASS, None
+
+
+def squares_line(fam):
+    spec = InstanceSpec(name="squares", mode="explicit", universe=tuple(fam.universe),
+                        explicit_vertices=tuple((v.name, tuple(fam.keys_of(v.members)))
+                                                for v in fam.vertices))
+    result = run_instance(spec)
+    line = next(c for c in result.report.checks if c.name == "squares")
+    return result.family, (line.status, line.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_nestedness_decides_squares_and_class_orders(fam):
+    # the pipeline reports squares and class orders as passing on a nested
+    # family without running either loop
+    system = build_track_system(fam)
+    if nestedness_check(system).ok:
+        for quad in square_pairings(len(fam)):
+            assert not square_fails(fam, *quad)
+        assign_labels(system)
+    else:
+        with pytest.raises(NotTotal):
+            assign_labels(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families)
+def test_squares_line_matches_the_full_loop(fam):
+    family, line = squares_line(fam)
+    assert line == full_square_loop(family)
+
+
+def test_squares_line_on_a_crossing_family_whose_squares_pass():
+    fam = even_cube_family()
+    assert not nestedness_check(build_track_system(fam)).ok
+    family, line = squares_line(fam)
+    assert line == full_square_loop(family) == (PASS, None)
+    family, line = squares_line(crossing_family())
+    assert line == full_square_loop(family) and line[0] == FAIL
+
+
+@settings(max_examples=200, deadline=None)
+@given(families)
+def test_median_closure_orientations_are_consistent(fam):
+    # build_tree does not re-check the closure; nested or not, a median of
+    # consistent orientations is consistent
+    system = build_track_system(fam)
+    seeds = [base_orientation(system, i) for i in range(system.n)]
+    for o in median_closure(system, seeds):
+        assert orientation_consistent(system, o)

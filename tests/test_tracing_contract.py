@@ -34,6 +34,13 @@ def bindings(tracing):
     return out
 
 
+def traced_check(tracer, name, code):
+    """The per-layer metrics of one traced `check` of a corpus instance file."""
+    tracer.reset()
+    assert main(["check", str(ROOT / "demos" / "instances" / f"{name}.ini")]) == code
+    return tracer.pass_metrics()
+
+
 def test_tracer_hooks_resolve_and_restore(monkeypatch, capsys):
     tracing = load_tracing(monkeypatch)
     before = bindings(tracing)
@@ -44,8 +51,9 @@ def test_tracer_hooks_resolve_and_restore(monkeypatch, capsys):
         assert during.keys() == before.keys()
         for key, (name, held) in during.items():
             assert held is not before[key][1], name
-        assert main(["check", str(ROOT / "demos" / "instances" / "E4.ini")]) == 0
-        metrics = tracer.pass_metrics()
+        metrics = traced_check(tracer, "E4", 0)
+        nested = traced_check(tracer, "E1", 0)
+        crossing = traced_check(tracer, "crossing", 2)
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -56,3 +64,7 @@ def test_tracer_hooks_resolve_and_restore(monkeypatch, capsys):
         assert metrics[name] > 0, name
     for name in ("windows.build_window_s", "trees.act_s", "trees.stabilizer_s"):
         assert metrics[name] > 0, name
+    # squares are checked only on a crossing family: E1's five vertices give
+    # squares, but E1 is nested
+    assert nested["patterns.nestedness_s"] > 0 and nested["patterns.square_calls"] == 0
+    assert crossing["patterns.square_calls"] > 0
