@@ -61,6 +61,8 @@ class GroupModel:
     kind: str
     letters: tuple[str, ...]
     orders: tuple[int, ...] = ()
+    # ShortLex rank of every declared letter and inverse letter: a < A < b < B < ...
+    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (FREE, FREE_ABELIAN, FREE_PRODUCT_CYCLIC):
@@ -82,6 +84,10 @@ class GroupModel:
                     raise ValueError(f"cyclic factor orders must be at least 2, got {n}")
         elif self.orders:
             raise ValueError("orders are only meaningful for free_product_cyclic")
+        rank = {}
+        for i, g in enumerate(self.letters):
+            rank[g], rank[g.upper()] = 2 * i, 2 * i + 1
+        object.__setattr__(self, "_rank", rank)
 
     # -- alphabet helpers --
 
@@ -90,18 +96,22 @@ class GroupModel:
         return len(self.letters)
 
     def letter_index(self, ch: str) -> int:
-        low = ch.lower()
         try:
-            return self.letters.index(low)
-        except ValueError:
-            raise UnknownLetter(f"letter {ch!r} is not declared in this model") from None
+            return self._rank[ch] >> 1
+        except KeyError:
+            raise _unknown_letter(ch) from None
 
     def letter_rank(self, ch: str) -> int:
-        # ShortLex alphabet order: a < A < b < B < ...
-        return 2 * self.letter_index(ch) + (1 if ch.isupper() else 0)
+        try:
+            return self._rank[ch]
+        except KeyError:
+            raise _unknown_letter(ch) from None
 
     def sort_key(self, word: str):
-        return (len(word), tuple(self.letter_rank(ch) for ch in word))
+        try:
+            return (len(word), tuple(map(self._rank.__getitem__, word)))
+        except KeyError as exc:
+            raise _unknown_letter(exc.args[0]) from None
 
     # -- element constructors --
 
@@ -173,6 +183,10 @@ class GroupModel:
         return 1 + sum(map(sum, ending))
 
 
+def _unknown_letter(ch: str) -> UnknownLetter:
+    return UnknownLetter(f"letter {ch!r} is not declared in this model")
+
+
 def free_group(rank: int, letters: Optional[str] = None) -> GroupModel:
     return GroupModel(FREE, _pick_letters(FREE, rank, letters))
 
@@ -226,11 +240,12 @@ class GroupElement:
 # normal forms, composition and inversion
 
 
-def _normal_form(model: GroupModel, word: str) -> str:
-    """Canonical word of a word whose letters the model declares."""
+def _normal_form(model: GroupModel, word: str, reduced: int = 0) -> str:
+    """Canonical word of a word whose letters the model declares; its first
+    ``reduced`` letters are known to form a canonical word already."""
     if model.kind == FREE:
-        stack: list[str] = []
-        for ch in word:
+        stack = list(word[:reduced])
+        for ch in word[reduced:]:
             if stack and stack[-1] == ch.swapcase():
                 stack.pop()
             else:
@@ -244,7 +259,7 @@ def _normal_form(model: GroupModel, word: str) -> str:
 def compose(e1: GroupElement, e2: GroupElement) -> GroupElement:
     if e1.model != e2.model:
         raise ModelMismatch("elements live in different group models")
-    return GroupElement(e1.model, _normal_form(e1.model, e1.word + e2.word))
+    return GroupElement(e1.model, _normal_form(e1.model, e1.word + e2.word, len(e1.word)))
 
 
 def invert(e: GroupElement) -> GroupElement:
@@ -366,32 +381,28 @@ class FoldingAutomaton:
         # the union-find roots are the states; merged states keep no transitions
         self.next = [{ch: find(t) for ch, t in out.items()} for out in next_]
 
-    def step(self, fp: tuple[int, str], ch: str) -> tuple[int, str]:
-        """Schreier position of H*w*ch, given fp, the position of H*w."""
-        state, tail = fp
-        if tail:
-            return (state, tail[:-1]) if tail[-1] == ch.swapcase() else (state, tail + ch)
-        t = self.next[state].get(ch)
-        return (state, ch) if t is None else (t, "")
-
-    def trace(self, word: str) -> tuple[int, str]:
-        """Schreier position of the coset H*word: (core state, hanging tail)."""
-        fp = (0, "")
-        for ch in word:
-            fp = self.step(fp, ch)
-        return fp
-
 
 class _FreeEngine(_Engine):
+    """Schreier positions in the folded automaton: a coset's fingerprint is
+    (core state, hanging tail), the state its key reaches and the letters
+    that leave the core."""
+
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
-        self.automaton = FoldingAutomaton(generators)
+        self.next = FoldingAutomaton(generators).next
 
     def fingerprint(self, e: GroupElement):
-        return self.automaton.trace(e.word)
+        fp = (0, "")
+        for ch in e.word:
+            fp = self.advance(fp, "", ch)
+        return fp
 
     def advance(self, fp, rep: str, step: str):
-        return self.automaton.step(fp, step)
+        state, tail = fp
+        if tail:
+            return (state, tail[:-1]) if tail[-1] == step.swapcase() else (state, tail + step)
+        t = self.next[state].get(step)
+        return (state, step) if t is None else (t, "")
 
 
 class IntegerLattice:

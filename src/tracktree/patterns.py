@@ -34,6 +34,8 @@ class TrackSystem:
     membership bits across the vertices.  Class k of parallel labels is
     ``class_bits[k]`` over the universe, listed by least position, and
     ``class_norm[k]`` is its indicator made 0 at the base vertex.
+    ``nestedness`` holds the system's nestedness result once
+    ``nestedness_check`` has decided it, and None before.
     """
 
     def __init__(self, family: VertexFamily):
@@ -67,6 +69,7 @@ class TrackSystem:
             by_norm[norm] = by_norm.get(norm, 0) | 1 << k
         self.class_norm: list[int] = list(by_norm)
         self.class_bits: list[int] = list(by_norm.values())
+        self.nestedness: Optional[NestednessResult] = None  # set by nestedness_check
 
 
 def build_track_system(family: VertexFamily) -> TrackSystem:
@@ -218,8 +221,15 @@ def nestedness_check(system: TrackSystem) -> NestednessResult:
     Parallel labels never cross and crossing is a property of classes, so
     the pairs of least representatives, in universe (ShortLex) order, meet
     the ShortLex-first crossing label pair first.  The witness names the
-    two labels by their keys.
+    two labels by their keys.  Decided once per system: the result is kept
+    on it, and later calls return it.
     """
+    if system.nestedness is None:
+        system.nestedness = _nestedness(system)
+    return system.nestedness
+
+
+def _nestedness(system: TrackSystem) -> NestednessResult:
     reps = [_least(bits) for bits in system.class_bits]
     for a, p1 in enumerate(reps):
         for p2 in reps[a + 1:]:

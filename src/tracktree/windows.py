@@ -30,13 +30,16 @@ from .groups import (
     invert,
 )
 
-# flags (one byte 0 or 1 per key id) to and from int bitsets over key ids
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# flags (one byte 0 or 1 per key id) to and from int bitsets over key ids; a
+# walk's flags read 2 where the walk ended at -1, which _mask reads as 0 and
+# _mask(flags, _LOST) as the one set bit
+_TO_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"010")
+_LOST = bytes.maketrans(b"\x00\x01\x02", b"001")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mask(flags: bytes) -> int:
-    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+def _mask(flags: bytes, digits: bytes = _TO_DIGITS) -> int:
+    return int(flags[::-1].translate(digits) or b"0", 2)
 
 
 def _flags(mask: int) -> bytes:
@@ -51,16 +54,19 @@ def bit_positions(mask: int) -> list[int]:
 class _CosetGraph:
     """Schreier graph of H\\G, grown breadth first from H one key length at a time.
 
-    Parents are taken in id order and letters in ShortLex order, so the path
-    that first reaches a coset spells its ShortLex-least representative and
-    ids run in ShortLex order of the keys.  ``arrays[step][i]`` is the id of
-    coset i times ``step``, or -1; each array ends in a -1 sentinel, so that
-    a walk from -1 stays at -1.  Steps are the letters and their inverses,
-    or for free products every syllable of a factor; the breadth-first
-    search uses the one-letter steps.  A -1 out of the outermost layer, or
-    for a longer syllable, may hide a discovered coset that was never looked
-    up; ``step`` looks it up.  Growing the graph keeps every id and link, so
-    windows built over it before stay valid.
+    Each layer is one pass over (parent id, letter): parents in id order,
+    letters in ShortLex order, every unlinked step advanced once and looked
+    up once.  The path that first reaches a coset spells its ShortLex-least
+    representative, so ids run in ShortLex order of the keys, and
+    ``parent[j]`` is the id whose key is coset j's key less its last letter
+    (-1 for H).  ``arrays[step][i]`` is the id of coset i times ``step``, or
+    -1; each array ends in a -1 sentinel, so that a walk from -1 stays at
+    -1.  Steps are the letters and their inverses, or for free products
+    every syllable of a factor; the breadth-first search uses the one-letter
+    steps.  A -1 out of the outermost layer, or for a longer syllable, may
+    hide a discovered coset that was never looked up; ``step`` looks it up.
+    Growing the graph keeps every id and link, so windows built over it
+    before stay valid.
     """
 
     def __init__(self, sub: SubgroupModel):
@@ -75,6 +81,7 @@ class _CosetGraph:
         self.arrays: dict[str, list[int]] = {s: [-1, -1] for s in steps}
         self.keys = [""]
         self.fps = [sub.fingerprint(model.identity())]
+        self.parent = [-1]
         self.index = {self.fps[0]: 0}
         self.level_end = [1]  # level_end[l]: number of keys of length <= l
 
@@ -83,47 +90,41 @@ class _CosetGraph:
         return len(self.level_end) - 1
 
     def grow(self, radius: int) -> "_CosetGraph":
-        """Discover every coset whose key is at most radius long."""
-        keys, fps, index = self.keys, self.fps, self.index
-        links = {step: (a, self.arrays[self.inverse[step]]) for step, a in self.arrays.items()}
-        while self.radius < radius:
-            pending = self._link_out(self.level_end[-2] if self.radius else 0, len(keys))
-            # room for every pending target; the unused tail is cut off below
-            for a in self.arrays.values():
-                a.extend([-1] * len(pending))
-            for i, step, fp in pending:
-                j = index.get(fp)
-                if j is None:
-                    j = index[fp] = len(keys)
-                    keys.append(keys[i] + step)
-                    fps.append(fp)
-                forward, back = links[step]
-                forward[i] = j
-                back[j] = i
-            for a in self.arrays.values():
-                del a[len(keys) + 1:]
-            self.level_end.append(len(keys))
-        return self
+        """Discover every coset whose key is at most radius long.
 
-    def _link_out(self, lo: int, hi: int) -> list[tuple[int, str, object]]:
-        """Link the unlinked one-letter steps out of ids lo..hi-1 that reach a
-        discovered coset; return the others with their target's fingerprint,
-        in breadth-first order."""
-        advance, keys, fps, index = self.sub.engine.advance, self.keys, self.fps, self.index
+        One pass per layer: each unlinked one-letter step out of the
+        outermost layer is advanced from its parent's fingerprint and looked
+        up with one ``index.setdefault``; a fingerprint not seen before
+        becomes the next id, with the parent id it was reached from.
+        """
+        advance, keys, fps, parent, index = (
+            self.sub.engine.advance, self.keys, self.fps, self.parent, self.index)
+        arrays = list(self.arrays.values())
         # (step, its array, the array of its inverse); one-letter steps in ShortLex order
         links = [(step, self.arrays[step], self.arrays[self.inverse[step]]) for step in self.letters]
-        pending = []
-        for i in range(lo, hi):
-            for step, forward, back in links:
-                if forward[i] < 0:
-                    fp = advance(fps[i], keys[i], step)
-                    j = index.get(fp)
-                    if j is None:
-                        pending.append((i, step, fp))
-                    else:
+        while self.radius < radius:
+            lo, hi = self.level_end[-2] if self.radius else 0, len(keys)
+            # room for every new id; the unused tail is cut off below
+            for a in arrays:
+                a.extend(repeat(-1, (hi - lo) * len(links)))
+            size = hi
+            for i in range(lo, hi):
+                fp_i, key = fps[i], keys[i]
+                for step, forward, back in links:
+                    if forward[i] < 0:
+                        fp = advance(fp_i, key, step)
+                        j = index.setdefault(fp, size)
+                        if j == size:
+                            keys.append(key + step)
+                            fps.append(fp)
+                            parent.append(i)
+                            size += 1
                         forward[i] = j
                         back[j] = i
-        return pending
+            for a in arrays:
+                del a[size + 1:]
+            self.level_end.append(size)
+        return self
 
     def step(self, i: int, step: str) -> int:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered."""
@@ -165,7 +166,8 @@ class Window:
         self.core: list[str] = self.omega[:cut]
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
-        self._walks: dict[str, list[int]] = {}
+        self._known_masks: dict[str, int] = {}
+        self._images: dict[str, list[int]] = {}
         self._translates: dict[tuple[str, int], tuple[int, int]] = {}
 
     def extended(self, extra: int) -> "Window":
@@ -193,28 +195,41 @@ class Window:
 
     def images(self, word: str) -> list[int]:
         """Per key id, the id of the coset H*k*word, or -1 when the canonical
-        word of k*word is longer than the radius (the key is unknown).
-
-        Each walk keeps its intermediate cosets inside the window: letters
-        that cancel into k come before letters that lengthen it.
-        """
-        images = self._walks.get(word)
+        word of k*word is longer than the radius (the key is unknown)."""
+        images = self._images.get(word)
         if images is None:
-            images = self._walks[word] = self._walk(word)
+            _, ends, known = self._read(word, bytes(len(self.graph.keys)) + b"\2")
+            known_flags = _flags(known).ljust(len(self.omega), b"\0")
+            images = self._images[word] = [j if k else -1 for j, k in zip(ends, known_flags)]
         return images
 
-    def _walk(self, word: str) -> list[int]:
-        known = self._known(word)
-        ids = range(len(self.omega))
+    def _read(self, word: str, row: bytes) -> tuple[bytearray, list[int], int]:
+        """(read, ends, known) for a word and a row of one flag per id of the
+        graph followed by a 2, the flag of id -1.
+
+        ``ends[i]`` is the id where key i's walk through the arrays ends,
+        ``read[i]`` is ``row[ends[i]]``, and ``known`` is the bitset of the
+        keys k with k*word at most radius long.  A known walk ends inside
+        the window, so one that reads 2 met a link not looked up yet, or a
+        free abelian letter that lengthens k before one that cancels into
+        it; ``_walk_from`` walks it again.  Only ``known`` is cached per
+        word: translates keep their masks, and ``images`` its list.
+        """
+        known = self._known_masks.get(word)
+        if known is None:
+            known = self._known_masks[word] = _mask(self._known(word))
+        ends = list(range(len(self.omega)))
         for step in self._steps(word):
-            ids = list(map(self.graph.arrays[step].__getitem__, ids))
-        images = [j if k else -1 for j, k in zip(ids, known)]
-        if images.count(-1) > known.count(0):
-            # a known walk stays inside the window, so it met a step not looked up yet
-            images = [self._walk_from(i, word) if k and j < 0 else j
-                      for i, (j, k) in enumerate(zip(images, known))]
-        assert images.count(-1) == known.count(0), "a known walk left the window"
-        return images
+            ends = list(map(self.graph.arrays[step].__getitem__, ends))
+        read = bytearray(map(row.__getitem__, ends))
+        lost = _mask(read, _LOST) & known
+        if lost:
+            for i in bit_positions(lost):
+                j = ends[i] = self._walk_from(i, word)
+                read[i] = row[j]
+            lost = _mask(read, _LOST) & known
+        assert not lost, "a known walk left the window"
+        return read, ends, known
 
     def _steps(self, word: str) -> list[str]:
         """The steps of a canonical word: its letters, or its syllables for free products."""
@@ -280,17 +295,23 @@ class Window:
         base_set is a bitset over key ids.  A key k belongs to the translate
         iff the key of k * g^-1 belongs to the base set; keys whose
         pulled-back representative is longer than the radius are unknown.
+        Both come from masks: ``unknown`` is the complement of the known
+        keys, and ``known_in`` the known keys whose walk reads a member of
+        base_set.  The identity translate is base_set itself, all known.
         Cached per word and base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
         if hit is None:
-            images = self.images(invert(g).word)
-            # one flag per key id, and a final 0 read by id -1
             size = len(self.omega)
-            members = _flags(base_set)[:size].ljust(size + 1, b"\0")
-            hit = (_mask(bytes(map(members.__getitem__, images))),
-                   _mask(bytes(map((0).__gt__, images))))  # image -1: unknown
+            full = (1 << size) - 1
+            if g.is_identity():
+                hit = (base_set & full, 0)
+            else:
+                # keys past the window (a graph grown since) are unknown here
+                row = _flags(base_set)[:size].ljust(len(self.graph.keys), b"\0") + b"\2"
+                read, _, known = self._read(invert(g).word, row)
+                hit = (_mask(read) & known, full ^ known)
             self._translates[cache_key] = hit
         return hit
 
@@ -331,6 +352,14 @@ class BaseSetSpec:
             if sides.setdefault(prefix, side) != side:
                 raise ConflictingRule(f"prefix {prefix!r} declared with both sides")
 
+    @property
+    def depth(self) -> int:
+        """Keys longer than this are decided as their parent, the key less its
+        last letter, is: every rule that matches one matches its parent, and
+        neither is an explicit key."""
+        return max([len(prefix) for prefix, _ in self.rules]
+                   + [len(key) + 1 for key in self.includes | self.excludes], default=0)
+
     def decide(self, key: str) -> bool:
         best: Optional[tuple[str, bool]] = None
         for prefix, side in self.rules:
@@ -347,8 +376,28 @@ class BaseSetSpec:
 
 
 def build_base_set(window: Window, spec: BaseSetSpec) -> int:
-    """The keys the spec puts in, as a bitset over the window's key ids."""
-    return _mask(bytes(map(spec.decide, window.omega)))
+    """The keys the spec puts in, as a bitset over the window's key ids.
+
+    ``spec.decide`` runs on the keys at most ``spec.depth`` long; every
+    longer key inherits its parent's decision through the graph's parent
+    ids, one level at a time.
+    """
+    return _mask(_decide(window, spec, bytearray()))
+
+
+def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> bytearray:
+    """flags, the decisions of the window's keys of length below some l,
+    extended by the decisions of all its keys of length l and more."""
+    keys, parent, depth = window.graph.keys, window.graph.parent, spec.depth
+    for length in range(window.radius + 1):
+        lo, hi = window.level(length)
+        if lo < len(flags):
+            continue
+        if length <= depth:
+            flags += bytes(map(spec.decide, keys[lo:hi]))
+        else:
+            flags += bytes(map(flags.__getitem__, parent[lo:hi]))
+    return flags
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +625,8 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
     big = window.extended(2)
     # the window's keys keep their ids and their decisions in the larger one
     size = len(window.omega)
-    big_base = family.base_set | _mask(bytes(map(base_spec.decide, big.omega[size:]))) << size
+    small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
+    big_base = _mask(_decide(big, base_spec, small))
     large = build_family(big, big_base, translations)
     # both keep the first translate of each distinct translate set, in translation order
     words = [v.element.word for v in family.vertices]

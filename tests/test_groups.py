@@ -63,6 +63,22 @@ def test_normalize_unknown_letter():
         F2.normalize("ac")
 
 
+def test_letter_lookups_share_one_rank_table():
+    for model in (F2, Z2, Z2Z3):
+        alphabet = [ch for g in model.letters for ch in (g, g.upper())]
+        assert [model.letter_rank(ch) for ch in alphabet] == list(range(len(alphabet)))
+        assert [model.letter_index(ch) for ch in alphabet] == [i // 2 for i in range(len(alphabet))]
+        assert model.sort_key("".join(alphabet)) == (len(alphabet), tuple(range(len(alphabet))))
+    for bad in ("c", "C", "1", "", "ab", "\u212a"):
+        with pytest.raises(UnknownLetter):
+            F2.letter_index(bad)
+        with pytest.raises(UnknownLetter):
+            F2.letter_rank(bad)
+    for bad in ("ac", "Ca", "a1"):
+        with pytest.raises(UnknownLetter):
+            F2.sort_key(bad)
+
+
 @settings(max_examples=200)
 @given(words(F2))
 def test_normalize_idempotent_free(raw):
@@ -99,6 +115,14 @@ def test_compose_identity_neutral():
         e = model.normalize(word)
         assert compose(e, model.identity()) == e
         assert compose(model.identity(), e) == e
+
+
+@settings(max_examples=300)
+@given(words(F2, 12), words(F2, 12))
+def test_free_compose_matches_the_reduced_concatenation(raw1, raw2):
+    # compose starts its reduction from the left word; normalize reduces from scratch
+    e1, e2 = F2.normalize(raw1), F2.normalize(raw2)
+    assert compose(e1, e2) == F2.normalize(raw1 + raw2) == F2.normalize(e1.word + e2.word)
 
 
 def test_compose_model_mismatch():

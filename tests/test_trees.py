@@ -121,6 +121,23 @@ def test_build_tree_rejects_crossings():
         build_tree(crossing_system())
 
 
+def test_nestedness_is_decided_once_per_system(monkeypatch):
+    from tracktree import patterns
+    decided = []
+    search = patterns._nestedness
+    monkeypatch.setattr(patterns, "_nestedness",
+                        lambda system: decided.append(system) or search(system))
+    # the pipeline decides it, and the tree build reads the same result
+    result = run("E1")
+    assert result.tree is not None and decided == [result.system]
+    # a crossing system still raises on a direct build, decided once as well
+    system = crossing_system()
+    for _ in range(2):
+        with pytest.raises(NotNested):
+            build_tree(system)
+    assert decided == [result.system, system]
+
+
 def test_tree_axioms_on_corpus():
     for name in ("E1", "E2", "E3", "E4"):
         result = run(name)

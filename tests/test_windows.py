@@ -358,11 +358,51 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
     assert big.omega == fresh.omega and big.core == fresh.core
     assert big.shell_mask == fresh.shell_mask
     window._translates.clear()
-    window._walks.clear()
+    window._known_masks.clear()
+    window._images.clear()
     for g in model.ball(2):
         assert window.translate(base, g) == before[g.word]
         assert big.translate(base, g) == fresh.translate(base, g)
     assert_window_matches_reference(big, rng, samples=3)
+
+
+def ref_base_set(window, spec):
+    """The base set by the per-key definition: spec.decide on every key."""
+    return sum(1 << i for i, k in enumerate(window.omega) if spec.decide(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_windows(), st.data())
+def test_inherited_decisions_match_the_per_key_definition(window, data):
+    big = window.extended(2)
+    spec = data.draw(base_specs(big.omega))
+    assert build_base_set(window, spec) == ref_base_set(window, spec)
+    assert build_base_set(big, spec) == ref_base_set(big, spec)
+
+
+def test_translate_walks_again_where_a_known_walk_meets_no_link(monkeypatch):
+    # free abelian walks take the word's letters in order: from YYY, the word
+    # Xy first steps out to XYYY, past the radius, though YYY * Xy = XYY is known
+    rows = subgroup(LATTICE, [])
+    window = build_window(LATTICE, rows, 3, 1)
+    walked_again = []
+    walk_from = Window._walk_from
+
+    def counting(self, i, word):
+        walked_again.append((self.omega[i], word))
+        return walk_from(self, i, word)
+
+    monkeypatch.setattr(Window, "_walk_from", counting)
+    table = CosetTable(rows, LATTICE.ball(3))
+    rng = random.Random(7)
+    for g in (LATTICE.normalize(w) for w in ["xY", "Yx", "xxY", "XyY", "XYY"]):
+        base_keys = frozenset(k for k in window.omega if rng.random() < 0.5)
+        base = sum(1 << i for i, k in enumerate(window.omega) if k in base_keys)
+        known_in, unknown = window.translate(base, g)
+        ref_in, ref_unknown = reference_translate(table, base_keys, g)
+        assert set(window.keys_of(known_in)) == ref_in, g
+        assert set(window.keys_of(unknown)) == ref_unknown, g
+    assert ("YYY", "Xy") in walked_again
 
 
 def test_certified_diff_is_the_family_difference():
@@ -447,22 +487,42 @@ def assert_stability_matches_reference(model, sub, radius, margin, base_spec, tr
 
 
 @st.composite
+def base_specs(draw, keys):
+    """Rules of 1-3 letters and explicit keys over a key list; half the explicit
+    keys are at most 3 letters long, so that rules are longer than some
+    explicit keys and shorter than others."""
+    short = [k for k in keys if 0 < len(k) <= 3] or keys
+    rules = draw(st.lists(st.tuples(st.sampled_from(short), st.booleans()),
+                          max_size=3, unique_by=lambda r: r[0]))
+    explicit = st.one_of(st.sampled_from(short), st.sampled_from(keys))
+    includes = draw(st.frozensets(explicit, max_size=3))
+    excludes = draw(st.frozensets(explicit, max_size=3)) - includes
+    return BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
+                       default_in=draw(st.booleans()))
+
+
+def free_product_case():
+    """Instance C: orders 2, 2, 2 over stu, subgroup <st>, margin 2, translations 1, s, t, u."""
+    model = free_product_of_cyclics([2, 2, 2])
+    return model, subgroup(model, ["st"]), 2, [model.normalize(w) for w in ["", "s", "t", "u"]]
+
+
+@st.composite
 def stability_cases(draw):
-    """A corpus group and its translations, at a radius up to 6, with a random base set;
-    explicit keys come from the radius + 2 window, so some lie beyond the radius."""
-    spec = corpus()[draw(st.sampled_from(["E1", "E2", "E3", "E4"]))]
-    model = make_model(spec)
-    sub = make_subgroup(model, spec.subgroup_generators)
-    margin = spec.margin
+    """A corpus group or the free-product window C and its translations, at a
+    radius up to 6, with a random base set over the radius + 2 window's keys,
+    so that some explicit keys lie beyond the radius."""
+    name = draw(st.sampled_from(["E1", "E2", "E3", "E4", "C"]))
+    if name == "C":
+        model, sub, margin, translations = free_product_case()
+    else:
+        spec = corpus()[name]
+        model = make_model(spec)
+        sub = make_subgroup(model, spec.subgroup_generators)
+        margin = spec.margin
+        translations = [model.normalize(token_word(w)) for w in spec.translations]
     radius = draw(st.integers(2 * margin, max(2 * margin, 6)))
-    keys = build_window(model, sub, radius + 2, margin).omega
-    rules = draw(st.lists(st.tuples(st.sampled_from([k for k in keys if 0 < len(k) <= 2]),
-                                    st.booleans()), max_size=3, unique_by=lambda r: r[0]))
-    includes = draw(st.frozensets(st.sampled_from(keys), max_size=3))
-    excludes = draw(st.frozensets(st.sampled_from(keys), max_size=3)) - includes
-    base_spec = BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
-                            default_in=draw(st.booleans()))
-    translations = [model.normalize(token_word(w)) for w in spec.translations]
+    base_spec = draw(base_specs(build_window(model, sub, radius + 2, margin).omega))
     return model, sub, radius, margin, base_spec, translations
 
 
