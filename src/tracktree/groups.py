@@ -460,33 +460,6 @@ class _LatticeEngine(_Engine):
         return self.lattice.reduce(moved)
 
 
-class _TrivialEngine(_Engine):
-    def __init__(self, model: GroupModel):
-        self.model = model
-
-    def fingerprint(self, e: GroupElement):
-        return e.word
-
-
-class _FactorCyclicEngine(_Engine):
-    """Subgroup of a single cyclic factor: <letter^step> with step | order."""
-
-    def __init__(self, model: GroupModel, letter_index: int, exponents: Sequence[int]):
-        self.model = model
-        self.letter_index = letter_index
-        self.step = math.gcd(model.orders[letter_index], *exponents)
-
-    def fingerprint(self, e: GroupElement):
-        syl = _word_to_syllables(self.model, e.word)
-        if syl and syl[0][0] == self.letter_index:
-            residue = syl[0][1] % self.step
-            rest = _render_syllables(self.model, syl[1:])
-        else:
-            residue = 0
-            rest = e.word
-        return (residue, rest)
-
-
 class _CyclicEngine(_Engine):
     """Cyclic subgroup <w> of a free product, via cyclic reduction w = u v u^-1."""
 
@@ -501,29 +474,29 @@ class _CyclicEngine(_Engine):
             head = GroupElement(model, _render_syllables(model, [syl[0]]))
             u = compose(u, head)
             v = compose(compose(invert(head), v), head)
-        if len(_word_to_syllables(model, v.word)) <= 1:
-            # finite order: enumerate the whole cyclic group
-            powers = {model.identity().word}
-            acc = generator
-            while not acc.is_identity():
-                powers.add(acc.word)
-                acc = compose(acc, generator)
-            self.finite_powers: Optional[set[str]] = powers
+        self.u_inv = invert(u)
+        syl = _word_to_syllables(model, v.word)
+        if len(syl) <= 1:
+            # finite order: <v> is generated by v's letter to the gcd of v's
+            # exponent and the letter's order (no letter when v = 1)
+            self.v = None
+            self.letter, exponent = syl[0] if syl else (None, 0)
+            self.step = math.gcd(model.orders[self.letter], exponent) if syl else 1
         else:
-            self.finite_powers = None
-            self.u_inv, self.v, self.v_inv = invert(u), v, invert(v)
+            self.v, self.v_inv = v, invert(v)
 
     def fingerprint(self, e: GroupElement):
-        """ShortLex-least element of the coset He, or, for infinite <w>, of u^-1 He."""
-        model = self.model
-        if self.finite_powers is not None:
-            coset = [compose(GroupElement(model, h), e) for h in self.finite_powers]
-            return min(coset, key=GroupElement.sort_key).word
+        """A canonical value of u^-1 He = <v>z: for finite <v>, the residue of
+        z's leading power of v's letter and the rest of z; else its least element."""
+        if self.v is None:
+            syl = _word_to_syllables(self.model, self.u_inv.word + e.word)
+            residue = syl.pop(0)[1] % self.step if syl and syl[0][0] == self.letter else 0
+            return (residue, _render_syllables(self.model, syl))
+        z = compose(self.u_inv, e)
         # He = u<v>u^-1 e, so u^-1 He = <v>z.  Its least element v^n z is no
         # longer than z, and |v^n| <= |v^n z| + |z^-1|, so |v^n| <= |z| + |z^-1|;
         # powers of the cyclically reduced v concatenate, so |v^n| = |n| |v|
         # (and |v^-n| = |n| |v^-1|, which may differ from |n| |v|).
-        z = compose(self.u_inv, e)
         reach = len(z.word) + len(invert(z).word)
         best = z
         for step in (self.v, self.v_inv):
@@ -560,28 +533,23 @@ class SubgroupModel:
 def subgroup(model: GroupModel, generator_words: Sequence[str]) -> SubgroupModel:
     gens = tuple(g for g in (model.normalize(w) for w in generator_words) if not g.is_identity())
     if model.kind == FREE:
-        engine = _FreeEngine(model, gens) if gens else _TrivialEngine(model)
+        engine = _FreeEngine(model, gens)
     elif model.kind == FREE_ABELIAN:
-        engine = _LatticeEngine(model, gens) if gens else _TrivialEngine(model)
+        engine = _LatticeEngine(model, gens)
     else:
-        engine = _fpc_engine(model, gens)
+        generator = gens[0] if len(gens) == 1 else model.identity()
+        if len(gens) > 1:
+            syllables = [_word_to_syllables(model, g.word) for g in gens]
+            letter = syllables[0][0][0]
+            if any(len(syl) != 1 or syl[0][0] != letter for syl in syllables):
+                raise UnsupportedSubgroup(
+                    "free_product_cyclic subgroups must lie in one factor or be cyclic on one generator"
+                )
+            # powers of one letter generate its power by their gcd with the letter's order
+            step = math.gcd(model.orders[letter], *(syl[0][1] for syl in syllables))
+            generator = model.normalize(model.letters[letter] * step)
+        engine = _CyclicEngine(model, generator)
     return SubgroupModel(model, gens, engine)
-
-
-def _fpc_engine(model: GroupModel, gens: Sequence[GroupElement]):
-    if not gens:
-        return _TrivialEngine(model)
-    syllable_lists = [_word_to_syllables(model, g.word) for g in gens]
-    if all(len(s) == 1 for s in syllable_lists):
-        letters = {s[0][0] for s in syllable_lists}
-        if len(letters) == 1:
-            idx = letters.pop()
-            return _FactorCyclicEngine(model, idx, [s[0][1] for s in syllable_lists])
-    if len(gens) == 1:
-        return _CyclicEngine(model, gens[0])
-    raise UnsupportedSubgroup(
-        "free_product_cyclic subgroups must lie in one factor or be cyclic on one generator"
-    )
 
 
 # --------------------------------------------------------------------------

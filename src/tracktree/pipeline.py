@@ -68,7 +68,8 @@ class RunResult:
     spec: InstanceSpec
     family: Optional[VertexFamily] = None
     system: Optional[TrackSystem] = None
-    labels: Optional[dict[tuple[int, int], tuple[int, ...]]] = None  # label positions per edge
+    # label positions per edge, computed for the labeling oracle; None when it gave no result
+    labels: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
     tree: Optional[DualTree] = None
     # once the tree is built, each oracle gives its result or why it was skipped
     orientations: Optional[OrientationOracle] = None
@@ -249,8 +250,8 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     report.add("nestedness", PASS)
 
     # on a nested system every class order is total (see class_order), so
-    # assign_labels cannot raise NotTotal here
-    result.labels = assign_labels(system)
+    # assign_labels cannot raise NotTotal; the labels are computed only for
+    # the labeling oracle, the one reader of them
     report.add("class_orders", PASS)
     report.add("labelling", PASS)
 
@@ -281,6 +282,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
         result.labelings_skipped = str(exc)
         report.add("labeling_oracle", UNCERTIFIED, str(exc))
     else:
+        result.labels = assign_labels(system)
         verdict = result.labeling_verdict = labeling_verdict(system, result.labels, oracle)
         ok = all(verdict)
         report.add("labeling_oracle", PASS if ok else FAIL,

@@ -8,8 +8,10 @@ each reduced edge is subdivided by band vertices which flip the class's
 cosets one at a time in ShortLex order away from the base side.  Every
 vertex carries the finite flip set F and the set B = A + F it represents,
 both int bitsets over the family's universe, and every edge is labelled by
-the universe position of the one coset it flips.  The group acts on them
-through the window's walks.
+the universe position of the one coset it flips.  An element g sends
+B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
+window's translate by g, and F*g sends each label coset through
+``Window.locate`` of its key times g.
 """
 
 from __future__ import annotations
@@ -299,19 +301,25 @@ def translate_flips(tree: DualTree, g: GroupElement) -> int:
     """Certified symmetric difference between the base set and its g-translate,
     a bitset over the family's universe."""
     window = _window_of(tree)
-    base_set = tree.system.family.base_set
-    _, unknown = window.translate(base_set, g)
+    moved, unknown = window.translate(tree.system.family.base_set, g)
     if unknown & window.core_mask:
         raise OutsideCertifiedDomain(f"translate by {g!r} undecided inside the core")
-    diff = window.certified_diff(base_set, window.model.identity(), g)
-    if diff & window.shell_mask:
+    if moved & window.shell_mask:
         raise OutsideCertifiedDomain(f"translate by {g!r} shifts the boundary shell")
-    return diff
+    return moved
 
 
-def _image_flips(flips: int, images: list[int], d_g: int) -> Optional[int]:
-    """The flip set of B*g, for B = A + flips: flips*g + d_g, where images is
-    the window's walk by g; None when a flipped coset leaves the window."""
+def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
+    """Per label position p of the tree, the id of the coset H*k*g for the key
+    k of p, or -1 when that coset's key is longer than the radius."""
+    window = _window_of(tree)
+    return {p: window.locate(compose(GroupElement(window.model, window.omega[p]), g))
+            for p in bit_positions(tree.system.label_bits)}
+
+
+def _image_flips(flips: int, images: dict[int, int], d_g: int) -> Optional[int]:
+    """The flip set of B*g, for B = A + flips: flips*g + d_g, where images are
+    the tree's label images under g; None when a flipped coset leaves the window."""
     moved = 0
     while flips:
         low = flips & -flips
@@ -326,7 +334,7 @@ def _image_flips(flips: int, images: list[int], d_g: int) -> Optional[int]:
 def act(tree: DualTree, g: GroupElement) -> ActionReport:
     """Map every vertex B to B*g; None where the image is not a tree vertex."""
     d_g = translate_flips(tree, g)
-    images = _window_of(tree).images(g.word)
+    images = _label_images(tree, g)
     vertex_map: list[Optional[int]] = [
         tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
     return ActionReport(display_word(g.word), vertex_map, tree.flip_index.get(d_g),
@@ -375,8 +383,8 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     window = _window_of(tree)
     sub = window.sub
 
-    # (g, d_g, the walk by g) per element whose translate is certified
-    certified: list[tuple[GroupElement, int, list[int]]] = []
+    # (g, d_g, the label images under g) per element whose translate is certified
+    certified: list[tuple[GroupElement, int, dict[int, int]]] = []
     uncertified: list[str] = []
     for g in ball:
         try:
@@ -384,7 +392,7 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         except OutsideCertifiedDomain:
             uncertified.append(display_word(g.word))
             continue
-        certified.append((g, d_g, window.images(g.word)))
+        certified.append((g, d_g, _label_images(tree, g)))
 
     vertex_stabs: list[tuple[str, ...]] = []
     for v in tree.vertices:

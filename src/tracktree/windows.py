@@ -8,7 +8,11 @@ generator.  Every quantity derived from the window carries a certificate: it
 must stay clear of the boundary shell (keys longer than radius - margin),
 and shipped instances are additionally re-checked at radius + 2.  Vertex
 subsets are int bitsets over the core universe (shell removed), so that
-downstream set arithmetic is exact wherever a certificate holds.
+downstream set arithmetic is exact wherever a certificate holds.  A
+translate by g is one pair of bitsets from one walk of g^-1: the
+certified symmetric difference of the base set and its g-translate, and
+the keys the window cannot decide; the family, the hypothesis checks and
+the tree's action all read that pair.
 """
 
 from __future__ import annotations
@@ -166,8 +170,6 @@ class Window:
         self.core: list[str] = self.omega[:cut]
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
-        self._known_masks: dict[str, int] = {}
-        self._images: dict[str, list[int]] = {}
         self._translates: dict[tuple[str, int], tuple[int, int]] = {}
 
     def extended(self, extra: int) -> "Window":
@@ -192,44 +194,6 @@ class Window:
         return ends[length - 1] if length else 0, ends[length]
 
     # -- walks --
-
-    def images(self, word: str) -> list[int]:
-        """Per key id, the id of the coset H*k*word, or -1 when the canonical
-        word of k*word is longer than the radius (the key is unknown)."""
-        images = self._images.get(word)
-        if images is None:
-            _, ends, known = self._read(word, bytes(len(self.graph.keys)) + b"\2")
-            known_flags = _flags(known).ljust(len(self.omega), b"\0")
-            images = self._images[word] = [j if k else -1 for j, k in zip(ends, known_flags)]
-        return images
-
-    def _read(self, word: str, row: bytes) -> tuple[bytearray, list[int], int]:
-        """(read, ends, known) for a word and a row of one flag per id of the
-        graph followed by a 2, the flag of id -1.
-
-        ``ends[i]`` is the id where key i's walk through the arrays ends,
-        ``read[i]`` is ``row[ends[i]]``, and ``known`` is the bitset of the
-        keys k with k*word at most radius long.  A known walk ends inside
-        the window, so one that reads 2 met a link not looked up yet, or a
-        free abelian letter that lengthens k before one that cancels into
-        it; ``_walk_from`` walks it again.  Only ``known`` is cached per
-        word: translates keep their masks, and ``images`` its list.
-        """
-        known = self._known_masks.get(word)
-        if known is None:
-            known = self._known_masks[word] = _mask(self._known(word))
-        ends = list(range(len(self.omega)))
-        for step in self._steps(word):
-            ends = list(map(self.graph.arrays[step].__getitem__, ends))
-        read = bytearray(map(row.__getitem__, ends))
-        lost = _mask(read, _LOST) & known
-        if lost:
-            for i in bit_positions(lost):
-                j = ends[i] = self._walk_from(i, word)
-                read[i] = row[j]
-            lost = _mask(read, _LOST) & known
-        assert not lost, "a known walk left the window"
-        return read, ends, known
 
     def _steps(self, word: str) -> list[str]:
         """The steps of a canonical word: its letters, or its syllables for free products."""
@@ -290,36 +254,40 @@ class Window:
     # -- translates --
 
     def translate(self, base_set: int, g: GroupElement) -> tuple[int, int]:
-        """(known_in, unknown) bitsets of base_set * g over the window's keys.
+        """(moved, unknown) bitsets of base_set * g over the window's keys.
 
         base_set is a bitset over key ids.  A key k belongs to the translate
         iff the key of k * g^-1 belongs to the base set; keys whose
         pulled-back representative is longer than the radius are unknown.
-        Both come from masks: ``unknown`` is the complement of the known
-        keys, and ``known_in`` the known keys whose walk reads a member of
-        base_set.  The identity translate is base_set itself, all known.
-        Cached per word and base set.
+        ``moved`` is the certified symmetric difference of the base set and
+        its translate: the known keys whose membership the translate
+        changes.  One bulk walk of g^-1 reads the base set's flag at every
+        key's end; a known walk ends inside the window, so one that reads 2
+        (the flag of id -1) met a link not looked up yet, or a free abelian
+        letter that lengthens k before one that cancels into it, and
+        ``_walk_from`` walks it again.  Cached per word and base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
         if hit is None:
             size = len(self.omega)
-            full = (1 << size) - 1
             if g.is_identity():
-                hit = (base_set & full, 0)
+                hit = (0, 0)
             else:
+                word = invert(g).word
+                known = _mask(self._known(word))
                 # keys past the window (a graph grown since) are unknown here
                 row = _flags(base_set)[:size].ljust(len(self.graph.keys), b"\0") + b"\2"
-                read, _, known = self._read(invert(g).word, row)
-                hit = (_mask(read) & known, full ^ known)
+                ends = range(size)
+                for step in self._steps(word):
+                    ends = list(map(self.graph.arrays[step].__getitem__, ends))
+                read = bytearray(map(row.__getitem__, ends))
+                for i in bit_positions(_mask(read, _LOST) & known):
+                    read[i] = row[self._walk_from(i, word)]
+                assert not _mask(read, _LOST) & known, "a known walk left the window"
+                hit = ((base_set ^ _mask(read)) & known, ((1 << size) - 1) ^ known)
             self._translates[cache_key] = hit
         return hit
-
-    def certified_diff(self, base_set: int, g1: GroupElement, g2: GroupElement) -> int:
-        """Keys known under both translates on which their membership differs."""
-        in1, unknown1 = self.translate(base_set, g1)
-        in2, unknown2 = self.translate(base_set, g2)
-        return (in1 ^ in2) & ~(unknown1 | unknown2)
 
 
 def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int) -> Window:
@@ -475,9 +443,10 @@ def build_family(window: Window, base_set: int,
     if not any(g.is_identity() for g in translations):
         raise ValueError("translations must contain the identity (the base vertex)")
 
+    moved: dict[str, tuple[int, int]] = {}
     for g in translations:
-        _, unknown = window.translate(base_set, g)
-        if unknown & window.core_mask:
+        moved[g.word] = window.translate(base_set, g)
+        if moved[g.word][1] & window.core_mask:
             raise CertificationFailure(
                 display_word(g.word), display_word(g.word),
                 "translate undecided inside the core; enlarge radius")
@@ -486,9 +455,11 @@ def build_family(window: Window, base_set: int,
     kept: list[GroupElement] = []
     base_index = None
     for g in translations:
+        m, u = moved[g.word]
         dup = None
         for g0 in kept:
-            diff = window.certified_diff(base_set, g, g0)
+            m0, u0 = moved[g0.word]
+            diff = (m ^ m0) & ~(u | u0)
             if diff & window.shell_mask:
                 raise CertificationFailure(
                     display_word(g0.word), display_word(g.word),
@@ -503,7 +474,7 @@ def build_family(window: Window, base_set: int,
             base_index = len(kept) - 1 if dup is None else kept.index(dup)
 
     vertices = [
-        FamilyVertex(g, window.translate(base_set, g)[0] & window.core_mask,
+        FamilyVertex(g, (base_set ^ moved[g.word][0]) & window.core_mask,
                      f"A*{display_word(g.word)}")
         for g in kept
     ]
@@ -554,11 +525,9 @@ def hypothesis_report(window: Window, base_set: int,
     coset set separating the base set from its translate.  Properness is a
     shell-meeting heuristic: evidence, never proof.
     """
-    identity = window.model.identity()
     entries = []
     for g in translations:
-        _, unknown = window.translate(base_set, g)
-        witness = window.certified_diff(base_set, identity, g)
+        witness, unknown = window.translate(base_set, g)
         certified = not (unknown & window.core_mask) and not (
             witness & window.shell_mask)
         entries.append(AlmostInvarianceEntry(
@@ -591,8 +560,7 @@ def hypothesis_report(window: Window, base_set: int,
     k_entries = []
     if expected_k is not None:
         for k in expected_k.generators:
-            _, unknown = window.translate(base_set, k)
-            moved = window.certified_diff(base_set, identity, k) != 0
+            moved, unknown = window.translate(base_set, k)
             certified = not (unknown & window.core_mask)
             k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
 

@@ -256,6 +256,9 @@ def brute_force_members(model, generator_words, length_cap, work_cap):
     # infinite <st> and <tst> = t<stt>t^-1
     (Z2, ["xxy"]), (Z2, ["xx", "yy"]), (F2, []), (Z2Z3, []),
     (free_product_of_cyclics([2, 6]), ["tt"]), (Z2Z2, ["sts"]), (Z2Z3, ["st"]), (Z2Z3, ["tst"]),
+    # several generators in one factor: <t^4, t^3> = <t> and <t^4, t^2> = <tt> in Z6
+    (free_product_of_cyclics([2, 6]), ["tttt", "ttt"]),
+    (free_product_of_cyclics([2, 6]), ["tttt", "tt"]),
 ])
 def test_folding_automaton_vs_brute_force(gens):
     """Every engine's membership against the closure of the generators."""

@@ -476,6 +476,28 @@ def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
                          "labeling_verdict": verdicts}, path.name
 
 
+def test_labels_are_assigned_only_for_the_labeling_oracle(tmp_path, monkeypatch, capsys):
+    import tracktree.pipeline
+
+    calls = []
+    original = tracktree.pipeline.assign_labels
+
+    def counted(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(tracktree.pipeline, "assign_labels", counted)
+    # E4 is under the labeling oracle's cap and the 13-class family over it;
+    # (labels assigned, `check` stdout md5) per file
+    for path, want in ((INSTANCE_DIR / "E4.ini", (1, "424695d5488f7047c2fd4c4b9955bc36")),
+                       (write_nested_family(tmp_path, 13, 0, 4),
+                        (0, "a573ea99f21383ec6537f6ef1a092a87"))):
+        calls.clear()
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert (len(calls), hashlib.md5(out.encode()).hexdigest()) == want, path.name
+
+
 def test_cli_vertex_cap_is_uncertified(tmp_path, capsys):
     # a path of 18 vertices, over the 16-vertex cap of the pattern layer
     keys = [f"c{k:02d}" for k in range(17)]

@@ -5,8 +5,9 @@ certified differences they replaced.
 
 The reference keeps its sets as frozensets of coset keys and maps keys
 through string dicts; it reads the window only through ``omega``,
-``core``, ``margin``, ``radius`` and ``images`` (which is tested against
-the ball reference in test_windows.py).
+``core``, ``margin``, ``radius`` and ``locate`` (which is tested against
+the ball reference in test_windows.py), and moves a key k by g as the
+coset of ``compose(k, g)``, not through the walk that ``translate`` makes.
 """
 
 import dataclasses
@@ -70,6 +71,25 @@ def ref_properness(window, inside):
     return True, "base set and complement meet every populated shell"
 
 
+def ref_act_key(window, key: str, g) -> Optional[str]:
+    """The key of the coset H*key*g, or None when its word is longer than the radius."""
+    j = window.locate(compose(GroupElement(window.model, key), g))
+    return window.omega[j] if j >= 0 else None
+
+
+def ref_translate(window, base_keys: frozenset, g):
+    """(known_in, unknown) key sets of the g-translate of a set of keys."""
+    ginv = invert(g)
+    known_in, unknown = set(), set()
+    for k in window.omega:
+        pulled = ref_act_key(window, k, ginv)
+        if pulled is None:
+            unknown.add(k)
+        elif pulled in base_keys:
+            known_in.add(k)
+    return known_in, unknown
+
+
 class StringTree:
     """A dual tree with frozensets of keys for flip sets, over the window it was built on."""
 
@@ -88,23 +108,8 @@ class StringTree:
         self.edges = [(i, j, family.universe[label]) for i, j, label in tree.edges]
         self.classes = [frozenset(family.keys_of(bits)) for bits in tree.system.class_bits]
 
-    def act_key(self, key: str, g) -> Optional[str]:
-        j = self.window.images(g.word)[self.id_of[key]]
-        return self.window.omega[j] if j >= 0 else None
-
-    def translate(self, g):
-        """(known_in, unknown) key sets of the base set's g-translate."""
-        images = self.window.images(invert(g).word)
-        known_in, unknown = set(), set()
-        for k, j in zip(self.window.omega, images):
-            if j < 0:
-                unknown.add(k)
-            elif self.window.omega[j] in self.base_set:
-                known_in.add(k)
-        return known_in, unknown
-
     def translate_flips(self, g) -> frozenset:
-        known_in, unknown = self.translate(g)
+        known_in, unknown = ref_translate(self.window, self.base_set, g)
         if unknown & self.core:
             raise OutsideCertifiedDomain(f"translate by {g!r} undecided inside the core")
         diff = (self.base_set ^ known_in) - unknown
@@ -114,7 +119,7 @@ class StringTree:
 
     def act(self, g):
         d_g = self.translate_flips(g)
-        label_map = {c: self.act_key(c, g) for c in self.labels}
+        label_map = {c: ref_act_key(self.window, c, g) for c in self.labels}
         vertex_map = []
         for flips in self.flips:
             moved = {label_map[c] for c in flips}
@@ -130,7 +135,7 @@ class StringTree:
             except OutsideCertifiedDomain:
                 uncertified.append(display_word(g.word))
                 continue
-            certified.append((g, d_g, {c: self.act_key(c, g) for c in self.labels}))
+            certified.append((g, d_g, {c: ref_act_key(self.window, c, g) for c in self.labels}))
 
         def image(flips, d_g, label_map):
             moved = {label_map[c] for c in flips}
@@ -251,8 +256,10 @@ def compare(name, base_spec=None, elements=None, seen=None):
         seen.add(type(exc).__name__)
         return seen
     # the family's differences are XORs of member sets: the certified differences
+    translates = {v.element.word: ref_translate(window, ref, v.element) for v in family.vertices}
     for (i, u), (j, v) in itertools.combinations(enumerate(family.vertices), 2):
-        assert family.diff(i, j) == window.certified_diff(base, u.element, v.element)
+        (in_u, unknown_u), (in_v, unknown_v) = translates[u.element.word], translates[v.element.word]
+        assert set(family.keys_of(family.diff(i, j))) == (in_u ^ in_v) - unknown_u - unknown_v
     try:
         tree = build_tree(build_track_system(family))
     except NotNested as exc:

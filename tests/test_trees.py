@@ -5,10 +5,12 @@ import itertools
 import pytest
 
 from tracktree import (
+    GroupElement,
     act,
     base_orientation,
     build_track_system,
     build_tree,
+    compose,
     corpus,
     explicit_family,
     fig1_exhibit,
@@ -289,8 +291,9 @@ def test_act_subgroup_element_fixes_everything():
     window = result.family.window
     rep = act(result.tree, window.model.normalize("x"))
     assert rep.base_image == result.tree.base_index
-    images = window.images("x")
-    assert all(images[p] == p for p in bit_positions(result.system.label_bits))
+    x = window.model.normalize("x")
+    assert all(window.locate(compose(GroupElement(window.model, window.omega[p]), x)) == p
+               for p in bit_positions(result.system.label_bits))
 
 
 def test_act_outside_certified_domain():
