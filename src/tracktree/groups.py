@@ -20,7 +20,8 @@ the canonical words breadth first, since they are closed under prefixes.
 Subgroup engines: Stallings folding automaton (free), integer lattice
 reduction (free_abelian), and factor/cyclic special forms for free
 products.  Each engine gives every right coset a canonical fingerprint,
-and that is all it decides: e lies in H exactly when He = H, so
+and ``advance`` takes the fingerprint of He to that of He*step from the
+fingerprint alone; that is all it decides: e lies in H exactly when He = H, so
 ``SubgroupModel.member`` compares the fingerprint of e with that of the
 identity.  ``CosetTable`` groups a ball by fingerprint into ShortLex-least
 coset keys, the reference for the coset graph of ``windows.Window``.
@@ -313,16 +314,6 @@ def _render_syllables(model: GroupModel, syllables: Sequence[Sequence[int]]) -> 
 # subgroup engines
 
 
-class _Engine:
-    """Canonical right-coset fingerprint for one subgroup."""
-
-    model: GroupModel
-
-    def advance(self, fp, rep: str, step: str):
-        """Fingerprint of H*rep*step, given fp, the fingerprint of H*rep."""
-        return self.fingerprint(self.model.normalize(rep + step))
-
-
 class FoldingAutomaton:
     """Folded core graph of a finitely generated subgroup of a free group.
 
@@ -382,27 +373,38 @@ class FoldingAutomaton:
         self.next = [{ch: find(t) for ch, t in out.items()} for out in next_]
 
 
-class _FreeEngine(_Engine):
+class _FreeEngine:
     """Schreier positions in the folded automaton: a coset's fingerprint is
-    (core state, hanging tail), the state its key reaches and the letters
-    that leave the core."""
+    one int, the core state its key reaches plus ``states`` times its hanging
+    tail, the letters that leave the core read as base-(2n + 1) digits 1..2n
+    with the last letter lowest."""
 
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
         self.next = FoldingAutomaton(generators).next
+        self.states = len(self.next)
+        self.base = 2 * model.rank + 1
+        # step -> (its digit, the digit of its inverse); a letter of rank r has digit r + 1
+        self.digits = {}
+        for g in model.letters:
+            r = model.letter_rank(g)
+            self.digits[g], self.digits[g.upper()] = (r + 1, r + 2), (r + 2, r + 1)
 
-    def fingerprint(self, e: GroupElement):
-        fp = (0, "")
+    def fingerprint(self, e: GroupElement) -> int:
+        fp = 0
         for ch in e.word:
-            fp = self.advance(fp, "", ch)
+            fp = self.advance(fp, ch)
         return fp
 
-    def advance(self, fp, rep: str, step: str):
-        state, tail = fp
+    def advance(self, fp: int, step: str) -> int:
+        """Fingerprint of He*step, given fp, the fingerprint of He."""
+        tail, state = divmod(fp, self.states)
+        digit, undo = self.digits[step]
         if tail:
-            return (state, tail[:-1]) if tail[-1] == step.swapcase() else (state, tail + step)
+            tail = tail // self.base if tail % self.base == undo else tail * self.base + digit
+            return state + self.states * tail
         t = self.next[state].get(step)
-        return (state, step) if t is None else (t, "")
+        return state + self.states * digit if t is None else t
 
 
 class IntegerLattice:
@@ -446,7 +448,7 @@ class IntegerLattice:
         return tuple(v)
 
 
-class _LatticeEngine(_Engine):
+class _LatticeEngine:
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
         self.lattice = IntegerLattice(model.rank, [_word_to_vector(model, g.word) for g in generators])
@@ -454,13 +456,13 @@ class _LatticeEngine(_Engine):
     def fingerprint(self, e: GroupElement):
         return self.lattice.reduce(_word_to_vector(self.model, e.word))
 
-    def advance(self, fp, rep: str, step: str):
+    def advance(self, fp, step: str):
         moved = list(fp)
         moved[self.model.letter_index(step)] += -1 if step.isupper() else 1
         return self.lattice.reduce(moved)
 
 
-class _CyclicEngine(_Engine):
+class _CyclicEngine:
     """Cyclic subgroup <w> of a free product, via cyclic reduction w = u v u^-1."""
 
     def __init__(self, model: GroupModel, generator: GroupElement):
@@ -489,19 +491,45 @@ class _CyclicEngine(_Engine):
         """A canonical value of u^-1 He = <v>z: for finite <v>, the residue of
         z's leading power of v's letter and the rest of z; else its least element."""
         if self.v is None:
-            syl = _word_to_syllables(self.model, self.u_inv.word + e.word)
-            residue = syl.pop(0)[1] % self.step if syl and syl[0][0] == self.letter else 0
-            return (residue, _render_syllables(self.model, syl))
-        z = compose(self.u_inv, e)
-        # He = u<v>u^-1 e, so u^-1 He = <v>z.  Its least element v^n z is no
-        # longer than z, and |v^n| <= |v^n z| + |z^-1|, so |v^n| <= |z| + |z^-1|;
-        # powers of the cyclically reduced v concatenate, so |v^n| = |n| |v|
-        # (and |v^-n| = |n| |v^-1|, which may differ from |n| |v|).
+            return self._residue(self.u_inv.word + e.word)
+        return self._least(compose(self.u_inv, e))
+
+    def advance(self, fp, step: str):
+        """Fingerprint of He*step, given fp, the fingerprint of He.
+
+        The fingerprint names an element of <v>z, so times step it names
+        one of <v>z*step: v's letter to the residue followed by the rest for
+        finite <v>, the least element itself else.
+        """
+        if self.v is None:
+            residue, rest = fp
+            power = self.model.letters[self.letter] * residue if residue else ""
+            return self._residue(power + rest + step)
+        return self._least(compose(GroupElement(self.model, fp), GroupElement(self.model, step)))
+
+    def _residue(self, word: str):
+        """(residue of the leading power of v's letter, the rest) of the normal form of word."""
+        syl = _word_to_syllables(self.model, word)
+        residue = syl.pop(0)[1] % self.step if syl and syl[0][0] == self.letter else 0
+        return (residue, _render_syllables(self.model, syl))
+
+    def _least(self, z: GroupElement) -> str:
+        """The ShortLex-least element of <v>z, v of infinite order."""
+        # The least element v^n z is no longer than z, and |v^n| <= |v^n z| +
+        # |z^-1|, so |v^n| <= |z| + |z^-1|; powers of the cyclically reduced v
+        # concatenate, so |v^n| = |n| |v| (and |v^-n| = |n| |v^-1|, which may
+        # differ from |n| |v|).
         reach = len(z.word) + len(invert(z).word)
         best = z
         for step in (self.v, self.v_inv):
+            last = step.word[-1]
             moved = z
             for _ in range(reach // len(step.word) + 1):
+                if not moved.word.startswith(last):
+                    # step * moved merges nothing and starts with step's first
+                    # letter, not its last (v is cyclically reduced), so every
+                    # further power is longer than moved, and best <= moved
+                    break
                 moved = compose(step, moved)
                 if moved.sort_key() < best.sort_key():
                     best = moved
@@ -510,7 +538,11 @@ class _CyclicEngine(_Engine):
 
 @dataclass
 class SubgroupModel:
-    """A subgroup given by generators, with the engine that fingerprints its cosets."""
+    """A subgroup given by generators, with the engine that fingerprints its cosets.
+
+    An engine has ``fingerprint(e)``, the canonical value of He, and
+    ``advance(fp, step)``, the fingerprint of He*step from fp alone.
+    """
 
     model: GroupModel
     generators: tuple[GroupElement, ...]

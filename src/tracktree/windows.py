@@ -12,7 +12,11 @@ downstream set arithmetic is exact wherever a certificate holds.  A
 translate by g is one pair of bitsets from one walk of g^-1: the
 certified symmetric difference of the base set and its g-translate, and
 the keys the window cannot decide; the family, the hypothesis checks and
-the tree's action all read that pair.
+the tree's action all read that pair.  Which keys a walk decides is a
+bitset too: for free groups, keys are reduced words, so whether k*g^-1
+stays within the radius depends on k's last few letters, and the known
+mask is an AND of cached per-window masks of the keys with a given t-th
+letter from the end.
 """
 
 from __future__ import annotations
@@ -113,13 +117,13 @@ class _CosetGraph:
                 a.extend(repeat(-1, (hi - lo) * len(links)))
             size = hi
             for i in range(lo, hi):
-                fp_i, key = fps[i], keys[i]
+                fp_i = fps[i]
                 for step, forward, back in links:
                     if forward[i] < 0:
-                        fp = advance(fp_i, key, step)
+                        fp = advance(fp_i, step)
                         j = index.setdefault(fp, size)
                         if j == size:
-                            keys.append(key + step)
+                            keys.append(keys[i] + step)
                             fps.append(fp)
                             parent.append(i)
                             size += 1
@@ -134,7 +138,7 @@ class _CosetGraph:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered."""
         j = self.arrays[step][i]
         if j < 0 <= i:
-            j = self.index.get(self.sub.engine.advance(self.fps[i], self.keys[i], step), -1)
+            j = self.index.get(self.sub.engine.advance(self.fps[i], step), -1)
             if j >= 0:
                 self.arrays[step][i] = j
                 self.arrays[self.inverse[step]][j] = i
@@ -171,6 +175,8 @@ class Window:
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
         self._translates: dict[tuple[str, int], tuple[int, int]] = {}
+        self._letters: list[bytes] = []
+        self._endings: dict[tuple[int, str], int] = {}
 
     def extended(self, extra: int) -> "Window":
         """This window at radius + extra, by growing its graph.
@@ -225,27 +231,48 @@ class Window:
             i = self.graph.step(i, step)
         return i
 
-    def _known(self, word: str) -> bytes:
-        """Per key k, 1 when the canonical word of k*word is at most radius long."""
+    def _known(self, word: str) -> int:
+        """Bitset of the keys k for which the canonical word of k*word is at most radius long."""
         r, keys = self.radius, self.omega
-        if self.model.kind == FREE:
-            # |k w| = |k| + |w| - 2c, c the longest common suffix of k and w^-1
-            inv = invert(GroupElement(self.model, word)).word
-            flags = bytearray()
-            for length in range(r + 1):
-                lo, hi = self.level(length)
-                level = keys[lo:hi]
-                need = (length + len(word) - r + 1) // 2
-                if need <= 0:
-                    flags += b"\x01" * len(level)
-                elif need > min(length, len(word)):
-                    flags += bytes(len(level))
-                else:
-                    suffix = inv[-need:]
-                    flags += bytes(map(str.endswith, level, repeat(suffix)))
-            return bytes(flags)
-        w = GroupElement(self.model, word)
-        return bytes(len(compose(GroupElement(self.model, k), w).word) <= r for k in keys)
+        if self.model.kind != FREE:
+            w = GroupElement(self.model, word)
+            return _mask(bytes(len(compose(GroupElement(self.model, k), w).word) <= r for k in keys))
+        # |k w| = |k| + |w| - 2c, c the longest common suffix of k and w^-1:
+        # a key of length l is known when it ends in the last `need` letters
+        # of w^-1, an AND of the endings for t = 1..need
+        inv = invert(GroupElement(self.model, word)).word
+        known, t, ending = 0, 0, (1 << len(keys)) - 1
+        for length in range(r + 1):
+            need = (length + len(word) - r + 1) // 2
+            if need > min(length, len(word)):
+                continue
+            while t < need:
+                t += 1
+                ending &= self._ending(t, inv[-t])
+            lo, hi = self.level(length)
+            known |= ending & ((1 << hi) - (1 << lo))
+        return known
+
+    def _ending(self, t: int, letter: str) -> int:
+        """Bitset of the keys whose t-th letter from the end is letter.
+
+        ``_letters[t - 1]`` holds that letter of every key as one byte per
+        id, 0 for keys shorter than t, and a trailing 0 that id -1 reads:
+        for t = 1 from the keys, else gathered from t - 1 through the
+        parent ids.
+        """
+        mask = self._endings.get((t, letter))
+        if mask is None:
+            letters = self._letters
+            if not letters:
+                letters.append(b"\0" + "".join([k[-1] for k in self.omega[1:]]).encode() + b"\0")
+            while len(letters) < t:
+                parent = self.graph.parent[:len(self.omega)]
+                letters.append(bytes(map(letters[-1].__getitem__, parent)) + b"\0")
+            digits = bytearray(b"0" * 256)
+            digits[ord(letter)] = ord("1")
+            mask = self._endings[t, letter] = _mask(letters[t - 1][:-1], bytes(digits))
+        return mask
 
     def locate(self, e: GroupElement) -> int:
         """Id of the coset He, or -1 when e is longer than the radius."""
@@ -261,7 +288,10 @@ class Window:
         pulled-back representative is longer than the radius are unknown.
         ``moved`` is the certified symmetric difference of the base set and
         its translate: the known keys whose membership the translate
-        changes.  One bulk walk of g^-1 reads the base set's flag at every
+        changes.  The known keys come from ``_known``: for free groups an
+        AND of ending masks per key length, for the other kinds one
+        ``compose`` per key.  One bulk walk of g^-1, started from a slice of
+        the first step's array, reads the base set's flag at every
         key's end; a known walk ends inside the window, so one that reads 2
         (the flag of id -1) met a link not looked up yet, or a free abelian
         letter that lengthens k before one that cancels into it, and
@@ -275,11 +305,12 @@ class Window:
                 hit = (0, 0)
             else:
                 word = invert(g).word
-                known = _mask(self._known(word))
+                known = self._known(word)
                 # keys past the window (a graph grown since) are unknown here
                 row = _flags(base_set)[:size].ljust(len(self.graph.keys), b"\0") + b"\2"
-                ends = range(size)
-                for step in self._steps(word):
+                first, *rest = self._steps(word)
+                ends = self.graph.arrays[first][:size]
+                for step in rest:
                     ends = list(map(self.graph.arrays[step].__getitem__, ends))
                 read = bytearray(map(row.__getitem__, ends))
                 for i in bit_positions(_mask(read, _LOST) & known):

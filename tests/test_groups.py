@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
@@ -332,6 +332,67 @@ def test_cyclic_conjugate_membership():
     assert sub.member(Z2Z2.identity())
     assert not sub.member(Z2Z2.normalize("st"))
     assert not sub.member(Z2Z2.normalize("t"))
+
+
+@st.composite
+def subgroups(draw):
+    """A subgroup of a group of each kind; for free products every shape:
+    trivial, in one factor, and cyclic on one word."""
+    kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
+    if kind == "free":
+        model = free_group(draw(st.integers(1, 2)))
+    elif kind == "free_abelian":
+        model = free_abelian_group(draw(st.integers(1, 3)))
+    else:
+        model = free_product_of_cyclics(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    word = words(model, 5)
+    if kind == "free_product_cyclic" and draw(st.booleans()):
+        ch = draw(st.sampled_from(model.letters))
+        gens = [ch * e for e in draw(st.lists(st.integers(1, 3), max_size=2))]
+    else:
+        gens = draw(st.lists(word, max_size=1 if kind == "free_product_cyclic" else 2))
+    return subgroup(model, gens)
+
+
+def steps(model):
+    """The steps of the coset graph: letters and inverses, or syllables of a factor."""
+    if model.kind == "free_product_cyclic":
+        return [g * e for g, n in zip(model.letters, model.orders) for e in range(1, n)]
+    return [ch for g in model.letters for ch in (g, g.upper())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subgroups(), st.data())
+def test_advance_is_the_fingerprint_of_the_product(sub, data):
+    model = sub.model
+    e = model.normalize(data.draw(words(model, 8)))
+    step = data.draw(st.sampled_from(steps(model)))
+    assert sub.engine.advance(sub.fingerprint(e), step) == sub.fingerprint(model.normalize(e.word + step))
+
+
+def full_power_loop(engine, e):
+    """The least element of <v>(u^-1 e), v of infinite order, stepping every
+    power of v and v^-1 up to the length bound."""
+    z = compose(engine.u_inv, e)
+    reach = len(z.word) + len(invert(z).word)
+    best = z
+    for step in (engine.v, engine.v_inv):
+        moved = z
+        for _ in range(reach // len(step.word) + 1):
+            moved = compose(step, moved)
+            if moved.sort_key() < best.sort_key():
+                best = moved
+    return best.word
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=3), st.data())
+def test_cyclic_fingerprint_stops_where_powers_only_grow(orders, data):
+    model = free_product_of_cyclics(orders)
+    sub = subgroup(model, [data.draw(words(model, 6))])
+    assume(sub.engine.v is not None)
+    e = model.normalize(data.draw(words(model, 10)))
+    assert sub.fingerprint(e) == full_power_loop(sub.engine, e)
 
 
 def test_unsupported_free_product_subgroup():

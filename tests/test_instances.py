@@ -334,6 +334,52 @@ def test_check_window_sizes_golden(capsys, name, radius, margin):
     assert (code, hashlib.md5(out.encode()).hexdigest()) == CHECK_WINDOW_GOLDEN[name, radius, margin]
 
 
+# the free-product instance C of the benchmark's group ladder, kept out of the
+# shipped corpus: Z2*Z2*Z2 over <st>, the one group here whose subgroup is cyclic
+# of infinite order
+FREE_PRODUCT_C = """[instance]
+name = C
+
+[group]
+kind = free_product_cyclic
+orders = 2,2,2
+letters = stu
+
+[window]
+radius = 5
+margin = 2
+
+[subgroup]
+generators = st
+
+[base_set]
+default = out
+rule = s in
+
+[translations]
+elements = 1, s, t, u
+
+[expected_k]
+generators = st
+exact = false
+"""
+
+# radius -> (exit code, stdout md5) of `check` on C at margin 2
+C_CHECK_GOLDEN = {
+    5: (0, "7241a6686f58f4b9d74951ba51542623"),
+    6: (0, "11d05fc4b4cf4d8ab6a6686d22934319"),
+}
+
+
+@pytest.mark.parametrize("radius", sorted(C_CHECK_GOLDEN))
+def test_free_product_check_golden(tmp_path, capsys, radius):
+    spec = tmp_path / "C.ini"
+    spec.write_text(FREE_PRODUCT_C)
+    code = main(["check", str(spec), "--radius", str(radius), "--margin", "2"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.md5(out.encode()).hexdigest()) == C_CHECK_GOLDEN[radius]
+
+
 # seed -> (exit code, stdout md5) of `random --seed`
 RANDOM_GOLDEN = {
     0: (0, "e0c5a33eca49e7111b9d3909fbe39577"),

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
@@ -364,6 +364,46 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
         assert window.translate(base, g) == before[g.word]
         assert big.translate(base, g) == fresh.translate(base, g)
     assert_window_matches_reference(big, rng, samples=3)
+
+
+def ref_known(window, word):
+    """The known keys of a walk of word by the per-key definition: the
+    canonical word of k * word is at most radius long."""
+    w = GroupElement(window.model, word)
+    return sum(1 << i for i, k in enumerate(window.omega)
+               if len(compose(GroupElement(window.model, k), w).word) <= window.radius)
+
+
+@st.composite
+def free_windows(draw):
+    """A free group of rank 1 or 2 over a non-trivial subgroup, so that keys
+    end at core states as well as on hanging tails."""
+    model = free_group(draw(st.integers(1, 2)))
+    letters = [ch for g in model.letters for ch in (g, g.upper())]
+    gens = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=4), min_size=1, max_size=2))
+    sub = subgroup(model, gens)
+    assume(sub.generators)
+    margin = draw(st.integers(1, 2))
+    radius = draw(st.integers(2 * margin, max(2 * margin, 6 if model.rank == 1 else 4)))
+    return build_window(model, sub, radius, margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_windows(), st.data())
+def test_known_masks_match_the_per_key_definition(window, data):
+    outer = [e.word for e in window.model.ball(window.radius + 1)]
+    words = data.draw(st.lists(st.sampled_from(outer), min_size=1, max_size=6))
+    small = {w: window._known(w) for w in words}
+    assert small == {w: ref_known(window, w) for w in words}
+    endings = dict(window._endings)
+    big = window.extended(2)
+    for w in words:
+        assert big._known(w) == ref_known(big, w), w
+    # the small window's masks are the same over the grown graph
+    window._letters.clear()
+    window._endings.clear()
+    assert {w: window._known(w) for w in words} == small
+    assert window._endings == endings
 
 
 def ref_base_set(window, spec):
