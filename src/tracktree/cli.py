@@ -8,6 +8,7 @@ byte-identical across runs for the same input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -116,7 +117,9 @@ def _cmd_random(args) -> int:
     return result.report.exit_code()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tracktree",
         description="Build and verify coset-labelled track systems and their dual trees.")

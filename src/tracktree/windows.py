@@ -4,25 +4,32 @@ A window truncates the right-coset space H\\G to the cosets whose
 ShortLex-least representative (the coset's key) has length at most the
 radius.  It is the Schreier graph of H\\G on those cosets, found breadth
 first from H, with key ids in ShortLex order and one right-action array per
-generator.  Every quantity derived from the window carries a certificate: it
-must stay clear of the boundary shell (keys longer than radius - margin),
-and shipped instances are additionally re-checked at radius + 2.  Vertex
-subsets are int bitsets over the core universe (shell removed), so that
-downstream set arithmetic is exact wherever a certificate holds.  A
-translate by g is one pair of bitsets from one walk of g^-1: the
-certified symmetric difference of the base set and its g-translate, and
-the keys the window cannot decide; the family, the hypothesis checks and
-the tree's action all read that pair.  Which keys a walk decides is a
-bitset too: for free groups, keys are reduced words, so whether k*g^-1
-stays within the radius depends on k's last few letters, and the known
-mask is an AND of cached per-window masks of the keys with a given t-th
-letter from the end.
+generator.  For free groups, past the core of the Stallings folding the
+graph is a forest of regular trees, so a run of parents there grows its
+children in bulk, their ids, fingerprints and links read off the parents'
+fingerprints and last letters.  A key is stored as its parent's id and its
+last letter; key strings are spelled out only where they are read.  Every
+quantity derived from the window carries a certificate: it must stay clear
+of the boundary shell (keys longer than radius - margin), and shipped
+instances are additionally re-checked at radius + 2.  Vertex subsets are int
+bitsets over the core universe (shell removed), so that downstream set
+arithmetic is exact wherever a certificate holds.  A translate by g is one
+pair of bitsets from one walk of g^-1: the certified symmetric difference of
+the base set and its g-translate, and the keys the window cannot decide; the
+family, the hypothesis checks and the tree's action all read that pair.
+Which keys a walk decides is a bitset too: for free groups, keys are reduced
+words, so whether k*g^-1 stays within the radius depends on k's last few
+letters, and the known mask is an AND of cached per-window masks of the keys
+with a given t-th letter from the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, compress, repeat
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule
@@ -54,6 +61,12 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_FROM_DIGITS)
 
 
+def _gather(seq: Sequence[int], ids: Sequence[int]) -> Sequence[int]:
+    """seq[i] for each i in ids, in order."""
+    # itemgetter of one id returns the item itself, not a 1-tuple
+    return itemgetter(*ids)(seq) if len(ids) > 1 else [seq[i] for i in ids]
+
+
 def bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of a mask, lowest first."""
     return [k for k, f in enumerate(_flags(mask)) if f]
@@ -65,16 +78,18 @@ class _CosetGraph:
     Each layer is one pass over (parent id, letter): parents in id order,
     letters in ShortLex order, every unlinked step advanced once and looked
     up once.  The path that first reaches a coset spells its ShortLex-least
-    representative, so ids run in ShortLex order of the keys, and
-    ``parent[j]`` is the id whose key is coset j's key less its last letter
-    (-1 for H).  ``arrays[step][i]`` is the id of coset i times ``step``, or
-    -1; each array ends in a -1 sentinel, so that a walk from -1 stays at
-    -1.  Steps are the letters and their inverses, or for free products
-    every syllable of a factor; the breadth-first search uses the one-letter
-    steps.  A -1 out of the outermost layer, or for a longer syllable, may
-    hide a discovered coset that was never looked up; ``step`` looks it up.
-    Growing the graph keeps every id and link, so windows built over it
-    before stay valid.
+    representative, so ids run in ShortLex order of the keys, ``parent[j]``
+    is the id whose key is coset j's key less its last letter (-1 for H),
+    and ``last[j]`` is that letter as a byte (0 for H).  ``arrays[step][i]``
+    is the id of coset i times ``step``, or -1; each array ends in a -1
+    sentinel, so that a walk from -1 stays at -1.  Steps are the letters and
+    their inverses, or for free products every syllable of a factor; the
+    breadth-first search uses the one-letter steps.  A -1 out of the
+    outermost layer, or for a longer syllable, may hide a discovered coset
+    that was never looked up; ``step`` looks it up.  Key strings are built
+    from ``parent`` and ``last`` only where ``key_strings`` is asked for
+    them.  Growing the graph keeps every id and link, so windows built over
+    it before stay valid.
     """
 
     def __init__(self, sub: SubgroupModel):
@@ -87,11 +102,26 @@ class _CosetGraph:
         self.letters = sorted((s for s in steps if len(s) == 1), key=model.letter_rank)
         self.inverse = {s: invert(GroupElement(model, s)).word for s in steps}
         self.arrays: dict[str, list[int]] = {s: [-1, -1] for s in steps}
-        self.keys = [""]
+        self.keys = [""]  # the key strings of the first len(keys) ids, built on demand
         self.fps = [sub.fingerprint(model.identity())]
         self.parent = [-1]
+        self.last = bytearray(1)
         self.index = {self.fps[0]: 0}
         self.level_end = [1]  # level_end[l]: number of keys of length <= l
+        # (step, its byte, its array, the array of its inverse); one-letter steps in ShortLex order
+        self._links = [(s, ord(s), self.arrays[s], self.arrays[self.inverse[s]])
+                       for s in self.letters]
+        if model.kind == FREE:
+            # by a parent's last letter: its children's letters in ShortLex
+            # order, and the array and inverse array of each
+            kids = {s: [t for t in self.letters if t != self.inverse[s]] for s in self.letters}
+            self._children = {ord(s): "".join(kids[s]).encode() for s in self.letters}
+            self._child_links = {ord(s): [(self.arrays[t], self.arrays[self.inverse[t]])
+                                          for t in kids[s]]
+                                 for s in self.letters}
+            # a child's fingerprint less its parent's moved up a digit
+            self._digit = {ord(s): sub.engine.states * sub.engine.digits[s][0]
+                           for s in self.letters}
 
     @property
     def radius(self) -> int:
@@ -100,39 +130,104 @@ class _CosetGraph:
     def grow(self, radius: int) -> "_CosetGraph":
         """Discover every coset whose key is at most radius long.
 
-        One pass per layer: each unlinked one-letter step out of the
-        outermost layer is advanced from its parent's fingerprint and looked
-        up with one ``index.setdefault``; a fingerprint not seen before
-        becomes the next id, with the parent id it was reached from.
+        One pass per layer, over runs of parents.  For free groups, a run of
+        parents past the Stallings core (fingerprint at least
+        ``engine.states``) is grown in bulk by ``_grow_tails``.  Every other
+        parent steps one letter at a time: each unlinked step is advanced
+        from the parent's fingerprint and looked up with one
+        ``index.setdefault``; a fingerprint not seen before becomes the next
+        id, with the parent id it was reached from.
         """
-        advance, keys, fps, parent, index = (
-            self.sub.engine.advance, self.keys, self.fps, self.parent, self.index)
+        fps, free = self.fps, self.sub.model.kind == FREE
         arrays = list(self.arrays.values())
-        # (step, its array, the array of its inverse); one-letter steps in ShortLex order
-        links = [(step, self.arrays[step], self.arrays[self.inverse[step]]) for step in self.letters]
         while self.radius < radius:
-            lo, hi = self.level_end[-2] if self.radius else 0, len(keys)
+            lo, hi = self.level_end[-2] if self.radius else 0, len(fps)
             # room for every new id; the unused tail is cut off below
             for a in arrays:
-                a.extend(repeat(-1, (hi - lo) * len(links)))
+                a.extend(repeat(-1, (hi - lo) * len(self.letters)))
             size = hi
-            for i in range(lo, hi):
-                fp_i = fps[i]
-                for step, forward, back in links:
-                    if forward[i] < 0:
-                        fp = advance(fp_i, step)
-                        j = index.setdefault(fp, size)
-                        if j == size:
-                            keys.append(keys[i] + step)
-                            fps.append(fp)
-                            parent.append(i)
-                            size += 1
-                        forward[i] = j
-                        back[j] = i
+            past_core = (bytes(map(self.sub.engine.states.__le__, fps[lo:hi])) if free
+                         else bytes(hi - lo))
+            start = lo
+            while start < hi:
+                tail = past_core[start - lo]
+                end = past_core.find(1 - tail, start - lo)
+                end = hi if end < 0 else lo + end
+                size = (self._grow_tails if tail else self._grow_steps)(start, end, size)
+                start = end
             for a in arrays:
                 del a[size + 1:]
             self.level_end.append(size)
         return self
+
+    def _grow_steps(self, lo: int, hi: int, size: int) -> int:
+        """Step each parent lo..hi-1 by each letter; the number of ids after."""
+        advance, fps, parent, last, index = (
+            self.sub.engine.advance, self.fps, self.parent, self.last, self.index)
+        for i in range(lo, hi):
+            fp_i = fps[i]
+            for step, code, forward, back in self._links:
+                if forward[i] < 0:
+                    fp = advance(fp_i, step)
+                    j = index.setdefault(fp, size)
+                    if j == size:
+                        fps.append(fp)
+                        parent.append(i)
+                        last.append(code)
+                        size += 1
+                    forward[i] = j
+                    back[j] = i
+        return size
+
+    def _grow_tails(self, lo: int, hi: int, size: int) -> int:
+        """Grow a run of free-group parents lo..hi-1 past the Stallings core in
+        bulk; the number of ids after.
+
+        Past the core the graph is a forest of regular trees: every step but
+        the one back to the parent reaches a new coset, so parent i's 2n - 1
+        children take the next ids in ShortLex order of their letters.  A
+        child's fingerprint is its parent's tail moved up one digit, plus
+        the child's letter as the lowest digit:
+        ``f*base - (f % states)*(base - 1) + states*digit``.
+        """
+        engine = self.sub.engine
+        states, base = engine.states, engine.base
+        width = len(self.letters) - 1
+        lasts = self.last[lo:hi]
+        count = (hi - lo) * width
+        # one int object per id, shared by every list that holds the id
+        parent_ids, ids = list(range(lo, hi)), list(range(size, size + count))
+        # each parent's id and moved-up fingerprint, once per child
+        parents, moved_up = [0] * count, [0] * count
+        up = [f * base - f % states * (base - 1) for f in self.fps[lo:hi]]
+        for k in range(width):
+            parents[k::width] = parent_ids
+            moved_up[k::width] = up
+        letters = b"".join(map(self._children.__getitem__, lasts))
+        fps = list(map(add, moved_up, map(self._digit.__getitem__, letters)))
+        self.index.update(zip(fps, ids))
+        self.fps += fps
+        self.parent += parents
+        self.last += letters
+        # the link back to each parent was set when the parent was found
+        children = iter(ids)
+        for i, code in zip(parent_ids, lasts):
+            # zip ends with the parent's links, before it takes the next parent's child
+            for (forward, back), j in zip(self._child_links[code], children):
+                forward[i] = j
+                back[j] = i
+        return size + count
+
+    def key_strings(self, lo: int, hi: int) -> list[str]:
+        """The keys of ids lo..hi-1, building from the parent ids the ones not built yet."""
+        keys = self.keys
+        while len(keys) < hi:
+            # one layer at a time, so that every parent's key is built already
+            start = len(keys)
+            end = min(hi, self.level_end[bisect_right(self.level_end, start)])
+            keys += map(add, map(keys.__getitem__, self.parent[start:end]),
+                        self.last[start:end].decode())
+        return keys[lo:hi]
 
     def step(self, i: int, step: str) -> int:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered."""
@@ -151,7 +246,9 @@ class Window:
     ``omega`` lists the keys in ShortLex order; a key's position is its id,
     and sets of keys are int bitsets over ids.  ``core`` is the prefix of
     keys at most radius - margin long; ``core_mask`` and ``shell_mask`` are
-    the core's ids and the rest.
+    the core's ids and the rest.  ``size`` is the number of keys.  The key
+    strings of ``omega`` and ``core`` are built from the graph's parent ids
+    the first time they are read.
     """
 
     def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int):
@@ -168,15 +265,21 @@ class Window:
         self.radius = radius
         self.margin = margin
         self.graph = graph
-        size = graph.level_end[radius]
-        cut = graph.level_end[radius - margin]
-        self.omega: list[str] = graph.keys[:size]
-        self.core: list[str] = self.omega[:cut]
+        self.size = size = graph.level_end[radius]
+        self._cut = cut = graph.level_end[radius - margin]
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
         self._translates: dict[tuple[str, int], tuple[int, int]] = {}
         self._letters: list[bytes] = []
         self._endings: dict[tuple[int, str], int] = {}
+
+    @cached_property
+    def omega(self) -> list[str]:
+        return self.graph.key_strings(0, self.size)
+
+    @cached_property
+    def core(self) -> list[str]:
+        return self.graph.key_strings(0, self._cut)
 
     def extended(self, extra: int) -> "Window":
         """This window at radius + extra, by growing its graph.
@@ -233,15 +336,16 @@ class Window:
 
     def _known(self, word: str) -> int:
         """Bitset of the keys k for which the canonical word of k*word is at most radius long."""
-        r, keys = self.radius, self.omega
+        r = self.radius
         if self.model.kind != FREE:
             w = GroupElement(self.model, word)
-            return _mask(bytes(len(compose(GroupElement(self.model, k), w).word) <= r for k in keys))
+            return _mask(bytes(len(compose(GroupElement(self.model, k), w).word) <= r
+                               for k in self.omega))
         # |k w| = |k| + |w| - 2c, c the longest common suffix of k and w^-1:
         # a key of length l is known when it ends in the last `need` letters
         # of w^-1, an AND of the endings for t = 1..need
         inv = invert(GroupElement(self.model, word)).word
-        known, t, ending = 0, 0, (1 << len(keys)) - 1
+        known, t, ending = 0, 0, (1 << self.size) - 1
         for length in range(r + 1):
             need = (length + len(word) - r + 1) // 2
             if need > min(length, len(word)):
@@ -258,16 +362,16 @@ class Window:
 
         ``_letters[t - 1]`` holds that letter of every key as one byte per
         id, 0 for keys shorter than t, and a trailing 0 that id -1 reads:
-        for t = 1 from the keys, else gathered from t - 1 through the
+        for t = 1 the graph's ``last``, else gathered from t - 1 through the
         parent ids.
         """
         mask = self._endings.get((t, letter))
         if mask is None:
             letters = self._letters
             if not letters:
-                letters.append(b"\0" + "".join([k[-1] for k in self.omega[1:]]).encode() + b"\0")
+                letters.append(bytes(self.graph.last[:self.size]) + b"\0")
             while len(letters) < t:
-                parent = self.graph.parent[:len(self.omega)]
+                parent = self.graph.parent[:self.size]
                 letters.append(bytes(map(letters[-1].__getitem__, parent)) + b"\0")
             digits = bytearray(b"0" * 256)
             digits[ord(letter)] = ord("1")
@@ -291,28 +395,29 @@ class Window:
         changes.  The known keys come from ``_known``: for free groups an
         AND of ending masks per key length, for the other kinds one
         ``compose`` per key.  One bulk walk of g^-1, started from a slice of
-        the first step's array, reads the base set's flag at every
-        key's end; a known walk ends inside the window, so one that reads 2
-        (the flag of id -1) met a link not looked up yet, or a free abelian
-        letter that lengthens k before one that cancels into it, and
-        ``_walk_from`` walks it again.  Cached per word and base set.
+        the first step's array and gathered through ``itemgetter``, reads
+        the base set's flag at every key's end; a known walk ends inside the
+        window, so one that reads 2 (the flag of id -1) met a link not
+        looked up yet, or a free abelian letter that lengthens k before one
+        that cancels into it, and ``_walk_from`` walks it again.  Cached per
+        word and base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
         if hit is None:
-            size = len(self.omega)
+            size = self.size
             if g.is_identity():
                 hit = (0, 0)
             else:
                 word = invert(g).word
                 known = self._known(word)
                 # keys past the window (a graph grown since) are unknown here
-                row = _flags(base_set)[:size].ljust(len(self.graph.keys), b"\0") + b"\2"
+                row = _flags(base_set)[:size].ljust(len(self.graph.fps), b"\0") + b"\2"
                 first, *rest = self._steps(word)
                 ends = self.graph.arrays[first][:size]
                 for step in rest:
-                    ends = list(map(self.graph.arrays[step].__getitem__, ends))
-                read = bytearray(map(row.__getitem__, ends))
+                    ends = _gather(self.graph.arrays[step], ends)
+                read = bytearray(_gather(row, ends))
                 for i in bit_positions(_mask(read, _LOST) & known):
                     read[i] = row[self._walk_from(i, word)]
                 assert not _mask(read, _LOST) & known, "a known walk left the window"
@@ -387,15 +492,15 @@ def build_base_set(window: Window, spec: BaseSetSpec) -> int:
 def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> bytearray:
     """flags, the decisions of the window's keys of length below some l,
     extended by the decisions of all its keys of length l and more."""
-    keys, parent, depth = window.graph.keys, window.graph.parent, spec.depth
+    graph, depth = window.graph, spec.depth
     for length in range(window.radius + 1):
         lo, hi = window.level(length)
         if lo < len(flags):
             continue
         if length <= depth:
-            flags += bytes(map(spec.decide, keys[lo:hi]))
+            flags += bytes(map(spec.decide, graph.key_strings(lo, hi)))
         else:
-            flags += bytes(map(flags.__getitem__, parent[lo:hi]))
+            flags += bytes(map(flags.__getitem__, graph.parent[lo:hi]))
     return flags
 
 
@@ -568,7 +673,7 @@ def hypothesis_report(window: Window, base_set: int,
     detail = "base set and complement meet every populated shell"
     if not base_set:
         properness_ok, detail = False, "base set is empty"
-    elif base_set.bit_count() == len(window.omega):
+    elif base_set.bit_count() == window.size:
         properness_ok, detail = False, "complement is empty"
     else:
         populated = 0
@@ -623,7 +728,7 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
     """
     big = window.extended(2)
     # the window's keys keep their ids and their decisions in the larger one
-    size = len(window.omega)
+    size = window.size
     small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
     big_base = _mask(_decide(big, base_spec, small))
     large = build_family(big, big_base, translations)

@@ -23,7 +23,7 @@ from tracktree import (
     report_document,
     run_instance,
 )
-from tracktree.cli import main
+from tracktree.cli import build_parser, main
 from tracktree.errors import ParseError
 from tracktree.instances import make_model
 
@@ -251,6 +251,29 @@ def test_cli_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(target.read_text())["status"] == "pass"
+
+
+def test_cli_calls_in_one_process_keep_no_options(capsys):
+    # main() builds its parser once per process; an option given to one call
+    # must not carry over to the next, so each report equals that of a call
+    # on a freshly built parser
+    assert build_parser() is build_parser()
+    e3, e2 = str(INSTANCE_DIR / "E3.ini"), str(INSTANCE_DIR / "E2.ini")
+    calls = [["check", e3, "--radius", "7"], ["check", e3],
+             ["check", e2, "--radius", "7", "--margin", "3"], ["check", e2],
+             ["tree", e3, "--format", "report", "--radius", "7"], ["tree", e3]]
+    reused = []
+    for argv in calls:
+        code = main(argv)
+        reused.append((code, capsys.readouterr().out))
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        code = main(argv)
+        fresh.append((code, capsys.readouterr().out))
+    assert reused == fresh
+    assert reused[0] != reused[1] and reused[2] != reused[3]
+    assert reused[5][1].startswith('graph "E3"')
 
 
 def test_corpus_report_bytes_golden(capsys):

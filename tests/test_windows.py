@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
@@ -24,11 +24,13 @@ from tracktree import (
     hypothesis_report,
     invert,
     radius_stability_report,
+    report_document,
+    run_instance,
     subgroup,
 )
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
-from tracktree.windows import StabilityEntry
+from tracktree.windows import StabilityEntry, _CosetGraph
 
 Z = free_group(1, "t")
 TRIVIAL_Z = subgroup(Z, [])
@@ -366,6 +368,17 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
     assert_window_matches_reference(big, rng, samples=3)
 
 
+@pytest.mark.parametrize("model, gens, size", [
+    (F2, ["a", "b"], 1),                    # H = G: a walk gathers one id
+    (Z, ["tt"], 2),                         # <tt> in <t>
+    (F2, ["aa", "ab", "ba", "bb"], 2),      # the words of even length
+])
+def test_translates_over_finite_index_subgroups(model, gens, size):
+    window = build_window(model, subgroup(model, gens), 4, 2)
+    assert window.size == len(window.omega) == size
+    assert_window_matches_reference(window, random.Random(size), samples=20)
+
+
 def ref_known(window, word):
     """The known keys of a walk of word by the per-key definition: the
     canonical word of k * word is at most radius long."""
@@ -404,6 +417,20 @@ def test_known_masks_match_the_per_key_definition(window, data):
     window._endings.clear()
     assert {w: window._known(w) for w in words} == small
     assert window._endings == endings
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_windows())
+def test_endings_from_the_last_letters_match_the_key_strings(window):
+    # the t = 1 row is the graph's last letters, the others go through the
+    # parent ids; the key strings are the ball reference's
+    radius = window.radius
+    keys = CosetTable(window.sub, window.model.ball(radius, max_radius=radius)).keys
+    assert window.omega == keys
+    for t in range(1, radius + 1):
+        for x in window.graph.letters:
+            want = sum(1 << i for i, k in enumerate(keys) if len(k) >= t and k[-t] == x)
+            assert window._ending(t, x) == want, (t, x)
 
 
 def ref_base_set(window, spec):
@@ -588,3 +615,105 @@ def test_unstable_witness_matches_string_reference():
     want = assert_stability_matches_reference(Z, TRIVIAL_Z, 6, 2, fragile,
                                               [Z.identity(), Z.normalize("tt")])
     assert not want[0].stable
+
+
+# --------------------------------------------------------------------------
+# bulk growth past the Stallings core against the per-step reference
+
+
+def reference_grow(sub, radius):
+    """The free-group coset graph grown one (parent, letter) step at a time,
+    each unlinked step advanced and looked up, with a key string per coset."""
+    model, advance = sub.model, sub.engine.advance
+    letters = sorted((ch for g in model.letters for ch in (g, g.upper())), key=model.letter_rank)
+    arrays = {s: [-1, -1] for s in letters}
+    keys, fps, parent = [""], [sub.fingerprint(model.identity())], [-1]
+    index, level_end = {fps[0]: 0}, [1]
+    while len(level_end) <= radius:
+        lo, hi = level_end[-2] if len(level_end) > 1 else 0, len(keys)
+        for a in arrays.values():
+            a.extend(itertools.repeat(-1, (hi - lo) * len(letters)))
+        size = hi
+        for i in range(lo, hi):
+            for step in letters:
+                forward, back = arrays[step], arrays[step.swapcase()]
+                if forward[i] < 0:
+                    fp = advance(fps[i], step)
+                    j = index.setdefault(fp, size)
+                    if j == size:
+                        keys.append(keys[i] + step)
+                        fps.append(fp)
+                        parent.append(i)
+                        size += 1
+                    forward[i] = j
+                    back[j] = i
+        for a in arrays.values():
+            del a[size + 1:]
+        level_end.append(size)
+    last = bytearray(1) + "".join(k[-1] for k in keys[1:]).encode()
+    return dict(arrays=arrays, keys=keys, fps=fps, parent=parent, last=last,
+                index=index, level_end=level_end)
+
+
+@st.composite
+def free_subgroups(draw):
+    """A free group of rank 1-3, a subgroup of it and a radius: the trivial
+    subgroup (no core but H), finite-index ones (no tails), or generators
+    long enough that core and tail parents interleave within a layer."""
+    rank = draw(st.integers(1, 3))
+    model = free_group(rank)
+    letters = [ch for g in model.letters for ch in (g, g.upper())]
+    shape = draw(st.sampled_from(["trivial", "finite index", "long", "short"]))
+    if shape == "trivial":
+        gens = []
+    elif shape == "finite index":
+        powers = [[model.letters[0] * draw(st.integers(2, 4))]] if rank == 1 else []
+        gens = draw(st.sampled_from([list(model.letters),
+                                     [x + y for x in model.letters for y in model.letters],
+                                     *powers]))
+    else:
+        lengths = (5, 8) if shape == "long" else (1, 4)
+        gens = draw(st.lists(st.text(alphabet=letters, min_size=lengths[0], max_size=lengths[1]),
+                             min_size=1, max_size=2))
+    radius = draw(st.integers(2, {1: 10, 2: 6, 3: 4}[rank]))
+    return subgroup(model, gens), radius
+
+
+@settings(max_examples=80, deadline=None)
+@given(free_subgroups())
+@example((subgroup(F2, ["abaab"]), 6))
+def test_bulk_growth_matches_the_per_step_reference(case):
+    sub, radius = case
+    ref = reference_grow(sub, radius)
+    for radii in ([radius], [radius - 2, radius]):
+        graph = _CosetGraph(sub)
+        for r in radii:
+            graph.grow(r)
+        for name in ("fps", "parent", "last", "level_end", "index", "arrays"):
+            assert getattr(graph, name) == ref[name], name
+        assert graph.key_strings(0, len(graph.fps)) == ref["keys"]
+
+
+def test_interleaved_layer_takes_both_paths():
+    # <abaab> folds to a 5-cycle: its layers mix core parents, stepped one
+    # letter at a time, with runs of parents past the core, grown in bulk
+    sub = subgroup(F2, ["abaab"])
+    graph = _CosetGraph(sub).grow(3)
+    lo, hi = graph.level_end[1], graph.level_end[2]
+    past_core = [fp >= sub.engine.states for fp in graph.fps[lo:hi]]
+    assert any(past_core) and not all(past_core)
+    assert any(a != b for a, b in zip(past_core, past_core[1:]))
+
+
+def test_check_builds_only_the_key_strings_it_reads():
+    # E3 at radius 8: the radius + 2 graph has 3^10 cosets, but only the
+    # 3^8 keys of the window itself are spelled out, and they are the ball's
+    spec = corpus()["E3"]
+    result = run_instance(spec, radius=8)
+    report_document(result.report)
+    window = result.family.window
+    graph = window.graph
+    assert len(graph.fps) == 3 ** 10 == 59049
+    assert len(graph.keys) == 3 ** 8 == 6561
+    table = CosetTable(window.sub, window.model.ball(8, max_radius=8))
+    assert graph.keys == table.keys
