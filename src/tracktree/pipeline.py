@@ -269,7 +269,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     else:
         match = result.orientations_match = tree_matches_oracle(tree, oracle)
         report.add("tree_oracle", PASS if match else FAIL,
-                   None if match else "median-closure tree differs from the orientation oracle")
+                   None if match else "dual tree differs from the orientation oracle")
 
     geo_witness = separation_witness(tree)
     report.add("separation_geodesic", PASS if geo_witness is None else FAIL, geo_witness)

@@ -3,8 +3,14 @@
 Components of the pattern complement are modelled as consistent
 orientations: one side choice per parallel class, a choice being
 consistent when every pair of chosen half-spaces shares a family vertex.
-The reduced tree is the median closure of the family's own orientations;
-each reduced edge is subdivided by band vertices which flip the class's
+The reduced tree is Dunwoody's tree of the nested classes ("Accessibility
+and groups of cohomological dimension one", 1979): the far sides of the
+classes from the base vertex form a laminar family, and each class gives
+one vertex and one edge, read off the containment order.  ``median`` and
+``median_closure`` build the same vertices as the median closure of the
+family's own orientations; the pipeline no longer calls them, and they stay
+as the reference that the tests and the benchmark's tracing hooks read.
+Each reduced edge is subdivided by band vertices which flip the class's
 cosets one at a time in ShortLex order away from the base side.  Every
 vertex carries the finite flip set F and the set B = A + F it represents,
 both int bitsets over the family's universe, and every edge is labelled by
@@ -29,6 +35,9 @@ from .errors import (
 from .groups import GroupElement, SubgroupModel, compose, display_word, invert
 from .patterns import TrackSystem, nestedness_check
 from .windows import Window, bit_positions
+
+
+_SWAP = str.maketrans("01", "10")
 
 
 def base_orientation(system: TrackSystem, vertex: int) -> int:
@@ -63,7 +72,8 @@ def orientation_consistent(system: TrackSystem, orientation: int) -> bool:
 
 def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
     """Close the seeds under medians; orientations are m-bit ints, so the
-    closure holds at most 2^m of them."""
+    closure holds at most 2^m of them.  The reference for ``build_tree``'s
+    vertices, which the tests compare."""
     closed = set(seeds)
     frontier = list(closed)
     while frontier:
@@ -119,64 +129,52 @@ class DualTree:
 
 
 def build_tree(system: TrackSystem) -> DualTree:
-    """Median closure plus band subdivision; asserts the tree axioms."""
+    """Dunwoody's tree of the nested classes, plus band subdivision; asserts
+    the tree axioms.
+
+    Class k's far side F_k, the family vertices with ``class_norm[k]`` set,
+    excludes the base vertex.  Nestedness leaves one of the other three
+    quadrants of two classes empty, so any two far sides are disjoint or one
+    holds the other: they form a laminar family (Dunwoody 1979).  The
+    reduced tree has the base vertex plus one vertex per class, which flips
+    the classes whose far sides hold F_k, and one edge per class, from the
+    vertex of the smallest far side strictly holding F_k (or the base vertex)
+    to k's own.  A family vertex sits at the vertex of the smallest far side
+    holding it.  These are exactly the median closure of the family's
+    orientations and its one-class edges, which the tests check.
+    """
     nested = nestedness_check(system)
     if not nested.ok:
         raise NotNested(f"crossing witness {nested.witness}")
 
-    m = len(system.class_bits)
-    family_orients = [base_orientation(system, i) for i in range(system.n)]
-    # no consistency re-check: a family vertex lies in all its chosen sides, and two
-    # majority sides are chosen by two of three median inputs each, so both by one
-    # input (two 2-subsets of a 3-set meet), whose chosen sides already meet
-    closed = median_closure(system, family_orients)
-
-    orient_of_family = {o: i for i, o in reversed(list(enumerate(family_orients)))}
-    family = system.family
-    base_members = family.vertices[system.base_index].members
-
-    def flips_of(orientation: int) -> int:
-        """The labels of the flipped classes, as a bitset over the universe."""
-        out = 0
-        for k in range(m):
-            if (orientation >> k) & 1:
-                out |= system.class_bits[k]
-        return out
-
+    # classes by far side, largest first, so the far sides holding F_k are
+    # placed before k; they form a chain, and the last placed is the smallest
+    placed: list[tuple[int, int]] = []  # (far side, flip set of its class's vertex)
+    home = [0] * system.n  # per family vertex, the flip set of the tree vertex it sits at
     raw_vertices: dict[int, tuple[str, Optional[int]]] = {}
-    for o in sorted(closed):
-        fam = orient_of_family.get(o)
-        kind = "family" if fam is not None else "branch"
-        raw_vertices[flips_of(o)] = (kind, fam)
-
     raw_edges: list[tuple[int, int, int]] = []
-    class_edge_count = [0] * m
-    ordered = sorted(closed)
-    for a_i in range(len(ordered)):
-        for b_i in range(a_i + 1, len(ordered)):
-            x = ordered[a_i] ^ ordered[b_i]
-            if x & (x - 1):
-                continue
-            k = x.bit_length() - 1
-            class_edge_count[k] += 1
-            tail, head = ordered[a_i], ordered[b_i]
-            if (tail >> k) & 1:
-                tail, head = head, tail
-            labels = bit_positions(system.class_bits[k])
-            prev = flips_of(tail)
-            for step, label in enumerate(labels):
-                nxt = prev | 1 << label if step < len(labels) - 1 else flips_of(head)
-                if nxt not in raw_vertices:
-                    raw_vertices[nxt] = ("band", None)
-                raw_edges.append((prev, nxt, label))
-                prev = nxt
+    classes = zip(system.class_norm, system.class_bits)
+    for side, bits in sorted(classes, key=lambda c: -c[0].bit_count()):
+        prev = next((flips for held, flips in reversed(placed) if side & held == side), 0)
+        # the band walks away from the base side through the labels in ShortLex order
+        for label in bit_positions(bits):
+            nxt = prev | 1 << label
+            raw_vertices[nxt] = ("band", None)
+            raw_edges.append((prev, nxt, label))
+            prev = nxt
+        placed.append((side, prev))
+        raw_vertices[prev] = ("branch", None)
+        for i in bit_positions(side):
+            home[i] = prev
+    for i, flips in enumerate(home):
+        raw_vertices[flips] = ("family", i)
 
-    if m and any(c != 1 for c in class_edge_count):
-        raise TrackTreeError(f"class edge counts {class_edge_count} are not all 1")
-
-    # ShortLex order of the flip sets: bit positions run in ShortLex order of the keys
-    order = sorted(raw_vertices, key=lambda flips: (flips.bit_count(), bit_positions(flips)))
+    # ShortLex order of the flip sets (bit positions run in ShortLex order of the
+    # keys): by size, then as the bit strings read lowest bit first with 0 and 1
+    # swapped, which order two sets of one size as their position lists do
+    order = sorted(raw_vertices, key=lambda f: (f.bit_count(), bin(f)[:1:-1].translate(_SWAP)))
     index_of = {flips: i for i, flips in enumerate(order)}
+    base_members = system.family.vertices[system.base_index].members
     vertices = [
         TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
         for i, flips in enumerate(order)
@@ -187,7 +185,7 @@ def build_tree(system: TrackSystem) -> DualTree:
             for a, b, label in raw_edges
         ),
     )
-    tree = DualTree(system, vertices, edges, index_of[flips_of(family_orients[system.base_index])])
+    tree = DualTree(system, vertices, edges, index_of[0])
     _assert_tree(tree)
     return tree
 
@@ -272,8 +270,9 @@ def separation_witness(tree: DualTree) -> Optional[str]:
                     f"is on edges {edge_of[label]} and {(i, j)}")
         edge_of[label] = (i, j)
     flips = [tree.vertices[tree.family_vertex[i]].flips for i in range(len(family))]
+    members = [v.members for v in family.vertices]
     for i, j in itertools.combinations(range(len(family)), 2):
-        if (flips[i] ^ flips[j]).bit_count() != family.distance(i, j):
+        if (flips[i] ^ flips[j]).bit_count() != (members[i] ^ members[j]).bit_count():
             return f"family pair ({i}, {j}) has wrong tree distance"
     return None
 

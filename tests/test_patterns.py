@@ -807,8 +807,8 @@ def test_squares_line_on_a_crossing_family_whose_squares_pass():
 @settings(max_examples=200, deadline=None)
 @given(families)
 def test_median_closure_orientations_are_consistent(fam):
-    # build_tree does not re-check the closure; nested or not, a median of
-    # consistent orientations is consistent
+    # the closure is the reference for build_tree's vertices and is not
+    # re-checked; nested or not, a median of consistent orientations is consistent
     system = build_track_system(fam)
     seeds = [base_orientation(system, i) for i in range(system.n)]
     for o in median_closure(system, seeds):

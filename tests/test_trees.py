@@ -1,11 +1,15 @@
 """Dual tree construction, separation, geodesics, action, stabilizers."""
 
 import itertools
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracktree import (
     GroupElement,
+    InstanceSpec,
     act,
     base_orientation,
     build_track_system,
@@ -15,6 +19,7 @@ from tracktree import (
     explicit_family,
     fig1_exhibit,
     free_group,
+    instance_to_text,
     median,
     run_instance,
     separation_witness,
@@ -22,12 +27,14 @@ from tracktree import (
     subgroup,
     tree_metric_and_separation,
 )
+from tracktree.cli import main
 from tracktree.errors import NotNested, OutsideCertifiedDomain, TrackTreeError
 from tracktree.oracles import random_nested_family
 from tracktree.trees import DualTree, TreeVertex, _assert_tree, median_closure, orientation_consistent
 from tracktree.windows import bit_positions
 
 Z = free_group(1, "t")
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
 def run(name):
@@ -121,6 +128,137 @@ def test_star_tree_center_is_branch_vertex():
 def test_build_tree_rejects_crossings():
     with pytest.raises(NotNested):
         build_tree(crossing_system())
+
+
+def reference_tree(system):
+    """The dual tree as the median closure of the family's orientations, with
+    an edge for each closed pair that differs in one class: the construction
+    the laminar build replaced, as (vertices, edges, base index)."""
+    family_orients = [base_orientation(system, i) for i in range(system.n)]
+    closed = median_closure(system, family_orients)
+    orient_of_family = {o: i for i, o in reversed(list(enumerate(family_orients)))}
+    base_members = system.family.vertices[system.base_index].members
+
+    def flips_of(orientation):
+        out = 0
+        for k, bits in enumerate(system.class_bits):
+            if (orientation >> k) & 1:
+                out |= bits
+        return out
+
+    raw_vertices = {}
+    for o in sorted(closed):
+        fam = orient_of_family.get(o)
+        raw_vertices[flips_of(o)] = ("family" if fam is not None else "branch", fam)
+    raw_edges = []
+    ordered = sorted(closed)
+    for a_i, b_i in itertools.combinations(range(len(ordered)), 2):
+        x = ordered[a_i] ^ ordered[b_i]
+        if x & (x - 1):
+            continue
+        k = x.bit_length() - 1
+        tail, head = ordered[a_i], ordered[b_i]
+        if (tail >> k) & 1:
+            tail, head = head, tail
+        labels = bit_positions(system.class_bits[k])
+        prev = flips_of(tail)
+        for step, label in enumerate(labels):
+            nxt = prev | 1 << label if step < len(labels) - 1 else flips_of(head)
+            raw_vertices.setdefault(nxt, ("band", None))
+            raw_edges.append((prev, nxt, label))
+            prev = nxt
+
+    order = sorted(raw_vertices, key=lambda flips: (flips.bit_count(), bit_positions(flips)))
+    index_of = {flips: i for i, flips in enumerate(order)}
+    vertices = [TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
+                for i, flips in enumerate(order)]
+    edges = sorted((min(index_of[a], index_of[b]), max(index_of[a], index_of[b]), label)
+                   for a, b, label in raw_edges)
+    return vertices, edges, index_of[flips_of(family_orients[system.base_index])]
+
+
+def assert_matches_reference(family):
+    system = build_track_system(family)
+    tree = build_tree(system)
+    assert (tree.vertices, tree.edges, tree.base_index) == reference_tree(system)
+
+
+@st.composite
+def tree_families(draw, min_vertices=2, max_vertices=16, drop=False):
+    """A nested family read off a random tree: each tree edge is a class of
+    one to four keys, held by the vertices on its far side from vertex 0, and
+    up to three constant keys.  With ``drop``, some tree vertices are left
+    out of the family, so the tree needs branch vertices the family lacks.
+    The base vertex is drawn among the family's vertices."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    parent = [draw(st.integers(0, child - 1)) for child in range(1, n)]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    below = [{child} for child in range(1, n)]
+    for child in range(n - 1, 1, -1):
+        if parent[child - 1]:
+            below[parent[child - 1] - 1] |= below[child - 1]
+    keys = [[f"c{e:02d}{k}" for k in range(s)] for e, s in enumerate(sizes)]
+    constants = [f"z{k}" for k in range(draw(st.integers(0, 3)))]
+    held = frozenset(draw(st.sets(st.sampled_from(constants))) if constants else ())
+    kept = range(n)
+    if drop:
+        kept = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=16)))
+    subsets = [(f"v{v:02d}", frozenset(c for e, group in enumerate(keys) if v in below[e]
+                                       for c in group) | held) for v in kept]
+    universe = [c for group in keys for c in group] + constants
+    return explicit_family(universe, subsets, base_index=draw(st.integers(0, len(subsets) - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_laminar_tree_matches_median_closure_on_random_nested_families(seed):
+    assert_matches_reference(random_nested_family(seed)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_families(min_vertices=13))
+def test_laminar_tree_matches_median_closure_on_thick_tree_families(family):
+    assert_matches_reference(family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_families(max_vertices=20, drop=True))
+def test_laminar_tree_matches_median_closure_with_branch_vertices(family):
+    assert_matches_reference(family)
+
+
+def test_laminar_tree_of_one_vertex_and_no_classes():
+    family = explicit_family(["a"], [("v", frozenset("a"))])
+    assert build_track_system(family).class_bits == []
+    assert_matches_reference(family)
+    assert build_tree(build_track_system(family)).vertex_count == 1
+
+
+def test_check_never_calls_the_median_closure(tmp_path, monkeypatch, capsys):
+    family, _ = random_nested_family(1, max_extra_cosets=4, exact_classes=14)
+    spec = InstanceSpec(name="nested-14", mode="explicit", universe=tuple(family.universe),
+                        explicit_vertices=tuple((v.name, tuple(family.keys_of(v.members)))
+                                                for v in family.vertices))
+    nested = tmp_path / "nested-14.ini"
+    nested.write_text(instance_to_text(spec))
+    paths = [*sorted(INSTANCE_DIR.glob("*.ini")), nested]
+
+    def reports():
+        out = []
+        for path in paths:
+            code = main(["check", str(path)])
+            out.append((code, capsys.readouterr()))
+        return out
+
+    before = reports()
+
+    def refuse(*args):
+        raise AssertionError("the median closure was called")
+
+    from tracktree import trees
+    monkeypatch.setattr(trees, "median_closure", refuse)
+    monkeypatch.setattr(trees, "median", refuse)
+    assert reports() == before
 
 
 def test_nestedness_is_decided_once_per_system(monkeypatch):
