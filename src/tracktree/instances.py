@@ -1,16 +1,27 @@
 """Instance documents: the flat text format, validation, and the built-in corpus.
 
 An instance file is a flat structured-text document with ``[section]``
-headers and ``key = value`` lines; keys may repeat to build lists.  Words
-use the letter syntax of the group models, with ``1`` standing for the
-empty word.  Explicit mode bypasses the group machinery and lists the
-universe and the vertex subsets directly, which is how falsification
-families (e.g. crossing configurations) are injected.
+headers, ``key = value`` lines and ``#`` comments.  Words use the letter
+syntax of the group models, with ``1`` standing for the empty word.
+Explicit mode bypasses the group machinery and lists the universe and the
+vertex subsets directly, which is how falsification families (e.g.
+crossing configurations) are injected.
+
+Keys, with defaults in parentheses; ``*`` marks a repeatable key, read in file order:
+* both modes: [instance] name (unnamed), mode (group | explicit); [expectations]
+  nested, tree_vertices, tree_edges, class_sizes (each unchecked when absent);
+* group: [group] kind (required), rank (1), orders (sets the rank), letters;
+  [window] radius (8), margin (2), action_radius (the margin); [subgroup] generators
+  (none); [base_set] default (out), rule* = <prefix> in|out, include*, exclude*;
+  [translations] elements (1); [expected_k] generators (none), exact (false);
+* explicit: [universe] keys; [vertices] vertex* = <name> : <keys>.
+Any other key may appear once.  An unknown key in [base_set] or [vertices] is an
+error; unknown sections, other unknown keys and the other mode's sections are ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -135,8 +146,69 @@ def _ints(value: str, where: str) -> list[int]:
         raise ParseError(f"expected integers for {where}, got {value!r}") from None
 
 
+def _int(value: str, where: str) -> int:
+    ints = _ints(value, where)
+    if len(ints) != 1:
+        raise ParseError(f"expected one integer for {where}, got {value!r}")
+    return ints[0]
+
+
+def _default(value: str) -> bool:
+    if value.lower() not in ("in", "out"):
+        raise ParseError(f"default must be 'in' or 'out', got {value!r}")
+    return value.lower() == "in"
+
+
+def _rule(value: str) -> tuple[str, bool]:
+    parts = _tokens(value)
+    if len(parts) != 2 or parts[1].lower() not in ("in", "out"):
+        raise ParseError(f"rule must be '<prefix> in|out', got {value!r}")
+    return parts[0], parts[1].lower() == "in"
+
+
+def _vertex(value: str) -> tuple[str, tuple[str, ...]]:
+    if ":" not in value:
+        raise ParseError(f"vertex must be '<name> : <keys>', got {value!r}")
+    name, members = value.split(":", 1)
+    return name.strip(), tuple(_tokens(members))
+
+
+def _words(value: str) -> tuple[str, ...]:
+    return tuple(_tokens(value))
+
+
+# single-valued keys: (section, key) -> (mode reading it or None for both, field, reader);
+# [instance] comes first, so the mode is known before any key of a mode is read
+_SINGLE = {
+    ("instance", "name"): (None, "name", lambda v: v or "unnamed"),
+    ("instance", "mode"): (None, "mode", lambda v: (v or "group").lower()),
+    ("group", "kind"): ("group", "kind", str.lower),
+    ("group", "rank"): ("group", "rank", lambda v: _int(v, "rank")),
+    ("group", "orders"): ("group", "orders", lambda v: tuple(_ints(v, "orders"))),
+    ("group", "letters"): ("group", "letters", str),
+    ("window", "radius"): ("group", "radius", lambda v: _int(v, "radius")),
+    ("window", "margin"): ("group", "margin", lambda v: _int(v, "margin")),
+    ("window", "action_radius"): ("group", "action_radius", lambda v: _int(v, "action_radius")),
+    ("subgroup", "generators"): ("group", "subgroup_generators", _words),
+    ("base_set", "default"): ("group", "base_default_in", _default),
+    ("translations", "elements"): ("group", "translations", _words),
+    ("expected_k", "generators"): ("group", "expected_k_generators", _words),
+    ("expected_k", "exact"):
+        ("group", "expected_k_exact", lambda v: _parse_bool(v, "expected_k.exact")),
+    ("universe", "keys"): ("explicit", "universe", _words),
+    ("expectations", "nested"): (None, "nested", lambda v: _parse_bool(v, "expectations.nested")),
+    ("expectations", "tree_vertices"): (None, "tree_vertices", lambda v: _int(v, "tree_vertices")),
+    ("expectations", "tree_edges"): (None, "tree_edges", lambda v: _int(v, "tree_edges")),
+    ("expectations", "class_sizes"):
+        (None, "class_sizes", lambda v: tuple(sorted(_ints(v, "class_sizes")))),
+}
+# the sections where an unknown key is an error: the mode that reads them, their repeatable keys
+_LISTED = {"base_set": ("group", ("rule", "include", "exclude")),
+           "vertices": ("explicit", ("vertex",))}
+
+
 def parse_instance_text(text: str) -> InstanceSpec:
-    sections: dict[str, list[tuple[str, str]]] = {}
+    index: dict[tuple[str, str], list[str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(" #", 1)[0].strip()
@@ -144,124 +216,45 @@ def parse_instance_text(text: str) -> InstanceSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            sections.setdefault(current, [])
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ParseError(f"line {lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        sections[current].append((key.strip().lower(), value.strip()))
+        index.setdefault((current, key.strip().lower()), []).append(value.strip())
 
-    def section(name: str) -> list[tuple[str, str]]:
-        return sections.get(name, [])
-
-    def single(name: str, key: str, default: Optional[str] = None) -> Optional[str]:
-        hits = [v for k, v in section(name) if k == key]
-        if not hits:
-            return default
-        if len(hits) > 1:
-            raise ParseError(f"key {key!r} repeated in [{name}]")
-        return hits[0]
-
-    spec = InstanceSpec(name=single("instance", "name", "unnamed") or "unnamed")
-    spec = replace(spec, mode=(single("instance", "mode", "group") or "group").lower())
-
-    if spec.mode == "group":
-        kind = single("group", "kind")
-        if kind is None:
+    fields: dict = {"name": "unnamed"}
+    expected: dict = {}
+    for (section, key), (owner, name, read) in _SINGLE.items():
+        mode = "group" if fields.get("mode", "group") == "group" else "explicit"
+        values = index.get((section, key))
+        if values and owner in (None, mode):
+            if len(values) > 1:
+                raise ParseError(f"key {key!r} repeated in [{section}]")
+            (expected if section == "expectations" else fields)[name] = read(values[0])
+    for section, key in index:
+        owner, repeatable = _LISTED.get(section, (None, ()))
+        if owner == mode and key not in repeatable and (section, key) not in _SINGLE:
+            raise ParseError(f"unknown {section} key {key!r}")
+    if mode == "group":
+        if "kind" not in fields:
             raise ParseError("group mode needs a [group] section with a kind")
-        spec = replace(spec, kind=kind.lower())
-        rank = single("group", "rank")
-        if rank is not None:
-            spec = replace(spec, rank=_ints(rank, "rank")[0])
-        orders = single("group", "orders")
-        if orders is not None:
-            spec = replace(spec, orders=tuple(_ints(orders, "orders")),
-                           rank=len(_ints(orders, "orders")))
-        letters = single("group", "letters")
-        if letters is not None:
-            spec = replace(spec, letters=letters)
-
-        radius = single("window", "radius")
-        margin = single("window", "margin")
-        action = single("window", "action_radius")
-        if radius is not None:
-            spec = replace(spec, radius=_ints(radius, "radius")[0])
-        if margin is not None:
-            spec = replace(spec, margin=_ints(margin, "margin")[0])
-        if action is not None:
-            spec = replace(spec, action_radius=_ints(action, "action_radius")[0])
-
-        gens = single("subgroup", "generators", "")
-        spec = replace(spec, subgroup_generators=tuple(_tokens(gens or "")))
-
-        rules = []
-        includes: list[str] = []
-        excludes: list[str] = []
-        default_in = False
-        for key, value in section("base_set"):
-            if key == "rule":
-                parts = _tokens(value)
-                if len(parts) != 2 or parts[1].lower() not in ("in", "out"):
-                    raise ParseError(f"rule must be '<prefix> in|out', got {value!r}")
-                rules.append((parts[0], parts[1].lower() == "in"))
-            elif key == "include":
-                includes.extend(_tokens(value))
-            elif key == "exclude":
-                excludes.extend(_tokens(value))
-            elif key == "default":
-                if value.lower() not in ("in", "out"):
-                    raise ParseError(f"default must be 'in' or 'out', got {value!r}")
-                default_in = value.lower() == "in"
-            else:
-                raise ParseError(f"unknown base_set key {key!r}")
-        spec = replace(spec, base_rules=tuple(rules), base_includes=tuple(includes),
-                       base_excludes=tuple(excludes), base_default_in=default_in)
-
-        elements = single("translations", "elements")
-        if elements is not None:
-            spec = replace(spec, translations=tuple(_tokens(elements)))
-
-        kgens = single("expected_k", "generators", "")
-        spec = replace(spec, expected_k_generators=tuple(_tokens(kgens or "")))
-        exact = single("expected_k", "exact")
-        if exact is not None:
-            spec = replace(spec, expected_k_exact=_parse_bool(exact, "expected_k.exact"))
+        if "orders" in fields:
+            fields["rank"] = len(fields["orders"])
+        base = {key: index.get(("base_set", key), ()) for key in ("rule", "include", "exclude")}
+        fields.update(base_rules=tuple(map(_rule, base["rule"])),
+                      base_includes=_words(",".join(base["include"])),
+                      base_excludes=_words(",".join(base["exclude"])))
     else:
-        keys = single("universe", "keys", "")
-        spec = replace(spec, universe=tuple(_tokens(keys or "")))
-        vertices = []
-        for key, value in section("vertices"):
-            if key != "vertex":
-                raise ParseError(f"unknown vertices key {key!r}")
-            if ":" not in value:
-                raise ParseError(f"vertex must be '<name> : <keys>', got {value!r}")
-            name, members = value.split(":", 1)
-            vertices.append((name.strip(), tuple(_tokens(members))))
-        spec = replace(spec, explicit_vertices=tuple(vertices))
-
-    exp = Expectations()
-    nested = single("expectations", "nested")
-    if nested is not None:
-        exp = replace(exp, nested=_parse_bool(nested, "expectations.nested"))
-    tv = single("expectations", "tree_vertices")
-    if tv is not None:
-        exp = replace(exp, tree_vertices=_ints(tv, "tree_vertices")[0])
-    te = single("expectations", "tree_edges")
-    if te is not None:
-        exp = replace(exp, tree_edges=_ints(te, "tree_edges")[0])
-    cs = single("expectations", "class_sizes")
-    if cs is not None:
-        exp = replace(exp, class_sizes=tuple(sorted(_ints(cs, "class_sizes"))))
-    spec = replace(spec, expectations=exp)
-    return spec.validate()
+        fields["explicit_vertices"] = tuple(map(_vertex, index.get(("vertices", "vertex"), ())))
+    return InstanceSpec(**fields, expectations=Expectations(**expected)).validate()
 
 
 def load_instance(path: str | Path) -> InstanceSpec:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read instance file {path}: {exc}") from exc
     return parse_instance_text(text)
 

@@ -93,8 +93,11 @@ def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
         if spec.mode == "group":
             _run_group(spec, report, result)
         else:
-            family = explicit_family(list(spec.universe),
-                                     [(n, frozenset(m)) for n, m in spec.explicit_vertices])
+            try:
+                family = explicit_family(list(spec.universe),
+                                         [(n, frozenset(m)) for n, m in spec.explicit_vertices])
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
             result.family = family
             report.counts["universe"] = len(family.universe)
             report.counts["family_vertices"] = len(family)

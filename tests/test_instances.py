@@ -76,9 +76,10 @@ def test_parse_rejects_stray_keys():
 
 
 def test_shipped_instance_files_parse_to_corpus():
-    for name, spec in corpus().items():
+    shipped = {**corpus(), "crossing": crossing_exhibit(), "fig1": fig1_exhibit()}
+    for name, spec in shipped.items():
         parsed = parse_instance_text((INSTANCE_DIR / f"{name}.ini").read_text())
-        assert parsed == spec
+        assert parsed == spec, name
 
 
 # --------------------------------------------------------------------------
@@ -521,6 +522,29 @@ def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
     main(["check", *good])
     assert captured.out == capsys.readouterr().out
     assert captured.err.startswith(f"input error: {bad}: ") and captured.err.count("\n") == 1
+
+
+EXPLICIT_PQ = "[instance]\nmode = explicit\n[universe]\nkeys = a b\n[vertices]\nvertex = p : a\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[instance]\nname = x\n\xff\n", "cannot read instance file {path}: 'utf-8' codec can't "
+     "decode byte 0xff in position 20: invalid start byte"),
+    (EXPLICIT_PQ.encode() + b"vertex = q : a\n", "vertex 'q' duplicates vertex 'p'"),
+    (EXPLICIT_PQ.encode() + b"vertex = q : z\n",
+     "vertex 'q' uses keys outside the universe: ['z']"),
+    ((INSTANCE_DIR / "E3.ini").read_bytes().replace(b"rank = 2", b"rank ="),
+     "expected one integer for rank, got ''"),
+], ids=["not-utf-8", "duplicate-vertex", "stray-key", "empty-rank"])
+def test_cli_bad_file_is_an_input_error(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(content)
+    good = [str(INSTANCE_DIR / "E1.ini"), str(INSTANCE_DIR / "E4.ini")]
+    assert main(["check", good[0], str(bad), good[1]]) == 4
+    captured = capsys.readouterr()
+    main(["check", *good])
+    assert captured.out == capsys.readouterr().out
+    assert captured.err == f"input error: {bad}: {message.format(path=bad)}\n"
 
 
 def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
