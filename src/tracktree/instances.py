@@ -14,7 +14,7 @@ Keys, with defaults in parentheses; ``*`` marks a repeatable key, read in file o
   [window] radius (8), margin (2), action_radius (the margin); [subgroup] generators
   (none); [base_set] default (out), rule* = <prefix> in|out, include*, exclude*;
   [translations] elements (1); [expected_k] generators (none), exact (false);
-* explicit: [universe] keys; [vertices] vertex* = <name> : <keys>.
+* explicit: [universe] keys (distinct); [vertices] vertex* = <name> : <keys>, names distinct.
 Any other key may appear once.  An unknown key in [base_set] or [vertices] is an
 error; unknown sections, other unknown keys and the other mode's sections are ignored.
 """

@@ -1,9 +1,10 @@
 """Independent brute-force routes to the dual tree and the label assignment.
 
 These deliberately avoid the construction paths they check: orientations
-are enumerated exhaustively instead of median-closed, and labelings are
-enumerated edge by edge against the corner-matching constraints instead of
-being derived from the class order.
+are found by an exhaustive search over the side choices, pruned only by the
+pairwise definition of consistency, instead of being read off the laminar
+order, and labelings are enumerated edge by edge against the
+corner-matching constraints instead of being derived from the class order.
 """
 
 from __future__ import annotations
@@ -34,40 +35,66 @@ class OrientationOracle:
 def oracle_orientations(system: TrackSystem) -> OrientationOracle:
     """All consistent class-side choices, expanded by band cuts.
 
-    Enumerates every one of the 2^classes side choices, keeps the
-    consistent ones, and subdivides adjacent pairs (differing in a single
-    class) by the class's labels in universe (ShortLex) order.
+    Searches the side choices exhaustively, class by class: a prefix is
+    extended by a side of the next class only when that side is non-empty
+    and meets each side already chosen.  Consistency is a conjunction over
+    pairs of classes, so this pruning is exact: it drops exactly the
+    prefixes that no choice of the later sides could make consistent.
+    Each choice that survives to the last class is confirmed by
+    ``orientation_consistent``, the definition.  Adjacent pairs (differing
+    in a single class) are subdivided by the class's labels in universe
+    (ShortLex) order.
     """
     m = len(system.class_bits)
     if m > MAX_ORACLE_CLASSES:
         raise TooLarge(f"{m} classes exceed the oracle cap {MAX_ORACLE_CLASSES}")
 
-    consistent = [o for o in range(1 << m) if orientation_consistent(system, o)]
+    # table[k][s] = (side s of class k as a vertex bitset (0 kept, 1 flipped),
+    #                the earlier classes whose flipped side misses it,
+    #                the earlier classes whose kept side misses it)
+    full = system._full
+    sides = [(~g & full, g) for g in system.class_norm]
+    table = []
+    for k, pair in enumerate(sides):
+        row = []
+        for side in pair:
+            flipped = kept = 0
+            for j in range(k):
+                if not sides[j][1] & side:
+                    flipped |= 1 << j
+                if not sides[j][0] & side:
+                    kept |= 1 << j
+            row.append((side, flipped, kept))
+        table.append(row)
 
-    def flips_of(orientation: int) -> int:
-        out = 0
-        for k in range(m):
-            if (orientation >> k) & 1:
-                out |= system.class_bits[k]
-        return out
+    prefixes = [0]
+    for k, row in enumerate(table):
+        prefixes = [p | s << k for p in prefixes for s, (side, flipped, kept) in enumerate(row)
+                    if side and not (p & flipped or ~p & kept)]
+    flips = {}
+    for o in prefixes:
+        if orientation_consistent(system, o):
+            out = 0
+            for k, bits in enumerate(system.class_bits):
+                if (o >> k) & 1:
+                    out |= bits
+            flips[o] = out
 
-    vertices: set[int] = {flips_of(o) for o in consistent}
+    vertices: set[int] = set(flips.values())
     edges: set[tuple[int, int, int]] = set()
-    for a, b in itertools.combinations(consistent, 2):
-        x = a ^ b
-        if x & (x - 1):
-            continue
-        k = x.bit_length() - 1
-        tail = a if not (a >> k) & 1 else b
-        labels = bit_positions(system.class_bits[k])
-        prev = flips_of(tail)
-        for step, label in enumerate(labels):
-            nxt = prev | 1 << label
-            if step == len(labels) - 1:
-                nxt = flips_of(tail) | system.class_bits[k]
-            vertices.add(nxt)
-            edges.add((min(prev, nxt), max(prev, nxt), label))
-            prev = nxt
+    for tail, tail_flips in flips.items():
+        for k, bits in enumerate(system.class_bits):
+            head = tail | 1 << k
+            if head == tail or head not in flips:
+                continue
+            prev = tail_flips
+            *inner, last = bit_positions(bits)
+            for label in inner:
+                nxt = prev | 1 << label
+                vertices.add(nxt)
+                edges.add((prev, nxt, label))
+                prev = nxt
+            edges.add((prev, flips[head], last))
 
     return OrientationOracle(frozenset(vertices), frozenset(edges))
 

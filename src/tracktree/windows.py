@@ -550,12 +550,22 @@ class VertexFamily:
 
 def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozenset[str]]],
                     base_index: int = 0) -> VertexFamily:
-    """Family given directly as subsets of an abstract universe (test mode)."""
-    universe = sorted(dict.fromkeys(universe), key=lambda word: (len(word), word))
+    """Family given directly as subsets of an abstract universe (test mode).
+
+    A repeated key or vertex name is an error: a witness names vertices and
+    keys, so each name must mean one thing."""
+    if len(set(universe)) < len(universe):
+        repeated = sorted({k for k in universe if universe.count(k) > 1})
+        raise ValueError(f"the universe repeats keys {repeated}")
+    universe = sorted(universe, key=lambda word: (len(word), word))
     bit = {k: 1 << i for i, k in enumerate(universe)}
     vertices = []
     seen: dict[int, str] = {}
+    names: set[str] = set()
     for name, members in subsets:
+        if name in names:
+            raise ValueError(f"vertex name {name!r} is used twice")
+        names.add(name)
         members = set(members)
         stray = members.difference(bit)
         if stray:

@@ -533,9 +533,13 @@ EXPLICIT_PQ = "[instance]\nmode = explicit\n[universe]\nkeys = a b\n[vertices]\n
     (EXPLICIT_PQ.encode() + b"vertex = q : a\n", "vertex 'q' duplicates vertex 'p'"),
     (EXPLICIT_PQ.encode() + b"vertex = q : z\n",
      "vertex 'q' uses keys outside the universe: ['z']"),
+    (EXPLICIT_PQ.encode() + b"vertex = p : b\n", "vertex name 'p' is used twice"),
+    (EXPLICIT_PQ.replace("keys = a b", "keys = a b a").encode(),
+     "the universe repeats keys ['a']"),
     ((INSTANCE_DIR / "E3.ini").read_bytes().replace(b"rank = 2", b"rank ="),
      "expected one integer for rank, got ''"),
-], ids=["not-utf-8", "duplicate-vertex", "stray-key", "empty-rank"])
+], ids=["not-utf-8", "duplicate-vertex", "stray-key", "repeated-name", "repeated-key",
+        "empty-rank"])
 def test_cli_bad_file_is_an_input_error(tmp_path, capsys, content, message):
     bad = tmp_path / "bad.ini"
     bad.write_bytes(content)

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracktree import (
     assign_labels,
@@ -17,8 +19,15 @@ from tracktree import (
     run_instance,
     tree_matches_oracle,
 )
+import tracktree.oracles
 from tracktree.errors import TooLarge
-from tracktree.oracles import labeling_matches_canonical, labeling_verdict
+from tracktree.oracles import (
+    MAX_ORACLE_CLASSES,
+    OrientationOracle,
+    labeling_matches_canonical,
+    labeling_verdict,
+)
+from tracktree.trees import orientation_consistent
 from tracktree.windows import bit_positions
 
 
@@ -73,6 +82,111 @@ def test_oracle_matches_tree_on_random_families():
         assert tree_matches_oracle(tree, oracle_orientations(system)), seed
         assert tree.vertex_count == info.tree_vertex_count
         assert tree.edge_count == info.tree_edge_count
+
+
+def reference_orientations(system):
+    """The orientation oracle by its definition: every one of the 2^classes
+    side choices is tested for consistency, and each pair of consistent
+    choices that differ in a single class is subdivided by the class's
+    labels in universe order."""
+    m = len(system.class_bits)
+    consistent = [o for o in range(1 << m) if orientation_consistent(system, o)]
+
+    def flips_of(orientation):
+        out = 0
+        for k in range(m):
+            if (orientation >> k) & 1:
+                out |= system.class_bits[k]
+        return out
+
+    vertices = {flips_of(o) for o in consistent}
+    edges = set()
+    for a, b in itertools.combinations(consistent, 2):
+        x = a ^ b
+        if x & (x - 1):
+            continue
+        k = x.bit_length() - 1
+        tail = a if not (a >> k) & 1 else b
+        labels = bit_positions(system.class_bits[k])
+        prev = flips_of(tail)
+        for step, label in enumerate(labels):
+            nxt = prev | 1 << label
+            if step == len(labels) - 1:
+                nxt = flips_of(tail) | system.class_bits[k]
+            vertices.add(nxt)
+            edges.add((min(prev, nxt), max(prev, nxt), label))
+            prev = nxt
+    return OrientationOracle(frozenset(vertices), frozenset(edges)), len(consistent)
+
+
+def assert_matches_reference_orientations(family):
+    system = build_track_system(family)
+    assert len(system.class_bits) <= MAX_ORACLE_CLASSES
+    assert oracle_orientations(system) == reference_orientations(system)[0]
+
+
+@st.composite
+def grafted_families(draw):
+    """A random nested family of three to ten classes with two keys g0, g1
+    added so that four of its vertices sit in the four quadrants of the
+    pair: the family crosses, and has at most 12 classes."""
+    family, _ = random_nested_family(draw(st.integers(0, 2**32)),
+                                     exact_classes=draw(st.integers(3, 10)))
+    n = len(family)
+    quadrant = draw(st.permutations(range(n)))[:4]
+    held = {v: draw(st.sets(st.sampled_from(["g0", "g1"]))) for v in range(n)}
+    for v, keys in zip(quadrant, ([], ["g0"], ["g1"], ["g0", "g1"])):
+        held[v] = set(keys)
+    subsets = [(v.name, frozenset(family.keys_of(v.members)) | held[i])
+               for i, v in enumerate(family.vertices)]
+    return explicit_family([*family.universe, "g0", "g1"], subsets)
+
+
+@st.composite
+def subset_families(draw):
+    """Two to ten distinct random subsets of a universe of at most twelve
+    keys, so at most twelve classes; most of them cross."""
+    universe = [f"k{i:02d}" for i in range(draw(st.integers(1, 12)))]
+    members = draw(st.lists(st.frozensets(st.sampled_from(universe)),
+                            min_size=2, max_size=10, unique=True))
+    return explicit_family(universe, [(f"v{i}", m) for i, m in enumerate(members)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_oracle_search_matches_definition_on_random_nested_families(seed):
+    assert_matches_reference_orientations(random_nested_family(seed)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(grafted_families())
+def test_oracle_search_matches_definition_on_grafted_families(family):
+    assert_matches_reference_orientations(family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subset_families())
+def test_oracle_search_matches_definition_on_random_subset_families(family):
+    assert_matches_reference_orientations(family)
+
+
+def test_oracle_confirms_only_the_surviving_orientations(monkeypatch):
+    calls = [0]
+
+    def counted(system, orientation):
+        calls[0] += 1
+        return orientation_consistent(system, orientation)
+
+    system = run_instance(corpus()["E1"]).system
+    monkeypatch.setattr(tracktree.oracles, "orientation_consistent", counted)
+    oracle_orientations(system)
+    assert calls[0] == 5
+    for seed in range(100):
+        system = build_track_system(random_nested_family(seed)[0])
+        calls[0] = 0
+        oracle_orientations(system)
+        _, consistent = reference_orientations(system)
+        assert calls[0] == consistent == len(system.class_bits) + 1, seed
 
 
 # --------------------------------------------------------------------------
