@@ -38,7 +38,7 @@ for a, b in ((0, 4), (3, 4)):
 
 oracle = oracle_orientations(system)
 print()
-print("orientation oracle agrees with the median-closure construction:",
+print("orientation oracle agrees with the tree read off the laminar order:",
       tree_matches_oracle(tree, oracle))
 
 print()

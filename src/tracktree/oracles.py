@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import SearchBudgetExceeded, TooLarge
@@ -159,6 +160,7 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
             if k1 < k2 else (min(k1, k2), e2[0] != a, e1[0] != a, count))
 
     labels_per_edge = [bit_positions(diff) for diff in edge_diff.values()]  # ShortLex order
+    label_sets = [set(labels) for labels in labels_per_edge]
 
     budget = [DFS_BUDGET]
     chosen: list[tuple[int, ...]] = []
@@ -166,27 +168,43 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
 
     def orders(k: int):
         """Every order of edge k's labels that matches its corners with the
-        edges already chosen.  Each corner fixes the labels at one end of the
-        edge; the remaining labels fill the other places in every order,
-        generated on each visit rather than stored (an 8-label edge has 8!)."""
+        edges already chosen.  Each corner reads ``count`` labels of an
+        earlier edge away from the shared vertex, which pin a prefix of this
+        edge's order (or a suffix, read from its end).  The longest prefix
+        and suffix are kept, each shorter one must agree with them, and they
+        must agree where they overlap.  The remaining labels fill the middle
+        in every order, generated on each visit rather than stored (an
+        8-label edge has 8!)."""
         labels = labels_per_edge[k]
         size = len(labels)
-        fixed: dict[int, int] = {}
+        pre = back = ()  # back is the suffix read from the edge's end
         for other, rev_other, rev_self, count in corner_checks[k]:
-            seq = chosen[other][::-1] if rev_other else chosen[other]
-            for t in range(count):
-                place = size - 1 - t if rev_self else t
-                if fixed.setdefault(place, seq[t]) != seq[t]:
+            seq = chosen[other]
+            cut = seq[:-count - 1:-1] if rev_other else seq[:count]
+            held = back if rev_self else pre
+            if count > len(held):
+                if cut[:len(held)] != held:
                     return
-        used = set(fixed.values())
-        if len(used) != len(fixed) or not used <= set(labels):
+                if rev_self:
+                    back = cut
+                else:
+                    pre = cut
+            elif held[:count] != cut:
+                return
+        suf = back[::-1]
+        overlap = len(pre) + len(suf) - size
+        if overlap > 0:
+            if pre[-overlap:] != suf[:overlap]:
+                return
+            suf = suf[overlap:]
+        used = set(pre + suf)
+        if len(used) != len(pre) + len(suf) or not used <= label_sets[k]:
             return
-        free_places = [p for p in range(size) if p not in fixed]
-        order = [fixed.get(p) for p in range(size)]
+        if len(used) == size:  # pinned whole by its corners: nothing to permute
+            yield pre + suf
+            return
         for filling in itertools.permutations([c for c in labels if c not in used]):
-            for place, label in zip(free_places, filling):
-                order[place] = label
-            yield tuple(order)
+            yield pre + filling + suf
 
     def dfs(k: int):
         if k == len(edges):
@@ -207,42 +225,62 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
     return LabelingOracle(edges, found, len(found), expected)
 
 
-def labeling_matches_canonical(system: TrackSystem,
-                               canonical: dict[tuple[int, int], tuple[int, ...]],
-                               labeling: tuple[tuple[int, ...], ...],
-                               edges: list[tuple[int, int]]) -> bool:
-    """True when the labeling is the canonical one composed with a single
-    within-class permutation applied consistently on every edge."""
-    indicator, full = system.indicator, system._full
-    mapping: dict[int, int] = {}
-    for edge, seq in zip(edges, labeling):
-        want = canonical[edge]
-        if len(seq) != len(want):
-            return False
-        for a, b in zip(want, seq):
-            # parallel labels: indicators agree everywhere or disagree everywhere
-            if indicator[a] not in (indicator[b], indicator[b] ^ full):
-                return False
-            if mapping.setdefault(a, b) != b:
-                return False
-    image = list(mapping.values())
-    return len(set(image)) == len(image)
-
-
 class LabelingVerdict(NamedTuple):
     canonical_is_valid: bool   # the canonical labeling is among the enumerated ones
     all_within_class: bool     # every enumerated one is it up to a within-class permutation
     count_matches: bool        # as many as the product of the class-size factorials
 
 
+def _tuple_gather(ids: list[int]):
+    """A function taking seq to the tuple of seq[i] for each i in ids."""
+    # itemgetter of one id returns the item itself, not a 1-tuple, and of none raises
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda seq: tuple(seq[i] for i in ids)
+
+
 def labeling_verdict(system: TrackSystem, canonical: dict[tuple[int, int], tuple[int, ...]],
                      oracle: LabelingOracle) -> LabelingVerdict:
     """The labeling oracle's checks of the canonical labels; all hold on a
-    nested system."""
+    nested system.
+
+    A labeling is the canonical one up to a within-class permutation when
+    its edges have the canonical lengths and one map sigma, from canonical
+    labels to its labels, reads every position: each position holds the
+    label found where its canonical label first occurs, and sigma, read at
+    those first occurrences, is injective and keeps each label's class key
+    (parallel labels have indicators equal or complementary, so the lesser
+    of the two is the key).  Both reads are gathers over the flattened
+    labeling, set up once from the canonical labeling."""
+    edges = oracle.edges
+    want = tuple(canonical[e] for e in edges)
+    lengths = list(map(len, want))
+    flat = list(itertools.chain.from_iterable(want))
+    first: dict[int, int] = {}
+    for i, label in enumerate(flat):
+        first.setdefault(label, i)
+    same = _tuple_gather([first[label] for label in flat])
+    sigma = _tuple_gather(list(first.values()))
+    full = system._full
+    key = {label: min(ind, ind ^ full) for label, ind in system.indicator.items()}
+    source_keys = [key[label] for label in first]
+    image_keys = key.__getitem__
+
+    def within_class(labeling: tuple[tuple[int, ...], ...]) -> bool:
+        # lists and sum(): tuple() of an iterator sizes its result by resizing,
+        # and the resized tuples pile up in the interpreter's tuple free lists
+        if list(map(len, labeling)) != lengths:
+            return False
+        seq = sum(labeling, ())
+        if same(seq) != seq:
+            return False
+        images = sigma(seq)
+        return (list(map(image_keys, images)) == source_keys
+                and len(set(images)) == len(images))
+
     return LabelingVerdict(
-        tuple(canonical[e] for e in oracle.edges) in oracle.labelings,
-        all(labeling_matches_canonical(system, canonical, lab, oracle.edges)
-            for lab in oracle.labelings),
+        want in oracle.labelings,
+        all(map(within_class, oracle.labelings)),
         oracle.count == oracle.expected_count)
 
 

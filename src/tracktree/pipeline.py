@@ -287,9 +287,10 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     else:
         result.labels = assign_labels(system)
         verdict = result.labeling_verdict = labeling_verdict(system, result.labels, oracle)
-        ok = all(verdict)
-        report.add("labeling_oracle", PASS if ok else FAIL,
-                   None if ok else f"{oracle.count} labelings vs expected {oracle.expected_count}")
+        failed = [name for name, holds in zip(verdict._fields, verdict) if not holds]
+        report.add("labeling_oracle", FAIL if failed else PASS,
+                   f"{', '.join(failed)} failed: {oracle.count} labelings vs expected "
+                   f"{oracle.expected_count}" if failed else None)
 
     if spec.mode == "explicit":
         _check_expectations(spec, report, result)

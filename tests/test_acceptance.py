@@ -35,8 +35,9 @@ from tracktree import (
     tree_metric_and_separation,
 )
 from tracktree.instances import make_base_spec, make_model, token_word
-from tracktree.oracles import labeling_matches_canonical
 from tracktree.windows import bit_positions
+
+from labeling_reference import labeling_matches_canonical
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment

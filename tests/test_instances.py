@@ -311,7 +311,7 @@ DEMO_GOLDEN = {
     "01_group_words.py": "5ac736c639a08631fc627eef27544ff8",
     "02_windows_and_hypotheses.py": "21db5eac9047d21566be0f2dafd40f90",
     "03_pattern_combinatorics.py": "acae7cdc31d88f3390a89c8b1e204577",
-    "04_dual_tree.py": "900917b2c17b2219bcef3c1bea5ee91e",
+    "04_dual_tree.py": "d3bdca46432d5895bfa18b618129bfd2",
     "05_action_and_stabilizers.py": "c0936b23ad54a33a040bec10785cefb8",
 }
 
@@ -808,6 +808,27 @@ def test_cli_labeling_budget_family(tmp_path, capsys, monkeypatch):
         "witness": "labeling enumeration exceeded its budget"}
     assert all(c["status"] == "pass" for n, c in by_name.items() if n != "labeling_oracle")
     assert report["counts"]["tree_vertices"] == 3 + 5 + 1
+
+
+def test_labeling_oracle_witness_names_the_failed_verdict_parts(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "within.ini"
+    spec.write_text("[instance]\nname = within\nmode = explicit\n\n"
+                    "[universe]\nkeys = c1 c2 c3 c4 c5 c6 c7\n\n"
+                    "[vertices]\nvertex = u : c1 c2 c3\nvertex = v : c4 c5\n"
+                    "vertex = w : c6 c7\n")
+    assign_labels = tracktree.pipeline.assign_labels
+
+    def reversed_first_edge(system):
+        labels = assign_labels(system)
+        edge = min(labels)
+        return {**labels, edge: labels[edge][::-1]}
+
+    monkeypatch.setattr(tracktree.pipeline, "assign_labels", reversed_first_edge)
+    assert main(["check", str(spec)]) == 2
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["labeling_oracle"] == {
+        "name": "labeling_oracle", "status": "fail",
+        "witness": "canonical_is_valid, all_within_class failed: 24 labelings vs expected 24"}
 
 
 def test_cli_byte_identical_across_processes():

@@ -13,6 +13,7 @@ from tracktree import (
     build_tree,
     corpus,
     explicit_family,
+    nestedness_check,
     oracle_labelings,
     oracle_orientations,
     random_nested_family,
@@ -20,15 +21,20 @@ from tracktree import (
     tree_matches_oracle,
 )
 import tracktree.oracles
-from tracktree.errors import TooLarge
+from tracktree.errors import SearchBudgetExceeded, TooLarge
 from tracktree.oracles import (
     MAX_ORACLE_CLASSES,
     OrientationOracle,
-    labeling_matches_canonical,
     labeling_verdict,
 )
 from tracktree.trees import orientation_consistent
 from tracktree.windows import bit_positions
+
+from labeling_reference import (
+    labeling_matches_canonical,
+    reference_oracle_labelings,
+    reference_verdict,
+)
 
 
 def band_system():
@@ -126,12 +132,13 @@ def assert_matches_reference_orientations(family):
 
 
 @st.composite
-def grafted_families(draw):
+def grafted_families(draw, max_classes=10, max_extra_cosets=4):
     """A random nested family of three to ten classes with two keys g0, g1
     added so that four of its vertices sit in the four quadrants of the
     pair: the family crosses, and has at most 12 classes."""
     family, _ = random_nested_family(draw(st.integers(0, 2**32)),
-                                     exact_classes=draw(st.integers(3, 10)))
+                                     max_extra_cosets=max_extra_cosets,
+                                     exact_classes=draw(st.integers(3, max_classes)))
     n = len(family)
     quadrant = draw(st.permutations(range(n)))[:4]
     held = {v: draw(st.sets(st.sampled_from(["g0", "g1"]))) for v in range(n)}
@@ -143,12 +150,12 @@ def grafted_families(draw):
 
 
 @st.composite
-def subset_families(draw):
+def subset_families(draw, max_keys=12, max_vertices=10):
     """Two to ten distinct random subsets of a universe of at most twelve
     keys, so at most twelve classes; most of them cross."""
-    universe = [f"k{i:02d}" for i in range(draw(st.integers(1, 12)))]
+    universe = [f"k{i:02d}" for i in range(draw(st.integers(1, max_keys)))]
     members = draw(st.lists(st.frozensets(st.sampled_from(universe)),
-                            min_size=2, max_size=10, unique=True))
+                            min_size=2, max_size=max_vertices, unique=True))
     return explicit_family(universe, [(f"v{i}", m) for i, m in enumerate(members)])
 
 
@@ -288,6 +295,84 @@ def test_labelings_cap():
     fam, _ = random_nested_family(1, exact_classes=9)
     with pytest.raises(TooLarge):
         oracle_labelings(build_track_system(fam))
+
+
+def test_labelings_budget_steps_are_pinned():
+    # path v0 - v1 - v2 with classes of 6 and 2 keys: 6! orders of the first
+    # edge, 2 fillings of the second after its 6-label prefix, and one forced
+    # order of the third, one budget step each
+    six = frozenset(f"c{k}" for k in range(6))
+    system = build_track_system(explicit_family(
+        [*sorted(six), "c6", "c7"],
+        [("v0", frozenset()), ("v1", six), ("v2", six | {"c6", "c7"})]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracktree.oracles, "DFS_BUDGET", 720 + 2 * 1440)
+        assert oracle_labelings(system).count == 1440
+        mp.setattr(tracktree.oracles, "DFS_BUDGET", 720 + 2 * 1440 - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            oracle_labelings(system)
+
+
+def broken_labelings(system, canonical, oracle):
+    """The canonical labeling, one reversed copy and one copy cut short per
+    edge, a copy with the last label of the first edge moved to the front of
+    the second (the same labels in the same flat order), and a copy with the
+    least labels of two classes swapped on every edge."""
+    yield canonical
+    for edge in oracle.edges:
+        yield {**canonical, edge: canonical[edge][::-1]}
+        yield {**canonical, edge: canonical[edge][:-1]}
+    if len(oracle.edges) > 1:
+        e0, e1 = oracle.edges[:2]
+        yield {**canonical, e0: canonical[e0][:-1], e1: canonical[e0][-1:] + canonical[e1]}
+    if len(system.class_bits) > 1:
+        a, b = (bit_positions(bits)[0] for bits in system.class_bits[:2])
+        swap = {a: b, b: a}
+        yield {e: tuple(swap.get(x, x) for x in seq) for e, seq in canonical.items()}
+
+
+def assert_labelings_match_reference(family):
+    system = build_track_system(family)
+    assert system.label_bits.bit_count() <= 8 and system.n <= 8
+    want, steps = reference_oracle_labelings(system)
+    with pytest.MonkeyPatch.context() as mp:
+        # the same budget steps: enough at the reference's count, short one below it
+        mp.setattr(tracktree.oracles, "DFS_BUDGET", steps)
+        oracle = oracle_labelings(system)
+        if steps:
+            mp.setattr(tracktree.oracles, "DFS_BUDGET", steps - 1)
+            with pytest.raises(SearchBudgetExceeded):
+                oracle_labelings(system)
+    assert oracle.edges == want.edges
+    assert oracle.labelings == want.labelings
+    assert (oracle.count, oracle.expected_count) == (want.count, want.expected_count)
+    # nested systems carry the canonical labels; any enumerated labeling
+    # serves as the candidate on the others
+    candidates = [dict(zip(oracle.edges, lab)) for lab in oracle.labelings[:1] + oracle.labelings[-1:]]
+    if nestedness_check(system).ok:
+        candidates.append(assign_labels(system))
+    for candidate in candidates:
+        for labels in broken_labelings(system, candidate, oracle):
+            assert labeling_verdict(system, labels, oracle) == reference_verdict(system, labels, oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_labelings_match_the_dict_reference_on_random_nested_families(seed):
+    assert_labelings_match_reference(random_nested_family(
+        seed, max_vertices=7, max_extra_cosets=2)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(grafted_families(max_classes=5, max_extra_cosets=1))
+def test_labelings_match_the_dict_reference_on_grafted_families(family):
+    assert_labelings_match_reference(family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subset_families(max_keys=8, max_vertices=8))
+def test_labelings_match_the_dict_reference_on_random_subset_families(family):
+    assert_labelings_match_reference(family)
 
 
 # --------------------------------------------------------------------------
