@@ -6,21 +6,22 @@ radius.  It is the Schreier graph of H\\G on those cosets, found breadth
 first from H, with key ids in ShortLex order and one right-action array per
 generator.  For free groups, past the core of the Stallings folding the
 graph is a forest of regular trees, so a run of parents there grows its
-children in bulk, their ids, fingerprints and links read off the parents'
-fingerprints and last letters.  A key is stored as its parent's id and its
-last letter; key strings are spelled out only where they are read.  Every
-quantity derived from the window carries a certificate: it must stay clear
-of the boundary shell (keys longer than radius - margin), and shipped
-instances are additionally re-checked at radius + 2.  Vertex subsets are int
-bitsets over the core universe (shell removed), so that downstream set
-arithmetic is exact wherever a certificate holds.  A translate by g is one
-pair of bitsets from one walk of g^-1: the certified symmetric difference of
-the base set and its g-translate, and the keys the window cannot decide; the
-family, the hypothesis checks and the tree's action all read that pair.
-Which keys a walk decides is a bitset too: for free groups, keys are reduced
-words, so whether k*g^-1 stays within the radius depends on k's last few
-letters, and the known mask is an AND of cached per-window masks of the keys
-with a given t-th letter from the end.
+children in bulk, their ids and links read off the parents' ids and last
+letters; a coset in those trees keeps no fingerprint and no index entry,
+since every coset it neighbours is linked to it when found.  A key is stored
+as its parent's id and its last letter; key strings are spelled out only
+where they are read.  Every quantity derived from the window carries a
+certificate: it must stay clear of the boundary shell (keys longer than
+radius - margin), and shipped instances are additionally re-checked at
+radius + 2.  Vertex subsets are int bitsets over the core universe (shell
+removed), so that downstream set arithmetic is exact wherever a certificate
+holds.  A translate by g is one pair of bitsets from one walk of g^-1: the
+certified symmetric difference of the base set and its g-translate, and the
+keys the window cannot decide; the family, the hypothesis checks and the
+tree's action all read that pair.  Which keys a walk decides is a bitset
+too: for free groups, keys are reduced words, so whether k*g^-1 stays within
+the radius depends on k's last few letters, and the known mask is an AND of
+cached per-window masks of the keys with a given t-th letter from the end.
 """
 
 from __future__ import annotations
@@ -84,12 +85,17 @@ class _CosetGraph:
     is the id of coset i times ``step``, or -1; each array ends in a -1
     sentinel, so that a walk from -1 stays at -1.  Steps are the letters and
     their inverses, or for free products every syllable of a factor; the
-    breadth-first search uses the one-letter steps.  A -1 out of the
-    outermost layer, or for a longer syllable, may hide a discovered coset
-    that was never looked up; ``step`` looks it up.  Key strings are built
-    from ``parent`` and ``last`` only where ``key_strings`` is asked for
-    them.  Growing the graph keeps every id and link, so windows built over
-    it before stay valid.
+    breadth-first search uses the one-letter steps.  ``fps[j]`` is coset j's
+    fingerprint and ``index`` maps it back to j, for every coset found by
+    stepping.  For free groups, a coset grown in bulk past the Stallings core
+    has no index entry, and ``fps`` holds the shared value ``engine.states``
+    for it: all that is read of it is that it is past the core.  A -1 out of
+    the outermost layer, or for a longer syllable, may hide a discovered
+    coset that was never looked up; ``step`` looks it up, except from a coset
+    past the core, whose every discovered neighbour is linked already.  Key
+    strings are built from ``parent`` and ``last`` only where
+    ``key_strings`` is asked for them.  Growing the graph keeps every id and
+    link, so windows built over it before stay valid.
     """
 
     def __init__(self, sub: SubgroupModel):
@@ -119,9 +125,8 @@ class _CosetGraph:
             self._child_links = {ord(s): [(self.arrays[t], self.arrays[self.inverse[t]])
                                           for t in kids[s]]
                                  for s in self.letters}
-            # a child's fingerprint less its parent's moved up a digit
-            self._digit = {ord(s): sub.engine.states * sub.engine.digits[s][0]
-                           for s in self.letters}
+        # fingerprints from this one on are past the Stallings core (free groups only)
+        self._tail_fp = sub.engine.states if model.kind == FREE else None
 
     @property
     def radius(self) -> int:
@@ -138,7 +143,7 @@ class _CosetGraph:
         ``index.setdefault``; a fingerprint not seen before becomes the next
         id, with the parent id it was reached from.
         """
-        fps, free = self.fps, self.sub.model.kind == FREE
+        fps, tail_fp = self.fps, self._tail_fp
         arrays = list(self.arrays.values())
         while self.radius < radius:
             lo, hi = self.level_end[-2] if self.radius else 0, len(fps)
@@ -146,7 +151,7 @@ class _CosetGraph:
             for a in arrays:
                 a.extend(repeat(-1, (hi - lo) * len(self.letters)))
             size = hi
-            past_core = (bytes(map(self.sub.engine.states.__le__, fps[lo:hi])) if free
+            past_core = (bytes(map(tail_fp.__le__, fps[lo:hi])) if tail_fp is not None
                          else bytes(hi - lo))
             start = lo
             while start < hi:
@@ -186,29 +191,22 @@ class _CosetGraph:
         Past the core the graph is a forest of regular trees: every step but
         the one back to the parent reaches a new coset, so parent i's 2n - 1
         children take the next ids in ShortLex order of their letters.  A
-        child's fingerprint is its parent's tail moved up one digit, plus
-        the child's letter as the lowest digit:
-        ``f*base - (f % states)*(base - 1) + states*digit``.
+        child's only neighbours are its parent and its own children, each
+        linked to it when found, so no step ever looks it up: it gets no
+        fingerprint and no index entry, only the shared past-core value in
+        ``fps``.
         """
-        engine = self.sub.engine
-        states, base = engine.states, engine.base
         width = len(self.letters) - 1
         lasts = self.last[lo:hi]
         count = (hi - lo) * width
         # one int object per id, shared by every list that holds the id
         parent_ids, ids = list(range(lo, hi)), list(range(size, size + count))
-        # each parent's id and moved-up fingerprint, once per child
-        parents, moved_up = [0] * count, [0] * count
-        up = [f * base - f % states * (base - 1) for f in self.fps[lo:hi]]
+        parents = [0] * count  # each parent's id, once per child
         for k in range(width):
             parents[k::width] = parent_ids
-            moved_up[k::width] = up
-        letters = b"".join(map(self._children.__getitem__, lasts))
-        fps = list(map(add, moved_up, map(self._digit.__getitem__, letters)))
-        self.index.update(zip(fps, ids))
-        self.fps += fps
+        self.fps += repeat(self._tail_fp, count)
         self.parent += parents
-        self.last += letters
+        self.last += b"".join(map(self._children.__getitem__, lasts))
         # the link back to each parent was set when the parent was found
         children = iter(ids)
         for i, code in zip(parent_ids, lasts):
@@ -230,10 +228,17 @@ class _CosetGraph:
         return keys[lo:hi]
 
     def step(self, i: int, step: str) -> int:
-        """Id of coset i times step, looked up if it is not linked; -1 when undiscovered."""
+        """Id of coset i times step, looked up if it is not linked; -1 when undiscovered.
+
+        A coset past the Stallings core is linked to every neighbour found,
+        so from there an unlinked step is undiscovered and is not looked up.
+        """
         j = self.arrays[step][i]
         if j < 0 <= i:
-            j = self.index.get(self.sub.engine.advance(self.fps[i], step), -1)
+            fp = self.fps[i]
+            if self._tail_fp is not None and fp >= self._tail_fp:
+                return j
+            j = self.index.get(self.sub.engine.advance(fp, step), -1)
             if j >= 0:
                 self.arrays[step][i] = j
                 self.arrays[self.inverse[step]][j] = i

@@ -1,7 +1,9 @@
 """Windows, base sets, translate families, hypothesis checks, stability."""
 
+import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +31,7 @@ from tracktree import (
     subgroup,
 )
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
+from tracktree.groups import _FreeEngine
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
 from tracktree.windows import StabilityEntry, _CosetGraph
 
@@ -685,13 +688,29 @@ def free_subgroups(draw):
 def test_bulk_growth_matches_the_per_step_reference(case):
     sub, radius = case
     ref = reference_grow(sub, radius)
+    states, advance = sub.engine.states, sub.engine.advance
+    # H and the cosets found by stepping from a core parent: the core and the tail roots
+    stepped = [j for j, i in enumerate(ref["parent"]) if i < 0 or ref["fps"][i] < states]
     for radii in ([radius], [radius - 2, radius]):
         graph = _CosetGraph(sub)
         for r in radii:
             graph.grow(r)
-        for name in ("fps", "parent", "last", "level_end", "index", "arrays"):
+        for name in ("parent", "last", "level_end", "arrays"):
             assert getattr(graph, name) == ref[name], name
         assert graph.key_strings(0, len(graph.fps)) == ref["keys"]
+        # only stepped cosets carry a fingerprint and an index entry; the
+        # rest hold a value that reads past the core exactly where theirs does
+        assert [graph.fps[j] for j in stepped] == [ref["fps"][j] for j in stepped]
+        assert graph.index == {ref["fps"][j]: j for j in stepped}
+        assert [fp >= states for fp in graph.fps] == [fp >= states for fp in ref["fps"]]
+        # a step is the reference's link, or its lookup where the link is unset
+        for i, fp in enumerate(ref["fps"]):
+            for s, links in ref["arrays"].items():
+                want = links[i] if links[i] >= 0 else ref["index"].get(advance(fp, s), -1)
+                assert graph.step(i, s) == want, (i, s)
+        # every coset is found by walking its key from H
+        for j, key in enumerate(ref["keys"]):
+            assert functools.reduce(graph.step, key, 0) == j, key
 
 
 def test_interleaved_layer_takes_both_paths():
@@ -705,6 +724,35 @@ def test_interleaved_layer_takes_both_paths():
     assert any(a != b for a, b in zip(past_core, past_core[1:]))
 
 
+def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
+    # E1 has no core but H; <abaab>'s layers mix core and tail parents
+    e3 = corpus()["E3"]
+    cases = [(corpus()["E1"], None), *((e3, r) for r in (6, 7, 8)),
+             (replace(e3, subgroup_generators=("abaab",)), 8)]
+    want = [report_document(run_instance(spec, radius=r).report) for spec, r in cases]
+    advance = _FreeEngine.advance
+
+    def guarded(self, fp, step):
+        if fp >= self.states:
+            raise AssertionError(f"advanced the fingerprint {fp} past the core")
+        return advance(self, fp, step)
+
+    def fingerprint(self, e):
+        # a whole word's fingerprint (membership, the graph's root) still reads its tail
+        return functools.reduce(functools.partial(advance, self), e.word, 0)
+
+    monkeypatch.setattr(_FreeEngine, "advance", guarded)
+    monkeypatch.setattr(_FreeEngine, "fingerprint", fingerprint)
+    results = [run_instance(spec, radius=r) for spec, r in cases]
+    assert [report_document(result.report) for result in results] == want
+    # every unlinked step out of the outermost layer: a core coset's is
+    # looked up, a tail coset's is not
+    graph = results[-1].family.window.graph
+    for i in range(graph.level_end[-2], graph.level_end[-1]):
+        for s in graph.letters:
+            graph.step(i, s)
+
+
 def test_check_builds_only_the_key_strings_it_reads():
     # E3 at radius 8: the radius + 2 graph has 3^10 cosets, but only the
     # 3^8 keys of the window itself are spelled out, and they are the ball's
@@ -714,6 +762,8 @@ def test_check_builds_only_the_key_strings_it_reads():
     window = result.family.window
     graph = window.graph
     assert len(graph.fps) == 3 ** 10 == 59049
+    # past the core no coset is indexed: the entries are H, b and B
+    assert len(graph.index) == 3
     assert len(graph.keys) == 3 ** 8 == 6561
     table = CosetTable(window.sub, window.model.ball(8, max_radius=8))
     assert graph.keys == table.keys
