@@ -68,8 +68,6 @@ class RunResult:
     spec: InstanceSpec
     family: Optional[VertexFamily] = None
     system: Optional[TrackSystem] = None
-    # label positions per edge, computed for the labeling oracle; None when it gave no result
-    labels: Optional[dict[tuple[int, int], tuple[int, ...]]] = None
     tree: Optional[DualTree] = None
     # once the tree is built, each oracle gives its result or why it was skipped
     orientations: Optional[OrientationOracle] = None
@@ -285,8 +283,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
         result.labelings_skipped = str(exc)
         report.add("labeling_oracle", UNCERTIFIED, str(exc))
     else:
-        result.labels = assign_labels(system)
-        verdict = result.labeling_verdict = labeling_verdict(system, result.labels, oracle)
+        verdict = result.labeling_verdict = labeling_verdict(system, assign_labels(system), oracle)
         failed = [name for name, holds in zip(verdict._fields, verdict) if not holds]
         report.add("labeling_oracle", FAIL if failed else PASS,
                    f"{', '.join(failed)} failed: {oracle.count} labelings vs expected "

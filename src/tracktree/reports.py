@@ -7,6 +7,7 @@ explicitly requested (wall-clock values would break reproducibility).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -79,9 +80,11 @@ def report_document(report: Report, include_timings: bool = False) -> str:
 
 def dot_document(tree: DualTree, title: str) -> str:
     """Graphviz rendering: vertices labelled by their flip set relative to
-    the base vertex, edges by coset key, base vertex doubly circled."""
+    the base vertex, edges by coset key, base vertex doubly circled.  The
+    title is a quoted DOT ID, so its backslashes and quotes are escaped."""
     family = tree.system.family
-    lines = [f'graph "{title}" {{', "  node [shape=circle];"]
+    quoted = title.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'graph "{quoted}" {{', "  node [shape=circle];"]
     for v in tree.vertices:
         if v.index == tree.base_index:
             lines.append(f'  B{v.index} [label="o", shape=doublecircle];')
@@ -98,8 +101,13 @@ def write_atomic(path: str | Path, content: str):
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -17,7 +17,8 @@ both int bitsets over the family's universe, and every edge is labelled by
 the universe position of the one coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
 window's translate by g, and F*g sends each label coset through
-``Window.locate`` of its key times g.
+``Window.locate`` of its key times g.  ``act`` is the one place this map is
+computed; the window stabilizers are read off its vertex map.
 """
 
 from __future__ import annotations
@@ -376,30 +377,25 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     """Window stabilizers of every tree vertex and edge, plus the subgroup
     formed by the parallel class of the identity coset.
 
-    All verdicts are restricted to the supplied action ball; elements whose
-    translate cannot be certified are listed as uncertified and excluded.
+    Each ball element acts once, through ``act``; elements whose action
+    cannot be certified are listed as uncertified and excluded.  g fixes
+    edge (i, j) when it maps the pair onto itself: label images are
+    injective, so g then also fixes the label.
     """
     window = _window_of(tree)
-    sub = window.sub
 
-    # (g, d_g, the label images under g) per element whose translate is certified
-    certified: list[tuple[GroupElement, int, dict[int, int]]] = []
+    # (g, its vertex map) per element whose action is certified
+    certified: list[tuple[GroupElement, list[Optional[int]]]] = []
     uncertified: list[str] = []
     for g in ball:
         try:
-            d_g = translate_flips(tree, g)
+            certified.append((g, act(tree, g).vertex_map))
         except OutsideCertifiedDomain:
             uncertified.append(display_word(g.word))
-            continue
-        certified.append((g, d_g, _label_images(tree, g)))
+    certified.sort(key=lambda c: c[0].sort_key())
 
-    vertex_stabs: list[tuple[str, ...]] = []
-    for v in tree.vertices:
-        stab = [
-            g for g, d_g, images in certified
-            if _image_flips(v.flips, images, d_g) == v.flips
-        ]
-        vertex_stabs.append(tuple(display_word(g.word) for g in sorted(stab, key=lambda e: e.sort_key())))
+    vertex_stabs = [tuple(display_word(g.word) for g, image in certified if image[v] == v)
+                    for v in range(tree.vertex_count)]
 
     base_stab = set(vertex_stabs[tree.base_index])
     base_contains = True
@@ -407,7 +403,7 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     base_witness = None
     if expected_k is not None:
         expected_words = {
-            display_word(g.word) for g, _, _ in certified if expected_k.member(g)
+            display_word(g.word) for g, _ in certified if expected_k.member(g)
         }
         missing = expected_words - base_stab
         if missing:
@@ -419,33 +415,19 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
             if extra and base_witness is None:
                 base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
 
+    h_ball = [g for g, _ in certified if window.sub.member(g)]
+    certified_words = {g.word for g, _ in certified}
     edge_stabs: list[tuple[str, ...]] = []
     edge_conj_ok: list[bool] = []
-    h_ball = [g for g, _, _ in certified if sub.member(g)]
-    certified_words = {g.word for g, _, _ in certified}
     for i, j, label in tree.edges:
-        fi, fj = tree.vertices[i].flips, tree.vertices[j].flips
-        stab = []
-        for g, d_g, images in certified:
-            if images[label] != label:
-                continue
-            imgs = {_image_flips(fi, images, d_g), _image_flips(fj, images, d_g)}
-            if imgs == {fi, fj}:
-                stab.append(g)
-        edge_stabs.append(tuple(display_word(g.word) for g in sorted(stab, key=lambda e: e.sort_key())))
-
-        # conjugate of the subgroup by the edge label representative
+        edge_stabs.append(tuple(display_word(g.word) for g, image in certified
+                                if (image[i], image[j]) in ((i, j), (j, i))))
+        # the subgroup conjugated by the label's key fixes the edge, as far as the ball sees
         rep = GroupElement(window.model, window.omega[label])
-        ok = True
         stab_words = set(edge_stabs[-1])
-        for h in h_ball:
-            conj = compose(compose(invert(rep), h), rep)
-            if conj.word not in certified_words:
-                continue
-            if display_word(conj.word) not in stab_words:
-                ok = False
-                break
-        edge_conj_ok.append(ok)
+        conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
+        edge_conj_ok.append(all(display_word(c.word) in stab_words
+                                for c in conjugates if c.word in certified_words))
 
     class_union = _class_union_report(tree)
     return StabilizerReport(
@@ -464,16 +446,12 @@ def _class_union_report(tree: DualTree) -> ClassUnionReport:
     pool = window.model.ball(window.radius // 2, max_radius=window.radius)
     coset = {e.word: window.locate(e) for e in pool}
     union = [e for e in pool if coset[e.word] in cls]
+    # H's elements are those of coset id 0, which is in cls: contains_subgroup holds
     sub_elems = [e for e in pool if coset[e.word] == 0]
 
     report = ClassUnionReport(
         applicable=True, class_size=len(cls), union_size=len(union),
         subgroup_size=len(sub_elems), index=len(cls))
-    for h in sub_elems:
-        if coset[h.word] not in cls:
-            report.contains_subgroup = False
-            report.witness = f"subgroup element {h!r} escapes the class union"
-            return report
     for e1 in union:
         inv = window.locate(invert(e1))
         if inv >= 0 and inv not in cls:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -214,6 +215,18 @@ def test_cli_tree_dot(capsys):
     code = main(["tree", str(INSTANCE_DIR / "E4.ini"), "--format", "dot"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith('graph "E4"')
+
+
+def test_cli_tree_dot_title_is_one_quoted_id(tmp_path, capsys):
+    name = r'my "E1" \\ test'
+    spec = tmp_path / "named.ini"
+    spec.write_text((INSTANCE_DIR / "E1.ini").read_text().replace("name = E1", f"name = {name}"))
+    code = main(["tree", str(spec), "--format", "dot"])
+    first = capsys.readouterr().out.splitlines()[0]
+    # a quoted ID runs to the first quote not escaped by a backslash
+    match = re.fullmatch(r'graph "((?:[^"\\]|\\.)*)" \{', first)
+    assert code == 0 and match, first
+    assert re.sub(r"\\(.)", r"\1", match.group(1)) == name
 
 
 def test_cli_tree_report(capsys):
@@ -850,6 +863,12 @@ def test_write_atomic_io_error(tmp_path):
 
     with pytest.raises(IoError):
         write_atomic(tmp_path / "missing_dir" / "report.json", "{}")
+    # the temp file is written, then cannot replace a directory: it is removed
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IoError):
+        write_atomic(tmp_path / "taken", "{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
 
 
 def test_dot_single_vertex_tree():

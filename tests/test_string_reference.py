@@ -288,6 +288,9 @@ def compare(name, base_spec=None, elements=None, seen=None):
     assert stab == ref_tree.stabilizer_analysis(elements, expected_k, exact)
     seen.add(f"class union applicable {stab.class_union.applicable}")
     seen.add(f"conjugates ok {all(stab.edge_conjugates_ok)}")
+    for kind, stabs in (("vertex", stab.vertex_stabilizers), ("edge", stab.edge_stabilizers)):
+        if any(set(words) - {"1"} for words in stabs):
+            seen.add(f"{kind} stabilizer beyond 1")
     return seen
 
 
@@ -336,4 +339,5 @@ def test_string_reference_cases_reach_every_branch():
         compare(name, seen=seen)
     assert {"properness True", "properness False", "OutsideCertifiedDomain",
             "base image True", "class union applicable True",
-            "class union applicable False"} <= seen, seen
+            "class union applicable False", "vertex stabilizer beyond 1",
+            "edge stabilizer beyond 1"} <= seen, seen
