@@ -12,11 +12,16 @@ since every coset it neighbours is linked to it when found.  A key is stored
 as its parent's id and its last letter; key strings are spelled out only
 where they are read.  Every quantity derived from the window carries a
 certificate: it must stay clear of the boundary shell (keys longer than
-radius - margin), and shipped instances are additionally re-checked at
-radius + 2.  Vertex subsets are int bitsets over the core universe (shell
-removed), so that downstream set arithmetic is exact wherever a certificate
-holds.  A translate by g is one pair of bitsets from one walk of g^-1: the
-certified symmetric difference of the base set and its g-translate, and the
+radius - margin).  The pairwise differences are then shown stable: for a
+free group whose live core cosets all lie in the window, by the Stallings
+core bound of ``_core_bound`` (every difference lies in the keys at most
+B = max(D, d - 1) + L long, so when radius - margin >= B and
+radius >= B + L they are the true ones), and otherwise by building the
+family again at radius + 2, the one step that the element cap on the
+radius + 2 ball can refuse.  Vertex subsets are int bitsets over the core
+universe (shell removed), so that downstream set arithmetic is exact
+wherever a certificate holds.  A translate by g is one pair of bitsets from
+one walk of g^-1: the certified symmetric difference of the base set and its g-translate, and the
 keys the window cannot decide; the family, the hypothesis checks and the
 tree's action all read that pair.  Which keys a walk decides is a bitset
 too: for free groups, keys are reduced words, so whether k*g^-1 stays within
@@ -730,23 +735,80 @@ class StabilityEntry:
     diff_large: tuple[str, ...]
 
 
+def _core_bound(window: Window, base_spec: BaseSetSpec,
+                translations: Sequence[GroupElement]) -> Optional[int]:
+    """B = max(D, d - 1) + L, a key length that bounds every pairwise
+    difference of the family at every radius; None when the bound does not
+    apply to this window.
+
+    For a free group, D is the longest key of a live core coset: the base
+    state, or a state of the folded automaton with transitions (``states``
+    also counts the states that folding merged away).  d is the spec's
+    depth and L the longest translation word.  A walk of length at most L
+    from a key longer than B stays in its hanging tree, so the key of k*g
+    is the free reduction of k*g and shares k's first |k| - L >= d letters,
+    and keys past depth d are decided as their prefix of length d: k and
+    k*g are decided alike.  Every A + A*g, and so every pairwise
+    difference, lies in the keys at most B long.  None when the group is
+    not free, when a live core coset has no key in the window, or unless
+    radius - margin >= B (the bound's keys are in the core) and
+    radius >= B + L (every walk from them is decided).
+    """
+    if window.model.kind != FREE:
+        return None
+    graph, size = window.graph, window.size
+    # ids run in ShortLex order, so the last live core coset has the longest key
+    last = max(graph.index.get(s, size) for s, out in enumerate(window.sub.engine.next)
+               if out or s == 0)
+    if last >= size:
+        return None
+    longest_key = bisect_right(graph.level_end, last)
+    longest_word = max(len(g.word) for g in translations)
+    bound = max(longest_key, base_spec.depth - 1) + longest_word
+    if window.radius - window.margin < bound or window.radius < bound + longest_word:
+        return None
+    return bound
+
+
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             translations: Sequence[GroupElement],
                             family: VertexFamily) -> list[StabilityEntry]:
+    """Every pairwise witness set, and whether it is the same at radius + 2.
+
+    ``family`` is the family built over the window from base_spec and
+    translations.  When ``_core_bound`` applies (a free group whose live
+    core cosets are all in the window, radius - margin >= B and
+    radius >= B + L), every difference already is the one at every larger
+    radius, so each pair is stable and nothing is grown.  Otherwise
+    ``_regrowth_report`` builds the family again at radius + 2 and
+    compares; only there can the element cap refuse the check, with
+    RadiusTooLarge.
+    """
+    if _core_bound(window, base_spec, translations) is not None:
+        return _stability_entries(family, family)
+    return _regrowth_report(window, base_spec, translations, family)
+
+
+def _regrowth_report(window: Window, base_spec: BaseSetSpec,
+                     translations: Sequence[GroupElement],
+                     family: VertexFamily) -> list[StabilityEntry]:
     """Recompute every pairwise witness set at radius + 2 and compare.
 
     The radius + 2 window grows the window's own graph by two layers, so
     the window's key ids are a prefix of the larger window's and the two
-    radii's differences compare as bitsets.  ``family`` is the family built
-    over the window from base_spec and translations.  RadiusTooLarge,
-    before any work, when the radius + 2 ball is over the element cap.
+    radii's differences compare as bitsets.  RadiusTooLarge, before any
+    work, when the radius + 2 ball is over the element cap.
     """
     big = window.extended(2)
     # the window's keys keep their ids and their decisions in the larger one
     size = window.size
     small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
     big_base = _mask(_decide(big, base_spec, small))
-    large = build_family(big, big_base, translations)
+    return _stability_entries(family, build_family(big, big_base, translations))
+
+
+def _stability_entries(family: VertexFamily, large: VertexFamily) -> list[StabilityEntry]:
+    """Each pair's difference in family against the same pair's in large."""
     # both keep the first translate of each distinct translate set, in translation order
     words = [v.element.word for v in family.vertices]
     big_words = [v.element.word for v in large.vertices]

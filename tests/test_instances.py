@@ -342,8 +342,10 @@ def test_demo_output_golden():
 
 
 # (instance, radius, margin) -> (exit code, stdout md5) of `check` at two window
-# sizes per instance besides the shipped one, and E3 over radius 5-9; E3 at
-# margin 1 is uncertified and at radius 9 hits the element cap.  E3 at margin 3
+# sizes per instance besides the shipped one, and E3 over radius 5-10; E3 at
+# margin 1 is uncertified.  E3 at radius 9 and 10 passes with no radius + 2
+# ball, which is over the element cap there: its differences are certified by
+# the Stallings core bound.  E3 at margin 3
 # reaches the words BAb and Bab, which fix its base set too: its expected K
 # is not exact, so it passes
 CHECK_WINDOW_GOLDEN = {
@@ -359,7 +361,8 @@ CHECK_WINDOW_GOLDEN = {
     ("E3", 6, 2): (0, "d244855b80feaee3ffbbcef3ee4de626"),
     ("E3", 7, 2): (0, "1422ffe12f4d069692fd0b30c68ac77b"),
     ("E3", 8, 2): (0, "4aff313820020e341c0f632f45fc515e"),
-    ("E3", 9, 2): (3, "7a05097a548f3579214952666bd52077"),
+    ("E3", 9, 2): (0, "dcae43be114c33f44db3fbc7ba1bf201"),
+    ("E3", 10, 2): (0, "7c542a32b99db364b3dc394caa615384"),
 }
 
 
@@ -624,11 +627,19 @@ def test_cli_vertex_cap_is_uncertified(tmp_path, capsys):
                                     "witness": "family of 18 vertices exceeds the cap 16"}
 
 
-def test_cli_radius_two_over_the_cap_is_uncertified(capsys):
-    # the radius 12 re-check ball has 1 062 881 elements, over the element cap:
+def test_cli_radius_two_over_the_cap_is_uncertified(tmp_path, capsys):
+    # E3 at radius 10 is certified by the core bound B = 2, with no re-check ball
+    assert main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    # a redundant rule 10 letters long leaves the base set as it is but makes
+    # the depth 10, so B = 11 > radius - margin and the radius + 2 re-check
+    # runs; its radius 12 ball has 1 062 881 elements, over the element cap:
     # decided from the closed-form ball size, so the run ends in a report
+    spec = tmp_path / "E3.ini"
+    spec.write_text((INSTANCE_DIR / "E3.ini").read_text().replace(
+        "rule = b in\n", "rule = b in\nrule = bbbbbbbbbb in\n"))
     start = time.perf_counter()
-    code = main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", "10"])
+    code = main(["check", str(spec), "--radius", "10"])
     elapsed = time.perf_counter() - start
     report = json.loads(capsys.readouterr().out)
     assert code == 3 and report["status"] == "uncertified"

@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
@@ -33,7 +33,7 @@ from tracktree import (
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
 from tracktree.groups import _FreeEngine
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
-from tracktree.windows import StabilityEntry, _CosetGraph
+from tracktree.windows import StabilityEntry, _CosetGraph, _core_bound, _regrowth_report
 
 Z = free_group(1, "t")
 TRIVIAL_Z = subgroup(Z, [])
@@ -489,8 +489,13 @@ def test_certified_diff_is_the_family_difference():
 
 
 def test_witness_stability_over_the_element_cap():
+    # the redundant long rule makes the depth 10, so the core bound misses
+    # (B = 9 > radius - margin) and the radius + 2 re-check would need the
+    # radius 12 ball
     window = build_window(F2, subgroup(F2, ["a"]), 10, 2)
-    spec, translations = BaseSetSpec(rules=(("b", True),)), [F2.identity()]
+    spec = BaseSetSpec(rules=(("b", True), ("b" * 10, True)))
+    translations = [F2.identity()]
+    assert _core_bound(window, spec, translations) is None
     family = build_family(window, build_base_set(window, spec), translations)
     with pytest.raises(RadiusTooLarge, match="element cap"):
         radius_stability_report(window, spec, translations, family)
@@ -618,6 +623,122 @@ def test_unstable_witness_matches_string_reference():
     want = assert_stability_matches_reference(Z, TRIVIAL_Z, 6, 2, fragile,
                                               [Z.identity(), Z.normalize("tt")])
     assert not want[0].stable
+
+
+# --------------------------------------------------------------------------
+# the Stallings core bound against the radius + 2 regrowth it replaces
+
+
+def uncapped_window(model, sub, radius, margin):
+    """The window at a radius whose ball is over the element cap, its graph
+    grown as ``Window.extended`` grows one."""
+    window = object.__new__(Window)
+    window._setup(model, sub, radius, margin, _CosetGraph(sub).grow(radius))
+    return window
+
+
+@st.composite
+def stallings_cases(draw):
+    """An F2 instance: up to two subgroup generators of length at most 4,
+    1-3 prefix rules of length at most 3, the identity and 1-4 translations
+    of length at most 3, and a radius of 5-8 (margin 2)."""
+    def words(size):
+        return st.text(alphabet="abAB", max_size=size).map(lambda w: F2.normalize(w).word)
+
+    gens = draw(st.lists(words(4).filter(bool), max_size=2))
+    rules = draw(st.lists(st.tuples(words(3), st.booleans()), min_size=1, max_size=3,
+                          unique_by=lambda rule: rule[0]))
+    spec = BaseSetSpec(rules=tuple(rules), default_in=draw(st.booleans()))
+    moves = draw(st.lists(words(3).filter(bool), min_size=1, max_size=4, unique=True))
+    translations = [F2.identity(), *map(F2.normalize, moves)]
+    return subgroup(F2, gens), spec, translations, draw(st.integers(5, 8))
+
+
+def family_and_bound(case):
+    """The family built over the case's window and its core bound; None for
+    the family when it is uncertified, as a check then stops before the re-check."""
+    sub, spec, translations, radius = case
+    window = build_window(F2, sub, radius, 2)
+    try:
+        family = build_family(window, build_base_set(window, spec), translations)
+    except CertificationFailure:
+        family = None
+    return window, family, _core_bound(window, spec, translations)
+
+
+@settings(max_examples=50, deadline=None)
+@given(stallings_cases())
+@example((subgroup(F2, ["a"]), BaseSetSpec(rules=(("b", True),)),
+          [F2.normalize(w) for w in ["", "b", "B", "bb", "a"]], 8))
+def test_core_bound_matches_the_regrowth(case):
+    sub, spec, translations, radius = case
+    window, family, bound = family_and_bound(case)
+    if family is None or bound is None:
+        return
+    entries = radius_stability_report(window, spec, translations, family)
+    # nothing was grown, and every difference lies in the keys at most B long
+    assert window.graph.radius == radius
+    assert all(e.stable and all(len(k) <= bound for k in e.diff_small) for e in entries)
+    # the regrowth, called directly, finds the same entries
+    assert _regrowth_report(window, spec, translations, family) == entries
+    # and so does a family built at radius + 4
+    far = uncapped_window(F2, sub, radius + 4, 2)
+    large = build_family(far, build_base_set(far, spec), translations)
+    assert [v.element.word for v in large.vertices] == [v.element.word for v in family.vertices]
+    for a, b in itertools.combinations(range(len(family)), 2):
+        assert large.keys_of(large.diff(a, b)) == family.keys_of(family.diff(a, b))
+
+
+def test_stallings_cases_reach_the_bound_and_the_fallback():
+    # a certified family each way: one the bound covers, one it misses
+    def path(case):
+        _, family, bound = family_and_bound(case)
+        return None if family is None else bound is not None
+
+    for covered in (True, False):
+        find(stallings_cases(), lambda case, covered=covered: path(case) is covered,
+             settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+
+
+def test_core_bound_counts_only_live_states():
+    # <a> folds its one-letter loop onto the base: two states, one of them
+    # merged away, so the core is H alone and E3's bound is B = 0 + 2
+    sub = subgroup(F2, ["a"])
+    assert sub.engine.states == 2 and sub.engine.next[1] == {}
+    window = build_window(F2, sub, 6, 2)
+    spec = BaseSetSpec(rules=(("b", True),))
+    translations = [F2.normalize(w) for w in ["", "b", "B", "bb", "a"]]
+    assert _core_bound(window, spec, translations) == 2
+    family = build_family(window, build_base_set(window, spec), translations)
+    assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
+    assert window.graph.radius == 6
+
+
+def test_core_bound_is_none_unless_every_condition_holds():
+    # <b^20> is a 20-cycle whose farthest coset has the key b^10: at radius 6
+    # the core is not all in the window, so the re-check regrows
+    sub = subgroup(F2, ["b" * 20])
+    spec = BaseSetSpec(rules=(("a", True),))
+    translations = [F2.identity(), F2.normalize("a")]
+    window = build_window(F2, sub, 6, 2)
+    assert _core_bound(window, spec, translations) is None
+    family = build_family(window, build_base_set(window, spec), translations)
+    assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
+    assert window.graph.radius == 8
+    # with the whole core inside, B = 10 + 1 is still past radius - margin
+    assert _core_bound(build_window(F2, sub, 10, 2), spec, translations) is None
+    # <b^4>'s core is in the window at radius 6, and B = 2 + 1
+    assert _core_bound(build_window(F2, subgroup(F2, ["bbbb"]), 6, 2), spec, translations) == 3
+    # B = 0 + 3 under <a> is in the core at radius 5, but a walk of bbb from
+    # it may leave the window: the bound needs radius >= B + L = 6 as well
+    spec, translations = BaseSetSpec(rules=(("b", True),)), [F2.identity(), F2.normalize("bbb")]
+    for radius, bound in ((5, None), (6, 3)):
+        window = build_window(F2, subgroup(F2, ["a"]), radius, 2)
+        assert _core_bound(window, spec, translations) == bound
+    # the bound is for free groups only
+    model, c_sub, margin, c_translations = free_product_case()
+    c_window = build_window(model, c_sub, 8, margin)
+    assert _core_bound(c_window, BaseSetSpec(rules=(("s", True),)), c_translations) is None
 
 
 # --------------------------------------------------------------------------
@@ -754,14 +875,15 @@ def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
 
 
 def test_check_builds_only_the_key_strings_it_reads():
-    # E3 at radius 8: the radius + 2 graph has 3^10 cosets, but only the
-    # 3^8 keys of the window itself are spelled out, and they are the ball's
+    # E3 at radius 8: the core bound certifies the differences, so the graph
+    # is never grown past the window's 3^8 cosets; their keys are spelled
+    # out, and they are the ball's
     spec = corpus()["E3"]
     result = run_instance(spec, radius=8)
     report_document(result.report)
     window = result.family.window
     graph = window.graph
-    assert len(graph.fps) == 3 ** 10 == 59049
+    assert graph.radius == 8 and len(graph.fps) == 3 ** 8 == 6561
     # past the core no coset is indexed: the entries are H, b and B
     assert len(graph.index) == 3
     assert len(graph.keys) == 3 ** 8 == 6561
