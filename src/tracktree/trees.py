@@ -379,8 +379,8 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
 
     Each ball element acts once, through ``act``; elements whose action
     cannot be certified are listed as uncertified and excluded.  g fixes
-    edge (i, j) when it maps the pair onto itself: label images are
-    injective, so g then also fixes the label.
+    edge (i, j) when it maps i to i and j to j: label images are injective,
+    so g then also fixes the label, and no g swaps the two ends.
     """
     window = _window_of(tree)
 
@@ -420,8 +420,11 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     edge_stabs: list[tuple[str, ...]] = []
     edge_conj_ok: list[bool] = []
     for i, j, label in tree.edges:
+        # g never swaps an edge's ends: it fixes the edge only when its label
+        # coset k has k*g = k, and right translation keeps membership (V holds
+        # k iff V*g holds k*g = k), so g keeps each side of the edge
         edge_stabs.append(tuple(display_word(g.word) for g, image in certified
-                                if (image[i], image[j]) in ((i, j), (j, i))))
+                                if (image[i], image[j]) == (i, j)))
         # the subgroup conjugated by the label's key fixes the edge, as far as the ball sees
         rep = GroupElement(window.model, window.omega[label])
         stab_words = set(edge_stabs[-1])

@@ -21,20 +21,26 @@ family again at radius + 2, the one step that the element cap on the
 radius + 2 ball can refuse.  Vertex subsets are int bitsets over the core
 universe (shell removed), so that downstream set arithmetic is exact
 wherever a certificate holds.  A translate by g is one pair of bitsets from
-one walk of g^-1: the certified symmetric difference of the base set and its g-translate, and the
-keys the window cannot decide; the family, the hypothesis checks and the
-tree's action all read that pair.  Which keys a walk decides is a bitset
-too: for free groups, keys are reduced words, so whether k*g^-1 stays within
-the radius depends on k's last few letters, and the known mask is an AND of
-cached per-window masks of the keys with a given t-th letter from the end.
+one walk of g^-1: the certified symmetric difference of the base set and
+its g-translate, and the keys the window cannot decide; the family, the
+hypothesis checks and the tree's action all read that pair.  Which keys a
+walk decides is a bitset too, found in bulk for every kind.  For free
+groups and free products of cyclics, k*g^-1 drops letters only where k ends
+in whole syllables of g (single letters, for free groups), each dropping
+the order of its factor (2, for free groups), whether k's syllable there
+cancels or merges; so whether k*g^-1 stays within the radius depends on k's
+last few letters, and the known mask is an AND of cached per-window masks
+of the keys with a given t-th letter from the end.  For free abelian
+groups, |k*g^-1| is the sum over the generators of |k_i - g_i|, read off
+cached per-window columns of the keys' exponents.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import accumulate, combinations, compress, repeat
 from operator import add, itemgetter
 from typing import Optional, Sequence
 
@@ -46,7 +52,6 @@ from .groups import (
     GroupElement,
     GroupModel,
     SubgroupModel,
-    compose,
     display_word,
     invert,
 )
@@ -345,27 +350,70 @@ class Window:
         return i
 
     def _known(self, word: str) -> int:
-        """Bitset of the keys k for which the canonical word of k*word is at most radius long."""
-        r = self.radius
-        if self.model.kind != FREE:
-            w = GroupElement(self.model, word)
-            return _mask(bytes(len(compose(GroupElement(self.model, k), w).word) <= r
-                               for k in self.omega))
-        # |k w| = |k| + |w| - 2c, c the longest common suffix of k and w^-1:
-        # a key of length l is known when it ends in the last `need` letters
-        # of w^-1, an AND of the endings for t = 1..need
-        inv = invert(GroupElement(self.model, word)).word
+        """Bitset of the keys k for which the canonical word of k*word is at most radius long.
+
+        Free abelian: |k*w| is the sum over generators of |k_i + w_i|, read
+        off the cached exponent columns.  Free groups and free products of
+        cyclics: k*w drops letters only where k ends in whole syllables of
+        w^-1, read from its end (single letters, for free groups).  A
+        syllable (i, e) of w^-1 that k ends in meets w's syllable (i, n - e),
+        and k's own syllable there either cancels it or merges with it into
+        one shorter by n: either way k*w drops n letters, the order of the
+        factor (2, for free groups).  So a key of length l is known when it
+        ends in the last letters of w^-1 up to the first syllable end where
+        the drops reach l + |w| - radius, an AND of the cached endings.
+        """
+        r, model = self.radius, self.model
+        if model.kind == FREE_ABELIAN:
+            vector = [word.count(g) - word.count(g.upper()) for g in model.letters]
+            lengths = map(sum, zip(*(map(abs, map(v.__add__, column))
+                                     for column, v in zip(self._exponents, vector))))
+            return _mask(bytes(map(r.__ge__, lengths)))
+        # w^-1 read from its end, and at each of its syllable ends the number
+        # of letters up to there and the letters k*w drops where k ends in them
+        if model.kind == FREE:
+            tail = word.swapcase()
+            suffixes, drops = range(len(word) + 1), range(0, 2 * len(word) + 1, 2)
+        else:
+            # w's syllable (i, e) is (i, n - e) in w^-1
+            steps = self._steps(word)
+            orders = [model.orders[model.letter_index(s[0])] for s in steps]
+            sizes = [n - len(s) for s, n in zip(steps, orders)]
+            tail = "".join(s[0] * size for s, size in zip(steps, sizes))
+            suffixes = list(accumulate(sizes, initial=0))
+            drops = list(accumulate(orders, initial=0))
         known, t, ending = 0, 0, (1 << self.size) - 1
         for length in range(r + 1):
-            need = (length + len(word) - r + 1) // 2
-            if need > min(length, len(word)):
+            cut = bisect_left(drops, length + len(word) - r)
+            if cut == len(drops):
+                break
+            suffix = suffixes[cut]
+            if suffix > length:
                 continue
-            while t < need:
+            while t < suffix:
                 t += 1
-                ending &= self._ending(t, inv[-t])
+                ending &= self._ending(t, tail[t - 1])
             lo, hi = self.level(length)
             known |= ending & ((1 << hi) - (1 << lo))
         return known
+
+    @cached_property
+    def _exponents(self) -> list[list[int]]:
+        """Per generator, the exponent of each key (free abelian keys): its
+        parent's, plus 1 or -1 where its last letter is the generator or its
+        inverse, one key length at a time."""
+        parent, last = self.graph.parent, self.graph.last
+        columns = []
+        for g in self.model.letters:
+            delta = [0] * 256
+            delta[ord(g)], delta[ord(g.upper())] = 1, -1
+            column = [0]
+            for length in range(1, self.radius + 1):
+                lo, hi = self.level(length)
+                column += map(add, map(column.__getitem__, parent[lo:hi]),
+                              map(delta.__getitem__, last[lo:hi]))
+            columns.append(column)
+        return columns
 
     def _ending(self, t: int, letter: str) -> int:
         """Bitset of the keys whose t-th letter from the end is letter.
@@ -402,9 +450,10 @@ class Window:
         pulled-back representative is longer than the radius are unknown.
         ``moved`` is the certified symmetric difference of the base set and
         its translate: the known keys whose membership the translate
-        changes.  The known keys come from ``_known``: for free groups an
-        AND of ending masks per key length, for the other kinds one
-        ``compose`` per key.  One bulk walk of g^-1, started from a slice of
+        changes.  The known keys come from ``_known``, in bulk for every
+        kind: for free groups and free products an AND of ending masks per
+        key length, for free abelian groups a sum over the exponent
+        columns.  One bulk walk of g^-1, started from a slice of
         the first step's array and gathered through ``itemgetter``, reads
         the base set's flag at every key's end; a known walk ends inside the
         window, so one that reads 2 (the flag of id -1) met a link not
@@ -603,9 +652,14 @@ def build_family(window: Window, base_set: int,
     for g in translations:
         moved[g.word] = window.translate(base_set, g)
         if moved[g.word][1] & window.core_mask:
+            # a core key radius - margin long can walk g^-1 out to
+            # radius - margin + |g| letters: past the radius at every radius
+            # while |g| > margin
+            fix = (f"translation longer than the margin {window.margin}; raise the margin"
+                   if len(g.word) > window.margin else "enlarge radius")
             raise CertificationFailure(
                 display_word(g.word), display_word(g.word),
-                "translate undecided inside the core; enlarge radius")
+                f"translate undecided inside the core; {fix}")
 
     # certify every pair first, then deduplicate
     kept: list[GroupElement] = []

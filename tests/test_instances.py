@@ -343,9 +343,10 @@ def test_demo_output_golden():
 
 # (instance, radius, margin) -> (exit code, stdout md5) of `check` at two window
 # sizes per instance besides the shipped one, and E3 over radius 5-10; E3 at
-# margin 1 is uncertified.  E3 at radius 9 and 10 passes with no radius + 2
-# ball, which is over the element cap there: its differences are certified by
-# the Stallings core bound.  E3 at margin 3
+# margin 1 is uncertified: its translation bb is longer than the margin, and
+# the witness says to raise the margin.  E3 at radius 9 and 10 passes with no
+# radius + 2 ball, which is over the element cap there: its differences are
+# certified by the Stallings core bound.  E3 at margin 3
 # reaches the words BAb and Bab, which fix its base set too: its expected K
 # is not exact, so it passes
 CHECK_WINDOW_GOLDEN = {
@@ -353,7 +354,7 @@ CHECK_WINDOW_GOLDEN = {
     ("E1", 10, 3): (0, "c53ea23c52c108f8c4b96df38bde98f7"),
     ("E2", 5, 2): (0, "89c2a66a00d755e42ad1ef9200d9f56c"),
     ("E2", 8, 3): (0, "8763f27e0ba6ce7ffcfd0829bf27ed2c"),
-    ("E3", 5, 1): (3, "b61806af05a1322a58a6850b3da78938"),
+    ("E3", 5, 1): (3, "5d567a9c6a40a67e6380c2711d316679"),
     ("E3", 7, 3): (0, "c538ad5523b27c63afab03a427f35884"),
     ("E4", 6, 2): (0, "423d8a37a81173cc4199bc0fd41c7901"),
     ("E4", 9, 3): (0, "066f634e26895f3b0de4066bed9468ad"),
@@ -648,6 +649,27 @@ def test_cli_radius_two_over_the_cap_is_uncertified(tmp_path, capsys):
     assert "element cap" in by_name["witness_stability"]["witness"]
     assert all(c["status"] == "pass" for n, c in by_name.items() if n != "witness_stability")
     assert elapsed < 10, elapsed
+
+
+def test_cli_translation_longer_than_the_margin_names_the_margin(tmp_path, capsys):
+    # E3 with the translation bbb: a core key radius - 2 long walks bbb out to
+    # radius + 1 letters, so no radius decides it, and the witness says to
+    # raise the margin; at margin 3 the family is certified and gets a verdict
+    spec = tmp_path / "E3.ini"
+    spec.write_text((INSTANCE_DIR / "E3.ini").read_text().replace(
+        "elements = 1, b, B, bb, a", "elements = 1, b, B, bbb, a"))
+    for radius in ("8", "10"):
+        assert main(["check", str(spec), "--radius", radius]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "uncertified"
+        assert report["witnesses"] == [
+            "uncertified difference for (bbb, bbb): translate undecided inside the core; "
+            "translation longer than the margin 2; raise the margin"]
+    # the expectations are E3's, for the translation bb, so the verdict is fail
+    assert main(["check", str(spec), "--margin", "3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == ["expectations"]
 
 
 FAR_RULE = """[instance]

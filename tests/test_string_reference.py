@@ -15,7 +15,7 @@ import itertools
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
@@ -341,3 +341,43 @@ def test_string_reference_cases_reach_every_branch():
             "base image True", "class union applicable True",
             "class union applicable False", "vertex stabilizer beyond 1",
             "edge stabilizer beyond 1"} <= seen, seen
+
+
+# --------------------------------------------------------------------------
+# no element swaps the two ends of an edge
+
+
+def case_tree(name, base_spec=None):
+    """The dual tree of a case; None where its family is uncertified or not nested."""
+    model, sub, radius, margin, spec, translations = instance(name)[:6]
+    window = build_window(model, sub, radius, margin)
+    base = build_base_set(window, spec if base_spec is None else base_spec)
+    try:
+        return build_tree(build_track_system(build_family(window, base, translations)))
+    except (CertificationFailure, NotNested):
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+@example(("E1", None, None))
+@example(("E2", None, None))
+@example(("E3", None, None))
+@example(("E4", None, None))
+@example(("C", None, None))
+def test_no_certified_element_swaps_an_edge(case):
+    # an edge fixed by g has a label coset k with k*g = k, and V*g holds k
+    # iff V does: g keeps each end of the edge on its own side
+    name, base_spec, elements = case
+    tree = case_tree(name, base_spec)
+    if tree is None:
+        return
+    if elements is None:
+        model, _, _, margin = instance(name)[:4]
+        elements = model.ball(margin + 2)
+    for g in elements:
+        try:
+            image = act(tree, g).vertex_map
+        except OutsideCertifiedDomain:
+            continue
+        assert all((image[i], image[j]) != (j, i) for i, j, _ in tree.edges), g

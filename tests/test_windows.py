@@ -31,7 +31,7 @@ from tracktree import (
     subgroup,
 )
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
-from tracktree.groups import _FreeEngine
+from tracktree.groups import _FreeEngine, _word_to_syllables
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
 from tracktree.windows import StabilityEntry, _CosetGraph, _core_bound, _regrowth_report
 
@@ -404,11 +404,19 @@ def free_windows(draw):
     return build_window(model, sub, radius, margin)
 
 
-@settings(max_examples=60, deadline=None)
-@given(free_windows(), st.data())
-def test_known_masks_match_the_per_key_definition(window, data):
+@st.composite
+def known_cases(draw):
+    """A window of any kind, or a free-group window over a non-trivial
+    subgroup, and up to six words of length at most radius + 1 to walk."""
+    window = draw(st.one_of(free_windows(), group_windows()))
     outer = [e.word for e in window.model.ball(window.radius + 1)]
-    words = data.draw(st.lists(st.sampled_from(outer), min_size=1, max_size=6))
+    return window, draw(st.lists(st.sampled_from(outer), min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_cases())
+def test_known_masks_match_the_per_key_definition(case):
+    window, words = case
     small = {w: window._known(w) for w in words}
     assert small == {w: ref_known(window, w) for w in words}
     endings = dict(window._endings)
@@ -418,12 +426,38 @@ def test_known_masks_match_the_per_key_definition(window, data):
     # the small window's masks are the same over the grown graph
     window._letters.clear()
     window._endings.clear()
+    window.__dict__.pop("_exponents", None)
     assert {w: window._known(w) for w in words} == small
     assert window._endings == endings
 
 
+def syllable_meetings(window, words):
+    """How each key's last syllable meets each word's first in a free
+    product: "cancel" where they cancel whole, in a factor of order at least
+    3, and "merge" where their exponents add up past the order n, so that
+    the product drops n letters."""
+    model, seen = window.model, set()
+    if model.kind != "free_product_cyclic":
+        return seen
+    for k, w in itertools.product(window.omega, words):
+        ks, ws = _word_to_syllables(model, k), _word_to_syllables(model, w)
+        if ks and ws and ks[-1][0] == ws[0][0]:
+            n, total = model.orders[ws[0][0]], ks[-1][1] + ws[0][1]
+            if total == n >= 3:
+                seen.add("cancel")
+            elif total > n:
+                seen.add("merge")
+    return seen
+
+
+def test_known_cases_reach_cancellation_and_merge():
+    for meeting in ("cancel", "merge"):
+        find(known_cases(), lambda case, meeting=meeting: meeting in syllable_meetings(*case),
+             settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(free_windows())
+@given(st.one_of(free_windows(), group_windows()))
 def test_endings_from_the_last_letters_match_the_key_strings(window):
     # the t = 1 row is the graph's last letters, the others go through the
     # parent ids; the key strings are the ball reference's
@@ -434,6 +468,13 @@ def test_endings_from_the_last_letters_match_the_key_strings(window):
         for x in window.graph.letters:
             want = sum(1 << i for i, k in enumerate(keys) if len(k) >= t and k[-t] == x)
             assert window._ending(t, x) == want, (t, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_windows().filter(lambda window: window.model.kind == "free_abelian"))
+def test_exponent_columns_match_the_key_strings(window):
+    for g, column in zip(window.model.letters, window._exponents):
+        assert column == [k.count(g) - k.count(g.upper()) for k in window.omega], g
 
 
 def ref_base_set(window, spec):
