@@ -36,7 +36,7 @@ cu = stab.class_union
 print()
 print("the parallel class of the identity coset:", cu.class_size, "cosets")
 print("its union is a subgroup (closed, inverse-closed):", cu.closed and cu.inverse_closed)
-print("it contains the base subgroup with index", cu.index)
+print("it contains the base subgroup with index", cu.class_size)
 
 print()
 print("the same checks on the lattice instance:")

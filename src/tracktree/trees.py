@@ -16,15 +16,15 @@ vertex carries the finite flip set F and the set B = A + F it represents,
 both int bitsets over the family's universe, and every edge is labelled by
 the universe position of the one coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
-window's translate by g, and F*g sends each label coset through
-``Window.locate`` of its key times g.  ``act`` is the one place this map is
-computed; the window stabilizers are read off its vertex map.
+window's translate by g, and F*g walks each label's id by g, where
+``Window._known`` keeps the walk in the window.  ``act`` is the one place
+this map is computed; the window stabilizers are read off its vertex map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -310,10 +310,11 @@ def translate_flips(tree: DualTree, g: GroupElement) -> int:
 
 
 def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
-    """Per label position p of the tree, the id of the coset H*k*g for the key
-    k of p, or -1 when that coset's key is longer than the radius."""
+    """Per label position p, the id of H*k*g for p's key k, walked from p by g;
+    -1 where k*g is longer than the radius, so every walk stays in the window."""
     window = _window_of(tree)
-    return {p: window.locate(compose(GroupElement(window.model, window.omega[p]), g))
+    known = window._known(g.word)
+    return {p: window._walk_from(p, g.word) if known >> p & 1 else -1
             for p in bit_positions(tree.system.label_bits)}
 
 
@@ -347,20 +348,16 @@ def act(tree: DualTree, g: GroupElement) -> ActionReport:
 
 @dataclass
 class ClassUnionReport:
+    """The identity coset's class, whose size is H's index in its union."""
     applicable: bool
     class_size: int = 0
-    union_size: int = 0
-    subgroup_size: int = 0
     closed: bool = True
     inverse_closed: bool = True
-    contains_subgroup: bool = True
-    index: int = 0
     witness: Optional[str] = None
 
 
 @dataclass
 class StabilizerReport:
-    ball_words: list[str]
     vertex_stabilizers: list[tuple[str, ...]]
     base_contains_expected: bool
     base_equals_expected: Optional[bool]
@@ -368,7 +365,6 @@ class StabilizerReport:
     edge_stabilizers: list[tuple[str, ...]]
     edge_conjugates_ok: list[bool]
     class_union: ClassUnionReport
-    uncertified: list[str] = field(default_factory=list)
 
 
 def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
@@ -378,7 +374,7 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     formed by the parallel class of the identity coset.
 
     Each ball element acts once, through ``act``; elements whose action
-    cannot be certified are listed as uncertified and excluded.  g fixes
+    cannot be certified are left out.  g fixes
     edge (i, j) when it maps i to i and j to j: label images are injective,
     so g then also fixes the label, and no g swaps the two ends.
     """
@@ -386,12 +382,11 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
 
     # (g, its vertex map) per element whose action is certified
     certified: list[tuple[GroupElement, list[Optional[int]]]] = []
-    uncertified: list[str] = []
     for g in ball:
         try:
             certified.append((g, act(tree, g).vertex_map))
         except OutsideCertifiedDomain:
-            uncertified.append(display_word(g.word))
+            continue
     certified.sort(key=lambda c: c[0].sort_key())
 
     vertex_stabs = [tuple(display_word(g.word) for g, image in certified if image[v] == v)
@@ -426,17 +421,15 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         edge_stabs.append(tuple(display_word(g.word) for g, image in certified
                                 if (image[i], image[j]) == (i, j)))
         # the subgroup conjugated by the label's key fixes the edge, as far as the ball sees
-        rep = GroupElement(window.model, window.omega[label])
+        rep = GroupElement(window.model, tree.system.family.universe[label])
         stab_words = set(edge_stabs[-1])
         conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
         edge_conj_ok.append(all(display_word(c.word) in stab_words
                                 for c in conjugates if c.word in certified_words))
 
     class_union = _class_union_report(tree)
-    return StabilizerReport(
-        [display_word(e.word) for e in ball],
-        vertex_stabs, base_contains, base_equals, base_witness,
-        edge_stabs, edge_conj_ok, class_union, uncertified)
+    return StabilizerReport(vertex_stabs, base_contains, base_equals, base_witness,
+                            edge_stabs, edge_conj_ok, class_union)
 
 
 def _class_union_report(tree: DualTree) -> ClassUnionReport:
@@ -449,22 +442,14 @@ def _class_union_report(tree: DualTree) -> ClassUnionReport:
     pool = window.model.ball(window.radius // 2, max_radius=window.radius)
     coset = {e.word: window.locate(e) for e in pool}
     union = [e for e in pool if coset[e.word] in cls]
-    # H's elements are those of coset id 0, which is in cls: contains_subgroup holds
-    sub_elems = [e for e in pool if coset[e.word] == 0]
-
-    report = ClassUnionReport(
-        applicable=True, class_size=len(cls), union_size=len(union),
-        subgroup_size=len(sub_elems), index=len(cls))
     for e1 in union:
         inv = window.locate(invert(e1))
         if inv >= 0 and inv not in cls:
-            report.inverse_closed = False
-            report.witness = f"inverse of {e1!r} escapes the class union"
-            return report
+            return ClassUnionReport(True, len(cls), inverse_closed=False,
+                                    witness=f"inverse of {e1!r} escapes the class union")
         for e2 in union:
-            prod = window.locate(compose(e1, e2))
-            if prod >= 0 and prod not in cls:
-                report.closed = False
-                report.witness = f"product {e1!r} * {e2!r} escapes the class union"
-                return report
-    return report
+            # He1's key and e2 are at most radius // 2 long: a walk in the window
+            if window._walk_from(coset[e1.word], e2.word) not in cls:
+                return ClassUnionReport(True, len(cls), closed=False,
+                                        witness=f"product {e1!r} * {e2!r} escapes the class union")
+    return ClassUnionReport(True, len(cls))

@@ -38,7 +38,7 @@ cached per-window columns of the keys' exponents.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
 from operator import add, itemgetter
@@ -262,8 +262,8 @@ class Window:
     and sets of keys are int bitsets over ids.  ``core`` is the prefix of
     keys at most radius - margin long; ``core_mask`` and ``shell_mask`` are
     the core's ids and the rest.  ``size`` is the number of keys.  The key
-    strings of ``omega`` and ``core`` are built from the graph's parent ids
-    the first time they are read.
+    strings of ``omega``, which no pipeline stage reads, and ``core`` are
+    built from the graph's parent ids the first time they are read.
     """
 
     def __init__(self, model: GroupModel, sub: SubgroupModel, radius: int, margin: int):
@@ -309,8 +309,8 @@ class Window:
         return big
 
     def keys_of(self, mask: int) -> list[str]:
-        """The keys of a bitset, in ShortLex order."""
-        return list(compress(self.omega, _flags(mask)))
+        """The keys of a bitset in ShortLex order, spelling keys up to its highest id only."""
+        return list(compress(self.graph.key_strings(0, mask.bit_length()), _flags(mask)))
 
     def level(self, length: int) -> tuple[int, int]:
         """The ids lo..hi-1 of the keys of one length, a contiguous run."""
@@ -332,15 +332,18 @@ class Window:
         return list(word)
 
     def _walk_from(self, i: int, word: str) -> int:
-        """Walk one key id through the arrays; free abelian keys cancel first."""
+        """Walk one key id through the arrays by word; for free abelian keys
+        the letters that cancel into the key, read off its exponent columns,
+        go first, so a walk that ends within the radius stays within it."""
         steps = self._steps(word)
         if self.model.kind == FREE_ABELIAN:
-            # letters that cancel a letter of the key first, then the rest
-            rest = list(self.omega[i])
+            # the key's exponent per generator, as far as word has not cancelled it
+            rest = {g: column[i] for g, column in zip(self.model.letters, self._exponents)}
             cancelling, lengthening = [], []
             for ch in word:
-                if ch.swapcase() in rest:
-                    rest.remove(ch.swapcase())
+                g, sign = ch.lower(), 1 if ch.islower() else -1
+                if rest[g] * sign < 0:
+                    rest[g] += sign
                     cancelling.append(ch)
                 else:
                     lengthening.append(ch)
@@ -711,18 +714,14 @@ class ExpectedStabilizerEntry:
 
 @dataclass
 class HypothesisReport:
-    left_invariance: str
     almost_invariance: list[AlmostInvarianceEntry]
     properness_ok: bool
     properness_detail: str
     expected_k: list[ExpectedStabilizerEntry]
-    certified: bool = field(init=False)
-    expected_k_ok: bool = field(init=False)
 
-    def __post_init__(self):
-        self.certified = all(e.certified for e in self.almost_invariance) and all(
-            e.certified for e in self.expected_k)
-        self.expected_k_ok = all(e.fixes_base for e in self.expected_k)
+    @property
+    def expected_k_ok(self) -> bool:
+        return all(e.fixes_base for e in self.expected_k)
 
 
 def hypothesis_report(window: Window, base_set: int,
@@ -774,7 +773,7 @@ def hypothesis_report(window: Window, base_set: int,
             certified = not (unknown & window.core_mask)
             k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
 
-    return HypothesisReport("pass", entries, properness_ok, detail, k_entries)
+    return HypothesisReport(entries, properness_ok, detail, k_entries)
 
 
 # --------------------------------------------------------------------------
@@ -789,7 +788,21 @@ class StabilityEntry:
     diff_large: tuple[str, ...]
 
 
-def _core_bound(window: Window, base_spec: BaseSetSpec,
+def _decided_depth(window: Window, base_spec: BaseSetSpec, base_set: int) -> int:
+    """The longest key length, at most the spec's depth, at which the base
+    set decides a key unlike its parent, or 0: exact, as every key at most
+    depth <= radius long is in the window; depth when it is past the radius."""
+    if base_spec.depth > window.radius:
+        return base_spec.depth
+    flags, parent = _flags(base_set).ljust(window.size, b"\0"), window.graph.parent
+    for length in range(base_spec.depth, 0, -1):
+        lo, hi = window.level(length)
+        if flags[lo:hi] != bytes(map(flags.__getitem__, parent[lo:hi])):
+            return length
+    return 0
+
+
+def _core_bound(window: Window, base_spec: BaseSetSpec, base_set: int,
                 translations: Sequence[GroupElement]) -> Optional[int]:
     """B = max(D, d - 1) + L, a key length that bounds every pairwise
     difference of the family at every radius; None when the bound does not
@@ -797,12 +810,13 @@ def _core_bound(window: Window, base_spec: BaseSetSpec,
 
     For a free group, D is the longest key of a live core coset: the base
     state, or a state of the folded automaton with transitions (``states``
-    also counts the states that folding merged away).  d is the spec's
-    depth and L the longest translation word.  A walk of length at most L
-    from a key longer than B stays in its hanging tree, so the key of k*g
-    is the free reduction of k*g and shares k's first |k| - L >= d letters,
-    and keys past depth d are decided as their prefix of length d: k and
-    k*g are decided alike.  Every A + A*g, and so every pairwise
+    also counts the states that folding merged away).  d is the length past
+    which every key is decided as its parent (``_decided_depth``), and L
+    the longest translation word.  A walk of length at most L from a key
+    longer than B stays in its hanging tree, so the key of k*g is the free
+    reduction of k*g and shares k's first |k| - L >= d letters, and keys
+    past length d are decided as their prefix of length d: k and k*g are
+    decided alike.  Every A + A*g, and so every pairwise
     difference, lies in the keys at most B long.  None when the group is
     not free, when a live core coset has no key in the window, or unless
     radius - margin >= B (the bound's keys are in the core) and
@@ -818,7 +832,7 @@ def _core_bound(window: Window, base_spec: BaseSetSpec,
         return None
     longest_key = bisect_right(graph.level_end, last)
     longest_word = max(len(g.word) for g in translations)
-    bound = max(longest_key, base_spec.depth - 1) + longest_word
+    bound = max(longest_key, _decided_depth(window, base_spec, base_set) - 1) + longest_word
     if window.radius - window.margin < bound or window.radius < bound + longest_word:
         return None
     return bound
@@ -838,7 +852,7 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
     compares; only there can the element cap refuse the check, with
     RadiusTooLarge.
     """
-    if _core_bound(window, base_spec, translations) is not None:
+    if _core_bound(window, base_spec, family.base_set, translations) is not None:
         return _stability_entries(family, family)
     return _regrowth_report(window, base_spec, translations, family)
 

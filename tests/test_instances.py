@@ -632,13 +632,15 @@ def test_cli_radius_two_over_the_cap_is_uncertified(tmp_path, capsys):
     # E3 at radius 10 is certified by the core bound B = 2, with no re-check ball
     assert main(["check", str(INSTANCE_DIR / "E3.ini"), "--radius", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
-    # a redundant rule 10 letters long leaves the base set as it is but makes
-    # the depth 10, so B = 11 > radius - margin and the radius + 2 re-check
-    # runs; its radius 12 ball has 1 062 881 elements, over the element cap:
-    # decided from the closed-form ball size, so the run ends in a report
+    # bbbbbbaB is out while its parent bbbbbba is in (and A*a = A still, as
+    # the expected stabilizer <a> asks): the keys are decided as their
+    # parents only past length 8, so B = 7 + 2 > radius - margin and the
+    # radius + 2 re-check runs; its radius 12 ball has 1 062 881 elements,
+    # over the element cap: decided from the closed-form ball size, so the
+    # run ends in a report
     spec = tmp_path / "E3.ini"
     spec.write_text((INSTANCE_DIR / "E3.ini").read_text().replace(
-        "rule = b in\n", "rule = b in\nrule = bbbbbbbbbb in\n"))
+        "rule = b in\n", "rule = b in\nrule = bbbbbbaB out\n"))
     start = time.perf_counter()
     code = main(["check", str(spec), "--radius", "10"])
     elapsed = time.perf_counter() - start
@@ -649,6 +651,17 @@ def test_cli_radius_two_over_the_cap_is_uncertified(tmp_path, capsys):
     assert "element cap" in by_name["witness_stability"]["witness"]
     assert all(c["status"] == "pass" for n, c in by_name.items() if n != "witness_stability")
     assert elapsed < 10, elapsed
+
+
+def test_cli_redundant_long_rule_keeps_the_core_bound(tmp_path, capsys):
+    # a rule 10 letters long that agrees with b in leaves every key decided
+    # as its parent past length 1: the depth read off the decisions is 1, not
+    # the rule's 10, so B = 2 and E3 passes at radius 10 with no re-check
+    spec = tmp_path / "E3.ini"
+    spec.write_text((INSTANCE_DIR / "E3.ini").read_text().replace(
+        "rule = b in\n", "rule = b in\nrule = bbbbbbbbbb in\n"))
+    assert main(["check", str(spec), "--radius", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_cli_translation_longer_than_the_margin_names_the_margin(tmp_path, capsys):

@@ -35,6 +35,7 @@ from tracktree import (
     stabilizer_analysis,
     subgroup,
 )
+from tracktree import trees
 from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain
 from tracktree.groups import GroupElement
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
@@ -128,12 +129,11 @@ class StringTree:
                 sum(x is not None for x in vertex_map))
 
     def stabilizer_analysis(self, ball, expected_k=None, expected_k_exact=False):
-        certified, uncertified = [], []
+        certified = []
         for g in ball:
             try:
                 d_g = self.translate_flips(g)
             except OutsideCertifiedDomain:
-                uncertified.append(display_word(g.word))
                 continue
             certified.append((g, d_g, {c: ref_act_key(self.window, c, g) for c in self.labels}))
 
@@ -173,9 +173,8 @@ class StringTree:
             conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
             edge_conj_ok.append(all(display_word(c.word) in stab_words
                                     for c in conjugates if c.word in certified_words))
-        return StabilizerReport(
-            [display_word(e.word) for e in ball], vertex_stabs, base_contains, base_equals,
-            base_witness, edge_stabs, edge_conj_ok, self.class_union(), uncertified)
+        return StabilizerReport(vertex_stabs, base_contains, base_equals, base_witness,
+                                edge_stabs, edge_conj_ok, self.class_union())
 
     def class_union(self):
         window = self.window
@@ -186,15 +185,7 @@ class StringTree:
         pool = window.model.ball(window.radius // 2, max_radius=window.radius)
         coset = {e.word: window.locate(e) for e in pool}
         union = [e for e in pool if coset[e.word] in cls]
-        sub_elems = [e for e in pool if coset[e.word] == 0]
-        report = ClassUnionReport(
-            applicable=True, class_size=len(cls), union_size=len(union),
-            subgroup_size=len(sub_elems), index=len(cls))
-        for h in sub_elems:
-            if coset[h.word] not in cls:
-                report.contains_subgroup = False
-                report.witness = f"subgroup element {h!r} escapes the class union"
-                return report
+        report = ClassUnionReport(applicable=True, class_size=len(cls))
         for e1 in union:
             inv = window.locate(invert(e1))
             if inv >= 0 and inv not in cls:
@@ -381,3 +372,30 @@ def test_no_certified_element_swaps_an_edge(case):
         except OutsideCertifiedDomain:
             continue
         assert all((image[i], image[j]) != (j, i) for i, j, _ in tree.edges), g
+
+
+# --------------------------------------------------------------------------
+# the action and the class union move cosets by id
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "C"])
+def test_action_and_class_union_compose_no_elements(name, monkeypatch):
+    # act walks each label's id by g, and the class union walks each product
+    # from its first factor's coset id: neither composes elements, and both
+    # agree with the reference, which composes keys and locates the result.
+    # The elements are the action ball (radius = margin) and one layer more
+    model, _, _, margin = instance(name)[:4]
+    tree = case_tree(name)
+    assert tree is not None
+    ref_tree = StringTree(tree)
+    elements = model.ball(margin + 1)
+    want = [outcome(ref_tree.act, g) for g in elements], ref_tree.class_union()
+    calls = []
+    compose_elements = trees.compose
+    monkeypatch.setattr(trees, "compose", lambda *args: calls.append(args) or compose_elements(*args))
+    acted = [outcome(act, tree, g) for g in elements]
+    union = trees._class_union_report(tree)
+    assert calls == []
+    acted = [(kind, dataclasses.astuple(got) if kind == "ok" else got) for kind, got in acted]
+    assert (acted, union) == want
+    assert any(kind == "ok" for kind, _ in acted)

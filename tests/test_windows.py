@@ -33,7 +33,13 @@ from tracktree import (
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
 from tracktree.groups import _FreeEngine, _word_to_syllables
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
-from tracktree.windows import StabilityEntry, _CosetGraph, _core_bound, _regrowth_report
+from tracktree.windows import (
+    StabilityEntry,
+    _CosetGraph,
+    _core_bound,
+    _decided_depth,
+    _regrowth_report,
+)
 
 Z = free_group(1, "t")
 TRIVIAL_Z = subgroup(Z, [])
@@ -212,10 +218,11 @@ def test_hypothesis_half_line_witnesses():
     window, _, base = half_line_window()
     trans = [Z.normalize(w) for w in ["", "t"]]
     report = hypothesis_report(window, base, trans, TRIVIAL_Z)
-    assert report.certified
+    assert all(e.certified for e in report.almost_invariance + report.expected_k)
     by_word = {e.word: e for e in report.almost_invariance}
     assert by_word["t"].witness == ("",)
-    assert report.left_invariance == "pass"
+    # the identity moves no key: A + A*1 is empty
+    assert by_word["1"].witness == ()
 
 
 def test_hypothesis_row_witness():
@@ -530,14 +537,16 @@ def test_certified_diff_is_the_family_difference():
 
 
 def test_witness_stability_over_the_element_cap():
-    # the redundant long rule makes the depth 10, so the core bound misses
+    # b^10 is out while its parent b^9 is in, so the keys are decided as
+    # their parents only past length 10: the core bound misses
     # (B = 9 > radius - margin) and the radius + 2 re-check would need the
     # radius 12 ball
     window = build_window(F2, subgroup(F2, ["a"]), 10, 2)
-    spec = BaseSetSpec(rules=(("b", True), ("b" * 10, True)))
+    spec = BaseSetSpec(rules=(("b", True), ("b" * 10, False)))
     translations = [F2.identity()]
-    assert _core_bound(window, spec, translations) is None
-    family = build_family(window, build_base_set(window, spec), translations)
+    base = build_base_set(window, spec)
+    assert _core_bound(window, spec, base, translations) is None
+    family = build_family(window, base, translations)
     with pytest.raises(RadiusTooLarge, match="element cap"):
         radius_stability_report(window, spec, translations, family)
 
@@ -700,11 +709,12 @@ def family_and_bound(case):
     the family when it is uncertified, as a check then stops before the re-check."""
     sub, spec, translations, radius = case
     window = build_window(F2, sub, radius, 2)
+    base = build_base_set(window, spec)
     try:
-        family = build_family(window, build_base_set(window, spec), translations)
+        family = build_family(window, base, translations)
     except CertificationFailure:
         family = None
-    return window, family, _core_bound(window, spec, translations)
+    return window, family, _core_bound(window, spec, base, translations)
 
 
 @settings(max_examples=50, deadline=None)
@@ -749,8 +759,9 @@ def test_core_bound_counts_only_live_states():
     window = build_window(F2, sub, 6, 2)
     spec = BaseSetSpec(rules=(("b", True),))
     translations = [F2.normalize(w) for w in ["", "b", "B", "bb", "a"]]
-    assert _core_bound(window, spec, translations) == 2
-    family = build_family(window, build_base_set(window, spec), translations)
+    base = build_base_set(window, spec)
+    assert _core_bound(window, spec, base, translations) == 2
+    family = build_family(window, base, translations)
     assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
     assert window.graph.radius == 6
 
@@ -762,24 +773,47 @@ def test_core_bound_is_none_unless_every_condition_holds():
     spec = BaseSetSpec(rules=(("a", True),))
     translations = [F2.identity(), F2.normalize("a")]
     window = build_window(F2, sub, 6, 2)
-    assert _core_bound(window, spec, translations) is None
+    assert bound_of(window, spec, translations) is None
     family = build_family(window, build_base_set(window, spec), translations)
     assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
     assert window.graph.radius == 8
     # with the whole core inside, B = 10 + 1 is still past radius - margin
-    assert _core_bound(build_window(F2, sub, 10, 2), spec, translations) is None
+    assert bound_of(build_window(F2, sub, 10, 2), spec, translations) is None
     # <b^4>'s core is in the window at radius 6, and B = 2 + 1
-    assert _core_bound(build_window(F2, subgroup(F2, ["bbbb"]), 6, 2), spec, translations) == 3
+    assert bound_of(build_window(F2, subgroup(F2, ["bbbb"]), 6, 2), spec, translations) == 3
     # B = 0 + 3 under <a> is in the core at radius 5, but a walk of bbb from
     # it may leave the window: the bound needs radius >= B + L = 6 as well
     spec, translations = BaseSetSpec(rules=(("b", True),)), [F2.identity(), F2.normalize("bbb")]
     for radius, bound in ((5, None), (6, 3)):
         window = build_window(F2, subgroup(F2, ["a"]), radius, 2)
-        assert _core_bound(window, spec, translations) == bound
+        assert bound_of(window, spec, translations) == bound
     # the bound is for free groups only
     model, c_sub, margin, c_translations = free_product_case()
     c_window = build_window(model, c_sub, 8, margin)
-    assert _core_bound(c_window, BaseSetSpec(rules=(("s", True),)), c_translations) is None
+    assert bound_of(c_window, BaseSetSpec(rules=(("s", True),)), c_translations) is None
+
+
+def bound_of(window, spec, translations):
+    """``_core_bound`` of the base set the spec decides over the window."""
+    return _core_bound(window, spec, build_base_set(window, spec), translations)
+
+
+def test_core_bound_reads_the_depth_off_the_decisions():
+    # under <a>, b in and b^10 out decide the keys unlike their parents at
+    # lengths 1 and 10; a redundant b^10 in only at length 1: B = 0 + 2
+    sub, translations = subgroup(F2, ["a"]), [F2.identity(), F2.normalize("bb")]
+    window = build_window(F2, sub, 10, 2)
+    for rule, depth in ((("b" * 10, False), 10), (("b" * 10, True), 1)):
+        spec = BaseSetSpec(rules=(("b", True), rule))
+        assert spec.depth == 10
+        assert _decided_depth(window, spec, build_base_set(window, spec)) == depth
+    assert bound_of(window, spec, translations) == 2
+    # a rule past the radius cannot be checked against every key: its length counts
+    spec = BaseSetSpec(rules=(("b", True), ("b" * 11, True)))
+    assert _decided_depth(window, spec, build_base_set(window, spec)) == 11
+    # a spec that decides nothing unlike a parent has depth 0
+    spec = BaseSetSpec(rules=(("a", True), ("b", True)), default_in=True)
+    assert _decided_depth(window, spec, build_base_set(window, spec)) == 0
 
 
 # --------------------------------------------------------------------------
@@ -917,8 +951,8 @@ def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
 
 def test_check_builds_only_the_key_strings_it_reads():
     # E3 at radius 8: the core bound certifies the differences, so the graph
-    # is never grown past the window's 3^8 cosets; their keys are spelled
-    # out, and they are the ball's
+    # is never grown past the window's 3^8 cosets, and only the keys of its
+    # core, the 3^6 at most 6 long, are spelled out; they are the ball's
     spec = corpus()["E3"]
     result = run_instance(spec, radius=8)
     report_document(result.report)
@@ -927,6 +961,16 @@ def test_check_builds_only_the_key_strings_it_reads():
     assert graph.radius == 8 and len(graph.fps) == 3 ** 8 == 6561
     # past the core no coset is indexed: the entries are H, b and B
     assert len(graph.index) == 3
-    assert len(graph.keys) == 3 ** 8 == 6561
+    assert len(graph.keys) == 3 ** 6 == 729
     table = CosetTable(window.sub, window.model.ball(8, max_radius=8))
-    assert graph.keys == table.keys
+    assert graph.keys == table.keys[:729]
+    # E2 (free abelian) and E4 (a free product) build their largest family
+    # at radius + 2, in the stability re-check: no key past its core is spelled
+    for name in ("E2", "E4"):
+        spec = corpus()[name]
+        result = run_instance(spec)
+        report_document(result.report)
+        assert result.report.status == "pass", name
+        graph = result.family.window.graph
+        assert graph.radius == spec.radius + 2, name
+        assert len(graph.keys) <= graph.level_end[graph.radius - spec.margin] < len(graph.fps), name
