@@ -13,9 +13,9 @@ tree = result.tree
 model = result.family.window.model
 
 print("shifting the whole picture by s:")
-report = act(tree, model.normalize("s"))
-print("  mapped", report.mapped_vertices, "of", tree.vertex_count, "vertices")
-print("  base vertex o maps to B" + str(report.base_image))
+vertex_map = act(tree, model.normalize("s"))
+print("  mapped", sum(x is not None for x in vertex_map), "of", tree.vertex_count, "vertices")
+print("  base vertex o maps to B" + str(vertex_map[tree.base_index]))
 
 stab = stabilizer_analysis(tree, model.ball(3),
                            expected_k=subgroup(model, ["t"]), expected_k_exact=True)
@@ -24,7 +24,7 @@ print("vertex stabilizers inside the radius-3 ball (note the alternation):")
 for v in tree.vertices:
     flips = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(v.flips))) + "}"
     print(f"  B{v.index} {flips:10s} -> {stab.vertex_stabilizers[v.index]}")
-print("base stabilizer equals the declared one exactly:", stab.base_equals_expected)
+print("base stabilizer equals the declared one exactly:", stab.base_witness is None)
 
 print()
 print("edge stabilizers and conjugate containment:")
@@ -35,7 +35,7 @@ for (i, j, label), words, ok in zip(tree.edges, stab.edge_stabilizers, stab.edge
 cu = stab.class_union
 print()
 print("the parallel class of the identity coset:", cu.class_size, "cosets")
-print("its union is a subgroup (closed, inverse-closed):", cu.closed and cu.inverse_closed)
+print("its union is a subgroup (closed, inverse-closed):", cu.witness is None)
 print("it contains the base subgroup with index", cu.class_size)
 
 print()

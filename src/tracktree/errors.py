@@ -32,13 +32,11 @@ class SearchBudgetExceeded(TrackTreeError):
 class CertificationFailure(TrackTreeError):
     """A windowed computation touched the boundary shell.
 
-    Carries the pair of translations whose symmetric difference could not
-    be certified; enlarging the radius is the standard fix.
+    Its message names the pair of translations whose symmetric difference
+    could not be certified; enlarging the radius is the standard fix.
     """
 
     def __init__(self, g1, g2, detail=""):
-        self.g1 = g1
-        self.g2 = g2
         super().__init__(f"uncertified difference for ({g1}, {g2}): {detail}")
 
 
@@ -53,13 +51,11 @@ class ParityViolation(TrackTreeError):
     so it signals corrupted input data."""
 
     def __init__(self, u, v, w):
-        self.triple = (u, v, w)
         super().__init__(f"odd perimeter on triple {u}, {v}, {w}")
 
 
 class NegativeCorner(TrackTreeError):
     def __init__(self, u, v, w):
-        self.triple = (u, v, w)
         super().__init__(f"negative corner count on triple {u}, {v}, {w}")
 
 

@@ -127,14 +127,9 @@ class GroupModel:
 
     # -- balls --
 
-    def ball(
-        self,
-        radius: int,
-        max_radius: int = DEFAULT_MAX_RADIUS,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
-    ) -> list["GroupElement"]:
+    def ball(self, radius: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list["GroupElement"]:
         """All canonical elements of word length <= radius, in ShortLex order."""
-        self.require_ball(radius, max_radius, max_elements)
+        self.require_ball(radius, max_radius)
         # canonical words are closed under prefixes, so each one of length
         # l + 1 is the normal form of one of length l followed by a letter
         alphabet = [ch for g in self.letters for ch in (g, g.upper())]
@@ -146,12 +141,7 @@ class GroupModel:
             words += level
         return [GroupElement(self, w) for w in words]
 
-    def require_ball(
-        self,
-        radius: int,
-        max_radius: int = DEFAULT_MAX_RADIUS,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
-    ):
+    def require_ball(self, radius: int, max_radius: int = DEFAULT_MAX_RADIUS):
         """RadiusTooLarge when the ball of this radius is over a limit, judged
         by its closed-form size before anything is enumerated."""
         if radius < 0:
@@ -159,9 +149,9 @@ class GroupModel:
         if radius > max_radius:
             raise RadiusTooLarge(f"radius {radius} exceeds the configured maximum {max_radius}")
         size = self.ball_size(radius)
-        if size > max_elements:
-            raise RadiusTooLarge(
-                f"ball of radius {radius} has {size} elements, over the element cap {max_elements}")
+        if size > DEFAULT_MAX_ELEMENTS:
+            raise RadiusTooLarge(f"ball of radius {radius} has {size} elements, "
+                                 f"over the element cap {DEFAULT_MAX_ELEMENTS}")
 
     def ball_size(self, radius: int) -> int:
         """Number of canonical elements of word length <= radius, in closed form."""

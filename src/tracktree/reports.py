@@ -47,6 +47,10 @@ class Report:
         self.checks.append(result)
         return result
 
+    def verdict(self, name: str, witness: Optional[str]) -> CheckResult:
+        """A check that passes when its witness is None and fails with it otherwise."""
+        return self.add(name, PASS if witness is None else FAIL, witness)
+
     @property
     def status(self) -> str:
         worst = PASS

@@ -18,7 +18,10 @@ the universe position of the one coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
 window's translate by g, and F*g walks each label's id by g, where
 ``Window._known`` keeps the walk in the window.  ``act`` is the one place
-this map is computed; the window stabilizers are read off its vertex map.
+this map is computed, and it returns the vertex map itself; the window
+stabilizers are read off it.  The base stabilizer check against the
+expected K and the class-union check each give their witness, None when
+they hold.
 """
 
 from __future__ import annotations
@@ -282,14 +285,6 @@ def separation_witness(tree: DualTree) -> Optional[str]:
 # windowed group action
 
 
-@dataclass
-class ActionReport:
-    element: str
-    vertex_map: list[Optional[int]]
-    base_image: Optional[int]
-    mapped_vertices: int
-
-
 def _window_of(tree: DualTree) -> Window:
     window = tree.system.family.window
     if window is None or tree.system.family.base_set is None:
@@ -332,14 +327,13 @@ def _image_flips(flips: int, images: dict[int, int], d_g: int) -> Optional[int]:
     return moved ^ d_g
 
 
-def act(tree: DualTree, g: GroupElement) -> ActionReport:
-    """Map every vertex B to B*g; None where the image is not a tree vertex."""
+def act(tree: DualTree, g: GroupElement) -> list[Optional[int]]:
+    """The vertex map of g: the index of B*g per vertex B, None where the image
+    is not a tree vertex.  The base vertex flips nothing, so its image is the
+    vertex whose flip set is d_g."""
     d_g = translate_flips(tree, g)
     images = _label_images(tree, g)
-    vertex_map: list[Optional[int]] = [
-        tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
-    return ActionReport(display_word(g.word), vertex_map, tree.flip_index.get(d_g),
-                        sum(1 for x in vertex_map if x is not None))
+    return [tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
 
 
 # --------------------------------------------------------------------------
@@ -348,23 +342,21 @@ def act(tree: DualTree, g: GroupElement) -> ActionReport:
 
 @dataclass
 class ClassUnionReport:
-    """The identity coset's class, whose size is H's index in its union."""
-    applicable: bool
-    class_size: int = 0
-    closed: bool = True
-    inverse_closed: bool = True
-    witness: Optional[str] = None
+    """The identity coset's class, whose size is H's index in its union, and
+    why the union is not a subgroup, or None."""
+    class_size: int
+    witness: Optional[str]
 
 
 @dataclass
 class StabilizerReport:
     vertex_stabilizers: list[tuple[str, ...]]
-    base_contains_expected: bool
-    base_equals_expected: Optional[bool]
+    # why the base stabilizer misses an expected element, or holds an
+    # unexpected one when K is declared exact; None when it agrees with K
     base_witness: Optional[str]
     edge_stabilizers: list[tuple[str, ...]]
     edge_conjugates_ok: list[bool]
-    class_union: ClassUnionReport
+    class_union: Optional[ClassUnionReport]  # None when no class holds the identity coset
 
 
 def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
@@ -384,7 +376,7 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     certified: list[tuple[GroupElement, list[Optional[int]]]] = []
     for g in ball:
         try:
-            certified.append((g, act(tree, g).vertex_map))
+            certified.append((g, act(tree, g)))
         except OutsideCertifiedDomain:
             continue
     certified.sort(key=lambda c: c[0].sort_key())
@@ -392,23 +384,18 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
     vertex_stabs = [tuple(display_word(g.word) for g, image in certified if image[v] == v)
                     for v in range(tree.vertex_count)]
 
-    base_stab = set(vertex_stabs[tree.base_index])
-    base_contains = True
-    base_equals: Optional[bool] = None
     base_witness = None
     if expected_k is not None:
+        base_stab = set(vertex_stabs[tree.base_index])
         expected_words = {
             display_word(g.word) for g, _ in certified if expected_k.member(g)
         }
         missing = expected_words - base_stab
+        extra = base_stab - expected_words if expected_k_exact else set()
         if missing:
-            base_contains = False
             base_witness = f"expected stabilizer element {sorted(missing)[0]} moves the base vertex"
-        if expected_k_exact:
-            extra = base_stab - expected_words
-            base_equals = not missing and not extra
-            if extra and base_witness is None:
-                base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
+        elif extra:
+            base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
 
     h_ball = [g for g, _ in certified if window.sub.member(g)]
     certified_words = {g.word for g, _ in certified}
@@ -427,29 +414,26 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         edge_conj_ok.append(all(display_word(c.word) in stab_words
                                 for c in conjugates if c.word in certified_words))
 
-    class_union = _class_union_report(tree)
-    return StabilizerReport(vertex_stabs, base_contains, base_equals, base_witness,
-                            edge_stabs, edge_conj_ok, class_union)
+    return StabilizerReport(vertex_stabs, base_witness, edge_stabs, edge_conj_ok,
+                            _class_union_report(tree))
 
 
-def _class_union_report(tree: DualTree) -> ClassUnionReport:
+def _class_union_report(tree: DualTree) -> Optional[ClassUnionReport]:
     window = _window_of(tree)
     # the identity coset H is key id 0, bit 0 of the universe
     identity_class = [bits for bits in tree.system.class_bits if bits & 1]
     if not identity_class:
-        return ClassUnionReport(applicable=False)
+        return None
     cls = set(bit_positions(identity_class[0]))
-    pool = window.model.ball(window.radius // 2, max_radius=window.radius)
+    pool = window.model.ball(window.radius // 2)
     coset = {e.word: window.locate(e) for e in pool}
     union = [e for e in pool if coset[e.word] in cls]
     for e1 in union:
         inv = window.locate(invert(e1))
         if inv >= 0 and inv not in cls:
-            return ClassUnionReport(True, len(cls), inverse_closed=False,
-                                    witness=f"inverse of {e1!r} escapes the class union")
+            return ClassUnionReport(len(cls), f"inverse of {e1!r} escapes the class union")
         for e2 in union:
             # He1's key and e2 are at most radius // 2 long: a walk in the window
             if window._walk_from(coset[e1.word], e2.word) not in cls:
-                return ClassUnionReport(True, len(cls), closed=False,
-                                        witness=f"product {e1!r} * {e2!r} escapes the class union")
-    return ClassUnionReport(True, len(cls))
+                return ClassUnionReport(len(cls), f"product {e1!r} * {e2!r} escapes the class union")
+    return ClassUnionReport(len(cls), None)

@@ -16,11 +16,13 @@ radius - margin).  The pairwise differences are then shown stable: for a
 free group whose live core cosets all lie in the window, by the Stallings
 core bound of ``_core_bound`` (every difference lies in the keys at most
 B = max(D, d - 1) + L long, so when radius - margin >= B and
-radius >= B + L they are the true ones), and otherwise by building the
-family again at radius + 2, the one step that the element cap on the
-radius + 2 ball can refuse.  Vertex subsets are int bitsets over the core
-universe (shell removed), so that downstream set arithmetic is exact
-wherever a certificate holds.  A translate by g is one pair of bitsets from
+radius >= B + L they are the true ones), with nothing compared, and
+otherwise by building the family again at radius + 2, the one step that
+the element cap on the radius + 2 ball can refuse.  The properness
+heuristic and the re-check each return their witness, the failing detail
+or the first pair whose difference changed, and None when they hold.
+Vertex subsets are int bitsets over the core universe (shell removed), so
+that downstream set arithmetic is exact wherever a certificate holds.  A translate by g is one pair of bitsets from
 one walk of g^-1: the certified symmetric difference of the base set and
 its g-translate, and the keys the window cannot decide; the family, the
 hypothesis checks and the tree's action all read that pair.  Which keys a
@@ -715,8 +717,7 @@ class ExpectedStabilizerEntry:
 @dataclass
 class HypothesisReport:
     almost_invariance: list[AlmostInvarianceEntry]
-    properness_ok: bool
-    properness_detail: str
+    properness: Optional[str]  # why the heuristic fails, or None
     expected_k: list[ExpectedStabilizerEntry]
 
     @property
@@ -742,30 +743,6 @@ def hypothesis_report(window: Window, base_set: int,
         entries.append(AlmostInvarianceEntry(
             display_word(g.word), tuple(window.keys_of(witness)), certified))
 
-    properness_ok = True
-    detail = "base set and complement meet every populated shell"
-    if not base_set:
-        properness_ok, detail = False, "base set is empty"
-    elif base_set.bit_count() == window.size:
-        properness_ok, detail = False, "complement is empty"
-    else:
-        populated = 0
-        for level in range(window.margin, window.radius - window.margin + 1):
-            lo, hi = window.level(level)
-            if lo == hi:
-                continue
-            populated += 1
-            run = (base_set >> lo) & ((1 << (hi - lo)) - 1)
-            hit_in, hit_out = run != 0, run.bit_count() < hi - lo
-            if not hit_in or not hit_out:
-                side = "base set" if not hit_in else "complement"
-                properness_ok = False
-                detail = f"{side} misses the distance-{level} shell"
-                break
-        if properness_ok and populated == 0:
-            properness_ok = False
-            detail = "no populated shells in the heuristic range"
-
     k_entries = []
     if expected_k is not None:
         for k in expected_k.generators:
@@ -773,7 +750,29 @@ def hypothesis_report(window: Window, base_set: int,
             certified = not (unknown & window.core_mask)
             k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
 
-    return HypothesisReport(entries, properness_ok, detail, k_entries)
+    return HypothesisReport(entries, _properness(window, base_set), k_entries)
+
+
+def _properness(window: Window, base_set: int) -> Optional[str]:
+    """Why the base set or its complement misses a populated shell at
+    distance margin..radius - margin, or there is no such shell; None when
+    both meet every one."""
+    if not base_set:
+        return "base set is empty"
+    if base_set.bit_count() == window.size:
+        return "complement is empty"
+    populated = False
+    for level in range(window.margin, window.radius - window.margin + 1):
+        lo, hi = window.level(level)
+        if lo == hi:
+            continue
+        populated = True
+        run = (base_set >> lo) & ((1 << (hi - lo)) - 1)
+        if not run:
+            return f"base set misses the distance-{level} shell"
+        if run.bit_count() == hi - lo:
+            return f"complement misses the distance-{level} shell"
+    return None if populated else "no populated shells in the heuristic range"
 
 
 # --------------------------------------------------------------------------
@@ -782,8 +781,8 @@ def hypothesis_report(window: Window, base_set: int,
 
 @dataclass(frozen=True)
 class StabilityEntry:
+    """A pair of translations whose difference changes at radius + 2."""
     pair: tuple[str, str]
-    stable: bool
     diff_small: tuple[str, ...]
     diff_large: tuple[str, ...]
 
@@ -840,27 +839,28 @@ def _core_bound(window: Window, base_spec: BaseSetSpec, base_set: int,
 
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             translations: Sequence[GroupElement],
-                            family: VertexFamily) -> list[StabilityEntry]:
-    """Every pairwise witness set, and whether it is the same at radius + 2.
+                            family: VertexFamily) -> Optional[StabilityEntry]:
+    """The first pair whose witness set changes at radius + 2, or None.
 
     ``family`` is the family built over the window from base_spec and
     translations.  When ``_core_bound`` applies (a free group whose live
     core cosets are all in the window, radius - margin >= B and
     radius >= B + L), every difference already is the one at every larger
-    radius, so each pair is stable and nothing is grown.  Otherwise
+    radius, so nothing is grown or compared.  Otherwise
     ``_regrowth_report`` builds the family again at radius + 2 and
     compares; only there can the element cap refuse the check, with
     RadiusTooLarge.
     """
     if _core_bound(window, base_spec, family.base_set, translations) is not None:
-        return _stability_entries(family, family)
+        return None
     return _regrowth_report(window, base_spec, translations, family)
 
 
 def _regrowth_report(window: Window, base_spec: BaseSetSpec,
                      translations: Sequence[GroupElement],
-                     family: VertexFamily) -> list[StabilityEntry]:
-    """Recompute every pairwise witness set at radius + 2 and compare.
+                     family: VertexFamily) -> Optional[StabilityEntry]:
+    """Recompute every pairwise witness set at radius + 2; the first pair,
+    in order of the translation words, whose set changes, or None.
 
     The radius + 2 window grows the window's own graph by two layers, so
     the window's key ids are a prefix of the larger window's and the two
@@ -871,12 +871,7 @@ def _regrowth_report(window: Window, base_spec: BaseSetSpec,
     # the window's keys keep their ids and their decisions in the larger one
     size = window.size
     small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
-    big_base = _mask(_decide(big, base_spec, small))
-    return _stability_entries(family, build_family(big, big_base, translations))
-
-
-def _stability_entries(family: VertexFamily, large: VertexFamily) -> list[StabilityEntry]:
-    """Each pair's difference in family against the same pair's in large."""
+    large = build_family(big, _mask(_decide(big, base_spec, small)), translations)
     # both keep the first translate of each distinct translate set, in translation order
     words = [v.element.word for v in family.vertices]
     big_words = [v.element.word for v in large.vertices]
@@ -884,11 +879,9 @@ def _stability_entries(family: VertexFamily, large: VertexFamily) -> list[Stabil
         # duplicate structure must agree between radii
         changed = sorted(set(words) ^ set(big_words))
         raise CertificationFailure(changed[0], changed[-1], "duplicate structure changed with radius")
-    out = []
     for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
         d_small, d_large = family.diff(a, b), large.diff(a, b)
-        keys_small = tuple(family.keys_of(d_small))
-        out.append(StabilityEntry(
-            (display_word(words[a]), display_word(words[b])), d_small == d_large,
-            keys_small, keys_small if d_small == d_large else tuple(large.keys_of(d_large))))
-    return out
+        if d_small != d_large:
+            return StabilityEntry((display_word(words[a]), display_word(words[b])),
+                                  tuple(family.keys_of(d_small)), tuple(large.keys_of(d_large)))
+    return None

@@ -199,7 +199,7 @@ def test_action_and_stabilizers():
     st1 = stabilizer_analysis(e1.tree, model.ball(2),
                               expected_k=subgroup(model, []), expected_k_exact=True)
     assert st1.vertex_stabilizers[e1.tree.base_index] == ("1",)
-    assert st1.base_equals_expected
+    assert st1.base_witness is None
     assert all(s == ("1",) for s in st1.edge_stabilizers)
 
     e2 = results["E2"]
@@ -218,8 +218,8 @@ def test_action_and_stabilizers():
         action_radius = result.spec.action_radius or result.spec.margin
         st = stabilizer_analysis(result.tree, result.family.window.model.ball(action_radius))
         cu = st.class_union
-        assert cu.applicable, name
-        assert cu.closed and cu.inverse_closed, name
+        assert cu is not None, name
+        assert cu.witness is None, name
         # H is coset id 0, in the class: the class size is H's index in the union
         assert cu.class_size == {"E1": 1, "E2": 1, "E3": 1, "E4": 2}[name], name
         assert all(st.edge_conjugates_ok), name
@@ -234,10 +234,8 @@ def test_certification_soundness():
         window = window_result.family.window
         base_spec = make_base_spec(model, spec)
         translations = [model.normalize(token_word(w)) for w in spec.translations]
-        entries = radius_stability_report(window, base_spec, translations, window_result.family)
-        assert entries, name
-        for entry in entries:
-            assert entry.stable, (name, entry.pair, entry.diff_small, entry.diff_large)
+        changed = radius_stability_report(window, base_spec, translations, window_result.family)
+        assert changed is None, (name, changed)
         assert any(c.name == "witness_stability" and c.status == "pass"
                    for c in window_result.report.checks), name
 

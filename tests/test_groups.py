@@ -16,6 +16,7 @@ from tracktree import (
     invert,
     subgroup,
 )
+from tracktree import groups
 from tracktree.errors import (
     ModelMismatch,
     RadiusTooLarge,
@@ -210,20 +211,23 @@ def test_ball_is_every_short_normal_form(model):
         assert invert(invert(e)) == e
 
 
-def test_ball_cap_applies_to_closed_form_size():
-    assert len(F2.ball(2, max_elements=17)) == 17
-    with pytest.raises(RadiusTooLarge):
-        F2.ball(2, max_elements=16)
+def test_ball_cap_applies_to_closed_form_size(monkeypatch):
     with pytest.raises(RadiusTooLarge):
         F2.require_ball(12)  # 1 062 881 elements, refused without enumerating them
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ELEMENTS", 17)
+    assert len(F2.ball(2)) == 17
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ELEMENTS", 16)
+    with pytest.raises(RadiusTooLarge):
+        F2.ball(2)
 
 
-def test_ball_radius_limits():
+def test_ball_radius_limits(monkeypatch):
     with pytest.raises(RadiusTooLarge):
         F2.ball(13)
-    with pytest.raises(RadiusTooLarge):
-        F2.ball(6, max_elements=50)
     assert len(Z.ball(13, max_radius=13)) == 27
+    monkeypatch.setattr(groups, "DEFAULT_MAX_ELEMENTS", 50)
+    with pytest.raises(RadiusTooLarge):
+        F2.ball(6)
 
 
 # --------------------------------------------------------------------------

@@ -787,10 +787,72 @@ def test_cli_expected_k_moving_the_base_set_fails_only_its_own_checks(tmp_path, 
                                    "expected stabilizer element A moves the base vertex"]
 
 
+# name -> (instance fields, exit code, stdout md5) of `check` on a group
+# instance in which one of properness, stabilizer_base, stabilizer_class_union
+# or witness_stability does not pass, one input per witness text
+WITNESS_GOLDEN = {
+    "properness-empty": (dict(radius=4, margin=1, expected_k_exact=True),
+                         2, "f0bc70156ec43c1e4e0aabad37749b78"),
+    "properness-base-misses": (dict(rank=2, radius=4, margin=1, base_includes=("B",),
+                                    expected_k_exact=True),
+                               2, "53f52667a8463bc4c335f15527dfdb7f"),
+    "properness-full": (dict(radius=4, base_default_in=True, expected_k_exact=True),
+                        2, "f3b43517aa295ccbd2ba08518cc21ecb"),
+    "properness-complement-misses": (dict(rank=2, radius=5, base_excludes=("a",),
+                                          base_default_in=True, expected_k_exact=True),
+                                     2, "719be294a632e2119ac6f29f48de5ff7"),
+    "properness-no-shells": (dict(radius=5, subgroup_generators=("aa",), base_excludes=("aA",),
+                                  base_default_in=True, translations=("A", "1"),
+                                  expected_k_exact=True),
+                             2, "7d21484062848592db43f8598b69609a"),
+    "base-moved": (dict(radius=5, base_excludes=("A",), base_default_in=True,
+                        expected_k_generators=("a",), expected_k_exact=True),
+                   2, "6d40036eafaca05867ba1cf01e1716af"),
+    "union-product": (dict(radius=5, base_excludes=("A", "a"), base_default_in=True,
+                           translations=("1", "aaA", "aAa", "A"), expected_k_generators=("AA",),
+                           expected_k_exact=True),
+                      2, "bf0487b55ebac8468b7e8340405b12ee"),
+    "union-inverse": (dict(radius=5, base_excludes=("a",), base_default_in=True,
+                           translations=("1", "aAA")),
+                      2, "b3c439314c58a64f25046b7f839c6d81"),
+    "stability-duplicates": (dict(rank=2, radius=2, margin=1, subgroup_generators=("AAb", "ba"),
+                                  base_includes=("ab",), translations=("1", "Bba"),
+                                  expected_k_exact=True),
+                             3, "c2f96703c54bb0286126ecf7b1c7556c"),
+    "stability-shell": (dict(rank=2, radius=4, base_rules=(("AAAAB", True),), base_includes=("a",),
+                             translations=("B", "b", "aAB", "1"), expected_k_generators=("B",),
+                             expected_k_exact=True),
+                        3, "bc2c49abb5c09cad5a9e84b618dd3a83"),
+    "stability-undecided": (dict(kind="free_product_cyclic", rank=2, orders=(2, 3), radius=5,
+                                 subgroup_generators=("st",), base_excludes=("ts",),
+                                 base_default_in=True, translations=("st", "st", "1"),
+                                 expected_k_exact=True),
+                            3, "fcca3ad9fd6f0e9abd11ea7bffd84638"),
+    "stability-margin": (dict(rank=2, radius=2, margin=1, subgroup_generators=("aBB", "A"),
+                              base_rules=(("B", True),), base_default_in=True,
+                              translations=("a", "1", "A", "bB", "Ab"), expected_k_exact=True),
+                         3, "6912586e5d5bac3e0e8ef7abbb77e4df"),
+    "stability-changed": (dict(radius=2, margin=1, base_excludes=("A", "AA"), base_default_in=True,
+                               translations=("1", "aAa"), expected_k_exact=True),
+                          3, "5e1beb5801a8e2da89977ec2b2f83450"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GOLDEN))
+def test_check_witness_bytes_golden(tmp_path, capsys, name):
+    fields, want_code, want_md5 = WITNESS_GOLDEN[name]
+    spec = tmp_path / f"{name}.ini"
+    spec.write_text(instance_to_text(InstanceSpec(name, **fields)))
+    code = main(["check", str(spec)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.md5(out.encode()).hexdigest()) == (want_code, want_md5)
+
+
 @st.composite
 def group_specs(draw):
     """A group instance of any kind, with random subgroup, base rules (some
-    longer than the radius), includes, excludes, translations and expected K."""
+    longer than the radius), includes, excludes, translations (the identity at
+    any position among them) and expected K."""
     kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
     orders = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
                    if kind == "free_product_cyclic" else ())
@@ -807,12 +869,14 @@ def group_specs(draw):
 
     prefixes = st.integers(1, radius + 2).flatmap(lambda n: st.text(alphabet, min_size=n, max_size=n))
     rules = draw(st.lists(st.tuples(prefixes, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
+    translations = list(words(4))
+    translations.insert(draw(st.integers(0, len(translations))), "1")
     return InstanceSpec(
         name="fuzz", kind=kind, rank=rank, orders=orders, radius=radius, margin=margin,
         action_radius=action_radius,
         subgroup_generators=words(2), base_rules=tuple(rules), base_includes=words(2),
         base_excludes=words(2), base_default_in=draw(st.booleans()),
-        translations=("1",) + words(4), expected_k_generators=words(1, 2),
+        translations=tuple(translations), expected_k_generators=words(1, 2),
         expected_k_exact=draw(st.booleans()))
 
 
@@ -827,6 +891,11 @@ def test_every_valid_group_input_ends_in_a_report(spec):
         return
     assert result.report.checks
     assert result.report.status in ("pass", "fail", "uncertified")
+    # every verdict but pass carries its witness, and a translation's action
+    # is certified wherever its almost-invariance witness was
+    assert all(c.witness for c in result.report.checks if c.status != "pass")
+    assert not any(c.name == "action_equivariance" and c.status == "uncertified"
+                   for c in result.report.checks)
 
 
 def test_cli_window_over_the_cap_is_uncertified(tmp_path, capsys):

@@ -30,7 +30,14 @@ from tracktree import (
 from tracktree.cli import main
 from tracktree.errors import NotNested, OutsideCertifiedDomain, TrackTreeError
 from tracktree.oracles import random_nested_family
-from tracktree.trees import DualTree, TreeVertex, _assert_tree, median_closure, orientation_consistent
+from tracktree.trees import (
+    DualTree,
+    TreeVertex,
+    _assert_tree,
+    median_closure,
+    orientation_consistent,
+    translate_flips,
+)
 from tracktree.windows import bit_positions
 
 Z = free_group(1, "t")
@@ -409,26 +416,35 @@ def test_separation_witness_matches_all_pairs_search(seed):
 
 def test_act_identity():
     result = run("E1")
-    rep = act(result.tree, Z.identity())
-    assert rep.vertex_map == list(range(result.tree.vertex_count))
-    assert rep.base_image == result.tree.base_index
+    vertex_map = act(result.tree, Z.identity())
+    assert vertex_map == list(range(result.tree.vertex_count))
 
 
 def test_act_shift_on_half_line():
     result = run("E1")
     tree = result.tree
-    rep = act(tree, Z.normalize("t"))
-    assert rep.mapped_vertices == tree.vertex_count - 1
+    vertex_map = act(tree, Z.normalize("t"))
+    assert sum(x is not None for x in vertex_map) == tree.vertex_count - 1
     # base maps to the vertex of the right-shifted half line
     t_index = [i for i, v in enumerate(result.family.vertices) if v.element.word == "t"][0]
-    assert rep.base_image == tree.family_vertex[t_index]
+    assert vertex_map[tree.base_index] == tree.family_vertex[t_index]
+
+
+def test_act_maps_the_base_vertex_to_the_translate_flips():
+    # the base vertex flips nothing, so g sends it to the vertex flipping d_g
+    for name in ("E1", "E2", "E3", "E4"):
+        result = run(name)
+        tree = result.tree
+        for v in result.family.vertices:
+            assert act(tree, v.element)[tree.base_index] == tree.flip_index.get(
+                translate_flips(tree, v.element)), (name, v.name)
 
 
 def test_act_subgroup_element_fixes_everything():
     result = run("E2")
     window = result.family.window
-    rep = act(result.tree, window.model.normalize("x"))
-    assert rep.base_image == result.tree.base_index
+    vertex_map = act(result.tree, window.model.normalize("x"))
+    assert vertex_map[result.tree.base_index] == result.tree.base_index
     x = window.model.normalize("x")
     assert all(window.locate(compose(GroupElement(window.model, window.omega[p]), x)) == p
                for p in bit_positions(result.system.label_bits))
@@ -449,10 +465,10 @@ def test_stabilizers_half_line():
     st = stabilizer_analysis(result.tree, Z.ball(2),
                              expected_k=subgroup(Z, []), expected_k_exact=True)
     assert st.vertex_stabilizers[result.tree.base_index] == ("1",)
-    assert st.base_equals_expected
+    assert st.base_witness is None
     assert all(s == ("1",) for s in st.edge_stabilizers)
     assert all(st.edge_conjugates_ok)
-    assert st.class_union.applicable and st.class_union.class_size == 1
+    assert st.class_union is not None and st.class_union.class_size == 1
 
 
 def test_stabilizers_rows():
@@ -465,8 +481,8 @@ def test_stabilizers_rows():
                           key=lambda w: model.sort_key("" if w == "1" else w)))
     for stab in st.edge_stabilizers:
         assert stab == h_ball
-    assert st.base_equals_expected
-    assert st.class_union.class_size == 1 and st.class_union.closed
+    assert st.base_witness is None
+    assert st.class_union.class_size == 1 and st.class_union.witness is None
 
 
 def test_stabilizers_alternate_on_dihedral_line():
@@ -481,10 +497,10 @@ def test_stabilizers_alternate_on_dihedral_line():
     assert by_flips[("",)] == ("1", "s")            # midpoint fixed by s
     assert by_flips[("", "s")] == ("1", "sts")      # next vertex: conjugate of t
     assert by_flips[("t",)] == ("1", "tst")         # other midpoint: conjugate of s
-    assert st.base_equals_expected
+    assert st.base_witness is None
     # union of the identity-coset class is the order-two subgroup on s
     assert st.class_union.class_size == 2
-    assert st.class_union.closed and st.class_union.inverse_closed
+    assert st.class_union.witness is None
 
 
 def test_stabilizer_analysis_requires_window():
@@ -500,9 +516,9 @@ def test_stabilizers_free_group_over_letter_subgroup():
     st = stabilizer_analysis(result.tree, model.ball(2), expected_k=sub, expected_k_exact=True)
     base_stab = st.vertex_stabilizers[result.tree.base_index]
     assert base_stab == ("1", "a", "A", "aa", "AA")
-    assert st.base_equals_expected
+    assert st.base_witness is None
     assert all(st.edge_conjugates_ok)
     # the identity-coset class is a singleton, so its union in the window
     # is the subgroup itself
     assert st.class_union.class_size == 1
-    assert st.class_union.closed
+    assert st.class_union.witness is None

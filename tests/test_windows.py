@@ -237,8 +237,7 @@ def test_hypothesis_row_witness():
 def test_hypothesis_properness_fails_on_full_universe():
     window, _, _ = half_line_window()
     report = hypothesis_report(window, (1 << len(window.omega)) - 1, [Z.identity()], None)
-    assert not report.properness_ok
-    assert "complement" in report.properness_detail
+    assert "complement" in report.properness
 
 
 def test_hypothesis_expected_k_flags_moving_element():
@@ -255,9 +254,8 @@ def test_hypothesis_expected_k_flags_moving_element():
 def test_witness_stability_half_line():
     window, spec, base = half_line_window()
     translations = [Z.normalize(w) for w in ["T", "", "t"]]
-    entries = radius_stability_report(window, spec, translations,
-                                      build_family(window, base, translations))
-    assert entries and all(e.stable for e in entries)
+    assert radius_stability_report(window, spec, translations,
+                                   build_family(window, base, translations)) is None
 
 
 def test_witness_stability_detects_radius_dependence():
@@ -267,11 +265,10 @@ def test_witness_stability_detects_radius_dependence():
     fragile = BaseSetSpec(rules=(("t", True),), includes=frozenset(["", "TTTTT"]))
     translations = [Z.identity(), Z.normalize("tt")]
     family = build_family(window, build_base_set(window, fragile), translations)
-    entries = radius_stability_report(window, fragile, translations, family)
-    unstable = [e for e in entries if not e.stable]
-    assert unstable
-    assert "TTTTT" in unstable[0].diff_large
-    assert "TTTTT" not in unstable[0].diff_small
+    changed = radius_stability_report(window, fragile, translations, family)
+    assert changed is not None
+    assert "TTTTT" in changed.diff_large
+    assert "TTTTT" not in changed.diff_small
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +554,8 @@ def test_witness_stability_over_the_element_cap():
 
 def reference_stability(model, sub, radius, margin, base_spec, translations):
     """The re-check on frozensets of keys, from the ball reference at both
-    radii: None when a translate or a kept pair is uncertified at either
+    radii: the first pair whose difference changes, or None when none does;
+    "uncertified" when a translate or a kept pair is uncertified at either
     radius, "changed" when the duplicate structure differs."""
     per_radius = []
     for r in (radius, radius + 2):
@@ -566,7 +564,7 @@ def reference_stability(model, sub, radius, margin, base_spec, translations):
         core = frozenset(k for k in table.keys if len(k) <= r - margin)
         translates = {g.word: reference_translate(table, base, g) for g in translations}
         if any(unknown & core for _, unknown in translates.values()):
-            return None
+            return "uncertified"
 
         def diff(w1, w2, translates=translates):
             (in1, unknown1), (in2, unknown2) = translates[w1], translates[w2]
@@ -577,7 +575,7 @@ def reference_stability(model, sub, radius, margin, base_spec, translations):
             for w in kept:
                 d = diff(g.word, w)
                 if d - core:
-                    return None
+                    return "uncertified"
                 if not d:
                     break
             else:
@@ -586,23 +584,22 @@ def reference_stability(model, sub, radius, margin, base_spec, translations):
     (kept, small), (big_kept, large) = per_radius
     if set(kept) != set(big_kept):
         return "changed"
-    out = []
     for a, b in itertools.combinations(sorted(kept), 2):
         d_small = tuple(sorted(small(a, b), key=model.sort_key))
         d_large = tuple(sorted(large(a, b), key=model.sort_key))
-        out.append(StabilityEntry((display_word(a), display_word(b)), d_small == d_large,
-                                  d_small, d_large))
-    return out
+        if d_small != d_large:
+            return StabilityEntry((display_word(a), display_word(b)), d_small, d_large)
+    return None
 
 
 def stability_outcome(window, base_spec, translations):
-    """The re-check on the family built over the window; None when that
-    family or the radius + 2 one is uncertified."""
+    """The re-check on the family built over the window; "uncertified" when
+    that family or the radius + 2 one is uncertified."""
     try:
         family = build_family(window, build_base_set(window, base_spec), translations)
         return radius_stability_report(window, base_spec, translations, family)
     except CertificationFailure as exc:
-        return "changed" if "duplicate structure changed" in str(exc) else None
+        return "changed" if "duplicate structure changed" in str(exc) else "uncertified"
 
 
 def assert_stability_matches_reference(model, sub, radius, margin, base_spec, translations):
@@ -665,14 +662,14 @@ def test_stability_matches_string_reference_on_corpus(name):
     want = assert_stability_matches_reference(
         model, make_subgroup(model, spec.subgroup_generators), spec.radius, spec.margin,
         make_base_spec(model, spec), [model.normalize(token_word(w)) for w in spec.translations])
-    assert want and all(e.stable for e in want)
+    assert want is None
 
 
 def test_unstable_witness_matches_string_reference():
     fragile = BaseSetSpec(rules=(("t", True),), includes=frozenset(["", "TTTTT"]))
     want = assert_stability_matches_reference(Z, TRIVIAL_Z, 6, 2, fragile,
                                               [Z.identity(), Z.normalize("tt")])
-    assert not want[0].stable
+    assert isinstance(want, StabilityEntry)
 
 
 # --------------------------------------------------------------------------
@@ -726,12 +723,13 @@ def test_core_bound_matches_the_regrowth(case):
     window, family, bound = family_and_bound(case)
     if family is None or bound is None:
         return
-    entries = radius_stability_report(window, spec, translations, family)
+    assert radius_stability_report(window, spec, translations, family) is None
     # nothing was grown, and every difference lies in the keys at most B long
     assert window.graph.radius == radius
-    assert all(e.stable and all(len(k) <= bound for k in e.diff_small) for e in entries)
-    # the regrowth, called directly, finds the same entries
-    assert _regrowth_report(window, spec, translations, family) == entries
+    assert all(len(k) <= bound for a, b in itertools.combinations(range(len(family)), 2)
+               for k in family.keys_of(family.diff(a, b)))
+    # the regrowth, called directly, finds no pair changed either
+    assert _regrowth_report(window, spec, translations, family) is None
     # and so does a family built at radius + 4
     far = uncapped_window(F2, sub, radius + 4, 2)
     large = build_family(far, build_base_set(far, spec), translations)
@@ -762,7 +760,7 @@ def test_core_bound_counts_only_live_states():
     base = build_base_set(window, spec)
     assert _core_bound(window, spec, base, translations) == 2
     family = build_family(window, base, translations)
-    assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
+    assert radius_stability_report(window, spec, translations, family) is None
     assert window.graph.radius == 6
 
 
@@ -775,7 +773,7 @@ def test_core_bound_is_none_unless_every_condition_holds():
     window = build_window(F2, sub, 6, 2)
     assert bound_of(window, spec, translations) is None
     family = build_family(window, build_base_set(window, spec), translations)
-    assert all(e.stable for e in radius_stability_report(window, spec, translations, family))
+    assert radius_stability_report(window, spec, translations, family) is None
     assert window.graph.radius == 8
     # with the whole core inside, B = 10 + 1 is still past radius - margin
     assert bound_of(build_window(F2, sub, 10, 2), spec, translations) is None
