@@ -28,9 +28,9 @@ print("base stabilizer equals the declared one exactly:", stab.base_witness is N
 
 print()
 print("edge stabilizers and conjugate containment:")
-for (i, j, label), words, ok in zip(tree.edges, stab.edge_stabilizers, stab.edge_conjugates_ok):
+for (i, j, label), words, witness in zip(tree.edges, stab.edge_stabilizers, stab.edge_witnesses):
     key = result.family.universe[label]
-    print(f"  edge B{i}--B{j} [{key or '1'}]: {words}, conjugate check {'ok' if ok else 'FAILED'}")
+    print(f"  edge B{i}--B{j} [{key or '1'}]: {words}, conjugate check {'FAILED' if witness else 'ok'}")
 
 cu = stab.class_union
 print()

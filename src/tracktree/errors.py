@@ -19,10 +19,6 @@ class RadiusTooLarge(TrackTreeError):
     pass
 
 
-class UnsupportedSubgroup(TrackTreeError):
-    pass
-
-
 class SearchBudgetExceeded(TrackTreeError):
     pass
 

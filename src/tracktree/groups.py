@@ -17,14 +17,16 @@ The identity is the empty word everywhere and is displayed as ``"1"``.
 ``compose`` is the normal form of the concatenated words, ``invert`` that
 of the reversed word with its case swapped, and ``GroupModel.ball`` grows
 the canonical words breadth first, since they are closed under prefixes.
-Subgroup engines: Stallings folding automaton (free), integer lattice
-reduction (free_abelian), and factor/cyclic special forms for free
-products.  Each engine gives every right coset a canonical fingerprint,
-and ``advance`` takes the fingerprint of He to that of He*step from the
-fingerprint alone; that is all it decides: e lies in H exactly when He = H, so
-``SubgroupModel.member`` compares the fingerprint of e with that of the
-identity.  ``CosetTable`` groups a ball by fingerprint into ShortLex-least
-coset keys, the reference for the coset graph of ``windows.Window``.
+Subgroup engines: one folding automaton for free groups and free products
+(Stallings folding, then for free products the closure of every orbit of a
+finite-order letter), read past its core as a hanging tail, and integer
+lattice reduction (free_abelian).  Each engine gives every right coset a
+canonical fingerprint, and ``advance`` takes the fingerprint of He to that
+of He*step from the fingerprint alone; that is all it decides: e lies in H
+exactly when He = H, so ``SubgroupModel.member`` compares the fingerprint
+of e with that of the identity.  ``CosetTable`` groups a ball by
+fingerprint into ShortLex-least coset keys, the reference for the coset
+graph of ``windows.Window``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     RadiusTooLarge,
     SearchBudgetExceeded,
     UnknownLetter,
-    UnsupportedSubgroup,
 )
 
 DEFAULT_MAX_RADIUS = 12
@@ -305,17 +306,23 @@ def _render_syllables(model: GroupModel, syllables: Sequence[Sequence[int]]) -> 
 
 
 class FoldingAutomaton:
-    """Folded core graph of a finitely generated subgroup of a free group.
+    """Folded core graph of a finitely generated subgroup H of a free group
+    or of a free product of cyclics.
 
     States are integers with 0 the base state; transitions carry single
-    letters and always exist in inverse pairs.  After folding, the
-    automaton is deterministic and every state lies on a loop through the
-    base (the construction starts from a wedge of generator loops and
-    folding preserves that property).  A word lies in the subgroup iff it
-    traces a loop at the base with no hanging tail.
+    letters and always exist in inverse pairs.  A wedge of generator loops
+    is folded as Stallings does, which keeps every state on a loop through
+    the base.  Then each x-orbit of a letter x of finite order n is closed:
+    an x-cycle of length c shrinks to gcd(c, n), an x-path of more than n
+    states has its states n apart merged, and one of exactly n states gets
+    its closing x-edge; folding and closing repeat until nothing merges.
+    No step adds a state or reads a loop outside H, so the automaton is the
+    core of the Schreier graph of H\\G, every x-orbit a cycle of length
+    dividing n or a path of fewer than n states; past it hang regular trees
+    (free groups) or trees of full x-cycles (free products).
     """
 
-    def __init__(self, generators: Sequence[GroupElement]):
+    def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         next_: list[dict[str, int]] = [{}]
         pending: list[tuple[int, int]] = []
 
@@ -331,60 +338,97 @@ class FoldingAutomaton:
                 state = t
             pending.append((state, 0))
 
-        self._fold(next_, pending)
-
-    def _fold(self, next_: list[dict[str, int]], pending: list[tuple[int, int]]):
-        parent = list(range(len(next_)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        queue = list(pending)
-        while queue:
-            a, b = queue.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            # keep the base state alive, otherwise keep the larger dict
-            if b == 0 or (a != 0 and len(next_[b]) > len(next_[a])):
-                a, b = b, a
-            parent[b] = a
-            for ch, t in next_[b].items():
-                if ch in next_[a]:
-                    queue.append((next_[a][ch], t))
-                else:
-                    next_[a][ch] = t
-            next_[b] = {}
-
-        # the union-find roots are the states; merged states keep no transitions
-        self.next = [{ch: find(t) for ch, t in out.items()} for out in next_]
+        orders = dict(zip(model.letters, model.orders))
+        while pending:
+            next_ = _fold(next_, pending)
+            # close the orbits of the letters of finite order: merge or add an edge
+            for x, n in orders.items():
+                for orbit in _orbits(next_, x):
+                    if x in next_[orbit[-1]]:
+                        pending += zip(orbit, orbit[math.gcd(len(orbit), n):])
+                    elif len(orbit) == n:
+                        next_[orbit[-1]][x], next_[orbit[0]][x.upper()] = orbit[0], orbit[-1]
+                    else:
+                        pending += zip(orbit, orbit[n:])
+        self.next = next_
 
 
-class _FreeEngine:
-    """Schreier positions in the folded automaton: a coset's fingerprint is
-    one int, the core state its key reaches plus ``states`` times its hanging
-    tail, the letters that leave the core read as base-(2n + 1) digits 1..2n
-    with the last letter lowest."""
+def _fold(next_: list[dict[str, int]], pending: list[tuple[int, int]]) -> list[dict[str, int]]:
+    """The transitions after merging each pending pair of states and folding;
+    pending is used up."""
+    parent = list(range(len(next_)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    while pending:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        # keep the base state alive, otherwise keep the larger dict
+        if b == 0 or (a != 0 and len(next_[b]) > len(next_[a])):
+            a, b = b, a
+        parent[b] = a
+        for ch, t in next_[b].items():
+            if ch in next_[a]:
+                pending.append((next_[a][ch], t))
+            else:
+                next_[a][ch] = t
+        next_[b] = {}
+
+    # the union-find roots are the states; merged states keep no transitions
+    return [{ch: find(t) for ch, t in out.items()} for out in next_]
+
+
+def _orbits(next_: list[dict[str, int]], x: str):
+    """The x-orbits of a folded automaton, each the list of its states in x
+    order: from the start of an x-path, or round an x-cycle."""
+    back = x.upper()
+    seen: set[int] = set()
+    for s in range(len(next_)):
+        if s not in seen:
+            start = s
+            # back to the start of the path, or round the cycle to the state after s
+            while next_[start].get(back, s) != s:
+                start = next_[start][back]
+            orbit = [start]
+            while next_[orbit[-1]].get(x, start) != start:
+                orbit.append(next_[orbit[-1]][x])
+            seen.update(orbit)
+            yield orbit
+
+
+class _FoldedEngine:
+    """A reader of the folded automaton: a coset's fingerprint is one int,
+    the core state its key reaches plus ``states`` times its hanging tail."""
 
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
-        self.model = model
-        self.next = FoldingAutomaton(generators).next
+        self.next = FoldingAutomaton(model, generators).next
         self.states = len(self.next)
-        self.base = 2 * model.rank + 1
-        # step -> (its digit, the digit of its inverse); a letter of rank r has digit r + 1
-        self.digits = {}
-        for g in model.letters:
-            r = model.letter_rank(g)
-            self.digits[g], self.digits[g.upper()] = (r + 1, r + 2), (r + 2, r + 1)
 
     def fingerprint(self, e: GroupElement) -> int:
         fp = 0
         for ch in e.word:
             fp = self.advance(fp, ch)
         return fp
+
+
+class _FreeEngine(_FoldedEngine):
+    """Free groups: the tail is the letters that leave the core, read as
+    base-(2n + 1) digits 1..2n with the last letter lowest."""
+
+    def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
+        super().__init__(model, generators)
+        self.base = 2 * model.rank + 1
+        # step -> (its digit, the digit of its inverse); a letter of rank r has digit r + 1
+        self.digits = {}
+        for g in model.letters:
+            r = model.letter_rank(g)
+            self.digits[g], self.digits[g.upper()] = (r + 1, r + 2), (r + 2, r + 1)
 
     def advance(self, fp: int, step: str) -> int:
         """Fingerprint of He*step, given fp, the fingerprint of He."""
@@ -395,6 +439,48 @@ class _FreeEngine:
             return state + self.states * tail
         t = self.next[state].get(step)
         return state + self.states * digit if t is None else t
+
+
+class _ProductEngine(_FoldedEngine):
+    """Free products of cyclics: a syllable x^e from position p of an x-path
+    of m states lands at position (p + e) mod n of the full x-cycle; past
+    the path's end it leaves the core, and the coset is named from the
+    path's last state, the exit state, by the syllable x^k (k <= n - m) that
+    reaches it.  The tail is that syllable and the ones after it, as base-B
+    digits 1..B-1 with the last syllable lowest."""
+
+    def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
+        super().__init__(model, generators)
+        states = self.states
+        self.orders = dict(zip(model.letters, model.orders))
+        # per digit its syllable (letter, exponent); the digit of x^e is x's offset plus e
+        self.syllable_of = [("", 0)] + [(x, e) for x, n in self.orders.items() for e in range(1, n)]
+        self.offset = {x: self.syllable_of.index((x, 1)) - 1 for x in self.orders}
+        self.base = len(self.syllable_of)
+        # moves[x][e][s]: the fingerprint of state s times x^e, for e in 0..n-1
+        self.moves: dict[str, list[list[int]]] = {}
+        for x, n in self.orders.items():
+            moves = self.moves[x] = [[0] * states for _ in range(n)]
+            for orbit in _orbits(self.next, x):
+                m, cycle = len(orbit), x in self.next[orbit[-1]]
+                for p, s in enumerate(orbit):
+                    for e in range(n):
+                        q = (p + e) % n
+                        moves[e][s] = (orbit[q % m] if cycle or q < m else
+                                       orbit[-1] + states * (self.offset[x] + q - m + 1))
+
+    def advance(self, fp: int, step: str) -> int:
+        """Fingerprint of He*step, given fp, the fingerprint of He; step is a syllable."""
+        tail, state = divmod(fp, self.states)
+        x, e = step[0], len(step)
+        y, f = self.syllable_of[tail % self.base]
+        if y == x:
+            # step merges with the tail's last syllable; from a one-syllable
+            # tail, the exit state steps by the summed exponent
+            tail, e = tail // self.base, (f + e) % self.orders[x]
+        if not tail:
+            return self.moves[x][e][state]
+        return state + self.states * (tail * self.base + self.offset[x] + e if e else tail)
 
 
 class IntegerLattice:
@@ -452,80 +538,6 @@ class _LatticeEngine:
         return self.lattice.reduce(moved)
 
 
-class _CyclicEngine:
-    """Cyclic subgroup <w> of a free product, via cyclic reduction w = u v u^-1."""
-
-    def __init__(self, model: GroupModel, generator: GroupElement):
-        self.model = model
-        u = model.identity()
-        v = generator
-        while True:
-            syl = _word_to_syllables(model, v.word)
-            if len(syl) < 2 or syl[0][0] != syl[-1][0]:
-                break
-            head = GroupElement(model, _render_syllables(model, [syl[0]]))
-            u = compose(u, head)
-            v = compose(compose(invert(head), v), head)
-        self.u_inv = invert(u)
-        syl = _word_to_syllables(model, v.word)
-        if len(syl) <= 1:
-            # finite order: <v> is generated by v's letter to the gcd of v's
-            # exponent and the letter's order (no letter when v = 1)
-            self.v = None
-            self.letter, exponent = syl[0] if syl else (None, 0)
-            self.step = math.gcd(model.orders[self.letter], exponent) if syl else 1
-        else:
-            self.v, self.v_inv = v, invert(v)
-
-    def fingerprint(self, e: GroupElement):
-        """A canonical value of u^-1 He = <v>z: for finite <v>, the residue of
-        z's leading power of v's letter and the rest of z; else its least element."""
-        if self.v is None:
-            return self._residue(self.u_inv.word + e.word)
-        return self._least(compose(self.u_inv, e))
-
-    def advance(self, fp, step: str):
-        """Fingerprint of He*step, given fp, the fingerprint of He.
-
-        The fingerprint names an element of <v>z, so times step it names
-        one of <v>z*step: v's letter to the residue followed by the rest for
-        finite <v>, the least element itself else.
-        """
-        if self.v is None:
-            residue, rest = fp
-            power = self.model.letters[self.letter] * residue if residue else ""
-            return self._residue(power + rest + step)
-        return self._least(compose(GroupElement(self.model, fp), GroupElement(self.model, step)))
-
-    def _residue(self, word: str):
-        """(residue of the leading power of v's letter, the rest) of the normal form of word."""
-        syl = _word_to_syllables(self.model, word)
-        residue = syl.pop(0)[1] % self.step if syl and syl[0][0] == self.letter else 0
-        return (residue, _render_syllables(self.model, syl))
-
-    def _least(self, z: GroupElement) -> str:
-        """The ShortLex-least element of <v>z, v of infinite order."""
-        # The least element v^n z is no longer than z, and |v^n| <= |v^n z| +
-        # |z^-1|, so |v^n| <= |z| + |z^-1|; powers of the cyclically reduced v
-        # concatenate, so |v^n| = |n| |v| (and |v^-n| = |n| |v^-1|, which may
-        # differ from |n| |v|).
-        reach = len(z.word) + len(invert(z).word)
-        best = z
-        for step in (self.v, self.v_inv):
-            last = step.word[-1]
-            moved = z
-            for _ in range(reach // len(step.word) + 1):
-                if not moved.word.startswith(last):
-                    # step * moved merges nothing and starts with step's first
-                    # letter, not its last (v is cyclically reduced), so every
-                    # further power is longer than moved, and best <= moved
-                    break
-                moved = compose(step, moved)
-                if moved.sort_key() < best.sort_key():
-                    best = moved
-        return best.word
-
-
 @dataclass
 class SubgroupModel:
     """A subgroup given by generators, with the engine that fingerprints its cosets.
@@ -554,24 +566,8 @@ class SubgroupModel:
 
 def subgroup(model: GroupModel, generator_words: Sequence[str]) -> SubgroupModel:
     gens = tuple(g for g in (model.normalize(w) for w in generator_words) if not g.is_identity())
-    if model.kind == FREE:
-        engine = _FreeEngine(model, gens)
-    elif model.kind == FREE_ABELIAN:
-        engine = _LatticeEngine(model, gens)
-    else:
-        generator = gens[0] if len(gens) == 1 else model.identity()
-        if len(gens) > 1:
-            syllables = [_word_to_syllables(model, g.word) for g in gens]
-            letter = syllables[0][0][0]
-            if any(len(syl) != 1 or syl[0][0] != letter for syl in syllables):
-                raise UnsupportedSubgroup(
-                    "free_product_cyclic subgroups must lie in one factor or be cyclic on one generator"
-                )
-            # powers of one letter generate its power by their gcd with the letter's order
-            step = math.gcd(model.orders[letter], *(syl[0][1] for syl in syllables))
-            generator = model.normalize(model.letters[letter] * step)
-        engine = _CyclicEngine(model, generator)
-    return SubgroupModel(model, gens, engine)
+    engine = {FREE: _FreeEngine, FREE_ABELIAN: _LatticeEngine}.get(model.kind, _ProductEngine)
+    return SubgroupModel(model, gens, engine(model, gens))
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .errors import (
     SearchBudgetExceeded,
     TooLarge,
     UnknownLetter,
-    UnsupportedSubgroup,
 )
 from .groups import display_word
 from .instances import (
@@ -111,7 +110,7 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
         base_spec = make_base_spec(model, spec)
         translations = [model.normalize(token_word(w)) for w in spec.translations]
         expected_k = make_subgroup(model, spec.expected_k_generators)
-    except (UnknownLetter, UnsupportedSubgroup, ConflictingRule, ValueError) as exc:
+    except (UnknownLetter, ConflictingRule, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
     try:
@@ -172,8 +171,7 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     stab = stabilizer_analysis(tree, ball, expected_k=expected_k,
                                expected_k_exact=spec.expected_k_exact)
     report.verdict("stabilizer_base", stab.base_witness)
-    report.verdict("stabilizer_edges", None if all(stab.edge_conjugates_ok) else
-                   "an edge stabilizer misses a conjugate subgroup element")
+    report.verdict("stabilizer_edges", next(filter(None, stab.edge_witnesses), None))
     if stab.class_union is not None:
         report.verdict("stabilizer_class_union", stab.class_union.witness)
         report.counts["identity_class_size"] = stab.class_union.class_size

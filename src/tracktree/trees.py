@@ -355,7 +355,7 @@ class StabilizerReport:
     # unexpected one when K is declared exact; None when it agrees with K
     base_witness: Optional[str]
     edge_stabilizers: list[tuple[str, ...]]
-    edge_conjugates_ok: list[bool]
+    edge_witnesses: list[Optional[str]]  # per edge, a conjugate of H its stabilizer misses
     class_union: Optional[ClassUnionReport]  # None when no class holds the identity coset
 
 
@@ -398,9 +398,9 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
             base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
 
     h_ball = [g for g, _ in certified if window.sub.member(g)]
-    certified_words = {g.word for g, _ in certified}
+    certified_words = {display_word(g.word) for g, _ in certified}
     edge_stabs: list[tuple[str, ...]] = []
-    edge_conj_ok: list[bool] = []
+    edge_witnesses: list[Optional[str]] = []
     for i, j, label in tree.edges:
         # g never swaps an edge's ends: it fixes the edge only when its label
         # coset k has k*g = k, and right translation keeps membership (V holds
@@ -409,12 +409,14 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
                                 if (image[i], image[j]) == (i, j)))
         # the subgroup conjugated by the label's key fixes the edge, as far as the ball sees
         rep = GroupElement(window.model, tree.system.family.universe[label])
-        stab_words = set(edge_stabs[-1])
-        conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
-        edge_conj_ok.append(all(display_word(c.word) in stab_words
-                                for c in conjugates if c.word in certified_words))
+        outside = certified_words.difference(edge_stabs[-1])
+        conjugates = (display_word(compose(compose(invert(rep), h), rep).word) for h in h_ball)
+        missing = next((c for c in conjugates if c in outside), None)
+        edge_witnesses.append(None if missing is None else
+                              f"stabilizer of edge ({i}, {j}) labelled {display_word(rep.word)} "
+                              f"misses the conjugate subgroup element {missing}")
 
-    return StabilizerReport(vertex_stabs, base_witness, edge_stabs, edge_conj_ok,
+    return StabilizerReport(vertex_stabs, base_witness, edge_stabs, edge_witnesses,
                             _class_union_report(tree))
 
 

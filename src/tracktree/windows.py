@@ -876,9 +876,14 @@ def _regrowth_report(window: Window, base_spec: BaseSetSpec,
     words = [v.element.word for v in family.vertices]
     big_words = [v.element.word for v in large.vertices]
     if words != big_words:
-        # duplicate structure must agree between radii
-        changed = sorted(set(words) ^ set(big_words))
-        raise CertificationFailure(changed[0], changed[-1], "duplicate structure changed with radius")
+        # duplicate structure must agree between radii: name the first translation
+        # kept at one radius and merged at the other, and the vertex it merges into
+        g = next(g for g in translations if (g.word in words) != (g.word in big_words))
+        at = large if g.word in words else family
+        members = (at.base_set ^ at.window.translate(at.base_set, g)[0]) & at.window.core_mask
+        into = next(v.element.word for v in at.vertices if v.members == members)
+        raise CertificationFailure(display_word(into), display_word(g.word),
+                                   "duplicate structure changed with radius")
     for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
         d_small, d_large = family.diff(a, b), large.diff(a, b)
         if d_small != d_large:

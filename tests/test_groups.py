@@ -21,8 +21,9 @@ from tracktree.errors import (
     ModelMismatch,
     RadiusTooLarge,
     UnknownLetter,
-    UnsupportedSubgroup,
 )
+
+from cyclic_reference import full_power_loop, reference_subgroup
 
 F2 = free_group(2)
 Z = free_group(1, "t")
@@ -263,6 +264,11 @@ def brute_force_members(model, generator_words, length_cap, work_cap):
     # several generators in one factor: <t^4, t^3> = <t> and <t^4, t^2> = <tt> in Z6
     (free_product_of_cyclics([2, 6]), ["tttt", "ttt"]),
     (free_product_of_cyclics([2, 6]), ["tttt", "tt"]),
+    # several words in no one factor: index 2 in Z2*Z2*Z2, the orbit closures
+    # of <st, ts> in Z3*Z3 and of <sts, tt> = <t, sts> in Z2*Z3, and deeper cores
+    (Z2Z2Z2, ["st", "tu"]), (free_product_of_cyclics([3, 3]), ["st", "ts"]), (Z2Z3, ["sts", "tt"]),
+    (free_product_of_cyclics([2, 4]), ["tstt", "stts"]), (free_product_of_cyclics([3, 4]), ["stt", "tst"]),
+    (Z2Z3, ["stst", "tstt"]),
 ])
 def test_folding_automaton_vs_brute_force(gens):
     """Every engine's membership against the closure of the generators."""
@@ -340,8 +346,8 @@ def test_cyclic_conjugate_membership():
 
 @st.composite
 def subgroups(draw):
-    """A subgroup of a group of each kind; for free products every shape:
-    trivial, in one factor, and cyclic on one word."""
+    """A subgroup of a group of each kind, on up to two words (free and free
+    abelian groups) or one to three words (free products)."""
     kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
     if kind == "free":
         model = free_group(draw(st.integers(1, 2)))
@@ -349,13 +355,9 @@ def subgroups(draw):
         model = free_abelian_group(draw(st.integers(1, 3)))
     else:
         model = free_product_of_cyclics(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
-    word = words(model, 5)
-    if kind == "free_product_cyclic" and draw(st.booleans()):
-        ch = draw(st.sampled_from(model.letters))
-        gens = [ch * e for e in draw(st.lists(st.integers(1, 3), max_size=2))]
-    else:
-        gens = draw(st.lists(word, max_size=1 if kind == "free_product_cyclic" else 2))
-    return subgroup(model, gens)
+    product = kind == "free_product_cyclic"
+    return subgroup(model, draw(st.lists(words(model, 5), min_size=int(product),
+                                         max_size=3 if product else 2)))
 
 
 def steps(model):
@@ -374,34 +376,53 @@ def test_advance_is_the_fingerprint_of_the_product(sub, data):
     assert sub.engine.advance(sub.fingerprint(e), step) == sub.fingerprint(model.normalize(e.word + step))
 
 
-def full_power_loop(engine, e):
-    """The least element of <v>(u^-1 e), v of infinite order, stepping every
-    power of v and v^-1 up to the length bound."""
-    z = compose(engine.u_inv, e)
-    reach = len(z.word) + len(invert(z).word)
-    best = z
-    for step in (engine.v, engine.v_inv):
-        moved = z
-        for _ in range(reach // len(step.word) + 1):
-            moved = compose(step, moved)
-            if moved.sort_key() < best.sort_key():
-                best = moved
-    return best.word
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(2, 4), min_size=2, max_size=3), st.data())
 def test_cyclic_fingerprint_stops_where_powers_only_grow(orders, data):
     model = free_product_of_cyclics(orders)
-    sub = subgroup(model, [data.draw(words(model, 6))])
+    sub = reference_subgroup(model, [data.draw(words(model, 6))])
     assume(sub.engine.v is not None)
     e = model.normalize(data.draw(words(model, 10)))
     assert sub.fingerprint(e) == full_power_loop(sub.engine, e)
 
 
-def test_unsupported_free_product_subgroup():
-    with pytest.raises(UnsupportedSubgroup):
-        subgroup(Z2Z3, ["st", "ts"])
+@st.composite
+def reference_subgroups(draw):
+    """A subgroup the cyclic reference covers: in one factor, or cyclic on one word."""
+    model = free_product_of_cyclics(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    if draw(st.booleans()):
+        ch = draw(st.sampled_from(model.letters))
+        return model, [ch * e for e in draw(st.lists(st.integers(1, 3), max_size=3))]
+    return model, draw(st.lists(words(model, 6), max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_subgroups(), st.integers(4, 5))
+def test_folding_partitions_the_ball_as_the_cyclic_reference(gens, radius):
+    model, generator_words = gens
+    sub, ref = subgroup(model, generator_words), reference_subgroup(model, generator_words)
+    ball = model.ball(radius)
+    cosets, ref_cosets = {}, {}
+    for e in ball:
+        cosets.setdefault(sub.fingerprint(e), []).append(e.word)
+        ref_cosets.setdefault(ref.fingerprint(e), []).append(e.word)
+    assert sorted(cosets.values()) == sorted(ref_cosets.values())
+
+
+def test_free_product_subgroups_of_several_words():
+    # <st, ts> in Z2*Z3 lies in no factor and is not cyclic
+    sub = subgroup(Z2Z3, ["st", "ts"])
+    expected = brute_force_members(Z2Z3, ["st", "ts"], 6, 14)
+    for e in Z2Z3.ball(6):
+        assert sub.member(e) == (e.word in expected), e.word
+    # (ut)^-1 utuu = uu, so u, then t and s, lie in <ut, utuu, tuus>: it is all
+    # of G, and the folding closes to one live state, the base, with a loop
+    # for every letter (the other states were merged away)
+    model = free_product_of_cyclics([2, 2, 3])
+    sub = subgroup(model, ["ut", "utuu", "tuus"])
+    assert not any(sub.engine.next[1:])
+    assert sub.engine.next[0] == {ch: 0 for g in model.letters for ch in (g, g.upper())}
+    assert all(sub.member(e) for e in model.ball(5))
 
 
 # --------------------------------------------------------------------------

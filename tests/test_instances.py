@@ -421,6 +421,47 @@ def test_free_product_check_golden(tmp_path, capsys, radius):
     assert (code, hashlib.md5(out.encode()).hexdigest()) == C_CHECK_GOLDEN[radius]
 
 
+SEVERAL_WORDS = """[instance]
+name = several-words
+
+[group]
+kind = free_product_cyclic
+orders = {orders}
+letters = stu
+
+[window]
+radius = {radius}
+margin = 2
+
+[subgroup]
+generators = {generators}
+
+[base_set]
+rule = t in
+
+[translations]
+elements = 1, s, u, t
+"""
+
+
+def test_free_product_subgroups_of_several_words_end_in_reports(tmp_path, capsys):
+    # <sut, utus> in Z2*Z2*Z2 lies in no factor and is not cyclic: every line passes
+    spec = tmp_path / "several.ini"
+    spec.write_text(SEVERAL_WORDS.format(orders="2, 2, 2", radius=6, generators="sut, utus"))
+    assert main(["check", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    counts = report["counts"]
+    assert (counts["omega"], counts["core_keys"], counts["family_vertices"],
+            counts["tree_vertices"]) == (65, 17, 3, 4)
+    # <ut, utuu, tuus> is all of Z2*Z2*Z3: one coset, and the empty base set is not proper
+    spec.write_text(SEVERAL_WORDS.format(orders="2, 2, 3", radius=4, generators="ut, utuu, tuus"))
+    assert main(["check", str(spec)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"]["omega"] == 1
+    assert report["witnesses"] == ["base set is empty"]
+
+
 # seed -> (exit code, stdout md5) of `random --seed`
 RANDOM_GOLDEN = {
     0: (0, "e0c5a33eca49e7111b9d3909fbe39577"),
@@ -731,8 +772,8 @@ elements = 1, x, Xx, XX
 
 
 @pytest.mark.parametrize("text, witness", [
-    # the base set is empty at radius 6, so the translates merge; at radius 8 they differ
-    (FAR_RULE, "uncertified difference for (B, B): duplicate structure changed with radius"),
+    # the base set is empty at radius 6, so B's translate merges into 1's; at radius 8 they differ
+    (FAR_RULE, "uncertified difference for (1, B): duplicate structure changed with radius"),
     # at radius 6 the base set is no longer empty and a difference reaches the shell
     (SHELL_AT_RADIUS_TWO, "uncertified difference for (1, x): "
                           "symmetric difference touches the boundary shell; enlarge radius"),
@@ -818,7 +859,7 @@ WITNESS_GOLDEN = {
     "stability-duplicates": (dict(rank=2, radius=2, margin=1, subgroup_generators=("AAb", "ba"),
                                   base_includes=("ab",), translations=("1", "Bba"),
                                   expected_k_exact=True),
-                             3, "c2f96703c54bb0286126ecf7b1c7556c"),
+                             3, "61775aa05ca47a7058f27ba0e73a524b"),
     "stability-shell": (dict(rank=2, radius=4, base_rules=(("AAAAB", True),), base_includes=("a",),
                              translations=("B", "b", "aAB", "1"), expected_k_generators=("B",),
                              expected_k_exact=True),
@@ -835,6 +876,14 @@ WITNESS_GOLDEN = {
     "stability-changed": (dict(radius=2, margin=1, base_excludes=("A", "AA"), base_default_in=True,
                                translations=("1", "aAa"), expected_k_exact=True),
                           3, "5e1beb5801a8e2da89977ec2b2f83450"),
+    "stability-merged": (dict(rank=1, radius=2, margin=1, base_rules=(("aAA", False), ("AAA", False),
+                                                                      ("Aaa", False)),
+                              base_includes=("aa",), base_default_in=True, translations=("aAA", "1")),
+                         3, "9a20b2b6ee0eececfeb8cd37d2c5360b"),
+    "stabilizer-edges": (dict(kind="free_product_cyclic", rank=2, orders=(2, 2), radius=4,
+                              subgroup_generators=("s", "SS"), base_excludes=("T",),
+                              base_default_in=True, translations=("t", "1"), expected_k_exact=True),
+                         2, "17117c71dff58643f057d74f7a5f9402"),
 }
 
 

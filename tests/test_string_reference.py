@@ -156,7 +156,7 @@ class StringTree:
                 if extra and base_witness is None:
                     base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
 
-        edge_stabs, edge_conj_ok = [], []
+        edge_stabs, edge_witnesses = [], []
         h_ball = [g for g, _, _ in certified if self.window.sub.member(g)]
         certified_words = {g.word for g, _, _ in certified}
         for i, j, label in self.edges:
@@ -167,9 +167,12 @@ class StringTree:
             rep = GroupElement(self.window.model, label)
             stab_words = set(edge_stabs[-1])
             conjugates = (compose(compose(invert(rep), h), rep) for h in h_ball)
-            edge_conj_ok.append(all(display_word(c.word) in stab_words
-                                    for c in conjugates if c.word in certified_words))
-        return StabilizerReport(vertex_stabs, base_witness, edge_stabs, edge_conj_ok,
+            missing = [c for c in conjugates
+                       if c.word in certified_words and display_word(c.word) not in stab_words]
+            edge_witnesses.append(
+                f"stabilizer of edge ({i}, {j}) labelled {display_word(label)} misses the "
+                f"conjugate subgroup element {display_word(missing[0].word)}" if missing else None)
+        return StabilizerReport(vertex_stabs, base_witness, edge_stabs, edge_witnesses,
                                 self.class_union())
 
     def class_union(self):
@@ -268,7 +271,7 @@ def compare(name, base_spec=None, elements=None, seen=None):
     stab = stabilizer_analysis(tree, elements, expected_k=expected_k, expected_k_exact=exact)
     assert stab == ref_tree.stabilizer_analysis(elements, expected_k, exact)
     seen.add(f"identity class {stab.class_union is not None}")
-    seen.add(f"conjugates ok {all(stab.edge_conjugates_ok)}")
+    seen.add(f"conjugates ok {not any(stab.edge_witnesses)}")
     for kind, stabs in (("vertex", stab.vertex_stabilizers), ("edge", stab.edge_stabilizers)):
         if any(set(words) - {"1"} for words in stabs):
             seen.add(f"{kind} stabilizer beyond 1")
