@@ -22,13 +22,20 @@ the element cap on the radius + 2 ball can refuse.  The properness
 heuristic and the re-check each return their witness, the failing detail
 or the first pair whose difference changed, and None when they hold.
 Vertex subsets are int bitsets over the core universe (shell removed), so
-that downstream set arithmetic is exact wherever a certificate holds.  A translate by g is one pair of bitsets from
-one walk of g^-1: the certified symmetric difference of the base set and
-its g-translate, and the keys the window cannot decide; the family, the
-hypothesis checks and the tree's action all read that pair.  Which keys a
-walk decides is a bitset too, found in bulk for every kind.  For free
-groups and free products of cyclics, k*g^-1 drops letters only where k ends
-in whole syllables of g (single letters, for free groups), each dropping
+that downstream set arithmetic is exact wherever a certificate holds.
+
+A translate by g is one pair of bitsets from one walk of g^-1: the
+certified symmetric difference of the base set and its g-translate, and
+the keys the window cannot decide; the family, the hypothesis checks and
+the tree's action all read that pair.  The walk starts from the keys at
+most S + |g| long, where S = max(D, d - 1) is the settled depth recorded
+when a free-group base set is decided over the window, and from every key
+otherwise: a longer key and its pull-back share a prefix more than S
+long, which hangs off the core and is at least d long, so they are decided
+alike and the key moves nothing.  Which keys a walk decides is a bitset
+over the whole window, found in bulk for every kind.  For free groups and
+free products of cyclics, k*g^-1 drops letters only where k ends in whole
+syllables of g (single letters, for free groups), each dropping
 the order of its factor (2, for free groups), whether k's syllable there
 cancels or merges; so whether k*g^-1 stays within the radius depends on k's
 last few letters, and the known mask is an AND of cached per-window masks
@@ -287,6 +294,10 @@ class Window:
         self.core_mask = (1 << cut) - 1
         self.shell_mask = ((1 << size) - 1) ^ self.core_mask
         self._translates: dict[tuple[str, int], tuple[int, int]] = {}
+        # per base set: its settled depth, for a base set decided over this
+        # window (_decide), and its flag row (_row)
+        self._settled: dict[int, int] = {}
+        self._rows: dict[int, bytes] = {}
         self._letters: list[bytes] = []
         self._endings: dict[tuple[int, str], int] = {}
 
@@ -297,6 +308,21 @@ class Window:
     @cached_property
     def core(self) -> list[str]:
         return self.graph.key_strings(0, self._cut)
+
+    @cached_property
+    def _core_depth(self) -> Optional[int]:
+        """D, the longest key of a live core coset of a free group: the base
+        state, or a state of the folded automaton with transitions
+        (``states`` also counts the states that folding merged away).  None
+        when the group is not free or a live core coset has no key in the
+        window."""
+        if self.model.kind != FREE:
+            return None
+        graph, size = self.graph, self.size
+        # ids run in ShortLex order, so the last live core coset has the longest key
+        last = max(graph.index.get(s, size) for s, out in enumerate(self.sub.engine.next)
+                   if out or s == 0)
+        return None if last >= size else bisect_right(graph.level_end, last)
 
     def extended(self, extra: int) -> "Window":
         """This window at radius + extra, by growing its graph.
@@ -460,11 +486,18 @@ class Window:
         key length, for free abelian groups a sum over the exponent
         columns.  One bulk walk of g^-1, started from a slice of
         the first step's array and gathered through ``itemgetter``, reads
-        the base set's flag at every key's end; a known walk ends inside the
-        window, so one that reads 2 (the flag of id -1) met a link not
-        looked up yet, or a free abelian letter that lengthens k before one
-        that cancels into it, and ``_walk_from`` walks it again.  Cached per
-        word and base set.
+        the base set's flag at the end of each walked key; a known walk
+        ends inside the window, so one that reads 2 (the flag of id -1) met
+        a link not looked up yet, or a free abelian letter that lengthens k
+        before one that cancels into it, and ``_walk_from`` walks it again.
+
+        The walked keys are those at most S + |g| long, for a free-group
+        base set decided over this window with settled depth S (see
+        ``_decide``), and every key otherwise.  The rest move nothing: a
+        known key k longer than S + |g| and the key of k*g^-1 share k's
+        first |k| - |g| letters, a prefix past the core and at least d
+        long, and every key past d is decided as its parent.  ``unknown``
+        covers the whole window.  Cached per word and base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
@@ -475,19 +508,33 @@ class Window:
             else:
                 word = invert(g).word
                 known = self._known(word)
-                # keys past the window (a graph grown since) are unknown here
-                row = _flags(base_set)[:size].ljust(len(self.graph.fps), b"\0") + b"\2"
+                settled = self._settled.get(base_set)
+                cut = size if settled is None else self.graph.level_end[
+                    min(settled + len(word), self.radius)]
+                row = self._row(base_set)
                 first, *rest = self._steps(word)
-                ends = self.graph.arrays[first][:size]
+                ends = self.graph.arrays[first][:cut]
                 for step in rest:
                     ends = _gather(self.graph.arrays[step], ends)
                 read = bytearray(_gather(row, ends))
                 for i in bit_positions(_mask(read, _LOST) & known):
                     read[i] = row[self._walk_from(i, word)]
                 assert not _mask(read, _LOST) & known, "a known walk left the window"
-                hit = ((base_set ^ _mask(read)) & known, ((1 << size) - 1) ^ known)
+                moved = ((base_set & ((1 << cut) - 1)) ^ _mask(read)) & known
+                hit = (moved, ((1 << size) - 1) ^ known)
             self._translates[cache_key] = hit
         return hit
+
+    def _row(self, base_set: int) -> bytes:
+        """The base set's flag per id of the graph, then the 2 that id -1
+        reads; keys past the window (a graph grown since) read 0.  Built
+        once per base set, and padded again when the graph has grown."""
+        width = len(self.graph.fps)
+        row = self._rows.get(base_set)
+        if row is None or len(row) <= width:
+            flags = _flags(base_set)[:self.size] if row is None else row[:-1]
+            row = self._rows[base_set] = flags.ljust(width, b"\0") + b"\2"
+        return row
 
 
 def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int) -> Window:
@@ -550,12 +597,20 @@ def build_base_set(window: Window, spec: BaseSetSpec) -> int:
     longer key inherits its parent's decision through the graph's parent
     ids, one level at a time.
     """
-    return _mask(_decide(window, spec, bytearray()))
+    return _decide(window, spec, bytearray())
 
 
-def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> bytearray:
-    """flags, the decisions of the window's keys of length below some l,
-    extended by the decisions of all its keys of length l and more."""
+def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> int:
+    """The base set whose decisions on the window's keys of length below
+    some l are flags, the rest decided by spec, as a bitset.
+
+    For a free group whose live core cosets all have keys in the window,
+    the window records the base set's settled depth S = max(D, d - 1): D
+    the longest key of a live core coset (``Window._core_depth``) and d the
+    decided depth (``_decided_depth``).  A key longer than S hangs off the
+    core and is decided as its prefix of length S + 1; ``Window.translate``
+    and ``_core_bound`` read S.
+    """
     graph, depth = window.graph, spec.depth
     for length in range(window.radius + 1):
         lo, hi = window.level(length)
@@ -565,7 +620,11 @@ def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> bytearray:
             flags += bytes(map(spec.decide, graph.key_strings(lo, hi)))
         else:
             flags += bytes(map(flags.__getitem__, graph.parent[lo:hi]))
-    return flags
+    base_set = _mask(flags)
+    core_depth = window._core_depth
+    if core_depth is not None:
+        window._settled[base_set] = max(core_depth, _decided_depth(window, spec, base_set) - 1)
+    return base_set
 
 
 # --------------------------------------------------------------------------
@@ -791,10 +850,13 @@ def _decided_depth(window: Window, base_spec: BaseSetSpec, base_set: int) -> int
     """The longest key length, at most the spec's depth, at which the base
     set decides a key unlike its parent, or 0: exact, as every key at most
     depth <= radius long is in the window; depth when it is past the radius."""
-    if base_spec.depth > window.radius:
-        return base_spec.depth
-    flags, parent = _flags(base_set).ljust(window.size, b"\0"), window.graph.parent
-    for length in range(base_spec.depth, 0, -1):
+    depth = base_spec.depth
+    if depth > window.radius:
+        return depth
+    # the keys at most depth long, a prefix of the ids
+    top = window.graph.level_end[depth]
+    flags, parent = _flags(base_set & ((1 << top) - 1)).ljust(top, b"\0"), window.graph.parent
+    for length in range(depth, 0, -1):
         lo, hi = window.level(length)
         if flags[lo:hi] != bytes(map(flags.__getitem__, parent[lo:hi])):
             return length
@@ -803,35 +865,28 @@ def _decided_depth(window: Window, base_spec: BaseSetSpec, base_set: int) -> int
 
 def _core_bound(window: Window, base_spec: BaseSetSpec, base_set: int,
                 translations: Sequence[GroupElement]) -> Optional[int]:
-    """B = max(D, d - 1) + L, a key length that bounds every pairwise
-    difference of the family at every radius; None when the bound does not
-    apply to this window.
+    """B = S + L, a key length that bounds every pairwise difference of the
+    family at every radius; None when the bound does not apply to this
+    window.
 
-    For a free group, D is the longest key of a live core coset: the base
-    state, or a state of the folded automaton with transitions (``states``
-    also counts the states that folding merged away).  d is the length past
-    which every key is decided as its parent (``_decided_depth``), and L
-    the longest translation word.  A walk of length at most L from a key
-    longer than B stays in its hanging tree, so the key of k*g is the free
-    reduction of k*g and shares k's first |k| - L >= d letters, and keys
-    past length d are decided as their prefix of length d: k and k*g are
-    decided alike.  Every A + A*g, and so every pairwise
-    difference, lies in the keys at most B long.  None when the group is
-    not free, when a live core coset has no key in the window, or unless
+    S = max(D, d - 1) is the settled depth that ``_decide`` recorded for the
+    base set, and L the longest translation word.  A walk of length at most
+    L from a key longer than B stays in its hanging tree, so the key of k*g
+    is the free reduction of k*g and shares k's first |k| - L >= d letters,
+    and keys past length d are decided as their prefix of length d: k and
+    k*g are decided alike.  Every A + A*g, and so every pairwise
+    difference, lies in the keys at most B long.  None when the window
+    recorded no settled depth for the base set (the group is not free, a
+    live core coset has no key in the window, or the base set was not
+    decided over it), when a rule is past the radius, or unless
     radius - margin >= B (the bound's keys are in the core) and
     radius >= B + L (every walk from them is decided).
     """
-    if window.model.kind != FREE:
+    settled = window._settled.get(base_set)
+    if settled is None or base_spec.depth > window.radius:
         return None
-    graph, size = window.graph, window.size
-    # ids run in ShortLex order, so the last live core coset has the longest key
-    last = max(graph.index.get(s, size) for s, out in enumerate(window.sub.engine.next)
-               if out or s == 0)
-    if last >= size:
-        return None
-    longest_key = bisect_right(graph.level_end, last)
     longest_word = max(len(g.word) for g in translations)
-    bound = max(longest_key, _decided_depth(window, base_spec, base_set) - 1) + longest_word
+    bound = settled + longest_word
     if window.radius - window.margin < bound or window.radius < bound + longest_word:
         return None
     return bound
@@ -871,7 +926,7 @@ def _regrowth_report(window: Window, base_spec: BaseSetSpec,
     # the window's keys keep their ids and their decisions in the larger one
     size = window.size
     small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
-    large = build_family(big, _mask(_decide(big, base_spec, small)), translations)
+    large = build_family(big, _decide(big, base_spec, small), translations)
     # both keep the first translate of each distinct translate set, in translation order
     words = [v.element.word for v in family.vertices]
     big_words = [v.element.word for v in large.vertices]

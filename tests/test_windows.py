@@ -28,8 +28,10 @@ from tracktree import (
     radius_stability_report,
     report_document,
     run_instance,
+    stabilizer_analysis,
     subgroup,
 )
+from tracktree import windows
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
 from tracktree.groups import _FreeEngine, _word_to_syllables
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
@@ -289,7 +291,10 @@ def reference_translate(table, base, g):
     return moved, unknown
 
 
-def assert_window_matches_reference(window, rng, samples=6):
+def assert_window_matches_reference(window, rng, samples=6, spec=None):
+    """The window's keys and the translates of a base set by sampled
+    elements of ball(radius + 1) against the ball reference: a random mask,
+    or the base set spec decides over the window."""
     model, sub, radius = window.model, window.sub, window.radius
     ball = model.ball(radius, max_radius=radius)
     table = CosetTable(sub, ball)
@@ -300,17 +305,27 @@ def assert_window_matches_reference(window, rng, samples=6):
     for e in ball:
         assert window.omega[window.locate(e)] == table.key_of[e.word]
 
-    base_keys = frozenset(k for k in window.omega if rng.random() < 0.5)
-    base = sum(1 << i for i, k in enumerate(window.omega) if k in base_keys)
+    if spec is None:
+        base_keys = frozenset(k for k in window.omega if rng.random() < 0.5)
+        base = sum(1 << i for i, k in enumerate(window.omega) if k in base_keys)
+    else:
+        base_keys = frozenset(k for k in table.keys if spec.decide(k))
+        base = build_base_set(window, spec)
+        assert set(window.keys_of(base)) == base_keys
     # k * 1 = k, so the identity translate is fully decided and moves nothing
     assert window.translate(base, model.identity()) == (0, 0)
     outer = model.ball(radius + 1, max_radius=radius + 1)
-    for g in rng.sample(outer, min(samples, len(outer))):
+    assert_translates_match_reference(window, table, base_keys, base,
+                                      rng.sample(outer, min(samples, len(outer))))
+    return base
+
+
+def assert_translates_match_reference(window, table, base_keys, base, elements):
+    for g in elements:
         moved, unknown = window.translate(base, g)
         ref_moved, ref_unknown = reference_translate(table, base_keys, g)
         assert set(window.keys_of(moved)) == ref_moved, g
         assert set(window.keys_of(unknown)) == ref_unknown, g
-    return base
 
 
 @st.composite
@@ -353,12 +368,17 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
     if name == "C":
         model = free_product_of_cyclics([2, 2, 2])
         window = build_window(model, subgroup(model, ["st"]), 5, 2)
+        base_spec = BaseSetSpec(rules=(("s", True),))
     else:
         spec = corpus()[name]
         model = make_model(spec)
         window = build_window(model, make_subgroup(model, spec.subgroup_generators),
                               spec.radius, spec.margin)
+        base_spec = make_base_spec(model, spec)
     rng = random.Random(name)
+    # the instance's own base set, whose translates the settled depth bounds
+    # for free groups, and a random mask, whose translates walk every key
+    assert_window_matches_reference(window, rng, samples=12, spec=base_spec)
     base = assert_window_matches_reference(window, rng)
 
     # radius + 2 grows the same graph: it matches a fresh window, and the
@@ -458,6 +478,60 @@ def test_known_cases_reach_cancellation_and_merge():
     for meeting in ("cancel", "merge"):
         find(known_cases(), lambda case, meeting=meeting: meeting in syllable_meetings(*case),
              settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+
+
+@st.composite
+def decided_cases(draw):
+    """A free-group window over a non-trivial subgroup, a spec of 1-3 prefix
+    rules 1-3 letters long and explicit keys at most 2 long over its keys,
+    and up to six elements of ball(radius + 1) to translate by."""
+    window = draw(free_windows())
+    keys = window.omega
+    prefixes = [k for k in keys if 0 < len(k) <= 3] or keys
+    rules = draw(st.lists(st.tuples(st.sampled_from(prefixes), st.booleans()),
+                          min_size=1, max_size=3, unique_by=lambda r: r[0]))
+    short = st.sampled_from([k for k in keys if len(k) <= 2])
+    includes = draw(st.frozensets(short, max_size=2))
+    excludes = draw(st.frozensets(short, max_size=2)) - includes
+    spec = BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
+                       default_in=draw(st.booleans()))
+    outer = window.model.ball(window.radius + 1)
+    return window, spec, draw(st.lists(st.sampled_from(outer), min_size=1, max_size=6))
+
+
+def cut_applies(window, base, g):
+    """Whether the translate of base by g walks fewer keys than the window
+    holds: base has a settled depth S and S + |g| < radius."""
+    settled = window._settled.get(base)
+    return settled is not None and settled + len(g.word) < window.radius
+
+
+@settings(max_examples=100, deadline=None)
+@given(decided_cases())
+# under <a>, b out and bb in give D = 0 and d = 2: S = 1, and bb moves under B
+@example((build_window(F2, subgroup(F2, ["a"]), 4, 2),
+          BaseSetSpec(rules=(("b", False), ("bb", True))),
+          [F2.normalize(w) for w in ["B", "b", "bA", "BB"]]))
+# under <aaaa, ba>, D = 2 > d - 1 = 0: aaB is a core key and moves under AB
+@example((build_window(F2, subgroup(F2, ["aaaa", "ba"]), 4, 2),
+          BaseSetSpec(rules=(("a", False),), default_in=True), [F2.normalize("AB")]))
+def test_bounded_translates_match_the_reference(case):
+    window, spec, elements = case
+    table = CosetTable(window.sub, window.model.ball(window.radius, max_radius=window.radius))
+    base_keys = frozenset(k for k in table.keys if spec.decide(k))
+    base = build_base_set(window, spec)
+    assert set(window.keys_of(base)) == base_keys
+    assert_translates_match_reference(window, table, base_keys, base, elements)
+
+
+def test_decided_cases_reach_the_cut():
+    def reached(case):
+        window, spec, elements = case
+        base = build_base_set(window, spec)
+        return any(cut_applies(window, base, g) for g in elements)
+
+    find(decided_cases(), reached,
+         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -812,6 +886,64 @@ def test_core_bound_reads_the_depth_off_the_decisions():
     # a spec that decides nothing unlike a parent has depth 0
     spec = BaseSetSpec(rules=(("a", True), ("b", True)), default_in=True)
     assert _decided_depth(window, spec, build_base_set(window, spec)) == 0
+
+
+def recorded_walks(monkeypatch):
+    """Per translate from now on, its element and the number of ids each of
+    its gathers reads."""
+    walks = []
+    translate, gather = Window.translate, windows._gather
+
+    def translating(self, base_set, g):
+        walks.append((g, []))
+        return translate(self, base_set, g)
+
+    def gathering(seq, ids):
+        walks[-1][1].append(len(ids))
+        return gather(seq, ids)
+
+    monkeypatch.setattr(Window, "translate", translating)
+    monkeypatch.setattr(windows, "_gather", gathering)
+    return walks
+
+
+def test_settled_translates_gather_only_the_short_keys(monkeypatch):
+    # E3 at radius 10 has S = max(D, d - 1) = 0: the action's translate by g
+    # gathers the keys at most |g| long, not the window's 59 049
+    result = run_instance(corpus()["E3"], radius=10)
+    window, base = result.family.window, result.family.base_set
+    assert window._settled[base] == 0 and window.size == 59049
+    window._translates.clear()
+    walks = recorded_walks(monkeypatch)
+    stabilizer_analysis(result.tree, window.model.ball(2))
+    ends = window.graph.level_end
+    assert any(counts for _, counts in walks)
+    assert all(n <= ends[len(g.word)] for g, counts in walks for n in counts)
+
+
+@pytest.mark.parametrize("name", ["E2", "C", "random mask"])
+def test_unsettled_translates_gather_every_key(name, monkeypatch):
+    # a free-abelian or free-product window, or a mask the window did not
+    # decide, has no settled depth: every walk starts from every key
+    if name == "C":
+        model, sub, margin, _ = free_product_case()
+        window = build_window(model, sub, 5, margin)
+        base = build_base_set(window, BaseSetSpec(rules=(("s", True),)))
+    else:
+        spec = corpus()["E2" if name == "E2" else "E3"]
+        model = make_model(spec)
+        window = build_window(model, make_subgroup(model, spec.subgroup_generators),
+                              spec.radius, spec.margin)
+        base = build_base_set(window, make_base_spec(model, spec))
+        if name == "random mask":
+            base = random.Random(name).getrandbits(window.size)
+    walks = recorded_walks(monkeypatch)
+    ball = model.ball(2)
+    for g in ball:
+        window.translate(base, g)
+    assert len(walks) == len(ball)
+    assert all(n == window.size for g, counts in walks if not g.is_identity() for n in counts)
+    assert all(counts for g, counts in walks if not g.is_identity())
 
 
 # --------------------------------------------------------------------------
