@@ -14,9 +14,13 @@ is the inverse.  Word arithmetic goes through one normal form per kind:
                               repeated lowercase letters.
 
 The identity is the empty word everywhere and is displayed as ``"1"``.
-``compose`` is the normal form of the concatenated words, ``invert`` that
-of the reversed word with its case swapped, and ``GroupModel.ball`` grows
-the canonical words breadth first, since they are closed under prefixes.
+``compose`` is the normal form of the concatenated words, and ``invert``
+that of the reversed word with its case swapped.  Canonical words are
+closed under prefixes, and ``GroupModel.successors`` gives the letters
+that extend one to another, in ShortLex order, from its last letter (and
+for free products its last run) alone; ``GroupModel.ball`` grows the
+canonical words breadth first by that rule, with no normal form and no
+sort, and the class union of ``trees`` walks the same rule.
 Subgroup engines: one folding automaton for free groups and free products
 (Stallings folding, then for free products the closure of every orbit of a
 finite-order letter), read past its core as a hanging tail, and integer
@@ -65,6 +69,7 @@ class GroupModel:
     orders: tuple[int, ...] = ()
     # ShortLex rank of every declared letter and inverse letter: a < A < b < B < ...
     _rank: dict[str, int] = field(init=False, repr=False, compare=False)
+    _after: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (FREE, FREE_ABELIAN, FREE_PRODUCT_CYCLIC):
@@ -90,6 +95,18 @@ class GroupModel:
         for i, g in enumerate(self.letters):
             rank[g], rank[g.upper()] = 2 * i, 2 * i + 1
         object.__setattr__(self, "_rank", rank)
+        # the successors of a canonical word by its last letter, "" for the
+        # identity; for free products, of a word whose last run is full
+        alphabet = "".join(rank)
+        if self.kind == FREE:
+            after = {ch: alphabet.replace(ch.swapcase(), "") for ch in alphabet}
+        elif self.kind == FREE_ABELIAN:
+            after = {ch: ch + alphabet[(rank[ch] | 1) + 1:] for ch in alphabet}
+        else:
+            alphabet = "".join(self.letters)
+            after = {x: alphabet.replace(x, "") for x in alphabet}
+        after[""] = alphabet
+        object.__setattr__(self, "_after", after)
 
     # -- alphabet helpers --
 
@@ -128,17 +145,31 @@ class GroupModel:
 
     # -- balls --
 
+    def successors(self, word: str) -> str:
+        """The letters ch, in ShortLex order, for which word + ch is canonical,
+        word being canonical.
+
+        Free: every letter but the inverse of the last one.  Free abelian:
+        the last letter, or any letter of a later generator.  Free products
+        of cyclics: any generator letter, the last one only while its run is
+        shorter than its order - 1.
+        """
+        last = word[-1:]
+        if last and self.kind == FREE_PRODUCT_CYCLIC:
+            if not word.endswith(last * (self.orders[self._rank[last] >> 1] - 1)):
+                return self._after[""]
+        return self._after[last]
+
     def ball(self, radius: int, max_radius: int = DEFAULT_MAX_RADIUS) -> list["GroupElement"]:
         """All canonical elements of word length <= radius, in ShortLex order."""
         self.require_ball(radius, max_radius)
         # canonical words are closed under prefixes, so each one of length
-        # l + 1 is the normal form of one of length l followed by a letter
-        alphabet = [ch for g in self.letters for ch in (g, g.upper())]
+        # l + 1 is one of length l followed by a successor; grown from a level
+        # in ShortLex order, the next level is in ShortLex order too
         level = [""]
         words = [""]
-        for length in range(1, radius + 1):
-            grown = {_normal_form(self, w + ch) for w in level for ch in alphabet}
-            level = sorted((w for w in grown if len(w) == length), key=self.sort_key)
+        for _ in range(radius):
+            level = [w + ch for w in level for ch in self.successors(w)]
             words += level
         return [GroupElement(self, w) for w in words]
 

@@ -21,12 +21,14 @@ window's translate by g, and F*g walks each label's id by g, where
 this map is computed, and it returns the vertex map itself; the window
 stabilizers are read off it.  The base stabilizer check against the
 expected K and the class-union check each give their witness, None when
-they hold.
+they hold.  The class union walks ``GroupModel.successors`` from H one
+level at a time toward the identity's class, not the whole ball.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -308,9 +310,12 @@ def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
     """Per label position p, the id of H*k*g for p's key k, walked from p by g;
     -1 where k*g is longer than the radius, so every walk stays in the window."""
     window = _window_of(tree)
-    known = window._known(g.word)
-    return {p: window._walk_from(p, g.word) if known >> p & 1 else -1
-            for p in bit_positions(tree.system.label_bits)}
+    labels = bit_positions(tree.system.label_bits)
+    # |k*g| <= |k| + |g| for every kind: when the longest label key plus |g|
+    # is within the radius, every walk is known
+    longest = bisect_right(window.graph.level_end, labels[-1]) if labels else 0
+    known = -1 if longest + len(g.word) <= window.radius else window._known(g.word)
+    return {p: window._walk_from(p, g.word) if known >> p & 1 else -1 for p in labels}
 
 
 def _image_flips(flips: int, images: dict[int, int], d_g: int) -> Optional[int]:
@@ -421,21 +426,47 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
 
 
 def _class_union_report(tree: DualTree) -> Optional[ClassUnionReport]:
+    """The identity coset's class, and why the union of its cosets, as far as
+    ball(radius // 2) sees it, is not closed under inverses and products."""
     window = _window_of(tree)
     # the identity coset H is key id 0, bit 0 of the universe
     identity_class = [bits for bits in tree.system.class_bits if bits & 1]
     if not identity_class:
         return None
     cls = set(bit_positions(identity_class[0]))
-    pool = window.model.ball(window.radius // 2)
-    coset = {e.word: window.locate(e) for e in pool}
-    union = [e for e in pool if coset[e.word] in cls]
-    for e1 in union:
-        inv = window.locate(invert(e1))
-        if inv >= 0 and inv not in cls:
-            return ClassUnionReport(len(cls), f"inverse of {e1!r} escapes the class union")
-        for e2 in union:
+    graph, model = window.graph, window.model
+    # past the Stallings core of a free group a reduced word's walk only moves
+    # down its hanging tree, so a word that reaches a coset there is extended
+    # only when the coset is in the class or an ancestor of one
+    toward: set[int] = set()
+    for c in cls:
+        while c >= 0 and c not in toward:
+            toward.add(c)
+            c = graph.parent[c]
+    tail_fp, fps = graph._tail_fp, graph.fps
+    # the elements of ball(radius // 2) whose cosets are in the class, as
+    # (word, coset id) in ShortLex order, each child one step from its parent
+    union: list[tuple[str, int]] = []
+    level = [("", 0)]
+    for length in range(window.radius // 2 + 1):
+        union += [(w, c) for w, c in level if c in cls]
+        if length < window.radius // 2:
+            level = [(w + ch, graph.step(c, ch)) for w, c in level
+                     if tail_fp is None or fps[c] < tail_fp or c in toward
+                     for ch in model.successors(w)]
+    checked: set[int] = set()  # cosets He1 whose products with the union stay in the class
+    for w1, c1 in union:
+        # e1 is at most radius // 2 long, and so its inverse is located
+        if window.locate(invert(GroupElement(model, w1))) not in cls:
+            return ClassUnionReport(
+                len(cls), f"inverse of {display_word(w1)} escapes the class union")
+        if c1 in checked:
+            continue  # He1*e2 depends on He1 only
+        for w2, _ in union:
             # He1's key and e2 are at most radius // 2 long: a walk in the window
-            if window._walk_from(coset[e1.word], e2.word) not in cls:
-                return ClassUnionReport(len(cls), f"product {e1!r} * {e2!r} escapes the class union")
+            if window._walk_from(c1, w2) not in cls:
+                return ClassUnionReport(
+                    len(cls), f"product {display_word(w1)} * {display_word(w2)} "
+                              "escapes the class union")
+        checked.add(c1)
     return ClassUnionReport(len(cls), None)

@@ -595,7 +595,7 @@ def build_base_set(window: Window, spec: BaseSetSpec) -> int:
 
     ``spec.decide`` runs on the keys at most ``spec.depth`` long; every
     longer key inherits its parent's decision through the graph's parent
-    ids, one level at a time.
+    ids, one level and one run of equal decisions at a time (``_decide``).
     """
     return _decide(window, spec, bytearray())
 
@@ -603,6 +603,11 @@ def build_base_set(window: Window, spec: BaseSetSpec) -> int:
 def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> int:
     """The base set whose decisions on the window's keys of length below
     some l are flags, the rest decided by spec, as a bitset.
+
+    Past the spec's depth a level copies its parents' decisions a run at a
+    time: the ids of a level are ordered by their parent ids, so a run of
+    equal flags over the parents p..q-1 owns the children from the first
+    whose parent is p to the first whose parent is q, found by bisection.
 
     For a free group whose live core cosets all have keys in the window,
     the window records the base set's settled depth S = max(D, d - 1): D
@@ -612,14 +617,22 @@ def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> int:
     and ``_core_bound`` read S.
     """
     graph, depth = window.graph, spec.depth
+    parent = graph.parent
     for length in range(window.radius + 1):
         lo, hi = window.level(length)
         if lo < len(flags):
             continue
         if length <= depth:
             flags += bytes(map(spec.decide, graph.key_strings(lo, hi)))
-        else:
-            flags += bytes(map(flags.__getitem__, graph.parent[lo:hi]))
+            continue
+        p, end = window.level(length - 1)
+        while p < end:
+            flag = flags[p]
+            q = flags.find(1 - flag, p, end)
+            q = end if q < 0 else q
+            child = bisect_left(parent, q, lo, hi)
+            flags += bytes((flag,)) * (child - lo)
+            p, lo = q, child
     base_set = _mask(flags)
     core_depth = window._core_depth
     if core_depth is not None:

@@ -212,6 +212,19 @@ def test_ball_is_every_short_normal_form(model):
         assert invert(invert(e)) == e
 
 
+@pytest.mark.parametrize("model", BALL_MODELS)
+def test_successors_are_the_canonical_extensions(model):
+    # the class union walks the successor rule without going through ball,
+    # so the rule is checked against the normal form on its own
+    letters = [ch for g in model.letters for ch in (g, g.upper())]
+    for e in model.ball(4):
+        successors = model.successors(e.word)
+        for ch in letters:
+            canonical = model.normalize(e.word + ch).word == e.word + ch
+            assert (ch in successors) == canonical, (e, ch)
+        assert list(successors) == sorted(successors, key=model.letter_rank), e
+
+
 def test_ball_cap_applies_to_closed_form_size(monkeypatch):
     with pytest.raises(RadiusTooLarge):
         F2.require_ball(12)  # 1 062 881 elements, refused without enumerating them

@@ -11,6 +11,7 @@ coset of ``compose(k, g)``, not through the walk that ``translate`` makes.
 """
 
 import itertools
+from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -31,10 +32,11 @@ from tracktree import (
     free_product_of_cyclics,
     hypothesis_report,
     invert,
+    run_instance,
     stabilizer_analysis,
     subgroup,
 )
-from tracktree import trees
+from tracktree import trees, windows
 from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain
 from tracktree.groups import GroupElement
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
@@ -391,3 +393,38 @@ def test_action_and_class_union_compose_no_elements(name, monkeypatch):
     assert calls == []
     assert (acted, union) == want
     assert any(kind == "ok" for kind, _ in acted)
+
+
+# --------------------------------------------------------------------------
+# the class union walks only toward its class
+
+
+@pytest.mark.parametrize("rule, keys, witness", [
+    ("t", ["", "t"], "inverse of t escapes the class union"),
+    # ttt hangs below t and tt, which are not in the class: the walk reaches
+    # it only because the ancestors of a class coset are extended
+    ("tt", ["", "ttt"], "inverse of ttt escapes the class union"),
+])
+def test_class_union_walks_past_the_core_toward_its_class(rule, keys, witness):
+    # E1 with translations 1, tt and the one rule "rule in": H is trivial in
+    # Z, so every coset but H lies past the Stallings core
+    spec = replace(corpus()["E1"], translations=("1", "tt"), base_rules=((rule, True),))
+    tree = run_instance(spec).tree
+    family = tree.system.family
+    assert [family.keys_of(bits) for bits in tree.system.class_bits if bits & 1] == [keys]
+    union = trees._class_union_report(tree)
+    assert union == ClassUnionReport(2, witness)
+    assert union == StringTree(tree).class_union()
+
+
+def test_class_union_steps_only_toward_its_class(monkeypatch):
+    # E3 at radius 10: H = <a> and a one-key class, so past the core the walk
+    # stops at once; ball(5) would locate 485 elements
+    tree = run_instance(corpus()["E3"], radius=10).tree
+    want = StringTree(tree).class_union()
+    calls = []
+    step = windows._CosetGraph.step
+    monkeypatch.setattr(windows._CosetGraph, "step",
+                        lambda graph, *args: calls.append(args) or step(graph, *args))
+    assert trees._class_union_report(tree) == want == ClassUnionReport(1, None)
+    assert 0 < len(calls) <= 100

@@ -569,6 +569,51 @@ def test_inherited_decisions_match_the_per_key_definition(window, data):
     assert build_base_set(big, spec) == ref_base_set(big, spec)
 
 
+def per_key_decide(window, spec, flags):
+    """The flags of the window's keys, by spec.decide on the keys at most the
+    spec's depth long and then one key at a time as flags[parent[i]]; flags
+    holds the decisions of the shorter keys already made."""
+    parent = window.graph.parent
+    for length in range(window.radius + 1):
+        lo, hi = window.level(length)
+        if lo < len(flags):
+            continue
+        if length <= spec.depth:
+            flags += bytes(map(spec.decide, window.graph.key_strings(lo, hi)))
+        else:
+            flags += bytes(flags[parent[i]] for i in range(lo, hi))
+    return flags
+
+
+@st.composite
+def shallow_and_deep_specs(draw, keys):
+    """Rules that are 1-2 letters long or any key of the list, and explicit
+    keys of both kinds, so that the spec's depth falls anywhere from 0 to
+    past the keys' length."""
+    short = [k for k in keys if 0 < len(k) <= 2] or keys
+    key = st.one_of(st.sampled_from(short), st.sampled_from(keys))
+    rules = draw(st.lists(st.tuples(key, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
+    includes = draw(st.frozensets(key, max_size=3))
+    excludes = draw(st.frozensets(key, max_size=3)) - includes
+    return BaseSetSpec(rules=tuple(rules), includes=includes, excludes=excludes,
+                       default_in=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(free_windows(), group_windows()), st.data())
+def test_run_decisions_match_the_per_key_reference(window, data):
+    big = window.extended(2)
+    spec = data.draw(shallow_and_deep_specs(big.omega))
+    flags = bytearray()
+    base = windows._decide(window, spec, flags)
+    assert flags == per_key_decide(window, spec, bytearray())
+    assert window.keys_of(base) == [k for k, f in zip(window.omega, flags) if f]
+    # the regrowth path: the radius + 2 window seeded with the window's flags
+    seeded = bytearray(flags)
+    windows._decide(big, spec, seeded)
+    assert seeded == per_key_decide(big, spec, bytearray(flags))
+
+
 def test_translate_walks_again_where_a_known_walk_meets_no_link(monkeypatch):
     # free abelian walks take the word's letters in order: from YYY, the word
     # Xy first steps out to XYYY, past the radius, though YYY * Xy = XYY is known
