@@ -11,6 +11,7 @@ from tracktree import (
     build_base_set,
     build_family,
     build_window,
+    display_word,
     free_abelian_group,
     hypothesis_report,
     radius_stability_report,
@@ -36,16 +37,19 @@ for v in family.vertices:
     print(f"  {v.name:6s} rows:", [k or "1" for k in family.keys_of(v.members)])
 print("d(A*Y, A*y) =", family.distance(0, 2), "- the two boundary rows")
 
-report = hypothesis_report(window, base, translations, H)
+properness, _, moving = hypothesis_report(window, base, H)
 print()
 print("hypothesis checks:")
 print("  left invariance: pass (structural: the set is made of cosets)")
-for entry in report.almost_invariance:
-    print(f"  A + A*{entry.word} =", [w or "1" for w in entry.witness],
-          "certified" if entry.certified else "UNCERTIFIED")
-print("  properness heuristic:", "pass" if report.properness is None else "fail",
-      "-", report.properness or "base set and complement meet every populated shell")
-print("  expected stabilizer fixes the base set:", report.expected_k_ok)
+for g in translations:
+    # the certified A + A*g: the keys the translate moves, none of them in the shell
+    moved, unknown = window.translate(base, g)
+    certified = not (unknown & window.core_mask or moved & window.shell_mask)
+    print(f"  A + A*{display_word(g.word)} =", [w or "1" for w in window.keys_of(moved)],
+          "certified" if certified else "UNCERTIFIED")
+print("  properness heuristic:", "pass" if properness is None else "fail",
+      "-", properness or "base set and complement meet every populated shell")
+print("  expected stabilizer fixes the base set:", moving is None)
 
 stability = radius_stability_report(window, spec, translations, family)
 print()

@@ -26,10 +26,11 @@ class SearchBudgetExceeded(TrackTreeError):
 # --- windows and families -------------------------------------------------
 
 class CertificationFailure(TrackTreeError):
-    """A windowed computation touched the boundary shell.
+    """A windowed computation could not be certified.
 
-    Its message names the pair of translations whose symmetric difference
-    could not be certified; enlarging the radius is the standard fix.
+    Its message names a pair of translations, (1, g) for a translate g whose
+    symmetric difference with the base set touches the boundary shell;
+    enlarging the radius is the standard fix.
     """
 
     def __init__(self, g1, g2, detail=""):

@@ -82,21 +82,25 @@ def report_document(report: Report, include_timings: bool = False) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _quoted(text: str) -> str:
+    """text as a quoted DOT ID: its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_document(tree: DualTree, title: str) -> str:
     """Graphviz rendering: vertices labelled by their flip set relative to
     the base vertex, edges by coset key, base vertex doubly circled.  The
-    title is a quoted DOT ID, so its backslashes and quotes are escaped."""
+    title and every label are quoted DOT IDs."""
     family = tree.system.family
-    quoted = title.replace("\\", "\\\\").replace('"', '\\"')
-    lines = [f'graph "{quoted}" {{', "  node [shape=circle];"]
+    lines = [f"graph {_quoted(title)} {{", "  node [shape=circle];"]
     for v in tree.vertices:
         if v.index == tree.base_index:
             lines.append(f'  B{v.index} [label="o", shape=doublecircle];')
         else:
             flips = ",".join(display_word(w) for w in family.keys_of(v.flips))
-            lines.append(f'  B{v.index} [label="{{{flips}}}"];')
+            lines.append(f"  B{v.index} [label={_quoted('{' + flips + '}')}];")
     for i, j, label in sorted(tree.edges):
-        lines.append(f'  B{i} -- B{j} [label="{display_word(family.universe[label])}"];')
+        lines.append(f"  B{i} -- B{j} [label={_quoted(display_word(family.universe[label]))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

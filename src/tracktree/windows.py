@@ -10,15 +10,17 @@ children in bulk, their ids and links read off the parents' ids and last
 letters; a coset in those trees keeps no fingerprint and no index entry,
 since every coset it neighbours is linked to it when found.  A key is stored
 as its parent's id and its last letter; key strings are spelled out only
-where they are read.  Every quantity derived from the window carries a
-certificate: it must stay clear of the boundary shell (keys longer than
-radius - margin).  The pairwise differences are then shown stable: for a
-free group whose live core cosets all lie in the window, by the Stallings
-core bound of ``_core_bound`` (every difference lies in the keys at most
-B = max(D, d - 1) + L long, so when radius - margin >= B and
-radius >= B + L they are the true ones), with nothing compared, and
-otherwise by building the family again at radius + 2, the one step that
-the element cap on the radius + 2 ball can refuse.  The properness
+where they are read.  Each translate carries a certificate: the window
+decides it on every core key, and its difference from the base set stays
+clear of the boundary shell (keys longer than radius - margin); a pairwise
+difference is the sum of two such differences.  The pairwise differences
+are then shown stable: for a free group whose live core cosets all lie in
+the window, by the Stallings core bound of ``_core_bound`` (every
+difference lies in the keys at most B = max(D, d - 1) + L long, so when
+radius - margin >= B and radius >= B + L they are the true ones), with
+nothing compared, and otherwise by building the family again at
+radius + 2, the one step that the element cap on the radius + 2 ball can
+refuse.  The properness
 heuristic and the re-check each return their witness, the failing detail
 or the first pair whose difference changed, and None when they hold.
 Vertex subsets are int bitsets over the core universe (shell removed), so
@@ -26,13 +28,13 @@ that downstream set arithmetic is exact wherever a certificate holds.
 
 A translate by g is one pair of bitsets from one walk of g^-1: the
 certified symmetric difference of the base set and its g-translate, and
-the keys the window cannot decide; the family, the hypothesis checks and
-the tree's action all read that pair.  The walk starts from the keys at
-most S + |g| long, where S = max(D, d - 1) is the settled depth recorded
-when a free-group base set is decided over the window, and from every key
-otherwise: a longer key and its pull-back share a prefix more than S
-long, which hangs off the core and is at least d long, so they are decided
-alike and the key moves nothing.  Which keys a walk decides is a bitset
+the keys the window cannot decide; the family certifies that pair once per
+translate, and the expected-K check and the tree's action read it.  The
+walk starts from the keys at most S + |g| long, where S = max(D, d - 1) is
+the settled depth recorded when a free-group base set is decided over the
+window, and from every key otherwise: a longer key and its pull-back share
+a prefix more than S long, which hangs off the core and is at least d
+long, so they are decided alike and the key moves nothing.  Which keys a walk decides is a bitset
 over the whole window, found in bulk for every kind.  For free groups and
 free products of cyclics, k*g^-1 drops letters only where k ends in whole
 syllables of g (single letters, for free groups), each dropping
@@ -657,8 +659,8 @@ class VertexFamily:
     ``universe`` is the core key list in ShortLex order, and vertex sets are
     int bitsets over it: bit k stands for ``universe[k]``.  The difference of
     two vertices is the XOR of their member sets; for a family built over a
-    window that is their certified difference, since every kept pair was
-    certified clear of the shell and every translate decided on the core.
+    window that is their certified difference, since every translate was
+    decided on the core and its ``moved`` set certified clear of the shell.
     """
 
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
@@ -716,19 +718,24 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
 
 def build_family(window: Window, base_set: int,
                  translations: Sequence[GroupElement]) -> VertexFamily:
-    """Translate the base set by each element, certify all pairwise differences,
-    and merge duplicate translates.
+    """Translate the base set by each element, certify each translate, and
+    merge duplicate translates.
 
-    The universe is the window's core, the ShortLex prefix of its keys, so
-    the window's bitsets over key ids are already bitsets over the universe.
+    Each pairwise difference (A + A*g) + (A + A*h) is the sum of two
+    translates' ``moved`` sets, so each translate is certified once: decided
+    on every core key, and its ``moved`` set clear of the shell.  A certified
+    ``moved`` set lies in the core, so two translates are one vertex exactly
+    when those sets are equal; the first of each in translation order is
+    kept, and the base vertex is the one that moves nothing.  The universe
+    is the window's core, the ShortLex prefix of its keys, so the window's
+    bitsets over key ids are already bitsets over the universe.
     """
     if not any(g.is_identity() for g in translations):
         raise ValueError("translations must contain the identity (the base vertex)")
 
-    moved: dict[str, tuple[int, int]] = {}
-    for g in translations:
-        moved[g.word] = window.translate(base_set, g)
-        if moved[g.word][1] & window.core_mask:
+    translates = [(g, window.translate(base_set, g)) for g in translations]
+    for g, (_, unknown) in translates:
+        if unknown & window.core_mask:
             # a core key radius - margin long can walk g^-1 out to
             # radius - margin + |g| letters: past the radius at every radius
             # while |g| > margin
@@ -738,91 +745,45 @@ def build_family(window: Window, base_set: int,
                 display_word(g.word), display_word(g.word),
                 f"translate undecided inside the core; {fix}")
 
-    # certify every pair first, then deduplicate
-    kept: list[GroupElement] = []
-    base_index = None
-    for g in translations:
-        m, u = moved[g.word]
-        dup = None
-        for g0 in kept:
-            m0, u0 = moved[g0.word]
-            diff = (m ^ m0) & ~(u | u0)
-            if diff & window.shell_mask:
-                raise CertificationFailure(
-                    display_word(g0.word), display_word(g.word),
-                    "symmetric difference touches the boundary shell; enlarge radius")
-            if not diff:
-                dup = g0
-                break
-        if dup is None:
-            kept.append(g)
-        if base_index is None and g.is_identity():
-            # the base vertex is the identity's translate, or the earlier one it duplicates
-            base_index = len(kept) - 1 if dup is None else kept.index(dup)
+    kept: dict[int, GroupElement] = {}
+    for g, (moved, _) in translates:
+        if moved & window.shell_mask:
+            raise CertificationFailure(
+                "1", display_word(g.word),
+                "symmetric difference touches the boundary shell; enlarge radius")
+        kept.setdefault(moved, g)
 
-    vertices = [
-        FamilyVertex(g, (base_set ^ moved[g.word][0]) & window.core_mask,
-                     f"A*{display_word(g.word)}")
-        for g in kept
-    ]
-    return VertexFamily(window.core, vertices, base_index, window=window, base_set=base_set)
+    vertices = [FamilyVertex(g, (base_set ^ moved) & window.core_mask,
+                             f"A*{display_word(g.word)}")
+                for moved, g in kept.items()]
+    return VertexFamily(window.core, vertices, list(kept).index(0),
+                        window=window, base_set=base_set)
 
 
 # --------------------------------------------------------------------------
 # hypothesis checks
 
 
-@dataclass
-class AlmostInvarianceEntry:
-    word: str
-    witness: tuple[str, ...]
-    certified: bool
-
-
-@dataclass
-class ExpectedStabilizerEntry:
-    word: str
-    fixes_base: bool
-    certified: bool
-
-
-@dataclass
-class HypothesisReport:
-    almost_invariance: list[AlmostInvarianceEntry]
-    properness: Optional[str]  # why the heuristic fails, or None
-    expected_k: list[ExpectedStabilizerEntry]
-
-    @property
-    def expected_k_ok(self) -> bool:
-        return all(e.fixes_base for e in self.expected_k)
-
-
-def hypothesis_report(window: Window, base_set: int,
-                      translations: Sequence[GroupElement],
-                      expected_k: Optional[SubgroupModel] = None) -> HypothesisReport:
-    """Check the standing hypotheses on the base set over the window.
+def hypothesis_report(window: Window, base_set: int, expected_k: Optional[SubgroupModel] = None
+                      ) -> tuple[Optional[str], Optional[str], Optional[str]]:
+    """Check the standing hypotheses on the base set over the window that a
+    certified family does not already show.
 
     Left invariance holds structurally (the base set is a set of coset
-    keys).  Almost invariance is witnessed per translation by the finite
-    coset set separating the base set from its translate.  Properness is a
-    shell-meeting heuristic: evidence, never proof.
+    keys), and almost invariance is each translate's certified ``moved``
+    set, which ``build_family`` checked.  Returns the properness witness
+    (a shell-meeting heuristic: evidence, never proof), then the first
+    expected-K generator undecided inside the core and the first one that
+    moves the base set, as display words; each None when there is none.
     """
-    entries = []
-    for g in translations:
-        witness, unknown = window.translate(base_set, g)
-        certified = not (unknown & window.core_mask) and not (
-            witness & window.shell_mask)
-        entries.append(AlmostInvarianceEntry(
-            display_word(g.word), tuple(window.keys_of(witness)), certified))
-
-    k_entries = []
-    if expected_k is not None:
-        for k in expected_k.generators:
-            moved, unknown = window.translate(base_set, k)
-            certified = not (unknown & window.core_mask)
-            k_entries.append(ExpectedStabilizerEntry(display_word(k.word), not moved, certified))
-
-    return HypothesisReport(entries, _properness(window, base_set), k_entries)
+    undecided = moving = None
+    for k in expected_k.generators if expected_k is not None else ():
+        moved, unknown = window.translate(base_set, k)
+        if undecided is None and unknown & window.core_mask:
+            undecided = display_word(k.word)
+        if moving is None and moved:
+            moving = display_word(k.word)
+    return _properness(window, base_set), undecided, moving
 
 
 def _properness(window: Window, base_set: int) -> Optional[str]:
@@ -849,14 +810,6 @@ def _properness(window: Window, base_set: int) -> Optional[str]:
 
 # --------------------------------------------------------------------------
 # stability re-checks
-
-
-@dataclass(frozen=True)
-class StabilityEntry:
-    """A pair of translations whose difference changes at radius + 2."""
-    pair: tuple[str, str]
-    diff_small: tuple[str, ...]
-    diff_large: tuple[str, ...]
 
 
 def _decided_depth(window: Window, base_spec: BaseSetSpec, base_set: int) -> int:
@@ -907,8 +860,9 @@ def _core_bound(window: Window, base_spec: BaseSetSpec, base_set: int,
 
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             translations: Sequence[GroupElement],
-                            family: VertexFamily) -> Optional[StabilityEntry]:
-    """The first pair whose witness set changes at radius + 2, or None.
+                            family: VertexFamily) -> Optional[str]:
+    """Why a pair's witness set changes at radius + 2: the first such pair
+    and its set at both radii; None when none does.
 
     ``family`` is the family built over the window from base_spec and
     translations.  When ``_core_bound`` applies (a free group whose live
@@ -926,9 +880,10 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
 
 def _regrowth_report(window: Window, base_spec: BaseSetSpec,
                      translations: Sequence[GroupElement],
-                     family: VertexFamily) -> Optional[StabilityEntry]:
-    """Recompute every pairwise witness set at radius + 2; the first pair,
-    in order of the translation words, whose set changes, or None.
+                     family: VertexFamily) -> Optional[str]:
+    """Recompute every pairwise witness set at radius + 2; the witness of
+    the first pair, in order of the translation words, whose set changes,
+    or None.
 
     The radius + 2 window grows the window's own graph by two layers, so
     the window's key ids are a prefix of the larger window's and the two
@@ -955,6 +910,7 @@ def _regrowth_report(window: Window, base_spec: BaseSetSpec,
     for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
         d_small, d_large = family.diff(a, b), large.diff(a, b)
         if d_small != d_large:
-            return StabilityEntry((display_word(words[a]), display_word(words[b])),
-                                  tuple(family.keys_of(d_small)), tuple(large.keys_of(d_large)))
+            pair = (display_word(words[a]), display_word(words[b]))
+            return (f"witness for pair {pair} changed at radius + 2: "
+                    f"{family.keys_of(d_small)} vs {large.keys_of(d_large)}")
     return None

@@ -229,6 +229,24 @@ def test_cli_tree_dot_title_is_one_quoted_id(tmp_path, capsys):
     assert re.sub(r"\\(.)", r"\1", match.group(1)) == name
 
 
+def test_cli_tree_dot_labels_are_quoted_ids(tmp_path, capsys):
+    # explicit keys may hold quotes and backslashes: every label is one quoted ID
+    spec = tmp_path / "quoted.ini"
+    spec.write_text("[instance]\nname = quoted\nmode = explicit\n\n"
+                    '[universe]\nkeys = a"b c\\d e\n\n'
+                    '[vertices]\nvertex = u :\nvertex = v : a"b\nvertex = w : a"b c\\d\n')
+    code = main(["tree", str(spec), "--format", "dot"])
+    lines = capsys.readouterr().out.splitlines()[2:-1]
+    labels = []
+    for line in lines:
+        match = re.fullmatch(r'  B\d+(?: -- B\d+)? \[label="((?:[^"\\]|\\.)*)"'
+                             r'(?:, shape=doublecircle)?\];', line)
+        assert match, line
+        labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+    assert code == 0
+    assert labels == ["o", '{a"b}', '{a"b,c\\d}', 'a"b', "c\\d"]
+
+
 def test_cli_tree_report(capsys):
     code = main(["tree", str(INSTANCE_DIR / "E2.ini"), "--format", "report"])
     out = capsys.readouterr().out
@@ -860,10 +878,11 @@ WITNESS_GOLDEN = {
                                   base_includes=("ab",), translations=("1", "Bba"),
                                   expected_k_exact=True),
                              3, "61775aa05ca47a7058f27ba0e73a524b"),
+    # the shell witness names (1, g), g the first translation whose moved set reaches the shell
     "stability-shell": (dict(rank=2, radius=4, base_rules=(("AAAAB", True),), base_includes=("a",),
                              translations=("B", "b", "aAB", "1"), expected_k_generators=("B",),
                              expected_k_exact=True),
-                        3, "bc2c49abb5c09cad5a9e84b618dd3a83"),
+                        3, "2a24f6ca4cd908d2b1864d40e8ec66c0"),
     "stability-undecided": (dict(kind="free_product_cyclic", rank=2, orders=(2, 3), radius=5,
                                  subgroup_generators=("st",), base_excludes=("ts",),
                                  base_default_in=True, translations=("st", "st", "1"),

@@ -28,11 +28,14 @@ from tracktree import (
     square_analysis,
     subgroup,
 )
+from tracktree.instances import token_word
 from tracktree.reports import FAIL, PASS
 from tracktree.trees import base_orientation, median_closure, orientation_consistent
 from tracktree.windows import FamilyVertex, bit_positions
 from tracktree.errors import (
-    NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge, TrackTreeError)
+    NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, ParseError, TooLarge,
+    TrackTreeError)
+from test_instances import group_specs
 
 Z = free_group(1, "t")
 
@@ -503,6 +506,31 @@ def test_parity_and_corners_hold_for_arbitrary_families(seed, fam):
         system = build_track_system(family)
         for c1, c2 in itertools.combinations(bit_positions(system.label_bits), 2):
             assert crossing_test(system, c1, c2) == crossing_test(system, c2, c1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_specs())
+def test_almost_invariance_holds_for_every_certified_family(spec):
+    # once build_family returns, every translate is decided on the core and
+    # moves no shell key, so each A + A*g is certified and finite: the
+    # pipeline reports almost_invariance as passing on this ground alone.
+    # The vertices are then exactly the distinct moved sets.
+    try:
+        family = run_instance(spec).family
+    except ParseError:
+        return
+    if family is None:
+        return
+    window, base = family.window, family.base_set
+    moved = {}
+    for w in spec.translations:
+        g = window.model.normalize(token_word(w))
+        m, unknown = window.translate(base, g)
+        assert not m & window.shell_mask and not unknown & window.core_mask, g
+        moved.setdefault(m, g.word)
+    assert [(v.element.word, v.members) for v in family.vertices] == [
+        (word, (base ^ m) & window.core_mask) for m, word in moved.items()]
+    assert family.vertices[family.base_index].members == base & window.core_mask
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ coset of ``compose(k, g)``, not through the walk that ``translate`` makes.
 """
 
 import itertools
+import re
 from dataclasses import replace
 from typing import Optional
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from tracktree import (
     BaseSetSpec,
+    InstanceSpec,
     act,
     build_base_set,
     build_family,
@@ -37,10 +39,11 @@ from tracktree import (
     subgroup,
 )
 from tracktree import trees, windows
-from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain
+from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain, ParseError
 from tracktree.groups import GroupElement
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
 from tracktree.trees import ClassUnionReport, StabilizerReport, translate_flips
+from test_instances import WITNESS_GOLDEN, group_specs
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +236,9 @@ def compare(name, base_spec=None, elements=None, seen=None):
     assert isinstance(base, int)
     ref = ref_base_set(window, spec)
     assert window.keys_of(base) == [k for k in window.omega if k in ref]
-    hypo = hypothesis_report(window, base, translations, expected_k)
-    assert hypo.properness == ref_properness(window, ref)
-    seen.add(f"properness {hypo.properness is None}")
+    properness, _, _ = hypothesis_report(window, base, expected_k)
+    assert properness == ref_properness(window, ref)
+    seen.add(f"properness {properness is None}")
 
     try:
         family = build_family(window, base, translations)
@@ -428,3 +431,41 @@ def test_class_union_steps_only_toward_its_class(monkeypatch):
                         lambda graph, *args: calls.append(args) or step(graph, *args))
     assert trees._class_union_report(tree) == want == ClassUnionReport(1, None)
     assert 0 < len(calls) <= 100
+
+
+# --------------------------------------------------------------------------
+# the shell witness against the reference
+
+
+SHELL_WITNESS = re.compile(r"uncertified difference for \(1, (.+)\): "
+                           r"symmetric difference touches the boundary shell; enlarge radius")
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_specs())
+# raised by the family at the radius, and by the one at radius + 2
+@example(InstanceSpec("shell-core", rank=1, radius=4, margin=2, base_rules=(("aaaa", True),),
+                      translations=("1", "aa")))
+@example(InstanceSpec("stability-shell", **WITNESS_GOLDEN["stability-shell"][0]))
+def test_shell_witness_reverifies_on_its_own(spec):
+    # a witness (1, g) says that A + A*g holds a shell key of the window it
+    # was raised at: the reference shows it from the instance alone
+    try:
+        report = run_instance(spec).report
+    except ParseError:
+        return
+    for check in report.checks:
+        match = SHELL_WITNESS.fullmatch(check.witness or "")
+        if match is None:
+            continue
+        model = make_model(spec)
+        window = build_window(model, make_subgroup(model, spec.subgroup_generators),
+                              spec.radius, spec.margin)
+        if check.name == "witness_stability":
+            window = window.extended(2)
+        else:
+            assert check.name == "family_certification"
+        base = ref_base_set(window, make_base_spec(model, spec))
+        known_in, unknown = ref_translate(window, base, model.normalize(token_word(match[1])))
+        moved = (base ^ known_in) - unknown
+        assert any(len(k) > window.radius - window.margin for k in moved), check.witness

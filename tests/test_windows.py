@@ -36,7 +36,6 @@ from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLar
 from tracktree.groups import _FreeEngine, _word_to_syllables
 from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
 from tracktree.windows import (
-    StabilityEntry,
     _CosetGraph,
     _core_bound,
     _decided_depth,
@@ -218,35 +217,34 @@ def test_family_metric_axioms():
 
 def test_hypothesis_half_line_witnesses():
     window, _, base = half_line_window()
-    trans = [Z.normalize(w) for w in ["", "t"]]
-    report = hypothesis_report(window, base, trans, TRIVIAL_Z)
-    assert all(e.certified for e in report.almost_invariance + report.expected_k)
-    by_word = {e.word: e for e in report.almost_invariance}
-    assert by_word["t"].witness == ("",)
+    assert hypothesis_report(window, base, TRIVIAL_Z) == (None, None, None)
+    # each almost-invariance witness is its translate's certified moved set
+    family = build_family(window, base, [Z.normalize(w) for w in ["", "t"]])
+    assert len(family) == 2
+    assert window.keys_of(window.translate(base, Z.normalize("t"))[0]) == [""]
     # the identity moves no key: A + A*1 is empty
-    assert by_word["1"].witness == ()
+    assert window.translate(base, Z.identity()) == (0, 0)
 
 
 def test_hypothesis_row_witness():
     rows = subgroup(LATTICE, ["x"])
     window = build_window(LATTICE, rows, 6, 2)
     base = build_base_set(window, BaseSetSpec(rules=(("y", True),), includes=frozenset([""])))
-    report = hypothesis_report(window, base, [LATTICE.normalize("y")], rows)
-    assert report.almost_invariance[0].witness == ("",)
-    assert report.expected_k_ok  # the whole row subgroup fixes the base set
+    assert window.keys_of(window.translate(base, LATTICE.normalize("y"))[0]) == [""]
+    # the whole row subgroup fixes the base set
+    assert hypothesis_report(window, base, rows)[1:] == (None, None)
 
 
 def test_hypothesis_properness_fails_on_full_universe():
     window, _, _ = half_line_window()
-    report = hypothesis_report(window, (1 << len(window.omega)) - 1, [Z.identity()], None)
-    assert "complement" in report.properness
+    properness, _, _ = hypothesis_report(window, (1 << len(window.omega)) - 1, None)
+    assert "complement" in properness
 
 
 def test_hypothesis_expected_k_flags_moving_element():
     window, _, base = half_line_window()
     moving = subgroup(Z, ["t"])
-    report = hypothesis_report(window, base, [Z.identity()], moving)
-    assert not report.expected_k_ok
+    assert hypothesis_report(window, base, moving)[1:] == (None, "t")
 
 
 # --------------------------------------------------------------------------
@@ -268,9 +266,8 @@ def test_witness_stability_detects_radius_dependence():
     translations = [Z.identity(), Z.normalize("tt")]
     family = build_family(window, build_base_set(window, fragile), translations)
     changed = radius_stability_report(window, fragile, translations, family)
-    assert changed is not None
-    assert "TTTTT" in changed.diff_large
-    assert "TTTTT" not in changed.diff_small
+    assert changed == ("witness for pair ('1', 'tt') changed at radius + 2: "
+                       "['', 't', 'TTT'] vs ['', 't', 'TTT', 'TTTTT']")
 
 
 # --------------------------------------------------------------------------
@@ -673,41 +670,34 @@ def test_witness_stability_over_the_element_cap():
 
 def reference_stability(model, sub, radius, margin, base_spec, translations):
     """The re-check on frozensets of keys, from the ball reference at both
-    radii: the first pair whose difference changes, or None when none does;
-    "uncertified" when a translate or a kept pair is uncertified at either
-    radius, "changed" when the duplicate structure differs."""
+    radii: the witness text of the first pair whose difference changes, or
+    None when none does; "uncertified" when a translate is undecided inside
+    the core or moves a shell key at either radius, "changed" when the
+    duplicate structure differs.  A pair's difference is the sum of the two
+    translates' moved sets, so two translates are one vertex when those are
+    equal."""
     per_radius = []
     for r in (radius, radius + 2):
         table = CosetTable(sub, model.ball(r, max_radius=r))
         base = frozenset(k for k in table.keys if base_spec.decide(k))
         core = frozenset(k for k in table.keys if len(k) <= r - margin)
-        translates = {g.word: reference_translate(table, base, g) for g in translations}
-        if any(unknown & core for _, unknown in translates.values()):
-            return "uncertified"
-
-        def diff(w1, w2, translates=translates):
-            (in1, unknown1), (in2, unknown2) = translates[w1], translates[w2]
-            return (in1 ^ in2) - (unknown1 | unknown2)
-
-        kept = []
+        moved, first = {}, {}
         for g in translations:
-            for w in kept:
-                d = diff(g.word, w)
-                if d - core:
-                    return "uncertified"
-                if not d:
-                    break
-            else:
-                kept.append(g.word)
-        per_radius.append((kept, diff))
+            moved_g, unknown = reference_translate(table, base, g)
+            if unknown & core or moved_g - core:
+                return "uncertified"
+            moved[g.word] = frozenset(moved_g)
+            first.setdefault(moved[g.word], g.word)
+        per_radius.append((list(first.values()), moved))
     (kept, small), (big_kept, large) = per_radius
     if set(kept) != set(big_kept):
         return "changed"
     for a, b in itertools.combinations(sorted(kept), 2):
-        d_small = tuple(sorted(small(a, b), key=model.sort_key))
-        d_large = tuple(sorted(large(a, b), key=model.sort_key))
+        d_small = sorted(small[a] ^ small[b], key=model.sort_key)
+        d_large = sorted(large[a] ^ large[b], key=model.sort_key)
         if d_small != d_large:
-            return StabilityEntry((display_word(a), display_word(b)), d_small, d_large)
+            pair = (display_word(a), display_word(b))
+            return f"witness for pair {pair} changed at radius + 2: {d_small} vs {d_large}"
     return None
 
 
@@ -788,7 +778,7 @@ def test_unstable_witness_matches_string_reference():
     fragile = BaseSetSpec(rules=(("t", True),), includes=frozenset(["", "TTTTT"]))
     want = assert_stability_matches_reference(Z, TRIVIAL_Z, 6, 2, fragile,
                                               [Z.identity(), Z.normalize("tt")])
-    assert isinstance(want, StabilityEntry)
+    assert want.startswith("witness for pair ('1', 'tt') changed at radius + 2")
 
 
 # --------------------------------------------------------------------------
