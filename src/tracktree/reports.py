@@ -8,10 +8,10 @@ explicitly requested (wall-clock values would break reproducibility).
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -67,19 +67,29 @@ class Report:
         return {PASS: 0, FAIL: 2, UNCERTIFIED: 3}[self.status]
 
 
+def _block(open_: str, items: list[str], close: str) -> str:
+    """A JSON object or array at depth 1 from its items, one per line."""
+    return f"{open_}\n" + ",\n".join(items) + f"\n  {close}" if items else open_ + close
+
+
 def report_document(report: Report, include_timings: bool = False) -> str:
-    doc = {
-        "instance": report.instance,
-        "status": report.status,
-        "counts": {k: report.counts[k] for k in sorted(report.counts)},
-        "checks": [
-            {"name": c.name, "status": c.status, "witness": c.witness}
-            for c in report.checks
-        ],
-        "witnesses": report.witnesses,
-        "timing_ms": round(report.timing_ms, 3) if include_timings else 0,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The report as JSON: instance, status, counts in key order, checks,
+    witnesses and timing_ms.  The bytes are those of ``json.dumps`` with
+    indent=2, plus a newline, written directly: strings through json's ASCII
+    escaping, numbers by ``repr``."""
+    quoted = encode_basestring_ascii
+    counts = [f"    {quoted(k)}: {report.counts[k]!r}" for k in sorted(report.counts)]
+    checks = [f'    {{\n      "name": {quoted(c.name)},\n      "status": {quoted(c.status)},\n'
+              f'      "witness": {"null" if c.witness is None else quoted(c.witness)}\n    }}'
+              for c in report.checks]
+    witnesses = [f"    {quoted(w)}" for w in report.witnesses]
+    timing = round(report.timing_ms, 3) if include_timings else 0
+    return (f'{{\n  "instance": {quoted(report.instance)},\n'
+            f'  "status": {quoted(report.status)},\n'
+            f'  "counts": {_block("{", counts, "}")},\n'
+            f'  "checks": {_block("[", checks, "]")},\n'
+            f'  "witnesses": {_block("[", witnesses, "]")},\n'
+            f'  "timing_ms": {timing!r}\n}}\n')
 
 
 def _quoted(text: str) -> str:

@@ -6,11 +6,12 @@ radius.  It is the Schreier graph of H\\G on those cosets, found breadth
 first from H, with key ids in ShortLex order and one right-action array per
 generator.  For free groups, past the core of the Stallings folding the
 graph is a forest of regular trees, so a run of parents there grows its
-children in bulk, their ids and links read off the parents' ids and last
-letters; a coset in those trees keeps no fingerprint and no index entry,
-since every coset it neighbours is linked to it when found.  A key is stored
-as its parent's id and its last letter; key strings are spelled out only
-where they are read.  Each translate carries a certificate: the window
+children in bulk, their ids read off the parents' ids and last letters; a
+coset in those trees keeps no fingerprint and no index entry, since every
+coset it neighbours is its parent or a child, and their links are written
+on first use, as deep as a walk reads them.  A key is stored as its
+parent's id and its last letter; key strings are spelled out only where
+they are read.  Each translate carries a certificate: the window
 decides it on every core key, and its difference from the base set stays
 clear of the boundary shell (keys longer than radius - margin); a pairwise
 difference is the sum of two such differences.  The pairwise differences
@@ -49,6 +50,7 @@ cached per-window columns of the keys' exponents.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
@@ -110,13 +112,17 @@ class _CosetGraph:
     fingerprint and ``index`` maps it back to j, for every coset found by
     stepping.  For free groups, a coset grown in bulk past the Stallings core
     has no index entry, and ``fps`` holds the shared value ``engine.states``
-    for it: all that is read of it is that it is past the core.  A -1 out of
-    the outermost layer, or for a longer syllable, may hide a discovered
-    coset that was never looked up; ``step`` looks it up, except from a coset
-    past the core, whose every discovered neighbour is linked already.  Key
+    for it: all that is read of it is that it is past the core.  The links
+    of such a run of parents to their children are written on first use: the
+    run is pending until ``link`` is asked for ids past its first parent, as
+    ``step`` does for the id it steps from and ``Window.translate`` for the
+    keys its walks read.  A -1 out of the outermost layer, or for a longer
+    syllable, may hide a discovered coset that was never looked up; ``step``
+    looks it up, except from a coset past the core, whose every discovered
+    neighbour is its parent or a child, linked once ``link`` has run.  Key
     strings are built from ``parent`` and ``last`` only where
-    ``key_strings`` is asked for them.  Growing the graph keeps every id and
-    link, so windows built over it before stay valid.
+    ``key_strings`` is asked for them.  Growing the graph keeps every id,
+    link and pending run, so windows built over it before stay valid.
     """
 
     def __init__(self, sub: SubgroupModel):
@@ -148,6 +154,9 @@ class _CosetGraph:
                                  for s in self.letters}
         # fingerprints from this one on are past the Stallings core (free groups only)
         self._tail_fp = sub.engine.states if model.kind == FREE else None
+        # runs (lo, hi, first child id) of parents grown in bulk whose links
+        # are not written yet, in id order
+        self._pending: deque[tuple[int, int, int]] = deque()
 
     @property
     def radius(self) -> int:
@@ -158,22 +167,27 @@ class _CosetGraph:
 
         One pass per layer, over runs of parents.  For free groups, a run of
         parents past the Stallings core (fingerprint at least
-        ``engine.states``) is grown in bulk by ``_grow_tails``.  Every other
-        parent steps one letter at a time: each unlinked step is advanced
-        from the parent's fingerprint and looked up with one
-        ``index.setdefault``; a fingerprint not seen before becomes the next
-        id, with the parent id it was reached from.
+        ``engine.states``) is grown in bulk by ``_grow_tails``, its links left
+        pending.  Every other parent steps one letter at a time: each
+        unlinked step is advanced from the parent's fingerprint and looked up
+        with one ``index.setdefault``; a fingerprint not seen before becomes
+        the next id, with the parent id it was reached from.  The arrays get
+        a slot per new id in a layer with such a parent; a layer grown in
+        bulk only gets its slots when its links are written.  A core coset's
+        key passes through core cosets only, so no layer that steps follows
+        one grown in bulk.
         """
         fps, tail_fp = self.fps, self._tail_fp
         arrays = list(self.arrays.values())
         while self.radius < radius:
             lo, hi = self.level_end[-2] if self.radius else 0, len(fps)
-            # room for every new id; the unused tail is cut off below
-            for a in arrays:
-                a.extend(repeat(-1, (hi - lo) * len(self.letters)))
             size = hi
             past_core = (bytes(map(tail_fp.__le__, fps[lo:hi])) if tail_fp is not None
                          else bytes(hi - lo))
+            # room for every new id of a layer that steps; the unused tail is cut off below
+            stepping = 0 in past_core
+            if stepping:
+                self._fill(hi + (hi - lo) * len(self.letters))
             start = lo
             while start < hi:
                 tail = past_core[start - lo]
@@ -181,8 +195,9 @@ class _CosetGraph:
                 end = hi if end < 0 else lo + end
                 size = (self._grow_tails if tail else self._grow_steps)(start, end, size)
                 start = end
-            for a in arrays:
-                del a[size + 1:]
+            if stepping:
+                for a in arrays:
+                    del a[size + 1:]
             self.level_end.append(size)
         return self
 
@@ -212,30 +227,55 @@ class _CosetGraph:
         Past the core the graph is a forest of regular trees: every step but
         the one back to the parent reaches a new coset, so parent i's 2n - 1
         children take the next ids in ShortLex order of their letters.  A
-        child's only neighbours are its parent and its own children, each
-        linked to it when found, so no step ever looks it up: it gets no
-        fingerprint and no index entry, only the shared past-core value in
-        ``fps``.
+        child's only neighbours are its parent and its own children, so no
+        step ever looks it up: it gets no fingerprint and no index entry,
+        only the shared past-core value in ``fps``.  The run's links are left
+        to ``link``: a translate reads those of the short keys only.
         """
         width = len(self.letters) - 1
-        lasts = self.last[lo:hi]
         count = (hi - lo) * width
-        # one int object per id, shared by every list that holds the id
-        parent_ids, ids = list(range(lo, hi)), list(range(size, size + count))
+        parent_ids = list(range(lo, hi))
         parents = [0] * count  # each parent's id, once per child
         for k in range(width):
             parents[k::width] = parent_ids
         self.fps += repeat(self._tail_fp, count)
         self.parent += parents
-        self.last += b"".join(map(self._children.__getitem__, lasts))
-        # the link back to each parent was set when the parent was found
-        children = iter(ids)
-        for i, code in zip(parent_ids, lasts):
-            # zip ends with the parent's links, before it takes the next parent's child
-            for (forward, back), j in zip(self._child_links[code], children):
-                forward[i] = j
-                back[j] = i
+        self.last += b"".join(map(self._children.__getitem__, self.last[lo:hi]))
+        self._pending.append((lo, hi, size))
         return size + count
+
+    def link(self, upto: int) -> None:
+        """Write the links of the pending parents below upto, oldest run
+        first: each parent's link to each child, and the child's back, in
+        slots the arrays get here.
+
+        A parent's own link to its parent was written before, with the run
+        that holds the parent's parent or when it was stepped to, so
+        afterwards every coset below upto reads its links as an eager growth
+        would have written them, and each of its children its link back.
+        """
+        pending, width = self._pending, len(self.letters) - 1
+        while pending and pending[0][0] < upto:
+            lo, hi, first = pending.popleft()
+            if hi > upto:
+                # the parents from upto on stay pending, with their children
+                pending.appendleft((upto, hi, first + (upto - lo) * width))
+                hi = upto
+            end = first + (hi - lo) * width
+            self._fill(end)
+            children = iter(range(first, end))
+            for i, code in zip(range(lo, hi), self.last[lo:hi]):
+                # zip ends with the parent's links, before it takes the next parent's child
+                for (forward, back), j in zip(self._child_links[code], children):
+                    forward[i] = j
+                    back[j] = i
+
+    def _fill(self, size: int) -> None:
+        """Give the arrays a -1 slot for each id below size, before their sentinel."""
+        more = size + 1 - len(self.arrays[self.letters[0]])
+        if more > 0:
+            for a in self.arrays.values():
+                a[-1:] = repeat(-1, more + 1)
 
     def key_strings(self, lo: int, hi: int) -> list[str]:
         """The keys of ids lo..hi-1, building from the parent ids the ones not built yet."""
@@ -251,9 +291,13 @@ class _CosetGraph:
     def step(self, i: int, step: str) -> int:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered.
 
-        A coset past the Stallings core is linked to every neighbour found,
-        so from there an unlinked step is undiscovered and is not looked up.
+        The pending links of the parents up to i are written first, which
+        links i to its parent and its children.  A coset past the Stallings
+        core has no other neighbour, so from there an unlinked step is
+        undiscovered and is not looked up.
         """
+        if self._pending and i >= self._pending[0][0]:
+            self.link(i + 1)
         j = self.arrays[step][i]
         if j < 0 <= i:
             fp = self.fps[i]
@@ -490,8 +534,9 @@ class Window:
         the first step's array and gathered through ``itemgetter``, reads
         the base set's flag at the end of each walked key; a known walk
         ends inside the window, so one that reads 2 (the flag of id -1) met
-        a link not looked up yet, or a free abelian letter that lengthens k
-        before one that cancels into it, and ``_walk_from`` walks it again.
+        a link not looked up or not written yet, or a free abelian letter
+        that lengthens k before one that cancels into it, and ``_walk_from``
+        walks it again.
 
         The walked keys are those at most S + |g| long, for a free-group
         base set decided over this window with settled depth S (see
@@ -499,7 +544,11 @@ class Window:
         known key k longer than S + |g| and the key of k*g^-1 share k's
         first |k| - |g| letters, a prefix past the core and at least d
         long, and every key past d is decided as its parent.  ``unknown``
-        covers the whole window.  Cached per word and base set.
+        covers the whole window.  The graph links on first use, so the walks
+        link the keys they read first: those at most S + 2|g| long (a walk of
+        |g| steps from a key at most S + |g| long reads no longer key), and
+        every key of the window when there is no S.  Cached per word and
+        base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
@@ -511,8 +560,13 @@ class Window:
                 word = invert(g).word
                 known = self._known(word)
                 settled = self._settled.get(base_set)
-                cut = size if settled is None else self.graph.level_end[
-                    min(settled + len(word), self.radius)]
+                level_end, r = self.graph.level_end, self.radius
+                if settled is None:
+                    cut = reach = size
+                else:
+                    cut = level_end[min(settled + len(word), r)]
+                    reach = level_end[min(settled + 2 * len(word), r)]
+                self.graph.link(reach)
                 row = self._row(base_set)
                 first, *rest = self._steps(word)
                 ends = self.graph.arrays[first][:cut]

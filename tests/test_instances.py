@@ -27,6 +27,7 @@ from tracktree import (
 from tracktree.cli import build_parser, main
 from tracktree.errors import ParseError
 from tracktree.instances import make_model
+from tracktree.reports import FAIL, PASS, UNCERTIFIED, CheckResult, Report
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment
@@ -147,6 +148,36 @@ def test_report_document_deterministic():
     payload = json.loads(doc1)
     assert payload["timing_ms"] == 0
     assert list(payload) == ["instance", "status", "counts", "checks", "witnesses", "timing_ms"]
+
+
+# text with the characters json escapes: quotes, backslashes, control
+# characters and non-ASCII, besides any other
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                          st.characters()), max_size=8)
+
+
+@st.composite
+def reports(draw):
+    checks = draw(st.lists(st.builds(CheckResult, _TEXT, st.sampled_from([PASS, FAIL, UNCERTIFIED]),
+                                     st.none() | _TEXT), max_size=4))
+    counts = draw(st.dictionaries(_TEXT, st.integers(), max_size=4))
+    return Report(draw(_TEXT), checks, counts,
+                  draw(st.floats(0, 1e7, allow_nan=False) | st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports(), st.booleans())
+def test_report_document_is_json_dumps_indent_2(report, include_timings):
+    doc = {
+        "instance": report.instance,
+        "status": report.status,
+        "counts": {k: report.counts[k] for k in sorted(report.counts)},
+        "checks": [{"name": c.name, "status": c.status, "witness": c.witness}
+                   for c in report.checks],
+        "witnesses": report.witnesses,
+        "timing_ms": round(report.timing_ms, 3) if include_timings else 0,
+    }
+    assert report_document(report, include_timings) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_failing_checks_always_carry_witnesses():

@@ -1053,10 +1053,13 @@ def test_bulk_growth_matches_the_per_step_reference(case):
     # H and the cosets found by stepping from a core parent: the core and the tail roots
     stepped = [j for j, i in enumerate(ref["parent"]) if i < 0 or ref["fps"][i] < states]
     for radii in ([radius], [radius - 2, radius]):
-        graph = _CosetGraph(sub)
-        for r in radii:
-            graph.grow(r)
-        for name in ("parent", "last", "level_end", "arrays"):
+        # one graph for the steps and one for the walks, each linked only by them
+        stepping, walking = _CosetGraph(sub), _CosetGraph(sub)
+        for graph in (stepping, walking):
+            for r in radii:
+                graph.grow(r)
+        graph = stepping
+        for name in ("parent", "last", "level_end"):
             assert getattr(graph, name) == ref[name], name
         assert graph.key_strings(0, len(graph.fps)) == ref["keys"]
         # only stepped cosets carry a fingerprint and an index entry; the
@@ -1064,14 +1067,78 @@ def test_bulk_growth_matches_the_per_step_reference(case):
         assert [graph.fps[j] for j in stepped] == [ref["fps"][j] for j in stepped]
         assert graph.index == {ref["fps"][j]: j for j in stepped}
         assert [fp >= states for fp in graph.fps] == [fp >= states for fp in ref["fps"]]
-        # a step is the reference's link, or its lookup where the link is unset
+        # a step is the reference's link, or its lookup where the link is
+        # unset; past the core it writes the pending links it reads first
         for i, fp in enumerate(ref["fps"]):
             for s, links in ref["arrays"].items():
                 want = links[i] if links[i] >= 0 else ref["index"].get(advance(fp, s), -1)
                 assert graph.step(i, s) == want, (i, s)
         # every coset is found by walking its key from H
         for j, key in enumerate(ref["keys"]):
-            assert functools.reduce(graph.step, key, 0) == j, key
+            assert functools.reduce(walking.step, key, 0) == j, key
+        # linked through the last id, the links are the reference's (the
+        # stepping graph also holds the links its lookups found)
+        walking.link(len(walking.fps))
+        assert walking.arrays == ref["arrays"]
+
+
+@st.composite
+def lazy_link_cases(draw):
+    """A free subgroup and radius (``free_subgroups``), a margin, a base spec
+    of prefix rules and explicit keys at most 3 long, and up to six words at
+    most 3 long to translate by."""
+    sub, radius = draw(free_subgroups())
+    letters = [ch for g in sub.model.letters for ch in (g, g.upper())]
+    key = st.text(alphabet=letters, max_size=3)
+    rules = draw(st.lists(st.tuples(key, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
+    includes = draw(st.frozensets(key, max_size=2))
+    spec = BaseSetSpec(rules=tuple(rules), includes=includes,
+                       excludes=draw(st.frozensets(key, max_size=2)) - includes,
+                       default_in=draw(st.booleans()))
+    words = draw(st.lists(key, min_size=1, max_size=6))
+    return sub, radius, draw(st.integers(1, radius // 2)), spec, words
+
+
+@settings(max_examples=80, deadline=None)
+@given(lazy_link_cases())
+@example((subgroup(F2, ["abaab"]), 6, 2, BaseSetSpec(rules=(("a", True), ("ab", False))),
+          ["b", "aB", "abA"]))
+def test_lazily_linked_translates_match_a_fully_linked_graph(case):
+    sub, radius, margin, spec, words = case
+    model = sub.model
+    elements = [model.normalize(w) for w in words]
+    lazy, full = (build_window(model, sub, radius, margin) for _ in range(2))
+    full.graph.link(len(full.graph.fps))
+    bases = [build_base_set(w, spec) for w in (lazy, full)]
+    assert bases[0] == bases[1]
+
+    def answers(window, base):
+        # a walk from H links part of a run first; then the translates
+        return ([window.locate(g) for g in elements],
+                [window.translate(base, g) for g in elements])
+
+    small = answers(lazy, bases[0])
+    assert small == answers(full, bases[1])
+    # radius + 2 grows the same graph and keeps its pending links
+    big_lazy, big_full = lazy.extended(2), full.extended(2)
+    assert big_lazy.graph is lazy.graph
+    big_full.graph.link(len(big_full.graph.fps))
+    big_bases = [build_base_set(w, spec) for w in (big_lazy, big_full)]
+    assert answers(big_lazy, big_bases[0]) == answers(big_full, big_bases[1])
+    # the small window over its grown graph answers as before
+    lazy._translates.clear()
+    assert answers(lazy, bases[0]) == small
+
+
+def test_a_check_links_only_what_its_walks_read():
+    # E3 at radius 10 (S = 0): the translates and walks of a check read links
+    # a few letters deep, so no coset at level 6 or deeper links to a child
+    window = run_instance(corpus()["E3"], radius=10).family.window
+    graph = window.graph
+    lo = graph.level_end[5]
+    assert graph.radius == 10 and len(graph.fps) == 59049
+    for s, links in graph.arrays.items():
+        assert all(j < 0 or j == graph.parent[i] for i, j in enumerate(links[lo:-1], lo)), s
 
 
 def test_interleaved_layer_takes_both_paths():
