@@ -6,7 +6,6 @@ which is what makes coset arithmetic decidable.
 """
 
 from tracktree import (
-    CosetTable,
     compose,
     free_abelian_group,
     free_group,
@@ -14,6 +13,7 @@ from tracktree import (
     invert,
     subgroup,
 )
+from tracktree.groups import CosetTable
 
 F = free_group(2)                       # free on a, b
 L = free_abelian_group(2)               # integer lattice on x, y

@@ -8,13 +8,11 @@ cross, which is exactly what the nestedness check reports.
 
 from tracktree import (
     build_track_system,
-    corner_analysis,
-    crossing_test,
     explicit_family,
     nestedness_check,
-    parity_and_coloring,
     square_analysis,
 )
+from tracktree.patterns import corner_analysis, crossing_test, parity_and_coloring
 
 # three vertices with corner counts 3, 2, 2: edge weights 5, 5, 4
 fig1 = explicit_family(

@@ -12,8 +12,8 @@ from tracktree import (
     oracle_orientations,
     run_instance,
     tree_matches_oracle,
-    tree_metric_and_separation,
 )
+from tracktree.trees import tree_metric_and_separation
 
 result = run_instance(corpus()["E4"])
 system, tree, fam = result.system, result.tree, result.family

@@ -9,7 +9,6 @@ independent brute-force oracles.
 
 from .errors import TrackTreeError
 from .groups import (
-    CosetTable,
     GroupElement,
     GroupModel,
     SubgroupModel,
@@ -41,10 +40,7 @@ from .patterns import (
     assign_labels,
     build_track_system,
     class_order,
-    corner_analysis,
-    crossing_test,
     nestedness_check,
-    parity_and_coloring,
     square_analysis,
 )
 from .pipeline import RunResult, run_instance
@@ -52,12 +48,9 @@ from .reports import Report, dot_document, report_document
 from .trees import (
     DualTree,
     act,
-    base_orientation,
     build_tree,
-    median,
     separation_witness,
     stabilizer_analysis,
-    tree_metric_and_separation,
 )
 from .windows import (
     BaseSetSpec,

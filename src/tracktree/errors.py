@@ -26,15 +26,16 @@ class SearchBudgetExceeded(TrackTreeError):
 # --- windows and families -------------------------------------------------
 
 class CertificationFailure(TrackTreeError):
-    """A windowed computation could not be certified.
+    """A translate A*g could not be certified over a window.
 
-    Its message names a pair of translations, (1, g) for a translate g whose
-    symmetric difference with the base set touches the boundary shell;
-    enlarging the radius is the standard fix.
+    Its message names the difference A + A*g as (1, g): the window leaves
+    the translate undecided on a core key, or the difference touches the
+    boundary shell.  Enlarging the radius (or, for a translation longer
+    than the margin, the margin) is the standard fix.
     """
 
-    def __init__(self, g1, g2, detail=""):
-        super().__init__(f"uncertified difference for ({g1}, {g2}): {detail}")
+    def __init__(self, g, detail):
+        super().__init__(f"uncertified difference for (1, {g}): {detail}")
 
 
 class ConflictingRule(TrackTreeError):

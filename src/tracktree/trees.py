@@ -46,15 +46,6 @@ from .windows import Window, bit_positions
 _SWAP = str.maketrans("01", "10")
 
 
-def base_orientation(system: TrackSystem, vertex: int) -> int:
-    """Class-side choice of a family vertex, as a bitmask of flipped classes."""
-    o = 0
-    for k, g in enumerate(system.class_norm):
-        if (g >> vertex) & 1:
-            o |= 1 << k
-    return o
-
-
 def median(o1: int, o2: int, o3: int) -> int:
     """Per-class majority vote of three orientations."""
     return (o1 & o2) | (o1 & o3) | (o2 & o3)
@@ -129,9 +120,6 @@ class DualTree:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def colors(self) -> list[int]:
-        return [v.flips.bit_count() % 2 for v in self.vertices]
 
 
 def build_tree(system: TrackSystem) -> DualTree:

@@ -14,16 +14,17 @@ parent's id and its last letter; key strings are spelled out only where
 they are read.  Each translate carries a certificate: the window
 decides it on every core key, and its difference from the base set stays
 clear of the boundary shell (keys longer than radius - margin); a pairwise
-difference is the sum of two such differences.  The pairwise differences
-are then shown stable: for a free group whose live core cosets all lie in
-the window, by the Stallings core bound of ``_core_bound`` (every
-difference lies in the keys at most B = max(D, d - 1) + L long, so when
+difference is the sum of two such differences.  The differences are then
+shown stable: for a free group whose live core cosets all lie in the
+window, by the Stallings core bound of ``_core_bound`` (every difference
+lies in the keys at most B = max(D, d - 1) + L long, so when
 radius - margin >= B and radius >= B + L they are the true ones), with
-nothing compared, and otherwise by building the family again at
-radius + 2, the one step that the element cap on the radius + 2 ball can
-refuse.  The properness
-heuristic and the re-check each return their witness, the failing detail
-or the first pair whose difference changed, and None when they hold.
+nothing compared, and otherwise by certifying each translate again at
+radius + 2 and comparing its difference with the one at the radius, the
+one step that the element cap on the radius + 2 ball can refuse.  The
+properness heuristic and the re-check each return their witness, the
+failing detail or the first translate whose difference changed, and None
+when they hold.
 Vertex subsets are int bitsets over the core universe (shell removed), so
 that downstream set arithmetic is exact wherever a certificate holds.
 
@@ -53,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, itemgetter
 from typing import Optional, Sequence
 
@@ -770,23 +771,16 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
     return VertexFamily(universe, vertices, base_index)
 
 
-def build_family(window: Window, base_set: int,
-                 translations: Sequence[GroupElement]) -> VertexFamily:
-    """Translate the base set by each element, certify each translate, and
-    merge duplicate translates.
+def _certified(window: Window, base_set: int,
+               translations: Sequence[GroupElement]) -> list[int]:
+    """Each translation's certified ``moved`` set, A + A*g, in translation
+    order.
 
-    Each pairwise difference (A + A*g) + (A + A*h) is the sum of two
-    translates' ``moved`` sets, so each translate is certified once: decided
-    on every core key, and its ``moved`` set clear of the shell.  A certified
-    ``moved`` set lies in the core, so two translates are one vertex exactly
-    when those sets are equal; the first of each in translation order is
-    kept, and the base vertex is the one that moves nothing.  The universe
-    is the window's core, the ShortLex prefix of its keys, so the window's
-    bitsets over key ids are already bitsets over the universe.
+    A translate is certified when the window decides it on every core key
+    and its ``moved`` set stays clear of the shell.  Every translate is
+    checked for the first before any for the second; CertificationFailure
+    names the first translation that fails.
     """
-    if not any(g.is_identity() for g in translations):
-        raise ValueError("translations must contain the identity (the base vertex)")
-
     translates = [(g, window.translate(base_set, g)) for g in translations]
     for g, (_, unknown) in translates:
         if unknown & window.core_mask:
@@ -795,18 +789,35 @@ def build_family(window: Window, base_set: int,
             # while |g| > margin
             fix = (f"translation longer than the margin {window.margin}; raise the margin"
                    if len(g.word) > window.margin else "enlarge radius")
-            raise CertificationFailure(
-                display_word(g.word), display_word(g.word),
-                f"translate undecided inside the core; {fix}")
-
-    kept: dict[int, GroupElement] = {}
+            raise CertificationFailure(display_word(g.word),
+                                       f"translate undecided inside the core; {fix}")
     for g, (moved, _) in translates:
         if moved & window.shell_mask:
             raise CertificationFailure(
-                "1", display_word(g.word),
+                display_word(g.word),
                 "symmetric difference touches the boundary shell; enlarge radius")
-        kept.setdefault(moved, g)
+    return [moved for _, (moved, _) in translates]
 
+
+def build_family(window: Window, base_set: int,
+                 translations: Sequence[GroupElement]) -> VertexFamily:
+    """Translate the base set by each element, certify each translate, and
+    merge duplicate translates.
+
+    Each pairwise difference (A + A*g) + (A + A*h) is the sum of two
+    translates' ``moved`` sets, so each translate is certified once
+    (``_certified``).  A certified ``moved`` set lies in the core, so two
+    translates are one vertex exactly when those sets are equal; the first
+    of each in translation order is kept, and the base vertex is the one
+    that moves nothing.  The universe is the window's core, the ShortLex
+    prefix of its keys, so the window's bitsets over key ids are already
+    bitsets over the universe.
+    """
+    if not any(g.is_identity() for g in translations):
+        raise ValueError("translations must contain the identity (the base vertex)")
+    kept: dict[int, GroupElement] = {}
+    for g, moved in zip(translations, _certified(window, base_set, translations)):
+        kept.setdefault(moved, g)
     vertices = [FamilyVertex(g, (base_set ^ moved) & window.core_mask,
                              f"A*{display_word(g.word)}")
                 for moved, g in kept.items()]
@@ -915,15 +926,15 @@ def _core_bound(window: Window, base_spec: BaseSetSpec, base_set: int,
 def radius_stability_report(window: Window, base_spec: BaseSetSpec,
                             translations: Sequence[GroupElement],
                             family: VertexFamily) -> Optional[str]:
-    """Why a pair's witness set changes at radius + 2: the first such pair
-    and its set at both radii; None when none does.
+    """Why a translate's difference A + A*g changes at radius + 2: the first
+    such translation and its difference at both radii; None when none does.
 
     ``family`` is the family built over the window from base_spec and
     translations.  When ``_core_bound`` applies (a free group whose live
     core cosets are all in the window, radius - margin >= B and
     radius >= B + L), every difference already is the one at every larger
     radius, so nothing is grown or compared.  Otherwise
-    ``_regrowth_report`` builds the family again at radius + 2 and
+    ``_regrowth_report`` certifies the translates again at radius + 2 and
     compares; only there can the element cap refuse the check, with
     RadiusTooLarge.
     """
@@ -935,36 +946,27 @@ def radius_stability_report(window: Window, base_spec: BaseSetSpec,
 def _regrowth_report(window: Window, base_spec: BaseSetSpec,
                      translations: Sequence[GroupElement],
                      family: VertexFamily) -> Optional[str]:
-    """Recompute every pairwise witness set at radius + 2; the witness of
-    the first pair, in order of the translation words, whose set changes,
-    or None.
+    """Certify each translate again at radius + 2; the witness of the first
+    translation, in translation order, whose difference A + A*g changes, or
+    None.
 
-    The radius + 2 window grows the window's own graph by two layers, so
-    the window's key ids are a prefix of the larger window's and the two
-    radii's differences compare as bitsets.  RadiusTooLarge, before any
-    work, when the radius + 2 ball is over the element cap.
+    Every pairwise difference is the sum of two translates' ``moved`` sets,
+    and the identity moves nothing, so the pairwise differences, and which
+    translates merge, agree at both radii exactly when every ``moved`` set
+    does.  The radius + 2 window grows the window's own graph by two
+    layers, so the window's key ids are a prefix of the larger window's,
+    its base set keeps the window's decisions, and the two radii's
+    ``moved`` sets compare as bitsets.  RadiusTooLarge, before any work,
+    when the radius + 2 ball is over the element cap; CertificationFailure
+    when a translate is not certified at radius + 2.
     """
     big = window.extended(2)
-    # the window's keys keep their ids and their decisions in the larger one
     size = window.size
     small = bytearray(_flags(family.base_set)[:size].ljust(size, b"\0"))
-    large = build_family(big, _decide(big, base_spec, small), translations)
-    # both keep the first translate of each distinct translate set, in translation order
-    words = [v.element.word for v in family.vertices]
-    big_words = [v.element.word for v in large.vertices]
-    if words != big_words:
-        # duplicate structure must agree between radii: name the first translation
-        # kept at one radius and merged at the other, and the vertex it merges into
-        g = next(g for g in translations if (g.word in words) != (g.word in big_words))
-        at = large if g.word in words else family
-        members = (at.base_set ^ at.window.translate(at.base_set, g)[0]) & at.window.core_mask
-        into = next(v.element.word for v in at.vertices if v.members == members)
-        raise CertificationFailure(display_word(into), display_word(g.word),
-                                   "duplicate structure changed with radius")
-    for a, b in combinations(sorted(range(len(words)), key=words.__getitem__), 2):
-        d_small, d_large = family.diff(a, b), large.diff(a, b)
-        if d_small != d_large:
-            pair = (display_word(words[a]), display_word(words[b]))
-            return (f"witness for pair {pair} changed at radius + 2: "
-                    f"{family.keys_of(d_small)} vs {large.keys_of(d_large)}")
+    big_set = _decide(big, base_spec, small)
+    for g, large in zip(translations, _certified(big, big_set, translations)):
+        moved = window.translate(family.base_set, g)[0]
+        if moved != large:
+            return (f"difference for (1, {display_word(g.word)}) changed at radius + 2: "
+                    f"{window.keys_of(moved)} vs {big.keys_of(large)}")
     return None

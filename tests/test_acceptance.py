@@ -19,25 +19,25 @@ from tracktree import (
     build_track_system,
     build_tree,
     corpus,
-    corner_analysis,
     crossing_exhibit,
     fig1_exhibit,
     nestedness_check,
     oracle_labelings,
     oracle_orientations,
-    parity_and_coloring,
     radius_stability_report,
     random_nested_family,
     run_instance,
     stabilizer_analysis,
     subgroup,
     tree_matches_oracle,
-    tree_metric_and_separation,
 )
 from tracktree.instances import make_base_spec, make_model, token_word
+from tracktree.patterns import corner_analysis, parity_and_coloring
+from tracktree.trees import tree_metric_and_separation
 from tracktree.windows import bit_positions
 
 from labeling_reference import labeling_matches_canonical
+from tree_reference import tree_colors
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment
@@ -145,7 +145,7 @@ def test_labelling_uniqueness():
 def test_treeness_and_oracle_equivalence():
     def verify(system, tree):
         assert tree.edge_count == tree.vertex_count - 1
-        colors = tree.colors()
+        colors = tree_colors(tree)
         seen = {tree.base_index}
         stack = [tree.base_index]
         while stack:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracktree import (
-    CosetTable,
     compose,
     free_abelian_group,
     free_group,
@@ -17,6 +16,7 @@ from tracktree import (
     subgroup,
 )
 from tracktree import groups
+from tracktree.groups import CosetTable
 from tracktree.errors import (
     ModelMismatch,
     RadiusTooLarge,

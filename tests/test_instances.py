@@ -403,7 +403,7 @@ CHECK_WINDOW_GOLDEN = {
     ("E1", 10, 3): (0, "c53ea23c52c108f8c4b96df38bde98f7"),
     ("E2", 5, 2): (0, "89c2a66a00d755e42ad1ef9200d9f56c"),
     ("E2", 8, 3): (0, "8763f27e0ba6ce7ffcfd0829bf27ed2c"),
-    ("E3", 5, 1): (3, "5d567a9c6a40a67e6380c2711d316679"),
+    ("E3", 5, 1): (3, "fe0601aba09e27b0cef242488f2c5bcf"),
     ("E3", 7, 3): (0, "c538ad5523b27c63afab03a427f35884"),
     ("E4", 6, 2): (0, "423d8a37a81173cc4199bc0fd41c7901"),
     ("E4", 9, 3): (0, "066f634e26895f3b0de4066bed9468ad"),
@@ -766,7 +766,7 @@ def test_cli_translation_longer_than_the_margin_names_the_margin(tmp_path, capsy
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "uncertified"
         assert report["witnesses"] == [
-            "uncertified difference for (bbb, bbb): translate undecided inside the core; "
+            "uncertified difference for (1, bbb): translate undecided inside the core; "
             "translation longer than the margin 2; raise the margin"]
     # the expectations are E3's, for the translation bb, so the verdict is fail
     assert main(["check", str(spec), "--margin", "3"]) == 2
@@ -821,8 +821,8 @@ elements = 1, x, Xx, XX
 
 
 @pytest.mark.parametrize("text, witness", [
-    # the base set is empty at radius 6, so B's translate merges into 1's; at radius 8 they differ
-    (FAR_RULE, "uncertified difference for (1, B): duplicate structure changed with radius"),
+    # the base set is empty at radius 6, so B's translate moves nothing; at radius 8 it moves b^6
+    (FAR_RULE, "difference for (1, B) changed at radius + 2: [] vs ['bbbbbb']"),
     # at radius 6 the base set is no longer empty and a difference reaches the shell
     (SHELL_AT_RADIUS_TWO, "uncertified difference for (1, x): "
                           "symmetric difference touches the boundary shell; enlarge radius"),
@@ -877,9 +877,46 @@ def test_cli_expected_k_moving_the_base_set_fails_only_its_own_checks(tmp_path, 
                                    "expected stabilizer element A moves the base vertex"]
 
 
+FINITE_BASE_SET = """[instance]
+name = finite
+
+[group]
+kind = free
+rank = 2
+letters = ab
+
+[window]
+radius = 4
+margin = 2
+
+[base_set]
+default = out
+include = AA, Ab
+
+[translations]
+elements = 1
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="properness is a shell heuristic that passes a finite "
+                                       "base set at radius 4 (ROADMAP item 8 decides it exactly)")
+def test_cli_finite_base_set_is_not_proper(tmp_path, capsys):
+    # A is two cosets, so H-finite and not proper; the heuristic looks only at
+    # the distance-2 shell, which holds keys in A and out of it, so the check
+    # passes with exit 0 (at radius 8 the distance-3 shell shows the fault)
+    spec = tmp_path / "finite.ini"
+    spec.write_text(FINITE_BASE_SET)
+    code = main(["check", str(spec)])
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 2 and by_name["properness"]["status"] == "fail"
+
+
 # name -> (instance fields, exit code, stdout md5) of `check` on a group
 # instance in which one of properness, stabilizer_base, stabilizer_class_union
-# or witness_stability does not pass, one input per witness text
+# or witness_stability does not pass, one input per witness text; the
+# stability witnesses name (1, g), g the first translation whose difference
+# A + A*g is uncertified or changes at radius + 2 (in -duplicates and
+# -merged, that change also changes which translates merge)
 WITNESS_GOLDEN = {
     "properness-empty": (dict(radius=4, margin=1, expected_k_exact=True),
                          2, "f0bc70156ec43c1e4e0aabad37749b78"),
@@ -908,8 +945,7 @@ WITNESS_GOLDEN = {
     "stability-duplicates": (dict(rank=2, radius=2, margin=1, subgroup_generators=("AAb", "ba"),
                                   base_includes=("ab",), translations=("1", "Bba"),
                                   expected_k_exact=True),
-                             3, "61775aa05ca47a7058f27ba0e73a524b"),
-    # the shell witness names (1, g), g the first translation whose moved set reaches the shell
+                             3, "f0b8380370e12374f471d83000186b12"),
     "stability-shell": (dict(rank=2, radius=4, base_rules=(("AAAAB", True),), base_includes=("a",),
                              translations=("B", "b", "aAB", "1"), expected_k_generators=("B",),
                              expected_k_exact=True),
@@ -918,18 +954,18 @@ WITNESS_GOLDEN = {
                                  subgroup_generators=("st",), base_excludes=("ts",),
                                  base_default_in=True, translations=("st", "st", "1"),
                                  expected_k_exact=True),
-                            3, "fcca3ad9fd6f0e9abd11ea7bffd84638"),
+                            3, "5f78a1295bebbb2db3e141cbecff6ca2"),
     "stability-margin": (dict(rank=2, radius=2, margin=1, subgroup_generators=("aBB", "A"),
                               base_rules=(("B", True),), base_default_in=True,
                               translations=("a", "1", "A", "bB", "Ab"), expected_k_exact=True),
-                         3, "6912586e5d5bac3e0e8ef7abbb77e4df"),
+                         3, "846a35d058cdc1183f5fdbb209a830be"),
     "stability-changed": (dict(radius=2, margin=1, base_excludes=("A", "AA"), base_default_in=True,
                                translations=("1", "aAa"), expected_k_exact=True),
-                          3, "5e1beb5801a8e2da89977ec2b2f83450"),
+                          3, "46eb7d4f973129ce63468d9fca70272c"),
     "stability-merged": (dict(rank=1, radius=2, margin=1, base_rules=(("aAA", False), ("AAA", False),
                                                                       ("Aaa", False)),
                               base_includes=("aa",), base_default_in=True, translations=("aAA", "1")),
-                         3, "9a20b2b6ee0eececfeb8cd37d2c5360b"),
+                         3, "be089fe53f46886a64b4f21f0d3ed2d7"),
     "stabilizer-edges": (dict(kind="free_product_cyclic", rank=2, orders=(2, 2), radius=4,
                               subgroup_generators=("s", "SS"), base_excludes=("T",),
                               base_default_in=True, translations=("t", "1"), expected_k_exact=True),

@@ -17,25 +17,24 @@ from tracktree import (
     build_tree,
     build_window,
     class_order,
-    corner_analysis,
     corpus,
-    crossing_test,
     explicit_family,
     free_group,
     nestedness_check,
-    parity_and_coloring,
     run_instance,
     square_analysis,
     subgroup,
 )
 from tracktree.instances import token_word
 from tracktree.reports import FAIL, PASS
-from tracktree.trees import base_orientation, median_closure, orientation_consistent
+from tracktree.patterns import corner_analysis, crossing_test, parity_and_coloring
+from tracktree.trees import median_closure, orientation_consistent
 from tracktree.windows import FamilyVertex, bit_positions
 from tracktree.errors import (
     NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, ParseError, TooLarge,
     TrackTreeError)
 from test_instances import group_specs
+from tree_reference import base_orientation, tree_colors
 
 Z = free_group(1, "t")
 
@@ -699,7 +698,7 @@ def assert_matches_string_reference(fam):
         return
     # tree vertices come in ShortLex order of their flip sets, each with B = A + F
     tree = build_tree(system)
-    colors = tree.colors()
+    colors = tree_colors(tree)
     assert all(colors[i] != colors[j] for i, j, _ in tree.edges)
     flips = [sorted(fam.keys_of(v.flips), key=sf.sort_key) for v in tree.vertices]
     assert flips == sorted(flips, key=lambda f: (len(f), [sf.sort_key(c) for c in f]))

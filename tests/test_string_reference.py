@@ -10,6 +10,7 @@ the ball reference in test_windows.py), and moves a key k by g as the
 coset of ``compose(k, g)``, not through the walk that ``translate`` makes.
 """
 
+import ast
 import itertools
 import re
 from dataclasses import replace
@@ -41,9 +42,15 @@ from tracktree import (
 from tracktree import trees, windows
 from tracktree.errors import CertificationFailure, NotNested, OutsideCertifiedDomain, ParseError
 from tracktree.groups import GroupElement
-from tracktree.instances import make_base_spec, make_model, make_subgroup, token_word
+from tracktree.instances import (
+    make_base_spec,
+    make_model,
+    make_subgroup,
+    parse_instance_text,
+    token_word,
+)
 from tracktree.trees import ClassUnionReport, StabilizerReport, translate_flips
-from test_instances import WITNESS_GOLDEN, group_specs
+from test_instances import FAR_RULE, WITNESS_GOLDEN, group_specs
 
 
 # --------------------------------------------------------------------------
@@ -469,3 +476,53 @@ def test_shell_witness_reverifies_on_its_own(spec):
         known_in, unknown = ref_translate(window, base, model.normalize(token_word(match[1])))
         moved = (base ^ known_in) - unknown
         assert any(len(k) > window.radius - window.margin for k in moved), check.witness
+
+
+CHANGED_WITNESS = re.compile(r"difference for \(1, (.+)\) changed at radius \+ 2: (\[.*\]) vs (\[.*\])")
+UNDECIDED_WITNESS = re.compile(r"uncertified difference for \(1, (.+)\): "
+                               r"translate undecided inside the core; .+")
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_specs())
+# a changed difference, one that changes which translates merge, and a
+# translate undecided at the radius and at radius + 2
+@example(parse_instance_text(FAR_RULE))
+@example(InstanceSpec("stability-changed", **WITNESS_GOLDEN["stability-changed"][0]))
+@example(InstanceSpec("stability-merged", **WITNESS_GOLDEN["stability-merged"][0]))
+@example(replace(corpus()["E3"], translations=("1", "b", "B", "bbb", "a")))
+@example(InstanceSpec("stability-undecided", **WITNESS_GOLDEN["stability-undecided"][0]))
+def test_stability_witnesses_reverify_on_their_own(spec):
+    # a witness "difference for (1, g) changed at radius + 2: X vs Y" says
+    # that A + A*g is X at the radius and Y at radius + 2, and an undecided
+    # (1, g) that some core key's pull-back by g is longer than the radius of
+    # the window it was raised at: the reference shows both from the
+    # instance alone
+    try:
+        report = run_instance(spec).report
+    except ParseError:
+        return
+    for check in report.checks:
+        changed = CHANGED_WITNESS.fullmatch(check.witness or "")
+        undecided = UNDECIDED_WITNESS.fullmatch(check.witness or "")
+        if changed is None and undecided is None:
+            continue
+        model = make_model(spec)
+        window = build_window(model, make_subgroup(model, spec.subgroup_generators),
+                              spec.radius, spec.margin)
+        g = model.normalize(token_word((changed or undecided)[1]))
+        if changed is not None:
+            assert check.name == "witness_stability"
+            for at, keys in ((window, changed[2]), (window.extended(2), changed[3])):
+                base = ref_base_set(at, make_base_spec(model, spec))
+                known_in, unknown = ref_translate(at, base, g)
+                moved = sorted((base ^ known_in) - unknown, key=model.sort_key)
+                assert moved == ast.literal_eval(keys), check.witness
+            continue
+        if check.name == "witness_stability":
+            window = window.extended(2)
+        else:
+            assert check.name == "family_certification"
+        ginv = invert(g)
+        assert any(len(compose(GroupElement(model, k), ginv).word) > window.radius
+                   for k in window.core), check.witness
