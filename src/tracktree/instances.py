@@ -1,8 +1,10 @@
 """Instance documents: the flat text format, validation, and the built-in corpus.
 
 An instance file is a flat structured-text document with ``[section]``
-headers, ``key = value`` lines and ``#`` comments.  Words use the letter
-syntax of the group models, with ``1`` standing for the empty word.
+headers, ``key = value`` lines and comments: a line whose first non-blank
+character is ``#`` or ``;``, and the rest of a line from a ``#`` that
+follows whitespace.  Words use the letter syntax of the group models, with
+``1`` standing for the empty word.
 Explicit mode bypasses the group machinery and lists the universe and the
 vertex subsets directly, which is how falsification families (e.g.
 crossing configurations) are injected.
@@ -21,6 +23,7 @@ error; unknown sections, other unknown keys and the other mode's sections are ig
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -207,11 +210,16 @@ _LISTED = {"base_set": ("group", ("rule", "include", "exclude")),
            "vertices": ("explicit", ("vertex",))}
 
 
+# an inline comment starts at a "#" that follows whitespace
+_COMMENT = re.compile(r"\s#")
+
+
 def parse_instance_text(text: str) -> InstanceSpec:
     index: dict[tuple[str, str], list[str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(" #", 1)[0].strip()
+        # the regex is skipped on lines without a "#", which are most of them
+        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line.startswith("[") and line.endswith("]"):

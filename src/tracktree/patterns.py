@@ -55,9 +55,13 @@ class TrackSystem:
 
         # indicators, by universe position of the label, in one pass over the vertices
         self.indicator: dict[int, int] = dict.fromkeys(bit_positions(union), 0)
+        indicator = self.indicator
         for i, v in enumerate(vertices):
-            for k in bit_positions(v.members & union):
-                self.indicator[k] |= 1 << i
+            bit, members = 1 << i, v.members & union
+            while members:
+                low = members & -members
+                indicator[low.bit_length() - 1] |= bit
+                members ^= low
         self._full = (1 << self.n) - 1
 
         # labels grouped by their indicator normalised to vanish at the base
@@ -231,10 +235,13 @@ def nestedness_check(system: TrackSystem) -> NestednessResult:
 
 def _nestedness(system: TrackSystem) -> NestednessResult:
     reps = [_least(bits) for bits in system.class_bits]
-    for a, p1 in enumerate(reps):
-        for p2 in reps[a + 1:]:
-            quadrants = _quadrants(system.indicator[p1], system.indicator[p2], system._full)
-            if all(quadrants):
+    masks = [system.indicator[p] for p in reps]
+    full = system._full
+    for a, (p1, m1) in enumerate(zip(reps, masks)):
+        for p2, m2 in zip(reps[a + 1:], masks[a + 1:]):
+            # the four quadrants of _quadrants, tested without building them
+            if m1 & m2 and m1 & ~m2 and m2 & ~m1 and (m1 | m2) != full:
+                quadrants = _quadrants(m1, m2, full)
                 corners = _names(system.family, *map(_least, quadrants))
                 universe = system.family.universe
                 return NestednessResult(False, (universe[p1], universe[p2], corners))

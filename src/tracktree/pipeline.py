@@ -8,7 +8,6 @@ the worst component status.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -21,6 +20,7 @@ from .errors import (
     RadiusTooLarge,
     SearchBudgetExceeded,
     TooLarge,
+    TrackTreeError,
     UnknownLetter,
 )
 from .groups import display_word
@@ -212,7 +212,7 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
 
     # nested tracks are pairwise compatible, so at most one quartet split on four
     # vertices carries labels and no square fails (the four-point condition); a
-    # crossing family may pass every square, so there the loop still runs.
+    # crossing family may pass every square, so there the squares are still scanned.
     # test_nestedness_decides_squares_and_class_orders checks this
     nested = nestedness_check(system)
     report.verdict("squares", None if nested.ok else _square_witness(family))
@@ -268,13 +268,51 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
 
 
 def _square_witness(family: VertexFamily) -> Optional[str]:
-    """The first failing square, or None; two pairings decide all three per quartet."""
-    for a, b, c, d in itertools.combinations(range(len(family)), 4):
-        for quad in ((a, b, c, d), (a, b, d, c)):
-            try:
-                square_analysis(family, *quad)
-            except NonNestedSquare as exc:
-                return str(exc)
+    """The first failing square, or None; two pairings decide all three per quartet.
+
+    The square is picked from one table of the n x n differences and their
+    sizes, in the order of a loop over ``square_analysis``: quartets
+    a < b < c < d in lexicographic order, each read as (a, b, c, d) and then
+    (a, b, d, c).  ``square_analysis`` raises exactly when one side-pair sum
+    strictly dominates and the other pair's differences overlap, so the
+    table scan tests that with int operations, and ``square_analysis`` runs
+    once, on the pick, to confirm it and word the witness.
+    """
+    quad = _first_failing_square(family)
+    if quad is None:
+        return None
+    try:
+        square_analysis(family, *quad)
+    except NonNestedSquare as exc:
+        return str(exc)
+    raise TrackTreeError(f"square {quad} fails by its differences but passes square_analysis")
+
+
+def _first_failing_square(family: VertexFamily) -> Optional[tuple[int, int, int, int]]:
+    members = [v.members for v in family.vertices]
+    diff = [[m ^ o for o in members] for m in members]
+    dist = [list(map(int.bit_count, row)) for row in diff]
+    n = len(members)
+    for a in range(n):
+        xa, da = diff[a], dist[a]
+        for b in range(a + 1, n):
+            xb, db, xab, dab = diff[b], dist[b], xa[b], da[b]
+            for c in range(b + 1, n):
+                xc, dc, xac, xbc = diff[c], dist[c], xa[c], xb[c]
+                dac, dbc = da[c], db[c]
+                for d in range(c + 1, n):
+                    # both pairings share the side pair {ab, cd}
+                    sides = dab + dc[d]
+                    # (a, b, c, d): against {ac, bd}
+                    opposite = dac + db[d]
+                    if (xac & xb[d] if sides > opposite else
+                            sides < opposite and xab & xc[d]):
+                        return a, b, c, d
+                    # (a, b, d, c): against {ad, bc}
+                    opposite = da[d] + dbc
+                    if (xa[d] & xbc if sides > opposite else
+                            sides < opposite and xab & xc[d]):
+                        return a, b, d, c
     return None
 
 

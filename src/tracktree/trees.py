@@ -136,30 +136,39 @@ def build_tree(system: TrackSystem) -> DualTree:
     to k's own.  A family vertex sits at the vertex of the smallest far side
     holding it.  These are exactly the median closure of the family's
     orientations and its one-class edges, which the tests check.
+
+    The parent of k is one lookup: the home of F_k's least vertex x, once
+    the larger classes are placed.  Far sides are distinct, one per class,
+    and the placed ones are at least as large as F_k, so a placed side that
+    holds x meets F_k and, by laminarity, holds F_k; the sides holding x
+    form a chain placed largest first, so x's home is the vertex of the
+    smallest placed side holding x, and thus of the smallest holding F_k.
     """
     nested = nestedness_check(system)
     if not nested.ok:
         raise NotNested(f"crossing witness {nested.witness}")
 
     # classes by far side, largest first, so the far sides holding F_k are
-    # placed before k; they form a chain, and the last placed is the smallest
-    placed: list[tuple[int, int]] = []  # (far side, flip set of its class's vertex)
+    # placed before k, and each placed class sets the home of its side's vertices
     home = [0] * system.n  # per family vertex, the flip set of the tree vertex it sits at
     raw_vertices: dict[int, tuple[str, Optional[int]]] = {}
     raw_edges: list[tuple[int, int, int]] = []
     classes = zip(system.class_norm, system.class_bits)
     for side, bits in sorted(classes, key=lambda c: -c[0].bit_count()):
-        prev = next((flips for held, flips in reversed(placed) if side & held == side), 0)
+        prev = home[(side & -side).bit_length() - 1]
         # the band walks away from the base side through the labels in ShortLex order
-        for label in bit_positions(bits):
-            nxt = prev | 1 << label
+        while bits:
+            low = bits & -bits
+            nxt = prev | low
             raw_vertices[nxt] = ("band", None)
-            raw_edges.append((prev, nxt, label))
+            raw_edges.append((prev, nxt, low.bit_length() - 1))
             prev = nxt
-        placed.append((side, prev))
+            bits ^= low
         raw_vertices[prev] = ("branch", None)
-        for i in bit_positions(side):
-            home[i] = prev
+        while side:
+            low = side & -side
+            home[low.bit_length() - 1] = prev
+            side ^= low
     for i, flips in enumerate(home):
         raw_vertices[flips] = ("family", i)
 

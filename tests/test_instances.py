@@ -658,6 +658,15 @@ def test_cli_bad_file_is_an_input_error(tmp_path, capsys, content, message):
     assert captured.err == f"input error: {bad}: {message.format(path=bad)}\n"
 
 
+@pytest.mark.parametrize("gap", [" ", "\t", " \t", "\t "], ids=["space", "tab", "space-tab", "tab-space"])
+def test_inline_comment_after_any_whitespace(gap):
+    # a "#" after a tab used to be read as a key, with the words after it
+    text = EXPLICIT_PQ.replace("keys = a b", f"keys = a b{gap}# note")
+    spec = parse_instance_text(text)
+    assert spec.universe == ("a", "b")
+    assert spec == parse_instance_text(EXPLICIT_PQ)
+
+
 def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
     import tracktree.pipeline
 

@@ -5,13 +5,15 @@ it files each section's lines in a list, scans the list once per key, and
 rebuilds the spec with ``dataclasses.replace`` for every key it reads.
 The parser in ``tracktree.instances`` must give an equal spec, or a
 ``ParseError``, on exactly the texts where the reference does, except for
-three deliberate changes:
+four deliberate changes:
 
 * a repeated ``default`` in ``[base_set]`` is an error (the reference
   checked every value and kept the last);
 * a single-integer key whose value is not exactly one integer is an
   error (the reference read the first, and raised ``IndexError`` on none);
-* where several lines are at fault, which one the message names.
+* where several lines are at fault, which one the message names;
+* a ``#`` after a tab, not only after a space, starts an inline comment
+  (no text here has one, so the two parsers still agree on all of them).
 """
 
 import ast

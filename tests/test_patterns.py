@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,16 @@ from tracktree import (
     corpus,
     explicit_family,
     free_group,
+    instance_to_text,
     nestedness_check,
     run_instance,
     square_analysis,
     subgroup,
 )
+import tracktree.pipeline
+from tracktree.cli import main
 from tracktree.instances import token_word
+from tracktree.oracles import random_nested_family
 from tracktree.reports import FAIL, PASS
 from tracktree.patterns import corner_analysis, crossing_test, parity_and_coloring
 from tracktree.trees import median_closure, orientation_consistent
@@ -791,11 +796,14 @@ def full_square_loop(fam):
     return PASS, None
 
 
-def squares_line(fam):
-    spec = InstanceSpec(name="squares", mode="explicit", universe=tuple(fam.universe),
+def family_spec(fam, name="squares"):
+    return InstanceSpec(name=name, mode="explicit", universe=tuple(fam.universe),
                         explicit_vertices=tuple((v.name, tuple(fam.keys_of(v.members)))
                                                 for v in fam.vertices))
-    result = run_instance(spec)
+
+
+def squares_line(fam):
+    result = run_instance(family_spec(fam))
     line = next(c for c in result.report.checks if c.name == "squares")
     return result.family, (line.status, line.witness)
 
@@ -828,6 +836,76 @@ def test_squares_line_on_a_crossing_family_whose_squares_pass():
     family, line = squares_line(fam)
     assert line == full_square_loop(family) == (PASS, None)
     family, line = squares_line(crossing_family())
+    assert line == full_square_loop(family) and line[0] == FAIL
+
+
+@st.composite
+def grafted_families_at_the_cap(draw):
+    """A nested family of 13-15 classes, so 14-16 vertices, the benchmark's
+    size and the vertex cap, with two keys grafted to cross at four distinct
+    vertices as tree_families(graft=True) grafts them."""
+    family, _ = random_nested_family(draw(st.integers(0, 2**32)),
+                                     exact_classes=draw(st.integers(13, 15)))
+    members = [set(family.keys_of(v.members)) for v in family.vertices]
+    both, first, second, _ = draw(st.permutations(range(len(members))))[:4]
+    members[both] |= {"g0", "g1"}
+    members[first].add("g0")
+    members[second].add("g1")
+    return explicit_family(family.universe + ["g0", "g1"],
+                           [(v.name, frozenset(m)) for v, m in zip(family.vertices, members)],
+                           base_index=family.base_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grafted_families_at_the_cap())
+def test_squares_line_matches_the_full_loop_at_the_vertex_cap(fam):
+    family, line = squares_line(fam)
+    assert line == full_square_loop(family)
+
+
+def simplex_family():
+    """The 16 codewords of the [15, 4] simplex code, over 15 keys: every two
+    are at distance 8, so every square has equal side sums and passes, yet
+    the keys cross.  The square scan visits all C(16, 4) quartets."""
+    keys = [f"k{x:02d}" for x in range(1, 16)]
+    return explicit_family(keys, [
+        (f"m{m:02d}", frozenset(k for x, k in enumerate(keys, start=1) if (m & x).bit_count() % 2))
+        for m in range(16)])
+
+
+def count_square_calls(monkeypatch):
+    """The quartets the pipeline hands to square_analysis, recorded as it runs."""
+    calls = []
+
+    def counted(family, *quad):
+        calls.append(quad)
+        return square_analysis(family, *quad)
+
+    monkeypatch.setattr(tracktree.pipeline, "square_analysis", counted)
+    return calls
+
+
+def test_simplex_code_passes_every_square_without_square_analysis(tmp_path, monkeypatch, capsys):
+    fam = simplex_family()
+    assert {fam.distance(i, j) for i, j in itertools.combinations(range(16), 2)} == {8}
+    calls = count_square_calls(monkeypatch)
+    family, line = squares_line(fam)
+    assert calls == []
+    assert line == full_square_loop(family) == (PASS, None)
+
+    path = tmp_path / "simplex.ini"
+    path.write_text(instance_to_text(family_spec(fam, "simplex")))
+    assert main(["check", str(path)]) == 2
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert statuses["squares"] == PASS and statuses["nestedness"] == FAIL
+
+
+def test_squares_line_confirms_only_the_witnessed_square(monkeypatch):
+    calls = count_square_calls(monkeypatch)
+    family, line = squares_line(crossing_family())
+    first = next(quad for a, b, c, d in itertools.combinations(range(len(family)), 4)
+                 for quad in ((a, b, c, d), (a, b, d, c)) if square_fails(family, *quad))
+    assert calls == [first] == [(0, 1, 3, 2)]
     assert line == full_square_loop(family) and line[0] == FAIL
 
 
