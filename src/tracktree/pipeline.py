@@ -48,7 +48,7 @@ from .patterns import (
     square_analysis,
 )
 from .reports import FAIL, PASS, UNCERTIFIED, Report
-from .trees import DualTree, act, build_tree, separation_witness, stabilizer_analysis
+from .trees import DualTree, build_tree, separation_witness, stabilizer_analysis, translate_flips
 from .windows import (
     VertexFamily,
     build_base_set,
@@ -155,10 +155,11 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     tree = result.tree
     if tree is None:
         return
-    # an expected-K generator fixes A, and so the base vertex, or it has
-    # failed expected_stabilizer already; only the translations are acted on
-    # (act reads the translates that build_family certified, so it cannot raise)
-    unmapped = next((g for g in translations if act(tree, g)[tree.base_index] is None), None)
+    # an expected-K generator fixes A, and so the base vertex, or it has failed
+    # expected_stabilizer already; a translation sends the base vertex to the
+    # vertex flipping d_g, which build_family certified, so this cannot raise
+    unmapped = next((g for g in translations if translate_flips(tree, g) not in tree.flip_index),
+                    None)
     report.verdict("action_equivariance", None if unmapped is None else
                    f"action by {display_word(unmapped.word)}: base image missing")
 

@@ -11,18 +11,20 @@ one vertex and one edge, read off the containment order.  ``median`` and
 family's own orientations; the pipeline no longer calls them, and they stay
 as the reference that the tests and the benchmark's tracing hooks read.
 Each reduced edge is subdivided by band vertices which flip the class's
-cosets one at a time in ShortLex order away from the base side.  Every
+cosets one at a time in ShortLex order away from the base side.  The tree
+hangs from the base vertex: every other vertex has one parent edge.  Every
 vertex carries the finite flip set F and the set B = A + F it represents,
 both int bitsets over the family's universe, and every edge is labelled by
 the universe position of the one coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
 window's translate by g, and F*g walks each label's id by g, where
 ``Window._known`` keeps the walk in the window.  ``act`` is the one place
-this map is computed, and it returns the vertex map itself; the window
-stabilizers are read off it.  The base stabilizer check against the
-expected K and the class-union check each give their witness, None when
-they hold.  The class union walks ``GroupModel.successors`` from H one
-level at a time toward the identity's class, not the whole ball.
+this map is computed, one label image per parent edge down from d_g, and it
+returns the vertex map itself; the window stabilizers are read off it.  The
+base stabilizer check against the expected K and the class-union check
+each give their witness, None when they hold.  The class union walks
+``GroupModel.successors`` from H one level at a time toward the identity's
+class, not the whole ball.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -95,8 +98,12 @@ class TreeVertex:
 
 
 class DualTree:
-    """Vertices and edges (i, j, label) with i < j; a label is the universe
-    position of the one coset the edge flips."""
+    """Vertices and edges (i, j, label); a label is the universe position of
+    the one coset the edge flips.  The tree hangs from the base, vertex 0,
+    which flips nothing: every other vertex j is the larger end of exactly
+    one edge (i, j, label), its parent edge, with i < j and flips[j] =
+    flips[i] | 1 << label for a label not in flips[i].  So the sorted edges
+    reach each vertex before they leave it; ``_assert_tree`` checks this."""
 
     def __init__(self, system: TrackSystem, vertices: list[TreeVertex],
                  edges: list[tuple[int, int, int]], base_index: int):
@@ -104,14 +111,19 @@ class DualTree:
         self.vertices = vertices
         self.edges = edges
         self.base_index = base_index
-        self.adjacency: dict[int, list[tuple[int, int]]] = {v.index: [] for v in vertices}
-        for i, j, label in edges:
-            self.adjacency[i].append((j, label))
-            self.adjacency[j].append((i, label))
         self.flip_index: dict[int, int] = {v.flips: v.index for v in vertices}
         self.family_vertex: dict[int, int] = {
             v.family_index: v.index for v in vertices if v.family_index is not None
         }
+
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        """(neighbour, label) pairs per vertex, for the reference path search."""
+        adjacency: dict[int, list[tuple[int, int]]] = {v.index: [] for v in self.vertices}
+        for i, j, label in self.edges:
+            adjacency[i].append((j, label))
+            adjacency[j].append((i, label))
+        return adjacency
 
     @property
     def vertex_count(self) -> int:
@@ -182,35 +194,30 @@ def build_tree(system: TrackSystem) -> DualTree:
         TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
         for i, flips in enumerate(order)
     ]
-    edges = sorted(
-        (
-            (min(index_of[a], index_of[b]), max(index_of[a], index_of[b]), label)
-            for a, b, label in raw_edges
-        ),
-    )
+    # each raw edge adds its label to a's flips, so a comes first in ShortLex
+    edges = sorted((index_of[a], index_of[b], label) for a, b, label in raw_edges)
     tree = DualTree(system, vertices, edges, index_of[0])
     _assert_tree(tree)
     return tree
 
 
 def _assert_tree(tree: DualTree):
+    """The shape ``DualTree`` states, in one pass over the edges.  Each of
+    vertices 1..n-1 is reached once, from a lesser vertex already reached, so
+    parent edges lead every vertex down to vertex 0: the graph is a tree."""
     n, e = tree.vertex_count, tree.edge_count
     if e != n - 1:
         raise TrackTreeError(f"{e} edges on {n} vertices is not a tree")
-    seen = {tree.base_index}
-    stack = [tree.base_index]
-    while stack:
-        x = stack.pop()
-        for y, _ in tree.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != n:
-        raise DisconnectedTree(f"reached {len(seen)} of {n} vertices")
-    # one flipped label per edge also makes the colours |flips| mod 2 alternate
+    if tree.base_index != 0 or tree.vertices[0].flips:
+        raise TrackTreeError(f"base vertex {tree.base_index} is not vertex 0 with no flips")
+    flips, reached = [v.flips for v in tree.vertices], [True] + [False] * e
     for i, j, label in tree.edges:
-        if tree.vertices[i].flips ^ tree.vertices[j].flips != 1 << label:
-            raise TrackTreeError(f"edge ({i}, {j}) does not flip exactly label {label}")
+        if not (0 <= i < j < n and reached[i]) or reached[j]:
+            raise DisconnectedTree(f"edge ({i}, {j}) is not the one edge from a reached vertex to {j}")
+        # one added label per edge also makes the colours |flips| mod 2 alternate
+        if flips[i] >> label & 1 or flips[j] != flips[i] | 1 << label:
+            raise TrackTreeError(f"edge ({i}, {j}) does not add label {label}")
+        reached[j] = True
 
 
 # --------------------------------------------------------------------------
@@ -257,13 +264,14 @@ def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
 
 
 def separation_witness(tree: DualTree) -> Optional[str]:
-    """Why some tree path is not geodesic or a family pair is at the wrong
-    distance; None when every path carries exactly the labels of B_a + B_b.
+    """Why some tree path is not geodesic or a family vertex sits at the wrong
+    tree vertex; None when every path carries exactly the labels of B_a + B_b.
 
     Each edge flips exactly its label's bit (checked when the tree is
     built), and any two edges lie on one path, so every path is geodesic
     iff no label is on two edges (Buneman 1971): then the distance of two
-    vertices is the size of the XOR of their flip sets.
+    vertices is the size of the XOR of their flip sets, and two family
+    vertices, each at the tree vertex with its members, are as far apart.
     """
     family = tree.system.family
     edge_of: dict[int, tuple[int, int]] = {}
@@ -272,11 +280,10 @@ def separation_witness(tree: DualTree) -> Optional[str]:
             return (f"label {display_word(family.universe[label])} "
                     f"is on edges {edge_of[label]} and {(i, j)}")
         edge_of[label] = (i, j)
-    flips = [tree.vertices[tree.family_vertex[i]].flips for i in range(len(family))]
-    members = [v.members for v in family.vertices]
-    for i, j in itertools.combinations(range(len(family)), 2):
-        if (flips[i] ^ flips[j]).bit_count() != (members[i] ^ members[j]).bit_count():
-            return f"family pair ({i}, {j}) has wrong tree distance"
+    for i, v in enumerate(family.vertices):
+        at = tree.family_vertex[i]
+        if tree.vertices[at].members != v.members:
+            return f"family vertex {i} sits at tree vertex {at}, whose members differ"
     return None
 
 
@@ -315,27 +322,18 @@ def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
     return {p: window._walk_from(p, g.word) if known >> p & 1 else -1 for p in labels}
 
 
-def _image_flips(flips: int, images: dict[int, int], d_g: int) -> Optional[int]:
-    """The flip set of B*g, for B = A + flips: flips*g + d_g, where images are
-    the tree's label images under g; None when a flipped coset leaves the window."""
-    moved = 0
-    while flips:
-        low = flips & -flips
-        j = images[low.bit_length() - 1]
-        if j < 0:
-            return None
-        moved |= 1 << j
-        flips ^= low
-    return moved ^ d_g
-
-
 def act(tree: DualTree, g: GroupElement) -> list[Optional[int]]:
     """The vertex map of g: the index of B*g per vertex B, None where the image
-    is not a tree vertex.  The base vertex flips nothing, so its image is the
-    vertex whose flip set is d_g."""
+    is not a tree vertex.  The base's image flips d_g, and as an edge adds its
+    label to i's flips, j's image adds the label's image, distinct from the
+    others'; below a label whose k*g leaves the window, the images are None."""
     d_g = translate_flips(tree, g)
     images = _label_images(tree, g)
-    return [tree.flip_index.get(_image_flips(v.flips, images, d_g)) for v in tree.vertices]
+    flips: list[Optional[int]] = [d_g] + [None] * (tree.vertex_count - 1)
+    for i, j, label in tree.edges:
+        if flips[i] is not None and images[label] >= 0:
+            flips[j] = flips[i] ^ 1 << images[label]
+    return [tree.flip_index.get(f) for f in flips]
 
 
 # --------------------------------------------------------------------------

@@ -53,9 +53,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, or_
 from typing import Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule
@@ -759,11 +759,11 @@ def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozen
         if name in names:
             raise ValueError(f"vertex name {name!r} is used twice")
         names.add(name)
-        members = set(members)
-        stray = members.difference(bit)
-        if stray:
-            raise ValueError(f"vertex {name!r} uses keys outside the universe: {sorted(stray)}")
-        mask = sum(bit[k] for k in members)
+        try:
+            mask = reduce(or_, map(bit.__getitem__, members), 0)  # a repeated key is one bit
+        except KeyError:
+            stray = sorted(set(members).difference(bit))
+            raise ValueError(f"vertex {name!r} uses keys outside the universe: {stray}") from None
         if mask in seen:
             raise ValueError(f"vertex {name!r} duplicates vertex {seen[mask]!r}")
         seen[mask] = name

@@ -1,6 +1,7 @@
 """Dual tree construction, separation, geodesics, action, stabilizers."""
 
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -375,20 +376,20 @@ E, VA, VB, VAB = (("e", frozenset()), ("va", frozenset("a")), ("vb", frozenset("
 # vertex of each tree vertex, witness); tree vertex i has family vertex i's
 # members, and an edge label is a universe position: a is 0 and b is 1
 BAD_TREES = [
-    # the path e - va - vab - vb: each edge flips exactly its label, but a is on two edges
-    ([E, VA, VB, VAB], [(0, 1, 0), (1, 3, 1), (2, 3, 0)], [0, 1, 2, 3],
+    # the path va - e - vb - vab: each edge adds its label, but a is on two edges
+    ([E, VA, VB, VAB], [(0, 1, 0), (0, 2, 1), (2, 3, 0)], [0, 1, 2, 3],
      "label a is on edges (0, 1) and (2, 3)"),
     # the path e - va - vab with the family vertices of e and va swapped
     ([E, VA, VAB], [(0, 1, 0), (1, 2, 1)], [1, 0, 2],
-     "family pair (0, 2) has wrong tree distance"),
+     "family vertex 0 sits at tree vertex 1, whose members differ"),
 ]
 
 
-def hand_built_tree(subsets, edges, family_index):
+def hand_built_tree(subsets, edges, family_index, base_index=0):
     system = build_track_system(explicit_family(["a", "b"], subsets))
     vertices = [TreeVertex(i, v.members, v.members, "family", k)
                 for i, (v, k) in enumerate(zip(system.family.vertices, family_index))]
-    tree = DualTree(system, vertices, edges, 0)
+    tree = DualTree(system, vertices, edges, base_index)
     _assert_tree(tree)
     return tree
 
@@ -398,6 +399,35 @@ def test_separation_witness_on_hand_built_trees(subsets, edges, family_index, wi
     tree = hand_built_tree(subsets, edges, family_index)
     assert separation_witness(tree) == witness
     assert not all_pairs_separation(tree)
+
+
+# graphs that are not trees hanging from the base by parent edges: (family,
+# edges, base index, the start of the error), as in BAD_TREES
+NOT_ROOTED = [
+    # the path e - va - vab - vb: vertex 3 has two lower edges, vertex 2 none
+    ([E, VA, VB, VAB], [(0, 1, 0), (1, 3, 1), (2, 3, 0)], 0,
+     "edge (2, 3) is not the one edge from a reached vertex to 3"),
+    # the path e - va - vab, its edges out of order: vertex 1 is left before it is reached
+    ([E, VA, VAB], [(1, 2, 1), (0, 1, 0)], 0,
+     "edge (1, 2) is not the one edge from a reached vertex to 2"),
+    # the base is vertex 1
+    ([E, VA], [(0, 1, 0)], 1, "base vertex 1 is not vertex 0"),
+    # the base is vertex 0 but flips a
+    ([VA, E], [(0, 1, 0)], 0, "base vertex 0 is not vertex 0 with no flips"),
+    # the path e - va - vab - vb in that order: the last edge removes a
+    ([E, VA, VAB, VB], [(0, 1, 0), (1, 2, 1), (2, 3, 0)], 0, "edge (2, 3) does not add label 0"),
+    # an edge down to a smaller vertex
+    ([E, VA], [(1, 0, 0)], 0, "edge (1, 0) is not the one edge from a reached vertex to 0"),
+    # a cycle has as many edges as vertices
+    ([E, VA, VB, VAB], [(0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)], 0,
+     "4 edges on 4 vertices is not a tree"),
+]
+
+
+@pytest.mark.parametrize("subsets, edges, base_index, error", NOT_ROOTED)
+def test_assert_tree_rejects_graphs_not_rooted_at_the_base(subsets, edges, base_index, error):
+    with pytest.raises(TrackTreeError, match=re.escape(error)):
+        hand_built_tree(subsets, edges, range(len(subsets)), base_index)
 
 
 @pytest.mark.parametrize("seed", range(12))

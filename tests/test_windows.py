@@ -786,6 +786,23 @@ def test_unstable_witness_matches_string_reference():
     assert want.startswith("difference for (1, tt) changed at radius + 2")
 
 
+def test_stability_sweep_over_half_lines_reaches_every_outcome():
+    # the drawn cases almost never change at radius + 2: here a rule adds the
+    # left half-line from T^b, just past the core, so the translate by t^k
+    # moves T^(b-k), ..., T^(b-1); a shell key among them is unknown at the
+    # radius when its walk by t^-k leaves the window, and radius + 2 decides it
+    outcomes = set()
+    for radius, margin in ((6, 2), (7, 2), (8, 3)):
+        for b in (radius - margin + 1, radius - margin + 2):
+            spec = BaseSetSpec(rules=(("t", True), ("T" * b, True)), includes=frozenset([""]))
+            for k in range(1, margin + 3):
+                want = assert_stability_matches_reference(
+                    Z, TRIVIAL_Z, radius, margin, spec, [Z.identity(), Z.normalize("t" * k)])
+                outcomes.add(want if want in (None, "uncertified") else
+                             want.startswith(f"difference for (1, {'t' * k}) changed"))
+    assert outcomes == {None, "uncertified", True}
+
+
 # --------------------------------------------------------------------------
 # the Stallings core bound against the radius + 2 regrowth it replaces
 
