@@ -36,7 +36,6 @@ graph of ``windows.Window``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -60,53 +59,79 @@ _DEFAULT_LETTERS = {
 }
 
 
-@dataclass(frozen=True)
-class GroupModel:
-    """A group family plus its generator alphabet."""
+class Frozen:
+    """Base of the slotted records whose fields are set once, in ``__init__``."""
 
-    kind: str
-    letters: tuple[str, ...]
-    orders: tuple[int, ...] = ()
-    # ShortLex rank of every declared letter and inverse letter: a < A < b < B < ...
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
-    _after: dict[str, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (FREE, FREE_ABELIAN, FREE_PRODUCT_CYCLIC):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if not self.letters:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class GroupModel(Frozen):
+    """A group family plus its generator alphabet.
+
+    Models are equal when kind, letters and orders are; the ShortLex ranks
+    in ``_rank`` and the successor table in ``_after`` are caches.
+    """
+
+    __slots__ = ("kind", "letters", "orders", "_rank", "_after")
+
+    def __init__(self, kind: str, letters: tuple[str, ...], orders: tuple[int, ...] = ()):
+        if kind not in (FREE, FREE_ABELIAN, FREE_PRODUCT_CYCLIC):
+            raise ValueError(f"unknown group kind {kind!r}")
+        if not letters:
             raise ValueError("rank must be at least 1")
         seen = set()
-        for ch in self.letters:
+        for ch in letters:
             if len(ch) != 1 or not ch.isalpha() or not ch.islower():
                 raise ValueError(f"generator letters must be single lowercase letters, got {ch!r}")
             if ch in seen:
                 raise ValueError(f"duplicate generator letter {ch!r}")
             seen.add(ch)
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            if len(self.orders) != len(self.letters):
+        if kind == FREE_PRODUCT_CYCLIC:
+            if len(orders) != len(letters):
                 raise ValueError("one factor order per generator letter is required")
-            for n in self.orders:
+            for n in orders:
                 if n < 2:
                     raise ValueError(f"cyclic factor orders must be at least 2, got {n}")
-        elif self.orders:
+        elif orders:
             raise ValueError("orders are only meaningful for free_product_cyclic")
+        # ShortLex rank of every declared letter and inverse letter: a < A < b < B < ...
         rank = {}
-        for i, g in enumerate(self.letters):
+        for i, g in enumerate(letters):
             rank[g], rank[g.upper()] = 2 * i, 2 * i + 1
-        object.__setattr__(self, "_rank", rank)
         # the successors of a canonical word by its last letter, "" for the
         # identity; for free products, of a word whose last run is full
         alphabet = "".join(rank)
-        if self.kind == FREE:
+        if kind == FREE:
             after = {ch: alphabet.replace(ch.swapcase(), "") for ch in alphabet}
-        elif self.kind == FREE_ABELIAN:
+        elif kind == FREE_ABELIAN:
             after = {ch: ch + alphabet[(rank[ch] | 1) + 1:] for ch in alphabet}
         else:
-            alphabet = "".join(self.letters)
+            alphabet = "".join(letters)
             after = {x: alphabet.replace(x, "") for x in alphabet}
         after[""] = alphabet
-        object.__setattr__(self, "_after", after)
+        for name, value in (("kind", kind), ("letters", letters), ("orders", orders),
+                            ("_rank", rank), ("_after", after)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GroupModel:
+            return NotImplemented
+        return (self.kind, self.letters, self.orders) == (other.kind, other.letters, other.orders)
+
+    def __hash__(self):
+        return hash((self.kind, self.letters, self.orders))
 
     # -- alphabet helpers --
 
@@ -239,12 +264,24 @@ def _pick_letters(kind: str, rank: int, letters: Optional[str]) -> tuple[str, ..
     return tuple(letters)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element in canonical normal form.  Construct via GroupModel methods."""
+class GroupElement(Frozen):
+    """An element in canonical normal form.  Construct via GroupModel methods.
 
-    model: GroupModel
-    word: str
+    Elements are equal when their models and words are."""
+
+    __slots__ = ("model", "word")
+
+    def __init__(self, model: GroupModel, word: str):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.word == other.word and self.model == other.model
+
+    def __hash__(self):
+        return hash((self.model, self.word))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -569,7 +606,6 @@ class _LatticeEngine:
         return self.lattice.reduce(moved)
 
 
-@dataclass
 class SubgroupModel:
     """A subgroup given by generators, with the engine that fingerprints its cosets.
 
@@ -577,12 +613,13 @@ class SubgroupModel:
     ``advance(fp, step)``, the fingerprint of He*step from fp alone.
     """
 
-    model: GroupModel
-    generators: tuple[GroupElement, ...]
-    engine: object = field(repr=False)
+    __slots__ = ("model", "generators", "engine", "_identity_fp")
 
-    def __post_init__(self):
-        self._identity_fp = self.engine.fingerprint(self.model.identity())
+    def __init__(self, model: GroupModel, generators: tuple[GroupElement, ...], engine: object):
+        self.model = model
+        self.generators = generators
+        self.engine = engine
+        self._identity_fp = engine.fingerprint(model.identity())
 
     def member(self, e: GroupElement) -> bool:
         """e lies in H exactly when He = H, that is when e fingerprints as 1 does."""

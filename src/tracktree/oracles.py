@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -27,8 +26,7 @@ MAX_ORACLE_VERTICES = 8
 DFS_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class OrientationOracle:
+class OrientationOracle(NamedTuple):
     vertex_flips: frozenset[int]              # flip sets, bitsets over the universe
     edges: frozenset[tuple[int, int, int]]    # (lesser flips, greater flips, label)
 
@@ -112,8 +110,7 @@ def tree_matches_oracle(tree: DualTree, oracle: OrientationOracle) -> bool:
 # labelings
 
 
-@dataclass
-class LabelingOracle:
+class LabelingOracle(NamedTuple):
     edges: list[tuple[int, int]]
     labelings: list[tuple[tuple[int, ...], ...]]  # per edge, its label positions in order
     count: int
@@ -288,8 +285,7 @@ def labeling_verdict(system: TrackSystem, canonical: dict[tuple[int, int], tuple
 # random nested families
 
 
-@dataclass(frozen=True)
-class RandomFamilyInfo:
+class RandomFamilyInfo(NamedTuple):
     seed: int
     vertex_count: int
     class_sizes: tuple[int, ...]

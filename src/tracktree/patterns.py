@@ -16,8 +16,7 @@ be permuted freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NegativeCorner, NonNestedSquare, NotTotal, ParityViolation, TooLarge
 from .windows import VertexFamily, bit_positions
@@ -109,8 +108,7 @@ def parity_and_coloring(family: VertexFamily) -> list[int]:
 # corners
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     vertex: int
     count: int
     cosets: int  # bitset over the family's universe
@@ -147,8 +145,7 @@ def corner_analysis(family: VertexFamily, u: int, v: int, w: int) -> tuple[Corne
 # squares
 
 
-@dataclass(frozen=True)
-class SquareReport:
+class SquareReport(NamedTuple):
     vertices: tuple[int, int, int, int]
     sum_sides: int        # d(u,v) + d(w,z)
     sum_opposite: int     # d(u,w) + d(v,z)
@@ -213,8 +210,7 @@ def crossing_test(system: TrackSystem, p1: int, p2: int) -> bool:
     return all(_quadrants(system.indicator[p1], system.indicator[p2], system._full))
 
 
-@dataclass(frozen=True)
-class NestednessResult:
+class NestednessResult(NamedTuple):
     ok: bool
     witness: Optional[tuple[str, str, tuple[str, str, str, str]]] = None
 

@@ -9,7 +9,7 @@ the worst component status.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .errors import (
@@ -60,20 +60,32 @@ from .windows import (
 )
 
 
-@dataclass
 class RunResult:
-    report: Report
-    spec: InstanceSpec
-    family: Optional[VertexFamily] = None
-    system: Optional[TrackSystem] = None
-    tree: Optional[DualTree] = None
-    # once the tree is built, each oracle gives its result or why it was skipped
-    orientations: Optional[OrientationOracle] = None
-    orientations_match: Optional[bool] = None
-    orientations_skipped: Optional[str] = None
-    labelings: Optional[LabelingOracle] = None
-    labeling_verdict: Optional[LabelingVerdict] = None
-    labelings_skipped: Optional[str] = None
+    __slots__ = ("report", "spec", "family", "system", "tree", "orientations",
+                 "orientations_match", "orientations_skipped", "labelings", "labeling_verdict",
+                 "labelings_skipped")
+
+    def __init__(self, report: Report, spec: InstanceSpec,
+                 family: Optional[VertexFamily] = None, system: Optional[TrackSystem] = None,
+                 tree: Optional[DualTree] = None,
+                 orientations: Optional[OrientationOracle] = None,
+                 orientations_match: Optional[bool] = None,
+                 orientations_skipped: Optional[str] = None,
+                 labelings: Optional[LabelingOracle] = None,
+                 labeling_verdict: Optional[LabelingVerdict] = None,
+                 labelings_skipped: Optional[str] = None):
+        self.report = report
+        self.spec = spec
+        self.family = family
+        self.system = system
+        self.tree = tree
+        # once the tree is built, each oracle gives its result or why it was skipped
+        self.orientations = orientations
+        self.orientations_match = orientations_match
+        self.orientations_skipped = orientations_skipped
+        self.labelings = labelings
+        self.labeling_verdict = labeling_verdict
+        self.labelings_skipped = labelings_skipped
 
 
 def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
@@ -90,8 +102,7 @@ def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
             _run_group(spec, report, result)
         else:
             try:
-                family = explicit_family(list(spec.universe),
-                                         [(n, frozenset(m)) for n, m in spec.explicit_vertices])
+                family = explicit_family(spec.universe, spec.explicit_vertices)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
             result.family = family

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
@@ -26,19 +25,24 @@ UNCERTIFIED = "uncertified"
 _SEVERITY = {PASS: 0, FAIL: 1, UNCERTIFIED: 2}
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    witness: Optional[str] = None
+    __slots__ = ("name", "status", "witness")
+
+    def __init__(self, name: str, status: str, witness: Optional[str] = None):
+        self.name = name
+        self.status = status
+        self.witness = witness
 
 
-@dataclass
 class Report:
-    instance: str
-    checks: list[CheckResult] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-    timing_ms: float = 0.0
+    __slots__ = ("instance", "checks", "counts", "timing_ms")
+
+    def __init__(self, instance: str, checks: Optional[list[CheckResult]] = None,
+                 counts: Optional[dict[str, int]] = None, timing_ms: float = 0.0):
+        self.instance = instance
+        self.checks = [] if checks is None else checks
+        self.counts = {} if counts is None else counts
+        self.timing_ms = timing_ms
 
     def add(self, name: str, status: str, witness: Optional[str] = None) -> CheckResult:
         if status == FAIL and witness is None:

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DisconnectedTree,
@@ -88,8 +87,7 @@ def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
     return closed
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     index: int
     flips: int                 # cosets flipped relative to the base vertex, a bitset
     members: int               # B = A + F, a bitset over the family's universe
@@ -224,8 +222,7 @@ def _assert_tree(tree: DualTree):
 # paths and separation
 
 
-@dataclass(frozen=True)
-class PathReport:
+class PathReport(NamedTuple):
     length: int
     labels: tuple[int, ...]   # universe positions, in path order
 
@@ -340,16 +337,14 @@ def act(tree: DualTree, g: GroupElement) -> list[Optional[int]]:
 # window stabilizers
 
 
-@dataclass
-class ClassUnionReport:
+class ClassUnionReport(NamedTuple):
     """The identity coset's class, whose size is H's index in its union, and
     why the union is not a subgroup, or None."""
     class_size: int
     witness: Optional[str]
 
 
-@dataclass
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     vertex_stabilizers: list[tuple[str, ...]]
     # why the base stabilizer misses an expected element, or holds an
     # unexpected one when K is declared exact; None when it agrees with K
@@ -379,6 +374,8 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
             certified.append((g, act(tree, g)))
         except OutsideCertifiedDomain:
             continue
+    # an edge's witness is the first missing conjugate of H's ball elements in the ball's order
+    h_ball = [g for g, _ in certified if window.sub.member(g)]
     certified.sort(key=lambda c: c[0].sort_key())
 
     vertex_stabs = [tuple(display_word(g.word) for g, image in certified if image[v] == v)
@@ -397,7 +394,6 @@ def stabilizer_analysis(tree: DualTree, ball: Sequence[GroupElement],
         elif extra:
             base_witness = f"unexpected base stabilizer element {sorted(extra)[0]}"
 
-    h_ball = [g for g, _ in certified if window.sub.member(g)]
     certified_words = {display_word(g.word) for g, _ in certified}
     edge_stabs: list[tuple[str, ...]] = []
     edge_witnesses: list[Optional[str]] = []

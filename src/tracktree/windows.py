@@ -52,17 +52,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, or_
-from typing import Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule
 from .groups import (
     FREE,
     FREE_ABELIAN,
     FREE_PRODUCT_CYCLIC,
+    Frozen,
     GroupElement,
     GroupModel,
     SubgroupModel,
@@ -158,6 +158,8 @@ class _CosetGraph:
         # runs (lo, hi, first child id) of parents grown in bulk whose links
         # are not written yet, in id order
         self._pending: deque[tuple[int, int, int]] = deque()
+        # the newest layer was grown wholly in bulk, so each of its cosets is past the core
+        self._bulk = False
 
     @property
     def radius(self) -> int:
@@ -176,15 +178,21 @@ class _CosetGraph:
         a slot per new id in a layer with such a parent; a layer grown in
         bulk only gets its slots when its links are written.  A core coset's
         key passes through core cosets only, so no layer that steps follows
-        one grown in bulk.
+        one grown in bulk; and every coset of a layer grown wholly in bulk
+        is past the core, so its children are grown in bulk without reading
+        its fingerprints.
         """
         fps, tail_fp = self.fps, self._tail_fp
         arrays = list(self.arrays.values())
         while self.radius < radius:
             lo, hi = self.level_end[-2] if self.radius else 0, len(fps)
             size = hi
-            past_core = (bytes(map(tail_fp.__le__, fps[lo:hi])) if tail_fp is not None
-                         else bytes(hi - lo))
+            if self._bulk:
+                past_core = b"\x01" * (hi - lo)
+            elif tail_fp is not None:
+                past_core = bytes(map(tail_fp.__le__, fps[lo:hi]))
+            else:
+                past_core = bytes(hi - lo)
             # room for every new id of a layer that steps; the unused tail is cut off below
             stepping = 0 in past_core
             if stepping:
@@ -199,6 +207,7 @@ class _CosetGraph:
             if stepping:
                 for a in arrays:
                     del a[size + 1:]
+            self._bulk = tail_fp is not None and not stepping
             self.level_end.append(size)
         return self
 
@@ -602,27 +611,28 @@ def build_window(model: GroupModel, sub: SubgroupModel, radius: int, margin: int
 # base sets
 
 
-@dataclass(frozen=True)
-class BaseSetSpec:
+class BaseSetSpec(Frozen):
     """Prefix rules plus explicit include/exclude lists over coset keys.
 
     Membership of a key is decided by the longest matching prefix rule,
     then by the explicit lists, then by the default side.
     """
 
-    rules: tuple[tuple[str, bool], ...] = ()
-    includes: frozenset[str] = frozenset()
-    excludes: frozenset[str] = frozenset()
-    default_in: bool = False
+    __slots__ = ("rules", "includes", "excludes", "default_in")
 
-    def __post_init__(self):
-        clash = self.includes & self.excludes
+    def __init__(self, rules: tuple[tuple[str, bool], ...] = (),
+                 includes: frozenset[str] = frozenset(),
+                 excludes: frozenset[str] = frozenset(), default_in: bool = False):
+        clash = includes & excludes
         if clash:
             raise ConflictingRule(f"keys both included and excluded: {sorted(clash)}")
         sides: dict[str, bool] = {}
-        for prefix, side in self.rules:
+        for prefix, side in rules:
             if sides.setdefault(prefix, side) != side:
                 raise ConflictingRule(f"prefix {prefix!r} declared with both sides")
+        for name, value in (("rules", rules), ("includes", includes), ("excludes", excludes),
+                            ("default_in", default_in)):
+            object.__setattr__(self, name, value)
 
     @property
     def depth(self) -> int:
@@ -701,8 +711,7 @@ def _decide(window: Window, spec: BaseSetSpec, flags: bytearray) -> int:
 # translate families
 
 
-@dataclass(frozen=True)
-class FamilyVertex:
+class FamilyVertex(NamedTuple):
     element: Optional[GroupElement]  # the translation; None in explicit mode
     members: int                     # bitset over the family's universe
     name: str
@@ -741,12 +750,13 @@ class VertexFamily:
         return list(compress(self.universe, _flags(mask)))
 
 
-def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, frozenset[str]]],
+def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, Collection[str]]],
                     base_index: int = 0) -> VertexFamily:
     """Family given directly as subsets of an abstract universe (test mode).
 
-    A repeated key or vertex name is an error: a witness names vertices and
-    keys, so each name must mean one thing."""
+    Each subset is a vertex name and a collection of its keys, read as a
+    set.  A repeated universe key or vertex name is an error: a witness
+    names vertices and keys, so each name must mean one thing."""
     if len(set(universe)) < len(universe):
         repeated = sorted({k for k in universe if universe.count(k) > 1})
         raise ValueError(f"the universe repeats keys {repeated}")

@@ -667,6 +667,16 @@ def test_inline_comment_after_any_whitespace(gap):
     assert spec == parse_instance_text(EXPLICIT_PQ)
 
 
+def test_cli_key_listed_twice_in_a_vertex_is_one_key(tmp_path, capsys):
+    reports = []
+    for stem, keys in (("once", "a b"), ("twice", "b a b")):
+        path = tmp_path / f"{stem}.ini"
+        path.write_text(EXPLICIT_PQ + f"vertex = q : {keys}\n")
+        assert main(["check", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
     import tracktree.pipeline
 
