@@ -25,9 +25,12 @@ print("parallel classes:", [tuple(fam.keys_of(bits)) for bits in system.class_bi
 
 print()
 print("tree vertices (flip set relative to the base vertex o):")
-for v in tree.vertices:
-    flips = "{" + ",".join(sorted(w or "1" for w in fam.keys_of(v.flips))) + "}"
-    print(f"  B{v.index}: {flips:12s} {v.kind}")
+# a vertex holds a family vertex, or is inside a band (degree 2), or branches
+sits = set(tree.family_vertex)
+for i, flips in enumerate(tree.flips):
+    keys = "{" + ",".join(sorted(w or "1" for w in fam.keys_of(flips))) + "}"
+    role = "family" if i in sits else "band" if len(tree.adjacency[i]) == 2 else "branch"
+    print(f"  B{i}: {keys:12s} {role}")
 
 print()
 print("unique paths realise symmetric differences:")

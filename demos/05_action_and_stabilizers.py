@@ -21,9 +21,9 @@ stab = stabilizer_analysis(tree, model.ball(3),
                            expected_k=subgroup(model, ["t"]), expected_k_exact=True)
 print()
 print("vertex stabilizers inside the radius-3 ball (note the alternation):")
-for v in tree.vertices:
-    flips = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(v.flips))) + "}"
-    print(f"  B{v.index} {flips:10s} -> {stab.vertex_stabilizers[v.index]}")
+for i, flips in enumerate(tree.flips):
+    keys = "{" + ",".join(sorted(w or "1" for w in tree.system.family.keys_of(flips))) + "}"
+    print(f"  B{i} {keys:10s} -> {stab.vertex_stabilizers[i]}")
 print("base stabilizer equals the declared one exactly:", stab.base_witness is None)
 
 print()

@@ -52,9 +52,6 @@ def _cmd_check(args) -> int:
 def _cmd_tree(args) -> int:
     spec = load_instance(args.spec)
     result = run_instance(spec, radius=args.radius, margin=args.margin)
-    if args.format == "report":
-        _emit(report_document(result.report, include_timings=args.timings), args.out)
-        return result.report.exit_code()
     if result.tree is None:
         sys.stderr.write("no tree was built: " + result.report.status + "\n")
         sys.stderr.write(report_document(result.report))
@@ -139,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="emit the dual tree of an instance")
     p.add_argument("spec", help="instance file")
-    p.add_argument("--format", choices=("dot", "report"), default="dot")
     common(p)
     p.set_defaults(func=_cmd_tree)
 

@@ -100,9 +100,10 @@ def oracle_orientations(system: TrackSystem) -> OrientationOracle:
 
 def tree_matches_oracle(tree: DualTree, oracle: OrientationOracle) -> bool:
     """Compare the tree's flip sets and edges with the oracle's."""
-    flips = [v.flips for v in tree.vertices]
-    edges = {(min(flips[i], flips[j]), max(flips[i], flips[j]), label)
-             for i, j, label in tree.edges}
+    # a parent edge's lesser end is its parent, so (flips[i], flips[j]) is
+    # the oracle's (tail, head)
+    flips = tree.flips
+    edges = {(flips[i], flips[j], label) for i, j, label in tree.edges}
     return frozenset(flips) == oracle.vertex_flips and edges == oracle.edges
 
 
@@ -309,19 +310,6 @@ def random_nested_family(seed: int, max_vertices: int = 12,
         n = rng.randint(2, max_vertices)
     parent = [rng.randrange(i) for i in range(1, n)]
 
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    for child, p in enumerate(parent, start=1):
-        children[p].append(child)
-
-    def subtree(root: int) -> frozenset[int]:
-        out = set()
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(children[x])
-        return frozenset(out)
-
     sizes = [1] * (n - 1)
     for _ in range(rng.randint(0, max_extra_cosets)):
         sizes[rng.randrange(n - 1)] += 1
@@ -338,15 +326,12 @@ def random_nested_family(seed: int, max_vertices: int = 12,
     constants = [f"z{i}" for i in range(rng.randint(0, max_constants))]
     constant_side = {z: rng.random() < 0.5 for z in constants}
 
-    inside: list[frozenset[int]] = [subtree(child) for child in range(1, n)]
-    subsets = []
-    for v in range(n):
-        members = set()
-        for e in range(n - 1):
-            if v in inside[e]:
-                members.update(labels[e])
-        members.update(z for z in constants if constant_side[z])
-        subsets.append((f"v{v}", frozenset(members)))
+    # vertex v holds the labels of the edges on its path from vertex 0; a
+    # parent comes before its child, so its path is known
+    path = [frozenset(z for z in constants if constant_side[z])]
+    for v in range(1, n):
+        path.append(path[parent[v - 1]].union(labels[v - 1]))
+    subsets = [(f"v{v}", members) for v, members in enumerate(path)]
 
     universe = [c for group in labels for c in group] + constants
     family = explicit_family(universe, subsets, base_index=0)

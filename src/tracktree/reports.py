@@ -107,13 +107,11 @@ def dot_document(tree: DualTree, title: str) -> str:
     title and every label are quoted DOT IDs."""
     family = tree.system.family
     lines = [f"graph {_quoted(title)} {{", "  node [shape=circle];"]
-    for v in tree.vertices:
-        if v.index == tree.base_index:
-            lines.append(f'  B{v.index} [label="o", shape=doublecircle];')
-        else:
-            flips = ",".join(display_word(w) for w in family.keys_of(v.flips))
-            lines.append(f"  B{v.index} [label={_quoted('{' + flips + '}')}];")
-    for i, j, label in sorted(tree.edges):
+    lines.append(f'  B{tree.base_index} [label="o", shape=doublecircle];')
+    for i, flips in enumerate(tree.flips[1:], start=1):
+        keys = ",".join(display_word(w) for w in family.keys_of(flips))
+        lines.append(f"  B{i} [label={_quoted('{' + keys + '}')}];")
+    for i, j, label in tree.edges:
         lines.append(f"  B{i} -- B{j} [label={_quoted(display_word(family.universe[label]))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,10 +12,10 @@ family's own orientations; the pipeline no longer calls them, and they stay
 as the reference that the tests and the benchmark's tracing hooks read.
 Each reduced edge is subdivided by band vertices which flip the class's
 cosets one at a time in ShortLex order away from the base side.  The tree
-hangs from the base vertex: every other vertex has one parent edge.  Every
-vertex carries the finite flip set F and the set B = A + F it represents,
-both int bitsets over the family's universe, and every edge is labelled by
-the universe position of the one coset it flips.  An element g sends
+hangs from the base vertex: every other vertex has one parent edge.  A
+vertex B = A + F is its finite flip set F, an int bitset over the family's
+universe, and every edge is labelled by the universe position of the one
+coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
 window's translate by g, and F*g walks each label's id by g, where
 ``Window._known`` keeps the walk in the window.  ``act`` is the one place
@@ -87,37 +87,35 @@ def median_closure(system: TrackSystem, seeds: Sequence[int]) -> set[int]:
     return closed
 
 
-class TreeVertex(NamedTuple):
-    index: int
-    flips: int                 # cosets flipped relative to the base vertex, a bitset
-    members: int               # B = A + F, a bitset over the family's universe
-    kind: str                  # "family", "band" or "branch"
-    family_index: Optional[int]
-
-
 class DualTree:
-    """Vertices and edges (i, j, label); a label is the universe position of
-    the one coset the edge flips.  The tree hangs from the base, vertex 0,
-    which flips nothing: every other vertex j is the larger end of exactly
-    one edge (i, j, label), its parent edge, with i < j and flips[j] =
-    flips[i] | 1 << label for a label not in flips[i].  So the sorted edges
-    reach each vertex before they leave it; ``_assert_tree`` checks this."""
+    """The flip sets of the vertices in ShortLex order, the edges (i, j,
+    label), and ``family_vertex[k]``, the vertex where family vertex k sits;
+    a label is the universe position of the one coset the edge flips.  The
+    tree hangs from the base, vertex 0, which flips nothing: every other
+    vertex j is the larger end of exactly one edge (i, j, label), its parent
+    edge, with i < j and flips[j] = flips[i] | 1 << label for a label not in
+    flips[i].  So the sorted edges reach each vertex before they leave it;
+    ``_assert_tree`` checks this."""
 
-    def __init__(self, system: TrackSystem, vertices: list[TreeVertex],
-                 edges: list[tuple[int, int, int]], base_index: int):
+    base_index = 0
+
+    def __init__(self, system: TrackSystem, flips: list[int],
+                 edges: list[tuple[int, int, int]], family_vertex: list[int]):
         self.system = system
-        self.vertices = vertices
+        self.flips = flips
         self.edges = edges
-        self.base_index = base_index
-        self.flip_index: dict[int, int] = {v.flips: v.index for v in vertices}
-        self.family_vertex: dict[int, int] = {
-            v.family_index: v.index for v in vertices if v.family_index is not None
-        }
+        self.family_vertex = family_vertex
 
     @cached_property
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+    def flip_index(self) -> dict[int, int]:
+        """The vertex of each flip set; ``build_tree`` hands over the one it
+        numbers the edges by."""
+        return {f: i for i, f in enumerate(self.flips)}
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, int]]]:
         """(neighbour, label) pairs per vertex, for the reference path search."""
-        adjacency: dict[int, list[tuple[int, int]]] = {v.index: [] for v in self.vertices}
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.flips]
         for i, j, label in self.edges:
             adjacency[i].append((j, label))
             adjacency[j].append((i, label))
@@ -125,7 +123,7 @@ class DualTree:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.flips)
 
     @property
     def edge_count(self) -> int:
@@ -161,7 +159,7 @@ def build_tree(system: TrackSystem) -> DualTree:
     # classes by far side, largest first, so the far sides holding F_k are
     # placed before k, and each placed class sets the home of its side's vertices
     home = [0] * system.n  # per family vertex, the flip set of the tree vertex it sits at
-    raw_vertices: dict[int, tuple[str, Optional[int]]] = {}
+    vertices = {0}
     raw_edges: list[tuple[int, int, int]] = []
     classes = zip(system.class_norm, system.class_bits)
     for side, bits in sorted(classes, key=lambda c: -c[0].bit_count()):
@@ -170,31 +168,24 @@ def build_tree(system: TrackSystem) -> DualTree:
         while bits:
             low = bits & -bits
             nxt = prev | low
-            raw_vertices[nxt] = ("band", None)
+            vertices.add(nxt)
             raw_edges.append((prev, nxt, low.bit_length() - 1))
             prev = nxt
             bits ^= low
-        raw_vertices[prev] = ("branch", None)
         while side:
             low = side & -side
             home[low.bit_length() - 1] = prev
             side ^= low
-    for i, flips in enumerate(home):
-        raw_vertices[flips] = ("family", i)
 
     # ShortLex order of the flip sets (bit positions run in ShortLex order of the
     # keys): by size, then as the bit strings read lowest bit first with 0 and 1
     # swapped, which order two sets of one size as their position lists do
-    order = sorted(raw_vertices, key=lambda f: (f.bit_count(), bin(f)[:1:-1].translate(_SWAP)))
+    order = sorted(vertices, key=lambda f: (f.bit_count(), bin(f)[:1:-1].translate(_SWAP)))
     index_of = {flips: i for i, flips in enumerate(order)}
-    base_members = system.family.vertices[system.base_index].members
-    vertices = [
-        TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
-        for i, flips in enumerate(order)
-    ]
     # each raw edge adds its label to a's flips, so a comes first in ShortLex
     edges = sorted((index_of[a], index_of[b], label) for a, b, label in raw_edges)
-    tree = DualTree(system, vertices, edges, index_of[0])
+    tree = DualTree(system, order, edges, [index_of[f] for f in home])
+    tree.flip_index = index_of
     _assert_tree(tree)
     return tree
 
@@ -206,9 +197,9 @@ def _assert_tree(tree: DualTree):
     n, e = tree.vertex_count, tree.edge_count
     if e != n - 1:
         raise TrackTreeError(f"{e} edges on {n} vertices is not a tree")
-    if tree.base_index != 0 or tree.vertices[0].flips:
-        raise TrackTreeError(f"base vertex {tree.base_index} is not vertex 0 with no flips")
-    flips, reached = [v.flips for v in tree.vertices], [True] + [False] * e
+    flips, reached = tree.flips, [True] + [False] * e
+    if flips[0]:
+        raise TrackTreeError("base vertex 0 has flips")
     for i, j, label in tree.edges:
         if not (0 <= i < j < n and reached[i]) or reached[j]:
             raise DisconnectedTree(f"edge ({i}, {j}) is not the one edge from a reached vertex to {j}")
@@ -252,7 +243,7 @@ def tree_metric_and_separation(tree: DualTree, a: int, b: int) -> PathReport:
     # each edge flips exactly the bit of its label (checked when the tree is
     # built), and the path's flips XOR to the difference: so its labels are
     # distinct and make up the difference iff they are as many as its bits
-    expected = tree.vertices[a].flips ^ tree.vertices[b].flips
+    expected = tree.flips[a] ^ tree.flips[b]
     if len(labels) != expected.bit_count():
         universe = tree.system.family.universe
         raise TrackTreeError(
@@ -277,9 +268,9 @@ def separation_witness(tree: DualTree) -> Optional[str]:
             return (f"label {display_word(family.universe[label])} "
                     f"is on edges {edge_of[label]} and {(i, j)}")
         edge_of[label] = (i, j)
-    for i, v in enumerate(family.vertices):
-        at = tree.family_vertex[i]
-        if tree.vertices[at].members != v.members:
+    base = family.vertices[family.base_index].members
+    for i, (v, at) in enumerate(zip(family.vertices, tree.family_vertex)):
+        if tree.flips[at] != v.members ^ base:
             return f"family vertex {i} sits at tree vertex {at}, whose members differ"
     return None
 

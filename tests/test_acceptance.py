@@ -156,7 +156,7 @@ def test_treeness_and_oracle_equivalence():
                     stack.append(y)
         assert len(seen) == tree.vertex_count
         for i, j, label in tree.edges:
-            assert tree.vertices[i].flips ^ tree.vertices[j].flips == 1 << label
+            assert tree.flips[i] ^ tree.flips[j] == 1 << label
             assert colors[i] != colors[j]
         assert tree_matches_oracle(tree, oracle_orientations(system))
 
@@ -178,7 +178,7 @@ def test_separation_and_geodesics():
         for a in range(tree.vertex_count):
             for b in range(a, tree.vertex_count):
                 path = tree_metric_and_separation(tree, a, b)
-                expected = set(bit_positions(tree.vertices[a].flips ^ tree.vertices[b].flips))
+                expected = set(bit_positions(tree.flips[a] ^ tree.flips[b]))
                 assert path.length == len(expected)
                 assert set(path.labels) == expected
                 assert len(path.labels) == len(set(path.labels))
@@ -194,7 +194,7 @@ def test_action_and_stabilizers():
 
     e1 = results["E1"]
     model = e1.family.window.model
-    degrees = sorted(len(e1.tree.adjacency[v.index]) for v in e1.tree.vertices)
+    degrees = sorted(len(neighbours) for neighbours in e1.tree.adjacency)
     assert degrees == [1, 1, 2, 2, 2]  # a path
     st1 = stabilizer_analysis(e1.tree, model.ball(2),
                               expected_k=subgroup(model, []), expected_k_exact=True)

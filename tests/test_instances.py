@@ -243,7 +243,7 @@ def test_cli_missing_file(capsys):
 
 
 def test_cli_tree_dot(capsys):
-    code = main(["tree", str(INSTANCE_DIR / "E4.ini"), "--format", "dot"])
+    code = main(["tree", str(INSTANCE_DIR / "E4.ini")])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith('graph "E4"')
 
@@ -252,7 +252,7 @@ def test_cli_tree_dot_title_is_one_quoted_id(tmp_path, capsys):
     name = r'my "E1" \\ test'
     spec = tmp_path / "named.ini"
     spec.write_text((INSTANCE_DIR / "E1.ini").read_text().replace("name = E1", f"name = {name}"))
-    code = main(["tree", str(spec), "--format", "dot"])
+    code = main(["tree", str(spec)])
     first = capsys.readouterr().out.splitlines()[0]
     # a quoted ID runs to the first quote not escaped by a backslash
     match = re.fullmatch(r'graph "((?:[^"\\]|\\.)*)" \{', first)
@@ -266,7 +266,7 @@ def test_cli_tree_dot_labels_are_quoted_ids(tmp_path, capsys):
     spec.write_text("[instance]\nname = quoted\nmode = explicit\n\n"
                     '[universe]\nkeys = a"b c\\d e\n\n'
                     '[vertices]\nvertex = u :\nvertex = v : a"b\nvertex = w : a"b c\\d\n')
-    code = main(["tree", str(spec), "--format", "dot"])
+    code = main(["tree", str(spec)])
     lines = capsys.readouterr().out.splitlines()[2:-1]
     labels = []
     for line in lines:
@@ -279,9 +279,13 @@ def test_cli_tree_dot_labels_are_quoted_ids(tmp_path, capsys):
 
 
 def test_cli_tree_report(capsys):
-    code = main(["tree", str(INSTANCE_DIR / "E2.ini"), "--format", "report"])
+    # `tree` prints DOT only; the report of the same run is the one `check` prints
+    e2 = str(INSTANCE_DIR / "E2.ini")
+    code = main(["check", e2])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["instance"] == "E2"
+    code = main(["tree", e2])
+    assert code == 0 and capsys.readouterr().out.startswith('graph "E2"')
 
 
 def test_cli_oracle(capsys):
@@ -324,7 +328,7 @@ def test_cli_calls_in_one_process_keep_no_options(capsys):
     e3, e2 = str(INSTANCE_DIR / "E3.ini"), str(INSTANCE_DIR / "E2.ini")
     calls = [["check", e3, "--radius", "7"], ["check", e3],
              ["check", e2, "--radius", "7", "--margin", "3"], ["check", e2],
-             ["tree", e3, "--format", "report", "--radius", "7"], ["tree", e3]]
+             ["tree", e3, "--radius", "7"], ["tree", e3]]
     reused = []
     for argv in calls:
         code = main(argv)
@@ -336,7 +340,7 @@ def test_cli_calls_in_one_process_keep_no_options(capsys):
         fresh.append((code, capsys.readouterr().out))
     assert reused == fresh
     assert reused[0] != reused[1] and reused[2] != reused[3]
-    assert reused[5][1].startswith('graph "E3"')
+    assert reused[4][1].startswith('graph "E3"') and reused[5][1].startswith('graph "E3"')
 
 
 def test_corpus_report_bytes_golden(capsys):

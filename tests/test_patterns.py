@@ -701,14 +701,15 @@ def assert_matches_string_reference(fam):
         assert square_outcome(fam, *quad) == reference_square(sf, *quad)
     if not nestedness_check(system).ok or outcome(assign_labels, system)[0] != "ok":
         return
-    # tree vertices come in ShortLex order of their flip sets, each with B = A + F
+    # tree vertices come in ShortLex order of their flip sets, and each family
+    # vertex sits at the one whose flips are its difference from the base
     tree = build_tree(system)
     colors = tree_colors(tree)
     assert all(colors[i] != colors[j] for i, j, _ in tree.edges)
-    flips = [sorted(fam.keys_of(v.flips), key=sf.sort_key) for v in tree.vertices]
+    flips = [sorted(fam.keys_of(f), key=sf.sort_key) for f in tree.flips]
     assert flips == sorted(flips, key=lambda f: (len(f), [sf.sort_key(c) for c in f]))
-    for v, f in zip(tree.vertices, flips):
-        assert frozenset(fam.keys_of(v.members)) == sf.members[sf.base_index] ^ frozenset(f)
+    for k, at in enumerate(tree.family_vertex):
+        assert sf.members[k] == sf.members[sf.base_index] ^ frozenset(flips[at])
 
 
 @settings(max_examples=200, deadline=None)

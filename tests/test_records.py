@@ -17,7 +17,7 @@ from tracktree.errors import ConflictingRule
 from tracktree.groups import GroupElement, free_abelian_group, free_group
 from tracktree.oracles import LabelingOracle, OrientationOracle, RandomFamilyInfo
 from tracktree.patterns import Corner, NestednessResult, SquareReport
-from tracktree.trees import ClassUnionReport, PathReport, StabilizerReport, TreeVertex
+from tracktree.trees import ClassUnionReport, PathReport, StabilizerReport
 from tracktree.windows import BaseSetSpec, FamilyVertex
 
 
@@ -55,9 +55,8 @@ def test_group_elements_are_keys_by_model_and_word():
     (free_group(2), "kind"),
     (free_group(2).normalize("a"), "word"),
     (BaseSetSpec(), "rules"),
-    (TreeVertex(0, 0, 0, "family", 0), "flips"),
     (FamilyVertex(None, 0, "v"), "members"),
-], ids=["GroupModel", "GroupElement", "BaseSetSpec", "TreeVertex", "FamilyVertex"])
+], ids=["GroupModel", "GroupElement", "BaseSetSpec", "FamilyVertex"])
 def test_frozen_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -65,7 +64,6 @@ def test_frozen_records_refuse_assignment(record, field):
 
 # the field order of each NamedTuple record, which positional construction relies on
 FIELDS = {
-    TreeVertex: ("index", "flips", "members", "kind", "family_index"),
     FamilyVertex: ("element", "members", "name"),
     NestednessResult: ("ok", "witness"),
     OrientationOracle: ("vertex_flips", "edges"),

@@ -111,7 +111,7 @@ class StringTree:
         self.system = tree.system
         self.window = family.window
         self.base_set = frozenset(self.window.keys_of(family.base_set))
-        self.flips = [frozenset(family.keys_of(v.flips)) for v in tree.vertices]
+        self.flips = [frozenset(family.keys_of(f)) for f in tree.flips]
         self.flip_index = {f: i for i, f in enumerate(self.flips)}
         self.id_of = {k: i for i, k in enumerate(self.window.omega)}
         self.core = frozenset(self.window.core)
@@ -265,9 +265,9 @@ def compare(name, base_spec=None, elements=None, seen=None):
     assert isinstance(family.base_set, int)
     ref_tree = StringTree(tree)
     base_members = frozenset(family.keys_of(family.vertices[family.base_index].members))
-    for v, flips in zip(tree.vertices, ref_tree.flips):
-        assert isinstance(v.flips, int)
-        assert frozenset(family.keys_of(v.members)) == base_members ^ flips
+    assert all(isinstance(f, int) for f in tree.flips)
+    for v, at in zip(family.vertices, tree.family_vertex):
+        assert frozenset(family.keys_of(v.members)) == base_members ^ ref_tree.flips[at]
 
     elements = model.ball(margin + 1) if elements is None else elements
     for g in elements:

@@ -30,7 +30,6 @@ from tracktree.errors import NotNested, OutsideCertifiedDomain, TrackTreeError
 from tracktree.oracles import random_nested_family
 from tracktree.trees import (
     DualTree,
-    TreeVertex,
     _assert_tree,
     median,
     median_closure,
@@ -78,7 +77,7 @@ def test_base_orientation_flip_set():
     tree = result.tree
     # the translate one step right flips exactly the identity coset
     idx = [i for i, v in enumerate(result.family.vertices) if v.element.word == "t"][0]
-    assert result.family.keys_of(tree.vertices[tree.family_vertex[idx]].flips) == [""]
+    assert result.family.keys_of(tree.flips[tree.family_vertex[idx]]) == [""]
 
 
 def test_median_majority():
@@ -102,6 +101,14 @@ def test_median_closure_star_adds_center():
 # tree construction
 
 
+def role(tree, i):
+    """Tree vertex i's role, read off the tree: it holds a family vertex, or
+    it is inside a band (degree 2), or it branches."""
+    if i in tree.family_vertex:
+        return "family"
+    return "band" if len(tree.adjacency[i]) == 2 else "branch"
+
+
 def test_single_track_tree():
     fam = explicit_family(["a"], [("e", frozenset()), ("va", frozenset(["a"]))])
     tree = build_tree(build_track_system(fam))
@@ -111,26 +118,26 @@ def test_single_track_tree():
 def test_band_subdivision():
     fam = explicit_family(["a", "b"], [("e", frozenset()), ("vab", frozenset(["a", "b"]))])
     tree = build_tree(build_track_system(fam))
-    flips = sorted(sorted(fam.keys_of(v.flips)) for v in tree.vertices)
+    flips = sorted(sorted(fam.keys_of(f)) for f in tree.flips)
     assert flips == [[], ["a"], ["a", "b"]]
-    kinds = {tuple(sorted(fam.keys_of(v.flips))): v.kind for v in tree.vertices}
+    kinds = {tuple(sorted(fam.keys_of(f))): role(tree, i) for i, f in enumerate(tree.flips)}
     assert kinds[("a",)] == "band"
 
 
 def test_half_line_tree_is_path_without_extras():
     tree = run("E1").tree
     assert tree.vertex_count == 5 and tree.edge_count == 4
-    assert all(v.kind == "family" for v in tree.vertices)
-    degrees = sorted(len(tree.adjacency[v.index]) for v in tree.vertices)
+    assert all(role(tree, i) == "family" for i in range(tree.vertex_count))
+    degrees = sorted(len(neighbours) for neighbours in tree.adjacency)
     assert degrees == [1, 1, 2, 2, 2]
 
 
 def test_star_tree_center_is_branch_vertex():
     tree = build_tree(star_system())
     assert tree.vertex_count == 4 and tree.edge_count == 3
-    center = [v for v in tree.vertices if v.kind == "branch"]
+    center = [i for i in range(tree.vertex_count) if role(tree, i) == "branch"]
     assert len(center) == 1
-    assert len(tree.adjacency[center[0].index]) == 3
+    assert len(tree.adjacency[center[0]]) == 3
 
 
 def test_build_tree_rejects_crossings():
@@ -141,11 +148,9 @@ def test_build_tree_rejects_crossings():
 def reference_tree(system):
     """The dual tree as the median closure of the family's orientations, with
     an edge for each closed pair that differs in one class: the construction
-    the laminar build replaced, as (vertices, edges, base index)."""
+    the laminar build replaced, as (flip sets, edges, family vertex map)."""
     family_orients = [base_orientation(system, i) for i in range(system.n)]
     closed = median_closure(system, family_orients)
-    orient_of_family = {o: i for i, o in reversed(list(enumerate(family_orients)))}
-    base_members = system.family.vertices[system.base_index].members
 
     def flips_of(orientation):
         out = 0
@@ -154,10 +159,7 @@ def reference_tree(system):
                 out |= bits
         return out
 
-    raw_vertices = {}
-    for o in sorted(closed):
-        fam = orient_of_family.get(o)
-        raw_vertices[flips_of(o)] = ("family" if fam is not None else "branch", fam)
+    raw_vertices = {flips_of(o) for o in closed}
     raw_edges = []
     ordered = sorted(closed)
     for a_i, b_i in itertools.combinations(range(len(ordered)), 2):
@@ -172,23 +174,21 @@ def reference_tree(system):
         prev = flips_of(tail)
         for step, label in enumerate(labels):
             nxt = prev | 1 << label if step < len(labels) - 1 else flips_of(head)
-            raw_vertices.setdefault(nxt, ("band", None))
+            raw_vertices.add(nxt)
             raw_edges.append((prev, nxt, label))
             prev = nxt
 
     order = sorted(raw_vertices, key=lambda flips: (flips.bit_count(), bit_positions(flips)))
     index_of = {flips: i for i, flips in enumerate(order)}
-    vertices = [TreeVertex(i, flips, base_members ^ flips, *raw_vertices[flips])
-                for i, flips in enumerate(order)]
     edges = sorted((min(index_of[a], index_of[b]), max(index_of[a], index_of[b]), label)
                    for a, b, label in raw_edges)
-    return vertices, edges, index_of[flips_of(family_orients[system.base_index])]
+    return order, edges, [index_of[flips_of(o)] for o in family_orients]
 
 
 def assert_matches_reference(family):
     system = build_track_system(family)
     tree = build_tree(system)
-    assert (tree.vertices, tree.edges, tree.base_index) == reference_tree(system)
+    assert (tree.flips, tree.edges, tree.family_vertex) == reference_tree(system)
 
 
 @st.composite
@@ -293,9 +293,9 @@ def test_tree_axioms_on_corpus():
         assert tree.edge_count == tree.vertex_count - 1
         colors = tree_colors(tree)
         for i, j, label in tree.edges:
-            assert tree.vertices[i].flips ^ tree.vertices[j].flips == 1 << label
+            assert tree.flips[i] ^ tree.flips[j] == 1 << label
             assert colors[i] != colors[j]
-        assert tree.vertices[tree.base_index].flips == 0
+        assert tree.flips[tree.base_index] == 0
 
 
 def test_every_vertex_is_base_plus_finite_flip():
@@ -303,10 +303,10 @@ def test_every_vertex_is_base_plus_finite_flip():
     tree = result.tree
     fam = result.family
     base_keys = set(fam.keys_of(fam.vertices[fam.base_index].members))
-    for v in tree.vertices:
-        flips = set(fam.keys_of(v.flips))
-        assert set(fam.keys_of(v.members)) == base_keys ^ flips
-        assert len(flips) <= result.system.label_bits.bit_count()
+    for v, at in zip(fam.vertices, tree.family_vertex):
+        assert set(fam.keys_of(v.members)) == base_keys ^ set(fam.keys_of(tree.flips[at]))
+    for flips in tree.flips:
+        assert len(fam.keys_of(flips)) <= result.system.label_bits.bit_count()
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_geodesic_for_all_tree_vertex_pairs():
     tree = result.tree
     for a in range(tree.vertex_count):
         for b in range(tree.vertex_count):
-            expected = len(result.family.keys_of(tree.vertices[a].flips ^ tree.vertices[b].flips))
+            expected = len(result.family.keys_of(tree.flips[a] ^ tree.flips[b]))
             assert tree_metric_and_separation(tree, a, b).length == expected
 
 
@@ -372,9 +372,9 @@ def all_pairs_separation(tree):
 E, VA, VB, VAB = (("e", frozenset()), ("va", frozenset("a")), ("vb", frozenset("b")),
                   ("vab", frozenset("ab")))
 
-# trees that pass the tree axioms but not separation: (family, edges, family
-# vertex of each tree vertex, witness); tree vertex i has family vertex i's
-# members, and an edge label is a universe position: a is 0 and b is 1
+# trees that pass the tree axioms but not separation: (family, edges, tree
+# vertex of each family vertex, witness); tree vertex i flips family vertex
+# i's members, and an edge label is a universe position: a is 0 and b is 1
 BAD_TREES = [
     # the path va - e - vb - vab: each edge adds its label, but a is on two edges
     ([E, VA, VB, VAB], [(0, 1, 0), (0, 2, 1), (2, 3, 0)], [0, 1, 2, 3],
@@ -385,11 +385,9 @@ BAD_TREES = [
 ]
 
 
-def hand_built_tree(subsets, edges, family_index, base_index=0):
+def hand_built_tree(subsets, edges, family_vertex):
     system = build_track_system(explicit_family(["a", "b"], subsets))
-    vertices = [TreeVertex(i, v.members, v.members, "family", k)
-                for i, (v, k) in enumerate(zip(system.family.vertices, family_index))]
-    tree = DualTree(system, vertices, edges, base_index)
+    tree = DualTree(system, [v.members for v in system.family.vertices], edges, list(family_vertex))
     _assert_tree(tree)
     return tree
 
@@ -402,32 +400,30 @@ def test_separation_witness_on_hand_built_trees(subsets, edges, family_index, wi
 
 
 # graphs that are not trees hanging from the base by parent edges: (family,
-# edges, base index, the start of the error), as in BAD_TREES
+# edges, the start of the error), as in BAD_TREES
 NOT_ROOTED = [
     # the path e - va - vab - vb: vertex 3 has two lower edges, vertex 2 none
-    ([E, VA, VB, VAB], [(0, 1, 0), (1, 3, 1), (2, 3, 0)], 0,
+    ([E, VA, VB, VAB], [(0, 1, 0), (1, 3, 1), (2, 3, 0)],
      "edge (2, 3) is not the one edge from a reached vertex to 3"),
     # the path e - va - vab, its edges out of order: vertex 1 is left before it is reached
-    ([E, VA, VAB], [(1, 2, 1), (0, 1, 0)], 0,
+    ([E, VA, VAB], [(1, 2, 1), (0, 1, 0)],
      "edge (1, 2) is not the one edge from a reached vertex to 2"),
-    # the base is vertex 1
-    ([E, VA], [(0, 1, 0)], 1, "base vertex 1 is not vertex 0"),
-    # the base is vertex 0 but flips a
-    ([VA, E], [(0, 1, 0)], 0, "base vertex 0 is not vertex 0 with no flips"),
+    # vertex 0, the base, flips a
+    ([VA, E], [(0, 1, 0)], "base vertex 0 has flips"),
     # the path e - va - vab - vb in that order: the last edge removes a
-    ([E, VA, VAB, VB], [(0, 1, 0), (1, 2, 1), (2, 3, 0)], 0, "edge (2, 3) does not add label 0"),
+    ([E, VA, VAB, VB], [(0, 1, 0), (1, 2, 1), (2, 3, 0)], "edge (2, 3) does not add label 0"),
     # an edge down to a smaller vertex
-    ([E, VA], [(1, 0, 0)], 0, "edge (1, 0) is not the one edge from a reached vertex to 0"),
+    ([E, VA], [(1, 0, 0)], "edge (1, 0) is not the one edge from a reached vertex to 0"),
     # a cycle has as many edges as vertices
-    ([E, VA, VB, VAB], [(0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)], 0,
+    ([E, VA, VB, VAB], [(0, 1, 0), (0, 2, 1), (1, 3, 1), (2, 3, 0)],
      "4 edges on 4 vertices is not a tree"),
 ]
 
 
-@pytest.mark.parametrize("subsets, edges, base_index, error", NOT_ROOTED)
-def test_assert_tree_rejects_graphs_not_rooted_at_the_base(subsets, edges, base_index, error):
+@pytest.mark.parametrize("subsets, edges, error", NOT_ROOTED)
+def test_assert_tree_rejects_graphs_not_rooted_at_the_base(subsets, edges, error):
     with pytest.raises(TrackTreeError, match=re.escape(error)):
-        hand_built_tree(subsets, edges, range(len(subsets)), base_index)
+        hand_built_tree(subsets, edges, range(len(subsets)))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -521,8 +517,8 @@ def test_stabilizers_alternate_on_dihedral_line():
     model = result.family.window.model
     st = stabilizer_analysis(result.tree, model.ball(3),
                              expected_k=subgroup(model, ["t"]), expected_k_exact=True)
-    by_flips = {tuple(sorted(result.family.keys_of(v.flips))): st.vertex_stabilizers[v.index]
-                for v in tree.vertices}
+    by_flips = {tuple(sorted(result.family.keys_of(f))): st.vertex_stabilizers[i]
+                for i, f in enumerate(tree.flips)}
     assert by_flips[()] == ("1", "t")
     assert by_flips[("",)] == ("1", "s")            # midpoint fixed by s
     assert by_flips[("", "s")] == ("1", "sts")      # next vertex: conjugate of t

@@ -6,9 +6,14 @@ tree; each label of the family's union of differences is on exactly one
 edge; and each family vertex's members are the base vertex's XOR the labels
 on its path from the base.  A compatible split system has exactly one tree
 that realises it (Buneman, 1971), so a tree whose certificate holds is the
-dual tree.  The checker reads only the tree's vertices, edges and base and
-the family's member sets: it imports nothing of the package, and its own
-breadth-first search finds the paths.
+dual tree.  The checker reads only the tree's flip sets, edges, base and
+family vertex map and the family's member sets: it imports nothing of the
+package, and its own breadth-first search finds the paths.
+
+An element g acts on the tree by a vertex map.  ``action_witness`` checks
+one: the base goes to the vertex flipping d_g, the difference of the base
+set and its g-translate; no two vertices go to one; and every edge whose
+ends are both mapped goes to an edge, distinct labels to distinct labels.
 """
 
 from collections import deque
@@ -18,7 +23,7 @@ from typing import Optional
 def certificate_witness(tree) -> Optional[str]:
     """Why the tree's certificate fails, or None when it holds."""
     family = tree.system.family
-    n = len(tree.vertices)
+    n = len(tree.flips)
     if len(tree.edges) != n - 1:
         return f"{len(tree.edges)} edges on {n} vertices"
     neighbours = [[] for _ in range(n)]
@@ -47,11 +52,34 @@ def certificate_witness(tree) -> Optional[str]:
     if labels != [p for p in range(differences.bit_length()) if differences >> p & 1]:
         return f"edge labels {labels} are not the differences' positions, one edge each"
 
-    placed = sorted((v.family_index, x) for x, v in enumerate(tree.vertices)
-                    if v.family_index is not None)
-    if [k for k, _ in placed] != list(range(len(family.vertices))):
+    if len(tree.family_vertex) != len(family.vertices):
         return "the family vertices do not sit at one tree vertex each"
-    for k, x in placed:
-        if family.vertices[k].members != base ^ path[x]:
+    for k, x in enumerate(tree.family_vertex):
+        if x not in path or family.vertices[k].members != base ^ path[x]:
             return f"family vertex {k} at tree vertex {x} is not the base XOR its path's labels"
+    return None
+
+
+def action_witness(flips, edges, vertex_map, d_g) -> Optional[str]:
+    """Why the vertex map, None where a vertex's image is not in the tree, is
+    not the action of an element whose base translate differs by d_g; None
+    when it is.  The tree hangs from vertex 0, which flips nothing."""
+    index = {f: i for i, f in enumerate(flips)}
+    if vertex_map[0] != index.get(d_g):
+        return f"the base goes to {vertex_map[0]}, not to the vertex flipping d_g"
+    mapped = [x for x in vertex_map if x is not None]
+    if len(set(mapped)) != len(mapped):
+        return "two vertices go to one"
+    label_of = {frozenset((i, j)): label for i, j, label in edges}
+    images = {}
+    for i, j, label in edges:
+        x, y = vertex_map[i], vertex_map[j]
+        if x is None or y is None:
+            continue
+        image = label_of.get(frozenset((x, y)))
+        if image is None or flips[x] ^ flips[y] != 1 << image:
+            return f"edge ({i}, {j}) goes to ({x}, {y}), which is not an edge"
+        images[label] = image
+    if len(set(images.values())) != len(images):
+        return "two labels go to one"
     return None

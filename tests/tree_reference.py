@@ -13,4 +13,4 @@ def base_orientation(system, vertex: int) -> int:
 
 def tree_colors(tree) -> list[int]:
     """Each tree vertex's parity of flips: adjacent vertices differ."""
-    return [v.flips.bit_count() % 2 for v in tree.vertices]
+    return [flips.bit_count() % 2 for flips in tree.flips]
