@@ -122,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build and verify coset-labelled track systems and their dual trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, timings=True):
         p.add_argument("--radius", type=int, default=None, help="override the window radius")
         p.add_argument("--margin", type=int, default=None, help="override the window margin")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-        if out:
-            p.add_argument("--out", default=None, help="write the document to a file")
+        if timings:  # only the commands that print a report read it
+            p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+        p.add_argument("--out", default=None, help="write the document to a file")
 
     p = sub.add_parser("check", help="run every check on instance files")
     p.add_argument("spec", nargs="+", help="instance file(s)")
@@ -136,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="emit the dual tree of an instance")
     p.add_argument("spec", help="instance file")
-    common(p)
+    common(p, timings=False)
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("oracle", help="compare construction against brute-force oracles")
     p.add_argument("spec", help="instance file")
-    common(p)
+    common(p, timings=False)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("demo", help="run a built-in instance (E1..E4)")

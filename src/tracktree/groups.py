@@ -26,16 +26,26 @@ Subgroup engines: one folding automaton for free groups and free products
 finite-order letter), read past its core as a hanging tail, and integer
 lattice reduction (free_abelian).  Each engine gives every right coset a
 canonical fingerprint, and ``advance`` takes the fingerprint of He to that
-of He*step from the fingerprint alone; that is all it decides: e lies in H
-exactly when He = H, so ``SubgroupModel.member`` compares the fingerprint
-of e with that of the identity.  ``CosetTable`` groups a ball by
-fingerprint into ShortLex-least coset keys, the reference for the coset
-graph of ``windows.Window``.
+of He*step from the fingerprint alone: e lies in H exactly when He = H, so
+``SubgroupModel.member`` compares the fingerprint of e with that of the
+identity.  ``subgroup()`` picks the engine, and the engine answers every
+kind's question of the coset graph and the windows of ``windows``: its
+``steps`` (letters and inverses, or every syllable of a factor),
+``split(word)`` into them, ``tail_fp`` (the fingerprint from which on a
+coset's children follow from its last letter, or None), ``known(window,
+word)`` (the keys k with k*word within the radius) and ``walk_order(window,
+i, word)`` (the steps of word in an order that keeps a known walk within
+the radius).  ``CosetTable`` groups a ball by fingerprint into
+ShortLex-least coset keys, the reference for the coset graph of
+``windows.Window``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate, groupby
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import (
@@ -474,9 +484,13 @@ class _FoldedEngine:
     """A reader of the folded automaton: a coset's fingerprint is one int,
     the core state its key reaches plus ``states`` times its hanging tail."""
 
+    tail_fp: Optional[int] = None
+    split = staticmethod(list)
+
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.next = FoldingAutomaton(model, generators).next
         self.states = len(self.next)
+        self.steps = list(model._rank)  # every letter and its inverse
 
     def fingerprint(self, e: GroupElement) -> int:
         fp = 0
@@ -484,19 +498,57 @@ class _FoldedEngine:
             fp = self.advance(fp, ch)
         return fp
 
+    def known(self, window, word: str) -> int:
+        """Bitset of the window's keys k for which the canonical word of
+        k*word is at most radius long.
+
+        One rule for free groups and free products: k*w drops letters only
+        where k ends in whole steps of w^-1, read from its end.  A step s of
+        w meets k's ending s^-1, and k's own syllable there either cancels it
+        or merges with it into one shorter by the factor's order: either way
+        k*w drops |s| + |s^-1| letters, 2 for a letter of a free group.  So a
+        key of length l is known when it ends in the last letters of w^-1 up
+        to the first step end where the drops reach l + |w| - radius, an AND
+        of the window's cached ``ending`` masks.
+        """
+        r, steps = window.radius, self.split(word)
+        undo = list(map(window.graph.inverse.__getitem__, steps))
+        # w^-1 read from its end, and at each of its step ends the number of
+        # letters up to there and the letters k*w drops where k ends in them
+        tail = "".join(undo)
+        suffixes = list(accumulate(map(len, undo), initial=0))
+        drops = list(accumulate(map(len, map(add, steps, undo)), initial=0))
+        known, t, ending = 0, 0, (1 << window.size) - 1
+        for length in range(r + 1):
+            cut = bisect_left(drops, length + len(word) - r)
+            if cut == len(drops):
+                break
+            suffix = suffixes[cut]
+            if suffix > length:
+                continue
+            while t < suffix:
+                t += 1
+                ending &= window.ending(t, tail[t - 1])
+            lo, hi = window.level(length)
+            known |= ending & ((1 << hi) - (1 << lo))
+        return known
+
+    def walk_order(self, window, i: int, word: str) -> list[str]:
+        return self.split(word)
+
 
 class _FreeEngine(_FoldedEngine):
     """Free groups: the tail is the letters that leave the core, read as
-    base-(2n + 1) digits 1..2n with the last letter lowest."""
+    base-(2n + 1) digits 1..2n with the last letter lowest.  Past the core
+    the coset graph is a forest of regular trees, so from ``tail_fp`` =
+    ``states`` on a coset's children follow from its last letter."""
 
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         super().__init__(model, generators)
+        self.tail_fp = self.states
         self.base = 2 * model.rank + 1
-        # step -> (its digit, the digit of its inverse); a letter of rank r has digit r + 1
-        self.digits = {}
-        for g in model.letters:
-            r = model.letter_rank(g)
-            self.digits[g], self.digits[g.upper()] = (r + 1, r + 2), (r + 2, r + 1)
+        # step -> (its digit, the digit of its inverse); the step of rank r has digit r + 1
+        self.digits = {s: (model._rank[s] + 1, model._rank[s.swapcase()] + 1) for s in self.steps}
 
     def advance(self, fp: int, step: str) -> int:
         """Fingerprint of He*step, given fp, the fingerprint of He."""
@@ -521,8 +573,9 @@ class _ProductEngine(_FoldedEngine):
         super().__init__(model, generators)
         states = self.states
         self.orders = dict(zip(model.letters, model.orders))
+        self.steps = [x * e for x, n in self.orders.items() for e in range(1, n)]
         # per digit its syllable (letter, exponent); the digit of x^e is x's offset plus e
-        self.syllable_of = [("", 0)] + [(x, e) for x, n in self.orders.items() for e in range(1, n)]
+        self.syllable_of = [("", 0)] + [(s[0], len(s)) for s in self.steps]
         self.offset = {x: self.syllable_of.index((x, 1)) - 1 for x in self.orders}
         self.base = len(self.syllable_of)
         # moves[x][e][s]: the fingerprint of state s times x^e, for e in 0..n-1
@@ -536,6 +589,11 @@ class _ProductEngine(_FoldedEngine):
                         q = (p + e) % n
                         moves[e][s] = (orbit[q % m] if cycle or q < m else
                                        orbit[-1] + states * (self.offset[x] + q - m + 1))
+
+    @staticmethod
+    def split(word: str) -> list[str]:
+        # the syllables of a canonical word are its runs of one letter
+        return ["".join(run) for _, run in groupby(word)]
 
     def advance(self, fp: int, step: str) -> int:
         """Fingerprint of He*step, given fp, the fingerprint of He; step is a syllable."""
@@ -593,9 +651,18 @@ class IntegerLattice:
 
 
 class _LatticeEngine:
+    """Free abelian groups: a coset's fingerprint is the exponent vector of
+    a representative reduced by the lattice of H.  A key is an exponent
+    vector too, so |k*w| is the sum over the generators of |k_i + w_i|."""
+
+    tail_fp = None
+    split = staticmethod(list)
+
     def __init__(self, model: GroupModel, generators: Sequence[GroupElement]):
         self.model = model
         self.lattice = IntegerLattice(model.rank, [_word_to_vector(model, g.word) for g in generators])
+        self.steps = list(model._rank)  # every letter and its inverse
+        self.columns: list[list[int]] = [[0] for _ in model.letters]
 
     def fingerprint(self, e: GroupElement):
         return self.lattice.reduce(_word_to_vector(self.model, e.word))
@@ -605,12 +672,55 @@ class _LatticeEngine:
         moved[self.model.letter_index(step)] += -1 if step.isupper() else 1
         return self.lattice.reduce(moved)
 
+    def _columns(self, window) -> list[list[int]]:
+        """Per generator, the exponent of each key id of the window at least:
+        its parent's, plus 1 or -1 where its last letter is the generator or
+        its inverse, one key length at a time.  Key ids run in ShortLex order
+        of the keys in every window over H, so the columns grow with the
+        largest window read and serve the smaller ones."""
+        columns = self.columns
+        if len(columns[0]) < window.size:
+            parent, last = window.graph.parent, window.graph.last
+            for g, column in zip(self.model.letters, columns):
+                delta = [0] * 256
+                delta[ord(g)], delta[ord(g.upper())] = 1, -1
+                for length in range(1, window.radius + 1):
+                    lo, hi = window.level(length)
+                    if lo >= len(column):
+                        column += map(add, map(column.__getitem__, parent[lo:hi]),
+                                      map(delta.__getitem__, last[lo:hi]))
+        return columns
+
+    def known(self, window, word: str) -> int:
+        """Bitset of the window's keys k with |k*word| <= radius, summed over
+        the exponent columns."""
+        size, r = window.size, window.radius
+        lengths = map(sum, zip(*(map(abs, map(v.__add__, column[:size]))
+                                 for column, v in zip(self._columns(window),
+                                                      _word_to_vector(self.model, word)))))
+        return int("".join(map("01".__getitem__, map(r.__ge__, lengths)))[::-1], 2)
+
+    def walk_order(self, window, i: int, word: str) -> list[str]:
+        """The letters of word, first those that cancel into key i's
+        exponents: a walk that ends within the radius then stays within it."""
+        rest = [column[i] for column in self._columns(window)]
+        cancelling, lengthening = [], []
+        for ch in word:
+            g, sign = self.model.letter_index(ch), 1 if ch.islower() else -1
+            if rest[g] * sign < 0:
+                rest[g] += sign
+                cancelling.append(ch)
+            else:
+                lengthening.append(ch)
+        return cancelling + lengthening
+
 
 class SubgroupModel:
     """A subgroup given by generators, with the engine that fingerprints its cosets.
 
     An engine has ``fingerprint(e)``, the canonical value of He, and
-    ``advance(fp, step)``, the fingerprint of He*step from fp alone.
+    ``advance(fp, step)``, the fingerprint of He*step from fp alone, plus
+    the answers for the coset graph listed in the module docstring.
     """
 
     __slots__ = ("model", "generators", "engine", "_identity_fp")

@@ -17,12 +17,12 @@ vertex B = A + F is its finite flip set F, an int bitset over the family's
 universe, and every edge is labelled by the universe position of the one
 coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
-window's translate by g, and F*g walks each label's id by g, where
-``Window._known`` keeps the walk in the window.  ``act`` is the one place
-this map is computed, one label image per parent edge down from d_g, and it
-returns the vertex map itself; the window stabilizers are read off it.  The
-base stabilizer check against the expected K and the class-union check
-each give their witness, None when they hold.  The class union walks
+window's translate by g, and F*g walks each label's id by g, where the
+engine's ``known`` mask keeps the walk in the window.  ``act`` is the one
+place this map is computed, one label image per parent edge down from d_g,
+and it returns the vertex map itself; the window stabilizers are read off
+it.  The base stabilizer check against the expected K and the class-union
+check each give their witness, None when they hold.  The class union walks
 ``GroupModel.successors`` from H one level at a time toward the identity's
 class, not the whole ball.
 """
@@ -306,8 +306,8 @@ def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
     # |k*g| <= |k| + |g| for every kind: when the longest label key plus |g|
     # is within the radius, every walk is known
     longest = bisect_right(window.graph.level_end, labels[-1]) if labels else 0
-    known = -1 if longest + len(g.word) <= window.radius else window._known(g.word)
-    return {p: window._walk_from(p, g.word) if known >> p & 1 else -1 for p in labels}
+    known = window.sub.engine.known(window, g.word) if longest + len(g.word) > window.radius else -1
+    return {p: window.walk_from(p, g.word) if known >> p & 1 else -1 for p in labels}
 
 
 def act(tree: DualTree, g: GroupElement) -> list[Optional[int]]:
@@ -417,15 +417,16 @@ def _class_union_report(tree: DualTree) -> Optional[ClassUnionReport]:
         return None
     cls = set(bit_positions(identity_class[0]))
     graph, model = window.graph, window.model
-    # past the Stallings core of a free group a reduced word's walk only moves
-    # down its hanging tree, so a word that reaches a coset there is extended
-    # only when the coset is in the class or an ancestor of one
+    # past the engine's tail_fp (the Stallings core of a free group) a
+    # canonical word's walk only moves down its hanging tree, so a word that
+    # reaches a coset there is extended only when the coset is in the class
+    # or an ancestor of one
     toward: set[int] = set()
     for c in cls:
         while c >= 0 and c not in toward:
             toward.add(c)
             c = graph.parent[c]
-    tail_fp, fps = graph._tail_fp, graph.fps
+    tail_fp, fps = window.sub.engine.tail_fp, graph.fps
     # the elements of ball(radius // 2) whose cosets are in the class, as
     # (word, coset id) in ShortLex order, each child one step from its parent
     union: list[tuple[str, int]] = []
@@ -446,7 +447,7 @@ def _class_union_report(tree: DualTree) -> Optional[ClassUnionReport]:
             continue  # He1*e2 depends on He1 only
         for w2, _ in union:
             # He1's key and e2 are at most radius // 2 long: a walk in the window
-            if window._walk_from(c1, w2) not in cls:
+            if window.walk_from(c1, w2) not in cls:
                 return ClassUnionReport(
                     len(cls), f"product {display_word(w1)} * {display_word(w2)} "
                               "escapes the class union")

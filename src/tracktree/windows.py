@@ -4,14 +4,18 @@ A window truncates the right-coset space H\\G to the cosets whose
 ShortLex-least representative (the coset's key) has length at most the
 radius.  It is the Schreier graph of H\\G on those cosets, found breadth
 first from H, with key ids in ShortLex order and one right-action array per
-generator.  For free groups, past the core of the Stallings folding the
-graph is a forest of regular trees, so a run of parents there grows its
-children in bulk, their ids read off the parents' ids and last letters; a
-coset in those trees keeps no fingerprint and no index entry, since every
-coset it neighbours is its parent or a child, and their links are written
-on first use, as deep as a walk reads them.  A key is stored as its
-parent's id and its last letter; key strings are spelled out only where
-they are read.  Each translate carries a certificate: the window
+step.  What depends on the group kind is answered by the subgroup engine
+(see ``groups``): the steps and how a word splits into them, the
+fingerprint ``tail_fp`` past which a coset's children follow from its last
+letter, the mask of keys that a walk keeps within the radius, and the
+order in which a walk takes its steps.  Past ``tail_fp`` (the Stallings
+core of a free group) a run of parents grows its children in bulk, their
+ids read off the parents' ids and last letters; a coset grown so keeps no
+fingerprint and no index entry, since every coset it neighbours is its
+parent or a child, and their links are written on first use, as deep as a
+walk reads them.  A key is stored as its parent's id and its last letter;
+key strings are spelled out only where they are read.  Each translate
+carries a certificate: the window
 decides it on every core key, and its difference from the base set stays
 clear of the boundary shell (keys longer than radius - margin); a pairwise
 difference is the sum of two such differences.  The differences are then
@@ -33,19 +37,12 @@ certified symmetric difference of the base set and its g-translate, and
 the keys the window cannot decide; the family certifies that pair once per
 translate, and the expected-K check and the tree's action read it.  The
 walk starts from the keys at most S + |g| long, where S = max(D, d - 1) is
-the settled depth recorded when a free-group base set is decided over the
-window, and from every key otherwise: a longer key and its pull-back share
-a prefix more than S long, which hangs off the core and is at least d
-long, so they are decided alike and the key moves nothing.  Which keys a walk decides is a bitset
-over the whole window, found in bulk for every kind.  For free groups and
-free products of cyclics, k*g^-1 drops letters only where k ends in whole
-syllables of g (single letters, for free groups), each dropping
-the order of its factor (2, for free groups), whether k's syllable there
-cancels or merges; so whether k*g^-1 stays within the radius depends on k's
-last few letters, and the known mask is an AND of cached per-window masks
-of the keys with a given t-th letter from the end.  For free abelian
-groups, |k*g^-1| is the sum over the generators of |k_i - g_i|, read off
-cached per-window columns of the keys' exponents.
+the settled depth recorded when a base set is decided over a window past
+whose core hang trees (``tail_fp``), and from every key otherwise: a longer
+key and its pull-back share a prefix more than S long, which hangs off the
+core and is at least d long, so they are decided alike and the key moves
+nothing.  Which keys a walk decides is the engine's ``known`` bitset over
+the whole window, found in bulk.
 """
 
 from __future__ import annotations
@@ -53,15 +50,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from operator import add, itemgetter, or_
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .errors import CertificationFailure, ConflictingRule
 from .groups import (
-    FREE,
-    FREE_ABELIAN,
-    FREE_PRODUCT_CYCLIC,
     Frozen,
     GroupElement,
     GroupModel,
@@ -107,13 +101,12 @@ class _CosetGraph:
     is the id whose key is coset j's key less its last letter (-1 for H),
     and ``last[j]`` is that letter as a byte (0 for H).  ``arrays[step][i]``
     is the id of coset i times ``step``, or -1; each array ends in a -1
-    sentinel, so that a walk from -1 stays at -1.  Steps are the letters and
-    their inverses, or for free products every syllable of a factor; the
-    breadth-first search uses the one-letter steps.  ``fps[j]`` is coset j's
-    fingerprint and ``index`` maps it back to j, for every coset found by
-    stepping.  For free groups, a coset grown in bulk past the Stallings core
-    has no index entry, and ``fps`` holds the shared value ``engine.states``
-    for it: all that is read of it is that it is past the core.  The links
+    sentinel, so that a walk from -1 stays at -1.  The steps are the
+    engine's; the breadth-first search uses the one-letter ones.  ``fps[j]``
+    is coset j's fingerprint and ``index`` maps it back to j, for every
+    coset found by stepping.  A coset grown in bulk past the engine's
+    ``tail_fp`` has no index entry, and ``fps`` holds ``tail_fp`` for it:
+    all that is read of it is that it is past the core.  The links
     of such a run of parents to their children are written on first use: the
     run is pending until ``link`` is asked for ids past its first parent, as
     ``step`` does for the id it steps from and ``Window.translate`` for the
@@ -127,12 +120,8 @@ class _CosetGraph:
     """
 
     def __init__(self, sub: SubgroupModel):
-        model = sub.model
+        model, steps = sub.model, sub.engine.steps
         self.sub = sub
-        if model.kind == FREE_PRODUCT_CYCLIC:
-            steps = [g * e for g, n in zip(model.letters, model.orders) for e in range(1, n)]
-        else:
-            steps = [ch for g in model.letters for ch in (g, g.upper())]
         self.letters = sorted((s for s in steps if len(s) == 1), key=model.letter_rank)
         self.inverse = {s: invert(GroupElement(model, s)).word for s in steps}
         self.arrays: dict[str, list[int]] = {s: [-1, -1] for s in steps}
@@ -145,16 +134,9 @@ class _CosetGraph:
         # (step, its byte, its array, the array of its inverse); one-letter steps in ShortLex order
         self._links = [(s, ord(s), self.arrays[s], self.arrays[self.inverse[s]])
                        for s in self.letters]
-        if model.kind == FREE:
-            # by a parent's last letter: its children's letters in ShortLex
-            # order, and the array and inverse array of each
-            kids = {s: [t for t in self.letters if t != self.inverse[s]] for s in self.letters}
-            self._children = {ord(s): "".join(kids[s]).encode() for s in self.letters}
-            self._child_links = {ord(s): [(self.arrays[t], self.arrays[self.inverse[t]])
-                                          for t in kids[s]]
-                                 for s in self.letters}
-        # fingerprints from this one on are past the Stallings core (free groups only)
-        self._tail_fp = sub.engine.states if model.kind == FREE else None
+        # by the last letter of a parent past the engine's tail_fp, its
+        # children's letters: the successors of its key
+        self._children = {ord(s): model.successors(s).encode() for s in self.letters}
         # runs (lo, hi, first child id) of parents grown in bulk whose links
         # are not written yet, in id order
         self._pending: deque[tuple[int, int, int]] = deque()
@@ -168,13 +150,13 @@ class _CosetGraph:
     def grow(self, radius: int) -> "_CosetGraph":
         """Discover every coset whose key is at most radius long.
 
-        One pass per layer, over runs of parents.  For free groups, a run of
-        parents past the Stallings core (fingerprint at least
-        ``engine.states``) is grown in bulk by ``_grow_tails``, its links left
-        pending.  Every other parent steps one letter at a time: each
-        unlinked step is advanced from the parent's fingerprint and looked up
-        with one ``index.setdefault``; a fingerprint not seen before becomes
-        the next id, with the parent id it was reached from.  The arrays get
+        One pass per layer, over runs of parents.  A run of parents past the
+        core (fingerprint at least the engine's ``tail_fp``) is grown in bulk
+        by ``_grow_tails``, its links left pending.  Every other parent steps
+        one letter at a time: each unlinked step is advanced from the
+        parent's fingerprint and looked up with one ``index.setdefault``; a
+        fingerprint not seen before becomes the next id, with the parent id
+        it was reached from.  The arrays get
         a slot per new id in a layer with such a parent; a layer grown in
         bulk only gets its slots when its links are written.  A core coset's
         key passes through core cosets only, so no layer that steps follows
@@ -182,7 +164,7 @@ class _CosetGraph:
         is past the core, so its children are grown in bulk without reading
         its fingerprints.
         """
-        fps, tail_fp = self.fps, self._tail_fp
+        fps, tail_fp = self.fps, self.sub.engine.tail_fp
         arrays = list(self.arrays.values())
         while self.radius < radius:
             lo, hi = self.level_end[-2] if self.radius else 0, len(fps)
@@ -231,16 +213,17 @@ class _CosetGraph:
         return size
 
     def _grow_tails(self, lo: int, hi: int, size: int) -> int:
-        """Grow a run of free-group parents lo..hi-1 past the Stallings core in
+        """Grow a run of parents lo..hi-1 past the engine's ``tail_fp`` in
         bulk; the number of ids after.
 
-        Past the core the graph is a forest of regular trees: every step but
-        the one back to the parent reaches a new coset, so parent i's 2n - 1
-        children take the next ids in ShortLex order of their letters.  A
-        child's only neighbours are its parent and its own children, so no
-        step ever looks it up: it gets no fingerprint and no index entry,
-        only the shared past-core value in ``fps``.  The run's links are left
-        to ``link``: a translate reads those of the short keys only.
+        Past it the graph is a forest of regular trees (the Stallings core's
+        hanging trees, free groups): every successor of a parent's key
+        reaches a new coset, so parent i's 2n - 1 children take the next ids
+        in ShortLex order of their letters.  A child's only neighbours are
+        its parent and its own children, so no step ever looks it up: it gets
+        no fingerprint and no index entry, only the shared past-core value in
+        ``fps``.  The run's links are left to ``link``: a translate reads
+        those of the short keys only.
         """
         width = len(self.letters) - 1
         count = (hi - lo) * width
@@ -248,7 +231,7 @@ class _CosetGraph:
         parents = [0] * count  # each parent's id, once per child
         for k in range(width):
             parents[k::width] = parent_ids
-        self.fps += repeat(self._tail_fp, count)
+        self.fps += repeat(self.sub.engine.tail_fp, count)
         self.parent += parents
         self.last += b"".join(map(self._children.__getitem__, self.last[lo:hi]))
         self._pending.append((lo, hi, size))
@@ -256,8 +239,8 @@ class _CosetGraph:
 
     def link(self, upto: int) -> None:
         """Write the links of the pending parents below upto, oldest run
-        first: each parent's link to each child, and the child's back, in
-        slots the arrays get here.
+        first: each child's link from its parent by its last letter, and its
+        link back, in slots the arrays get here.
 
         A parent's own link to its parent was written before, with the run
         that holds the parent's parent or when it was stepped to, so
@@ -265,6 +248,7 @@ class _CosetGraph:
         would have written them, and each of its children its link back.
         """
         pending, width = self._pending, len(self.letters) - 1
+        arrays = {code: (forward, back) for _, code, forward, back in self._links}
         while pending and pending[0][0] < upto:
             lo, hi, first = pending.popleft()
             if hi > upto:
@@ -273,12 +257,10 @@ class _CosetGraph:
                 hi = upto
             end = first + (hi - lo) * width
             self._fill(end)
-            children = iter(range(first, end))
-            for i, code in zip(range(lo, hi), self.last[lo:hi]):
-                # zip ends with the parent's links, before it takes the next parent's child
-                for (forward, back), j in zip(self._child_links[code], children):
-                    forward[i] = j
-                    back[j] = i
+            for j, i, code in zip(range(first, end), self.parent[first:end], self.last[first:end]):
+                forward, back = arrays[code]
+                forward[i] = j
+                back[j] = i
 
     def _fill(self, size: int) -> None:
         """Give the arrays a -1 slot for each id below size, before their sentinel."""
@@ -302,16 +284,16 @@ class _CosetGraph:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered.
 
         The pending links of the parents up to i are written first, which
-        links i to its parent and its children.  A coset past the Stallings
-        core has no other neighbour, so from there an unlinked step is
+        links i to its parent and its children.  A coset past the engine's
+        ``tail_fp`` has no other neighbour, so from there an unlinked step is
         undiscovered and is not looked up.
         """
         if self._pending and i >= self._pending[0][0]:
             self.link(i + 1)
         j = self.arrays[step][i]
         if j < 0 <= i:
-            fp = self.fps[i]
-            if self._tail_fp is not None and fp >= self._tail_fp:
+            fp, tail_fp = self.fps[i], self.sub.engine.tail_fp
+            if tail_fp is not None and fp >= tail_fp:
                 return j
             j = self.index.get(self.sub.engine.advance(fp, step), -1)
             if j >= 0:
@@ -367,17 +349,16 @@ class Window:
 
     @cached_property
     def _core_depth(self) -> Optional[int]:
-        """D, the longest key of a live core coset of a free group: the base
+        """D, the longest key of a live core coset when the engine grows
+        hanging trees past its core (``tail_fp``, free groups): the base
         state, or a state of the folded automaton with transitions
         (``states`` also counts the states that folding merged away).  None
-        when the group is not free or a live core coset has no key in the
-        window."""
-        if self.model.kind != FREE:
+        when it grows none or a live core coset has no key in the window."""
+        graph, size, engine = self.graph, self.size, self.sub.engine
+        if engine.tail_fp is None:
             return None
-        graph, size = self.graph, self.size
         # ids run in ShortLex order, so the last live core coset has the longest key
-        last = max(graph.index.get(s, size) for s, out in enumerate(self.sub.engine.next)
-                   if out or s == 0)
+        last = max(graph.index.get(s, size) for s, out in enumerate(engine.next) if out or s == 0)
         return None if last >= size else bisect_right(graph.level_end, last)
 
     def extended(self, extra: int) -> "Window":
@@ -403,106 +384,13 @@ class Window:
 
     # -- walks --
 
-    def _steps(self, word: str) -> list[str]:
-        """The steps of a canonical word: its letters, or its syllables for free products."""
-        if self.model.kind == FREE_PRODUCT_CYCLIC:
-            steps: list[str] = []
-            for ch in word:
-                if steps and steps[-1][0] == ch:
-                    steps[-1] += ch
-                else:
-                    steps.append(ch)
-            return steps
-        return list(word)
-
-    def _walk_from(self, i: int, word: str) -> int:
-        """Walk one key id through the arrays by word; for free abelian keys
-        the letters that cancel into the key, read off its exponent columns,
-        go first, so a walk that ends within the radius stays within it."""
-        steps = self._steps(word)
-        if self.model.kind == FREE_ABELIAN:
-            # the key's exponent per generator, as far as word has not cancelled it
-            rest = {g: column[i] for g, column in zip(self.model.letters, self._exponents)}
-            cancelling, lengthening = [], []
-            for ch in word:
-                g, sign = ch.lower(), 1 if ch.islower() else -1
-                if rest[g] * sign < 0:
-                    rest[g] += sign
-                    cancelling.append(ch)
-                else:
-                    lengthening.append(ch)
-            steps = cancelling + lengthening
-        for step in steps:
+    def walk_from(self, i: int, word: str) -> int:
+        """Walk one key id through the arrays by word, in the engine's walk order."""
+        for step in self.sub.engine.walk_order(self, i, word):
             i = self.graph.step(i, step)
         return i
 
-    def _known(self, word: str) -> int:
-        """Bitset of the keys k for which the canonical word of k*word is at most radius long.
-
-        Free abelian: |k*w| is the sum over generators of |k_i + w_i|, read
-        off the cached exponent columns.  Free groups and free products of
-        cyclics: k*w drops letters only where k ends in whole syllables of
-        w^-1, read from its end (single letters, for free groups).  A
-        syllable (i, e) of w^-1 that k ends in meets w's syllable (i, n - e),
-        and k's own syllable there either cancels it or merges with it into
-        one shorter by n: either way k*w drops n letters, the order of the
-        factor (2, for free groups).  So a key of length l is known when it
-        ends in the last letters of w^-1 up to the first syllable end where
-        the drops reach l + |w| - radius, an AND of the cached endings.
-        """
-        r, model = self.radius, self.model
-        if model.kind == FREE_ABELIAN:
-            vector = [word.count(g) - word.count(g.upper()) for g in model.letters]
-            lengths = map(sum, zip(*(map(abs, map(v.__add__, column))
-                                     for column, v in zip(self._exponents, vector))))
-            return _mask(bytes(map(r.__ge__, lengths)))
-        # w^-1 read from its end, and at each of its syllable ends the number
-        # of letters up to there and the letters k*w drops where k ends in them
-        if model.kind == FREE:
-            tail = word.swapcase()
-            suffixes, drops = range(len(word) + 1), range(0, 2 * len(word) + 1, 2)
-        else:
-            # w's syllable (i, e) is (i, n - e) in w^-1
-            steps = self._steps(word)
-            orders = [model.orders[model.letter_index(s[0])] for s in steps]
-            sizes = [n - len(s) for s, n in zip(steps, orders)]
-            tail = "".join(s[0] * size for s, size in zip(steps, sizes))
-            suffixes = list(accumulate(sizes, initial=0))
-            drops = list(accumulate(orders, initial=0))
-        known, t, ending = 0, 0, (1 << self.size) - 1
-        for length in range(r + 1):
-            cut = bisect_left(drops, length + len(word) - r)
-            if cut == len(drops):
-                break
-            suffix = suffixes[cut]
-            if suffix > length:
-                continue
-            while t < suffix:
-                t += 1
-                ending &= self._ending(t, tail[t - 1])
-            lo, hi = self.level(length)
-            known |= ending & ((1 << hi) - (1 << lo))
-        return known
-
-    @cached_property
-    def _exponents(self) -> list[list[int]]:
-        """Per generator, the exponent of each key (free abelian keys): its
-        parent's, plus 1 or -1 where its last letter is the generator or its
-        inverse, one key length at a time."""
-        parent, last = self.graph.parent, self.graph.last
-        columns = []
-        for g in self.model.letters:
-            delta = [0] * 256
-            delta[ord(g)], delta[ord(g.upper())] = 1, -1
-            column = [0]
-            for length in range(1, self.radius + 1):
-                lo, hi = self.level(length)
-                column += map(add, map(column.__getitem__, parent[lo:hi]),
-                              map(delta.__getitem__, last[lo:hi]))
-            columns.append(column)
-        return columns
-
-    def _ending(self, t: int, letter: str) -> int:
+    def ending(self, t: int, letter: str) -> int:
         """Bitset of the keys whose t-th letter from the end is letter.
 
         ``_letters[t - 1]`` holds that letter of every key as one byte per
@@ -525,7 +413,7 @@ class Window:
 
     def locate(self, e: GroupElement) -> int:
         """Id of the coset He, or -1 when e is longer than the radius."""
-        return self._walk_from(0, e.word) if len(e.word) <= self.radius else -1
+        return self.walk_from(0, e.word) if len(e.word) <= self.radius else -1
 
     # -- translates --
 
@@ -537,19 +425,16 @@ class Window:
         pulled-back representative is longer than the radius are unknown.
         ``moved`` is the certified symmetric difference of the base set and
         its translate: the known keys whose membership the translate
-        changes.  The known keys come from ``_known``, in bulk for every
-        kind: for free groups and free products an AND of ending masks per
-        key length, for free abelian groups a sum over the exponent
-        columns.  One bulk walk of g^-1, started from a slice of
-        the first step's array and gathered through ``itemgetter``, reads
-        the base set's flag at the end of each walked key; a known walk
-        ends inside the window, so one that reads 2 (the flag of id -1) met
-        a link not looked up or not written yet, or a free abelian letter
-        that lengthens k before one that cancels into it, and ``_walk_from``
-        walks it again.
+        changes.  The known keys are the engine's ``known`` mask.  One bulk
+        walk of the steps of g^-1, started from a slice of the first step's
+        array and gathered through ``itemgetter``, reads the base set's flag
+        at the end of each walked key; a known walk ends inside the window,
+        so one that reads 2 (the flag of id -1) met a link not looked up or
+        not written yet, or a step that the engine's walk order puts later,
+        and ``walk_from`` walks it again.
 
-        The walked keys are those at most S + |g| long, for a free-group
-        base set decided over this window with settled depth S (see
+        The walked keys are those at most S + |g| long, for a base set
+        decided over this window with settled depth S (see
         ``_decide``), and every key otherwise.  The rest move nothing: a
         known key k longer than S + |g| and the key of k*g^-1 share k's
         first |k| - |g| letters, a prefix past the core and at least d
@@ -568,7 +453,7 @@ class Window:
                 hit = (0, 0)
             else:
                 word = invert(g).word
-                known = self._known(word)
+                known = self.sub.engine.known(self, word)
                 settled = self._settled.get(base_set)
                 level_end, r = self.graph.level_end, self.radius
                 if settled is None:
@@ -578,13 +463,13 @@ class Window:
                     reach = level_end[min(settled + 2 * len(word), r)]
                 self.graph.link(reach)
                 row = self._row(base_set)
-                first, *rest = self._steps(word)
+                first, *rest = self.sub.engine.split(word)
                 ends = self.graph.arrays[first][:cut]
                 for step in rest:
                     ends = _gather(self.graph.arrays[step], ends)
                 read = bytearray(_gather(row, ends))
                 for i in bit_positions(_mask(read, _LOST) & known):
-                    read[i] = row[self._walk_from(i, word)]
+                    read[i] = row[self.walk_from(i, word)]
                 assert not _mask(read, _LOST) & known, "a known walk left the window"
                 moved = ((base_set & ((1 << cut) - 1)) ^ _mask(read)) & known
                 hit = (moved, ((1 << size) - 1) ^ known)

@@ -343,6 +343,19 @@ def test_cli_calls_in_one_process_keep_no_options(capsys):
     assert reused[4][1].startswith('graph "E3"') and reused[5][1].startswith('graph "E3"')
 
 
+def test_cli_timings_only_where_a_report_reads_them(capsys):
+    # tree prints DOT and oracle its own document: neither has timings to show
+    parser, e1 = build_parser(), str(INSTANCE_DIR / "E1.ini")
+    for argv in (["tree", e1, "--timings"], ["oracle", e1, "--timings"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
+    for argv in (["check", e1, "--timings"], ["demo", "E1", "--timings"],
+                 ["random", "--seed", "1", "--timings"]):
+        assert parser.parse_args(argv).timings
+
+
 def test_corpus_report_bytes_golden(capsys):
     # locks the report bytes of the shipped instances; a deliberate change to
     # this hash is explained in CHANGES.md
@@ -472,6 +485,30 @@ def test_free_product_check_golden(tmp_path, capsys, radius):
     code = main(["check", str(spec), "--radius", str(radius), "--margin", "2"])
     out = capsys.readouterr().out
     assert (code, hashlib.md5(out.encode()).hexdigest()) == C_CHECK_GOLDEN[radius]
+
+
+# Z3*Z4 over <tt>: every factor of C has order 2, so only here do the steps of
+# translates, walks and the regrowth include syllables longer than one letter
+# (ss, tt, ttt) and inverses of another length (t and ttt)
+FREE_PRODUCT_Z3_Z4 = FREE_PRODUCT_C.replace("name = C", "name = Z3*Z4").replace(
+    "orders = 2,2,2\nletters = stu", "orders = 3,4\nletters = st").replace(
+    "generators = st", "generators = tt").replace(
+    "elements = 1, s, t, u", "elements = 1, s, ss, t, tt")
+
+# radius -> (exit code, stdout md5) of `check` on Z3*Z4 at margin 3
+Z3_Z4_CHECK_GOLDEN = {
+    6: (0, "5cb317c5ef88d41b06f86e8ed7ef8365"),
+    8: (0, "cec5a9fab352f3c865075159649832ae"),
+}
+
+
+@pytest.mark.parametrize("radius", sorted(Z3_Z4_CHECK_GOLDEN))
+def test_free_product_syllable_check_golden(tmp_path, capsys, radius):
+    spec = tmp_path / "Z3_Z4.ini"
+    spec.write_text(FREE_PRODUCT_Z3_Z4)
+    code = main(["check", str(spec), "--radius", str(radius), "--margin", "3"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.md5(out.encode()).hexdigest()) == Z3_Z4_CHECK_GOLDEN[radius]
 
 
 SEVERAL_WORDS = """[instance]

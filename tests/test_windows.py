@@ -1,9 +1,11 @@
 """Windows, base sets, translate families, hypothesis checks, stability."""
 
+import ast
 import functools
 import itertools
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
@@ -30,7 +32,7 @@ from tracktree import (
     stabilizer_analysis,
     subgroup,
 )
-from tracktree import windows
+from tracktree import trees, windows
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
 from tracktree.groups import CosetTable, _FreeEngine, _word_to_syllables
 from tracktree.instances import (
@@ -449,17 +451,19 @@ def known_cases(draw):
 @given(known_cases())
 def test_known_masks_match_the_per_key_definition(case):
     window, words = case
-    small = {w: window._known(w) for w in words}
+    known = window.sub.engine.known
+    small = {w: known(window, w) for w in words}
     assert small == {w: ref_known(window, w) for w in words}
     endings = dict(window._endings)
     big = window.extended(2)
     for w in words:
-        assert big._known(w) == ref_known(big, w), w
+        assert known(big, w) == ref_known(big, w), w
     # the small window's masks are the same over the grown graph
     window._letters.clear()
     window._endings.clear()
-    window.__dict__.pop("_exponents", None)
-    assert {w: window._known(w) for w in words} == small
+    if hasattr(window.sub.engine, "columns"):
+        window.sub.engine.columns = [[0] for _ in window.model.letters]
+    assert {w: known(window, w) for w in words} == small
     assert window._endings == endings
 
 
@@ -486,6 +490,46 @@ def test_known_cases_reach_cancellation_and_merge():
     for meeting in ("cancel", "merge"):
         find(known_cases(), lambda case, meeting=meeting: meeting in syllable_meetings(*case),
              settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(free_windows(), group_windows()))
+# under <a> every coset but H is past the core: each layer after the first grows in bulk
+@example(build_window(F2, subgroup(F2, ["a"]), 4, 2))
+def test_engine_answers_for_the_coset_graph(window):
+    engine, model, radius = window.sub.engine, window.model, window.radius
+    graph = _CosetGraph(window.sub)
+    assert list(graph.arrays) == engine.steps
+    for e in model.ball(radius):
+        parts = engine.split(e.word)
+        assert "".join(parts) == e.word and all(part in graph.arrays for part in parts), e
+    # the parents whose children _grow_tails grows are exactly the cosets
+    # past the engine's tail_fp: for free groups the fingerprints from
+    # states on, past the Stallings core, and for the other kinds none
+    grown = []
+    grow_tails = graph._grow_tails
+    graph._grow_tails = lambda lo, hi, size: grown.extend(range(lo, hi)) or grow_tails(lo, hi, size)
+    graph.grow(radius)
+    tail_fp = engine.tail_fp
+    assert tail_fp == (engine.states if model.kind == "free" else None)
+    parents = graph.fps[:graph.level_end[radius - 1]]
+    assert grown == [i for i, fp in enumerate(parents) if tail_fp is not None and fp >= tail_fp]
+
+
+def test_windows_and_trees_leave_the_group_kind_to_the_engine():
+    # subgroup() picks the engine, the one place past the group arithmetic
+    # that knows the kind: windows.py and trees.py name no kind constant and
+    # read no .kind
+    constants = {"FREE", "FREE_ABELIAN", "FREE_PRODUCT_CYCLIC"}
+    for module in (windows, trees):
+        source = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(source):
+            if isinstance(node, ast.ImportFrom):
+                assert not constants & {alias.name for alias in node.names}, module.__name__
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "kind" and node.attr not in constants, (module.__name__, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id not in constants, (module.__name__, node.lineno)
 
 
 @st.composite
@@ -553,13 +597,13 @@ def test_endings_from_the_last_letters_match_the_key_strings(window):
     for t in range(1, radius + 1):
         for x in window.graph.letters:
             want = sum(1 << i for i, k in enumerate(keys) if len(k) >= t and k[-t] == x)
-            assert window._ending(t, x) == want, (t, x)
+            assert window.ending(t, x) == want, (t, x)
 
 
 @settings(max_examples=40, deadline=None)
 @given(group_windows().filter(lambda window: window.model.kind == "free_abelian"))
 def test_exponent_columns_match_the_key_strings(window):
-    for g, column in zip(window.model.letters, window._exponents):
+    for g, column in zip(window.model.letters, window.sub.engine._columns(window)):
         assert column == [k.count(g) - k.count(g.upper()) for k in window.omega], g
 
 
@@ -628,13 +672,13 @@ def test_translate_walks_again_where_a_known_walk_meets_no_link(monkeypatch):
     rows = subgroup(LATTICE, [])
     window = build_window(LATTICE, rows, 3, 1)
     walked_again = []
-    walk_from = Window._walk_from
+    walk_from = Window.walk_from
 
     def counting(self, i, word):
         walked_again.append((self.omega[i], word))
         return walk_from(self, i, word)
 
-    monkeypatch.setattr(Window, "_walk_from", counting)
+    monkeypatch.setattr(Window, "walk_from", counting)
     table = CosetTable(rows, LATTICE.ball(3))
     rng = random.Random(7)
     for g in (LATTICE.normalize(w) for w in ["xY", "Yx", "xxY", "XyY", "XYY"]):
