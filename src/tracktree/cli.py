@@ -3,6 +3,12 @@
 Exit codes: 0 all checks pass, 2 a property check failed, 3 a
 certification failed, 4 input error.  Reports printed by ``check`` are
 byte-identical across runs for the same input.
+
+``COMMANDS`` lists each command once: its help, the function that adds its
+arguments, and its handler.  A run that names a command is parsed by that
+command's parser alone (``command_parser``), since argparse pays for every
+argument it adds; the full parser (``build_parser``) is built from the same
+table only to print help and usage errors, so those read as they always have.
 """
 
 from __future__ import annotations
@@ -114,52 +120,99 @@ def _cmd_random(args) -> int:
     return result.report.exit_code()
 
 
+def _options(p, timings=True):
+    p.add_argument("--radius", type=int, default=None, help="override the window radius")
+    p.add_argument("--margin", type=int, default=None, help="override the window margin")
+    if timings:  # only the commands that print a report read it
+        p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+    p.add_argument("--out", default=None, help="write the document to a file")
+
+
+def _check_arguments(p):
+    p.add_argument("spec", nargs="+", help="instance file(s)")
+    _options(p)
+
+
+def _file_arguments(p):
+    p.add_argument("spec", help="instance file")
+    _options(p, timings=False)
+
+
+def _demo_arguments(p):
+    p.add_argument("name", help="E1, E2, E3 or E4")
+    _options(p)
+
+
+def _random_arguments(p):
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--classes", type=int, default=None, help="force the number of parallel classes")
+    _options(p)
+
+
+# name -> (help, argument builder, handler), in the order the full parser lists them
+COMMANDS = {
+    "check": ("run every check on instance files", _check_arguments, _cmd_check),
+    "tree": ("emit the dual tree of an instance", _file_arguments, _cmd_tree),
+    "oracle": ("compare construction against brute-force oracles", _file_arguments, _cmd_oracle),
+    "demo": ("run a built-in instance (E1..E4)", _demo_arguments, _cmd_demo),
+    "random": ("check a random nested family", _random_arguments, _cmd_random),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The full argument parser, built once per process; parsing leaves it unchanged.
+
+    It prints every help text and usage error, so `main` builds it only for those.
+    """
     parser = argparse.ArgumentParser(
         prog="tracktree",
         description="Build and verify coset-labelled track systems and their dual trees.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, timings=True):
-        p.add_argument("--radius", type=int, default=None, help="override the window radius")
-        p.add_argument("--margin", type=int, default=None, help="override the window margin")
-        if timings:  # only the commands that print a report read it
-            p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-        p.add_argument("--out", default=None, help="write the document to a file")
-
-    p = sub.add_parser("check", help="run every check on instance files")
-    p.add_argument("spec", nargs="+", help="instance file(s)")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("tree", help="emit the dual tree of an instance")
-    p.add_argument("spec", help="instance file")
-    common(p, timings=False)
-    p.set_defaults(func=_cmd_tree)
-
-    p = sub.add_parser("oracle", help="compare construction against brute-force oracles")
-    p.add_argument("spec", help="instance file")
-    common(p, timings=False)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("demo", help="run a built-in instance (E1..E4)")
-    p.add_argument("name", help="E1, E2, E3 or E4")
-    common(p)
-    p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser("random", help="check a random nested family")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--classes", type=int, default=None, help="force the number of parallel classes")
-    common(p)
-    p.set_defaults(func=_cmd_random)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+class _Unparsed(Exception):
+    """What a command parser raises in place of printing an error and exiting."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser with only command ``name``'s arguments, built once per process.
+
+    It reads what the full parser hands that command's subparser, but has no
+    ``--help`` and prints nothing: help, an error or an argument it leaves
+    over sends `main` to `build_parser`, so their output is the full parser's.
+    """
+    _, add_arguments, handler = COMMANDS[name]
+    parser = _CommandParser(prog=f"tracktree {name}", add_help=False)
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=handler)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in COMMANDS:
+        try:
+            args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+            if not rest:
+                return args
+        except _Unparsed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except TrackTreeError as exc:

@@ -24,9 +24,8 @@ error; unknown sections, other unknown keys and the other mode's sections are ig
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError
 from .groups import (
@@ -42,16 +41,14 @@ from .windows import BaseSetSpec
 IDENTITY_TOKEN = "1"
 
 
-@dataclass(frozen=True)
-class Expectations:
+class Expectations(NamedTuple):
     nested: Optional[bool] = None
     tree_vertices: Optional[int] = None
     tree_edges: Optional[int] = None
     class_sizes: Optional[tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     name: str
     mode: str = "group"  # "group" or "explicit"
     kind: str = "free"
@@ -71,7 +68,7 @@ class InstanceSpec:
     expected_k_exact: bool = False
     universe: tuple[str, ...] = ()
     explicit_vertices: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    expectations: Expectations = field(default_factory=Expectations)
+    expectations: Expectations = Expectations()
 
     def validate(self) -> "InstanceSpec":
         if self.mode not in ("group", "explicit"):

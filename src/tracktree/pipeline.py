@@ -9,7 +9,6 @@ the worst component status.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Optional
 
 from .errors import (
@@ -91,8 +90,8 @@ class RunResult:
 def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
                  margin: Optional[int] = None) -> RunResult:
     if radius is not None or margin is not None:
-        spec = replace(spec, radius=radius if radius is not None else spec.radius,
-                       margin=margin if margin is not None else spec.margin)
+        spec = spec._replace(radius=radius if radius is not None else spec.radius,
+                             margin=margin if margin is not None else spec.margin)
     spec = spec.validate()
     start = time.perf_counter()
     report = Report(spec.name)

@@ -680,10 +680,17 @@ def _certified(window: Window, base_set: int,
     for g, (_, unknown) in translates:
         if unknown & window.core_mask:
             # a core key radius - margin long can walk g^-1 out to
-            # radius - margin + |g| letters: past the radius at every radius
-            # while |g| > margin
-            fix = (f"translation longer than the margin {window.margin}; raise the margin"
-                   if len(g.word) > window.margin else "enlarge radius")
+            # radius - margin + |g^-1| letters: past the radius at every
+            # radius while |g^-1| > margin (in a factor of order 3 or more,
+            # g^-1 can be the longer word)
+            inverse = invert(g).word
+            if len(inverse) <= window.margin:
+                fix = "enlarge radius"
+            elif len(g.word) > window.margin:
+                fix = f"translation longer than the margin {window.margin}; raise the margin"
+            else:
+                fix = (f"translation's inverse {display_word(inverse)} longer than the "
+                       f"margin {window.margin}; raise the margin")
             raise CertificationFailure(display_word(g.word),
                                        f"translate undecided inside the core; {fix}")
     for g, (moved, _) in translates:

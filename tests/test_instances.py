@@ -24,8 +24,8 @@ from tracktree import (
     report_document,
     run_instance,
 )
-from tracktree.cli import build_parser, main
-from tracktree.errors import ParseError
+from tracktree.cli import _error_line, build_parser, command_parser, main
+from tracktree.errors import ParseError, TrackTreeError
 from tracktree.instances import make_model
 from tracktree.reports import FAIL, PASS, UNCERTIFIED, CheckResult, Report
 
@@ -96,10 +96,8 @@ def test_corpus_all_pass():
 
 
 def test_expectations_checked():
-    import dataclasses
     spec = corpus()["E1"]
-    wrong = dataclasses.replace(
-        spec, expectations=dataclasses.replace(spec.expectations, tree_vertices=7))
+    wrong = spec._replace(expectations=spec.expectations._replace(tree_vertices=7))
     result = run_instance(wrong)
     assert result.report.status == "fail"
     assert any(c.name == "expectations" and c.status == "fail" for c in result.report.checks)
@@ -127,9 +125,7 @@ def test_radius_margin_overrides():
 
 
 def test_uncertified_run_aborts():
-    import dataclasses
-    spec = dataclasses.replace(corpus()["E1"], radius=4, margin=1,
-                               translations=("1", "tttt"))
+    spec = corpus()["E1"]._replace(radius=4, margin=1, translations=("1", "tttt"))
     result = run_instance(spec)
     assert result.report.status == "uncertified"
     assert result.report.exit_code() == 3
@@ -336,6 +332,7 @@ def test_cli_calls_in_one_process_keep_no_options(capsys):
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
+        command_parser.cache_clear()
         code = main(argv)
         fresh.append((code, capsys.readouterr().out))
     assert reused == fresh
@@ -354,6 +351,74 @@ def test_cli_timings_only_where_a_report_reads_them(capsys):
     for argv in (["check", e1, "--timings"], ["demo", "E1", "--timings"],
                  ["random", "--seed", "1", "--timings"]):
         assert parser.parse_args(argv).timings
+
+
+E1_PATH, E2_PATH = str(INSTANCE_DIR / "E1.ini"), str(INSTANCE_DIR / "E2.ini")
+
+# argv cases where main's one-command parser must act as the full parser does
+PARSER_CASES = {
+    "help": ["--help"],
+    "check --help": ["check", "--help"],
+    "tree --help": ["tree", "--help"],
+    "oracle --help": ["oracle", "--help"],
+    "demo --help": ["demo", "--help"],
+    "random --help": ["random", "-h"],
+    "help abbreviated": ["check", E1_PATH, "--he"],
+    "no arguments": [],
+    "unknown command": ["verify", E1_PATH],
+    "missing positional": ["check"],
+    "missing positional (tree)": ["tree"],
+    "missing required option": ["random"],
+    "missing option argument": ["check", E1_PATH, "--out"],
+    "--radius x": ["check", E1_PATH, "--radius", "x"],
+    "unknown option": ["check", E1_PATH, "--bogus"],
+    "tree --timings": ["tree", E1_PATH, "--timings"],
+    "oracle --timings": ["oracle", E1_PATH, "--timings"],
+    "extra positional": ["tree", E1_PATH, E2_PATH],
+    "extra positional (demo)": ["demo", "E1", "E2"],
+    "option before positional": ["check", "--radius", "6", E1_PATH],
+    "--rad 6": ["check", E1_PATH, "--rad", "6"],
+    "--": ["check", "--", E1_PATH],
+    "two files": ["check", E1_PATH, E2_PATH],
+    "handler input error": ["random", "--seed", "1", "--classes", "0"],
+    "missing file": ["tree", str(INSTANCE_DIR / "missing.ini")],
+    "random": ["random", "--seed", "2", "--classes", "3"],
+    "demo": ["demo", "E4", "--margin", "3"],
+}
+
+
+def _full_parser_main(argv):
+    # main as it was before the one-command parsers: the full parser, then the handler
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except TrackTreeError as exc:
+        sys.stderr.write(f"{_error_line(exc)}\n")
+        return 4
+
+
+def _run(entry, argv, capsys):
+    try:
+        code = entry(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_cli_command_parser_acts_as_the_full_parser(capsys, argv):
+    # help, usage errors, exit codes and documents are byte-identical
+    assert _run(main, argv, capsys) == _run(_full_parser_main, argv, capsys)
+
+
+def test_cli_command_run_builds_no_full_parser(capsys):
+    build_parser.cache_clear()
+    command_parser.cache_clear()
+    assert main(["check", E1_PATH]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert build_parser.cache_info().currsize == 0
+    assert command_parser.cache_info().currsize == 1
 
 
 def test_corpus_report_bytes_golden(capsys):
@@ -509,6 +574,24 @@ def test_free_product_syllable_check_golden(tmp_path, capsys, radius):
     code = main(["check", str(spec), "--radius", str(radius), "--margin", "3"])
     out = capsys.readouterr().out
     assert (code, hashlib.md5(out.encode()).hexdigest()) == Z3_Z4_CHECK_GOLDEN[radius]
+
+
+def test_free_product_hint_names_a_long_inverse(tmp_path, capsys):
+    # the walk that certifies a translate by st takes (st)^-1 = tttss, five
+    # letters against st's two: past the margin 3, no radius certifies it
+    spec = tmp_path / "Z3_Z4.ini"
+    spec.write_text(FREE_PRODUCT_Z3_Z4.replace("elements = 1, s, ss, t, tt", "elements = 1, s, st"))
+    for radius in (8, 10):
+        assert main(["check", str(spec), "--radius", str(radius), "--margin", "3"]) == 3
+        assert json.loads(capsys.readouterr().out)["witnesses"] == [
+            "uncertified difference for (1, st): translate undecided inside the core; "
+            "translation's inverse tttss longer than the margin 3; raise the margin"]
+    # raising the margin past |tttss| certifies the family, as the hint says
+    assert main(["check", str(spec), "--radius", "10", "--margin", "5"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert any("inverse of s escapes the class union" in w for w in report["witnesses"])
+    assert all(c["status"] != "uncertified" for c in report["checks"])
 
 
 SEVERAL_WORDS = """[instance]
@@ -1014,7 +1097,9 @@ WITNESS_GOLDEN = {
                                  subgroup_generators=("st",), base_excludes=("ts",),
                                  base_default_in=True, translations=("st", "st", "1"),
                                  expected_k_exact=True),
-                            3, "5f78a1295bebbb2db3e141cbecff6ca2"),
+                            # the hint names (st)^-1 = tts, longer than the margin: no
+                            # radius certifies st at margin 2, and margin 3 does
+                            3, "5efb0f56765496837f8152d5f499e44c"),
     "stability-margin": (dict(rank=2, radius=2, margin=1, subgroup_generators=("aBB", "A"),
                               base_rules=(("B", True),), base_default_in=True,
                               translations=("a", "1", "A", "bB", "Ab"), expected_k_exact=True),

@@ -1,8 +1,9 @@
 """The instance parser against the parser it replaced, and its error messages.
 
-The reference is the earlier ``parse_instance_text``, kept here verbatim:
-it files each section's lines in a list, scans the list once per key, and
-rebuilds the spec with ``dataclasses.replace`` for every key it reads.
+The reference is the earlier ``parse_instance_text``, kept here verbatim
+but for ``dataclasses.replace`` calls written as ``_replace``, since the
+spec became a NamedTuple: it files each section's lines in a list, scans
+the list once per key, and rebuilds the spec for every key it reads.
 The parser in ``tracktree.instances`` must give an equal spec, or a
 ``ParseError``, on exactly the texts where the reference does, except for
 four deliberate changes:
@@ -17,7 +18,6 @@ four deliberate changes:
 """
 
 import ast
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,36 +74,36 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
         return hits[0]
 
     spec = InstanceSpec(name=single("instance", "name", "unnamed") or "unnamed")
-    spec = replace(spec, mode=(single("instance", "mode", "group") or "group").lower())
+    spec = spec._replace(mode=(single("instance", "mode", "group") or "group").lower())
 
     if spec.mode == "group":
         kind = single("group", "kind")
         if kind is None:
             raise ParseError("group mode needs a [group] section with a kind")
-        spec = replace(spec, kind=kind.lower())
+        spec = spec._replace(kind=kind.lower())
         rank = single("group", "rank")
         if rank is not None:
-            spec = replace(spec, rank=_ints(rank, "rank")[0])
+            spec = spec._replace(rank=_ints(rank, "rank")[0])
         orders = single("group", "orders")
         if orders is not None:
-            spec = replace(spec, orders=tuple(_ints(orders, "orders")),
-                           rank=len(_ints(orders, "orders")))
+            spec = spec._replace(orders=tuple(_ints(orders, "orders")),
+                                 rank=len(_ints(orders, "orders")))
         letters = single("group", "letters")
         if letters is not None:
-            spec = replace(spec, letters=letters)
+            spec = spec._replace(letters=letters)
 
         radius = single("window", "radius")
         margin = single("window", "margin")
         action = single("window", "action_radius")
         if radius is not None:
-            spec = replace(spec, radius=_ints(radius, "radius")[0])
+            spec = spec._replace(radius=_ints(radius, "radius")[0])
         if margin is not None:
-            spec = replace(spec, margin=_ints(margin, "margin")[0])
+            spec = spec._replace(margin=_ints(margin, "margin")[0])
         if action is not None:
-            spec = replace(spec, action_radius=_ints(action, "action_radius")[0])
+            spec = spec._replace(action_radius=_ints(action, "action_radius")[0])
 
         gens = single("subgroup", "generators", "")
-        spec = replace(spec, subgroup_generators=tuple(_tokens(gens or "")))
+        spec = spec._replace(subgroup_generators=tuple(_tokens(gens or "")))
 
         rules = []
         includes: list[str] = []
@@ -125,21 +125,21 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
                 default_in = value.lower() == "in"
             else:
                 raise ParseError(f"unknown base_set key {key!r}")
-        spec = replace(spec, base_rules=tuple(rules), base_includes=tuple(includes),
-                       base_excludes=tuple(excludes), base_default_in=default_in)
+        spec = spec._replace(base_rules=tuple(rules), base_includes=tuple(includes),
+                             base_excludes=tuple(excludes), base_default_in=default_in)
 
         elements = single("translations", "elements")
         if elements is not None:
-            spec = replace(spec, translations=tuple(_tokens(elements)))
+            spec = spec._replace(translations=tuple(_tokens(elements)))
 
         kgens = single("expected_k", "generators", "")
-        spec = replace(spec, expected_k_generators=tuple(_tokens(kgens or "")))
+        spec = spec._replace(expected_k_generators=tuple(_tokens(kgens or "")))
         exact = single("expected_k", "exact")
         if exact is not None:
-            spec = replace(spec, expected_k_exact=_parse_bool(exact, "expected_k.exact"))
+            spec = spec._replace(expected_k_exact=_parse_bool(exact, "expected_k.exact"))
     else:
         keys = single("universe", "keys", "")
-        spec = replace(spec, universe=tuple(_tokens(keys or "")))
+        spec = spec._replace(universe=tuple(_tokens(keys or "")))
         vertices = []
         for key, value in section("vertices"):
             if key != "vertex":
@@ -148,22 +148,22 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
                 raise ParseError(f"vertex must be '<name> : <keys>', got {value!r}")
             name, members = value.split(":", 1)
             vertices.append((name.strip(), tuple(_tokens(members))))
-        spec = replace(spec, explicit_vertices=tuple(vertices))
+        spec = spec._replace(explicit_vertices=tuple(vertices))
 
     exp = Expectations()
     nested = single("expectations", "nested")
     if nested is not None:
-        exp = replace(exp, nested=_parse_bool(nested, "expectations.nested"))
+        exp = exp._replace(nested=_parse_bool(nested, "expectations.nested"))
     tv = single("expectations", "tree_vertices")
     if tv is not None:
-        exp = replace(exp, tree_vertices=_ints(tv, "tree_vertices")[0])
+        exp = exp._replace(tree_vertices=_ints(tv, "tree_vertices")[0])
     te = single("expectations", "tree_edges")
     if te is not None:
-        exp = replace(exp, tree_edges=_ints(te, "tree_edges")[0])
+        exp = exp._replace(tree_edges=_ints(te, "tree_edges")[0])
     cs = single("expectations", "class_sizes")
     if cs is not None:
-        exp = replace(exp, class_sizes=tuple(sorted(_ints(cs, "class_sizes"))))
-    spec = replace(spec, expectations=exp)
+        exp = exp._replace(class_sizes=tuple(sorted(_ints(cs, "class_sizes"))))
+    spec = spec._replace(expectations=exp)
     return spec.validate()
 
 

@@ -1,34 +1,50 @@
-"""The record types: which are dataclasses, and what callers read of them.
+"""The record types: none is a dataclass, and what callers read of them.
 
-Records are NamedTuples or slotted classes, because creating a dataclass
-class generates and runs code at import time; only the two instance specs,
-which callers rebuild with ``dataclasses.replace``, stay dataclasses.
+Records are NamedTuples or slotted classes: creating a dataclass class
+generates and runs code at import time, and importing ``dataclasses``
+imports ``inspect``.  The instance specs are NamedTuples too, which callers
+rebuild with ``_replace``.
 """
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import tracktree
 from tracktree.errors import ConflictingRule
 from tracktree.groups import GroupElement, free_abelian_group, free_group
+from tracktree.instances import Expectations, InstanceSpec
 from tracktree.oracles import LabelingOracle, OrientationOracle, RandomFamilyInfo
 from tracktree.patterns import Corner, NestednessResult, SquareReport
 from tracktree.trees import ClassUnionReport, PathReport, StabilizerReport
 from tracktree.windows import BaseSetSpec, FamilyVertex
 
+# the directory the package was imported from, for a subprocess without site packages
+PACKAGE_PATH = str(Path(tracktree.__file__).resolve().parent.parent)
 
-def test_only_the_instance_specs_are_dataclasses():
+
+def test_no_record_is_a_dataclass():
     found = set()
     for info in pkgutil.iter_modules(tracktree.__path__, "tracktree."):
         module = importlib.import_module(info.name)
         for name, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == info.name and dataclasses.is_dataclass(cls):
                 found.add(f"{info.name}.{name}")
-    assert found == {"tracktree.instances.InstanceSpec", "tracktree.instances.Expectations"}
+    assert found == set()
+
+
+def test_importing_the_cli_imports_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tracktree.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, PACKAGE_PATH],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_group_models_compare_by_kind_letters_and_orders():
@@ -56,7 +72,8 @@ def test_group_elements_are_keys_by_model_and_word():
     (free_group(2).normalize("a"), "word"),
     (BaseSetSpec(), "rules"),
     (FamilyVertex(None, 0, "v"), "members"),
-], ids=["GroupModel", "GroupElement", "BaseSetSpec", "FamilyVertex"])
+    (InstanceSpec("spec"), "radius"),
+], ids=["GroupModel", "GroupElement", "BaseSetSpec", "FamilyVertex", "InstanceSpec"])
 def test_frozen_records_refuse_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -77,6 +94,11 @@ FIELDS = {
     SquareReport: ("vertices", "sum_sides", "sum_opposite", "comparable", "crossing_count",
                    "crossing_cosets"),
     PathReport: ("length", "labels"),
+    Expectations: ("nested", "tree_vertices", "tree_edges", "class_sizes"),
+    InstanceSpec: ("name", "mode", "kind", "rank", "orders", "letters", "radius", "margin",
+                   "action_radius", "subgroup_generators", "base_rules", "base_includes",
+                   "base_excludes", "base_default_in", "translations", "expected_k_generators",
+                   "expected_k_exact", "universe", "explicit_vertices", "expectations"),
 }
 
 

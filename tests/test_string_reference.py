@@ -13,7 +13,6 @@ coset of ``compose(k, g)``, not through the walk that ``translate`` makes.
 import ast
 import itertools
 import re
-from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -418,7 +417,7 @@ def test_action_and_class_union_compose_no_elements(name, monkeypatch):
 def test_class_union_walks_past_the_core_toward_its_class(rule, keys, witness):
     # E1 with translations 1, tt and the one rule "rule in": H is trivial in
     # Z, so every coset but H lies past the Stallings core
-    spec = replace(corpus()["E1"], translations=("1", "tt"), base_rules=((rule, True),))
+    spec = corpus()["E1"]._replace(translations=("1", "tt"), base_rules=((rule, True),))
     tree = run_instance(spec).tree
     family = tree.system.family
     assert [family.keys_of(bits) for bits in tree.system.class_bits if bits & 1] == [keys]
@@ -490,7 +489,7 @@ UNDECIDED_WITNESS = re.compile(r"uncertified difference for \(1, (.+)\): "
 @example(parse_instance_text(FAR_RULE))
 @example(InstanceSpec("stability-changed", **WITNESS_GOLDEN["stability-changed"][0]))
 @example(InstanceSpec("stability-merged", **WITNESS_GOLDEN["stability-merged"][0]))
-@example(replace(corpus()["E3"], translations=("1", "b", "B", "bbb", "a")))
+@example(corpus()["E3"]._replace(translations=("1", "b", "B", "bbb", "a")))
 @example(InstanceSpec("stability-undecided", **WITNESS_GOLDEN["stability-undecided"][0]))
 def test_stability_witnesses_reverify_on_their_own(spec):
     # a witness "difference for (1, g) changed at radius + 2: X vs Y" says

@@ -4,7 +4,6 @@ import ast
 import functools
 import itertools
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1222,7 +1221,7 @@ def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
     # E1 has no core but H; <abaab>'s layers mix core and tail parents
     e3 = corpus()["E3"]
     cases = [(corpus()["E1"], None), *((e3, r) for r in (6, 7, 8)),
-             (replace(e3, subgroup_generators=("abaab",)), 8)]
+             (e3._replace(subgroup_generators=("abaab",)), 8)]
     want = [report_document(run_instance(spec, radius=r).report) for spec, r in cases]
     advance = _FreeEngine.advance
 
