@@ -43,7 +43,7 @@ from .patterns import (
     nestedness_check,
     square_analysis,
 )
-from .pipeline import RunResult, run_instance
+from .pipeline import RunResult, run_family, run_instance
 from .reports import Report, dot_document, report_document
 from .trees import (
     DualTree,

@@ -20,9 +20,9 @@ import sys
 from typing import Optional
 
 from .errors import IoError, ParseError, TrackTreeError
-from .instances import Expectations, InstanceSpec, corpus, load_instance
+from .instances import Expectations, corpus, load_instance
 from .oracles import random_nested_family
-from .pipeline import run_instance
+from .pipeline import run_family, run_instance
 from .reports import dot_document, report_document, write_atomic
 
 
@@ -106,23 +106,17 @@ def _cmd_random(args) -> int:
     if args.classes is not None and args.classes < 1:
         raise ParseError(f"--classes must be at least 1, got {args.classes}")
     family, info = random_nested_family(args.seed, exact_classes=args.classes)
-    spec = InstanceSpec(
-        name=f"random-{args.seed}", mode="explicit",
-        universe=tuple(family.universe),
-        explicit_vertices=tuple((v.name, tuple(family.keys_of(v.members))) for v in family.vertices),
-        expectations=Expectations(
-            nested=True, tree_vertices=info.tree_vertex_count,
-            tree_edges=info.tree_edge_count,
-            class_sizes=tuple(sorted(info.class_sizes))),
-    ).validate()
-    result = run_instance(spec)
+    result = run_family(f"random-{args.seed}", family, Expectations(
+        nested=True, tree_vertices=info.tree_vertex_count, tree_edges=info.tree_edge_count,
+        class_sizes=tuple(sorted(info.class_sizes))))
     _emit(report_document(result.report, include_timings=args.timings), args.out)
     return result.report.exit_code()
 
 
-def _options(p, timings=True):
-    p.add_argument("--radius", type=int, default=None, help="override the window radius")
-    p.add_argument("--margin", type=int, default=None, help="override the window margin")
+def _options(p, window=True, timings=True):
+    if window:  # an explicit family, random's, has no window
+        p.add_argument("--radius", type=int, default=None, help="override the window radius")
+        p.add_argument("--margin", type=int, default=None, help="override the window margin")
     if timings:  # only the commands that print a report read it
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--out", default=None, help="write the document to a file")
@@ -146,7 +140,7 @@ def _demo_arguments(p):
 def _random_arguments(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--classes", type=int, default=None, help="force the number of parallel classes")
-    _options(p)
+    _options(p, window=False)
 
 
 # name -> (help, argument builder, handler), in the order the full parser lists them

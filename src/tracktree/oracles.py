@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import SearchBudgetExceeded, TooLarge
@@ -124,9 +123,20 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
     A labeling is valid when, in every triangle and at every corner, the
     sequences read away from the corner agree on the corner's line count.
     The two-triangle condition for disjoint edge pairs follows from the
-    corner condition, so it is not enforced separately.  TooLarge over the
-    label or vertex cap, before any work; SearchBudgetExceeded when the
-    enumeration runs out of its step budget.
+    corner condition, so it is not enforced separately.
+
+    Each corner with an earlier edge pins a prefix of an edge's order (or a
+    suffix, read from its end) to a slice of the earlier order.  Before the
+    search each edge gets a plan: its longest prefix cut and the part of its
+    longest suffix cut that the prefix leaves form the frame, and every
+    other cut, the longest suffix cut too where the two overlap, is compared
+    with the frame.  The search runs edge by edge, extending every partial
+    labeling in turn by each order of the edge that holds the frame at its
+    ends and its other labels, in every order, in the middle; a frame that
+    covers the edge is its one order.  Each order is one budget step, so the
+    labelings, their order and the steps are those of a depth-first search
+    over the edges.  TooLarge over the label or vertex cap, before any work;
+    SearchBudgetExceeded when the steps exceed ``DFS_BUDGET``.
     """
     tracks = system.label_bits.bit_count()
     if tracks > MAX_ORACLE_LABELS:
@@ -135,106 +145,90 @@ def oracle_labelings(system: TrackSystem) -> LabelingOracle:
         raise TooLarge(f"{system.n} vertices exceed the oracle cap {MAX_ORACLE_VERTICES}")
 
     family = system.family
-    edge_diff = {}
+    edges, diffs = [], []
     for i, j in itertools.combinations(range(system.n), 2):
         diff = family.diff(i, j)
         if diff:
-            edge_diff[(i, j)] = diff
-    edges = list(edge_diff)
-    edge_index = {e: k for k, e in enumerate(edges)}
-    corner_checks: dict[int, list[tuple[int, bool, bool, int]]] = {k: [] for k in range(len(edges))}
-    # for each unordered edge pair sharing a vertex, record the corner constraint
-    for (e1, e2) in itertools.combinations(edges, 2):
-        shared = set(e1) & set(e2)
-        if not shared:
-            continue
-        a = shared.pop()
-        count = (edge_diff[e1] & edge_diff[e2]).bit_count()
-        if count == 0:
-            continue
-        k1, k2 = edge_index[e1], edge_index[e2]
-        corner_checks[max(k1, k2)].append(
-            (min(k1, k2), e1[0] != a, e2[0] != a, count)
-            if k1 < k2 else (min(k1, k2), e2[0] != a, e1[0] != a, count))
+            edges.append((i, j))
+            diffs.append(diff)
 
-    labels_per_edge = [bit_positions(diff) for diff in edge_diff.values()]  # ShortLex order
-    label_sets = [set(labels) for labels in labels_per_edge]
+    # each edge's plan.  A cut is (earlier edge, whether it meets the corner
+    # at its second end, whether this edge does, the corner's line count).
+    # The frame is the longest prefix cut and what the longest suffix cut
+    # adds to it, each as (earlier edge, slice of its order), the slice None
+    # when the cut adds nothing; every other cut is a check, (earlier edge,
+    # slice, the slice of the frame it must equal), and so is the longest
+    # suffix cut where it overlaps the prefix
+    plans = []
+    incident: list[list[tuple[int, bool]]] = [[] for _ in range(system.n)]
+    for k, ((i, j), diff) in enumerate(zip(edges, diffs)):
+        cuts = [(other, rev_other, rev_self, count)
+                for a, rev_self in ((i, False), (j, True)) for other, rev_other in incident[a]
+                if (count := (diffs[other] & diff).bit_count())]
+        incident[i].append((k, False))
+        incident[j].append((k, True))
+        prefix = suffix = (None, False, False, 0)
+        for cut in cuts:
+            if cut[2]:
+                if cut[3] > suffix[3]:
+                    suffix = cut
+            elif cut[3] > prefix[3]:
+                prefix = cut
+        labels = bit_positions(diff)  # ShortLex order
+        head, tail = prefix[3], min(suffix[3], len(labels) - prefix[3])
+        checks = [(cut[0], _ends(cut[3], cut[1], cut[1] != cut[2]), _ends(cut[3], cut[2], False))
+                  for cut in cuts if cut is not prefix and (cut is not suffix or tail < suffix[3])]
+        plans.append((labels, set(labels),
+                      prefix[0], _ends(head, prefix[1], prefix[1]) if head else None,
+                      suffix[0], _ends(tail, suffix[1], not suffix[1]) if tail else None, checks))
 
-    budget = [DFS_BUDGET]
-    chosen: list[tuple[int, ...]] = []
-    found: list[tuple[tuple[int, ...], ...]] = []
-
-    def orders(k: int):
-        """Every order of edge k's labels that matches its corners with the
-        edges already chosen.  Each corner reads ``count`` labels of an
-        earlier edge away from the shared vertex, which pin a prefix of this
-        edge's order (or a suffix, read from its end).  The longest prefix
-        and suffix are kept, each shorter one must agree with them, and they
-        must agree where they overlap.  The remaining labels fill the middle
-        in every order, generated on each visit rather than stored (an
-        8-label edge has 8!)."""
-        labels = labels_per_edge[k]
+    left = DFS_BUDGET
+    found: list[tuple[tuple[int, ...], ...]] = [()]
+    for labels, label_set, pre_edge, pre_cut, suf_edge, suf_cut, checks in plans:
         size = len(labels)
-        pre = back = ()  # back is the suffix read from the edge's end
-        for other, rev_other, rev_self, count in corner_checks[k]:
-            seq = chosen[other]
-            cut = seq[:-count - 1:-1] if rev_other else seq[:count]
-            held = back if rev_self else pre
-            if count > len(held):
-                if cut[:len(held)] != held:
-                    return
-                if rev_self:
-                    back = cut
+        grown = []
+        for partial in found:
+            pre = partial[pre_edge][pre_cut] if pre_cut else ()
+            suf = partial[suf_edge][suf_cut] if suf_cut else ()
+            frame = pre + suf
+            for other, cut, own in checks:
+                if partial[other][cut] != frame[own]:
+                    break
+            else:
+                used = set(frame)
+                held = len(frame)
+                if len(used) < held or not used <= label_set:
+                    continue
+                if held == size:
+                    grown.append(partial + (frame,))
+                    left -= 1
                 else:
-                    pre = cut
-            elif held[:count] != cut:
-                return
-        suf = back[::-1]
-        overlap = len(pre) + len(suf) - size
-        if overlap > 0:
-            if pre[-overlap:] != suf[:overlap]:
-                return
-            suf = suf[overlap:]
-        used = set(pre + suf)
-        if len(used) != len(pre) + len(suf) or not used <= label_sets[k]:
-            return
-        if len(used) == size:  # pinned whole by its corners: nothing to permute
-            yield pre + suf
-            return
-        for filling in itertools.permutations([c for c in labels if c not in used]):
-            yield pre + filling + suf
-
-    def dfs(k: int):
-        if k == len(edges):
-            found.append(tuple(chosen))
-            return
-        for order in orders(k):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBudgetExceeded("labeling enumeration exceeded its budget")
-            chosen.append(order)
-            dfs(k + 1)
-            chosen.pop()
-
-    dfs(0)
+                    before = len(grown)
+                    middles = itertools.permutations(sorted(label_set - used))
+                    grown += [partial + (pre + mid + suf,)
+                              for mid in itertools.islice(middles, left + 1)]
+                    left -= len(grown) - before
+                if left < 0:
+                    raise SearchBudgetExceeded("labeling enumeration exceeded its budget")
+        found = grown
     expected = 1
     for bits in system.class_bits:
         expected *= math.factorial(bits.bit_count())
     return LabelingOracle(edges, found, len(found), expected)
 
 
+def _ends(count: int, at_end: bool, reverse: bool) -> slice:
+    """The slice of an order that reads its first ``count`` labels (its last
+    when ``at_end``), in reverse when ``reverse``; ``count`` is positive."""
+    if at_end:
+        return slice(None, -count - 1, -1) if reverse else slice(-count, None)
+    return slice(count - 1, None, -1) if reverse else slice(None, count)
+
+
 class LabelingVerdict(NamedTuple):
     canonical_is_valid: bool   # the canonical labeling is among the enumerated ones
     all_within_class: bool     # every enumerated one is it up to a within-class permutation
     count_matches: bool        # as many as the product of the class-size factorials
-
-
-def _tuple_gather(ids: list[int]):
-    """A function taking seq to the tuple of seq[i] for each i in ids."""
-    # itemgetter of one id returns the item itself, not a 1-tuple, and of none raises
-    if len(ids) > 1:
-        return itemgetter(*ids)
-    return lambda seq: tuple(seq[i] for i in ids)
 
 
 def labeling_verdict(system: TrackSystem, canonical: dict[tuple[int, int], tuple[int, ...]],
@@ -248,38 +242,37 @@ def labeling_verdict(system: TrackSystem, canonical: dict[tuple[int, int], tuple
     label found where its canonical label first occurs, and sigma, read at
     those first occurrences, is injective and keeps each label's class key
     (parallel labels have indicators equal or complementary, so the lesser
-    of the two is the key).  Both reads are gathers over the flattened
-    labeling, set up once from the canonical labeling."""
-    edges = oracle.edges
-    want = tuple(canonical[e] for e in edges)
-    lengths = list(map(len, want))
-    flat = list(itertools.chain.from_iterable(want))
-    first: dict[int, int] = {}
-    for i, label in enumerate(flat):
-        first.setdefault(label, i)
-    same = _tuple_gather([first[label] for label in flat])
-    sigma = _tuple_gather(list(first.values()))
+    of the two is the key).  The labelings are read a column at a time,
+    one tuple per label position of what every labeling holds there, by
+    strict zips that refuse a count of edges or an order's length that
+    differs: a position agrees with its label's first occurrence when
+    their columns are equal, the keys are one set per first-occurrence
+    column, and sigma is injective on each labeling when its row of the
+    first-occurrence columns has no repeat; only those columns are kept."""
+    want = tuple(canonical[e] for e in oracle.edges)
+    labelings = oracle.labelings
+    return LabelingVerdict(
+        want in labelings,
+        not labelings or _within_class(system, want, labelings),
+        oracle.count == oracle.expected_count)
+
+
+def _within_class(system: TrackSystem, want: tuple[tuple[int, ...], ...],
+                  labelings: list[tuple[tuple[int, ...], ...]]) -> bool:
+    heads: dict[int, tuple[int, ...]] = {}  # each canonical label's first-occurrence column
+    try:  # a strict zip raises when a count of edges or an order's length differs
+        by_edge = list(zip(*labelings, strict=True))  # per edge, its order in every labeling
+        for orders, order in zip(by_edge, want, strict=True):
+            for label, column in zip(order, zip(*orders, strict=True), strict=True):
+                if heads.setdefault(label, column) != column:
+                    return False
+    except ValueError:
+        return False
     full = system._full
     key = {label: min(ind, ind ^ full) for label, ind in system.indicator.items()}
-    source_keys = [key[label] for label in first]
-    image_keys = key.__getitem__
-
-    def within_class(labeling: tuple[tuple[int, ...], ...]) -> bool:
-        # lists and sum(): tuple() of an iterator sizes its result by resizing,
-        # and the resized tuples pile up in the interpreter's tuple free lists
-        if list(map(len, labeling)) != lengths:
-            return False
-        seq = sum(labeling, ())
-        if same(seq) != seq:
-            return False
-        images = sigma(seq)
-        return (list(map(image_keys, images)) == source_keys
-                and len(set(images)) == len(images))
-
-    return LabelingVerdict(
-        want in oracle.labelings,
-        all(map(within_class, oracle.labelings)),
-        oracle.count == oracle.expected_count)
+    return (all(set(map(key.__getitem__, set(column))) == {key[label]}
+                for label, column in heads.items())
+            and all(len(set(row)) == len(row) for row in zip(*heads.values())))
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groups import display_word
 from .instances import (
+    Expectations,
     InstanceSpec,
     make_base_spec,
     make_model,
@@ -92,7 +93,16 @@ def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
     if radius is not None or margin is not None:
         spec = spec._replace(radius=radius if radius is not None else spec.radius,
                              margin=margin if margin is not None else spec.margin)
-    spec = spec.validate()
+    return _run(spec.validate(), None)
+
+
+def run_family(name: str, family: VertexFamily, expectations: Expectations) -> RunResult:
+    """The explicit-mode run of a family built already, as ``run_instance``
+    runs an explicit spec that lists the same vertices."""
+    return _run(InstanceSpec(name, mode="explicit", expectations=expectations), family)
+
+
+def _run(spec: InstanceSpec, family: Optional[VertexFamily]) -> RunResult:
     start = time.perf_counter()
     report = Report(spec.name)
     result = RunResult(report, spec)
@@ -100,10 +110,11 @@ def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
         if spec.mode == "group":
             _run_group(spec, report, result)
         else:
-            try:
-                family = explicit_family(spec.universe, spec.explicit_vertices)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+            if family is None:
+                try:
+                    family = explicit_family(spec.universe, spec.explicit_vertices)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from exc
             result.family = family
             report.counts["universe"] = len(family.universe)
             report.counts["family_vertices"] = len(family)

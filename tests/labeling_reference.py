@@ -1,5 +1,6 @@
 """The labeling oracle and its verdict as first written, kept as the reference
-for the prefix/suffix search and the gathered verdict in ``tracktree.oracles``.
+for the planned edge-by-edge search and the column verdict in
+``tracktree.oracles``.
 
 The search pins each cornered place of an edge's order in a dict, one
 ``setdefault`` per place, and the verdict builds a within-class map per

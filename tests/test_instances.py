@@ -21,12 +21,13 @@ from tracktree import (
     fig1_exhibit,
     instance_to_text,
     parse_instance_text,
+    random_nested_family,
     report_document,
     run_instance,
 )
 from tracktree.cli import _error_line, build_parser, command_parser, main
 from tracktree.errors import ParseError, TrackTreeError
-from tracktree.instances import make_model
+from tracktree.instances import Expectations, make_model
 from tracktree.reports import FAIL, PASS, UNCERTIFIED, CheckResult, Report
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -308,6 +309,41 @@ def test_cli_random(capsys):
         assert "input error: --classes must be at least 1" in capsys.readouterr().err
 
 
+def random_round_trip(seed, classes=None):
+    """`random` as it ran before it handed its family to ``run_family``: the
+    family written out key by key as an explicit spec, which ``run_instance``
+    builds again; (exit code, report document)."""
+    family, info = random_nested_family(seed, exact_classes=classes)
+    spec = InstanceSpec(
+        name=f"random-{seed}", mode="explicit",
+        universe=tuple(family.universe),
+        explicit_vertices=tuple((v.name, tuple(family.keys_of(v.members))) for v in family.vertices),
+        expectations=Expectations(
+            nested=True, tree_vertices=info.tree_vertex_count,
+            tree_edges=info.tree_edge_count,
+            class_sizes=tuple(sorted(info.class_sizes))),
+    ).validate()
+    result = run_instance(spec)
+    return result.report.exit_code(), report_document(result.report)
+
+
+@pytest.mark.parametrize("classes", [None, 1, 2, 5, 9, 15, 40])
+def test_cli_random_reports_as_the_round_trip_did(capsys, classes):
+    # 15 classes fill the pattern layer's 16-vertex cap and 40 exceed it
+    for seed in range(6):
+        argv = ["random", "--seed", str(seed)] + ["--classes", str(classes)] * (classes is not None)
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == random_round_trip(seed, classes), argv
+
+
+def test_cli_random_has_no_window_options(capsys):
+    # an explicit family has no window for --radius or --margin to set
+    for option in ("--radius", "--margin"):
+        code, out, err = _run(main, ["random", "--seed", "1", option, "2"], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {option} 2" in err
+
+
 def test_cli_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["check", str(INSTANCE_DIR / "E1.ini"), "--out", str(target)])
@@ -383,6 +419,7 @@ PARSER_CASES = {
     "handler input error": ["random", "--seed", "1", "--classes", "0"],
     "missing file": ["tree", str(INSTANCE_DIR / "missing.ini")],
     "random": ["random", "--seed", "2", "--classes", "3"],
+    "random --radius": ["random", "--seed", "1", "--radius", "2"],
     "demo": ["demo", "E4", "--margin", "3"],
 }
 

@@ -313,6 +313,80 @@ def test_labelings_budget_steps_are_pinned():
             oracle_labelings(system)
 
 
+def budget_system():
+    """The family of ``test_labelings_budget_steps_are_pinned``: its edges are
+    (v0, v1), (v0, v2) and (v1, v2), with 720, 1 440 and 1 440 steps."""
+    six = frozenset(f"c{k}" for k in range(6))
+    return build_track_system(explicit_family(
+        [*sorted(six), "c6", "c7"],
+        [("v0", frozenset()), ("v1", six), ("v2", six | {"c6", "c7"})]))
+
+
+@pytest.mark.parametrize("budget", [720 + 100, 720 + 1440 + 100], ids=["(v0, v2)", "(v1, v2)"])
+def test_labelings_budget_runs_out_inside_an_edge(budget):
+    system = budget_system()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracktree.oracles, "DFS_BUDGET", budget)
+        for search in (oracle_labelings, reference_oracle_labelings):
+            with pytest.raises(SearchBudgetExceeded):
+                search(system)
+
+
+def test_labelings_budget_covers_every_edge():
+    system = budget_system()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracktree.oracles, "DFS_BUDGET", 720 + 2 * 1440)
+        oracle = oracle_labelings(system)
+        want, steps = reference_oracle_labelings(system)
+    assert oracle.edges == [(0, 1), (0, 2), (1, 2)] and steps == 720 + 2 * 1440
+    assert oracle.count == len(oracle.labelings) == 1440
+    assert oracle.labelings == want.labelings
+
+
+def altered_lists(system, labelings):
+    """No labelings, and the oracle's labelings with the last one altered:
+    an edge reversed, cut short or grown by a label, the least labels of two
+    classes swapped throughout, or an edge's first label repeated in place
+    of its last."""
+    yield []
+    *kept, last = labelings
+    for k, order in enumerate(last):
+        for altered in (order[::-1], order[:-1], order + order[:1], order[:-1] + order[:1]):
+            if altered != order:
+                yield [*kept, last[:k] + (altered,) + last[k + 1:]]
+    if len(system.class_bits) > 1:
+        a, b = (bit_positions(bits)[0] for bits in system.class_bits[:2])
+        swap = {a: b, b: a}
+        yield [*kept, tuple(tuple(swap.get(x, x) for x in order) for order in last)]
+
+
+@pytest.mark.parametrize("family", [
+    band_system().family,  # a single edge
+    budget_system().family,
+    *(random_nested_family(seed, max_vertices=5, max_extra_cosets=2)[0] for seed in range(6)),
+], ids=lambda family: f"{len(family)} vertices")
+def test_labeling_verdict_on_altered_oracle_lists(family):
+    system = build_track_system(family)
+    oracle = oracle_labelings(system)
+    candidates = [dict(zip(oracle.edges, oracle.labelings[0]))]
+    if nestedness_check(system).ok:
+        candidates.append(assign_labels(system))
+    verdicts = set()
+    for labelings in altered_lists(system, oracle.labelings):
+        altered = oracle._replace(labelings=labelings)
+        for canonical in candidates:
+            verdict = labeling_verdict(system, canonical, altered)
+            assert verdict == reference_verdict(system, canonical, altered)
+            verdicts.add(verdict.all_within_class)
+    assert verdicts == {True, False}
+    # the reference pairs edges with orders by zip, so it misses a labeling
+    # with an edge too few or too many; the verdict refuses both
+    *kept, last = oracle.labelings
+    for labeling in (last[:-1], last + last[-1:]):
+        altered = oracle._replace(labelings=[*kept, labeling])
+        assert not labeling_verdict(system, candidates[0], altered).all_within_class
+
+
 def broken_labelings(system, canonical, oracle):
     """The canonical labeling, one reversed copy and one copy cut short per
     edge, a copy with the last label of the first edge moved to the front of
