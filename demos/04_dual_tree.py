@@ -1,21 +1,26 @@
 """From a nested track system to its dual tree, checked against brute force.
 
-The built-in infinite dihedral instance produces a path: three translate
-vertices, two parallel classes of size two, and a band vertex inside each
-class.  Every tree vertex carries the set B = A + F it represents, and the
-unique path between two vertices realises exactly their difference.
+The shipped infinite dihedral instance, instances/E4.ini, produces a path:
+three translate vertices, two parallel classes of size two, and a band
+vertex inside each class.  Every tree vertex carries the set B = A + F it
+represents, and the unique path between two vertices realises exactly
+their difference.
 """
 
+from pathlib import Path
+
 from tracktree import (
-    corpus,
     dot_document,
+    load_instance,
     oracle_orientations,
     run_instance,
     tree_matches_oracle,
 )
 from tracktree.trees import tree_metric_and_separation
 
-result = run_instance(corpus()["E4"])
+INSTANCES = Path(__file__).resolve().parent / "instances"
+
+result = run_instance(load_instance(INSTANCES / "E4.ini"))
 system, tree, fam = result.system, result.tree, result.family
 
 # labels are universe positions; keys_of and universe give their coset keys

@@ -6,9 +6,13 @@ union of the identity coset's parallel class is itself an order-two
 subgroup: the classical splitting recovered from pure set arithmetic.
 """
 
-from tracktree import act, corpus, run_instance, stabilizer_analysis, subgroup
+from pathlib import Path
 
-result = run_instance(corpus()["E4"])
+from tracktree import act, load_instance, run_instance, stabilizer_analysis, subgroup
+
+INSTANCES = Path(__file__).resolve().parent / "instances"
+
+result = run_instance(load_instance(INSTANCES / "E4.ini"))
 tree = result.tree
 model = result.family.window.model
 
@@ -40,7 +44,7 @@ print("it contains the base subgroup with index", cu.class_size)
 
 print()
 print("the same checks on the lattice instance:")
-e2 = run_instance(corpus()["E2"])
+e2 = run_instance(load_instance(INSTANCES / "E2.ini"))
 window = e2.family.window
 st2 = stabilizer_analysis(e2.tree, window.model.ball(2),
                           expected_k=window.sub, expected_k_exact=True)

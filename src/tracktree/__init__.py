@@ -22,9 +22,6 @@ from .groups import (
 )
 from .instances import (
     InstanceSpec,
-    corpus,
-    crossing_exhibit,
-    fig1_exhibit,
     instance_to_text,
     load_instance,
     parse_instance_text,

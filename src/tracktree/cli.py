@@ -1,4 +1,4 @@
-"""Command-line surface: check, tree, oracle, demo, random.
+"""Command-line surface: check, tree, oracle, random.
 
 Exit codes: 0 all checks pass, 2 a property check failed, 3 a
 certification failed, 4 input error.  Reports printed by ``check`` are
@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from .errors import IoError, ParseError, TrackTreeError
-from .instances import Expectations, corpus, load_instance
+from .instances import Expectations, load_instance
 from .oracles import random_nested_family
 from .pipeline import run_family, run_instance
 from .reports import dot_document, report_document, write_atomic
@@ -89,19 +89,6 @@ def _cmd_oracle(args) -> int:
     return result.report.exit_code()
 
 
-def _cmd_demo(args) -> int:
-    instances = corpus()
-    if args.name not in instances:
-        sys.stderr.write(f"unknown demo instance {args.name!r}; choose from {sorted(instances)}\n")
-        return 4
-    result = run_instance(instances[args.name], radius=args.radius, margin=args.margin)
-    text = report_document(result.report, include_timings=args.timings)
-    if result.tree is not None:
-        text += dot_document(result.tree, args.name)
-    _emit(text, args.out)
-    return result.report.exit_code()
-
-
 def _cmd_random(args) -> int:
     if args.classes is not None and args.classes < 1:
         raise ParseError(f"--classes must be at least 1, got {args.classes}")
@@ -115,8 +102,10 @@ def _cmd_random(args) -> int:
 
 def _options(p, window=True, timings=True):
     if window:  # an explicit family, random's, has no window
-        p.add_argument("--radius", type=int, default=None, help="override the window radius")
-        p.add_argument("--margin", type=int, default=None, help="override the window margin")
+        p.add_argument("--radius", type=int, default=None,
+                       help="override the window radius (group-mode files only)")
+        p.add_argument("--margin", type=int, default=None,
+                       help="override the window margin (group-mode files only)")
     if timings:  # only the commands that print a report read it
         p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--out", default=None, help="write the document to a file")
@@ -132,11 +121,6 @@ def _file_arguments(p):
     _options(p, timings=False)
 
 
-def _demo_arguments(p):
-    p.add_argument("name", help="E1, E2, E3 or E4")
-    _options(p)
-
-
 def _random_arguments(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--classes", type=int, default=None, help="force the number of parallel classes")
@@ -148,7 +132,6 @@ COMMANDS = {
     "check": ("run every check on instance files", _check_arguments, _cmd_check),
     "tree": ("emit the dual tree of an instance", _file_arguments, _cmd_tree),
     "oracle": ("compare construction against brute-force oracles", _file_arguments, _cmd_oracle),
-    "demo": ("run a built-in instance (E1..E4)", _demo_arguments, _cmd_demo),
     "random": ("check a random nested family", _random_arguments, _cmd_random),
 }
 

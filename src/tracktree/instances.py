@@ -1,4 +1,4 @@
-"""Instance documents: the flat text format, validation, and the built-in corpus.
+"""Instance documents: the flat text format and validation.
 
 An instance file is a flat structured-text document with ``[section]``
 headers, ``key = value`` lines and comments: a line whose first non-blank
@@ -307,79 +307,3 @@ def instance_to_text(spec: InstanceSpec) -> str:
             lines.append(f"class_sizes = {','.join(str(s) for s in exp.class_sizes)}")
     return "\n".join(lines) + "\n"
 
-
-# --------------------------------------------------------------------------
-# built-in corpus
-
-
-def corpus() -> dict[str, InstanceSpec]:
-    """The four shipped instances.
-
-    E1: the integers over the trivial subgroup with a half-line base set.
-    E2: the rank-2 lattice over its first factor with a half-plane of rows.
-    E3: the rank-2 free group over the cyclic subgroup on its first letter,
-        base set the cosets whose key starts with the second letter.
-    E4: the infinite dihedral group (order-2 free factors) over the trivial
-        subgroup, base set the elements starting with the first letter.
-    """
-    e1 = InstanceSpec(
-        name="E1", kind="free", rank=1, letters="t", radius=8, margin=2,
-        base_rules=(("t", True),), base_includes=("1",),
-        translations=("TT", "T", "1", "t", "tt"),
-        expected_k_generators=(), expected_k_exact=True,
-        expectations=Expectations(nested=True, tree_vertices=5, tree_edges=4,
-                                  class_sizes=(1, 1, 1, 1)),
-    ).validate()
-    e2 = InstanceSpec(
-        name="E2", kind="free_abelian", rank=2, letters="xy", radius=6, margin=2,
-        subgroup_generators=("x",),
-        base_rules=(("y", True),), base_includes=("1",),
-        translations=("Y", "1", "y"),
-        expected_k_generators=("x",), expected_k_exact=True,
-        expectations=Expectations(nested=True, tree_vertices=3, tree_edges=2,
-                                  class_sizes=(1, 1)),
-    ).validate()
-    e3 = InstanceSpec(
-        name="E3", kind="free", rank=2, letters="ab", radius=6, margin=2,
-        subgroup_generators=("a",),
-        base_rules=(("b", True),),
-        translations=("1", "b", "B", "bb", "a"),
-        expected_k_generators=("a",),
-        expectations=Expectations(nested=True, tree_vertices=4, tree_edges=3,
-                                  class_sizes=(1, 1, 1)),
-    ).validate()
-    e4 = InstanceSpec(
-        name="E4", kind="free_product_cyclic", orders=(2, 2), rank=2, letters="st",
-        radius=8, margin=3,
-        base_rules=(("s", True),),
-        translations=("1", "s", "t", "st"),
-        expected_k_generators=("t",), expected_k_exact=True,
-        expectations=Expectations(nested=True, tree_vertices=5, tree_edges=4,
-                                  class_sizes=(2, 2)),
-    ).validate()
-    return {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
-
-
-def crossing_exhibit() -> InstanceSpec:
-    """Explicit four-quadrant family; rejected with a crossing witness."""
-    return InstanceSpec(
-        name="crossing-exhibit", mode="explicit",
-        universe=("a", "b"),
-        explicit_vertices=(
-            ("e", ()), ("va", ("a",)), ("vb", ("b",)), ("vab", ("a", "b")),
-        ),
-        expectations=Expectations(nested=False),
-    ).validate()
-
-
-def fig1_exhibit() -> InstanceSpec:
-    """Three vertices with corner counts (3, 2, 2), hence edge weights (5, 5, 4)."""
-    return InstanceSpec(
-        name="fig1-exhibit", mode="explicit",
-        universe=("c1", "c2", "c3", "c4", "c5", "c6", "c7"),
-        explicit_vertices=(
-            ("u", ("c1", "c2", "c3")), ("v", ("c4", "c5")), ("w", ("c6", "c7")),
-        ),
-        expectations=Expectations(nested=True, tree_vertices=8, tree_edges=7,
-                                  class_sizes=(2, 2, 3)),
-    ).validate()

@@ -48,7 +48,7 @@ from .patterns import (
     square_analysis,
 )
 from .reports import FAIL, PASS, UNCERTIFIED, Report
-from .trees import DualTree, build_tree, separation_witness, stabilizer_analysis, translate_flips
+from .trees import DualTree, build_tree, separation_witness, stabilizer_analysis
 from .windows import (
     VertexFamily,
     build_base_set,
@@ -145,9 +145,9 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     report.counts["core_keys"] = len(window.core)
     report.add("window", PASS)
 
+    # the base set is built from the spec's rules over the window and cannot fail
     base_set = build_base_set(window, base_spec)
     report.counts["base_set_keys"] = base_set.bit_count()
-    report.add("base_set", PASS)
 
     try:
         family = build_family(window, base_set, translations)
@@ -158,12 +158,11 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     report.counts["family_vertices"] = len(family)
     report.add("family_certification", PASS)
 
-    properness, undecided, moving = hypothesis_report(window, base_set, expected_k)
     # the base set is a set of coset keys, so it is left invariant, and each
     # A + A*g is its translate's moved set, which build_family certified
-    # clear of the shell or raised above: both hold by construction
-    report.add("left_invariance", PASS)
-    report.add("almost_invariance", PASS)
+    # clear of the shell or raised above: left and almost invariance hold by
+    # construction; test_almost_invariance_holds_for_every_certified_family checks the latter
+    properness, undecided, moving = hypothesis_report(window, base_set, expected_k)
     report.verdict("properness", properness)
     if undecided is not None:
         report.add("expected_stabilizer", UNCERTIFIED,
@@ -176,14 +175,9 @@ def _run_group(spec: InstanceSpec, report: Report, result: RunResult):
     tree = result.tree
     if tree is None:
         return
-    # an expected-K generator fixes A, and so the base vertex, or it has failed
-    # expected_stabilizer already; a translation sends the base vertex to the
-    # vertex flipping d_g, which build_family certified, so this cannot raise
-    unmapped = next((g for g in translations if translate_flips(tree, g) not in tree.flip_index),
-                    None)
-    report.verdict("action_equivariance", None if unmapped is None else
-                   f"action by {display_word(unmapped.word)}: base image missing")
-
+    # a translation sends the base vertex to the vertex flipping d_g = A + A*g,
+    # a family vertex that build_family certified, so the action is equivariant
+    # by construction; test_translations_map_the_base_vertex_to_tree_vertices checks it
     action_radius = spec.action_radius if spec.action_radius is not None else spec.margin
     ball = model.ball(action_radius)
     stab = stabilizer_analysis(tree, ball, expected_k=expected_k,
@@ -229,16 +223,14 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     # |X + Y| + |Y + Z| + |Z + X| is even and the corner set (X + Y) & (X + Z)
     # has size (d(X, Y) + d(X, Z) - d(Y, Z)) / 2: parity and corners hold by
     # construction; test_parity_and_corners_hold_for_arbitrary_families checks both
-    report.add("parity", PASS)
-    report.add("corners", PASS)
 
     # nested tracks are pairwise compatible, so at most one quartet split on four
     # vertices carries labels and no square fails (the four-point condition); a
-    # crossing family may pass every square, so there the squares are still scanned.
-    # test_nestedness_decides_squares_and_class_orders checks this
+    # crossing family may pass every square, so only there are the squares scanned
+    # and reported.  test_nestedness_decides_squares_and_class_orders checks this
     nested = nestedness_check(system)
-    report.verdict("squares", None if nested.ok else _square_witness(family))
     if not nested.ok:
+        report.verdict("squares", _square_witness(family))
         c1, c2, quadrant = nested.witness
         report.add("nestedness", FAIL,
                    f"cosets {display_word(c1)} and {display_word(c2)} cross; "
@@ -248,16 +240,16 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
     report.add("nestedness", PASS)
 
     # on a nested system every class order is total (see class_order), so
-    # assign_labels cannot raise NotTotal; the labels are computed only for
-    # the labeling oracle, the one reader of them
-    report.add("class_orders", PASS)
-    report.add("labelling", PASS)
+    # assign_labels cannot raise NotTotal: class orders and the labelling hold
+    # by construction; the labels are computed only for the labeling oracle,
+    # the one reader of them
 
+    # build_tree asserts the tree axioms and raises rather than return a
+    # non-tree; tree_oracle below compares the tree with the orientations
     tree = build_tree(system)
     result.tree = tree
     report.counts["tree_vertices"] = tree.vertex_count
     report.counts["tree_edges"] = tree.edge_count
-    report.add("tree", PASS)
 
     # an oracle over its cap is skipped without a report line
     try:

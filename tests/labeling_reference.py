@@ -89,7 +89,10 @@ def reference_oracle_labelings(system):
 
 def labeling_matches_canonical(system, canonical, labeling, edges):
     """True when the labeling is the canonical one composed with a single
-    within-class permutation applied consistently on every edge."""
+    within-class permutation applied consistently on every edge; a labeling
+    with an edge too few or too many is not."""
+    if len(labeling) != len(edges):
+        return False
     indicator, full = system.indicator, system._full
     mapping = {}
     for edge, seq in zip(edges, labeling):

@@ -18,9 +18,6 @@ from tracktree import (
     assign_labels,
     build_track_system,
     build_tree,
-    corpus,
-    crossing_exhibit,
-    fig1_exhibit,
     nestedness_check,
     oracle_labelings,
     oracle_orientations,
@@ -37,9 +34,9 @@ from tracktree.trees import tree_metric_and_separation
 from tracktree.windows import bit_positions
 
 from labeling_reference import labeling_matches_canonical
+from shipped_instances import INSTANCE_DIR, group_instances, shipped
 from tree_reference import tree_colors
 
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 # the directory the package was imported from, for subprocesses with a bare environment
 PACKAGE_PATH = str(Path(tracktree.__file__).resolve().parent.parent)
 RANDOM_SEEDS = range(100)
@@ -61,7 +58,7 @@ def criterion(label):
 
 @functools.lru_cache(maxsize=None)
 def corpus_results():
-    return {name: run_instance(spec) for name, spec in corpus().items()}
+    return {name: run_instance(spec) for name, spec in group_instances().items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,7 +91,7 @@ def test_parity_and_corners():
         start = time.perf_counter()
         scan_parity_and_corners(system)
         assert time.perf_counter() - start < 10.0, info.seed
-    fig1 = run_instance(fig1_exhibit())
+    fig1 = run_instance(shipped()["fig1"])
     fam = fig1.system.family
     corners = corner_analysis(fam, 0, 1, 2)
     assert [c.count for c in corners] == [3, 2, 2]
@@ -109,7 +106,7 @@ def test_nestedness():
         assert result.report.status == "pass", name
         assert nestedness_check(result.system).ok, name
     witnessed = nestedness_check(build_track_system(
-        run_instance(crossing_exhibit()).family))
+        run_instance(shipped()["crossing"]).family))
     assert not witnessed.ok
     c1, c2, quadrant = witnessed.witness
     assert {c1, c2} == {"a", "b"}
@@ -119,7 +116,7 @@ def test_nestedness():
 @criterion("labelling uniqueness: count = prod(class size)!, all within-class, exact")
 def test_labelling_uniqueness():
     systems = [result.system for result in corpus_results().values()]
-    systems.append(run_instance(fig1_exhibit()).system)
+    systems.append(run_instance(shipped()["fig1"]).system)
     for system, _ in random_systems():
         if system.label_bits.bit_count() <= 8 and system.n <= 8:
             systems.append(system)
@@ -227,7 +224,7 @@ def test_action_and_stabilizers():
 
 @criterion("certification soundness: witness sets stable under radius+2 recomputation")
 def test_certification_soundness():
-    for name, spec in corpus().items():
+    for name, spec in group_instances().items():
         model = make_model(spec)
         sub = subgroup(model, [token_word(w) for w in spec.subgroup_generators])
         window_result = corpus_results()[name]

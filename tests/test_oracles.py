@@ -11,7 +11,6 @@ from tracktree import (
     assign_labels,
     build_track_system,
     build_tree,
-    corpus,
     explicit_family,
     nestedness_check,
     oracle_labelings,
@@ -35,6 +34,7 @@ from labeling_reference import (
     reference_oracle_labelings,
     reference_verdict,
 )
+from shipped_instances import group_instances
 
 
 def band_system():
@@ -55,7 +55,7 @@ def test_oracle_band_family():
 
 
 def test_oracle_half_line():
-    result = run_instance(corpus()["E1"])
+    result = run_instance(group_instances()["E1"])
     oracle = oracle_orientations(result.system)
     assert len(oracle.vertex_flips) == 5
     assert tree_matches_oracle(result.tree, oracle)
@@ -75,7 +75,7 @@ def test_oracle_rejects_large_systems():
 
 
 def test_oracle_matches_tree_on_corpus():
-    for name, spec in corpus().items():
+    for name, spec in group_instances().items():
         result = run_instance(spec)
         assert tree_matches_oracle(result.tree, oracle_orientations(result.system)), name
 
@@ -184,7 +184,7 @@ def test_oracle_confirms_only_the_surviving_orientations(monkeypatch):
         calls[0] += 1
         return orientation_consistent(system, orientation)
 
-    system = run_instance(corpus()["E1"]).system
+    system = run_instance(group_instances()["E1"]).system
     monkeypatch.setattr(tracktree.oracles, "orientation_consistent", counted)
     oracle_orientations(system)
     assert calls[0] == 5
@@ -206,7 +206,7 @@ def test_labelings_band_family():
 
 
 def test_labelings_all_singletons():
-    result = run_instance(corpus()["E1"])
+    result = run_instance(group_instances()["E1"])
     oracle = oracle_labelings(result.system)
     assert oracle.count == 1 == oracle.expected_count
 
@@ -379,12 +379,14 @@ def test_labeling_verdict_on_altered_oracle_lists(family):
             assert verdict == reference_verdict(system, canonical, altered)
             verdicts.add(verdict.all_within_class)
     assert verdicts == {True, False}
-    # the reference pairs edges with orders by zip, so it misses a labeling
-    # with an edge too few or too many; the verdict refuses both
+    # a labeling with an edge too few or too many: the verdict and the
+    # reference both refuse it
     *kept, last = oracle.labelings
     for labeling in (last[:-1], last + last[-1:]):
         altered = oracle._replace(labelings=[*kept, labeling])
-        assert not labeling_verdict(system, candidates[0], altered).all_within_class
+        verdict = labeling_verdict(system, candidates[0], altered)
+        assert verdict == reference_verdict(system, candidates[0], altered)
+        assert not verdict.all_within_class
 
 
 def broken_labelings(system, canonical, oracle):

@@ -18,7 +18,6 @@ four deliberate changes:
 """
 
 import ast
-from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -27,9 +26,6 @@ from hypothesis import strategies as st
 
 from tracktree import (
     InstanceSpec,
-    corpus,
-    crossing_exhibit,
-    fig1_exhibit,
     instance_to_text,
     parse_instance_text,
 )
@@ -37,7 +33,7 @@ from tracktree.errors import ParseError
 from tracktree.instances import Expectations, _ints, _parse_bool, _tokens
 from tracktree.oracles import random_nested_family
 
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
+from shipped_instances import INSTANCE_DIR, group_instances, shipped
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def nested_family_text(seed: int) -> str:
                                   class_sizes=tuple(sorted(info.class_sizes)))))
 
 
-TEXTS = ([instance_to_text(s) for s in (*corpus().values(), crossing_exhibit(), fig1_exhibit())]
+TEXTS = ([instance_to_text(s) for s in (*group_instances().values(), shipped()["crossing"], shipped()["fig1"])]
          + [p.read_text() for p in sorted(INSTANCE_DIR.glob("*.ini"))]
          + [nested_family_text(seed) for seed in range(8)])
 
@@ -351,7 +347,7 @@ def test_ignored_keys(extra):
     "[window]\nradius = 1", "[expected_k]\nexact = maybe",
 ])
 def test_other_mode_keys_are_ignored(extra):
-    assert parse_instance_text(CROSSING + extra + "\n") == crossing_exhibit()
+    assert parse_instance_text(CROSSING + extra + "\n") == shipped()["crossing"]
 
 
 def test_repeatable_keys_keep_file_order():

@@ -29,7 +29,6 @@ from tracktree import (
     build_tree,
     build_window,
     compose,
-    corpus,
     display_word,
     free_product_of_cyclics,
     hypothesis_report,
@@ -49,6 +48,7 @@ from tracktree.instances import (
     token_word,
 )
 from tracktree.trees import ClassUnionReport, StabilizerReport, translate_flips
+from shipped_instances import group_instances
 from test_instances import FAR_RULE, WITNESS_GOLDEN, group_specs
 
 
@@ -216,7 +216,7 @@ def instance(name):
         model = free_product_of_cyclics([2, 2, 2])
         return (model, subgroup(model, ["st"]), 5, 2, BaseSetSpec(rules=(("s", True),)),
                 [model.normalize(w) for w in ("", "s", "t", "u")], subgroup(model, ["st"]), False)
-    spec = corpus()[name]
+    spec = group_instances()[name]
     model = make_model(spec)
     return (model, make_subgroup(model, spec.subgroup_generators), spec.radius, spec.margin,
             make_base_spec(model, spec), [model.normalize(token_word(w)) for w in spec.translations],
@@ -417,7 +417,7 @@ def test_action_and_class_union_compose_no_elements(name, monkeypatch):
 def test_class_union_walks_past_the_core_toward_its_class(rule, keys, witness):
     # E1 with translations 1, tt and the one rule "rule in": H is trivial in
     # Z, so every coset but H lies past the Stallings core
-    spec = corpus()["E1"]._replace(translations=("1", "tt"), base_rules=((rule, True),))
+    spec = group_instances()["E1"]._replace(translations=("1", "tt"), base_rules=((rule, True),))
     tree = run_instance(spec).tree
     family = tree.system.family
     assert [family.keys_of(bits) for bits in tree.system.class_bits if bits & 1] == [keys]
@@ -429,7 +429,7 @@ def test_class_union_walks_past_the_core_toward_its_class(rule, keys, witness):
 def test_class_union_steps_only_toward_its_class(monkeypatch):
     # E3 at radius 10: H = <a> and a one-key class, so past the core the walk
     # stops at once; ball(5) would locate 485 elements
-    tree = run_instance(corpus()["E3"], radius=10).tree
+    tree = run_instance(group_instances()["E3"], radius=10).tree
     want = StringTree(tree).class_union()
     calls = []
     step = windows._CosetGraph.step
@@ -489,7 +489,7 @@ UNDECIDED_WITNESS = re.compile(r"uncertified difference for \(1, (.+)\): "
 @example(parse_instance_text(FAR_RULE))
 @example(InstanceSpec("stability-changed", **WITNESS_GOLDEN["stability-changed"][0]))
 @example(InstanceSpec("stability-merged", **WITNESS_GOLDEN["stability-merged"][0]))
-@example(corpus()["E3"]._replace(translations=("1", "b", "B", "bbb", "a")))
+@example(group_instances()["E3"]._replace(translations=("1", "b", "B", "bbb", "a")))
 @example(InstanceSpec("stability-undecided", **WITNESS_GOLDEN["stability-undecided"][0]))
 def test_stability_witnesses_reverify_on_their_own(spec):
     # a witness "difference for (1, g) changed at radius + 2: X vs Y" says

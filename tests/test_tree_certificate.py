@@ -11,8 +11,6 @@ from tracktree import (
     act,
     build_track_system,
     build_tree,
-    corpus,
-    fig1_exhibit,
     parse_instance_text,
     run_instance,
 )
@@ -24,6 +22,7 @@ from tracktree.trees import translate_flips
 import test_instances
 import test_patterns
 import test_trees
+from shipped_instances import group_instances, shipped
 from tree_certificate import action_witness, certificate_witness
 
 
@@ -32,7 +31,7 @@ def family_tree(family):
 
 
 def test_certificate_holds_on_the_corpus_and_fig1():
-    trees = [run_instance(spec).tree for spec in (*corpus().values(), fig1_exhibit())]
+    trees = [run_instance(spec).tree for spec in (*group_instances().values(), shipped()["fig1"])]
     trees = [tree for tree in trees if tree is not None]
     assert len(trees) >= 5
     for tree in trees:
@@ -81,7 +80,7 @@ def certified_actions(result):
 
 
 def action_runs():
-    corpus_specs = corpus()
+    corpus_specs = group_instances()
     c = parse_instance_text(test_instances.FREE_PRODUCT_C)
     runs = [run_instance(spec) for spec in corpus_specs.values()]
     runs += [run_instance(corpus_specs["E3"], radius=r) for r in range(6, 11)]
@@ -103,7 +102,7 @@ def test_action_certificate_holds_on_every_certified_ball_element():
 
 
 def test_action_certificate_rejects_hand_made_maps():
-    tree = run_instance(corpus()["E4"]).tree
+    tree = run_instance(group_instances()["E4"]).tree
     flips, edges, n = tree.flips, tree.edges, tree.vertex_count
     identity = list(range(n))
     assert action_witness(flips, edges, identity, 0) is None

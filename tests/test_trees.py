@@ -2,7 +2,6 @@
 
 import itertools
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +14,7 @@ from tracktree import (
     build_track_system,
     build_tree,
     compose,
-    corpus,
     explicit_family,
-    fig1_exhibit,
     free_group,
     instance_to_text,
     run_instance,
@@ -38,14 +35,14 @@ from tracktree.trees import (
     tree_metric_and_separation,
 )
 from tracktree.windows import bit_positions
+from shipped_instances import INSTANCE_DIR, group_instances, shipped
 from tree_reference import base_orientation, tree_colors
 
 Z = free_group(1, "t")
-INSTANCE_DIR = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
 def run(name):
-    return run_instance(corpus()[name])
+    return run_instance(group_instances()[name])
 
 
 def star_system():
@@ -430,7 +427,7 @@ def test_assert_tree_rejects_graphs_not_rooted_at_the_base(subsets, edges, error
 def test_separation_witness_matches_all_pairs_search(seed):
     trees = [build_tree(build_track_system(random_nested_family(seed)[0]))]
     if seed == 0:
-        trees += [run_instance(spec).tree for spec in (*corpus().values(), fig1_exhibit())]
+        trees += [run_instance(spec).tree for spec in (*group_instances().values(), shipped()["fig1"])]
         trees += [hand_built_tree(*bad[:3]) for bad in BAD_TREES]
     for tree in trees:
         assert (separation_witness(tree) is None) == all_pairs_separation(tree)

@@ -18,7 +18,6 @@ from tracktree import (
     build_family,
     build_window,
     compose,
-    corpus,
     display_word,
     free_abelian_group,
     free_group,
@@ -48,6 +47,7 @@ from tracktree.windows import (
     _decided_depth,
     _regrowth_report,
 )
+from shipped_instances import group_instances
 from test_instances import FAR_RULE, WITNESS_GOLDEN
 
 Z = free_group(1, "t")
@@ -379,7 +379,7 @@ def test_coset_graph_matches_ball_reference_on_corpus(name):
         window = build_window(model, subgroup(model, ["st"]), 5, 2)
         base_spec = BaseSetSpec(rules=(("s", True),))
     else:
-        spec = corpus()[name]
+        spec = group_instances()[name]
         model = make_model(spec)
         window = build_window(model, make_subgroup(model, spec.subgroup_generators),
                               spec.radius, spec.margin)
@@ -801,7 +801,7 @@ def stability_cases(draw):
     if name == "C":
         model, sub, margin, translations = free_product_case()
     else:
-        model, sub, _, margin, _, translations = instance_case(corpus()[name])
+        model, sub, _, margin, _, translations = instance_case(group_instances()[name])
     radius = draw(st.integers(2 * margin, max(2 * margin, 6)))
     base_spec = draw(base_specs(build_window(model, sub, radius + 2, margin).omega))
     return model, sub, radius, margin, base_spec, translations
@@ -820,7 +820,7 @@ def test_stability_matches_string_reference(case):
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4"])
 def test_stability_matches_string_reference_on_corpus(name):
-    assert assert_stability_matches_reference(*instance_case(corpus()[name])) is None
+    assert assert_stability_matches_reference(*instance_case(group_instances()[name])) is None
 
 
 def test_unstable_witness_matches_string_reference():
@@ -1010,7 +1010,7 @@ def recorded_walks(monkeypatch):
 def test_settled_translates_gather_only_the_short_keys(monkeypatch):
     # E3 at radius 10 has S = max(D, d - 1) = 0: the action's translate by g
     # gathers the keys at most |g| long, not the window's 59 049
-    result = run_instance(corpus()["E3"], radius=10)
+    result = run_instance(group_instances()["E3"], radius=10)
     window, base = result.family.window, result.family.base_set
     assert window._settled[base] == 0 and window.size == 59049
     window._translates.clear()
@@ -1030,7 +1030,7 @@ def test_unsettled_translates_gather_every_key(name, monkeypatch):
         window = build_window(model, sub, 5, margin)
         base = build_base_set(window, BaseSetSpec(rules=(("s", True),)))
     else:
-        spec = corpus()["E2" if name == "E2" else "E3"]
+        spec = group_instances()["E2" if name == "E2" else "E3"]
         model = make_model(spec)
         window = build_window(model, make_subgroup(model, spec.subgroup_generators),
                               spec.radius, spec.margin)
@@ -1198,7 +1198,7 @@ def test_lazily_linked_translates_match_a_fully_linked_graph(case):
 def test_a_check_links_only_what_its_walks_read():
     # E3 at radius 10 (S = 0): the translates and walks of a check read links
     # a few letters deep, so no coset at level 6 or deeper links to a child
-    window = run_instance(corpus()["E3"], radius=10).family.window
+    window = run_instance(group_instances()["E3"], radius=10).family.window
     graph = window.graph
     lo = graph.level_end[5]
     assert graph.radius == 10 and len(graph.fps) == 59049
@@ -1219,8 +1219,8 @@ def test_interleaved_layer_takes_both_paths():
 
 def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
     # E1 has no core but H; <abaab>'s layers mix core and tail parents
-    e3 = corpus()["E3"]
-    cases = [(corpus()["E1"], None), *((e3, r) for r in (6, 7, 8)),
+    e3 = group_instances()["E3"]
+    cases = [(group_instances()["E1"], None), *((e3, r) for r in (6, 7, 8)),
              (e3._replace(subgroup_generators=("abaab",)), 8)]
     want = [report_document(run_instance(spec, radius=r).report) for spec, r in cases]
     advance = _FreeEngine.advance
@@ -1250,7 +1250,7 @@ def test_check_builds_only_the_key_strings_it_reads():
     # E3 at radius 8: the core bound certifies the differences, so the graph
     # is never grown past the window's 3^8 cosets, and only the keys of its
     # core, the 3^6 at most 6 long, are spelled out; they are the ball's
-    spec = corpus()["E3"]
+    spec = group_instances()["E3"]
     result = run_instance(spec, radius=8)
     report_document(result.report)
     window = result.family.window
@@ -1264,7 +1264,7 @@ def test_check_builds_only_the_key_strings_it_reads():
     # E2 (free abelian) and E4 (a free product) build their largest family
     # at radius + 2, in the stability re-check: no key past its core is spelled
     for name in ("E2", "E4"):
-        spec = corpus()[name]
+        spec = group_instances()[name]
         result = run_instance(spec)
         report_document(result.report)
         assert result.report.status == "pass", name
