@@ -1,4 +1,4 @@
-"""Command-line surface: check, tree, oracle, random.
+"""Command-line surface: check, tree, random.
 
 Exit codes: 0 all checks pass, 2 a property check failed, 3 a
 certification failed, 4 input error.  Reports printed by ``check`` are
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional
 
@@ -66,29 +65,6 @@ def _cmd_tree(args) -> int:
     return result.report.exit_code()
 
 
-def _cmd_oracle(args) -> int:
-    spec = load_instance(args.spec)
-    result = run_instance(spec, radius=args.radius, margin=args.margin)
-    doc: dict = {"instance": spec.name, "status": result.report.status}
-    # the run's own oracle results; a mismatch has already failed the report
-    if result.tree is not None:
-        if result.orientations_skipped is not None:
-            doc["orientations_skipped"] = result.orientations_skipped
-        else:
-            doc["orientations_match"] = result.orientations_match
-            doc["oracle_vertices"] = len(result.orientations.vertex_flips)
-        if result.labelings_skipped is not None:
-            doc["labelings_skipped"] = result.labelings_skipped
-        else:
-            lab, verdict = result.labelings, result.labeling_verdict
-            doc["labelings"] = lab.count
-            doc["labelings_expected"] = lab.expected_count
-            doc["canonical_is_valid"] = verdict.canonical_is_valid
-            doc["all_within_class"] = verdict.all_within_class
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return result.report.exit_code()
-
-
 def _cmd_random(args) -> int:
     if args.classes is not None and args.classes < 1:
         raise ParseError(f"--classes must be at least 1, got {args.classes}")
@@ -131,7 +107,6 @@ def _random_arguments(p):
 COMMANDS = {
     "check": ("run every check on instance files", _check_arguments, _cmd_check),
     "tree": ("emit the dual tree of an instance", _file_arguments, _cmd_tree),
-    "oracle": ("compare construction against brute-force oracles", _file_arguments, _cmd_oracle),
     "random": ("check a random nested family", _random_arguments, _cmd_random),
 }
 

@@ -31,15 +31,7 @@ from .instances import (
     make_subgroup,
     token_word,
 )
-from .oracles import (
-    LabelingOracle,
-    LabelingVerdict,
-    OrientationOracle,
-    labeling_verdict,
-    oracle_labelings,
-    oracle_orientations,
-    tree_matches_oracle,
-)
+from .oracles import labeling_verdict, oracle_labelings, oracle_orientations, tree_matches_oracle
 from .patterns import (
     TrackSystem,
     assign_labels,
@@ -61,31 +53,16 @@ from .windows import (
 
 
 class RunResult:
-    __slots__ = ("report", "spec", "family", "system", "tree", "orientations",
-                 "orientations_match", "orientations_skipped", "labelings", "labeling_verdict",
-                 "labelings_skipped")
+    __slots__ = ("report", "spec", "family", "system", "tree")
 
     def __init__(self, report: Report, spec: InstanceSpec,
                  family: Optional[VertexFamily] = None, system: Optional[TrackSystem] = None,
-                 tree: Optional[DualTree] = None,
-                 orientations: Optional[OrientationOracle] = None,
-                 orientations_match: Optional[bool] = None,
-                 orientations_skipped: Optional[str] = None,
-                 labelings: Optional[LabelingOracle] = None,
-                 labeling_verdict: Optional[LabelingVerdict] = None,
-                 labelings_skipped: Optional[str] = None):
+                 tree: Optional[DualTree] = None):
         self.report = report
         self.spec = spec
         self.family = family
         self.system = system
         self.tree = tree
-        # once the tree is built, each oracle gives its result or why it was skipped
-        self.orientations = orientations
-        self.orientations_match = orientations_match
-        self.orientations_skipped = orientations_skipped
-        self.labelings = labelings
-        self.labeling_verdict = labeling_verdict
-        self.labelings_skipped = labelings_skipped
 
 
 def run_instance(spec: InstanceSpec, radius: Optional[int] = None,
@@ -253,25 +230,23 @@ def _run_patterns(spec: InstanceSpec, report: Report, result: RunResult):
 
     # an oracle over its cap is skipped without a report line
     try:
-        oracle = result.orientations = oracle_orientations(system)
-    except TooLarge as exc:
-        result.orientations_skipped = str(exc)
+        oracle = oracle_orientations(system)
+    except TooLarge:
+        pass
     else:
-        match = result.orientations_match = tree_matches_oracle(tree, oracle)
-        report.verdict("tree_oracle",
-                       None if match else "dual tree differs from the orientation oracle")
+        report.verdict("tree_oracle", None if tree_matches_oracle(tree, oracle)
+                       else "dual tree differs from the orientation oracle")
 
     report.verdict("separation_geodesic", separation_witness(tree))
 
     try:
-        oracle = result.labelings = oracle_labelings(system)
-    except TooLarge as exc:
-        result.labelings_skipped = str(exc)
+        oracle = oracle_labelings(system)
+    except TooLarge:
+        pass
     except SearchBudgetExceeded as exc:
-        result.labelings_skipped = str(exc)
         report.add("labeling_oracle", UNCERTIFIED, str(exc))
     else:
-        verdict = result.labeling_verdict = labeling_verdict(system, assign_labels(system), oracle)
+        verdict = labeling_verdict(system, assign_labels(system), oracle)
         failed = [name for name, holds in zip(verdict._fields, verdict) if not holds]
         report.verdict("labeling_oracle",
                        f"{', '.join(failed)} failed: {oracle.count} labelings vs expected "

@@ -119,8 +119,10 @@ def dot_document(tree: DualTree, title: str) -> str:
 
 def write_atomic(path: str | Path, content: str):
     path = Path(path)
+    if path.is_dir():  # else the error would name the temp file, a new name each run
+        raise IoError(f"cannot write {path}: is a directory")
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(content)

@@ -17,12 +17,14 @@ from tracktree import (
     InstanceSpec,
     dot_document,
     instance_to_text,
+    load_instance,
+    oracle_labelings,
     parse_instance_text,
     random_nested_family,
     report_document,
     run_instance,
 )
-from tracktree.cli import _error_line, build_parser, command_parser, main
+from tracktree.cli import COMMANDS, _error_line, build_parser, command_parser, main
 from tracktree.errors import ParseError, TrackTreeError
 from tracktree.instances import Expectations, make_model, token_word
 from tracktree.reports import FAIL, PASS, UNCERTIFIED, CheckResult, Report
@@ -278,19 +280,30 @@ def test_cli_tree_report(capsys):
 
 
 def test_cli_oracle(capsys):
-    code = main(["oracle", str(INSTANCE_DIR / "E3.ini")])
-    out = json.loads(capsys.readouterr().out)
+    # both brute-force oracles are report lines of `check`
+    code = main(["check", str(INSTANCE_DIR / "E3.ini")])
+    by_name = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert code == 0
-    assert out["orientations_match"] and out["all_within_class"]
+    assert by_name["tree_oracle"] == by_name["labeling_oracle"] == "pass"
 
 
 def test_cli_demo(capsys):
     # there is no demo command: the shipped files in demos/instances are the
-    # corpus, and `check` or `tree` runs them
-    for argv in (["demo", "E1"], ["demo", "E9"]):
+    # corpus, and `check` or `tree` runs them; nor an oracle command: the
+    # oracles' verdicts are `check`'s tree_oracle and labeling_oracle lines
+    for argv in (["demo", "E1"], ["demo", "E9"], ["oracle", E1_PATH]):
         code, out, err = _run(main, argv, capsys)
         assert (code, out) == (2, "")
-        assert "argument command: invalid choice: 'demo'" in err
+        assert f"argument command: invalid choice: '{argv[0]}'" in err
+
+
+def test_readme_command_block_names_each_command_once():
+    # the usage block under README's "Command line" heading lists every
+    # command of cli.COMMANDS, and nothing else, once
+    readme = (INSTANCE_DIR.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert sorted(line.split()[1] for line in block.splitlines()) == sorted(COMMANDS)
 
 
 def test_cli_random(capsys):
@@ -370,13 +383,12 @@ def test_cli_calls_in_one_process_keep_no_options(capsys):
 
 
 def test_cli_timings_only_where_a_report_reads_them(capsys):
-    # tree prints DOT and oracle its own document: neither has timings to show
+    # tree prints DOT, which has no timings to show
     parser, e1 = build_parser(), str(INSTANCE_DIR / "E1.ini")
-    for argv in (["tree", e1, "--timings"], ["oracle", e1, "--timings"]):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --timings" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["tree", e1, "--timings"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
     for argv in (["check", e1, "--timings"], ["random", "--seed", "1", "--timings"]):
         assert parser.parse_args(argv).timings
 
@@ -384,7 +396,8 @@ def test_cli_timings_only_where_a_report_reads_them(capsys):
 E1_PATH, E2_PATH = str(INSTANCE_DIR / "E1.ini"), str(INSTANCE_DIR / "E2.ini")
 
 # argv cases where main's one-command parser must act as the full parser does;
-# `demo` is no command, so its three cases get the full parser's usage error
+# `demo` and `oracle` are no commands, so their cases get the full parser's
+# usage error
 PARSER_CASES = {
     "help": ["--help"],
     "check --help": ["check", "--help"],
@@ -414,6 +427,7 @@ PARSER_CASES = {
     "random": ["random", "--seed", "2", "--classes", "3"],
     "random --radius": ["random", "--seed", "1", "--radius", "2"],
     "demo": ["demo", "E4", "--margin", "3"],
+    "oracle": ["oracle", E1_PATH],
 }
 
 
@@ -459,25 +473,24 @@ def test_corpus_report_bytes_golden(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "340472032f92c869ce3148bbd1e4eb0c"
 
 
-# stdout md5 of `tree` (DOT) and `oracle` on each shipped instance; the crossing
-# instance has no tree, so its `tree` prints nothing on stdout
-TREE_AND_ORACLE_GOLDEN = {
-    "E1.ini": ("e68f82da94bc789f904ac70200d1bf42", "4ff04549ab3998878a5156a70b3144aa"),
-    "E2.ini": ("fa143f01ba3827806c777f92687617a8", "d89de6eee770d8334e58024817417d66"),
-    "E3.ini": ("087e43fd9c07fbea7e536063fcdcb070", "5ab9842548e2efb2234106d84b9ba924"),
-    "E4.ini": ("0a9ef307bc4e5d39c9f3474cab7f2f9a", "525b89df3c2b37550904ba570caed8a9"),
-    "crossing.ini": ("d41d8cd98f00b204e9800998ecf8427e", "1e10350d8a45e43bbf5f9de4f0bd34d1"),
-    "fig1.ini": ("9788eaee5c259cdfa968b6593f5f25be", "eb01f6dbd4a8e7a91521c1a8212b47d8"),
+# stdout md5 of `tree` (DOT) on each shipped instance; the crossing instance
+# has no tree, so its `tree` prints nothing on stdout
+TREE_GOLDEN = {
+    "E1.ini": "e68f82da94bc789f904ac70200d1bf42",
+    "E2.ini": "fa143f01ba3827806c777f92687617a8",
+    "E3.ini": "087e43fd9c07fbea7e536063fcdcb070",
+    "E4.ini": "0a9ef307bc4e5d39c9f3474cab7f2f9a",
+    "crossing.ini": "d41d8cd98f00b204e9800998ecf8427e",
+    "fig1.ini": "9788eaee5c259cdfa968b6593f5f25be",
 }
 
 
-def test_tree_and_oracle_bytes_golden(capsys):
-    assert sorted(TREE_AND_ORACLE_GOLDEN) == sorted(p.name for p in INSTANCE_DIR.glob("*.ini"))
-    for name, (tree_md5, oracle_md5) in TREE_AND_ORACLE_GOLDEN.items():
-        for command, want in (("tree", tree_md5), ("oracle", oracle_md5)):
-            main([command, str(INSTANCE_DIR / name)])
-            out = capsys.readouterr().out
-            assert hashlib.md5(out.encode()).hexdigest() == want, (command, name)
+def test_tree_bytes_golden(capsys):
+    assert sorted(TREE_GOLDEN) == sorted(p.name for p in INSTANCE_DIR.glob("*.ini"))
+    for name, want in TREE_GOLDEN.items():
+        main(["tree", str(INSTANCE_DIR / name)])
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == want, name
 
 
 # stdout md5 of each demo script; demo 04 prints tree flips and demo 05 stabilizers
@@ -717,37 +730,37 @@ def test_random_golden(capsys, seed):
     assert (code, hashlib.md5(out.encode()).hexdigest()) == RANDOM_GOLDEN[seed]
 
 
-# (classes, seed, max_extra_cosets) -> (exit code, stdout md5) of `oracle` on an
+# (classes, seed, max_extra_cosets) -> (exit code, stdout md5) of `check` on an
 # explicit instance file written from random_nested_family; the families with
 # one extra coset at most stay under the labeling oracle's caps more often, and
 # those with 13 and 14 classes are over the orientation oracle's cap
 ORACLE_GOLDEN = {
-    (3, 0, 4): (0, "f27af5d98608ad51393cf07e7b6da6be"),
-    (3, 1, 4): (0, "551a2208a8863d32b65c3a703dc8a60f"),
-    (3, 2, 1): (0, "444544f7fae8fc7468958bb213bc9eea"),
-    (4, 0, 4): (0, "ffc06cf6b63be126b96f835cfcf8b5af"),
-    (4, 1, 4): (0, "3ecbea4851103cc3d5034adbec0601ee"),
-    (4, 2, 1): (0, "e5fc6126a365bf66a55f66d33a995aa1"),
-    (5, 0, 4): (0, "8a6ac432850bf008d535fc159e45c2e4"),
-    (5, 1, 4): (0, "393bc25e587214491b1899968b661b91"),
-    (5, 2, 1): (0, "9ad6583ea0e47f04c5fd95f327b88415"),
-    (6, 0, 4): (0, "5d07b446c85c584859b95409eca0925e"),
-    (6, 1, 4): (0, "cc128ed63daccf585f10543ff4191937"),
-    (6, 2, 1): (0, "fbf95912374f9f06d66c430c2c66bda2"),
-    (7, 0, 4): (0, "6ca304bce78757b9a08dc1fbcefdaa62"),
-    (7, 1, 4): (0, "bb2c3172583779069df8078ffcab13c3"),
-    (7, 2, 1): (0, "81e93fd6e2a46fdfd0a97d87efb05da5"),
-    (8, 0, 4): (0, "a278d0a79f8d587b4b60e577769855cf"),
-    (8, 1, 4): (0, "b7f294b4cf80f1c0b1860d8a5ed2c64e"),
-    (8, 2, 1): (0, "b692b09a3948b35f15851e00279f0679"),
-    (9, 0, 4): (0, "51e293bc6217b06c9e314165590dc614"),
-    (9, 1, 4): (0, "d235353030511728f23b226511df2683"),
-    (9, 2, 1): (0, "e00528117344b5be3f792ad61f28f241"),
-    (10, 0, 4): (0, "510681bc822f3dc87afe8ea2368669bc"),
-    (10, 1, 4): (0, "a1b13c30345b57f5bf60157f71f77bf3"),
-    (10, 2, 1): (0, "124a0ec9f9ccee5330018b02c9aedeb0"),
-    (13, 0, 4): (0, "5f329b9ac3f228edcd1aeeb52ec57100"),
-    (14, 1, 4): (0, "fa7ed8cb9e909c60eb8bd4f94ebb18df"),
+    (3, 0, 4): (0, "d028c4d685b82f4518092094d112340a"),
+    (3, 1, 4): (0, "5b994bd6663267a960182da281ea1cee"),
+    (3, 2, 1): (0, "9f94b31489d9043611428b046f7e2a20"),
+    (4, 0, 4): (0, "6d4406edf7f781e8feefc1bdee0ea249"),
+    (4, 1, 4): (0, "1b7c9cbe1ad3d875f42833a51b048c7f"),
+    (4, 2, 1): (0, "e8d8582fc7b99bb3e8afac9694f757b0"),
+    (5, 0, 4): (0, "105424de74df3af01537bc5d3508841e"),
+    (5, 1, 4): (0, "494a995e846fe46cdaaa23868844da32"),
+    (5, 2, 1): (0, "6d2e2979a3824c2072b3dedadea96f01"),
+    (6, 0, 4): (0, "4faff1ebb3f5f4d6fecd328e671ce436"),
+    (6, 1, 4): (0, "522a5a9a4ab9c34b6c8c9ab935bededa"),
+    (6, 2, 1): (0, "a7c9fa26e0e2db81e3577c5ca6f875f0"),
+    (7, 0, 4): (0, "f858712eef5ff5467a008d364397b5b6"),
+    (7, 1, 4): (0, "7794166c669ffdde75b4284e1618190c"),
+    (7, 2, 1): (0, "edd6525c46391fbe6414aaffd30e8b29"),
+    (8, 0, 4): (0, "b0275982be6e08a3d7c4d2426ca0e5cb"),
+    (8, 1, 4): (0, "77fa4a0f306e6039f084ebecde2c0a4f"),
+    (8, 2, 1): (0, "bb019af71b9ab39b73edb6c8f98b9be3"),
+    (9, 0, 4): (0, "238f46df68c5f3c5a8e67386fd6bf19a"),
+    (9, 1, 4): (0, "8ba4564321e194aba6f323822f22a81f"),
+    (9, 2, 1): (0, "320a8b61ac581e01fcc9fd373ba89536"),
+    (10, 0, 4): (0, "8704d3cf4056fcbd20806ef6c1e76e78"),
+    (10, 1, 4): (0, "a89cc3171307aa42dd0c3647e5c8fa00"),
+    (10, 2, 1): (0, "ff133d2704e255330ef5468c9a4f6083"),
+    (13, 0, 4): (0, "1a972ee48159714e1f1ede0da38738af"),
+    (14, 1, 4): (0, "3c9bac144ea6ee99341f3423bd61682c"),
 }
 
 
@@ -767,11 +780,14 @@ def write_nested_family(directory, classes, seed, extra):
 
 @pytest.mark.parametrize("classes,seed,extra", sorted(ORACLE_GOLDEN))
 def test_oracle_golden(tmp_path, capsys, classes, seed, extra):
-    code = main(["oracle", str(write_nested_family(tmp_path, classes, seed, extra))])
+    code = main(["check", str(write_nested_family(tmp_path, classes, seed, extra))])
     out = capsys.readouterr().out
     assert (code, hashlib.md5(out.encode()).hexdigest()) == ORACLE_GOLDEN[classes, seed, extra]
     if classes > 12:
-        assert "orientations_skipped" in json.loads(out)
+        # over its cap, the orientation oracle is skipped without a report line
+        report = json.loads(out)
+        assert report["counts"]["classes"] > 12
+        assert "tree_oracle" not in {c["name"] for c in report["checks"]}
 
 
 def test_cli_check_reports_good_files_past_a_bad_one(tmp_path, capsys):
@@ -847,7 +863,7 @@ def test_cli_oracle_runs_each_oracle_once(tmp_path, monkeypatch, capsys):
     for path, verdicts in ((INSTANCE_DIR / "E4.ini", 1),
                            (write_nested_family(tmp_path, 13, 0, 4), 0)):
         calls.update(dict.fromkeys(calls, 0))
-        assert main(["oracle", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
         capsys.readouterr()
         assert calls == {"oracle_orientations": 1, "oracle_labelings": 1,
                          "labeling_verdict": verdicts}, path.name
@@ -1158,18 +1174,19 @@ def test_check_witness_bytes_golden(tmp_path, capsys, name):
 
 @st.composite
 def group_specs(draw):
-    """A group instance of any kind, with random subgroup, base rules (some
-    longer than the radius), includes, excludes, translations (the identity at
-    any position among them) and expected K."""
+    """A valid group instance of any kind, with random subgroup, base rules
+    (some longer than the radius), includes, excludes apart from them,
+    translations (the identity at any position among them) and expected K."""
     kind = draw(st.sampled_from(["free", "free_abelian", "free_product_cyclic"]))
     orders = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
                    if kind == "free_product_cyclic" else ())
     rank = len(orders) or draw(st.integers(1, 2))
-    letters = "".join(make_model(InstanceSpec("fuzz", kind=kind, rank=rank, orders=orders)).letters)
+    model = make_model(InstanceSpec("fuzz", kind=kind, rank=rank, orders=orders))
+    letters = "".join(model.letters)
     alphabet = letters + letters.upper()
     margin = draw(st.integers(1, 2))
     radius = draw(st.integers(2 * margin, 5))
-    action_radius = draw(st.none() | st.integers(-2, margin))
+    action_radius = draw(st.none() | st.integers(0, margin))
 
     def words(max_size, max_len=3):
         return tuple(draw(st.lists(st.text(alphabet, min_size=1, max_size=max_len),
@@ -1179,11 +1196,16 @@ def group_specs(draw):
     rules = draw(st.lists(st.tuples(prefixes, st.booleans()), max_size=3, unique_by=lambda r: r[0]))
     translations = list(words(4))
     translations.insert(draw(st.integers(0, len(translations))), "1")
+    # an exclude is a different key from every include: in a free abelian
+    # group xy and yx are one key
+    includes = words(2)
+    included = {model.normalize(w).word for w in includes}
+    excludes = tuple(w for w in words(2) if model.normalize(w).word not in included)
     return InstanceSpec(
         name="fuzz", kind=kind, rank=rank, orders=orders, radius=radius, margin=margin,
         action_radius=action_radius,
-        subgroup_generators=words(2), base_rules=tuple(rules), base_includes=words(2),
-        base_excludes=words(2), base_default_in=draw(st.booleans()),
+        subgroup_generators=words(2), base_rules=tuple(rules), base_includes=includes,
+        base_excludes=excludes, base_default_in=draw(st.booleans()),
         translations=tuple(translations), expected_k_generators=words(1, 2),
         expected_k_exact=draw(st.booleans()))
 
@@ -1192,6 +1214,9 @@ def group_specs(draw):
 @given(group_specs())
 @example(parse_instance_text(FAR_RULE))
 @example(parse_instance_text(SHELL_AT_RADIUS_TWO))
+# the input errors group_specs does not draw
+@example(shipped()["E1"]._replace(action_radius=-1))
+@example(shipped()["E2"]._replace(base_includes=("xy",), base_excludes=("yx",)))
 def test_every_valid_group_input_ends_in_a_report(spec):
     try:
         result = run_instance(spec)
@@ -1248,9 +1273,9 @@ def test_cli_labeling_budget_family(tmp_path, capsys, monkeypatch):
                     f"[vertices]\nvertex = v0 :\nvertex = v1 : {six}\n"
                     f"vertex = v2 : {six} c6 c7\n")
     assert main(["check", str(spec)]) == 0
-    capsys.readouterr()
-    assert main(["oracle", str(spec)]) == 0
-    assert json.loads(capsys.readouterr().out)["labelings"] == 720 * 2
+    by_name = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["labeling_oracle"] == "pass"
+    assert oracle_labelings(run_instance(load_instance(spec)).system).count == 720 * 2
     # out of its step budget, the labeling oracle is uncertified
     monkeypatch.setattr("tracktree.oracles.DFS_BUDGET", 1000)
     code = main(["check", str(spec)])
@@ -1317,18 +1342,36 @@ def test_cli_byte_identical_across_processes():
     assert outputs[0] == outputs[1]
 
 
-def test_write_atomic_io_error(tmp_path):
+def test_write_atomic_io_error(tmp_path, monkeypatch):
     from tracktree.errors import IoError
     from tracktree.reports import write_atomic
 
     with pytest.raises(IoError):
         write_atomic(tmp_path / "missing_dir" / "report.json", "{}")
-    # the temp file is written, then cannot replace a directory: it is removed
+    # a directory target is refused before any temp file is made
     (tmp_path / "taken").mkdir()
-    with pytest.raises(IoError):
+    with pytest.raises(IoError, match="is a directory"):
         write_atomic(tmp_path / "taken", "{}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    # the temp file is written, then cannot replace the target: it is removed
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("tracktree.reports.os.replace", refuse)
+    with pytest.raises(IoError, match="Permission denied"):
+        write_atomic(tmp_path / "report.json", "{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_cli_out_directory_is_an_io_error(tmp_path, capsys):
+    # the message names the target alone, so stderr is the same on every run
+    target = tmp_path / "d"
+    target.mkdir()
+    for _ in range(2):
+        assert main(["check", E1_PATH, "--out", str(target)]) == 4
+        assert capsys.readouterr() == ("", f"io error: cannot write {target}: is a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
 
 
 def test_dot_single_vertex_tree():
