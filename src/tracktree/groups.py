@@ -509,7 +509,9 @@ class _FoldedEngine:
         k*w drops |s| + |s^-1| letters, 2 for a letter of a free group.  So a
         key of length l is known when it ends in the last letters of w^-1 up
         to the first step end where the drops reach l + |w| - radius, an AND
-        of the window's cached ``ending`` masks.
+        of the window's cached ``ending`` masks.  No drop is needed for a key
+        at most radius - |w| long: those keys are one prefix of the ids, and
+        only the top |w| levels are read one at a time.
         """
         r, steps = window.radius, self.split(word)
         undo = list(map(window.graph.inverse.__getitem__, steps))
@@ -518,8 +520,10 @@ class _FoldedEngine:
         tail = "".join(undo)
         suffixes = list(accumulate(map(len, undo), initial=0))
         drops = list(accumulate(map(len, map(add, steps, undo)), initial=0))
-        known, t, ending = 0, 0, (1 << window.size) - 1
-        for length in range(r + 1):
+        short = r - len(word)
+        known = (1 << window.level(short)[1]) - 1 if short >= 0 else 0
+        t, ending = 0, (1 << window.size) - 1
+        for length in range(max(short + 1, 0), r + 1):
             cut = bisect_left(drops, length + len(word) - r)
             if cut == len(drops):
                 break

@@ -18,10 +18,10 @@ universe, and every edge is labelled by the universe position of the one
 coset it flips.  An element g sends
 B = A + F to A*g + F*g = A + (d_g + F*g): d_g is the ``moved`` set of the
 window's translate by g, and F*g walks each label's id by g, where the
-engine's ``known`` mask keeps the walk in the window.  ``act`` is the one
-place this map is computed, one label image per parent edge down from d_g,
-and it returns the vertex map itself; the window stabilizers are read off
-it.  The base stabilizer check against the expected K and the class-union
+window's ``known`` mask, read on the ids up to the last label's, keeps the
+walk in the window.  ``act`` is the one place this map is computed, one
+label image per parent edge down from d_g, and it returns the vertex map
+itself; the window stabilizers are read off it.  The base stabilizer check against the expected K and the class-union
 check each give their witness, None when they hold.  The class union walks
 ``GroupModel.successors`` from H one level at a time toward the identity's
 class, not the whole ball.
@@ -30,7 +30,6 @@ class, not the whole ball.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -303,10 +302,8 @@ def _label_images(tree: DualTree, g: GroupElement) -> dict[int, int]:
     -1 where k*g is longer than the radius, so every walk stays in the window."""
     window = _window_of(tree)
     labels = bit_positions(tree.system.label_bits)
-    # |k*g| <= |k| + |g| for every kind: when the longest label key plus |g|
-    # is within the radius, every walk is known
-    longest = bisect_right(window.graph.level_end, labels[-1]) if labels else 0
-    known = window.sub.engine.known(window, g.word) if longest + len(g.word) > window.radius else -1
+    # known on the ids up to the last label's, the ones read
+    known = window.known(g.word, labels[-1] + 1) if labels else 0
     return {p: window.walk_from(p, g.word) if known >> p & 1 else -1 for p in labels}
 
 

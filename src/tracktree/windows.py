@@ -30,7 +30,9 @@ properness heuristic and the re-check each return their witness, the
 failing detail or the first translate whose difference changed, and None
 when they hold.
 Vertex subsets are int bitsets over the core universe (shell removed), so
-that downstream set arithmetic is exact wherever a certificate holds.
+that downstream set arithmetic is exact wherever a certificate holds; the
+universe reads the core's keys through the graph, spelling one where it is
+read.
 
 A translate by g is one pair of bitsets from one walk of g^-1: the
 certified symmetric difference of the base set and its g-translate, and
@@ -41,8 +43,10 @@ the settled depth recorded when a base set is decided over a window past
 whose core hang trees (``tail_fp``), and from every key otherwise: a longer
 key and its pull-back share a prefix more than S long, which hangs off the
 core and is at least d long, so they are decided alike and the key moves
-nothing.  Which keys a walk decides is the engine's ``known`` bitset over
-the whole window, found in bulk.
+nothing.  Which keys a walk decides is read on the core and the walked
+keys only, the ids every caller reads: all of them when none is longer
+than radius - |g|, else the engine's ``known`` bitset, found in bulk, cut
+to them.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, itemgetter, or_
 from typing import Collection, NamedTuple, Optional, Sequence
 
@@ -115,8 +119,9 @@ class _CosetGraph:
     looks it up, except from a coset past the core, whose every discovered
     neighbour is its parent or a child, linked once ``link`` has run.  Key
     strings are built from ``parent`` and ``last`` only where
-    ``key_strings`` is asked for them.  Growing the graph keeps every id,
-    link and pending run, so windows built over it before stay valid.
+    ``key_strings`` is asked for a run of them or ``key`` for one.  Growing
+    the graph keeps every id, link and pending run, so windows built over it
+    before stay valid.
     """
 
     def __init__(self, sub: SubgroupModel):
@@ -280,6 +285,14 @@ class _CosetGraph:
                         self.last[start:end].decode())
         return keys[lo:hi]
 
+    def key(self, i: int) -> str:
+        """The key of id i alone, spelled back from it through the parent ids."""
+        letters = bytearray()
+        while i > 0:
+            letters.append(self.last[i])
+            i = self.parent[i]
+        return letters[::-1].decode()
+
     def step(self, i: int, step: str) -> int:
         """Id of coset i times step, looked up if it is not linked; -1 when undiscovered.
 
@@ -309,7 +322,7 @@ class Window:
     and sets of keys are int bitsets over ids.  ``core`` is the prefix of
     keys at most radius - margin long; ``core_mask`` and ``shell_mask`` are
     the core's ids and the rest.  ``size`` is the number of keys.  The key
-    strings of ``omega``, which no pipeline stage reads, and ``core`` are
+    strings of ``omega`` and ``core``, which no pipeline stage reads, are
     built from the graph's parent ids the first time they are read.
     """
 
@@ -374,8 +387,8 @@ class Window:
         return big
 
     def keys_of(self, mask: int) -> list[str]:
-        """The keys of a bitset in ShortLex order, spelling keys up to its highest id only."""
-        return list(compress(self.graph.key_strings(0, mask.bit_length()), _flags(mask)))
+        """The keys of a bitset in ShortLex order, spelling its keys only."""
+        return list(map(self.graph.key, bit_positions(mask)))
 
     def level(self, length: int) -> tuple[int, int]:
         """The ids lo..hi-1 of the keys of one length, a contiguous run."""
@@ -417,6 +430,16 @@ class Window:
 
     # -- translates --
 
+    def known(self, word: str, top: int) -> int:
+        """Bitset of the ids below top whose walk by word stays within the
+        radius: every one when the key of id top - 1 is at most
+        radius - |word| long (|k*w| <= |k| + |w| for every kind), else the
+        engine's ``known`` mask cut to them."""
+        short = self.radius - len(word)
+        if short >= 0 and top <= self.graph.level_end[short]:
+            return (1 << top) - 1
+        return self.sub.engine.known(self, word) & ((1 << top) - 1)
+
     def translate(self, base_set: int, g: GroupElement) -> tuple[int, int]:
         """(moved, unknown) bitsets of base_set * g over the window's keys.
 
@@ -425,25 +448,26 @@ class Window:
         pulled-back representative is longer than the radius are unknown.
         ``moved`` is the certified symmetric difference of the base set and
         its translate: the known keys whose membership the translate
-        changes.  The known keys are the engine's ``known`` mask.  One bulk
-        walk of the steps of g^-1, started from a slice of the first step's
-        array and gathered through ``itemgetter``, reads the base set's flag
-        at the end of each walked key; a known walk ends inside the window,
-        so one that reads 2 (the flag of id -1) met a link not looked up or
-        not written yet, or a step that the engine's walk order puts later,
-        and ``walk_from`` walks it again.
+        changes.  One bulk walk of the steps of g^-1, started from a slice
+        of the first step's array and gathered through ``itemgetter``, reads
+        the base set's flag at the end of each walked key; a known walk ends
+        inside the window, so one that reads 2 (the flag of id -1) met a
+        link not looked up or not written yet, or a step that the engine's
+        walk order puts later, and ``walk_from`` walks it again.
 
         The walked keys are those at most S + |g| long, for a base set
         decided over this window with settled depth S (see
         ``_decide``), and every key otherwise.  The rest move nothing: a
         known key k longer than S + |g| and the key of k*g^-1 share k's
         first |k| - |g| letters, a prefix past the core and at least d
-        long, and every key past d is decided as its parent.  ``unknown``
-        covers the whole window.  The graph links on first use, so the walks
-        link the keys they read first: those at most S + 2|g| long (a walk of
-        |g| steps from a key at most S + |g| long reads no longer key), and
-        every key of the window when there is no S.  Cached per word and
-        base set.
+        long, and every key past d is decided as its parent.  Which keys
+        are known is read (``known``) on the core and the walked keys only,
+        the ids every caller reads, and ``unknown`` is the undecided keys
+        among them: the whole window when there is no S.  The graph links on
+        first use, so the walks link the keys they read first: those at
+        most S + 2|g| long (a walk of |g| steps from a key at most S + |g|
+        long reads no longer key), and every key of the window when there is
+        no S.  Cached per word and base set.
         """
         cache_key = (g.word, base_set)
         hit = self._translates.get(cache_key)
@@ -453,7 +477,6 @@ class Window:
                 hit = (0, 0)
             else:
                 word = invert(g).word
-                known = self.sub.engine.known(self, word)
                 settled = self._settled.get(base_set)
                 level_end, r = self.graph.level_end, self.radius
                 if settled is None:
@@ -461,6 +484,9 @@ class Window:
                 else:
                     cut = level_end[min(settled + len(word), r)]
                     reach = level_end[min(settled + 2 * len(word), r)]
+                # the core and the walked keys, the ids a caller reads
+                top = max(cut, self._cut)
+                known = self.known(word, top)
                 self.graph.link(reach)
                 row = self._row(base_set)
                 first, *rest = self.sub.engine.split(word)
@@ -472,7 +498,7 @@ class Window:
                     read[i] = row[self.walk_from(i, word)]
                 assert not _mask(read, _LOST) & known, "a known walk left the window"
                 moved = ((base_set & ((1 << cut) - 1)) ^ _mask(read)) & known
-                hit = (moved, ((1 << size) - 1) ^ known)
+                hit = (moved, ((1 << top) - 1) ^ known)
             self._translates[cache_key] = hit
         return hit
 
@@ -602,20 +628,41 @@ class FamilyVertex(NamedTuple):
     name: str
 
 
+class _KeyPrefix(Sequence[str]):
+    """The keys of ids 0..n-1 of a coset graph, read-only: a key is spelled
+    through the parent ids when it is read, and its length spells none."""
+
+    __slots__ = ("graph", "n")
+
+    def __init__(self, graph: _CosetGraph, n: int):
+        self.graph = graph
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> str:
+        if not -self.n <= i < self.n:
+            raise IndexError("key id out of range")
+        return self.graph.key(i % self.n)
+
+
 class VertexFamily:
     """A deduplicated family of certified base-set translates.
 
-    ``universe`` is the core key list in ShortLex order, and vertex sets are
-    int bitsets over it: bit k stands for ``universe[k]``.  The difference of
-    two vertices is the XOR of their member sets; for a family built over a
-    window that is their certified difference, since every translate was
-    decided on the core and its ``moved`` set certified clear of the shell.
+    ``universe`` is the keys in ShortLex order, and vertex sets are int
+    bitsets over it: bit k stands for ``universe[k]``.  An explicit family
+    lists its keys; a family built over a window reads its core's through
+    the window's graph, one key at a time.  The difference of two vertices
+    is the XOR of their member sets; for a family built over a window that
+    is their certified difference, since every translate was decided on
+    the core and its ``moved`` set certified clear of the shell.
     """
 
     def __init__(self, universe: Sequence[str], vertices: Sequence[FamilyVertex],
                  base_index: int, window: Optional[Window] = None,
                  base_set: Optional[int] = None):
-        self.universe = list(universe)
+        self.universe = universe
         self.vertices = list(vertices)
         self.base_index = base_index
         self.window = window
@@ -632,7 +679,7 @@ class VertexFamily:
 
     def keys_of(self, mask: int) -> list[str]:
         """The keys of a bitset over the universe, in ShortLex order."""
-        return list(compress(self.universe, _flags(mask)))
+        return [self.universe[p] for p in bit_positions(mask)]
 
 
 def explicit_family(universe: Sequence[str], subsets: Sequence[tuple[str, Collection[str]]],
@@ -713,7 +760,7 @@ def build_family(window: Window, base_set: int,
     of each in translation order is kept, and the base vertex is the one
     that moves nothing.  The universe is the window's core, the ShortLex
     prefix of its keys, so the window's bitsets over key ids are already
-    bitsets over the universe.
+    bitsets over the universe; its keys are spelled only where they are read.
     """
     if not any(g.is_identity() for g in translations):
         raise ValueError("translations must contain the identity (the base vertex)")
@@ -723,7 +770,7 @@ def build_family(window: Window, base_set: int,
     vertices = [FamilyVertex(g, (base_set ^ moved) & window.core_mask,
                              f"A*{display_word(g.word)}")
                 for moved, g in kept.items()]
-    return VertexFamily(window.core, vertices, list(kept).index(0),
+    return VertexFamily(_KeyPrefix(window.graph, window._cut), vertices, list(kept).index(0),
                         window=window, base_set=base_set)
 
 

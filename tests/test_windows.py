@@ -32,7 +32,7 @@ from tracktree import (
 )
 from tracktree import trees, windows
 from tracktree.errors import CertificationFailure, ConflictingRule, RadiusTooLarge
-from tracktree.groups import CosetTable, _FreeEngine, _word_to_syllables
+from tracktree.groups import CosetTable, _FoldedEngine, _FreeEngine, _word_to_syllables
 from tracktree.instances import (
     InstanceSpec,
     make_base_spec,
@@ -203,6 +203,25 @@ def test_family_merges_duplicates():
     assert len(fam) == 2
 
 
+def test_window_family_universe_reads_the_core_through_the_graph():
+    window = build_window(F2, subgroup(F2, ["a"]), 6, 2)
+    base = build_base_set(window, BaseSetSpec(rules=(("b", True),)))
+    fam = build_family(window, base, [F2.normalize(w) for w in ["", "b", "B"]])
+    universe = fam.universe
+    # a bitset's keys are spelled alone, not every key below them
+    spelled = len(window.graph.keys)
+    assert fam.keys_of(1 << 80) == window.keys_of(1 << 80) == [universe[80]] == ["BBBB"]
+    assert len(window.graph.keys) == spelled < 80
+    assert len(universe) == len(window.core) == window.core_mask.bit_length() == 81
+    assert list(universe) == window.core
+    assert universe[-1] == window.core[-1] and universe[-81] == ""
+    for i in (81, -82):
+        with pytest.raises(IndexError):
+            universe[i]
+    assert [fam.keys_of(v.members) for v in fam.vertices] == [
+        window.keys_of(v.members) for v in fam.vertices]
+
+
 def test_family_certification_failure():
     window = build_window(Z, TRIVIAL_Z, 4, 1)
     base = build_base_set(window, BaseSetSpec(rules=(("t", True),), includes=frozenset([""])))
@@ -329,12 +348,23 @@ def assert_window_matches_reference(window, rng, samples=6, spec=None):
     return base
 
 
+def read_keys(window, base, g):
+    """The keys a translate of base by g decides: the core and the walked
+    keys, those at most S + |g^-1| long for a base set of settled depth S,
+    and every key when there is no S."""
+    settled = window._settled.get(base)
+    if settled is None:
+        return set(window.omega)
+    longest = max(window.radius - window.margin, settled + len(invert(g).word))
+    return {k for k in window.omega if len(k) <= longest}
+
+
 def assert_translates_match_reference(window, table, base_keys, base, elements):
     for g in elements:
         moved, unknown = window.translate(base, g)
         ref_moved, ref_unknown = reference_translate(table, base_keys, g)
         assert set(window.keys_of(moved)) == ref_moved, g
-        assert set(window.keys_of(unknown)) == ref_unknown, g
+        assert set(window.keys_of(unknown)) == ref_unknown & read_keys(window, base, g), g
 
 
 @st.composite
@@ -1021,6 +1051,39 @@ def test_settled_translates_gather_only_the_short_keys(monkeypatch):
     assert all(n <= ends[len(g.word)] for g, counts in walks for n in counts)
 
 
+def test_short_words_ask_the_engine_for_no_known_mask(monkeypatch):
+    # E3 at radius 10 (margin 2, S = 0): a translate by a word at most the
+    # margin long reads the core and the keys at most S + |g| long, all at
+    # most radius - |g| long, so they are known without the engine's mask
+    spec = group_instances()["E3"]
+    translated, asked = [], []
+    translate, known = Window.translate, _FoldedEngine.known
+
+    def translating(self, base_set, g):
+        translated.append(g.word)
+        return translate(self, base_set, g)
+
+    def asking(self, window, word):
+        asked.append(word)
+        return known(self, window, word)
+
+    monkeypatch.setattr(Window, "translate", translating)
+    monkeypatch.setattr(_FoldedEngine, "known", asking)
+    result = run_instance(spec, radius=10)
+    assert result.report.status == "pass"
+    assert any(0 < len(w) <= spec.margin for w in translated)
+    assert not [w for w in asked if len(w) <= spec.margin]
+
+
+@settings(max_examples=60, deadline=None)
+@given(known_cases(), st.data())
+def test_window_known_is_the_engine_mask_cut_to_the_ids_read(case, data):
+    window, words = case
+    for w in words:
+        top = data.draw(st.integers(0, window.size))
+        assert window.known(w, top) == ref_known(window, w) & ((1 << top) - 1), (w, top)
+
+
 @pytest.mark.parametrize("name", ["E2", "C", "random mask"])
 def test_unsettled_translates_gather_every_key(name, monkeypatch):
     # a free-abelian or free-product window, or a mask the window did not
@@ -1246,10 +1309,20 @@ def test_no_fingerprint_past_the_core_is_ever_advanced(monkeypatch):
             graph.step(i, s)
 
 
-def test_check_builds_only_the_key_strings_it_reads():
+def test_check_builds_only_the_key_strings_it_reads(monkeypatch):
     # E3 at radius 8: the core bound certifies the differences, so the graph
-    # is never grown past the window's 3^8 cosets, and only the keys of its
-    # core, the 3^6 at most 6 long, are spelled out; they are the ball's
+    # is never grown past the window's 3^8 cosets.  Of its core, the 3^6 keys
+    # at most 6 long, the check spells 6 and no more: the 3 keys at most 1
+    # long, which the base set's rule decides, and the 3 edge labels, each
+    # spelled alone for its edge witness; they are the ball's
+    spelled = set()
+    key = _CosetGraph.key
+
+    def spelling(self, i):
+        spelled.add(i)
+        return key(self, i)
+
+    monkeypatch.setattr(_CosetGraph, "key", spelling)
     spec = group_instances()["E3"]
     result = run_instance(spec, radius=8)
     report_document(result.report)
@@ -1258,9 +1331,12 @@ def test_check_builds_only_the_key_strings_it_reads():
     assert graph.radius == 8 and len(graph.fps) == 3 ** 8 == 6561
     # past the core no coset is indexed: the entries are H, b and B
     assert len(graph.index) == 3
-    assert len(graph.keys) == 3 ** 6 == 729
+    assert result.report.counts["core_keys"] == len(result.family.universe) == 3 ** 6 == 729
+    labels = windows.bit_positions(result.tree.system.label_bits)
+    assert len(graph.keys) == len(spelled) == 3 and spelled == set(labels)
     table = CosetTable(window.sub, window.model.ball(8, max_radius=8))
-    assert graph.keys == table.keys[:729]
+    assert graph.keys == table.keys[:3]
+    assert [key(graph, i) for i in labels] == [table.keys[i] for i in labels]
     # E2 (free abelian) and E4 (a free product) build their largest family
     # at radius + 2, in the stability re-check: no key past its core is spelled
     for name in ("E2", "E4"):
