@@ -136,7 +136,7 @@ def _parse_bool(value: str, where: str) -> bool:
 
 
 def _tokens(value: str) -> list[str]:
-    return [t for chunk in value.split(",") for t in chunk.split()]
+    return value.replace(",", " ").split()
 
 
 def _ints(value: str, where: str) -> list[int]:
@@ -202,6 +202,7 @@ _SINGLE = {
     ("expectations", "class_sizes"):
         (None, "class_sizes", lambda v: tuple(sorted(_ints(v, "class_sizes")))),
 }
+_RANK = {key: rank for rank, key in enumerate(_SINGLE)}
 # the sections where an unknown key is an error: the mode that reads them, their repeatable keys
 _LISTED = {"base_set": ("group", ("rule", "include", "exclude")),
            "vertices": ("explicit", ("vertex",))}
@@ -217,27 +218,31 @@ def parse_instance_text(text: str) -> InstanceSpec:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # the regex is skipped on lines without a "#", which are most of them
         line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             current = line[1:-1].strip().lower()
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ParseError(f"line {lineno}: key outside any [section]")
-        key, value = line.split("=", 1)
         index.setdefault((current, key.strip().lower()), []).append(value.strip())
 
     fields: dict = {"name": "unnamed"}
     expected: dict = {}
-    for (section, key), (owner, name, read) in _SINGLE.items():
-        mode = "group" if fields.get("mode", "group") == "group" else "explicit"
-        values = index.get((section, key))
-        if values and owner in (None, mode):
+    mode = "group"
+    # the single-valued keys of the file, in the order of _SINGLE
+    for section, key in sorted(index.keys() & _SINGLE.keys(), key=_RANK.__getitem__):
+        owner, name, read = _SINGLE[section, key]
+        if owner in (None, mode):
+            values = index[section, key]
             if len(values) > 1:
                 raise ParseError(f"key {key!r} repeated in [{section}]")
             (expected if section == "expectations" else fields)[name] = read(values[0])
+            if name == "mode":
+                mode = "group" if fields["mode"] == "group" else "explicit"
     for section, key in index:
         owner, repeatable = _LISTED.get(section, (None, ()))
         if owner == mode and key not in repeatable and (section, key) not in _SINGLE:
@@ -258,7 +263,8 @@ def parse_instance_text(text: str) -> InstanceSpec:
 
 def load_instance(path: str | Path) -> InstanceSpec:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read instance file {path}: {exc}") from exc
     return parse_instance_text(text)

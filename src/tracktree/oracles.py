@@ -1,10 +1,11 @@
 """Independent brute-force routes to the dual tree and the label assignment.
 
 These deliberately avoid the construction paths they check: orientations
-are found by an exhaustive search over the side choices, pruned only by the
-pairwise definition of consistency, instead of being read off the laminar
-order, and labelings are enumerated edge by edge against the
-corner-matching constraints instead of being derived from the class order.
+are found by an exhaustive search over the side choices, pruned by the
+pairwise definition of consistency and by nothing else, instead of being
+read off the laminar order, and labelings are enumerated edge by edge
+against the corner-matching constraints instead of being derived from the
+class order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import NamedTuple, Optional
 
 from .errors import SearchBudgetExceeded, TooLarge
 from .patterns import TrackSystem
-from .trees import DualTree, orientation_consistent
+# orientation_consistent is the definition the search's pruning is exact for;
+# the search never calls it, and the bench tracer counts calls to this binding
+from .trees import DualTree, orientation_consistent  # noqa: F401
 from .windows import VertexFamily, bit_positions, explicit_family
 
 MAX_ORACLE_CLASSES = 12
@@ -37,46 +40,44 @@ def oracle_orientations(system: TrackSystem) -> OrientationOracle:
     extended by a side of the next class only when that side is non-empty
     and meets each side already chosen.  Consistency is a conjunction over
     pairs of classes, so this pruning is exact: it drops exactly the
-    prefixes that no choice of the later sides could make consistent.
-    Each choice that survives to the last class is confirmed by
-    ``orientation_consistent``, the definition.  Adjacent pairs (differing
-    in a single class) are subdivided by the class's labels in universe
-    (ShortLex) order.
+    prefixes that no choice of the later sides could make consistent, and
+    every choice that survives to the last class is consistent by
+    construction, with no second test by ``orientation_consistent``.  Each
+    prefix carries its flip set, the union of the classes it flips.
+    Adjacent pairs (differing in a single class) are subdivided by the
+    class's labels in universe (ShortLex) order.
     """
     m = len(system.class_bits)
     if m > MAX_ORACLE_CLASSES:
         raise TooLarge(f"{m} classes exceed the oracle cap {MAX_ORACLE_CLASSES}")
 
-    # table[k][s] = (side s of class k as a vertex bitset (0 kept, 1 flipped),
-    #                the earlier classes whose flipped side misses it,
-    #                the earlier classes whose kept side misses it)
+    # table[k]: per non-empty side s of class k (0 kept, 1 flipped), the
+    # orientation bit it sets (s << k), the labels it adds to the flip set,
+    # the earlier classes whose flipped side misses it, and the earlier
+    # classes whose kept side misses it
     full = system._full
     sides = [(~g & full, g) for g in system.class_norm]
     table = []
-    for k, pair in enumerate(sides):
+    for k, (pair, bits) in enumerate(zip(sides, system.class_bits)):
         row = []
-        for side in pair:
+        for s, side in enumerate(pair):
+            if not side:
+                continue
             flipped = kept = 0
             for j in range(k):
                 if not sides[j][1] & side:
                     flipped |= 1 << j
                 if not sides[j][0] & side:
                     kept |= 1 << j
-            row.append((side, flipped, kept))
+            row.append((s << k, bits if s else 0, flipped, kept))
         table.append(row)
 
-    prefixes = [0]
-    for k, row in enumerate(table):
-        prefixes = [p | s << k for p in prefixes for s, (side, flipped, kept) in enumerate(row)
-                    if side and not (p & flipped or ~p & kept)]
-    flips = {}
-    for o in prefixes:
-        if orientation_consistent(system, o):
-            out = 0
-            for k, bits in enumerate(system.class_bits):
-                if (o >> k) & 1:
-                    out |= bits
-            flips[o] = out
+    # each prefix is (orientation, flip set), the flip set grown with it
+    prefixes = [(0, 0)]
+    for row in table:
+        prefixes = [(p | bit, f | adds) for p, f in prefixes for bit, adds, flipped, kept in row
+                    if not (p & flipped or ~p & kept)]
+    flips = dict(prefixes)
 
     vertices: set[int] = set(flips.values())
     edges: set[tuple[int, int, int]] = set()

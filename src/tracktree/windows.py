@@ -142,6 +142,9 @@ class _CosetGraph:
         # by the last letter of a parent past the engine's tail_fp, its
         # children's letters: the successors of its key
         self._children = {ord(s): model.successors(s).encode() for s in self.letters}
+        # by child slot k, a bytes.translate table from such a parent's last
+        # letter to its k-th child's; built from _children on the first bulk growth
+        self._child_tables: Optional[list[bytearray]] = None
         # runs (lo, hi, first child id) of parents grown in bulk whose links
         # are not written yet, in id order
         self._pending: deque[tuple[int, int, int]] = deque()
@@ -227,18 +230,28 @@ class _CosetGraph:
         in ShortLex order of their letters.  A child's only neighbours are
         its parent and its own children, so no step ever looks it up: it gets
         no fingerprint and no index entry, only the shared past-core value in
-        ``fps``.  The run's links are left to ``link``: a translate reads
-        those of the short keys only.
+        ``fps``.  The children's last letters are spelled one child slot at
+        a time, by one ``bytes.translate`` of the parents' last letters.  The
+        run's links are left to ``link``: a translate reads those of the
+        short keys only.
         """
         width = len(self.letters) - 1
         count = (hi - lo) * width
+        if self._child_tables is None:
+            self._child_tables = [bytearray(256) for _ in range(width)]
+            for code, children in self._children.items():
+                for table, child in zip(self._child_tables, children):
+                    table[code] = child
         parent_ids = list(range(lo, hi))
+        last_letters = self.last[lo:hi]
         parents = [0] * count  # each parent's id, once per child
-        for k in range(width):
+        tails = bytearray(count)  # each child's last letter
+        for k, table in enumerate(self._child_tables):
             parents[k::width] = parent_ids
+            tails[k::width] = last_letters.translate(table)
         self.fps += repeat(self.sub.engine.tail_fp, count)
         self.parent += parents
-        self.last += b"".join(map(self._children.__getitem__, self.last[lo:hi]))
+        self.last += tails
         self._pending.append((lo, hi, size))
         return size + count
 

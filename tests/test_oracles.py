@@ -20,6 +20,8 @@ from tracktree import (
     tree_matches_oracle,
 )
 import tracktree.oracles
+import tracktree.patterns
+import tracktree.trees
 from tracktree.errors import SearchBudgetExceeded, TooLarge
 from tracktree.oracles import (
     MAX_ORACLE_CLASSES,
@@ -177,23 +179,42 @@ def test_oracle_search_matches_definition_on_random_subset_families(family):
     assert_matches_reference_orientations(family)
 
 
-def test_oracle_confirms_only_the_surviving_orientations(monkeypatch):
+def test_oracle_decides_each_orientation_without_the_definition(monkeypatch):
+    """The search's pruning is the definition, so the oracle never calls
+    it; the definition still finds classes + 1 orientations of a nested
+    family, one per vertex of its tree."""
     calls = [0]
 
     def counted(system, orientation):
         calls[0] += 1
         return orientation_consistent(system, orientation)
 
-    system = run_instance(group_instances()["E1"]).system
+    systems = [run_instance(group_instances()["E1"]).system]
+    systems += [build_track_system(random_nested_family(seed)[0]) for seed in range(100)]
     monkeypatch.setattr(tracktree.oracles, "orientation_consistent", counted)
-    oracle_orientations(system)
-    assert calls[0] == 5
-    for seed in range(100):
-        system = build_track_system(random_nested_family(seed)[0])
-        calls[0] = 0
+    monkeypatch.setattr(tracktree.trees, "orientation_consistent", counted)
+    for system in systems:
         oracle_orientations(system)
+    assert calls[0] == 0
+    for seed, system in enumerate(systems[1:]):
         _, consistent = reference_orientations(system)
-        assert calls[0] == consistent == len(system.class_bits) + 1, seed
+        assert consistent == len(system.class_bits) + 1, seed
+
+
+def test_oracle_matches_tree_past_the_class_cap(monkeypatch):
+    """Nested families of 13 to 64 classes, out of reach of the 2^m
+    reference, with the oracle's class cap and the vertex cap lifted."""
+    monkeypatch.setattr(tracktree.oracles, "MAX_ORACLE_CLASSES", 64)
+    monkeypatch.setattr(tracktree.patterns, "DEFAULT_MAX_VERTICES", 65)
+    rng = random.Random(42)
+    for seed in range(40):
+        classes = rng.randint(13, 64)
+        family, info = random_nested_family(seed, exact_classes=classes)
+        system = build_track_system(family)
+        assert len(system.class_bits) == classes, seed
+        oracle = oracle_orientations(system)
+        assert tree_matches_oracle(build_tree(system), oracle), seed
+        assert len(oracle.vertex_flips) == info.tree_vertex_count, seed
 
 
 # --------------------------------------------------------------------------

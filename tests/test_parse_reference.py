@@ -3,7 +3,9 @@
 The reference is the earlier ``parse_instance_text``, kept here verbatim
 but for ``dataclasses.replace`` calls written as ``_replace``, since the
 spec became a NamedTuple: it files each section's lines in a list, scans
-the list once per key, and rebuilds the spec for every key it reads.
+the list once per key, and rebuilds the spec for every key it reads.  It
+reads values with its own copies of that parser's tokenizer and integer
+reader, so a change to the module's tokenizer shows here too.
 The parser in ``tracktree.instances`` must give an equal spec, or a
 ``ParseError``, on exactly the texts where the reference does, except for
 four deliberate changes:
@@ -30,7 +32,7 @@ from tracktree import (
     parse_instance_text,
 )
 from tracktree.errors import ParseError
-from tracktree.instances import Expectations, _ints, _parse_bool, _tokens
+from tracktree.instances import Expectations, _parse_bool, _tokens
 from tracktree.oracles import random_nested_family
 
 from shipped_instances import INSTANCE_DIR, group_instances, shipped
@@ -38,6 +40,18 @@ from shipped_instances import INSTANCE_DIR, group_instances, shipped
 
 # --------------------------------------------------------------------------
 # the reference
+
+
+def ref_tokens(value: str) -> list[str]:
+    """The tokenizer the reference was written with: commas split, then whitespace."""
+    return [t for chunk in value.split(",") for t in chunk.split()]
+
+
+def ref_ints(value: str, where: str) -> list[int]:
+    try:
+        return [int(t) for t in ref_tokens(value)]
+    except ValueError:
+        raise ParseError(f"expected integers for {where}, got {value!r}") from None
 
 
 def ref_parse_instance_text(text: str) -> InstanceSpec:
@@ -79,11 +93,11 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
         spec = spec._replace(kind=kind.lower())
         rank = single("group", "rank")
         if rank is not None:
-            spec = spec._replace(rank=_ints(rank, "rank")[0])
+            spec = spec._replace(rank=ref_ints(rank, "rank")[0])
         orders = single("group", "orders")
         if orders is not None:
-            spec = spec._replace(orders=tuple(_ints(orders, "orders")),
-                                 rank=len(_ints(orders, "orders")))
+            spec = spec._replace(orders=tuple(ref_ints(orders, "orders")),
+                                 rank=len(ref_ints(orders, "orders")))
         letters = single("group", "letters")
         if letters is not None:
             spec = spec._replace(letters=letters)
@@ -92,14 +106,14 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
         margin = single("window", "margin")
         action = single("window", "action_radius")
         if radius is not None:
-            spec = spec._replace(radius=_ints(radius, "radius")[0])
+            spec = spec._replace(radius=ref_ints(radius, "radius")[0])
         if margin is not None:
-            spec = spec._replace(margin=_ints(margin, "margin")[0])
+            spec = spec._replace(margin=ref_ints(margin, "margin")[0])
         if action is not None:
-            spec = spec._replace(action_radius=_ints(action, "action_radius")[0])
+            spec = spec._replace(action_radius=ref_ints(action, "action_radius")[0])
 
         gens = single("subgroup", "generators", "")
-        spec = spec._replace(subgroup_generators=tuple(_tokens(gens or "")))
+        spec = spec._replace(subgroup_generators=tuple(ref_tokens(gens or "")))
 
         rules = []
         includes: list[str] = []
@@ -107,14 +121,14 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
         default_in = False
         for key, value in section("base_set"):
             if key == "rule":
-                parts = _tokens(value)
+                parts = ref_tokens(value)
                 if len(parts) != 2 or parts[1].lower() not in ("in", "out"):
                     raise ParseError(f"rule must be '<prefix> in|out', got {value!r}")
                 rules.append((parts[0], parts[1].lower() == "in"))
             elif key == "include":
-                includes.extend(_tokens(value))
+                includes.extend(ref_tokens(value))
             elif key == "exclude":
-                excludes.extend(_tokens(value))
+                excludes.extend(ref_tokens(value))
             elif key == "default":
                 if value.lower() not in ("in", "out"):
                     raise ParseError(f"default must be 'in' or 'out', got {value!r}")
@@ -126,16 +140,16 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
 
         elements = single("translations", "elements")
         if elements is not None:
-            spec = spec._replace(translations=tuple(_tokens(elements)))
+            spec = spec._replace(translations=tuple(ref_tokens(elements)))
 
         kgens = single("expected_k", "generators", "")
-        spec = spec._replace(expected_k_generators=tuple(_tokens(kgens or "")))
+        spec = spec._replace(expected_k_generators=tuple(ref_tokens(kgens or "")))
         exact = single("expected_k", "exact")
         if exact is not None:
             spec = spec._replace(expected_k_exact=_parse_bool(exact, "expected_k.exact"))
     else:
         keys = single("universe", "keys", "")
-        spec = spec._replace(universe=tuple(_tokens(keys or "")))
+        spec = spec._replace(universe=tuple(ref_tokens(keys or "")))
         vertices = []
         for key, value in section("vertices"):
             if key != "vertex":
@@ -143,7 +157,7 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
             if ":" not in value:
                 raise ParseError(f"vertex must be '<name> : <keys>', got {value!r}")
             name, members = value.split(":", 1)
-            vertices.append((name.strip(), tuple(_tokens(members))))
+            vertices.append((name.strip(), tuple(ref_tokens(members))))
         spec = spec._replace(explicit_vertices=tuple(vertices))
 
     exp = Expectations()
@@ -152,13 +166,13 @@ def ref_parse_instance_text(text: str) -> InstanceSpec:
         exp = exp._replace(nested=_parse_bool(nested, "expectations.nested"))
     tv = single("expectations", "tree_vertices")
     if tv is not None:
-        exp = exp._replace(tree_vertices=_ints(tv, "tree_vertices")[0])
+        exp = exp._replace(tree_vertices=ref_ints(tv, "tree_vertices")[0])
     te = single("expectations", "tree_edges")
     if te is not None:
-        exp = exp._replace(tree_edges=_ints(te, "tree_edges")[0])
+        exp = exp._replace(tree_edges=ref_ints(te, "tree_edges")[0])
     cs = single("expectations", "class_sizes")
     if cs is not None:
-        exp = exp._replace(class_sizes=tuple(sorted(_ints(cs, "class_sizes"))))
+        exp = exp._replace(class_sizes=tuple(sorted(ref_ints(cs, "class_sizes"))))
     spec = spec._replace(expectations=exp)
     return spec.validate()
 
@@ -215,7 +229,7 @@ def deliberately_rejected(message: str) -> bool:
         return True
     if message.startswith("expected one integer for "):
         value = ast.literal_eval(message.split(", got ", 1)[1])
-        return len(_tokens(value)) != 1
+        return len(ref_tokens(value)) != 1
     return False
 
 
@@ -251,6 +265,12 @@ def test_parser_agrees_with_the_reference(text):
 def test_parser_agrees_with_the_reference_on_every_text():
     for text in TEXTS:
         assert parse_instance_text(text) == ref_parse_instance_text(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="abAB019, \t", max_size=30))
+def test_tokens_agree_with_the_reference_tokenizer(value):
+    assert _tokens(value) == ref_tokens(value)
 
 
 # --------------------------------------------------------------------------

@@ -1210,6 +1210,33 @@ def test_bulk_growth_matches_the_per_step_reference(case):
         assert walking.arrays == ref["arrays"]
 
 
+def per_parent_grow_tails(graph, lo, hi, size):
+    """``_CosetGraph._grow_tails`` spelling the children's last letters by
+    one lookup in ``_children`` per parent: the reference for the spelling
+    by child slot."""
+    width = len(graph.letters) - 1
+    count = (hi - lo) * width
+    graph.fps += itertools.repeat(graph.sub.engine.tail_fp, count)
+    graph.parent += [i for i in range(lo, hi) for _ in range(width)]
+    graph.last += b"".join(map(graph._children.__getitem__, graph.last[lo:hi]))
+    graph._pending.append((lo, hi, size))
+    return size + count
+
+
+@pytest.mark.parametrize("sub, radius", [(subgroup(F2, ["a"]), 10),
+                                         (subgroup(free_group(3), ["abC"]), 6)],
+                         ids=["E3-r10", "F3-abC-r6"])
+def test_bulk_tails_match_the_per_parent_spelling(monkeypatch, sub, radius):
+    graph = _CosetGraph(sub).grow(radius)
+    assert graph._child_tables is not None  # some layer grew in bulk
+    monkeypatch.setattr(_CosetGraph, "_grow_tails", per_parent_grow_tails)
+    ref = _CosetGraph(sub).grow(radius)
+    assert graph.parent == ref.parent
+    assert graph.last == ref.last
+    assert graph.level_end == ref.level_end
+    assert len(graph.fps) == len(ref.fps)
+
+
 @st.composite
 def lazy_link_cases(draw):
     """A free subgroup and radius (``free_subgroups``), a margin, a base spec
